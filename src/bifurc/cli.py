@@ -41,6 +41,7 @@ from .escape_lab import (
     measure_escape,
     quadratic_well_tilt,
     read_sweep_csv,
+    sweep_cells,
     write_sweep_csv,
 )
 from .experiments import (
@@ -196,7 +197,10 @@ def _cmd_calibrate_hessian(cfg, out_dir):
     source = cfg.get_choice("hessian", "source", {"bimodal", "identity"})
     seed = cfg.seeds()[0]
     if source == "identity":
-        cov = np.eye(cfg.get_int("hessian", "dim"))
+        dim = cfg.get_int("hessian", "dim")
+        if dim < 1:
+            raise ConfigError("hessian.dim must be >= 1")
+        cov = np.eye(dim)
         samples = None
     else:
         ds = gen_bimodal(
@@ -560,13 +564,10 @@ def _escape_base_config(cfg):
 
 
 def _escape_cell(job):
-    cfg, gamma, seed = job
-    from dataclasses import replace
-
-    base = replace(_escape_base_config(cfg), coupling=gamma, seed=1000 * seed)
+    cfg, cell = job
     tilt = quadratic_well_tilt(cfg.get_float("escape", "tilt_curvature"))
     return measure_escape(
-        base,
+        cell,
         tilt,
         cfg.get_float("escape", "threshold"),
         horizon=cfg.get_int("escape", "horizon"),
@@ -617,12 +618,12 @@ def _plot_escape_fit(path, stats, summary):
 
 
 def _cmd_escape_sweep(cfg, out_dir):
-    gammas = cfg.get_float_list("escape", "gammas")
-    seeds_per_gamma = cfg.get_int("escape", "seeds_per_gamma")
-    if seeds_per_gamma < 1:
-        raise ConfigError("escape.seeds_per_gamma must be >= 1")
-    jobs = [(cfg, g, s) for g in sorted(set(gammas)) for s in range(seeds_per_gamma)]
-    observations = _parallel_map(_escape_cell, jobs)
+    cells = sweep_cells(
+        cfg.get_float_list("escape", "gammas"),
+        cfg.get_int("escape", "seeds_per_gamma"),
+        _escape_base_config(cfg),
+    )
+    observations = _parallel_map(_escape_cell, [(cfg, cell) for cell in cells])
     stats = aggregate_observations(observations)
     write_sweep_csv(
         out_dir / "escape-sweep.csv",

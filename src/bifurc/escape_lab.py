@@ -188,6 +188,18 @@ DEFAULT_GAMMAS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 DEFAULT_THRESHOLD = 5e-3
 
 
+def sweep_cells(gammas, seeds_per_gamma, config):
+    """One config per sweep cell: coupling = each distinct gamma in sorted
+    order, seed = config.seed + 1000 s for s < seeds_per_gamma."""
+    if seeds_per_gamma < 1:
+        raise ValidationError("seeds_per_gamma must be >= 1")
+    return [
+        replace(config, coupling=float(g), seed=config.seed + 1000 * s)
+        for g in sorted(set(gammas))
+        for s in range(seeds_per_gamma)
+    ]
+
+
 def run_sweep(
     gammas,
     seeds_per_gamma,
@@ -196,26 +208,18 @@ def run_sweep(
     threshold,
     horizon=DEFAULT_HORIZON,
 ):
-    """Escape-time sweep over gamma levels.
+    """Escape-time sweep over the cells of sweep_cells.
 
-    Each (gamma, seed) cell runs measure_escape with the config's coupling
-    replaced by gamma and the seed offset deterministically. Censored cells
-    are counted per level; levels with no uncensored cell get empty means.
-    Fitting needs >= 3 distinct uncensored gamma > 0 levels; with none at
-    all this raises NoFitError (callers that want the statistics anyway
-    should use aggregate_observations and fit separately).
+    Censored cells are counted per level; levels with no uncensored cell get
+    empty means. Fitting needs >= 3 distinct uncensored gamma > 0 levels; with
+    none at all this raises NoFitError (callers that want the statistics
+    anyway should use aggregate_observations and fit separately).
     """
-    gl = list(gammas)
-    if len(set(gl)) < 3:
+    gammas = list(gammas)
+    if len(set(gammas)) < 3:
         raise ValidationError("run_sweep needs >= 3 distinct gamma values")
-    if seeds_per_gamma < 1:
-        raise ValidationError("seeds_per_gamma must be >= 1")
-    obs = []
-    for g in sorted(gl):
-        for s in range(seeds_per_gamma):
-            cell = replace(config, coupling=float(g), seed=config.seed + 1000 * s)
-            obs.append(measure_escape(cell, tilt, threshold, horizon))
-    return summarize_observations(obs)
+    cells = sweep_cells(gammas, seeds_per_gamma, config)
+    return summarize_observations([measure_escape(c, tilt, threshold, horizon) for c in cells])
 
 
 def aggregate_observations(observations):

@@ -33,6 +33,7 @@ from . import __version__
 from .errors import (
     AbortedRunError,
     DegenerateInputError,
+    NumericalError,
     PreconditionError,
     ValidationError,
 )
@@ -40,6 +41,10 @@ from .gmm_probe import (
     CriticalityReading,
     GmmProbeState,
     ProbeConfig,
+    _joint_step,
+    _mean_step,
+    _row_norms,
+    _spread,
     init_collapsed,
     split_direction,
 )
@@ -318,6 +323,8 @@ def _native(obj):
         return [_native(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         return float(obj)
+    if isinstance(obj, bool):
+        return obj
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -346,49 +353,8 @@ def write_trajectory_summary(log, path):
 
 
 # ---------------------------------------------------------------------------
-# lean protocol engine (same arithmetic as gmm_probe.grad_step, hot-loop form)
-
-
-class _Engine:
-    def __init__(self, samples, means, log_beta):
-        self.z = np.asarray(samples, dtype=float)
-        self.z2 = (self.z * self.z).sum(axis=1)
-        self.n = self.z.shape[0]
-        self.d = self.z.shape[1]
-        self.mu = np.array(means, dtype=float, copy=True)
-        self.lb = float(log_beta)
-
-    def _resp(self, beta):
-        mu = self.mu
-        sq = self.z2[:, None] + (mu * mu).sum(axis=1)[None, :] - 2.0 * (self.z @ mu.T)
-        a = -0.5 * beta * sq
-        a -= a.max(axis=1, keepdims=True)
-        p = np.exp(a)
-        p /= p.sum(axis=1, keepdims=True)
-        return p, sq
-
-    def step_means(self, beta, lr):
-        p, _ = self._resp(beta)
-        self.mu = self.mu + (lr * beta / self.n) * (
-            p.T @ self.z - p.sum(axis=0)[:, None] * self.mu
-        )
-
-    def step_full(self, lr_means, lr_logbeta):
-        beta = math.exp(self.lb)
-        mu = self.mu
-        p, sq = self._resp(beta)
-        self.mu = mu + (lr_means * beta / self.n) * (
-            p.T @ self.z - p.sum(axis=0)[:, None] * mu
-        )
-        dnll = float((p * sq).sum() / (2.0 * self.n) - 0.5 * self.d / beta)
-        self.lb = self.lb - lr_logbeta * beta * dnll
-
-    def op(self):
-        c = self.mu - self.mu.mean(axis=0)
-        return float(np.sqrt((c * c).sum(axis=1).mean()))
-
-    def state(self):
-        return GmmProbeState(self.mu.copy(), self.lb, self.mu.shape[0], self.d)
+# activation detection and latent geometry (the protocols step the probe with
+# the gmm_probe kernel on raw arrays: means mu and log precision lb)
 
 
 class _ActivationTracker:
@@ -531,10 +497,10 @@ def run_forward_split(dataset, config, schedule=None):
     if schedule is None:
         schedule = LearnedBetaSchedule()
     z = dataset.samples
+    z2 = _row_norms(z)
     lam, log_bc = _lam_and_logbc(z)
     rng = np.random.default_rng(dataset.seed + 99)
-    state0 = init_collapsed(z, config, rng)
-    engine = _Engine(z, state0.means, config.log_beta_init)
+    mu = init_collapsed(z, config, rng).means
     const_nc1 = _dataset_nc1(dataset, z)
     log = TrajectoryLog("forward-split", dataset.seed)
     tracker = _ActivationTracker()
@@ -546,13 +512,14 @@ def run_forward_split(dataset, config, schedule=None):
         )
 
     if isinstance(schedule, LearnedBetaSchedule):
+        lb = config.log_beta_init
         for n in range(schedule.steps):
-            engine.step_full(config.lr_means, config.lr_logbeta)
+            mu, lb = _joint_step(z, z2, mu, lb, config.lr_means, config.lr_logbeta)
             if n % schedule.record_every == 0:
-                lb, op = engine.lb, engine.op()
+                op = _spread(mu)
                 log.append(reading(n, lb, op))
                 tracker.feed(n, lb, op, supercritical=lb >= log_bc)
-        final = engine.state()
+        final = GmmProbeState(mu, lb, config.K_probe, z.shape[1])
         _finish_forward(log, dataset, final, lam, tracker, branch=None)
         return log, final
 
@@ -565,16 +532,16 @@ def run_forward_split(dataset, config, schedule=None):
     n = 0
     while n < schedule.max_steps:
         lb = lb0 + (lb_hold - lb0) * min(1.0, n / schedule.ramp_steps)
-        engine.step_means(math.exp(lb), schedule.hold_lr)
+        mu = _mean_step(z, z2, mu, math.exp(lb), schedule.hold_lr)[0]
         if n % schedule.record_every == 0:
-            op = engine.op()
+            op = _spread(mu)
             log.append(reading(n, lb, op))
             if tracker.feed(n, lb, op, supercritical=lb >= log_bc):
                 break
         n += 1
     for _ in range(schedule.settle_steps):
         n += 1
-        engine.step_means(math.exp(lb_hold), config.lr_means)
+        mu = _mean_step(z, z2, mu, math.exp(lb_hold), config.lr_means)[0]
     branch = []
     lb_top = math.log(schedule.branch_top_ratio) - math.log(lam)
     k = config.K_probe
@@ -582,11 +549,11 @@ def run_forward_split(dataset, config, schedule=None):
         b = math.exp(lb_level)
         for _ in range(_inner_steps(b, lam, k, config.lr_means, schedule)):
             n += 1
-            engine.step_means(b, config.lr_means)
-        op = engine.op()
+            mu = _mean_step(z, z2, mu, b, config.lr_means)[0]
+        op = _spread(mu)
         log.append(reading(n, lb_level, op))
         branch.append([b, op])
-    final = engine.state()
+    final = GmmProbeState(mu, lb0, k, z.shape[1])
     _finish_forward(log, dataset, final, lam, tracker, branch)
     return log, final
 
@@ -625,7 +592,8 @@ def run_reverse_traversal(dataset, probe, schedule=None, lr_means=0.05):
     lam, log_bc = _lam_and_logbc(z)
     beta_c_hat = 1.0 / lam
     const_nc1 = _dataset_nc1(dataset, z)
-    engine = _Engine(z, probe.means, probe.log_precision)
+    z2 = _row_norms(z)
+    mu = probe.means
     k = probe.K
     lr = lr_means
     log = TrajectoryLog("reverse-traversal", dataset.seed)
@@ -641,8 +609,8 @@ def run_reverse_traversal(dataset, probe, schedule=None, lr_means=0.05):
     for b in levels:
         for _ in range(_inner_steps(b, lam, k, lr, schedule)):
             n += 1
-            engine.step_means(b, lr)
-        op = engine.op()
+            mu = _mean_step(z, z2, mu, b, lr)[0]
+        op = _spread(mu)
         lb = math.log(b)
         log.append(
             CriticalityReading(
@@ -755,8 +723,8 @@ def run_endogenous(
         learning_rate=encoder_lr,
     )
     z = enc.latents(x)
-    state = init_collapsed(z, config, rng)
-    engine = _Engine(z, state.means, config.log_beta_init)
+    mu = init_collapsed(z, config, rng).means
+    lb = config.log_beta_init
     lam0, log_bc0 = _lam_and_logbc(z)
     delta0 = config.log_beta_init - log_bc0
     if delta0 >= 0.0:
@@ -767,24 +735,22 @@ def run_endogenous(
     tracker = _ActivationTracker()
     loss_trace = []
     for n in range(steps):
+        enc.gd_step(x)
+        z = enc.latents(x)
         try:
-            enc.gd_step(x)
-            z = enc.latents(x)
-            engine.z = z
-            engine.z2 = (z * z).sum(axis=1)
-            engine.step_full(config.lr_means, config.lr_logbeta)
-        except (ZeroDivisionError, FloatingPointError, OverflowError) as blowup:
+            mu, lb = _joint_step(z, _row_norms(z), mu, lb, config.lr_means, config.lr_logbeta)
+        except NumericalError as blowup:
             raise AbortedRunError(
                 f"encoder-probe co-evolution diverged at step {n}: {blowup}", partial=log
             ) from None
         if n % record_every == 0:
             loss = enc.loss(x)
-            if not (math.isfinite(loss) and math.isfinite(engine.lb)):
+            if not math.isfinite(loss):
                 raise AbortedRunError(
                     f"encoder diverged at step {n} (loss = {loss})", partial=log
                 )
             lam, log_bc = _lam_and_logbc(z)
-            lb, op = engine.lb, engine.op()
+            op = _spread(mu)
             log.append(
                 CriticalityReading(
                     step=n, log_beta=lb, log_beta_c=log_bc, log_ratio=lb - log_bc,
@@ -904,8 +870,8 @@ def run_hierarchical(dataset, config=None, schedule=None):
     corners = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
     pattern = np.vstack([corners, corners])
     delta = 1e-3 * math.sqrt(lam1)
-    mu0 = z.mean(axis=0) + delta * (pattern @ axes.T) + 0.1 * delta * rng.standard_normal((8, 2))
-    engine = _Engine(z, mu0, math.log(schedule.start_ratio * bc1))
+    mu = z.mean(axis=0) + delta * (pattern @ axes.T) + 0.1 * delta * rng.standard_normal((8, 2))
+    z2 = _row_norms(z)
     const_nc1 = _dataset_nc1(dataset, z)
     log = TrajectoryLog("hierarchical", dataset.seed)
 
@@ -913,7 +879,7 @@ def run_hierarchical(dataset, config=None, schedule=None):
         log.append(
             CriticalityReading(
                 step=step, log_beta=lb, log_beta_c=log_bc1, log_ratio=lb - log_bc1,
-                nc1=const_nc1, order_parameter=engine.op(),
+                nc1=const_nc1, order_parameter=_spread(mu),
             )
         )
 
@@ -935,10 +901,10 @@ def run_hierarchical(dataset, config=None, schedule=None):
     lb = lb_a0
     while n < schedule.max1_steps:
         lb = lb_a0 + (lb_a1 - lb_a0) * min(1.0, n / schedule.ramp1_steps)
-        engine.step_means(math.exp(lb), lr)
+        mu = _mean_step(z, z2, mu, math.exp(lb), lr)[0]
         if n % schedule.record_every == 0:
             record(n, lb)
-            if tracker1.feed(n, lb, engine.op(), supercritical=lb >= math.log(bc1)):
+            if tracker1.feed(n, lb, _spread(mu), supercritical=lb >= math.log(bc1)):
                 break
         n += 1
     events = []
@@ -961,42 +927,27 @@ def run_hierarchical(dataset, config=None, schedule=None):
         lb_b0 = lb
         for m in range(schedule.bridge_steps):
             n += 1
-            engine.step_means(math.exp(lb_b0 + (lb_b1 - lb_b0) * m / schedule.bridge_steps), lr)
+            beta = math.exp(lb_b0 + (lb_b1 - lb_b0) * m / schedule.bridge_steps)
+            mu = _mean_step(z, z2, mu, beta, lr)[0]
         for _ in range(schedule.settle_steps):
             n += 1
-            engine.step_means(math.exp(lb_b1), lr)
+            mu = _mean_step(z, z2, mu, math.exp(lb_b1), lr)[0]
         record(n, lb_b1)
         lb_c1 = math.log(schedule.hold2_ratio * bc2)
-        wmed = None
-        wrecent = []
         m = 0
         while m < schedule.max2_steps:
             lb = lb_b1 + (lb_c1 - lb_b1) * min(1.0, m / schedule.ramp2_steps)
-            engine.step_means(math.exp(lb), lr)
+            mu = _mean_step(z, z2, mu, math.exp(lb), lr)[0]
             if m % schedule.record_every == 0:
                 n_glob = n + m + 1
                 record(n_glob, lb)
-                wop = within_op(engine.mu)
-                if lb < math.log(bc2):
-                    tracker2.pre.append(wop)
-                else:
-                    if wmed is None:
-                        wmed = float(np.median(tracker2.pre)) + 1e-12 if tracker2.pre else 1e-12
-                    wrecent.append((n_glob, lb, wop))
-                    if len(wrecent) > ACTIVATION_CONSECUTIVE:
-                        wrecent.pop(0)
-                    if (
-                        tracker2.step is None
-                        and len(wrecent) == ACTIVATION_CONSECUTIVE
-                        and all(w > ACTIVATION_FACTOR * wmed for _, _, w in wrecent)
-                    ):
-                        tracker2.step, tracker2.log_beta = wrecent[0][0], wrecent[0][1]
-                        break
+                if tracker2.feed(n_glob, lb, within_op(mu), supercritical=lb >= math.log(bc2)):
+                    break
             m += 1
         n += m + 1
         for _ in range(schedule.finish_steps):
             n += 1
-            engine.step_means(schedule.hold2_ratio * bc2, lr)
+            mu = _mean_step(z, z2, mu, schedule.hold2_ratio * bc2, lr)[0]
         record(n, lb_c1)
         if tracker2.step is not None:
             events.append(
@@ -1004,7 +955,7 @@ def run_hierarchical(dataset, config=None, schedule=None):
                  "ratio_to_target": math.exp(tracker2.log_beta) / bc2}
             )
         near = np.argmin(
-            ((engine.mu[:, None, :] - dataset.centers[None, :, :]) ** 2).sum(axis=-1), axis=1
+            ((mu[:, None, :] - dataset.centers[None, :, :]) ** 2).sum(axis=-1), axis=1
         )
         quad = np.bincount(near // 2, minlength=4)
         summary.update(

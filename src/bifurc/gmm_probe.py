@@ -130,20 +130,80 @@ def _check_batch(state, samples):
         raise DimensionError(f"sample dim {z.shape[1]} != state d {state.d}")
     return z
 
-def _log_weights(state, z):
-    # a[n, k] = -(beta/2) ||z_n - mu_k||^2, via the Gram expansion
-    mu = state.means
-    beta = state.beta
-    sq = (z * z).sum(axis=1)[:, None] + (mu * mu).sum(axis=1)[None, :] - 2.0 * (z @ mu.T)
-    return -0.5 * beta * sq
+
+# The probe kernel: every probe computation in the package runs through these
+# helpers. They take raw arrays (latents z, row norms z2, means mu) so that the
+# protocols' hot loops build no state objects and re-check no batches.
+
+
+def _precision(log_beta):
+    """beta = exp(log_beta), or NumericalError when it leaves (0, inf)."""
+    try:
+        beta = math.exp(log_beta)
+    except OverflowError:
+        beta = math.inf
+    if not 0.0 < beta < math.inf:
+        raise NumericalError(f"precision exp({log_beta}) is not a positive finite float")
+    return beta
+
+
+def _sq_dist(z, z2, mu):
+    # sq[n, k] = ||z_n - mu_k||^2, via the Gram expansion
+    return z2[:, None] + (mu * mu).sum(axis=1)[None, :] - 2.0 * (z @ mu.T)
+
+
+def _shifted_weights(sq, beta):
+    """(e, max, sum) with e = exp(a - max_k a) for a = -(beta/2) sq, per row."""
+    a = -0.5 * beta * sq
+    amax = a.max(axis=1, keepdims=True)
+    a -= amax
+    e = np.exp(a)
+    return e, amax, e.sum(axis=1, keepdims=True)
+
+
+def _responsibilities(z, z2, mu, beta):
+    """(p, sq): the N x K posterior p(k|z) and the squared distances behind it."""
+    sq = _sq_dist(z, z2, mu)
+    p, _, total = _shifted_weights(sq, beta)
+    p /= total
+    return p, sq
+
+
+def _mean_step(z, z2, mu, beta, lr):
+    """One GD step on the means at fixed beta (see grad_step); returns (means, p, sq)."""
+    p, sq = _responsibilities(z, z2, mu, beta)
+    new_mu = mu + (lr * beta / z.shape[0]) * (p.T @ z - p.sum(axis=0)[:, None] * mu)
+    if not np.isfinite(new_mu).all():
+        raise NumericalError(f"non-finite probe means at beta = {beta}")
+    return new_mu, p, sq
+
+
+def _joint_step(z, z2, mu, log_beta, lr_means, lr_logbeta):
+    """One GD step on the means and log beta (see grad_step); returns (means, log_beta)."""
+    beta = _precision(log_beta)
+    new_mu, p, sq = _mean_step(z, z2, mu, beta, lr_means)
+    dnll_dbeta = float((p * sq).sum() / (2.0 * z.shape[0]) - 0.5 * z.shape[1] / beta)
+    new_log_beta = log_beta - lr_logbeta * beta * dnll_dbeta
+    if not math.isfinite(new_log_beta):
+        raise NumericalError(f"non-finite probe gradient at beta = {beta}")
+    return new_mu, new_log_beta
+
+
+def _spread(mu):
+    c = mu - mu.mean(axis=0)
+    return float(np.sqrt((c * c).sum(axis=1).mean()))
+
+
+def _row_norms(z):
+    return (z * z).sum(axis=1)
 
 
 def nll(state, samples):
     """Full per-sample-mean negative log-likelihood (see module docstring)."""
     z = _check_batch(state, samples)
-    a = _log_weights(state, z)
-    amax = a.max(axis=1, keepdims=True)
-    lse = amax[:, 0] + np.log(np.exp(a - amax).sum(axis=1))
+    sq = _sq_dist(z, _row_norms(z), state.means)
+    _, amax, total = _shifted_weights(sq, _precision(state.log_precision))
+    lse = amax[:, 0] + np.log(total[:, 0])
     return float(
         -lse.mean()
         + math.log(state.K)
@@ -155,11 +215,7 @@ def nll(state, samples):
 def responsibilities(state, samples):
     """Posterior component weights p(k|z): an N x K row-stochastic matrix."""
     z = _check_batch(state, samples)
-    a = _log_weights(state, z)
-    a -= a.max(axis=1, keepdims=True)
-    p = np.exp(a)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    return _responsibilities(z, _row_norms(z), state.means, _precision(state.log_precision))[0]
 
 
 def grad_step(state, batch, config):
@@ -168,29 +224,19 @@ def grad_step(state, batch, config):
     Mean channel: grad_{mu_k} nll = -mean_z[p_k beta (z - mu_k)], applied in
     the fused form mu += (lr beta / N)(p^T z - colsum(p) mu). Precision
     channel: d nll/d beta = mean_z[sum_k p_k ||z - mu_k||^2 / 2] - d/(2 beta),
-    chained through beta for the log-beta parametrization.
+    chained through beta for the log-beta parametrization. Raises
+    NumericalError when beta or the updated state is not finite.
     """
     z = _check_batch(state, batch)
-    n = z.shape[0]
-    beta = state.beta
-    p = responsibilities(state, z)
-    colsum = p.sum(axis=0)
-    new_means = state.means + (config.lr_means * beta / n) * (
-        p.T @ z - colsum[:, None] * state.means
+    mu, log_beta = _joint_step(
+        z, _row_norms(z), state.means, state.log_precision, config.lr_means, config.lr_logbeta
     )
-    sq = (z * z).sum(axis=1)[:, None] + (state.means * state.means).sum(axis=1)[None, :] \
-        - 2.0 * (z @ state.means.T)
-    dnll_dbeta = float((p * sq).sum() / (2.0 * n) - 0.5 * state.d / beta)
-    new_log_beta = state.log_precision - config.lr_logbeta * beta * dnll_dbeta
-    if not (np.all(np.isfinite(new_means)) and math.isfinite(new_log_beta)):
-        raise NumericalError(f"non-finite probe gradient at beta = {beta}")
-    return replace(state, means=new_means, log_precision=new_log_beta)
+    return replace(state, means=mu, log_precision=log_beta)
 
 
 def order_parameter(state):
     """Prototype spread sqrt((1/K) sum_k ||mu_k - mu_bar||^2)."""
-    c = state.means - state.means.mean(axis=0)
-    return float(np.sqrt((c * c).sum(axis=1).mean()))
+    return _spread(state.means)
 
 
 def split_direction(state):

@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateInputError, ValidationError
 from .experiments import TrajectoryLog
 from .gmm_probe import CriticalityReading
-from .mathcore import weighted_linfit
+from .mathcore import pearson, weighted_linfit
 
 FULL_V = "FullV"
 FOLD_BACK = "FoldBack"
@@ -92,18 +92,6 @@ class AxisReading:
     initial_criticality: str  # "sub" | "super"
     rate_ordering: str  # "beta_leads" | "beta_c_leads"
     dissipation_regime: str  # "normal" | "low"
-
-
-def _pearson(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = math.sqrt(float((xc * xc).sum()))
-    sy = math.sqrt(float((yc * yc).sum()))
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float((xc * yc).sum()) / (sx * sy)
 
 
 def _channels(log, thresholds):
@@ -170,7 +158,10 @@ def classify(log, horizon=None, thresholds=None):
     if horizon is not None and float(horizon) <= 0:
         raise ValidationError("horizon must be positive")
 
-    decoupling = _pearson(ratio, lnc1)
+    try:
+        decoupling = pearson(ratio, lnc1)
+    except DegenerateInputError:  # a constant channel co-moves with nothing
+        decoupling = 0.0
     if abs(decoupling) < thresholds.decoupling_abs_corr:
         return ShapeClass(
             label=NO_ARC, descent_corr=decoupling,
@@ -208,7 +199,10 @@ def classify(log, horizon=None, thresholds=None):
     if start < 0:
         start = 0
     leg_r, leg_n = ratio[start:], lnc1[start:]
-    descent_corr = _pearson(leg_r, leg_n)
+    try:
+        descent_corr = pearson(leg_r, leg_n)
+    except DegenerateInputError:
+        descent_corr = 0.0
     _, slope, _ = weighted_linfit(leg_r, leg_n, np.ones(len(leg_r)))
     sign = 1 if (slope > 0 or (slope == 0 and descent_corr >= 0)) else -1
     return ShapeClass(

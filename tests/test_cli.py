@@ -171,6 +171,27 @@ class TestExitCodes:
         code = main(["toy", "bimodal", "--seeds", "0", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"BIFURC_PROBE__LR_LOGBETA": "50"},  # exp(log beta) underflows to 0
+            {"BIFURC_PROBE__LOG_BETA_INIT": "800"},  # exp(log beta) overflows
+        ],
+    )
+    def test_precision_out_of_float_range_exits_3(self, tmp_path, capsys, monkeypatch, env):
+        small = {"BIFURC_DATA__N": "200", "BIFURC_EXPERIMENT__STEPS": "50"}
+        for key, value in {**env, **small}.items():
+            monkeypatch.setenv(key, value)
+        assert main(["toy", "bimodal", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
+        monkeypatch.setenv("BIFURC_HESSIAN__DIM", "0")
+        assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
+        assert "hessian.dim" in capsys.readouterr().err
+
     def test_bad_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["toy", "spiral"])

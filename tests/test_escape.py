@@ -149,6 +149,14 @@ class TestSweep:
         assert summary.power_law.coefficients[1] == pytest.approx(-1.0, abs=0.1)
         assert summary.unit_weights_used  # deterministic repeats have zero spread
 
+    def test_repeated_gamma_counts_once(self):
+        kwargs = dict(seeds_per_gamma=2, config=default_sweep_config(),
+                      tilt=quadratic_well_tilt(), threshold=DEFAULT_THRESHOLD, horizon=200_000)
+        plain = run_sweep(gammas=(1e-3, 3e-3, 1e-2), **kwargs)
+        repeated = run_sweep(gammas=(1e-2, 1e-3, 1e-3, 3e-3), **kwargs)
+        assert repeated.per_gamma == plain.per_gamma
+        assert [s.n_seeds for s in repeated.per_gamma] == [2, 2, 2]
+
     def test_all_censored_raises_no_fit(self):
         obs = [
             EscapeObservation(g, 0, None, 1000, True) for g in (1e-4, 1e-3, 1e-2)

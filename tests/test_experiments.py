@@ -274,28 +274,44 @@ class TestTrajectoryLog:
             assert key in d
         assert d["crossing_step"] == 100
 
+    def test_summary_keeps_booleans(self):
+        log = X.TrajectoryLog("t", 0, summary={"gate": True, "ok": False, "n": np.int64(3)})
+        d = X.trajectory_summary(log)
+        assert d["gate"] is True and d["ok"] is False
+        assert type(d["n"]) is int and d["n"] == 3
+
 
 # ---------------------------------------------------------------------------
-# protocol engine
+# the protocols run the same probe kernel as gmm_probe.grad_step
 
 
-class TestEngine:
-    def test_bitwise_match_with_probe_grad_step(self):
-        rng = np.random.default_rng(7)
-        z = rng.standard_normal((300, 2)) * [2.0, 0.7]
-        cfg = ProbeConfig(K_probe=5, lr_means=0.03, lr_logbeta=1e-2)
-        ref = init_collapsed(z, cfg, np.random.default_rng(1))
-        eng = X._Engine(z, ref.means, ref.log_precision)
+class TestProtocolKernel:
+    CFG = ProbeConfig(K_probe=5, lr_means=0.03, lr_logbeta=1e-2)
+
+    def run_and_replay(self):
+        """A 60-step learned forward split and 60 grad_step calls from its start."""
+        ds = X.gen_bimodal(300, seed=7)
+        log, final = X.run_forward_split(
+            ds, self.CFG, X.LearnedBetaSchedule(steps=60, record_every=1)
+        )
+        state = init_collapsed(ds.samples, self.CFG, np.random.default_rng(ds.seed + 99))
+        replay = []
         for _ in range(60):
-            eng.step_full(cfg.lr_means, cfg.lr_logbeta)
-            ref = grad_step(ref, z, cfg)
-        assert np.array_equal(eng.mu, ref.means)
-        assert eng.lb == ref.log_precision
+            state = grad_step(state, ds.samples, self.CFG)
+            replay.append(state)
+        return log, final, replay
 
-    def test_op_matches_probe_order_parameter(self):
-        rng = np.random.default_rng(3)
-        eng = X._Engine(rng.standard_normal((50, 2)), rng.standard_normal((4, 2)), -1.0)
-        assert eng.op() == order_parameter(eng.state())
+    def test_bitwise_match_with_probe_grad_step(self):
+        _, final, replay = self.run_and_replay()
+        assert np.array_equal(final.means, replay[-1].means)
+        assert final.log_precision == replay[-1].log_precision
+
+    def test_recorded_order_parameter_matches_probe(self):
+        log, _, replay = self.run_and_replay()
+        assert len(log.readings) == len(replay)
+        for reading, state in zip(log.readings, replay):
+            assert reading.log_beta == state.log_precision
+            assert reading.order_parameter == order_parameter(state)
 
 
 # ---------------------------------------------------------------------------

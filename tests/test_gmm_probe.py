@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bifurc.errors import DegenerateInputError, DimensionError
+from bifurc.errors import DegenerateInputError, DimensionError, NumericalError
 from bifurc.gmm_probe import (
     GmmProbeState,
     ProbeConfig,
@@ -147,6 +147,15 @@ class TestGradStep:
         s = exact_collapsed(z, 3, -4.0)
         s2 = grad_step(s, z, ProbeConfig(K_probe=3))
         assert s2.log_precision > s.log_precision
+
+    @pytest.mark.parametrize("log_beta", [800.0, -800.0])  # exp overflows / is 0.0
+    def test_precision_outside_float_range_is_numerical_error(self, log_beta):
+        z = bimodal(n=50, seed=8)
+        s = exact_collapsed(z, 3, log_beta)
+        with pytest.raises(NumericalError):
+            grad_step(s, z, ProbeConfig(K_probe=3))
+        with pytest.raises(NumericalError):
+            nll(s, z)
 
 
 class TestOrderParameter:

@@ -86,6 +86,14 @@ class TestClassifyContract:
         assert res.label == T.NO_ARC
         assert res.decoupling_corr == 0.0
 
+    def test_constant_descent_leg_has_zero_correlation(self):
+        # NC1 collapses on the way up, then stays flat while the ratio folds back
+        ratio = np.concatenate([np.linspace(-0.5, 1.5, 70), np.linspace(1.4, 0.7, 30)])
+        lnc1 = np.concatenate([np.linspace(1.0, -2.0, 70), np.full(30, -2.0)])
+        res = T.classify(synth_log(ratio, lnc1))
+        assert res.label == T.FOLD_BACK
+        assert res.descent_corr == 0.0
+
     def test_truncated_precritical_run_flagged(self):
         # coupled channels but the ratio never reaches zero
         ratio = np.linspace(-2.0, -0.2, 60)
