@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .config import build_config
+from .csvio import write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
 from .escape_lab import (
     aggregate_observations,
@@ -178,14 +179,6 @@ def _sde_config(cfg, seed):
         init_scale=cfg.get_float("sde", "init_scale"),
         seed=seed,
     )
-
-
-def _write_csv_rows(path, header, rows, comment):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +421,11 @@ def _pitchfork_worker(job):
     cfg, seed, out = job
     config = _sde_config(cfg, seed)
     run = simulate_pitchfork_1d(config, eps0=cfg.get_optional_float("sde", "eps0"))
-    eps = run.path_samples[:, 0, 0]
-    _write_csv_rows(
-        Path(out) / f"sde-pitchfork_seed{seed}.csv",
-        ["t", "epsilon"],
-        list(zip([float(t) for t in run.times], [float(e) for e in eps])),
-        f"experiment=sde-pitchfork seed={seed} config={cfg.config_hash} version={__version__}",
-    )
-    return seed, [float(t) for t in run.times], [float(e) for e in eps]
+    ts = [float(t) for t in run.times]
+    eps = [float(e) for e in run.path_samples[:, 0, 0]]
+    identity = f"experiment=sde-pitchfork seed={seed} config={cfg.config_hash} version={__version__}"
+    write_table(Path(out) / f"sde-pitchfork_seed{seed}.csv", ["t", "epsilon"], zip(ts, eps), [identity])
+    return seed, ts, eps
 
 
 def _cmd_sde_pitchfork(cfg, out_dir):
@@ -484,11 +474,11 @@ def _coupled_worker(job):
     for mode in range(run.final_state.shape[0]):
         p0, p1 = stats.projection_pairs[mode]
         rows.append((mode, float(p0), float(p1), cos_by_mode.get(mode)))
-    _write_csv_rows(
+    write_table(
         Path(out) / f"sde-coupled_seed{seed}.csv",
         ["mode", "projection_initial", "projection_final", "cosine"],
         rows,
-        f"experiment=sde-coupled seed={seed} config={cfg.config_hash} version={__version__}",
+        [f"experiment=sde-coupled seed={seed} config={cfg.config_hash} version={__version__}"],
     )
     mean_cos = float(np.mean(stats.cosines)) if len(stats.cosines) else None
     return seed, float(stats.spearman_rho), mean_cos, len(stats.excluded_modes)

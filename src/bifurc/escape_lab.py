@@ -21,13 +21,13 @@ The built-in tilt is U(eps) = -(1/2) eps^2: the drift gains +gamma eps, the
 drift-dominated regime with effective linear rate mu + gamma.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
+from .csvio import read_table, write_table
 from .errors import ConfigError, NoFitError, ValidationError
 from .mathcore import FitReport, fit_model
 
@@ -282,44 +282,17 @@ def read_sweep_csv(path):
     Header: gamma,tau_mean,tau_std,n_seeds,censored. Empty tau fields mark
     fully censored levels; censored is the count of censored seeds.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != CSV_HEADER:
-        raise ValidationError(
-            f"bad escape CSV header: expected {','.join(CSV_HEADER)}"
-        )
-    for rec in reader:
-        if not rec or all(not f.strip() for f in rec):
-            continue
-        if len(rec) != 5:
-            raise ValidationError(f"bad escape CSV row: {rec}")
-        g = float(rec[0])
+    def parse(rec):
         mean = float(rec[1]) if rec[1].strip() else None
-        std = float(rec[2]) if rec[2].strip() else None
-        n = int(rec[3])
-        cens = int(rec[4])
-        rows.append(GammaStats(g, mean, std if mean is not None else None, n, cens))
+        std = float(rec[2]) if rec[2].strip() and mean is not None else None
+        return GammaStats(float(rec[0]), mean, std, int(rec[3]), int(rec[4]))
+
+    rows = read_table(path, CSV_HEADER, "escape CSV", parse)[1]
     if not rows:
         raise ValidationError("escape CSV has no data rows")
     return rows
 
 
 def write_sweep_csv(path, stats, preamble=None):
-    with open(path, "w", newline="") as fh:
-        if preamble:
-            fh.write(f"# {preamble}\n")
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for s in stats:
-            w.writerow(
-                [
-                    repr(s.gamma),
-                    "" if s.tau_mean is None else repr(s.tau_mean),
-                    "" if s.tau_std is None else repr(s.tau_std),
-                    s.n_seeds,
-                    s.n_censored,
-                ]
-            )
+    rows = ([s.gamma, s.tau_mean, s.tau_std, s.n_seeds, s.n_censored] for s in stats)
+    write_table(path, CSV_HEADER, rows, [preamble])

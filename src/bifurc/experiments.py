@@ -21,7 +21,6 @@ beta are those of the first reading in that streak. NC1 is the scalar
 trace(within-class scatter)/trace(between-class scatter).
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from typing import List
 import numpy as np
 
 from . import __version__
+from .csvio import read_table, write_table
 from .errors import (
     AbortedRunError,
     DegenerateInputError,
@@ -243,67 +243,39 @@ class TrajectoryLog:
         return np.asarray(vals, dtype=float)
 
 
-def _fmt(value):
-    return "" if value is None else repr(float(value))
-
-
 def write_trajectory_csv(log, path, extra_comment=None):
     """CSV with one leading comment line carrying the run identity."""
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# experiment={log.experiment_id} seed={log.seed} "
-            f"config={log.config_hash or 'none'} version={__version__}\n"
-        )
-        if extra_comment:
-            fh.write(f"# {extra_comment}\n")
-        w = csv.writer(fh)
-        w.writerow(TRAJECTORY_HEADER)
-        for r in log.readings:
-            w.writerow(
-                [r.step, _fmt(r.log_beta), _fmt(r.log_beta_c), _fmt(r.log_ratio),
-                 _fmt(r.nc1), _fmt(r.order_parameter)]
-            )
+    identity = (
+        f"experiment={log.experiment_id} seed={log.seed} "
+        f"config={log.config_hash or 'none'} version={__version__}"
+    )
+    rows = (
+        [r.step] + [None if v is None else float(v) for v in (
+            r.log_beta, r.log_beta_c, r.log_ratio, r.nc1, r.order_parameter)]
+        for r in log.readings
+    )
+    write_table(path, TRAJECTORY_HEADER, rows, [identity, extra_comment])
+
+
+def _reading(rec):
+    lbc = float(rec[2])
+    return CriticalityReading(
+        step=int(rec[0]),
+        log_beta=float(rec[1]),
+        log_beta_c=lbc,
+        log_ratio=float(rec[3]),
+        nc1=float(rec[4]) if rec[4].strip() else None,
+        order_parameter=float(rec[5]),
+        degenerate=math.isinf(lbc),
+    )
 
 
 def read_trajectory_csv(path):
     """Inverse of write_trajectory_csv; tolerates missing comment lines."""
     meta = {"experiment": "unknown", "seed": 0, "config": ""}
-    rows = []
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
-    data_lines = []
-    for ln in lines:
-        if ln.startswith("#"):
-            for tok in ln[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    if k in meta:
-                        meta[k] = v
-        else:
-            data_lines.append(ln)
-    reader = csv.reader(data_lines)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != TRAJECTORY_HEADER:
-        raise ValidationError(
-            f"bad trajectory header: expected {','.join(TRAJECTORY_HEADER)}"
-        )
-    for rec in reader:
-        if not rec or all(not f.strip() for f in rec):
-            continue
-        if len(rec) != len(TRAJECTORY_HEADER):
-            raise ValidationError(f"bad trajectory row: {rec}")
-        lbc = float(rec[2])
-        rows.append(
-            CriticalityReading(
-                step=int(rec[0]),
-                log_beta=float(rec[1]),
-                log_beta_c=lbc,
-                log_ratio=float(rec[3]),
-                nc1=float(rec[4]) if rec[4].strip() else None,
-                order_parameter=float(rec[5]),
-                degenerate=math.isinf(lbc),
-            )
-        )
+    comments, rows = read_table(path, TRAJECTORY_HEADER, "trajectory", _reading)
+    pairs = (tok.split("=", 1) for line in comments for tok in line.split() if "=" in tok)
+    meta.update((k, v) for k, v in pairs if k in meta)
     try:
         seed = int(meta["seed"])
     except ValueError:

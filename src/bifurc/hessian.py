@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BracketError, PreconditionError, ValidationError
 from .gmm_probe import GmmProbeState, nll
-from .mathcore import check_symmetric, covariance, sym_eigen
+from .mathcore import check_symmetric, sym_eigen
 
 MAX_DENSE = 4096
 
@@ -181,8 +181,39 @@ def lowest_eigenvalue(beta, K, spatial_eigs):
     """Lowest eigenvalue of the collapsed-state Hessian (closed form)."""
     cs = channel_spectrum(beta, K, spatial_eigs)
     lows = [lam for lam, _, mult in cs.antisymmetric_eigenvalues if mult > 0]
-    candidates = [cs.symmetric_eigenvalue] + (lows if lows else [])
-    return min(candidates)
+    return min([cs.symmetric_eigenvalue] + lows)
+
+
+def _bisect(f, lo, hi, tol):
+    """Root of f in the finite precision bracket 0 < lo < hi, bisected to width tol.
+
+    An endpoint where f is exactly 0 is the root; endpoints of one sign raise
+    BracketError. The loop also stops at float resolution, so it always ends.
+    """
+    if not 0 < lo < hi < math.inf:
+        raise ValidationError(f"need a finite bracket 0 < beta_lo < beta_hi, got [{lo}, {hi}]")
+    fa, fb = f(lo), f(hi)
+    if fa == 0.0:
+        return lo
+    if fb == 0.0:
+        return hi
+    if not fa * fb < 0:
+        raise BracketError(
+            f"no sign change in [{lo}, {hi}]: lowest eigenvalue {fa:.3e} .. {fb:.3e}"
+        )
+    a, b = lo, hi
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
 
 
 def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
@@ -194,8 +225,6 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     lambda_perp_1(beta) = (beta/K)(1 - beta lambda_max) is monotone through
     the crossing for beta > 0).
     """
-    if not (0 < beta_lo < beta_hi):
-        raise ValidationError("need 0 < beta_lo < beta_hi")
     eigs = sym_eigen(check_symmetric(cov, "cov")).eigenvalues
     if eigs[0] <= 0:
         raise ValidationError("degenerate covariance: lambda_max <= 0")
@@ -203,30 +232,7 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     def low(b):
         return lowest_eigenvalue(b, K, eigs)
 
-    flo, fhi = low(beta_lo), low(beta_hi)
-    if flo == 0.0:
-        root = beta_lo
-    elif fhi == 0.0:
-        root = beta_hi
-    elif flo * fhi > 0:
-        raise BracketError(
-            f"no sign change in [{beta_lo}, {beta_hi}]: "
-            f"lowest eigenvalue {flo:.3e} .. {fhi:.3e}"
-        )
-    else:
-        a, b = beta_lo, beta_hi
-        fa = flo
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            fm = low(m)
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0:
-                b = m
-            else:
-                a, fa = m, fm
-        root = 0.5 * (a + b)
+    root = _bisect(low, beta_lo, beta_hi, tol)
     grid = np.linspace(beta_lo, beta_hi, scan_points)
     scan = [(float(b), float(low(b))) for b in grid]
     return CrossingReport(
@@ -236,7 +242,7 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     )
 
 
-def find_crossing_numeric(K, samples, beta_lo, beta_hi, log_beta=0.0, tol=1e-6):
+def find_crossing_numeric(K, samples, beta_lo, beta_hi, tol=1e-6):
     """Zero-crossing scan over the finite-difference Hessian's lowest eigenvalue.
 
     The independent (all-numeric) route: at each bisection point the Hessian
@@ -251,17 +257,4 @@ def find_crossing_numeric(K, samples, beta_lo, beta_hi, log_beta=0.0, tol=1e-6):
         h = numerical_hessian(s, z)
         return float(sym_eigen(h).eigenvalues[-1])
 
-    a, b = beta_lo, beta_hi
-    fa, fb = low(a), low(b)
-    if fa * fb > 0:
-        raise BracketError(f"no sign change in [{beta_lo}, {beta_hi}]")
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = low(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+    return _bisect(low, beta_lo, beta_hi, tol)

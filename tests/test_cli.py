@@ -1,12 +1,19 @@
 """End-to-end tests for the command-line layer: config, plots, commands."""
 
 import hashlib
+import importlib.resources
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bifurc import __version__
 from bifurc.cli import main
@@ -18,7 +25,8 @@ from bifurc.config import (
     load_preset,
 )
 from bifurc.errors import ConfigError
-from bifurc.experiments import TrajectoryLog, write_trajectory_csv
+from bifurc.escape_lab import read_sweep_csv, write_sweep_csv
+from bifurc.experiments import TrajectoryLog, read_trajectory_csv, write_trajectory_csv
 from bifurc.gmm_probe import CriticalityReading
 from bifurc.svgplot import line_chart
 from bifurc.errors import ValidationError
@@ -191,6 +199,38 @@ class TestExitCodes:
         monkeypatch.setenv("BIFURC_HESSIAN__DIM", "0")
         assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
         assert "hessian.dim" in capsys.readouterr().err
+
+    def test_infinite_bracket_exits_2(self, tmp_path):
+        # a bisection over [lo, inf] never narrows; it must be refused, not run
+        env = {
+            **os.environ,
+            "BIFURC_HESSIAN__SOURCE": "identity",
+            "BIFURC_HESSIAN__BRACKET_HI_RATIO": "inf",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "bifurc", "calibrate-hessian", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "bracket" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            (["classify"], "step,log_beta,log_beta_c,log_ratio,nc1,order_parameter\nx,1,2,3,4,5\n"),
+            (["escape", "fit"], "gamma,tau_mean,tau_std,n_seeds,censored\n0.1,1.0,0.5,three,0\n"),
+        ],
+    )
+    def test_non_numeric_csv_field_exits_2(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(command + ["--input", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad") and err.count("\n") == 1
 
     def test_bad_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -397,3 +437,76 @@ class TestCalibrateHessian:
         assert rep["beta_critical_analytic"] == 1.0
         assert round(rep["beta_critical_numeric"], 4) == 1.0
         assert rep["beta_critical_finite_difference"] is None
+
+
+FIXTURES = importlib.resources.files("bifurc") / "fixtures"
+
+
+class TestCsvFormat:
+    def test_cli_csvs_use_lf_line_ends_only(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[data]\nn = 300\n\n[experiment]\nsteps = 400\n\n"
+            "[escape]\ngammas = 0.0\nseeds_per_gamma = 2\n"
+        )
+        out = tmp_path / "out"
+        for command in (["toy", "unimodal"], ["sde", "pitchfork"], ["sde", "coupled"],
+                        ["escape", "sweep"]):
+            assert main(command + ["--config", str(ini), "--out", str(out)]) == 0
+        written = sorted(out.glob("*.csv"))
+        assert [p.name for p in written] == [
+            "escape-sweep.csv",
+            "sde-coupled_seed0.csv",
+            "sde-pitchfork_seed0.csv",
+            "toy-unimodal_seed0.csv",
+        ]
+        for path in written:
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), path.name
+
+    @pytest.mark.parametrize(
+        "name", ["exemplar_fold_back.csv", "exemplar_full_v.csv", "exemplar_no_arc.csv"]
+    )
+    def test_bundled_trajectory_rewrites_to_the_same_log(self, tmp_path, name):
+        log = read_trajectory_csv(FIXTURES / name)
+        assert len(log.readings) > 100
+        write_trajectory_csv(log, tmp_path / name)
+        back = read_trajectory_csv(tmp_path / name)
+        assert (back.experiment_id, back.seed, back.config_hash) == (
+            log.experiment_id, log.seed, log.config_hash)
+        assert back.readings == log.readings
+
+    def test_bundled_sweep_rewrites_to_the_same_stats(self, tmp_path):
+        stats = read_sweep_csv(FIXTURES / "table5.csv")
+        write_sweep_csv(tmp_path / "t.csv", stats)
+        assert read_sweep_csv(tmp_path / "t.csv") == stats
+
+
+def bracket_ratios(near):
+    """Edge values, ratios on one side of the crossing at 1, then any float."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.5, 1e308, math.nan, math.inf, -math.inf]),
+        st.floats(*near),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+
+class TestHessianConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @example(k=10, dim=2, lo=0.5, hi=1.5)
+    @example(k=10, dim=2, lo=0.5, hi=math.inf)
+    @given(
+        k=st.integers(-2, 50),
+        dim=st.integers(-1, 6),
+        lo=bracket_ratios((0.01, 0.99)),
+        hi=bracket_ratios((1.01, 3.0)),
+    )
+    def test_identity_source_exits_with_a_documented_code(self, k, dim, lo, hi):
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(
+                f"[hessian]\nsource = identity\nk = {k}\ndim = {dim}\n"
+                f"bracket_lo_ratio = {lo!r}\nbracket_hi_ratio = {hi!r}\n"
+            )
+            code = main(["calibrate-hessian", "--config", str(ini), "--out", tmp])
+        assert code in {0, 2, 3, 4}

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifurc.errors import BracketError, PreconditionError, ValidationError
 from bifurc.gmm_probe import exact_collapsed
 from bifurc.hessian import (
+    _bisect,
     analytic_hessian,
     channel_spectrum,
     channel_spectrum_from_cov,
@@ -176,3 +179,44 @@ class TestFindCrossing:
         rep = find_crossing(4, cov, 0.05, 3.0)
         assert 2.0 / (2.0 * lam) == pytest.approx(rep.beta_critical_analytic, abs=1e-12)
         assert 2.0 / (2.0 * lam) == pytest.approx(rep.beta_critical_numeric, abs=1e-4)
+
+
+class TestBisect:
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0.5, math.inf), (0.5, math.nan), (math.nan, 1.5), (1.5, 0.5), (1.0, 1.0),
+         (0.0, 1.5), (-1.0, 1.5), (-math.inf, 1.5)],
+    )
+    def test_bad_bracket_rejected_before_any_evaluation(self, lo, hi):
+        calls = []
+        with pytest.raises(ValidationError, match="finite bracket"):
+            _bisect(calls.append, lo, hi, 1e-6)
+        assert calls == []
+
+    def test_endpoint_root_and_same_sign(self):
+        assert _bisect(lambda b: b - 0.5, 0.5, 2.0, 1e-6) == 0.5
+        assert _bisect(lambda b: b - 2.0, 0.5, 2.0, 1e-6) == 2.0
+        with pytest.raises(BracketError):
+            _bisect(lambda b: b + 1.0, 0.5, 2.0, 1e-6)
+
+    def test_tolerance_below_float_resolution_terminates(self):
+        root = 1e20 / 3.0
+        got = _bisect(lambda b: math.atan(root - b), 0.5 * root, 1.5 * root, 0.0)
+        assert abs(got - root) <= 4 * math.ulp(root)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        root=st.floats(1e-3, 1e3),
+        lo_frac=st.floats(1e-3, 0.999),
+        hi_mult=st.floats(1.001, 1e3),
+        tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+        rising=st.booleans(),
+    )
+    def test_lands_within_tol_of_the_root(self, root, lo_frac, hi_mult, tol, rising):
+        sign = 1.0 if rising else -1.0
+
+        def f(b):
+            return sign * math.atan(b - root)
+
+        got = _bisect(f, root * lo_frac, root * hi_mult, tol)
+        assert abs(got - root) <= tol

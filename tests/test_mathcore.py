@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from bifurc.errors import DegenerateInputError, DimensionError, ValidationError
+from bifurc.errors import DegenerateInputError, DimensionError, NumericalError, ValidationError
 from bifurc.mathcore import (
     FitReport,
     covariance,
@@ -114,6 +117,37 @@ class TestSymEigen:
         a = (m + m.T) / 2
         w = sym_eigen(a).eigenvalues
         assert abs(w.sum() - np.trace(a)) <= 1e-9 * np.linalg.norm(a)
+
+    def test_empty_matrix(self):
+        r = sym_eigen(np.zeros((0, 0)))
+        assert r.eigenvalues.shape == (0,) and r.eigenvectors.shape == (0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_numerical_error(self, bad):
+        with pytest.raises(NumericalError):
+            sym_eigen([[1.0, 0.0], [0.0, bad]])
+
+
+def symmetric_matrices():
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    return st.integers(1, 8).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=entries)
+    ).map(lambda m: (m + m.T) / 2)
+
+
+class TestSymEigenProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(a=symmetric_matrices())
+    def test_contract(self, a):
+        r = sym_eigen(a)
+        w, v = r.eigenvalues, r.eigenvectors
+        n = a.shape[0]
+        scale = np.max(np.abs(a))
+        assert np.all(np.diff(w) <= 0)
+        assert np.allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
+        assert np.max(np.abs(v @ np.diag(w) @ v.T - a)) <= 1e-12 * n * scale
+        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+        assert np.all(pivots > 0)
 
 
 class TestSpearman:
