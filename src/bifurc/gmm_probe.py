@@ -41,8 +41,8 @@ class ProbeConfig:
     init_spread: Optional[float] = None
 
     def __post_init__(self):
-        if self.lr_means <= 0 or self.lr_logbeta <= 0:
-            raise DegenerateInputError("learning rates must be positive")
+        if not (0.0 < self.lr_means < math.inf and 0.0 < self.lr_logbeta < math.inf):
+            raise DegenerateInputError("learning rates must be positive finite floats")
         if self.K_probe < 1:
             raise DegenerateInputError("K_probe must be >= 1")
 
@@ -133,7 +133,11 @@ def _check_batch(state, samples):
 
 # The probe kernel: every probe computation in the package runs through these
 # helpers. They take raw arrays (latents z, row norms z2, means mu) so that the
-# protocols' hot loops build no state objects and re-check no batches.
+# protocols' hot loops build no state objects and re-check no batches. Arrays
+# over components and samples are K x N, so the per-sample softmax reductions
+# over the short K axis run across contiguous rows; they are updated in place
+# where the arithmetic allows it, because each fresh K x N array costs page
+# faults once it outgrows the allocator's small-block pool.
 
 
 def _precision(log_beta):
@@ -148,21 +152,23 @@ def _precision(log_beta):
 
 
 def _sq_dist(z, z2, mu):
-    # sq[n, k] = ||z_n - mu_k||^2, via the Gram expansion
-    return z2[:, None] + (mu * mu).sum(axis=1)[None, :] - 2.0 * (z @ mu.T)
+    # sq[k, n] = ||z_n - mu_k||^2, via the Gram expansion (z.T is a view)
+    sq = z2[None, :] + (mu * mu).sum(axis=1)[:, None]
+    sq -= (2.0 * mu) @ z.T
+    return sq
 
 
 def _shifted_weights(sq, beta):
-    """(e, max, sum) with e = exp(a - max_k a) for a = -(beta/2) sq, per row."""
-    a = -0.5 * beta * sq
-    amax = a.max(axis=1, keepdims=True)
-    a -= amax
-    e = np.exp(a)
-    return e, amax, e.sum(axis=1, keepdims=True)
+    """(e, max, sum) with e = exp(a - max_k a) for a = -(beta/2) sq, per column."""
+    e = sq * (-0.5 * beta)
+    amax = e.max(axis=0)
+    e -= amax
+    np.exp(e, out=e)
+    return e, amax, e.sum(axis=0)
 
 
 def _responsibilities(z, z2, mu, beta):
-    """(p, sq): the N x K posterior p(k|z) and the squared distances behind it."""
+    """(p, sq): the K x N posterior p(k|z_n) and the squared distances behind it."""
     sq = _sq_dist(z, z2, mu)
     p, _, total = _shifted_weights(sq, beta)
     p /= total
@@ -172,7 +178,7 @@ def _responsibilities(z, z2, mu, beta):
 def _mean_step(z, z2, mu, beta, lr):
     """One GD step on the means at fixed beta (see grad_step); returns (means, p, sq)."""
     p, sq = _responsibilities(z, z2, mu, beta)
-    new_mu = mu + (lr * beta / z.shape[0]) * (p.T @ z - p.sum(axis=0)[:, None] * mu)
+    new_mu = mu + (lr * beta / z.shape[0]) * (p @ z - p.sum(axis=1)[:, None] * mu)
     if not np.isfinite(new_mu).all():
         raise NumericalError(f"non-finite probe means at beta = {beta}")
     return new_mu, p, sq
@@ -198,34 +204,40 @@ def _row_norms(z):
     return (z * z).sum(axis=1)
 
 
+def _nll(z, z2, mu, log_beta):
+    """The mean NLL of a checked batch z (row norms z2) under means mu and log beta."""
+    k, d = mu.shape
+    _, amax, total = _shifted_weights(_sq_dist(z, z2, mu), _precision(log_beta))
+    lse = amax + np.log(total)
+    return float(
+        -lse.mean()
+        + math.log(k)
+        + 0.5 * d * math.log(2.0 * math.pi)
+        - 0.5 * d * log_beta
+    )
+
+
 def nll(state, samples):
     """Full per-sample-mean negative log-likelihood (see module docstring)."""
     z = _check_batch(state, samples)
-    sq = _sq_dist(z, _row_norms(z), state.means)
-    _, amax, total = _shifted_weights(sq, _precision(state.log_precision))
-    lse = amax[:, 0] + np.log(total[:, 0])
-    return float(
-        -lse.mean()
-        + math.log(state.K)
-        + 0.5 * state.d * math.log(2.0 * math.pi)
-        - 0.5 * state.d * state.log_precision
-    )
+    return _nll(z, _row_norms(z), state.means, state.log_precision)
 
 
 def responsibilities(state, samples):
     """Posterior component weights p(k|z): an N x K row-stochastic matrix."""
     z = _check_batch(state, samples)
-    return _responsibilities(z, _row_norms(z), state.means, _precision(state.log_precision))[0]
+    return _responsibilities(z, _row_norms(z), state.means, _precision(state.log_precision))[0].T
 
 
 def grad_step(state, batch, config):
     """One plain gradient-descent step on the full NLL (means and log beta).
 
     Mean channel: grad_{mu_k} nll = -mean_z[p_k beta (z - mu_k)], applied in
-    the fused form mu += (lr beta / N)(p^T z - colsum(p) mu). Precision
-    channel: d nll/d beta = mean_z[sum_k p_k ||z - mu_k||^2 / 2] - d/(2 beta),
-    chained through beta for the log-beta parametrization. Raises
-    NumericalError when beta or the updated state is not finite.
+    the fused form mu += (lr beta / N)(p z - rowsum(p) mu), p being the
+    K x N posterior. Precision channel: d nll/d beta =
+    mean_z[sum_k p_k ||z - mu_k||^2 / 2] - d/(2 beta), chained through beta
+    for the log-beta parametrization. Raises NumericalError when beta or the
+    updated state is not finite.
     """
     z = _check_batch(state, batch)
     mu, log_beta = _joint_step(

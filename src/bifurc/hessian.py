@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BracketError, PreconditionError, ValidationError
-from .gmm_probe import GmmProbeState, nll
+from .gmm_probe import GmmProbeState, _check_batch, _nll, _row_norms
 from .mathcore import check_symmetric, sym_eigen
 
 MAX_DENSE = 4096
@@ -98,7 +98,9 @@ def channel_spectrum(beta, K, spatial_eigs):
         raise ValidationError("spatial eigenvalues must be >= 0")
     if np.any(np.diff(eigs) > 0):
         raise ValidationError("spatial eigenvalues must be sorted descending")
-    anti = [(float((beta / K) * (1.0 - beta * s)), float(s), K - 1) for s in eigs]
+    # Python floats: a huge beta overflows to -inf here without a numpy warning
+    beta = float(beta)
+    anti = [((beta / K) * (1.0 - beta * s), s, K - 1) for s in eigs.tolist()]
     return ChannelSpectrum(
         symmetric_eigenvalue=beta / K,
         antisymmetric_eigenvalues=anti,
@@ -135,8 +137,9 @@ def numerical_hessian(state_at_collapse, samples):
     beta is held fixed at the state's value. Steps are per-coordinate,
     h_a = 1e-4 * std_a of the centered samples. The output is symmetrized.
     """
-    z = np.asarray(samples, dtype=float)
     state = state_at_collapse
+    z = _check_batch(state, samples)
+    z2 = _row_norms(z)
     zbar = z.mean(axis=0)
     scale = max(np.max(np.abs(z - zbar)), 1.0)
     if np.max(np.abs(state.means - zbar)) > 1e-9 * scale:
@@ -147,8 +150,7 @@ def numerical_hessian(state_at_collapse, samples):
     h = 1e-4 * np.where(std > 0, std, 1.0)
 
     def f(flat_means):
-        s = GmmProbeState(flat_means.reshape(k, d), state.log_precision, k, d)
-        return nll(s, z)
+        return _nll(z, z2, flat_means.reshape(k, d), state.log_precision)
 
     x0 = state.means.reshape(-1).copy()
     steps = np.tile(h, k)
@@ -185,10 +187,13 @@ def lowest_eigenvalue(beta, K, spatial_eigs):
 
 
 def _bisect(f, lo, hi, tol):
-    """Root of f in the finite precision bracket 0 < lo < hi, bisected to width tol.
+    """Root of f in the finite precision bracket 0 < lo < hi.
 
-    An endpoint where f is exactly 0 is the root; endpoints of one sign raise
-    BracketError. The loop also stops at float resolution, so it always ends.
+    The bracket [a, b] is halved until b - a <= tol * min(a, 1): narrower than
+    tol, and than tol relative to a, so a root far below 1 keeps its relative
+    accuracy. An endpoint where f is exactly 0 is the root; endpoints of one
+    sign raise BracketError. The loop also stops at float resolution, so it
+    always ends.
     """
     if not 0 < lo < hi < math.inf:
         raise ValidationError(f"need a finite bracket 0 < beta_lo < beta_hi, got [{lo}, {hi}]")
@@ -202,7 +207,7 @@ def _bisect(f, lo, hi, tol):
             f"no sign change in [{lo}, {hi}]: lowest eigenvalue {fa:.3e} .. {fb:.3e}"
         )
     a, b = lo, hi
-    while b - a > tol:
+    while b - a > tol * min(a, 1.0):
         m = 0.5 * (a + b)
         if not a < m < b:
             break
@@ -220,7 +225,8 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     """Locate the beta where the lowest Hessian eigenvalue crosses zero.
 
     Bisects the closed-form lowest eigenvalue over [beta_lo, beta_hi] to a
-    1e-6 bracket; the report also carries a uniform scan of the lowest
+    bracket narrower than tol, absolutely and relative to beta (see
+    _bisect); the report also carries a uniform scan of the lowest
     eigenvalue over the bracket (it changes sign exactly once, since
     lambda_perp_1(beta) = (beta/K)(1 - beta lambda_max) is monotone through
     the crossing for beta > 0).

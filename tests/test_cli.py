@@ -218,6 +218,26 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "bracket" in proc.stderr
 
+    def test_huge_bracket_runs_without_numpy_warnings(self, tmp_path):
+        # beta up to 1e308 overflows the channel eigenvalue to -inf; that must
+        # stay plain float arithmetic, not a numpy overflow warning
+        env = {
+            **os.environ,
+            "BIFURC_HESSIAN__SOURCE": "identity",
+            "BIFURC_HESSIAN__BRACKET_HI_RATIO": "1e308",
+        }
+        script = (
+            "import sys, warnings; warnings.simplefilter('error'); "
+            "from bifurc.cli import main; "
+            f"sys.exit(main(['calibrate-hessian', '--out', {str(tmp_path)!r}]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert read_json(tmp_path / "hessian_report.json")["beta_critical_analytic"] == 1.0
+
     @pytest.mark.parametrize(
         "command,text",
         [
@@ -482,10 +502,12 @@ class TestCsvFormat:
         assert read_sweep_csv(tmp_path / "t.csv") == stats
 
 
-def bracket_ratios(near):
-    """Edge values, ratios on one side of the crossing at 1, then any float."""
+def edge_floats(near):
+    """Edge values, then floats in the plausible range near, then any float."""
     return st.one_of(
-        st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.5, 1e308, math.nan, math.inf, -math.inf]),
+        st.sampled_from(
+            [0.0, -0.0, -1.0, 0.5, 1.5, 1e300, -1e300, 1e308, math.nan, math.inf, -math.inf]
+        ),
         st.floats(*near),
         st.floats(allow_nan=True, allow_infinity=True),
     )
@@ -498,8 +520,8 @@ class TestHessianConfigFuzz:
     @given(
         k=st.integers(-2, 50),
         dim=st.integers(-1, 6),
-        lo=bracket_ratios((0.01, 0.99)),
-        hi=bracket_ratios((1.01, 3.0)),
+        lo=edge_floats((0.01, 0.99)),  # ratios below the crossing at 1
+        hi=edge_floats((1.01, 3.0)),  # and above it
     )
     def test_identity_source_exits_with_a_documented_code(self, k, dim, lo, hi):
         with tempfile.TemporaryDirectory() as tmp:
@@ -510,3 +532,25 @@ class TestHessianConfigFuzz:
             )
             code = main(["calibrate-hessian", "--config", str(ini), "--out", tmp])
         assert code in {0, 2, 3, 4}
+
+
+class TestProbeConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @example(k=8, lr_means=math.nan, lr_logbeta=1e-2, log_beta_init=-2.5).via("non-finite rate")
+    @given(
+        k=st.integers(-2, 12),
+        lr_means=edge_floats((1e-4, 0.5)),
+        lr_logbeta=edge_floats((1e-4, 0.5)),
+        log_beta_init=edge_floats((-6.0, 3.0)),
+    )
+    def test_unimodal_exits_with_a_documented_code(self, k, lr_means, lr_logbeta, log_beta_init):
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(
+                f"[probe]\nk = {k}\nlr_means = {lr_means!r}\nlr_logbeta = {lr_logbeta!r}\n"
+                f"log_beta_init = {log_beta_init!r}\n[data]\nn = 200\n[experiment]\nsteps = 50\n"
+            )
+            code = main(["toy", "unimodal", "--config", str(ini), "--out", tmp])
+        assert code in {0, 2, 3, 4}
+        if not 0.0 < lr_means < math.inf:
+            assert code == 2

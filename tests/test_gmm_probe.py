@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bifurc.errors import DegenerateInputError, DimensionError, NumericalError
 from bifurc.gmm_probe import (
@@ -252,3 +255,65 @@ def test_split_direction_unit_norm():
     v = split_direction(s)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
     assert abs(v[0]) > abs(v[1])
+
+
+class TestProbeConfig:
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["lr_means", "lr_logbeta"])
+    def test_learning_rate_outside_positive_floats_rejected(self, key, lr):
+        with pytest.raises(DegenerateInputError, match="learning rates"):
+            ProbeConfig(**{key: lr})
+
+
+def naive_kernel(z, mu, log_beta, lr_means, lr_logbeta):
+    """Per-component reference: (nll, N x K responsibilities, means, log beta after one step)."""
+    n, d = z.shape
+    k = mu.shape[0]
+    beta = math.exp(log_beta)
+    sq = [((z - mu[j]) ** 2).sum(axis=1) for j in range(k)]
+    lse = -0.5 * beta * sq[0]
+    for j in range(1, k):
+        lse = np.logaddexp(lse, -0.5 * beta * sq[j])
+    value = -lse.mean() + math.log(k) + 0.5 * d * math.log(2.0 * math.pi) - 0.5 * d * log_beta
+    p = [np.exp(-0.5 * beta * sq[j] - lse) for j in range(k)]
+    means = np.array(
+        [mu[j] + lr_means * beta * (p[j][:, None] * (z - mu[j])).mean(axis=0) for j in range(k)]
+    )
+    dnll_dbeta = sum((p[j] * sq[j]).mean() for j in range(k)) / 2.0 - 0.5 * d / beta
+    return value, np.stack(p, axis=1), means, log_beta - lr_logbeta * beta * dnll_dbeta
+
+
+@st.composite
+def kernel_cases(draw):
+    k = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.just(k), st.integers(1, 40)))  # N == K hides a transpose slip
+    coords = st.floats(-3.0, 3.0)
+    z = draw(hnp.arrays(float, (n, d), elements=coords))
+    mu = draw(hnp.arrays(float, (k, d), elements=coords))
+    return z, mu, draw(st.floats(-3.0, 3.0))
+
+
+class TestKernelAgainstPerComponentReference:
+    @settings(max_examples=300, deadline=None)
+    @example(case=(np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([[1.0, 0.0], [-1.0, 0.5]]), 0.7))
+    @example(case=(np.eye(3), 2.0 * np.eye(3)[::-1], -1.2))
+    @example(case=(np.array([[0.5]]), np.array([[-0.25]]), 3.0))
+    @given(case=kernel_cases())
+    def test_nll_responsibilities_and_grad_step(self, case):
+        z, mu, log_beta = case
+        k, d = mu.shape
+        cfg = ProbeConfig(K_probe=k, lr_means=0.05, lr_logbeta=0.02)
+        state = GmmProbeState(mu, log_beta, k, d)
+        value, p_ref, means_ref, log_beta_ref = naive_kernel(
+            z, mu, log_beta, cfg.lr_means, cfg.lr_logbeta
+        )
+
+        assert nll(state, z) == pytest.approx(value, rel=1e-12, abs=1e-12)
+        p = responsibilities(state, z)
+        assert p.shape == (z.shape[0], k)
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
+        np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=1e-12)
+        stepped = grad_step(state, z, cfg)
+        np.testing.assert_allclose(stepped.means, means_ref, rtol=1e-12, atol=1e-12)
+        assert stepped.log_precision == pytest.approx(log_beta_ref, rel=1e-12, abs=1e-12)

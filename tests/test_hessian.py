@@ -181,6 +181,20 @@ class TestFindCrossing:
         assert 2.0 / (2.0 * lam) == pytest.approx(rep.beta_critical_numeric, abs=1e-4)
 
 
+    @pytest.mark.parametrize("scale", [1e6, 1e7])
+    def test_small_critical_precision_keeps_relative_accuracy(self, scale):
+        # beta_c = 1/scale sits below the 1e-6 tolerance: an absolute stop
+        # would return the first midpoints (12.5 % off at 1e6, 25 % at 1e7)
+        rep = find_crossing(10, scale * np.eye(2), 0.5 / scale, 2.0 / scale)
+        assert abs(rep.beta_critical_numeric * scale - 1.0) <= 1e-5
+
+    def test_numeric_route_keeps_relative_accuracy_at_large_scale(self):
+        z = 1e3 * bimodal(n=200, seed=9)
+        analytic = 1.0 / sym_eigen(covariance(z)).eigenvalues[0]
+        numeric = find_crossing_numeric(2, z, 0.5 * analytic, 2.0 * analytic)
+        assert abs(numeric - analytic) <= 1e-4 * analytic
+
+
 class TestBisect:
     @pytest.mark.parametrize(
         "lo,hi",
