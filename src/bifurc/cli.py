@@ -82,7 +82,7 @@ _OVERLAYS = {
     ("toy", "bimodal"): {"probe": {"k": "8", "lr_means": "0.02"}},
     ("toy", "unimodal"): {"probe": {"k": "8", "lr_means": "0.02"}},
     ("toy", "hierarchy"): {"probe": {"k": "8", "lr_means": "0.08"}, "data": {"n": "4000"}},
-    ("toy", "reverse"): {"probe": {"k": "2", "lr_means": "0.05"}, "data": {"n": "3000"}},
+    ("toy", "reverse"): {"probe": {"k": "2"}, "data": {"n": "3000"}},
     ("toy", "endogenous"): {"probe": {"k": "8", "lr_means": "0.015"}, "data": {"n": "4000"}},
     ("sde", "pitchfork"): {
         "sde": {"steps": "10000", "init_scale": "1e-3", "eps0": "1e-3"}
@@ -297,9 +297,7 @@ def _toy_worker(job):
         forward, state = run_forward_split(
             dataset, probe, AnnealHoldSchedule(record_every=record_every)
         )
-        reverse = run_reverse_traversal(
-            dataset, state, ReverseSchedule(), lr_means=probe.lr_means
-        )
+        reverse = run_reverse_traversal(dataset, state, ReverseSchedule())
         merge_err = reverse.summary.get("merge_relative_error")
         reverse.summary["reverse_tracking_error"] = (
             None if merge_err is None else abs(float(merge_err))

@@ -41,6 +41,7 @@ from .gmm_probe import (
     CriticalityReading,
     GmmProbeState,
     ProbeConfig,
+    _equilibrium,
     _joint_step,
     _mean_step,
     _row_norms,
@@ -53,6 +54,8 @@ from .mathcore import covariance, sym_eigen, weighted_linfit
 ACTIVATION_FACTOR = 10.0
 ACTIVATION_CONSECUTIVE = 5
 HYPOTHESIS_REL_TOL = 1e-9
+# equilibrium-branch levels are solved to max|G(mu) - mu| <= this * sqrt(lambda_max)
+EQUILIBRIUM_REL_TOL = 1e-10
 
 TRAJECTORY_HEADER = ["step", "log_beta", "log_beta_c", "log_ratio", "nc1", "order_parameter"]
 
@@ -401,61 +404,56 @@ class AnnealHoldSchedule:
     """External precision protocol: ramp, hold until activation, map the branch.
 
     Ramp runs log-linearly from the probe's log_beta_init to
-    hold_ratio * beta_c_hat over ramp_steps at hold_lr, holds there until the
-    activation detector fires (or max_steps), re-equilibrates for
-    settle_steps at the probe's lr_means, then maps the equilibrium branch
-    up to branch_top_ratio * beta_c_hat in branch_levels geometric levels
-    with curvature-adaptive per-level step counts.
+    hold_ratio * beta_c_hat over ramp_steps at hold_lr and holds there until
+    the activation detector fires (or max_steps). The equilibrium branch is
+    then mapped from the hold level up to branch_top_ratio * beta_c_hat in
+    branch_levels geometric levels, each solved by EM (at most
+    max_inner_steps iterations) from the previous level's means.
     """
 
     ramp_steps: int = 1000
     hold_ratio: float = 1.35
     hold_lr: float = 5e-3
     max_steps: int = 30000
-    settle_steps: int = 1500
     branch_levels: int = 12
     branch_top_ratio: float = 2.4
     record_every: int = 20
-    min_inner_steps: int = 300
     max_inner_steps: int = 9000
-    relax_factor: float = 2.5
 
     def __post_init__(self):
         if self.hold_ratio <= 1.0 or self.branch_top_ratio <= self.hold_ratio:
             raise ValidationError("need hold_ratio > 1 and branch_top_ratio > hold_ratio")
-        if min(self.ramp_steps, self.max_steps, self.record_every, self.branch_levels) < 1:
+        if min(self.ramp_steps, self.max_steps, self.record_every, self.branch_levels,
+               self.max_inner_steps) < 1:
             raise ValidationError("schedule step counts must be >= 1")
 
 
 @dataclass
 class ReverseSchedule:
-    """Descending geometric beta levels with curvature-adaptive equilibration."""
+    """Descending geometric beta levels, each solved by EM (at most max_inner_steps iterations)."""
 
     levels: int = 36
     top_ratio: float = 2.4
     bottom_ratio: float = 0.3
-    min_inner_steps: int = 300
     max_inner_steps: int = 9000
-    relax_factor: float = 2.5
 
     def __post_init__(self):
-        if self.levels < 4:
-            raise ValidationError("need >= 4 levels")
+        if self.levels < 4 or self.max_inner_steps < 1:
+            raise ValidationError("need >= 4 levels and max_inner_steps >= 1")
         if not (0 < self.bottom_ratio < 1.0 < self.top_ratio):
             raise ValidationError("need bottom_ratio < 1 < top_ratio")
-
-
-def _inner_steps(beta, lam, k, lr, schedule):
-    # relaxation time ~ 1/(lr |lam_perp|) with lam_perp = (beta/K)(beta lam - 1)
-    lam_perp = abs((beta / k) * (beta * lam - 1.0))
-    steps = schedule.relax_factor / (lr * max(lam_perp, 1e-5))
-    return int(min(schedule.max_inner_steps, max(schedule.min_inner_steps, steps)))
 
 
 # ---------------------------------------------------------------------------
 # protocols
 
+# A diverging run overflows inside numpy before the kernel's finite guards see
+# the result; the guards raise NumericalError, so the protocols silence numpy's
+# overflow/invalid warnings once per run instead of per kernel call.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
+
+@_quiet_overflow
 def run_forward_split(dataset, config, schedule=None):
     """Drive the probe from below to above the critical precision.
 
@@ -492,7 +490,7 @@ def run_forward_split(dataset, config, schedule=None):
                 log.append(reading(n, lb, op))
                 tracker.feed(n, lb, op, supercritical=lb >= log_bc)
         final = GmmProbeState(mu, lb, config.K_probe, z.shape[1])
-        _finish_forward(log, dataset, final, lam, tracker, branch=None)
+        _finish_forward(log, dataset, final, lam, tracker)
         return log, final
 
     if not isinstance(schedule, AnnealHoldSchedule):
@@ -511,26 +509,28 @@ def run_forward_split(dataset, config, schedule=None):
             if tracker.feed(n, lb, op, supercritical=lb >= log_bc):
                 break
         n += 1
-    for _ in range(schedule.settle_steps):
-        n += 1
-        mu = _mean_step(z, z2, mu, math.exp(lb_hold), config.lr_means)[0]
-    branch = []
+    # the branch starts at the hold level; n counts EM iterations from here on
+    tol = EQUILIBRIUM_REL_TOL * math.sqrt(lam)
+    branch, iterations, residuals = [], [], []
     lb_top = math.log(schedule.branch_top_ratio) - math.log(lam)
-    k = config.K_probe
     for lb_level in np.linspace(lb_hold, lb_top, schedule.branch_levels):
         b = math.exp(lb_level)
-        for _ in range(_inner_steps(b, lam, k, config.lr_means, schedule)):
-            n += 1
-            mu = _mean_step(z, z2, mu, b, config.lr_means)[0]
+        mu, its, res = _equilibrium(z, z2, mu, b, tol, schedule.max_inner_steps)
+        n += its
         op = _spread(mu)
         log.append(reading(n, lb_level, op))
         branch.append([b, op])
-    final = GmmProbeState(mu, lb0, k, z.shape[1])
-    _finish_forward(log, dataset, final, lam, tracker, branch)
+        iterations.append(its)
+        residuals.append(res)
+    final = GmmProbeState(mu, lb0, config.K_probe, z.shape[1])
+    _finish_forward(log, dataset, final, lam, tracker)
+    log.summary.update(
+        {"branch": branch, "branch_iterations": iterations, "branch_max_residual": max(residuals)}
+    )
     return log, final
 
 
-def _finish_forward(log, dataset, state, lam, tracker, branch):
+def _finish_forward(log, dataset, state, lam, tracker):
     beta_c_hat = 1.0 / lam
     summary = {
         "beta_c_hat": beta_c_hat,
@@ -546,17 +546,17 @@ def _finish_forward(log, dataset, state, lam, tracker, branch):
         "split_angle_deg": _split_angle_deg(state, dataset.samples),
         "split_direction": split_direction(state).tolist(),
     }
-    if branch is not None:
-        summary["branch"] = branch
     log.summary.update(summary)
 
 
-def run_reverse_traversal(dataset, probe, schedule=None, lr_means=0.05):
+@_quiet_overflow
+def run_reverse_traversal(dataset, probe, schedule=None):
     """Anneal a split probe's precision back down through the crossing.
 
-    The probe is re-equilibrated at each descending level; the merge point is
-    the zero intercept of a straight-line fit to order_parameter^2 vs beta
-    over the branch shoulder (readings between 25% and 60% of the plateau).
+    Each descending level is solved by EM from the previous level's means,
+    and the step counter advances by EM iterations; the merge point is the
+    zero intercept of a straight-line fit to order_parameter^2 vs beta over
+    the branch shoulder (readings between 25% and 60% of the plateau).
     """
     if schedule is None:
         schedule = ReverseSchedule()
@@ -566,8 +566,7 @@ def run_reverse_traversal(dataset, probe, schedule=None, lr_means=0.05):
     const_nc1 = _dataset_nc1(dataset, z)
     z2 = _row_norms(z)
     mu = probe.means
-    k = probe.K
-    lr = lr_means
+    tol = EQUILIBRIUM_REL_TOL * math.sqrt(lam)
     log = TrajectoryLog("reverse-traversal", dataset.seed)
     levels = np.exp(
         np.linspace(
@@ -577,11 +576,12 @@ def run_reverse_traversal(dataset, probe, schedule=None, lr_means=0.05):
         )
     )
     n = 0
-    branch = []
+    branch, iterations, residuals = [], [], []
     for b in levels:
-        for _ in range(_inner_steps(b, lam, k, lr, schedule)):
-            n += 1
-            mu = _mean_step(z, z2, mu, b, lr)[0]
+        mu, its, res = _equilibrium(z, z2, mu, b, tol, schedule.max_inner_steps)
+        n += its
+        iterations.append(its)
+        residuals.append(res)
         op = _spread(mu)
         lb = math.log(b)
         log.append(
@@ -607,6 +607,8 @@ def run_reverse_traversal(dataset, probe, schedule=None, lr_means=0.05):
             "beta_c_hat": beta_c_hat,
             "plateau_order_parameter": plateau,
             "branch": branch,
+            "branch_iterations": iterations,
+            "branch_max_residual": max(residuals),
             "merge_beta": merge_beta,
             "merge_relative_error": None
             if merge_beta is None
@@ -668,6 +670,7 @@ class ToyEncoderState:
         self.step += 1
 
 
+@_quiet_overflow
 def run_endogenous(
     dataset,
     encoder_lr=0.05,
@@ -801,6 +804,7 @@ class HierarchySchedule:
     anisotropy_gate: float = 0.65
 
 
+@_quiet_overflow
 def run_hierarchical(dataset, config=None, schedule=None):
     """Two-stage traversal of a hierarchical dataset with K = 8 prototypes.
 

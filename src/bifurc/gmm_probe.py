@@ -184,6 +184,36 @@ def _mean_step(z, z2, mu, beta, lr):
     return new_mu, p, sq
 
 
+def _em_step(z, z2, mu, beta):
+    """One EM update at fixed beta: each mean moves to its posterior-weighted centroid.
+
+    Its fixed points are exactly the zeros of the mean gradient (see grad_step).
+    A component with zero total responsibility keeps its mean, where its
+    gradient is zero too.
+    """
+    p, _ = _responsibilities(z, z2, mu, beta)
+    mass = p.sum(axis=1)[:, None]
+    new_mu = np.divide(p @ z, mass, out=mu.copy(), where=mass != 0.0)
+    if not np.isfinite(new_mu).all():
+        raise NumericalError(f"non-finite probe means at beta = {beta}")
+    return new_mu
+
+
+def _equilibrium(z, z2, mu, beta, tol, max_iter):
+    """Iterate _em_step from mu until max|G(mu) - mu| <= tol, at most max_iter times.
+
+    Returns (means, iterations, residual), the residual being the max-norm
+    length of the last update.
+    """
+    for iterations in range(1, max_iter + 1):
+        new_mu = _em_step(z, z2, mu, beta)
+        residual = float(np.abs(new_mu - mu).max())
+        mu = new_mu
+        if residual <= tol:
+            break
+    return mu, iterations, residual
+
+
 def _joint_step(z, z2, mu, log_beta, lr_means, lr_logbeta):
     """One GD step on the means and log beta (see grad_step); returns (means, log_beta)."""
     beta = _precision(log_beta)

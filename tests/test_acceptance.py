@@ -209,7 +209,7 @@ def test_criterion_07_reverse_traversal():
     dataset = gen_bimodal(3000, seed=0)
     probe = ProbeConfig(K_probe=2, lr_means=0.05)
     forward, state = run_forward_split(dataset, probe, AnnealHoldSchedule())
-    reverse = run_reverse_traversal(dataset, state, ReverseSchedule(), lr_means=0.05)
+    reverse = run_reverse_traversal(dataset, state, ReverseSchedule())
     merge_err = abs(reverse.summary["merge_relative_error"])
     overshoot = forward.summary["overshoot_ratio"]
     _finish(

@@ -238,6 +238,25 @@ class TestExitCodes:
         assert "RuntimeWarning" not in proc.stderr
         assert read_json(tmp_path / "hessian_report.json")["beta_critical_analytic"] == 1.0
 
+    def test_diverging_probe_exits_3_without_numpy_warnings(self, tmp_path):
+        # the means overflow inside numpy before the finite guard sees them
+        env = {
+            **os.environ,
+            "BIFURC_PROBE__LR_MEANS": "1e300",
+            "BIFURC_DATA__N": "200",
+            "BIFURC_EXPERIMENT__STEPS": "50",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bifurc",
+             "toy", "unimodal", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command,text",
         [

@@ -45,7 +45,7 @@ def hysteresis():
     ds = X.gen_bimodal(3000, seed=1)
     cfg = ProbeConfig(K_probe=2, lr_means=0.05)
     fwd, state = X.run_forward_split(ds, cfg, X.AnnealHoldSchedule())
-    rev = X.run_reverse_traversal(ds, state, X.ReverseSchedule(), lr_means=0.05)
+    rev = X.run_reverse_traversal(ds, state, X.ReverseSchedule())
     return fwd, rev
 
 
@@ -388,6 +388,26 @@ class TestAnnealHoldReverse:
         assert np.all(np.diff(rb[:, 0]) < 0)  # reverse maps downward
         assert rev.summary["plateau_order_parameter"] > 0.1
 
+    def test_reverse_branch_stays_split_above_critical(self, hysteresis):
+        # a solver that lands on the collapsed saddle reads ~0 on these levels
+        _, rev = hysteresis
+        bc = rev.summary["beta_c_hat"]
+        split = [op for b, op in rev.summary["branch"] if b >= 1.1 * bc]
+        assert split
+        assert min(split) > 0.25 * rev.summary["plateau_order_parameter"]
+
+    def test_branch_levels_report_convergence(self, hysteresis):
+        fwd, rev = hysteresis
+        tol = X.EQUILIBRIUM_REL_TOL * math.sqrt(1.0 / rev.summary["beta_c_hat"])
+        cap = X.ReverseSchedule().max_inner_steps
+        for log in (fwd, rev):
+            iterations = log.summary["branch_iterations"]
+            assert len(iterations) == len(log.summary["branch"])
+            assert all(isinstance(i, int) and 1 <= i < cap for i in iterations)
+            assert log.summary["branch_max_residual"] <= tol
+        # the reverse step counter advances by EM iterations
+        assert rev.readings[-1].step == sum(rev.summary["branch_iterations"])
+
     def test_overlap_requires_branches(self, hysteresis, learned_pair):
         fwd, _ = hysteresis
         log_b, _, _, _ = learned_pair
@@ -554,6 +574,11 @@ class TestSchedules:
             X.ReverseSchedule(levels=2)
         with pytest.raises(ValidationError):
             X.ReverseSchedule(bottom_ratio=1.5)
+
+    @pytest.mark.parametrize("schedule", [X.AnnealHoldSchedule, X.ReverseSchedule])
+    def test_equilibrium_cap_allows_an_iteration(self, schedule):
+        with pytest.raises(ValidationError):
+            schedule(max_inner_steps=0)
 
     def test_forward_split_rejects_unknown_schedule(self):
         ds = X.gen_bimodal(100, seed=0)

@@ -10,6 +10,10 @@ from bifurc.errors import DegenerateInputError, DimensionError, NumericalError
 from bifurc.gmm_probe import (
     GmmProbeState,
     ProbeConfig,
+    _em_step,
+    _equilibrium,
+    _mean_step,
+    _row_norms,
     beta_c,
     exact_collapsed,
     grad_step,
@@ -317,3 +321,52 @@ class TestKernelAgainstPerComponentReference:
         stepped = grad_step(state, z, cfg)
         np.testing.assert_allclose(stepped.means, means_ref, rtol=1e-12, atol=1e-12)
         assert stepped.log_precision == pytest.approx(log_beta_ref, rel=1e-12, abs=1e-12)
+
+
+class TestEquilibrium:
+    """The EM branch solver: its fixed points are the zeros of the mean gradient."""
+
+    @staticmethod
+    def split_level(n=400):
+        # a bimodal set at 1.5 beta_c, started from a small split along x
+        z = bimodal(n=n)
+        lam = float(np.linalg.eigvalsh(covariance(z))[-1])
+        mu0 = z.mean(axis=0) + np.array([[-0.1, 0.0], [0.1, 0.0]])
+        return z, _row_norms(z), mu0, 1.5 / lam, 1e-10 * math.sqrt(lam)
+
+    def test_solution_is_a_zero_of_the_mean_gradient(self):
+        z, z2, mu0, beta, tol = self.split_level()
+        mu, iterations, residual = _equilibrium(z, z2, mu0, beta, tol, 9000)
+        assert 1 < iterations < 9000 and residual <= tol
+        moved = _mean_step(z, z2, mu, beta, 1.0)[0]
+        assert np.max(np.abs(moved - mu)) <= 10.0 * tol
+        assert np.max(np.abs(mu[1] - mu[0])) > 1.0  # the split branch, not the mean
+
+    def test_matches_long_gradient_descent(self):
+        z, z2, mu0, beta, tol = self.split_level()
+        mu = _equilibrium(z, z2, mu0, beta, tol, 9000)[0]
+        gd = mu0
+        for _ in range(5000):
+            gd = _mean_step(z, z2, gd, beta, 1.0)[0]
+        np.testing.assert_allclose(mu, gd, rtol=0.0, atol=1e-6)
+
+    def test_component_without_mass_keeps_its_mean(self):
+        z = bimodal(n=50)
+        mu = np.array([[0.0, 0.0], [1e3, 1e3]])  # exp(-beta sq / 2) underflows to 0
+        with np.errstate(divide="raise", invalid="raise"):
+            stepped = _em_step(z, _row_norms(z), mu, 1.0)
+            solved = _equilibrium(z, _row_norms(z), mu, 1.0, 1e-10, 100)[0]
+        assert np.array_equal(stepped[1], mu[1]) and np.array_equal(solved[1], mu[1])
+        np.testing.assert_allclose(stepped[0], z.mean(axis=0), rtol=0.0, atol=1e-12)
+
+    def test_non_finite_update_is_numerical_error(self):
+        z = 1e200 * bimodal(n=50)  # finite latents whose squared norms overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                _em_step(z, _row_norms(z), np.zeros((2, 2)), 1.0)
+
+    def test_iteration_cap_returns_the_unconverged_state(self):
+        z, z2, mu0, beta, tol = self.split_level()
+        mu, iterations, residual = _equilibrium(z, z2, mu0, beta, tol, 1)
+        assert iterations == 1 and residual > tol
+        assert np.array_equal(mu, _em_step(z, z2, mu0, beta))
