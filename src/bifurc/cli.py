@@ -50,6 +50,7 @@ from .experiments import (
     HierarchySchedule,
     LearnedBetaSchedule,
     ReverseSchedule,
+    _quiet_overflow,
     branch_overlap,
     gen_bimodal,
     gen_hierarchical,
@@ -185,6 +186,7 @@ def _sde_config(cfg, seed):
 # calibrate-hessian
 
 
+@_quiet_overflow
 def _cmd_calibrate_hessian(cfg, out_dir):
     k = cfg.get_int("hessian", "k")
     source = cfg.get_choice("hessian", "source", {"bimodal", "identity"})
@@ -217,15 +219,17 @@ def _cmd_calibrate_hessian(cfg, out_dir):
         "crossing_gap": float(
             abs(report.beta_critical_numeric - report.beta_critical_analytic)
         ),
+        "crossing_iterations": report.iterations,
     }
     if samples is None:
         result.update(
             beta_critical_finite_difference=None,
             finite_difference_gap=None,
             max_abs_hessian_difference=None,
+            finite_difference_hessians=None,
         )
     else:
-        fd_bc = find_crossing_numeric(k, samples, lo, hi)
+        fd_bc, fd_hessians = find_crossing_numeric(k, samples, lo, hi)
         beta_ref = report.beta_critical_analytic
         state = exact_collapsed(samples, k, math.log(beta_ref))
         numeric = numerical_hessian(state, samples)
@@ -234,6 +238,7 @@ def _cmd_calibrate_hessian(cfg, out_dir):
             beta_critical_finite_difference=float(fd_bc),
             finite_difference_gap=float(abs(fd_bc - report.beta_critical_analytic)),
             max_abs_hessian_difference=float(np.max(np.abs(numeric - analytic))),
+            finite_difference_hessians=fd_hessians + 1,
         )
     _write_json(out_dir / "hessian_report.json", _payload(cfg, **result))
     xs = [b for b, _ in report.scan_points]

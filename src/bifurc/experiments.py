@@ -448,8 +448,9 @@ class ReverseSchedule:
 # protocols
 
 # A diverging run overflows inside numpy before the kernel's finite guards see
-# the result; the guards raise NumericalError, so the protocols silence numpy's
-# overflow/invalid warnings once per run instead of per kernel call.
+# the result; the guards raise NumericalError, so the protocols (and the
+# calibrate-hessian command) silence numpy's overflow/invalid warnings once per
+# run instead of per kernel call.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 

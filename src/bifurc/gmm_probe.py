@@ -175,10 +175,16 @@ def _responsibilities(z, z2, mu, beta):
     return p, sq
 
 
+def _mean_pull(z, z2, mu, beta):
+    """(pull, p, sq) with pull = p z - rowsum(p) mu: the mean gradient is -(beta/N) pull."""
+    p, sq = _responsibilities(z, z2, mu, beta)
+    return p @ z - p.sum(axis=1)[:, None] * mu, p, sq
+
+
 def _mean_step(z, z2, mu, beta, lr):
     """One GD step on the means at fixed beta (see grad_step); returns (means, p, sq)."""
-    p, sq = _responsibilities(z, z2, mu, beta)
-    new_mu = mu + (lr * beta / z.shape[0]) * (p @ z - p.sum(axis=1)[:, None] * mu)
+    pull, p, sq = _mean_pull(z, z2, mu, beta)
+    new_mu = mu + (lr * beta / z.shape[0]) * pull
     if not np.isfinite(new_mu).all():
         raise NumericalError(f"non-finite probe means at beta = {beta}")
     return new_mu, p, sq

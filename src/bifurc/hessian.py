@@ -16,8 +16,9 @@ with Sigma the data covariance. Its spectrum splits into two channels:
 The lowest anti-symmetric eigenvalue belongs to sigma_1^2 = lambda_max and
 zero-crosses exactly at beta_c = 1/lambda_max: the collapsed state is stable
 iff beta < beta_c. This module provides the closed form, the channel
-spectrum, a central-finite-difference cross-check, and the zero-crossing
-scan.
+spectrum, a finite-difference cross-check (central differences of the probe
+kernel's analytic mean gradient), and the zero-crossing scan, whose root is
+found by the Illinois method on either route.
 """
 
 import math
@@ -27,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BracketError, PreconditionError, ValidationError
-from .gmm_probe import GmmProbeState, _check_batch, _nll, _row_norms
+from .gmm_probe import _check_batch, _mean_pull, _precision, _row_norms, exact_collapsed
 from .mathcore import check_symmetric, sym_eigen
 
 MAX_DENSE = 4096
@@ -59,6 +60,7 @@ class CrossingReport:
     beta_critical_numeric: float
     beta_critical_analytic: float
     scan_points: List[Tuple[float, float]]
+    iterations: int
 
 
 def _check_beta_k(beta, K):
@@ -131,11 +133,15 @@ def flat_spectrum(cs):
 
 
 def numerical_hessian(state_at_collapse, samples):
-    """Central-second-difference Hessian of nll over the mean coordinates.
+    """Hessian of nll over the mean coordinates, by central differences of its gradient.
 
     The state must be exactly collapsed (every mean at the sample mean);
-    beta is held fixed at the state's value. Steps are per-coordinate,
-    h_a = 1e-4 * std_a of the centered samples. The output is symmetrized.
+    beta is held fixed at the state's value. Column i is
+    (g(x + h_i e_i) - g(x - h_i e_i)) / (2 h_i), with g the probe kernel's
+    analytic mean gradient -(beta/N)(p z - rowsum(p) mu) (Nocedal & Wright,
+    Numerical Optimization, sec. 8.1): 2 K d gradient calls. Steps are
+    per-coordinate, h_a = 1e-4 * std_a of the centered samples. The output is
+    symmetrized.
     """
     state = state_at_collapse
     z = _check_batch(state, samples)
@@ -145,37 +151,17 @@ def numerical_hessian(state_at_collapse, samples):
     if np.max(np.abs(state.means - zbar)) > 1e-9 * scale:
         raise PreconditionError("numerical_hessian requires all means at the sample mean")
     k, d = state.K, state.d
-    n = k * d
+    beta = _precision(state.log_precision)
     std = z.std(axis=0)
-    h = 1e-4 * np.where(std > 0, std, 1.0)
+    steps = np.tile(1e-4 * np.where(std > 0, std, 1.0), k)
 
-    def f(flat_means):
-        return _nll(z, z2, flat_means.reshape(k, d), state.log_precision)
+    def pull(flat_means):
+        return _mean_pull(z, z2, flat_means.reshape(k, d), beta)[0].reshape(-1)
 
-    x0 = state.means.reshape(-1).copy()
-    steps = np.tile(h, k)
-    hess = np.zeros((n, n))
-    f0 = f(x0)
-    for i in range(n):
-        xi = x0.copy()
-        xi[i] += steps[i]
-        fp = f(xi)
-        xi[i] = x0[i] - steps[i]
-        fm = f(xi)
-        hess[i, i] = (fp - 2.0 * f0 + fm) / (steps[i] * steps[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = x0.copy()
-            x[i] += steps[i]
-            x[j] += steps[j]
-            fpp = f(x)
-            x[j] = x0[j] - steps[j]
-            fpm = f(x)
-            x[i] = x0[i] - steps[i]
-            fmm = f(x)
-            x[j] = x0[j] + steps[j]
-            fmp = f(x)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * steps[i] * steps[j])
+    x0 = state.means.reshape(-1)
+    hess = np.empty((k * d, k * d))
+    for i, dx in enumerate(np.diag(steps)):
+        hess[:, i] = (pull(x0 + dx) - pull(x0 - dx)) * (-beta / (2.0 * steps[i] * z.shape[0]))
     return (hess + hess.T) / 2.0
 
 
@@ -186,47 +172,55 @@ def lowest_eigenvalue(beta, K, spatial_eigs):
     return min([cs.symmetric_eigenvalue] + lows)
 
 
-def _bisect(f, lo, hi, tol):
-    """Root of f in the finite precision bracket 0 < lo < hi.
+def _illinois(f, lo, hi, tol):
+    """(root, calls of f): a root of f in the finite bracket 0 < lo < hi.
 
-    The bracket [a, b] is halved until b - a <= tol * min(a, 1): narrower than
-    tol, and than tol relative to a, so a root far below 1 keeps its relative
-    accuracy. An endpoint where f is exactly 0 is the root; endpoints of one
-    sign raise BracketError. The loop also stops at float resolution, so it
-    always ends.
+    The Illinois method (Dowell & Jarratt, BIT 11, 1971): regula falsi that
+    halves the stored value of an endpoint kept twice in a row, so neither end
+    stalls; a secant point not strictly inside [a, b] becomes the midpoint.
+    It stops once b - a <= tol * min(a, 1), so a root far below 1 keeps its
+    relative accuracy, or at float resolution. An endpoint where f is exactly
+    0 is the root; endpoints of one sign raise BracketError.
     """
     if not 0 < lo < hi < math.inf:
         raise ValidationError(f"need a finite bracket 0 < beta_lo < beta_hi, got [{lo}, {hi}]")
     fa, fb = f(lo), f(hi)
     if fa == 0.0:
-        return lo
+        return lo, 2
     if fb == 0.0:
-        return hi
-    if not fa * fb < 0:
+        return hi, 2
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
         raise BracketError(
             f"no sign change in [{lo}, {hi}]: lowest eigenvalue {fa:.3e} .. {fb:.3e}"
         )
-    a, b = lo, hi
+    rising = fb > 0.0
+    a, b, evaluations, moved = lo, hi, 2, None
     while b - a > tol * min(a, 1.0):
-        m = 0.5 * (a + b)
+        m = b - fb * (b - a) / (fb - fa)
         if not a < m < b:
-            break
+            m = a + 0.5 * (b - a)
+            if not a < m < b:
+                break
         fm = f(m)
+        evaluations += 1
         if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b = m
+            return m, evaluations
+        if (fm > 0.0) == rising:
+            fa *= 0.5 if moved == "b" else 1.0
+            b, fb, moved = m, fm, "b"
         else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+            fb *= 0.5 if moved == "a" else 1.0
+            a, fa, moved = m, fm, "a"
+    return a + 0.5 * (b - a), evaluations
 
 
 def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     """Locate the beta where the lowest Hessian eigenvalue crosses zero.
 
-    Bisects the closed-form lowest eigenvalue over [beta_lo, beta_hi] to a
-    bracket narrower than tol, absolutely and relative to beta (see
-    _bisect); the report also carries a uniform scan of the lowest
+    Finds the root of the closed-form lowest eigenvalue over
+    [beta_lo, beta_hi] by the Illinois method, to a bracket narrower than tol,
+    absolutely and relative to beta (see _illinois); iterations counts its
+    evaluations. The report also carries a uniform scan of the lowest
     eigenvalue over the bracket (it changes sign exactly once, since
     lambda_perp_1(beta) = (beta/K)(1 - beta lambda_max) is monotone through
     the crossing for beta > 0).
@@ -238,29 +232,28 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     def low(b):
         return lowest_eigenvalue(b, K, eigs)
 
-    root = _bisect(low, beta_lo, beta_hi, tol)
+    root, iterations = _illinois(low, beta_lo, beta_hi, tol)
     grid = np.linspace(beta_lo, beta_hi, scan_points)
     scan = [(float(b), float(low(b))) for b in grid]
     return CrossingReport(
         beta_critical_numeric=float(root),
         beta_critical_analytic=1.0 / float(eigs[0]),
         scan_points=scan,
+        iterations=iterations,
     )
 
 
 def find_crossing_numeric(K, samples, beta_lo, beta_hi, tol=1e-6):
     """Zero-crossing scan over the finite-difference Hessian's lowest eigenvalue.
 
-    The independent (all-numeric) route: at each bisection point the Hessian
-    is rebuilt by central differences on the sample NLL and diagonalized.
+    The independent (all-numeric) route: at each root-finder point the
+    Hessian is rebuilt by numerical_hessian and diagonalized. Returns
+    (root, evaluations), evaluations being the number of Hessians built.
     """
     z = np.asarray(samples, dtype=float)
 
     def low(beta):
-        s = GmmProbeState(
-            np.tile(z.mean(axis=0), (K, 1)), math.log(beta), K, z.shape[1]
-        )
-        h = numerical_hessian(s, z)
+        h = numerical_hessian(exact_collapsed(z, K, math.log(beta)), z)
         return float(sym_eigen(h).eigenvalues[-1])
 
-    return _bisect(low, beta_lo, beta_hi, tol)
+    return _illinois(low, beta_lo, beta_hi, tol)

@@ -257,6 +257,21 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
 
+    def test_overflowing_hessian_data_exits_3_without_numpy_warnings(self, tmp_path):
+        # samples at 1e200 overflow the covariance inside numpy; the eigen
+        # solver's finite guard turns that into a numerical failure
+        env = {**os.environ, "BIFURC_HESSIAN__SCALE": "1e200"}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bifurc",
+             "calibrate-hessian", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command,text",
         [
@@ -477,6 +492,23 @@ class TestCalibrateHessian:
         assert round(rep["beta_critical_numeric"], 4) == 1.0
         assert rep["beta_critical_finite_difference"] is None
 
+    def test_report_counts_root_finder_evaluations_deterministically(self, tmp_path, monkeypatch):
+        for source in ("bimodal", "identity"):
+            monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", source)
+            out_a, out_b = tmp_path / source / "a", tmp_path / source / "b"
+            for out in (out_a, out_b):
+                assert main(["calibrate-hessian", "--out", str(out)]) == 0
+            assert tree_digest(out_a) == tree_digest(out_b)
+            rep = read_json(out_a / "hessian_report.json")
+            assert type(rep["crossing_iterations"]) is int
+            assert 2 <= rep["crossing_iterations"] <= 12
+            if source == "identity":
+                assert rep["finite_difference_hessians"] is None
+            else:
+                # the crossing scan's Hessians plus the one compared entrywise
+                assert type(rep["finite_difference_hessians"]) is int
+                assert 3 <= rep["finite_difference_hessians"] <= 14
+
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
 
@@ -547,6 +579,30 @@ class TestHessianConfigFuzz:
             ini = Path(tmp) / "fuzz.ini"
             ini.write_text(
                 f"[hessian]\nsource = identity\nk = {k}\ndim = {dim}\n"
+                f"bracket_lo_ratio = {lo!r}\nbracket_hi_ratio = {hi!r}\n"
+            )
+            code = main(["calibrate-hessian", "--config", str(ini), "--out", tmp])
+        assert code in {0, 2, 3, 4}
+
+    @settings(max_examples=40, deadline=None)
+    @example(k=10, n=60, scale=1.0, offset=2.0, lo=0.5, hi=1.5)
+    @example(k=2, n=1, scale=1.0, offset=2.0, lo=0.5, hi=1.5).via("one sample")
+    @example(k=2, n=40, scale=1e200, offset=2.0, lo=0.5, hi=1.5).via("overflowing data")
+    @given(
+        k=st.integers(-1, 6),
+        n=st.integers(1, 60),
+        scale=edge_floats((0.1, 10.0)),
+        offset=edge_floats((0.0, 5.0)),
+        lo=edge_floats((0.01, 0.99)),
+        hi=edge_floats((1.01, 3.0)),
+    )
+    def test_bimodal_source_exits_with_a_documented_code(self, k, n, scale, offset, lo, hi):
+        # runs the finite-difference Hessian and its crossing scan
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(
+                f"[hessian]\nsource = bimodal\nk = {k}\nn = {n}\nscale = {scale!r}\n"
+                f"center_offset = {offset!r}\n"
                 f"bracket_lo_ratio = {lo!r}\nbracket_hi_ratio = {hi!r}\n"
             )
             code = main(["calibrate-hessian", "--config", str(ini), "--out", tmp])

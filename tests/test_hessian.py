@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifurc.errors import BracketError, PreconditionError, ValidationError
-from bifurc.gmm_probe import exact_collapsed
+from bifurc.experiments import gen_bimodal
+from bifurc.gmm_probe import GmmProbeState, beta_c, exact_collapsed, nll
 from bifurc.hessian import (
-    _bisect,
+    _illinois,
     analytic_hessian,
     channel_spectrum,
     channel_spectrum_from_cov,
@@ -27,6 +28,36 @@ def bimodal(n=400, seed=0):
     z = rng.standard_normal((n, 2))
     z[:, 0] += np.where(lab == 0, -2.0, 2.0)
     return z
+
+
+def nll_difference_hessian(state, z):
+    """Test oracle: the Hessian of nll from central second differences of nll itself.
+
+    Same per-coordinate steps as numerical_hessian; diagonal entries from the
+    three-point formula, off-diagonal ones from the four-point mixed
+    difference. Costs 1 + 2n + 2n(n - 1) nll calls for n = K d.
+    """
+    k, d = state.K, state.d
+    n = k * d
+    std = z.std(axis=0)
+    steps = np.tile(1e-4 * np.where(std > 0, std, 1.0), k)
+    x0 = state.means.reshape(-1)
+
+    e = np.diag(steps)
+
+    def f(x):
+        return nll(GmmProbeState(x.reshape(k, d), state.log_precision, k, d), z)
+
+    hess = np.empty((n, n))
+    f0 = f(x0)
+    for i in range(n):
+        hess[i, i] = (f(x0 + e[i]) - 2.0 * f0 + f(x0 - e[i])) / (steps[i] * steps[i])
+        for j in range(i + 1, n):
+            ei, ej = e[i], e[j]
+            hess[i, j] = hess[j, i] = (
+                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
+            ) / (4.0 * steps[i] * steps[j])
+    return hess
 
 
 class TestAnalyticHessian:
@@ -128,6 +159,24 @@ class TestNumericalHessian:
             numerical_hessian(state, z)
 
 
+class TestGradientDifferenceHessian:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        d=st.integers(1, 3),
+        n=st.integers(20, 200),
+        beta=st.floats(0.05, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_nll_difference_oracle_and_the_closed_form(self, k, d, n, beta, seed):
+        z = np.random.default_rng(seed).standard_normal((n, d))
+        state = exact_collapsed(z, k, math.log(beta))
+        num = numerical_hessian(state, z)
+        assert np.array_equal(num, num.T)
+        assert np.max(np.abs(num - nll_difference_hessian(state, z))) <= 1e-6
+        assert np.max(np.abs(num - analytic_hessian(beta, k, covariance(z)))) <= 1e-4
+
+
 class TestSignStructure:
     def test_positive_iff_subcritical(self):
         cov = np.diag([2.5, 1.0, 0.4])
@@ -168,7 +217,7 @@ class TestFindCrossing:
     def test_numeric_route_agrees(self):
         z = bimodal(n=400, seed=8)
         analytic = 1.0 / sym_eigen(covariance(z)).eigenvalues[0]
-        numeric = find_crossing_numeric(2, z, 0.05, 1.0)
+        numeric, _ = find_crossing_numeric(2, z, 0.05, 1.0)
         assert abs(numeric - analytic) <= 1e-4 * analytic
 
     def test_temperature_convention_roundtrip(self):
@@ -191,7 +240,7 @@ class TestFindCrossing:
     def test_numeric_route_keeps_relative_accuracy_at_large_scale(self):
         z = 1e3 * bimodal(n=200, seed=9)
         analytic = 1.0 / sym_eigen(covariance(z)).eigenvalues[0]
-        numeric = find_crossing_numeric(2, z, 0.5 * analytic, 2.0 * analytic)
+        numeric, _ = find_crossing_numeric(2, z, 0.5 * analytic, 2.0 * analytic)
         assert abs(numeric - analytic) <= 1e-4 * analytic
 
 
@@ -204,18 +253,18 @@ class TestBisect:
     def test_bad_bracket_rejected_before_any_evaluation(self, lo, hi):
         calls = []
         with pytest.raises(ValidationError, match="finite bracket"):
-            _bisect(calls.append, lo, hi, 1e-6)
+            _illinois(calls.append, lo, hi, 1e-6)
         assert calls == []
 
     def test_endpoint_root_and_same_sign(self):
-        assert _bisect(lambda b: b - 0.5, 0.5, 2.0, 1e-6) == 0.5
-        assert _bisect(lambda b: b - 2.0, 0.5, 2.0, 1e-6) == 2.0
+        assert _illinois(lambda b: b - 0.5, 0.5, 2.0, 1e-6)[0] == 0.5
+        assert _illinois(lambda b: b - 2.0, 0.5, 2.0, 1e-6)[0] == 2.0
         with pytest.raises(BracketError):
-            _bisect(lambda b: b + 1.0, 0.5, 2.0, 1e-6)
+            _illinois(lambda b: b + 1.0, 0.5, 2.0, 1e-6)
 
     def test_tolerance_below_float_resolution_terminates(self):
         root = 1e20 / 3.0
-        got = _bisect(lambda b: math.atan(root - b), 0.5 * root, 1.5 * root, 0.0)
+        got, _ = _illinois(lambda b: math.atan(root - b), 0.5 * root, 1.5 * root, 0.0)
         assert abs(got - root) <= 4 * math.ulp(root)
 
     @settings(max_examples=200, deadline=None)
@@ -232,5 +281,35 @@ class TestBisect:
         def f(b):
             return sign * math.atan(b - root)
 
-        got = _bisect(f, root * lo_frac, root * hi_mult, tol)
+        got, _ = _illinois(f, root * lo_frac, root * hi_mult, tol)
         assert abs(got - root) <= tol
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_few_evaluations_on_the_closed_form_lowest_eigenvalue(self, seed):
+        # the default calibrate-hessian bracket, where halving needs 22 evaluations
+        cov = covariance(gen_bimodal(2000, seed=seed).samples)
+        guess = beta_c(cov)
+        eigs = sym_eigen(cov).eigenvalues
+        calls = []
+
+        def low(b):
+            calls.append(b)
+            return lowest_eigenvalue(b, 10, eigs)
+
+        root, evaluations = _illinois(low, 0.5 * guess, 1.5 * guess, 1e-6)
+        assert evaluations == len(calls) <= 12
+        assert abs(root - guess) <= 1e-6 * guess
+
+    @pytest.mark.parametrize("root", [0.3, 1.0, 1.9])
+    def test_steep_convex_function_does_not_stall_on_one_endpoint(self, root):
+        # plain regula falsi keeps the left endpoint here and creeps in from
+        # the right; the Illinois halving makes the secant jump over the root
+        calls = []
+
+        def f(b):
+            calls.append(b)
+            return b**9 - root**9
+
+        got, evaluations = _illinois(f, 0.1, 2.0, 1e-9)
+        assert abs(got - root) <= 1e-9
+        assert evaluations == len(calls) <= 40
