@@ -44,8 +44,8 @@ from .gmm_probe import (
     _equilibrium,
     _joint_step,
     _mean_step,
-    _row_norms,
     _spread,
+    _Workspace,
     init_collapsed,
     split_direction,
 )
@@ -468,7 +468,7 @@ def run_forward_split(dataset, config, schedule=None):
     if schedule is None:
         schedule = LearnedBetaSchedule()
     z = dataset.samples
-    z2 = _row_norms(z)
+    ws = _Workspace(config.K_probe, z)
     lam, log_bc = _lam_and_logbc(z)
     rng = np.random.default_rng(dataset.seed + 99)
     mu = init_collapsed(z, config, rng).means
@@ -485,7 +485,7 @@ def run_forward_split(dataset, config, schedule=None):
     if isinstance(schedule, LearnedBetaSchedule):
         lb = config.log_beta_init
         for n in range(schedule.steps):
-            mu, lb = _joint_step(z, z2, mu, lb, config.lr_means, config.lr_logbeta)
+            mu, lb = _joint_step(ws, mu, lb, config.lr_means, config.lr_logbeta)
             if n % schedule.record_every == 0:
                 op = _spread(mu)
                 log.append(reading(n, lb, op))
@@ -503,7 +503,7 @@ def run_forward_split(dataset, config, schedule=None):
     n = 0
     while n < schedule.max_steps:
         lb = lb0 + (lb_hold - lb0) * min(1.0, n / schedule.ramp_steps)
-        mu = _mean_step(z, z2, mu, math.exp(lb), schedule.hold_lr)[0]
+        mu = _mean_step(ws, mu, math.exp(lb), schedule.hold_lr)[0]
         if n % schedule.record_every == 0:
             op = _spread(mu)
             log.append(reading(n, lb, op))
@@ -516,7 +516,7 @@ def run_forward_split(dataset, config, schedule=None):
     lb_top = math.log(schedule.branch_top_ratio) - math.log(lam)
     for lb_level in np.linspace(lb_hold, lb_top, schedule.branch_levels):
         b = math.exp(lb_level)
-        mu, its, res = _equilibrium(z, z2, mu, b, tol, schedule.max_inner_steps)
+        mu, its, res = _equilibrium(ws, mu, b, tol, schedule.max_inner_steps)
         n += its
         op = _spread(mu)
         log.append(reading(n, lb_level, op))
@@ -565,8 +565,8 @@ def run_reverse_traversal(dataset, probe, schedule=None):
     lam, log_bc = _lam_and_logbc(z)
     beta_c_hat = 1.0 / lam
     const_nc1 = _dataset_nc1(dataset, z)
-    z2 = _row_norms(z)
     mu = probe.means
+    ws = _Workspace(mu.shape[0], z)
     tol = EQUILIBRIUM_REL_TOL * math.sqrt(lam)
     log = TrajectoryLog("reverse-traversal", dataset.seed)
     levels = np.exp(
@@ -579,7 +579,7 @@ def run_reverse_traversal(dataset, probe, schedule=None):
     n = 0
     branch, iterations, residuals = [], [], []
     for b in levels:
-        mu, its, res = _equilibrium(z, z2, mu, b, tol, schedule.max_inner_steps)
+        mu, its, res = _equilibrium(ws, mu, b, tol, schedule.max_inner_steps)
         n += its
         iterations.append(its)
         residuals.append(res)
@@ -689,6 +689,8 @@ def run_endogenous(
     without any external schedule. Stops early once activation fires.
     Encoder divergence raises AbortedRunError carrying the partial log.
     """
+    if latent_dim < 1 or record_every < 1:
+        raise ValidationError("latent_dim and record_every must be >= 1")
     if config is None:
         config = ProbeConfig(K_probe=8, lr_means=0.015, lr_logbeta=1e-2)
     x = dataset.samples
@@ -699,6 +701,7 @@ def run_endogenous(
         learning_rate=encoder_lr,
     )
     z = enc.latents(x)
+    ws = _Workspace(config.K_probe, z)
     mu = init_collapsed(z, config, rng).means
     lb = config.log_beta_init
     lam0, log_bc0 = _lam_and_logbc(z)
@@ -713,8 +716,9 @@ def run_endogenous(
     for n in range(steps):
         enc.gd_step(x)
         z = enc.latents(x)
+        ws.load(z)
         try:
-            mu, lb = _joint_step(z, _row_norms(z), mu, lb, config.lr_means, config.lr_logbeta)
+            mu, lb = _joint_step(ws, mu, lb, config.lr_means, config.lr_logbeta)
         except NumericalError as blowup:
             raise AbortedRunError(
                 f"encoder-probe co-evolution diverged at step {n}: {blowup}", partial=log
@@ -789,7 +793,11 @@ def audit_hypotheses(log, window_steps=100, rel_tol=HYPOTHESIS_REL_TOL):
 
 @dataclass
 class HierarchySchedule:
-    """Phase plan for the two-stage traversal (ratios are vs each stage's beta_c)."""
+    """Phase plan for the two-stage traversal (ratios are vs each stage's beta_c).
+
+    After stage 2 the means are solved by EM (at most max_inner_steps
+    iterations) at hold2_ratio * beta_c2 before the assignment is read.
+    """
 
     ramp1_steps: int = 1500
     hold1_ratio: float = 1.3
@@ -799,10 +807,17 @@ class HierarchySchedule:
     ramp2_steps: int = 2000
     hold2_ratio: float = 1.3
     max2_steps: int = 12000
-    finish_steps: int = 2000
+    max_inner_steps: int = 9000
     record_every: int = 20
     start_ratio: float = 0.5
     anisotropy_gate: float = 0.65
+
+    def __post_init__(self):
+        if not (0.0 < self.start_ratio < 1.0 < self.hold1_ratio and 1.0 < self.hold2_ratio):
+            raise ValidationError("need 0 < start_ratio < 1 < hold1_ratio and hold2_ratio")
+        if min(self.ramp1_steps, self.max1_steps, self.ramp2_steps, self.max2_steps,
+               self.max_inner_steps, self.record_every) < 1:
+            raise ValidationError("schedule step counts must be >= 1")
 
 
 @_quiet_overflow
@@ -814,8 +829,9 @@ def run_hierarchical(dataset, config=None, schedule=None):
     runs only when the pooled within-super covariance is anisotropic enough
     (top eigenvalue fraction >= anisotropy_gate); it ramps across
     beta_c2 = 1/lambda_max(within cov) and detects the sub-cluster split via
-    the within-super order parameter. The final prototype-to-subcluster
-    assignment is reported for the tessellation check.
+    the within-super order parameter. The means are then solved by EM at the
+    stage-2 hold level, and the prototype-to-subcluster assignment of that
+    equilibrium is reported for the tessellation check.
     """
     if config is None:
         config = ProbeConfig(K_probe=8, lr_means=0.08)
@@ -848,7 +864,7 @@ def run_hierarchical(dataset, config=None, schedule=None):
     pattern = np.vstack([corners, corners])
     delta = 1e-3 * math.sqrt(lam1)
     mu = z.mean(axis=0) + delta * (pattern @ axes.T) + 0.1 * delta * rng.standard_normal((8, 2))
-    z2 = _row_norms(z)
+    ws = _Workspace(8, z)
     const_nc1 = _dataset_nc1(dataset, z)
     log = TrajectoryLog("hierarchical", dataset.seed)
 
@@ -878,7 +894,7 @@ def run_hierarchical(dataset, config=None, schedule=None):
     lb = lb_a0
     while n < schedule.max1_steps:
         lb = lb_a0 + (lb_a1 - lb_a0) * min(1.0, n / schedule.ramp1_steps)
-        mu = _mean_step(z, z2, mu, math.exp(lb), lr)[0]
+        mu = _mean_step(ws, mu, math.exp(lb), lr)[0]
         if n % schedule.record_every == 0:
             record(n, lb)
             if tracker1.feed(n, lb, _spread(mu), supercritical=lb >= math.log(bc1)):
@@ -905,16 +921,16 @@ def run_hierarchical(dataset, config=None, schedule=None):
         for m in range(schedule.bridge_steps):
             n += 1
             beta = math.exp(lb_b0 + (lb_b1 - lb_b0) * m / schedule.bridge_steps)
-            mu = _mean_step(z, z2, mu, beta, lr)[0]
+            mu = _mean_step(ws, mu, beta, lr)[0]
         for _ in range(schedule.settle_steps):
             n += 1
-            mu = _mean_step(z, z2, mu, math.exp(lb_b1), lr)[0]
+            mu = _mean_step(ws, mu, math.exp(lb_b1), lr)[0]
         record(n, lb_b1)
         lb_c1 = math.log(schedule.hold2_ratio * bc2)
         m = 0
         while m < schedule.max2_steps:
             lb = lb_b1 + (lb_c1 - lb_b1) * min(1.0, m / schedule.ramp2_steps)
-            mu = _mean_step(z, z2, mu, math.exp(lb), lr)[0]
+            mu = _mean_step(ws, mu, math.exp(lb), lr)[0]
             if m % schedule.record_every == 0:
                 n_glob = n + m + 1
                 record(n_glob, lb)
@@ -922,9 +938,12 @@ def run_hierarchical(dataset, config=None, schedule=None):
                     break
             m += 1
         n += m + 1
-        for _ in range(schedule.finish_steps):
-            n += 1
-            mu = _mean_step(z, z2, mu, schedule.hold2_ratio * bc2, lr)[0]
+        # finish: the equilibrium at the stage-2 hold level; n advances by EM iterations
+        mu, its, _ = _equilibrium(
+            ws, mu, schedule.hold2_ratio * bc2, EQUILIBRIUM_REL_TOL * math.sqrt(lam1),
+            schedule.max_inner_steps,
+        )
+        n += its
         record(n, lb_c1)
         if tracker2.step is not None:
             events.append(

@@ -132,12 +132,37 @@ def _check_batch(state, samples):
 
 
 # The probe kernel: every probe computation in the package runs through these
-# helpers. They take raw arrays (latents z, row norms z2, means mu) so that the
-# protocols' hot loops build no state objects and re-check no batches. Arrays
-# over components and samples are K x N, so the per-sample softmax reductions
-# over the short K axis run across contiguous rows; they are updated in place
-# where the arithmetic allows it, because each fresh K x N array costs page
-# faults once it outgrows the allocator's small-block pool.
+# helpers. They take raw arrays (means mu) and a _Workspace holding the checked
+# latents, so that the protocols' hot loops build no state objects and re-check
+# no batches. Arrays over components and samples are K x N, so the per-sample
+# softmax reductions over the short K axis run across contiguous rows. Each
+# protocol run allocates its workspace once and the kernel overwrites it in
+# place: a fresh K x N array per step costs page faults once it outgrows the
+# allocator's small-block pool. The p and sq the kernel returns are views into
+# the workspace, valid only until its next kernel call.
+
+
+class _Workspace:
+    """A latent batch z (N x d) and the kernel's buffers for K components.
+
+    z2 holds the row norms of z; sq and e are K x N (squared distances; the
+    Gram product, then the shifted weights or responsibilities); amax and
+    total are the per-sample max and sum of the weights.
+    """
+
+    def __init__(self, k, z):
+        n = z.shape[0]
+        self.sq = np.empty((k, n))
+        self.e = np.empty((k, n))
+        self.amax = np.empty(n)
+        self.total = np.empty(n)
+        self.z2 = np.empty(n)
+        self.load(z)
+
+    def load(self, z):
+        """Make z (same shape as the current batch) the batch, refreshing z2 in place."""
+        self.z = z
+        _row_norms(z, self.z2)
 
 
 def _precision(log_beta):
@@ -151,68 +176,68 @@ def _precision(log_beta):
     return beta
 
 
-def _sq_dist(z, z2, mu):
+def _sq_dist(ws, mu):
     # sq[k, n] = ||z_n - mu_k||^2, via the Gram expansion (z.T is a view)
-    sq = z2[None, :] + (mu * mu).sum(axis=1)[:, None]
-    sq -= (2.0 * mu) @ z.T
+    sq = np.add(ws.z2[None, :], (mu * mu).sum(axis=1)[:, None], out=ws.sq)
+    sq -= np.matmul(2.0 * mu, ws.z.T, out=ws.e)
     return sq
 
 
-def _shifted_weights(sq, beta):
+def _shifted_weights(ws, sq, beta):
     """(e, max, sum) with e = exp(a - max_k a) for a = -(beta/2) sq, per column."""
-    e = sq * (-0.5 * beta)
-    amax = e.max(axis=0)
+    e = np.multiply(sq, -0.5 * beta, out=ws.e)
+    amax = e.max(axis=0, out=ws.amax)
     e -= amax
     np.exp(e, out=e)
-    return e, amax, e.sum(axis=0)
+    return e, amax, e.sum(axis=0, out=ws.total)
 
 
-def _responsibilities(z, z2, mu, beta):
+def _responsibilities(ws, mu, beta):
     """(p, sq): the K x N posterior p(k|z_n) and the squared distances behind it."""
-    sq = _sq_dist(z, z2, mu)
-    p, _, total = _shifted_weights(sq, beta)
+    sq = _sq_dist(ws, mu)
+    p, _, total = _shifted_weights(ws, sq, beta)
     p /= total
     return p, sq
 
 
-def _mean_pull(z, z2, mu, beta):
+def _mean_pull(ws, mu, beta):
     """(pull, p, sq) with pull = p z - rowsum(p) mu: the mean gradient is -(beta/N) pull."""
-    p, sq = _responsibilities(z, z2, mu, beta)
-    return p @ z - p.sum(axis=1)[:, None] * mu, p, sq
+    p, sq = _responsibilities(ws, mu, beta)
+    return p @ ws.z - p.sum(axis=1)[:, None] * mu, p, sq
 
 
-def _mean_step(z, z2, mu, beta, lr):
+def _mean_step(ws, mu, beta, lr):
     """One GD step on the means at fixed beta (see grad_step); returns (means, p, sq)."""
-    pull, p, sq = _mean_pull(z, z2, mu, beta)
-    new_mu = mu + (lr * beta / z.shape[0]) * pull
+    pull, p, sq = _mean_pull(ws, mu, beta)
+    new_mu = mu + (lr * beta / ws.z.shape[0]) * pull
     if not np.isfinite(new_mu).all():
         raise NumericalError(f"non-finite probe means at beta = {beta}")
     return new_mu, p, sq
 
 
-def _em_step(z, z2, mu, beta):
+def _em_step(ws, mu, beta):
     """One EM update at fixed beta: each mean moves to its posterior-weighted centroid.
 
     Its fixed points are exactly the zeros of the mean gradient (see grad_step).
     A component with zero total responsibility keeps its mean, where its
     gradient is zero too.
     """
-    p, _ = _responsibilities(z, z2, mu, beta)
+    p, _ = _responsibilities(ws, mu, beta)
     mass = p.sum(axis=1)[:, None]
-    new_mu = np.divide(p @ z, mass, out=mu.copy(), where=mass != 0.0)
+    new_mu = np.divide(p @ ws.z, mass, out=mu.copy(), where=mass != 0.0)
     if not np.isfinite(new_mu).all():
         raise NumericalError(f"non-finite probe means at beta = {beta}")
     return new_mu
 
 
-def _equilibrium(z, z2, mu, beta, tol, max_iter):
+def _equilibrium(ws, mu, beta, tol, max_iter):
     """Iterate _em_step from mu until max|G(mu) - mu| <= tol, at most max_iter times.
 
     Returns (means, iterations, residual), the residual being the max-norm
     length of the last update.
     """
     for iterations in range(1, max_iter + 1):
-        new_mu = _em_step(z, z2, mu, beta)
+        new_mu = _em_step(ws, mu, beta)
         residual = float(np.abs(new_mu - mu).max())
         mu = new_mu
         if residual <= tol:
@@ -220,11 +245,12 @@ def _equilibrium(z, z2, mu, beta, tol, max_iter):
     return mu, iterations, residual
 
 
-def _joint_step(z, z2, mu, log_beta, lr_means, lr_logbeta):
+def _joint_step(ws, mu, log_beta, lr_means, lr_logbeta):
     """One GD step on the means and log beta (see grad_step); returns (means, log_beta)."""
     beta = _precision(log_beta)
-    new_mu, p, sq = _mean_step(z, z2, mu, beta, lr_means)
-    dnll_dbeta = float((p * sq).sum() / (2.0 * z.shape[0]) - 0.5 * z.shape[1] / beta)
+    new_mu, p, sq = _mean_step(ws, mu, beta, lr_means)
+    n, d = ws.z.shape
+    dnll_dbeta = float(np.multiply(p, sq, out=sq).sum() / (2.0 * n) - 0.5 * d / beta)
     new_log_beta = log_beta - lr_logbeta * beta * dnll_dbeta
     if not math.isfinite(new_log_beta):
         raise NumericalError(f"non-finite probe gradient at beta = {beta}")
@@ -236,14 +262,24 @@ def _spread(mu):
     return float(np.sqrt((c * c).sum(axis=1).mean()))
 
 
-def _row_norms(z):
-    return (z * z).sum(axis=1)
+def _row_norms(z, out):
+    """Squared row norms of an N x d batch, summed column by column into out (N).
+
+    numpy's (z * z).sum(axis=1) reduces a length-d inner axis per row, which
+    is several times slower at small d. The column sweep gives the same bits
+    for d <= 7; from d = 8 numpy sums pairwise, and the two can differ in the
+    last ulp.
+    """
+    out = np.multiply(z[:, 0], z[:, 0], out=out)
+    for j in range(1, z.shape[1]):
+        out += z[:, j] * z[:, j]
+    return out
 
 
-def _nll(z, z2, mu, log_beta):
-    """The mean NLL of a checked batch z (row norms z2) under means mu and log beta."""
+def _nll(ws, mu, log_beta):
+    """The mean NLL of the workspace's batch under means mu and log beta."""
     k, d = mu.shape
-    _, amax, total = _shifted_weights(_sq_dist(z, z2, mu), _precision(log_beta))
+    _, amax, total = _shifted_weights(ws, _sq_dist(ws, mu), _precision(log_beta))
     lse = amax + np.log(total)
     return float(
         -lse.mean()
@@ -256,13 +292,14 @@ def _nll(z, z2, mu, log_beta):
 def nll(state, samples):
     """Full per-sample-mean negative log-likelihood (see module docstring)."""
     z = _check_batch(state, samples)
-    return _nll(z, _row_norms(z), state.means, state.log_precision)
+    return _nll(_Workspace(state.K, z), state.means, state.log_precision)
 
 
 def responsibilities(state, samples):
     """Posterior component weights p(k|z): an N x K row-stochastic matrix."""
     z = _check_batch(state, samples)
-    return _responsibilities(z, _row_norms(z), state.means, _precision(state.log_precision))[0].T
+    ws = _Workspace(state.K, z)
+    return _responsibilities(ws, state.means, _precision(state.log_precision))[0].T
 
 
 def grad_step(state, batch, config):
@@ -277,7 +314,8 @@ def grad_step(state, batch, config):
     """
     z = _check_batch(state, batch)
     mu, log_beta = _joint_step(
-        z, _row_norms(z), state.means, state.log_precision, config.lr_means, config.lr_logbeta
+        _Workspace(state.K, z), state.means, state.log_precision, config.lr_means,
+        config.lr_logbeta,
     )
     return replace(state, means=mu, log_precision=log_beta)
 

@@ -73,12 +73,14 @@ def sym_eigen(matrix):
     principal axes come out the same on every call. Non-finite entries
     raise NumericalError.
     """
-    a = check_symmetric(matrix)
+    a = as_matrix(matrix)
+    # before the symmetry check, whose subtraction warns on inf - inf
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("sym_eigen: matrix has non-finite entries")
+    a = check_symmetric(a)
     n = a.shape[0]
     if n > MAX_EIGEN_DIM:
         raise ValidationError(f"sym_eigen limited to d <= {MAX_EIGEN_DIM}, got {n}")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("sym_eigen: matrix has non-finite entries")
     w, v = np.linalg.eigh(a)
     v = v[:, ::-1]
     if n:

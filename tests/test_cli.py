@@ -194,6 +194,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command,env",
+        [
+            ("endogenous", {"BIFURC_EXPERIMENT__LATENT_DIM": "0"}),
+            ("endogenous", {"BIFURC_EXPERIMENT__LATENT_DIM": "-1"}),
+            ("endogenous", {"BIFURC_EXPERIMENT__RECORD_EVERY": "0"}),
+            ("hierarchy", {"BIFURC_EXPERIMENT__RECORD_EVERY": "0"}),
+        ],
+    )
+    def test_bad_experiment_shape_exits_2(self, tmp_path, capsys, monkeypatch, command, env):
+        for key, value in {**env, "BIFURC_DATA__N": "200"}.items():
+            monkeypatch.setenv(key, value)
+        assert main(["toy", command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
         monkeypatch.setenv("BIFURC_HESSIAN__DIM", "0")
@@ -628,4 +644,31 @@ class TestProbeConfigFuzz:
             code = main(["toy", "unimodal", "--config", str(ini), "--out", tmp])
         assert code in {0, 2, 3, 4}
         if not 0.0 < lr_means < math.inf:
+            assert code == 2
+
+
+class TestExperimentConfigFuzz:
+    @settings(max_examples=40, deadline=None)
+    @example(latent_dim=2, record_every=20, encoder_lr=0.05, init_weight_scale=0.1)
+    @example(latent_dim=9, record_every=1, encoder_lr=0.05, init_weight_scale=0.1).via(
+        "row norms summed pairwise by numpy")
+    @given(
+        latent_dim=st.integers(-1, 10),
+        record_every=st.integers(0, 5),
+        encoder_lr=edge_floats((1e-3, 0.5)),
+        init_weight_scale=edge_floats((1e-3, 1.0)),
+    )
+    def test_endogenous_exits_with_a_documented_code(
+        self, latent_dim, record_every, encoder_lr, init_weight_scale
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(
+                f"[data]\nn = 100\n[experiment]\nencoder_steps = 30\n"
+                f"latent_dim = {latent_dim}\nrecord_every = {record_every}\n"
+                f"encoder_lr = {encoder_lr!r}\ninit_weight_scale = {init_weight_scale!r}\n"
+            )
+            code = main(["toy", "endogenous", "--config", str(ini), "--out", tmp])
+        assert code in {0, 2, 3, 4}
+        if latent_dim < 1 or record_every < 1:
             assert code == 2

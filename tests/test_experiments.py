@@ -313,6 +313,26 @@ class TestProtocolKernel:
             assert reading.log_beta == state.log_precision
             assert reading.order_parameter == order_parameter(state)
 
+    def test_endogenous_run_matches_encoder_and_grad_step_replay(self):
+        # the latents change every step, so the run refills its workspace's row
+        # norms each step; the public API builds a fresh workspace per call
+        ds = X.gen_bimodal(300, seed=7)
+        log = X.run_endogenous(ds, config=self.CFG, steps=40, record_every=1)
+        assert len(log.readings) == 40
+        rng = np.random.default_rng(ds.seed + 500)
+        x = ds.samples
+        enc = X.ToyEncoderState(
+            encode=0.1 * rng.standard_normal((2, 2)),
+            decode=0.1 * rng.standard_normal((2, 2)),
+            learning_rate=0.05,
+        )
+        state = init_collapsed(enc.latents(x), self.CFG, rng)
+        for reading in log.readings:
+            enc.gd_step(x)
+            state = grad_step(state, enc.latents(x), self.CFG)
+            assert reading.log_beta == state.log_precision
+            assert reading.order_parameter == order_parameter(state)
+
 
 # ---------------------------------------------------------------------------
 # forward split, learned precision
@@ -460,6 +480,13 @@ class TestEndogenous:
         with pytest.raises(PreconditionError):
             X.run_endogenous(ds, config=cfg, steps=100)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"latent_dim": 0}, {"latent_dim": -1}, {"record_every": 0}]
+    )
+    def test_latent_dim_and_record_cadence_validated(self, kwargs):
+        with pytest.raises(ValidationError, match="latent_dim and record_every"):
+            X.run_endogenous(X.gen_bimodal(100, seed=0), steps=10, **kwargs)
+
     def test_divergence_aborts_with_partial_log(self):
         ds = X.gen_bimodal(500, seed=0)
         with np.errstate(all="ignore"):
@@ -574,6 +601,16 @@ class TestSchedules:
             X.ReverseSchedule(levels=2)
         with pytest.raises(ValidationError):
             X.ReverseSchedule(bottom_ratio=1.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"record_every": 0}, {"ramp1_steps": 0}, {"ramp2_steps": 0}, {"max_inner_steps": 0},
+         {"start_ratio": 0.0}, {"start_ratio": 1.2}, {"hold1_ratio": 1.0},
+         {"hold2_ratio": math.nan}],
+    )
+    def test_hierarchy_guards(self, kwargs):
+        with pytest.raises(ValidationError):
+            X.HierarchySchedule(**kwargs)
 
     @pytest.mark.parametrize("schedule", [X.AnnealHoldSchedule, X.ReverseSchedule])
     def test_equilibrium_cap_allows_an_iteration(self, schedule):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bifurc.gmm_probe import (
     _equilibrium,
     _mean_step,
     _row_norms,
+    _Workspace,
     beta_c,
     exact_collapsed,
     grad_step,
@@ -332,30 +334,30 @@ class TestEquilibrium:
         z = bimodal(n=n)
         lam = float(np.linalg.eigvalsh(covariance(z))[-1])
         mu0 = z.mean(axis=0) + np.array([[-0.1, 0.0], [0.1, 0.0]])
-        return z, _row_norms(z), mu0, 1.5 / lam, 1e-10 * math.sqrt(lam)
+        return _Workspace(2, z), mu0, 1.5 / lam, 1e-10 * math.sqrt(lam)
 
     def test_solution_is_a_zero_of_the_mean_gradient(self):
-        z, z2, mu0, beta, tol = self.split_level()
-        mu, iterations, residual = _equilibrium(z, z2, mu0, beta, tol, 9000)
+        ws, mu0, beta, tol = self.split_level()
+        mu, iterations, residual = _equilibrium(ws, mu0, beta, tol, 9000)
         assert 1 < iterations < 9000 and residual <= tol
-        moved = _mean_step(z, z2, mu, beta, 1.0)[0]
+        moved = _mean_step(ws, mu, beta, 1.0)[0]
         assert np.max(np.abs(moved - mu)) <= 10.0 * tol
         assert np.max(np.abs(mu[1] - mu[0])) > 1.0  # the split branch, not the mean
 
     def test_matches_long_gradient_descent(self):
-        z, z2, mu0, beta, tol = self.split_level()
-        mu = _equilibrium(z, z2, mu0, beta, tol, 9000)[0]
+        ws, mu0, beta, tol = self.split_level()
+        mu = _equilibrium(ws, mu0, beta, tol, 9000)[0]
         gd = mu0
         for _ in range(5000):
-            gd = _mean_step(z, z2, gd, beta, 1.0)[0]
+            gd = _mean_step(ws, gd, beta, 1.0)[0]
         np.testing.assert_allclose(mu, gd, rtol=0.0, atol=1e-6)
 
     def test_component_without_mass_keeps_its_mean(self):
         z = bimodal(n=50)
         mu = np.array([[0.0, 0.0], [1e3, 1e3]])  # exp(-beta sq / 2) underflows to 0
         with np.errstate(divide="raise", invalid="raise"):
-            stepped = _em_step(z, _row_norms(z), mu, 1.0)
-            solved = _equilibrium(z, _row_norms(z), mu, 1.0, 1e-10, 100)[0]
+            stepped = _em_step(_Workspace(2, z), mu, 1.0)
+            solved = _equilibrium(_Workspace(2, z), mu, 1.0, 1e-10, 100)[0]
         assert np.array_equal(stepped[1], mu[1]) and np.array_equal(solved[1], mu[1])
         np.testing.assert_allclose(stepped[0], z.mean(axis=0), rtol=0.0, atol=1e-12)
 
@@ -363,10 +365,51 @@ class TestEquilibrium:
         z = 1e200 * bimodal(n=50)  # finite latents whose squared norms overflow
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
-                _em_step(z, _row_norms(z), np.zeros((2, 2)), 1.0)
+                _em_step(_Workspace(2, z), np.zeros((2, 2)), 1.0)
 
     def test_iteration_cap_returns_the_unconverged_state(self):
-        z, z2, mu0, beta, tol = self.split_level()
-        mu, iterations, residual = _equilibrium(z, z2, mu0, beta, tol, 1)
+        ws, mu0, beta, tol = self.split_level()
+        mu, iterations, residual = _equilibrium(ws, mu0, beta, tol, 1)
         assert iterations == 1 and residual > tol
-        assert np.array_equal(mu, _em_step(z, z2, mu0, beta))
+        assert np.array_equal(mu, _em_step(ws, mu0, beta))
+
+
+class TestWorkspace:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.integers(1, 12).flatmap(
+            lambda d: hnp.arrays(
+                float, st.tuples(st.integers(1, 40), st.just(d)),
+                elements=st.floats(-1e100, 1e100),
+            )
+        )
+    )
+    def test_row_norms_match_numpy(self, z):
+        ref = (z * z).sum(axis=1)
+        out = np.empty(len(z))
+        assert _row_norms(z, out) is out
+        if z.shape[1] <= 7:
+            assert np.array_equal(out, ref)
+        else:  # numpy sums eight or more terms pairwise
+            np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0.0)
+
+    def test_mean_steps_allocate_no_component_by_sample_array(self):
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((4000, 2))
+        mu = 0.1 * rng.standard_normal((8, 2))
+        ws = _Workspace(8, z)
+        mu = _mean_step(ws, mu, 1.0, 0.05)[0]
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                mu = _mean_step(ws, mu, 1.0, 0.05)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ws.sq.nbytes  # one K x N float64 array: 256 kB
+
+    def test_returned_views_live_in_the_workspace(self):
+        z = bimodal(n=50)
+        ws = _Workspace(3, z)
+        _, p, sq = _mean_step(ws, np.zeros((3, 2)), 1.0, 0.1)
+        assert np.shares_memory(p, ws.e) and np.shares_memory(sq, ws.sq)

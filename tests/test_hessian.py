@@ -313,3 +313,17 @@ class TestBisect:
         got, evaluations = _illinois(f, 0.1, 2.0, 1e-9)
         assert abs(got - root) <= 1e-9
         assert evaluations == len(calls) <= 40
+
+    def test_bracket_over_three_hundred_decades_takes_tens_of_evaluations(self):
+        # a fuzzed calibrate-hessian case (k = 4, n = 59, bracket ratios 0.5 and
+        # 1e308, beta_c = 7.8e-34) that took 1,038 evaluations by arithmetic
+        # midpoints; the geometric midpoint crosses the decades in a few
+        ds = gen_bimodal(59, -3.614377606952927e16, 1.4956490752050952e-266, seed=0)
+        cov = covariance(ds.samples)
+        guess = beta_c(cov)
+        report = find_crossing(4, cov, 0.5 * guess, 1e308 * guess)
+        assert report.iterations <= 60
+        assert abs(report.beta_critical_numeric - guess) <= 1e-6 * guess
+        numeric, evaluations = find_crossing_numeric(4, ds.samples, 0.5 * guess, 1e308 * guess)
+        assert evaluations <= 60
+        assert abs(numeric - guess) <= 1e-4 * guess

@@ -122,6 +122,7 @@ class TestSymEigen:
         r = sym_eigen(np.zeros((0, 0)))
         assert r.eigenvalues.shape == (0,) and r.eigenvectors.shape == (0, 0)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_is_numerical_error(self, bad):
         with pytest.raises(NumericalError):
