@@ -107,10 +107,12 @@ def counts_within_multinomial_band(dataset, n_sigma=3.0):
 
 def gen_bimodal(n, center_offset=2.0, scale=1.0, seed=0):
     """Two isotropic components at (-offset, 0) and (+offset, 0) in 2D."""
+    if not math.isfinite(center_offset):
+        raise ValidationError("center_offset must be finite")
     if center_offset == 0.0:
         raise ValidationError("center_offset 0 collapses both components onto one point")
-    if scale <= 0 or n < 2:
-        raise ValidationError("need scale > 0 and n >= 2")
+    if not 0 < scale < math.inf or n < 2:
+        raise ValidationError("need finite scale > 0 and n >= 2")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, n)
     z = scale * rng.standard_normal((n, 2))
@@ -121,8 +123,8 @@ def gen_bimodal(n, center_offset=2.0, scale=1.0, seed=0):
 
 def gen_unimodal(n, dim=2, scale=1.0, seed=0):
     """A single isotropic component at the origin (the no-structure control)."""
-    if scale <= 0 or n < 2 or dim < 1:
-        raise ValidationError("need scale > 0, n >= 2, dim >= 1")
+    if not 0 < scale < math.inf or n < 2 or dim < 1:
+        raise ValidationError("need finite scale > 0, n >= 2, dim >= 1")
     rng = np.random.default_rng(seed)
     z = scale * rng.standard_normal((n, dim))
     return SyntheticDataset(
@@ -138,10 +140,12 @@ def gen_hierarchical(n, super_spacing=8.0, sub_spacing=2.0, scale=0.5, seed=0):
     labels 0..7 with label//2 giving the super index. sub_spacing 0 is the
     degenerate one-level variant (allowed); all spacings 0 is rejected.
     """
+    if not (math.isfinite(super_spacing) and math.isfinite(sub_spacing)):
+        raise ValidationError("super_spacing and sub_spacing must be finite")
     if super_spacing == 0.0 and sub_spacing == 0.0:
         raise ValidationError("all centers coincide: no cluster structure")
-    if scale <= 0 or n < 8:
-        raise ValidationError("need scale > 0 and n >= 8")
+    if not 0 < scale < math.inf or n < 8:
+        raise ValidationError("need finite scale > 0 and n >= 8")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 8, n)
     supers = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]], dtype=float) * (super_spacing / 2.0)
@@ -333,7 +337,13 @@ def write_trajectory_summary(log, path):
 
 
 class _ActivationTracker:
-    """10x pre-critical-median, 5-consecutive activation detector."""
+    """10x pre-critical-median, 5-consecutive activation detector.
+
+    The threshold is purely relative, with no absolute floor: a state whose
+    seed asymmetry is at roundoff level (say, prototypes merged by EM) can
+    rise tenfold from noise and "activate" without splitting. Every protocol
+    that feeds it must therefore keep a finite seed asymmetry.
+    """
 
     def __init__(self, factor=ACTIVATION_FACTOR, consecutive=ACTIVATION_CONSECUTIVE):
         self.factor = factor

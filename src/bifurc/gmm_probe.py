@@ -134,35 +134,40 @@ def _check_batch(state, samples):
 # The probe kernel: every probe computation in the package runs through these
 # helpers. They take raw arrays (means mu) and a _Workspace holding the checked
 # latents, so that the protocols' hot loops build no state objects and re-check
-# no batches. Arrays over components and samples are K x N, so the per-sample
-# softmax reductions over the short K axis run across contiguous rows. Each
-# protocol run allocates its workspace once and the kernel overwrites it in
-# place: a fresh K x N array per step costs page faults once it outgrows the
-# allocator's small-block pool. The p and sq the kernel returns are views into
-# the workspace, valid only until its next kernel call.
+# no batches. With m = mu - c, c the batch mean, the K x N logits are one product
+# coef @ za of the centred, feature-major batch, and every component's weighted
+# moments are one product (za / total) @ e.T, so no K x N array is normalised.
+# Centring keeps the expansion of ||z - mu||^2 from cancelling against ||c||^2
+# for a batch far from the origin. Each protocol run allocates its workspace
+# once and the kernel overwrites it in place: a fresh K x N array per step costs
+# page faults once it outgrows the allocator's small-block pool. The weights e
+# are a view into the workspace, valid only until its next kernel call or load.
 
 
 class _Workspace:
-    """A latent batch z (N x d) and the kernel's buffers for K components.
+    """A latent batch (N x d), centred and feature-major, and the kernel's buffers.
 
-    z2 holds the row norms of z; sq and e are K x N (squared distances; the
-    Gram product, then the shifted weights or responsibilities); amax and
-    total are the per-sample max and sum of the weights.
+    za is (d+1) x N: rows z_j - c_j, then a row of ones; ss = sum_n ||z_n - c||^2;
+    zw holds za / total. e is the only K x N buffer (logits, then shifted
+    weights); amax and total are its per-sample max and sum.
     """
 
     def __init__(self, k, z):
-        n = z.shape[0]
-        self.sq = np.empty((k, n))
+        n, d = z.shape
+        self.za = np.ones((d + 1, n))
+        self.zw = np.empty((d + 1, n))
         self.e = np.empty((k, n))
         self.amax = np.empty(n)
         self.total = np.empty(n)
-        self.z2 = np.empty(n)
         self.load(z)
 
     def load(self, z):
-        """Make z (same shape as the current batch) the batch, refreshing z2 in place."""
-        self.z = z
-        _row_norms(z, self.z2)
+        """Make z (same shape as the current batch) the batch, centring it into za."""
+        zc = self.za[:-1]
+        np.copyto(zc, z.T)
+        self.c = zc.mean(axis=1)  # contiguous rows: several times faster than z.mean(axis=0)
+        zc -= self.c[:, None]
+        self.ss = float(np.vdot(zc, zc))
 
 
 def _precision(log_beta):
@@ -176,43 +181,41 @@ def _precision(log_beta):
     return beta
 
 
-def _sq_dist(ws, mu):
-    # sq[k, n] = ||z_n - mu_k||^2, via the Gram expansion (z.T is a view)
-    sq = np.add(ws.z2[None, :], (mu * mu).sum(axis=1)[:, None], out=ws.sq)
-    sq -= np.matmul(2.0 * mu, ws.z.T, out=ws.e)
-    return sq
+def _shifted_weights(ws, m, beta):
+    """(e, max, sum) with e = exp(a - max_k a) per column, for m = mu - c.
 
-
-def _shifted_weights(ws, sq, beta):
-    """(e, max, sum) with e = exp(a - max_k a) for a = -(beta/2) sq, per column."""
-    e = np.multiply(sq, -0.5 * beta, out=ws.e)
+    a_kn = beta m_k.(z_n - c) - (beta/2)||m_k||^2 is -(beta/2)||z_n - mu_k||^2 up
+    to (beta/2)||z_n - c||^2, which is the same for every k and cancels in p.
+    """
+    coef = np.column_stack((beta * m, (m * m).sum(axis=1) * (-0.5 * beta)))
+    e = np.matmul(coef, ws.za, out=ws.e)
     amax = e.max(axis=0, out=ws.amax)
     e -= amax
     np.exp(e, out=e)
     return e, amax, e.sum(axis=0, out=ws.total)
 
 
-def _responsibilities(ws, mu, beta):
-    """(p, sq): the K x N posterior p(k|z_n) and the squared distances behind it."""
-    sq = _sq_dist(ws, mu)
-    p, _, total = _shifted_weights(ws, sq, beta)
-    p /= total
-    return p, sq
+def _moments(ws, mu, beta):
+    """(s, mass, m) for m = mu - c: s_k = sum_n p_kn (z_n - c), mass_k = sum_n p_kn."""
+    m = mu - ws.c
+    e, _, total = _shifted_weights(ws, m, beta)
+    moments = np.divide(ws.za, total, out=ws.zw) @ e.T  # (d+1) x K
+    return moments[:-1].T, moments[-1], m
 
 
 def _mean_pull(ws, mu, beta):
-    """(pull, p, sq) with pull = p z - rowsum(p) mu: the mean gradient is -(beta/N) pull."""
-    p, sq = _responsibilities(ws, mu, beta)
-    return p @ ws.z - p.sum(axis=1)[:, None] * mu, p, sq
+    """(pull, _moments(...)) with pull = s - mass m: the mean gradient is -(beta/N) pull."""
+    s, mass, m = _moments(ws, mu, beta)
+    return s - mass[:, None] * m, (s, mass, m)
 
 
 def _mean_step(ws, mu, beta, lr):
-    """One GD step on the means at fixed beta (see grad_step); returns (means, p, sq)."""
-    pull, p, sq = _mean_pull(ws, mu, beta)
-    new_mu = mu + (lr * beta / ws.z.shape[0]) * pull
+    """One GD step on the means at fixed beta (see grad_step); returns (means, (s, mass, m))."""
+    pull, moments = _mean_pull(ws, mu, beta)
+    new_mu = mu + (lr * beta / ws.za.shape[1]) * pull
     if not np.isfinite(new_mu).all():
         raise NumericalError(f"non-finite probe means at beta = {beta}")
-    return new_mu, p, sq
+    return new_mu, moments
 
 
 def _em_step(ws, mu, beta):
@@ -222,9 +225,10 @@ def _em_step(ws, mu, beta):
     A component with zero total responsibility keeps its mean, where its
     gradient is zero too.
     """
-    p, _ = _responsibilities(ws, mu, beta)
-    mass = p.sum(axis=1)[:, None]
-    new_mu = np.divide(p @ ws.z, mass, out=mu.copy(), where=mass != 0.0)
+    s, mass, _ = _moments(ws, mu, beta)
+    held = mass != 0.0
+    new_mu = mu.copy()
+    new_mu[held] = ws.c + s[held] / mass[held, None]
     if not np.isfinite(new_mu).all():
         raise NumericalError(f"non-finite probe means at beta = {beta}")
     return new_mu
@@ -248,9 +252,11 @@ def _equilibrium(ws, mu, beta, tol, max_iter):
 def _joint_step(ws, mu, log_beta, lr_means, lr_logbeta):
     """One GD step on the means and log beta (see grad_step); returns (means, log_beta)."""
     beta = _precision(log_beta)
-    new_mu, p, sq = _mean_step(ws, mu, beta, lr_means)
-    n, d = ws.z.shape
-    dnll_dbeta = float(np.multiply(p, sq, out=sq).sum() / (2.0 * n) - 0.5 * d / beta)
+    new_mu, (s, mass, m) = _mean_step(ws, mu, beta, lr_means)
+    n, d = ws.za.shape[1], mu.shape[1]
+    # sum_kn p_kn ||z_n - mu_k||^2, expanded about c (sum_k p_kn = 1)
+    spread = ws.ss - 2.0 * (m * s).sum() + mass @ (m * m).sum(axis=1)
+    dnll_dbeta = float(spread / (2.0 * n) - 0.5 * d / beta)
     new_log_beta = log_beta - lr_logbeta * beta * dnll_dbeta
     if not math.isfinite(new_log_beta):
         raise NumericalError(f"non-finite probe gradient at beta = {beta}")
@@ -262,27 +268,15 @@ def _spread(mu):
     return float(np.sqrt((c * c).sum(axis=1).mean()))
 
 
-def _row_norms(z, out):
-    """Squared row norms of an N x d batch, summed column by column into out (N).
-
-    numpy's (z * z).sum(axis=1) reduces a length-d inner axis per row, which
-    is several times slower at small d. The column sweep gives the same bits
-    for d <= 7; from d = 8 numpy sums pairwise, and the two can differ in the
-    last ulp.
-    """
-    out = np.multiply(z[:, 0], z[:, 0], out=out)
-    for j in range(1, z.shape[1]):
-        out += z[:, j] * z[:, j]
-    return out
-
-
 def _nll(ws, mu, log_beta):
     """The mean NLL of the workspace's batch under means mu and log beta."""
     k, d = mu.shape
-    _, amax, total = _shifted_weights(ws, _sq_dist(ws, mu), _precision(log_beta))
+    beta = _precision(log_beta)
+    _, amax, total = _shifted_weights(ws, mu - ws.c, beta)
     lse = amax + np.log(total)
     return float(
         -lse.mean()
+        + 0.5 * beta * ws.ss / ws.za.shape[1]
         + math.log(k)
         + 0.5 * d * math.log(2.0 * math.pi)
         - 0.5 * d * log_beta
@@ -299,7 +293,9 @@ def responsibilities(state, samples):
     """Posterior component weights p(k|z): an N x K row-stochastic matrix."""
     z = _check_batch(state, samples)
     ws = _Workspace(state.K, z)
-    return _responsibilities(ws, state.means, _precision(state.log_precision))[0].T
+    e, _, total = _shifted_weights(ws, state.means - ws.c, _precision(state.log_precision))
+    e /= total
+    return e.T
 
 
 def grad_step(state, batch, config):

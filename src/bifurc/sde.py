@@ -53,17 +53,18 @@ class SdeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        # each guard is written so that a NaN fails it
+        if not self.alpha > 0:
             raise ValidationError("alpha must be > 0")
-        if self.coupling < 0 or self.noise_intensity < 0:
+        if not (self.coupling >= 0 and self.noise_intensity >= 0):
             raise ValidationError("coupling and noise_intensity must be >= 0")
-        if self.dt <= 0 or self.steps < 1 or self.modes < 1 or self.dim < 1:
+        if not (self.dt > 0 and self.steps >= 1 and self.modes >= 1 and self.dim >= 1):
             raise ValidationError("dt, steps, modes, dim must be positive")
         guard = abs(self.growth_rate)
         if self.growth_rate > 0:
             guard = max(guard, self.alpha * (self.growth_rate / self.alpha))  # alpha*eps*^2 = mu
         guard = max(guard, self.coupling * self.modes)
-        if self.dt * guard > STABILITY_LIMIT:
+        if not self.dt * guard <= STABILITY_LIMIT:
             raise ValidationError(
                 f"stability guard violated: dt*max(|mu|, alpha*eps*^2, gamma*K) = "
                 f"{self.dt * guard:.3g} > {STABILITY_LIMIT}"

@@ -210,6 +210,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("bimodal", "BIFURC_DATA__SCALE"),
+            ("bimodal", "BIFURC_DATA__CENTER_OFFSET"),
+            ("hierarchy", "BIFURC_DATA__CLUSTER_SCALE"),
+        ],
+    )
+    def test_nan_data_parameter_exits_2(self, tmp_path, capsys, monkeypatch, command, key):
+        for k, value in {key: "nan", "BIFURC_DATA__N": "50"}.items():
+            monkeypatch.setenv(k, value)
+        assert main(["toy", command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
         monkeypatch.setenv("BIFURC_HESSIAN__DIM", "0")
@@ -385,6 +400,13 @@ class TestEscapeCommands:
         ]
         first = (tmp_path / "escape-sweep.csv").read_text().splitlines()[0]
         assert "config=" in first and "version=" in first
+
+    def test_sweep_with_nan_step_size_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIFURC_ESCAPE__DT", "nan")
+        monkeypatch.setenv("BIFURC_ESCAPE__HORIZON", "100")
+        assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dt" in err
 
     def test_fit_with_too_few_levels_exits_3(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"

@@ -134,6 +134,22 @@ class TestGenerators:
             with pytest.raises(ValidationError):
                 gen(100, scale=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "gen,key",
+        [
+            (X.gen_bimodal, "scale"),
+            (X.gen_bimodal, "center_offset"),
+            (X.gen_unimodal, "scale"),
+            (X.gen_hierarchical, "scale"),
+            (X.gen_hierarchical, "super_spacing"),
+            (X.gen_hierarchical, "sub_spacing"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, gen, key, value):
+        with pytest.raises(ValidationError):
+            gen(100, **{key: value})
+
     def test_super_centers_needs_hierarchical_kind(self):
         with pytest.raises(ValidationError):
             X.super_centers(X.gen_bimodal(100, seed=0))
@@ -428,6 +444,12 @@ class TestAnnealHoldReverse:
         # the reverse step counter advances by EM iterations
         assert rev.readings[-1].step == sum(rev.summary["branch_iterations"])
 
+    def test_forward_activation_step_is_pinned(self, hysteresis):
+        # the overshoot band holds whenever activation fires after the ramp;
+        # the step pins when it fired
+        fwd, _ = hysteresis
+        assert fwd.summary["activation_steps"] == [10600]
+
     def test_overlap_requires_branches(self, hysteresis, learned_pair):
         fwd, _ = hysteresis
         log_b, _, _, _ = learned_pair
@@ -448,6 +470,11 @@ class TestEndogenous:
         assert s["crossing_step"] is not None
         assert len(s["activation_steps"]) == 1
         assert s["activation_steps"][0] >= s["crossing_step"]
+
+    def test_crossing_and_activation_steps_are_pinned(self, endo_log):
+        s = endo_log.summary
+        assert s["crossing_step"] == 160
+        assert s["activation_steps"] == [6840]
 
     def test_no_hypothesis_failures(self, endo_log):
         assert endo_log.summary["hypothesis_failures"] == []
@@ -562,6 +589,11 @@ class TestHierarchical:
         assert s["subclusters_covered"] == 8
         assert s["prototypes_per_super"] == [2, 2, 2, 2]
         assert s["tessellation_ok"] is True
+
+    def test_event_steps_are_pinned(self, hier_log):
+        # ratio_to_target equals the hold ratio whenever an event fires after
+        # its ramp; the steps pin when each fired
+        assert [ev["step"] for ev in hier_log.summary["events"]] == [12840, 18901]
 
     def test_degenerate_sub_spacing_single_event(self):
         log = X.run_hierarchical(X.gen_hierarchical(4000, sub_spacing=0.0, seed=0))

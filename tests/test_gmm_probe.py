@@ -13,8 +13,9 @@ from bifurc.gmm_probe import (
     ProbeConfig,
     _em_step,
     _equilibrium,
+    _joint_step,
     _mean_step,
-    _row_norms,
+    _shifted_weights,
     _Workspace,
     beta_c,
     exact_collapsed,
@@ -374,42 +375,76 @@ class TestEquilibrium:
         assert np.array_equal(mu, _em_step(ws, mu0, beta))
 
 
-class TestWorkspace:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        z=st.integers(1, 12).flatmap(
-            lambda d: hnp.arrays(
-                float, st.tuples(st.integers(1, 40), st.just(d)),
-                elements=st.floats(-1e100, 1e100),
-            )
-        )
-    )
-    def test_row_norms_match_numpy(self, z):
-        ref = (z * z).sum(axis=1)
-        out = np.empty(len(z))
-        assert _row_norms(z, out) is out
-        if z.shape[1] <= 7:
-            assert np.array_equal(out, ref)
-        else:  # numpy sums eight or more terms pairwise
-            np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0.0)
+@st.composite
+def shifted_cases(draw):
+    """Small z and mu, a common offset of up to 1e6 per coordinate, and log beta."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 3))
+    coords = st.floats(-3.0, 3.0)
+    z = draw(hnp.arrays(float, (draw(st.integers(1, 40)), d), elements=coords))
+    mu = draw(hnp.arrays(float, (k, d), elements=coords))
+    offset = draw(hnp.arrays(float, d, elements=st.floats(-1e6, 1e6)))
+    return z, mu, offset, draw(st.floats(-3.0, 1.0))
 
-    def test_mean_steps_allocate_no_component_by_sample_array(self):
+
+class TestWorkspace:
+    def test_load_centres_the_batch_feature_major(self):
+        z = bimodal(n=50) + 1e3
+        ws = _Workspace(3, z)
+        np.testing.assert_allclose(ws.c, z.mean(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(ws.za[:-1].T + ws.c, z, rtol=1e-15)
+        assert np.array_equal(ws.za[-1], np.ones(50))
+        assert ws.ss == pytest.approx(((z - z.mean(axis=0)) ** 2).sum(), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @example(case=(bimodal(n=40), np.array([[-2.0, 0.0], [2.0, 0.5]]), np.array([1e6, -1e6]), 1.0))
+    @given(case=shifted_cases())
+    def test_common_shift_of_batch_and_means_changes_no_update(self, case):
+        # a batch far from the origin loses nothing: expanded without centring,
+        # ||z - mu||^2 would cancel against ||z||^2 ~ 1e12 and keep ~4 digits
+        z, mu, offset, log_beta = case
+        k = mu.shape[0]
+        beta = math.exp(log_beta)
+        ws, far = _Workspace(k, z), _Workspace(k, z + offset)
+        mu_far = mu + offset
+        np.testing.assert_allclose(
+            _mean_step(far, mu_far, beta, 0.05)[0] - mu_far,
+            _mean_step(ws, mu, beta, 0.05)[0] - mu,
+            rtol=0.0, atol=1e-8,
+        )
+        np.testing.assert_allclose(
+            _em_step(far, mu_far, beta) - offset, _em_step(ws, mu, beta), rtol=0.0, atol=1e-7
+        )
+        assert _joint_step(far, mu_far, log_beta, 0.05, 0.02)[1] == pytest.approx(
+            _joint_step(ws, mu, log_beta, 0.05, 0.02)[1], rel=0.0, abs=1e-8
+        )
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda ws, mu: _mean_step(ws, mu, 1.0, 0.05)[0],
+            lambda ws, mu: _em_step(ws, mu, 1.0),
+            lambda ws, mu: _joint_step(ws, mu, 0.0, 0.05, 0.01)[0],
+        ],
+        ids=["mean", "em", "joint"],
+    )
+    def test_kernel_steps_allocate_no_component_by_sample_array(self, step):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((4000, 2))
         mu = 0.1 * rng.standard_normal((8, 2))
         ws = _Workspace(8, z)
-        mu = _mean_step(ws, mu, 1.0, 0.05)[0]
+        mu = step(ws, mu)
         tracemalloc.start()
         try:
             for _ in range(20):
-                mu = _mean_step(ws, mu, 1.0, 0.05)[0]
+                mu = step(ws, mu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < ws.sq.nbytes  # one K x N float64 array: 256 kB
+        assert peak < ws.e.nbytes  # one K x N float64 array: 256 kB
 
-    def test_returned_views_live_in_the_workspace(self):
-        z = bimodal(n=50)
-        ws = _Workspace(3, z)
-        _, p, sq = _mean_step(ws, np.zeros((3, 2)), 1.0, 0.1)
-        assert np.shares_memory(p, ws.e) and np.shares_memory(sq, ws.sq)
+    def test_weights_are_views_into_the_workspace(self):
+        ws = _Workspace(3, bimodal(n=50))
+        e, amax, total = _shifted_weights(ws, -np.tile(ws.c, (3, 1)), 1.0)
+        assert np.shares_memory(e, ws.e)
+        assert np.shares_memory(amax, ws.amax) and np.shares_memory(total, ws.total)

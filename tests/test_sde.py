@@ -86,6 +86,14 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SdeConfig(growth_rate=0.1, alpha=1.0, noise_intensity=-1e-3, dt=0.01, steps=10)
 
+    @pytest.mark.parametrize(
+        "key", ["growth_rate", "alpha", "coupling", "noise_intensity", "dt"]
+    )
+    def test_nan_parameter_rejected(self, key):
+        base = {"growth_rate": 0.1, "alpha": 1.0, "dt": 0.01, "steps": 10}
+        with pytest.raises(ValidationError):
+            SdeConfig(**{**base, key: math.nan})
+
 
 class TestPitchfork1d:
     def test_supercritical_reaches_fixed_point(self):
