@@ -38,11 +38,11 @@ from .csvio import write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
 from .escape_lab import (
     aggregate_observations,
+    default_sweep_config,
     fit_escape_models,
-    measure_escape,
     quadratic_well_tilt,
     read_sweep_csv,
-    sweep_cells,
+    sweep_observations,
     write_sweep_csv,
 )
 from .experiments import (
@@ -118,6 +118,10 @@ def _write_json(path, payload):
 
 def _payload(cfg, **fields):
     return {"config_hash": cfg.config_hash, "version": __version__, **fields}
+
+
+def _finite_or_none(x):
+    return float(x) if math.isfinite(x) else None
 
 
 def _fit_report_dict(report):
@@ -431,6 +435,7 @@ def _pitchfork_worker(job):
     return seed, ts, eps
 
 
+@_quiet_overflow
 def _cmd_sde_pitchfork(cfg, out_dir):
     seeds = cfg.seeds()
     results = sorted(
@@ -487,6 +492,7 @@ def _coupled_worker(job):
     return seed, float(stats.spearman_rho), mean_cos, len(stats.excluded_modes)
 
 
+@_quiet_overflow
 def _cmd_sde_coupled(cfg, out_dir):
     seeds = cfg.seeds()
     results = sorted(
@@ -508,12 +514,12 @@ def _cmd_sde_coupled(cfg, out_dir):
             }
             for seed, rho, mean_cos, excluded in results
         },
-        "prediction": {
-            "sigma_star": float(prediction.sigma_star),
-            "tau_r": float(prediction.tau_r),
-            "t_rand": float(prediction.t_rand),
-            "theta_sq": float(prediction.theta_sq),
-            "expected_cosine": float(prediction.expected_cosine),
+        "prediction": {  # an infinite time or amplitude (no noise floor) is written as null
+            "sigma_star": _finite_or_none(prediction.sigma_star),
+            "tau_r": _finite_or_none(prediction.tau_r),
+            "t_rand": _finite_or_none(prediction.t_rand),
+            "theta_sq": _finite_or_none(prediction.theta_sq),
+            "expected_cosine": _finite_or_none(prediction.expected_cosine),
             "saturation_dominated": bool(prediction.saturation_dominated),
         },
     }
@@ -539,32 +545,6 @@ def _cmd_sde_coupled(cfg, out_dir):
 
 # ---------------------------------------------------------------------------
 # escape
-
-
-def _escape_base_config(cfg):
-    return SdeConfig(
-        growth_rate=cfg.get_float("escape", "growth_rate"),
-        alpha=cfg.get_float("escape", "alpha"),
-        coupling=0.0,
-        noise_intensity=cfg.get_float("escape", "noise_intensity"),
-        dt=cfg.get_float("escape", "dt"),
-        steps=1,
-        modes=1,
-        dim=1,
-        init_scale=cfg.get_float("escape", "init_scale"),
-        seed=0,
-    )
-
-
-def _escape_cell(job):
-    cfg, cell = job
-    tilt = quadratic_well_tilt(cfg.get_float("escape", "tilt_curvature"))
-    return measure_escape(
-        cell,
-        tilt,
-        cfg.get_float("escape", "threshold"),
-        horizon=cfg.get_int("escape", "horizon"),
-    )
 
 
 def _fit_payload(summary):
@@ -611,12 +591,15 @@ def _plot_escape_fit(path, stats, summary):
 
 
 def _cmd_escape_sweep(cfg, out_dir):
-    cells = sweep_cells(
+    observations = sweep_observations(
         cfg.get_float_list("escape", "gammas"),
         cfg.get_int("escape", "seeds_per_gamma"),
-        _escape_base_config(cfg),
+        default_sweep_config(cfg),
+        quadratic_well_tilt(cfg.get_float("escape", "tilt_curvature")),
+        cfg.get_float("escape", "threshold"),
+        cfg.get_int("escape", "horizon"),
+        _parallel_map,
     )
-    observations = _parallel_map(_escape_cell, [(cfg, cell) for cell in cells])
     stats = aggregate_observations(observations)
     write_sweep_csv(
         out_dir / "escape-sweep.csv",

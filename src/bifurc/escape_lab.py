@@ -23,15 +23,21 @@ drift-dominated regime with effective linear rate mu + gamma.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
 
+from .config import RunConfig
 from .csvio import read_table, write_table
 from .errors import ConfigError, NoFitError, ValidationError
 from .mathcore import FitReport, fit_model
+from .sde import SdeConfig, _langevin
 
-DEFAULT_HORIZON = 10**6
+_DEFAULTS = RunConfig()
+DEFAULT_GAMMAS = tuple(_DEFAULTS.get_float_list("escape", "gammas"))
+DEFAULT_THRESHOLD = _DEFAULTS.get_float("escape", "threshold")
+DEFAULT_HORIZON = _DEFAULTS.get_int("escape", "horizon")
 
 
 @dataclass
@@ -56,16 +62,25 @@ class TiltPotential:
                 )
 
 
+def _quadratic_u(c, e):
+    return -0.5 * c * e * e
+
+
+def _quadratic_du(c, e):
+    return -c * e
+
+
 def quadratic_well_tilt(c=1.0):
-    """The canonical built-in tilt U(eps) = -(1/2) c eps^2 (c > 0).
+    """The canonical built-in tilt U(eps) = -(1/2) c eps^2 (0 < c < inf).
 
     -gamma U' = +gamma c eps: linear destabilization, escape rate mu + gamma c.
+    Built from module-level functions, so a process pool can pickle it.
     """
-    if c <= 0:
-        raise ValidationError("quadratic_well_tilt needs c > 0")
+    if not 0 < c < math.inf:
+        raise ValidationError("quadratic_well_tilt needs 0 < c < inf")
     return TiltPotential(
-        U=lambda e: -0.5 * c * e * e,
-        dU=lambda e: -c * e,
+        U=partial(_quadratic_u, c),
+        dU=partial(_quadratic_du, c),
         description=f"U(eps) = -(1/2)*{c}*eps^2",
     )
 
@@ -125,67 +140,28 @@ def measure_escape(config, tilt, threshold, horizon=DEFAULT_HORIZON, eps0=None):
     elif threshold <= config.init_scale:
         raise ConfigError("threshold must exceed init_scale")
     start = config.init_scale if eps0 is None else float(eps0)
-    if abs(start) >= threshold:
-        return EscapeObservation(config.coupling, config.seed, 0, horizon, False)
-    mu = config.growth_rate
-    al = config.alpha
-    ga = config.coupling
-    dt = config.dt
-    amp = math.sqrt(2.0 * config.noise_intensity * dt)
-    du = tilt.dU if (tilt is not None and ga != 0.0) else None
-    eps = start
-    if amp == 0.0:
-        # deterministic: plain float loop, no draws
-        for n in range(1, horizon + 1):
-            drift = mu * eps - al * eps * eps * eps
-            if du is not None:
-                drift -= ga * du(eps)
-            eps += dt * drift
-            if abs(eps) >= threshold:
-                return EscapeObservation(ga, config.seed, n, horizon, False)
-        return EscapeObservation(ga, config.seed, None, horizon, True)
-    rng = np.random.default_rng(config.seed)
-    chunk = 65536
-    n = 0
-    while n < horizon:
-        draws = rng.standard_normal(min(chunk, horizon - n))
-        for g in draws:
-            n += 1
-            drift = mu * eps - al * eps * eps * eps
-            if du is not None:
-                drift -= ga * du(eps)
-            eps += dt * drift + amp * g
-            if abs(eps) >= threshold:
-                return EscapeObservation(ga, config.seed, n, horizon, False)
-    return EscapeObservation(ga, config.seed, None, horizon, True)
+    n, eps, _ = _langevin(config, tilt, start, horizon, np.random.default_rng(config.seed), threshold)
+    tau = n if abs(eps) >= threshold else None
+    return EscapeObservation(config.coupling, config.seed, tau, horizon, tau is None)
 
 
-def default_sweep_config():
-    """Scalar base config for the built-in dissipation sweep.
+def default_sweep_config(cfg=_DEFAULTS):
+    """Scalar base config of the dissipation sweep, from cfg's [escape] section.
 
-    mu = 1e-5 and alpha = 0.1 put eps* at 0.01; the threshold eps*/2 and
-    start eps*/20 give tau ~= ln(10)/(mu + gamma) time units, so the gamma=0
-    deterministic control needs ~4.9e6 steps and censors at the 1e6 horizon
-    while every gamma >= 1e-4 escapes well inside it.
+    cfg defaults to the built-in configuration: mu = 1e-5 and alpha = 0.1
+    put eps* at 0.01; the threshold eps*/2 and start eps*/20 give
+    tau ~= ln(10)/(mu + gamma) time units, so the gamma=0 deterministic
+    control needs ~4.9e6 steps and censors at the 1e6 horizon while every
+    gamma >= 1e-4 escapes well inside it.
     """
-    from .sde import SdeConfig
-
     return SdeConfig(
-        growth_rate=1e-5,
-        alpha=0.1,
-        coupling=0.0,
-        noise_intensity=0.0,
-        dt=0.05,
+        growth_rate=cfg.get_float("escape", "growth_rate"),
+        alpha=cfg.get_float("escape", "alpha"),
+        noise_intensity=cfg.get_float("escape", "noise_intensity"),
+        dt=cfg.get_float("escape", "dt"),
         steps=1,
-        modes=1,
-        dim=1,
-        init_scale=5e-4,
-        seed=0,
+        init_scale=cfg.get_float("escape", "init_scale"),
     )
-
-
-DEFAULT_GAMMAS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
-DEFAULT_THRESHOLD = 5e-3
 
 
 def sweep_cells(gammas, seeds_per_gamma, config):
@@ -198,6 +174,24 @@ def sweep_cells(gammas, seeds_per_gamma, config):
         for g in sorted(set(gammas))
         for s in range(seeds_per_gamma)
     ]
+
+
+def _measure_cell(job):
+    return measure_escape(*job)
+
+
+def sweep_observations(gammas, seeds_per_gamma, config, tilt, threshold, horizon, mapper):
+    """One EscapeObservation per cell of sweep_cells, in cell order.
+
+    mapper(fn, jobs) maps the measurement over a list of jobs (map, or a
+    process pool's). A noise-free cell does not depend on its seed, so each
+    gamma's first cell is measured and copied to its other seeds.
+    """
+    cells = sweep_cells(gammas, seeds_per_gamma, config)
+    stride = seeds_per_gamma if config.noise_intensity == 0 else 1
+    jobs = [(c, tilt, threshold, horizon) for c in cells[::stride]]
+    measured = list(mapper(_measure_cell, jobs))
+    return [replace(measured[i // stride], seed=c.seed) for i, c in enumerate(cells)]
 
 
 def run_sweep(
@@ -218,8 +212,9 @@ def run_sweep(
     gammas = list(gammas)
     if len(set(gammas)) < 3:
         raise ValidationError("run_sweep needs >= 3 distinct gamma values")
-    cells = sweep_cells(gammas, seeds_per_gamma, config)
-    return summarize_observations([measure_escape(c, tilt, threshold, horizon) for c in cells])
+    return summarize_observations(
+        sweep_observations(gammas, seeds_per_gamma, config, tilt, threshold, horizon, map)
+    )
 
 
 def aggregate_observations(observations):

@@ -388,7 +388,7 @@ def _split_angle_deg(state, samples):
 
 def _lam_and_logbc(samples):
     lam = float(sym_eigen(covariance(samples)).eigenvalues[0])
-    if lam <= 0.0:
+    if not lam >= np.finfo(float).tiny:  # beta_c = 1/lam must stay a finite float
         raise DegenerateInputError("degenerate sample covariance")
     return lam, -math.log(lam)
 
@@ -701,6 +701,8 @@ def run_endogenous(
     """
     if latent_dim < 1 or record_every < 1:
         raise ValidationError("latent_dim and record_every must be >= 1")
+    if not (0.0 < encoder_lr < math.inf and math.isfinite(init_weight_scale)):
+        raise ValidationError("encoder_lr must be in (0, inf) and init_weight_scale finite")
     if config is None:
         config = ProbeConfig(K_probe=8, lr_means=0.015, lr_logbeta=1e-2)
     x = dataset.samples

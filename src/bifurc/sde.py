@@ -13,6 +13,13 @@ increment of sqrt(2 D dt) * N(0,1) per step. The generator is numpy's
 default_rng (PCG64, ziggurat normal transform), seeded from SdeConfig.seed;
 identical seeds reproduce identical paths bit-for-bit on one platform.
 
+The two scalar systems and every escape cell of escape_lab run one private
+stepper: eps = eps + dt * drift, then eps += sqrt(2 D dt) * g. It draws g
+in chunks of one recording interval, or 65,536 when nothing is recorded
+(the same stream as one draw per step), draws nothing when D = 0, and can
+stop at the first step with |eps| >= threshold. A non-finite state at a
+chunk end, or at a recorded coupled-mode state, raises NumericalError.
+
 Paths are decimated to at most ~2000 recorded states. The coupled-mode
 simulator also draws a fixed random unit reference direction (after the
 initial condition, before the path noise) used by the scalar-projection
@@ -21,11 +28,12 @@ persistence proxy.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from itertools import repeat
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .mathcore import spearman
 
 STABILITY_LIMIT = 0.2
@@ -60,6 +68,8 @@ class SdeConfig:
             raise ValidationError("coupling and noise_intensity must be >= 0")
         if not (self.dt > 0 and self.steps >= 1 and self.modes >= 1 and self.dim >= 1):
             raise ValidationError("dt, steps, modes, dim must be positive")
+        if not 0 <= self.init_scale < math.inf:
+            raise ValidationError("init_scale must be finite and >= 0")
         guard = abs(self.growth_rate)
         if self.growth_rate > 0:
             guard = max(guard, self.alpha * (self.growth_rate / self.alpha))  # alpha*eps*^2 = mu
@@ -122,6 +132,8 @@ def _unit_rows(m):
 
 
 def _record(times, samples, step, dt, state):
+    if not np.isfinite(state).all():
+        raise NumericalError(f"coupled-mode state is not finite by step {step}")
     times.append(step * dt)
     samples.append(state.copy())
 
@@ -132,8 +144,6 @@ def simulate_pitchfork_1d(config, eps0=None):
     eps0 overrides the random N(0, init_scale^2) initial condition with an
     exact starting value (deterministic studies).
     """
-    if config.modes != 1 or config.dim != 1:
-        raise ValidationError("simulate_pitchfork_1d requires modes = dim = 1")
     return simulate_tilted_langevin(config, tilt=None, eps0=eps0)
 
 
@@ -146,44 +156,50 @@ def simulate_tilted_langevin(config, tilt, eps0=None):
     if config.modes != 1 or config.dim != 1:
         raise ValidationError("tilted Langevin requires modes = dim = 1")
     rng = np.random.default_rng(config.seed)
-    mu, al, ga, d_noise, dt = (
-        config.growth_rate,
-        config.alpha,
-        config.coupling,
-        config.noise_intensity,
-        config.dt,
-    )
-    if eps0 is None:
-        eps = config.init_scale * float(rng.standard_normal())
-    else:
-        eps = float(eps0)
-    amp = math.sqrt(2.0 * d_noise * dt)
-    dec = _decimation(config.steps)
-    times, samples = [], []
-    _record(times, samples, 0, dt, np.array([[eps]]))
-    eps0 = eps
-    for n in range(1, config.steps + 1):
-        drift = mu * eps - al * eps * eps * eps
-        if tilt is not None and ga != 0.0:
-            drift -= ga * tilt.dU(eps)
-        eps = eps + dt * drift
-        if amp > 0.0:
-            eps += amp * float(rng.standard_normal())
-        if n % dec == 0 or n == config.steps:
-            _record(times, samples, n, dt, np.array([[eps]]))
-    init = np.array([[eps0]])
+    eps0 = config.init_scale * float(rng.standard_normal()) if eps0 is None else float(eps0)
+    if not math.isfinite(eps0):
+        raise ValidationError("eps0 must be finite")
+    _, eps, path = _langevin(config, tilt, eps0, config.steps, rng, every=_decimation(config.steps))
+    rec = np.array([(0, eps0)] + path)
     final = np.array([[eps]])
-    idirs, _ = _unit_rows(init)
+    idirs, _ = _unit_rows(np.array([[eps0]]))
     fdirs, zero = _unit_rows(final)
     return SdeRunResult(
-        times=np.asarray(times),
-        path_samples=np.asarray(samples),
+        times=rec[:, 0] * config.dt,
+        path_samples=rec[:, 1].reshape(-1, 1, 1),
         final_state=final,
         initial_directions=idirs,
         final_directions=fdirs,
         zero_final_modes=zero,
         seed=config.seed,
     )
+
+
+def _langevin(config, tilt, eps, steps, rng, threshold=math.inf, every=65536):
+    """The scalar stepper of the module docstring, from eps for at most `steps`
+    steps in chunks of `every`: (steps taken, final eps, path), path holding
+    (step, eps) at each chunk end."""
+    mu, al, ga, dt = config.growth_rate, config.alpha, config.coupling, config.dt
+    amp = math.sqrt(2.0 * config.noise_intensity * dt)
+    du = tilt.dU if tilt is not None and ga != 0.0 else None
+    n, path = 0, []
+    while n < steps and not abs(eps) >= threshold:
+        m = min(every, steps - n)
+        draws = rng.standard_normal(m).tolist() if amp else repeat(0.0, m)
+        for g in draws:
+            drift = mu * eps - al * eps * eps * eps
+            if du is not None:
+                drift -= ga * du(eps)
+            eps = eps + dt * drift
+            if amp:
+                eps += amp * g
+            n += 1
+            if abs(eps) >= threshold:
+                break
+        if not math.isfinite(eps):
+            raise NumericalError(f"scalar Langevin state is {eps} by step {n}")
+        path.append((n, eps))
+    return n, eps, path
 
 
 def effective_potential(config, tilt, eps):
@@ -297,20 +313,23 @@ def predict_persistence(config):
     mu, al, d_noise = config.growth_rate, config.alpha, config.noise_intensity
     d = config.dim
     t_total = config.steps * config.dt
-    r_star = math.sqrt(mu / al)
-    if d_noise == 0.0:
-        return PersistencePrediction(
-            sigma_star=math.inf,
-            tau_r=math.log(r_star / config.init_scale) / mu if config.init_scale > 0 else math.inf,
-            t_rand=math.inf,
-            theta_sq=0.0,
-            expected_cosine=1.0,
-        )
-    sigma_star = config.init_scale / math.sqrt(d_noise / mu)
-    tau_r = (1.0 / mu) * math.log(sigma_star * math.sqrt(mu / (al * d_noise)))
-    t_rand = r_star * r_star / (2.0 * (d - 1) * d_noise) if d > 1 else math.inf
-    growth_term = (d - 1) / (sigma_star * sigma_star)
-    sat_term = 2.0 * (d - 1) * d_noise * max(t_total - tau_r, 0.0) / (r_star * r_star)
+    try:
+        r_star = math.sqrt(mu / al)
+        if d_noise == 0.0:
+            return PersistencePrediction(
+                sigma_star=math.inf,
+                tau_r=math.log(r_star / config.init_scale) / mu if config.init_scale > 0 else math.inf,
+                t_rand=math.inf,
+                theta_sq=0.0,
+                expected_cosine=1.0,
+            )
+        sigma_star = config.init_scale / math.sqrt(d_noise / mu)
+        tau_r = (1.0 / mu) * math.log(sigma_star * math.sqrt(mu / (al * d_noise)))
+        t_rand = r_star * r_star / (2.0 * (d - 1) * d_noise) if d > 1 else math.inf
+        growth_term = (d - 1) / (sigma_star * sigma_star)
+        sat_term = 2.0 * (d - 1) * d_noise * max(t_total - tau_r, 0.0) / (r_star * r_star)
+    except (ValueError, ZeroDivisionError) as exc:  # the log of, or a division by, an underflow
+        raise NumericalError(f"persistence prediction leaves the float range: {exc}") from None
     theta_sq = growth_term + sat_term
     return PersistencePrediction(
         sigma_star=sigma_star,

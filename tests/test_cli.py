@@ -201,6 +201,9 @@ class TestExitCodes:
             ("endogenous", {"BIFURC_EXPERIMENT__LATENT_DIM": "-1"}),
             ("endogenous", {"BIFURC_EXPERIMENT__RECORD_EVERY": "0"}),
             ("hierarchy", {"BIFURC_EXPERIMENT__RECORD_EVERY": "0"}),
+            ("endogenous", {"BIFURC_EXPERIMENT__ENCODER_LR": "nan"}),
+            ("endogenous", {"BIFURC_EXPERIMENT__INIT_WEIGHT_SCALE": "nan"}),
+            ("endogenous", {"BIFURC_EXPERIMENT__INIT_WEIGHT_SCALE": "1e-159"}),  # variance < 1e-308
         ],
     )
     def test_bad_experiment_shape_exits_2(self, tmp_path, capsys, monkeypatch, command, env):
@@ -302,6 +305,26 @@ class TestExitCodes:
         )
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["pitchfork", "coupled"])
+    def test_overflowing_sde_state_exits_3_without_numpy_warnings(self, tmp_path, command):
+        # noise of 1e300 sends the state to inf, then NaN, within two steps
+        env = {
+            **os.environ,
+            "BIFURC_SDE__NOISE_INTENSITY": "1e300",
+            "BIFURC_SDE__STEPS": "200",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bifurc",
+             "sde", command, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / f"sde-{command}_summary.json").exists()
 
     @pytest.mark.parametrize(
         "command,text",
@@ -408,6 +431,13 @@ class TestEscapeCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dt" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_sweep_with_bad_tilt_curvature_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("BIFURC_ESCAPE__TILT_CURVATURE", value)
+        monkeypatch.setenv("BIFURC_ESCAPE__HORIZON", "100")
+        assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
+        assert "quadratic_well_tilt" in capsys.readouterr().err
+
     def test_fit_with_too_few_levels_exits_3(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
         csv.write_text(
@@ -445,6 +475,16 @@ class TestSdeCommands:
         assert payload["prediction"]["expected_cosine"] > 0.5
         for seed in range(5):
             assert (tmp_path / f"sde-coupled_seed{seed}.csv").exists()
+
+    @pytest.mark.parametrize("command", ["pitchfork", "coupled"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_init_scale_exits_2(self, tmp_path, capsys, monkeypatch, command, value):
+        monkeypatch.setenv("BIFURC_SDE__INIT_SCALE", value)
+        monkeypatch.setenv("BIFURC_SDE__STEPS", "200")
+        assert main(["sde", command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "init_scale" in err
+        assert not (tmp_path / f"sde-{command}_summary.json").exists()
 
 
 class TestToyCommands:
@@ -674,6 +714,8 @@ class TestExperimentConfigFuzz:
     @example(latent_dim=2, record_every=20, encoder_lr=0.05, init_weight_scale=0.1)
     @example(latent_dim=9, record_every=1, encoder_lr=0.05, init_weight_scale=0.1).via(
         "row norms summed pairwise by numpy")
+    @example(latent_dim=1, record_every=1, encoder_lr=0.0, init_weight_scale=2e-159).via(
+        "latent variance below the normal float range")
     @given(
         latent_dim=st.integers(-1, 10),
         record_every=st.integers(0, 5),
@@ -693,4 +735,95 @@ class TestExperimentConfigFuzz:
             code = main(["toy", "endogenous", "--config", str(ini), "--out", tmp])
         assert code in {0, 2, 3, 4}
         if latent_dim < 1 or record_every < 1:
+            assert code == 2
+        if not (0.0 < encoder_lr < math.inf and math.isfinite(init_weight_scale)):
+            assert code == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def assert_strict_json(out_dir):
+    """Every JSON file written parses without NaN or Infinity tokens."""
+    for path in Path(out_dir).glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def maybe(near):
+    """None (keep the base value) or a float from edge_floats(near)."""
+    return st.none() | edge_floats(near)
+
+
+def ini_section(name, values):
+    """An INI section with every key whose value is not None."""
+    lines = [f"{key} = {value!r}" for key, value in values.items() if value is not None]
+    return "\n".join([f"[{name}]", *lines]) + "\n"
+
+
+class TestSdeConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @example(command="pitchfork", steps=200, modes=1, dim=1, growth_rate=None, coupling=None,
+             noise=1e300, init_scale=None).via("state overflows")
+    @example(command="coupled", steps=200, modes=4, dim=3, growth_rate=None, coupling=None,
+             noise=0.0, init_scale=None).via("noise-free modes")
+    @given(
+        command=st.sampled_from(["pitchfork", "coupled"]),
+        steps=st.integers(0, 200),
+        modes=st.integers(1, 4),
+        dim=st.integers(1, 3),
+        growth_rate=maybe((-0.5, 0.5)),
+        coupling=maybe((0.0, 0.05)),
+        noise=maybe((0.0, 1e-3)),
+        init_scale=maybe((0.0, 0.1)),
+    )
+    def test_sde_exits_with_a_documented_code(
+        self, command, steps, modes, dim, growth_rate, coupling, noise, init_scale
+    ):
+        shape = {"modes": modes, "dim": dim} if command == "coupled" else {}
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(ini_section("sde", {
+                "steps": steps, **shape, "growth_rate": growth_rate, "coupling": coupling,
+                "noise_intensity": noise, "init_scale": init_scale,
+            }))
+            code = main(["sde", command, "--config", str(ini), "--out", tmp])
+            assert_strict_json(tmp)
+        assert code in {0, 2, 3, 4}
+        if init_scale is not None and not 0.0 <= init_scale < math.inf:
+            assert code == 2
+
+
+class TestEscapeConfigFuzz:
+    @settings(max_examples=100, deadline=None)
+    @example(gamma=None, seeds=2, horizon=1000, curvature=math.nan,
+             noise=None, init_scale=None, threshold=None).via("NaN tilt curvature")
+    @example(gamma=None, seeds=2, horizon=1000, curvature=None,
+             noise=1e-12, init_scale=None, threshold=None).via("noisy cells that escape")
+    @given(
+        gamma=maybe((0.0, 0.5)),
+        seeds=st.integers(0, 3),
+        horizon=st.integers(0, 1000),
+        curvature=maybe((0.1, 10.0)),
+        noise=maybe((0.0, 1e-10)),
+        init_scale=maybe((0.0, 5e-3)),
+        threshold=maybe((1e-3, 1e-2)),
+    )
+    def test_sweep_exits_with_a_documented_code(
+        self, gamma, seeds, horizon, curvature, noise, init_scale, threshold
+    ):
+        # the base gammas escape inside a 1,000-step horizon, so fits run too
+        levels = [0.05 if gamma is None else gamma, 0.1, 0.2]
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(
+                ini_section("escape", {
+                    "seeds_per_gamma": seeds, "horizon": horizon, "tilt_curvature": curvature,
+                    "noise_intensity": noise, "init_scale": init_scale, "threshold": threshold,
+                }) + f"gammas = {','.join(repr(g) for g in levels)}\n"
+            )
+            code = main(["escape", "sweep", "--config", str(ini), "--out", tmp])
+            assert_strict_json(tmp)
+        assert code in {0, 2, 3, 4}
+        if curvature is not None and not 0.0 < curvature < math.inf:
             assert code == 2

@@ -1,10 +1,13 @@
 """Escape-time measurement, censoring, and tau(gamma) model comparison."""
 
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import bifurc.escape_lab as escape_lab
 from bifurc.errors import ConfigError, NoFitError, ValidationError
 from bifurc.escape_lab import (
     DEFAULT_GAMMAS,
@@ -19,6 +22,7 @@ from bifurc.escape_lab import (
     read_sweep_csv,
     run_sweep,
     summarize_observations,
+    sweep_observations,
     write_sweep_csv,
 )
 from bifurc.sde import SdeConfig
@@ -54,9 +58,15 @@ class TestTiltPotential:
         assert tilt.U(2.0) == -2.0
         assert tilt.dU(2.0) == -2.0
 
-    def test_quadratic_well_rejects_nonpositive_strength(self):
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_quadratic_well_rejects_strength_outside_open_half_line(self, c):
         with pytest.raises(ValidationError):
-            quadratic_well_tilt(0.0)
+            quadratic_well_tilt(c)
+
+    def test_quadratic_well_survives_pickling(self):
+        # the CLI sends the tilt to its process pool
+        tilt = pickle.loads(pickle.dumps(quadratic_well_tilt(2.0)))
+        assert tilt.U(3.0) == -9.0 and tilt.dU(3.0) == -6.0
 
     def test_mismatched_derivative_rejected(self):
         with pytest.raises(ValidationError):
@@ -202,6 +212,49 @@ class TestSweep:
         assert b == pytest.approx(-1.2, abs=1e-10)
         assert summary.power_law.chi_squared == pytest.approx(0.0, abs=1e-16)
         assert summary.delta_aic > 0  # exponential form cannot match a power law
+
+
+class TestSweepCells:
+    """The sweep measures each distinct cell once, through one stepper."""
+
+    @pytest.fixture
+    def stepper_calls(self, monkeypatch):
+        calls = []
+        real = escape_lab._langevin
+
+        def counting(config, *args, **kwargs):
+            calls.append((config.coupling, config.seed))
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(escape_lab, "_langevin", counting)
+        return calls
+
+    def test_default_sweep_taus(self):
+        summary = run_sweep(
+            DEFAULT_GAMMAS, 3, default_sweep_config(), quadratic_well_tilt(1.0), DEFAULT_THRESHOLD
+        )
+        zero, *positive = summary.per_gamma
+        assert (zero.gamma, zero.tau_mean, zero.n_censored) == (0.0, None, 3)
+        assert [s.tau_mean for s in positive] == [420723, 148814, 45622, 15304, 4602]
+
+    def test_noise_free_sweep_steps_once_per_gamma(self, stepper_calls):
+        obs = sweep_observations(
+            (1e-3, 3e-3, 1e-2), 3, default_sweep_config(), quadratic_well_tilt(),
+            DEFAULT_THRESHOLD, 100_000, map,
+        )
+        assert stepper_calls == [(1e-3, 0), (3e-3, 0), (1e-2, 0)]
+        assert [(o.gamma, o.seed) for o in obs] == [
+            (g, s) for g in (1e-3, 3e-3, 1e-2) for s in (0, 1000, 2000)
+        ]
+        assert len({o.tau for o in obs if o.gamma == 1e-3}) == 1
+
+    def test_noisy_sweep_steps_once_per_cell_and_reproduces(self, stepper_calls):
+        noisy = replace(default_sweep_config(), noise_intensity=1e-12)
+        args = ((1e-3, 1e-2), 3, noisy, quadratic_well_tilt(), DEFAULT_THRESHOLD, 100_000, map)
+        first = sweep_observations(*args)
+        assert len(stepper_calls) == 6
+        assert sweep_observations(*args) == first
+        assert len({o.tau for o in first if o.gamma == 1e-3}) > 1  # seeds draw their own noise
 
 
 class TestReferenceRefit:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bifurc.errors import ValidationError
+from bifurc.errors import NumericalError, ValidationError
 from bifurc.sde import (
     SdeConfig,
     SdeRunResult,
@@ -87,12 +87,17 @@ class TestConfig:
             SdeConfig(growth_rate=0.1, alpha=1.0, noise_intensity=-1e-3, dt=0.01, steps=10)
 
     @pytest.mark.parametrize(
-        "key", ["growth_rate", "alpha", "coupling", "noise_intensity", "dt"]
+        "key", ["growth_rate", "alpha", "coupling", "noise_intensity", "dt", "init_scale"]
     )
     def test_nan_parameter_rejected(self, key):
         base = {"growth_rate": 0.1, "alpha": 1.0, "dt": 0.01, "steps": 10}
         with pytest.raises(ValidationError):
             SdeConfig(**{**base, key: math.nan})
+
+    @pytest.mark.parametrize("value", [-1.0, math.inf])
+    def test_init_scale_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValidationError):
+            SdeConfig(growth_rate=0.1, alpha=1.0, dt=0.01, steps=10, init_scale=value)
 
 
 class TestPitchfork1d:
@@ -167,6 +172,16 @@ class TestPitchfork1d:
         with pytest.raises(ValidationError):
             simulate_pitchfork_1d(cfg)
 
+    def test_rejects_non_finite_start(self):
+        cfg = SdeConfig(growth_rate=0.1, alpha=0.1, dt=0.01, steps=10)
+        with pytest.raises(ValidationError):
+            simulate_pitchfork_1d(cfg, eps0=math.nan)
+
+    def test_non_finite_state_raises(self):
+        cfg = SdeConfig(growth_rate=0.1, alpha=0.1, noise_intensity=1e300, dt=0.01, steps=200)
+        with pytest.raises(NumericalError):
+            simulate_pitchfork_1d(cfg, eps0=0.0)
+
     def test_path_decimated_and_times_increasing(self):
         cfg = SdeConfig(growth_rate=0.1, alpha=0.1, dt=0.01, steps=10000)
         run = simulate_pitchfork_1d(cfg, eps0=0.05)
@@ -186,6 +201,28 @@ class TestTiltedLangevin:
         plain = simulate_pitchfork_1d(cfg)
         tilted = simulate_tilted_langevin(cfg, tilt=None)
         assert np.array_equal(plain.path_samples, tilted.path_samples)
+
+    def test_chunked_draws_match_a_per_step_reference(self):
+        # the stepper draws one recording interval at a time; a plain loop
+        # with one scalar draw per step must give the same bits
+        cfg = SdeConfig(
+            growth_rate=0.05, alpha=0.5, coupling=0.02, noise_intensity=1e-3, dt=0.05,
+            steps=4999, init_scale=0.02, seed=3,
+        )
+        tilt = quadratic_well_tilt(1.5)
+        run = simulate_tilted_langevin(cfg, tilt)
+        rng = np.random.default_rng(cfg.seed)
+        eps = cfg.init_scale * float(rng.standard_normal())
+        amp = math.sqrt(2.0 * cfg.noise_intensity * cfg.dt)
+        path = [eps]
+        for n in range(1, cfg.steps + 1):
+            drift = cfg.growth_rate * eps - cfg.alpha * eps * eps * eps
+            drift -= cfg.coupling * tilt.dU(eps)
+            eps = eps + cfg.dt * drift
+            eps += amp * float(rng.standard_normal())
+            if n % 2 == 0 or n == cfg.steps:
+                path.append(eps)
+        assert run.path_samples[:, 0, 0].tolist() == path
 
     def test_zero_coupling_ignores_tilt(self):
         cfg = SdeConfig(
@@ -244,6 +281,14 @@ class TestCoupledModes:
             simulate_coupled_modes(
                 SdeConfig(growth_rate=0.1, alpha=0.1, dt=0.01, steps=10, modes=4, dim=1)
             )
+
+    def test_non_finite_state_raises(self):
+        cfg = SdeConfig(
+            growth_rate=0.1, alpha=0.1, noise_intensity=1e300, dt=0.01, steps=200, modes=2,
+            dim=3, init_scale=0.01,
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            simulate_coupled_modes(cfg)
 
     def test_reference_direction_is_unit_and_reproducible(self):
         cfg = SdeConfig(
@@ -373,6 +418,18 @@ class TestPredictPersistence:
     def test_requires_positive_growth(self):
         cfg = SdeConfig(growth_rate=-0.1, alpha=0.1, dt=0.01, steps=10)
         with pytest.raises(ValidationError):
+            predict_persistence(cfg)
+
+    @pytest.mark.parametrize(
+        "growth_rate,init_scale",
+        [(5e-168, 5e-168), (0.1, 5e-168)],  # log(0); 1 / sigma_star^2 with sigma_star^2 = 0
+    )
+    def test_underflowing_budget_is_a_numerical_error(self, growth_rate, init_scale):
+        cfg = SdeConfig(
+            growth_rate=growth_rate, alpha=0.1, noise_intensity=1e-5, dt=0.05, steps=1,
+            modes=3, dim=2, init_scale=init_scale,
+        )
+        with pytest.raises(NumericalError):
             predict_persistence(cfg)
 
 
