@@ -148,11 +148,11 @@ def measure_escape(config, tilt, threshold, horizon=DEFAULT_HORIZON, eps0=None):
 def default_sweep_config(cfg=_DEFAULTS):
     """Scalar base config of the dissipation sweep, from cfg's [escape] section.
 
-    cfg defaults to the built-in configuration: mu = 1e-5 and alpha = 0.1
-    put eps* at 0.01; the threshold eps*/2 and start eps*/20 give
-    tau ~= ln(10)/(mu + gamma) time units, so the gamma=0 deterministic
-    control needs ~4.9e6 steps and censors at the 1e6 horizon while every
-    gamma >= 1e-4 escapes well inside it.
+    The seed is cfg's first [run] seed. cfg defaults to the built-in
+    configuration: mu = 1e-5 and alpha = 0.1 put eps* at 0.01; the threshold
+    eps*/2 and start eps*/20 give tau ~= ln(10)/(mu + gamma) time units, so
+    the gamma=0 deterministic control needs ~4.9e6 steps and censors at the
+    1e6 horizon while every gamma >= 1e-4 escapes well inside it.
     """
     return SdeConfig(
         growth_rate=cfg.get_float("escape", "growth_rate"),
@@ -161,6 +161,7 @@ def default_sweep_config(cfg=_DEFAULTS):
         dt=cfg.get_float("escape", "dt"),
         steps=1,
         init_scale=cfg.get_float("escape", "init_scale"),
+        seed=cfg.seeds()[0],
     )
 
 

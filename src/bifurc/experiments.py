@@ -243,6 +243,13 @@ class TrajectoryLog:
             )
         self.readings.append(reading)
 
+    def record(self, step, log_beta, log_beta_c, nc1, op):
+        """Append the reading at step, with log_ratio = log_beta - log_beta_c."""
+        self.append(CriticalityReading(
+            step=step, log_beta=log_beta, log_beta_c=log_beta_c,
+            log_ratio=log_beta - log_beta_c, nc1=nc1, order_parameter=op,
+        ))
+
     def column(self, name):
         vals = [getattr(r, name) for r in self.readings]
         if name == "nc1":
@@ -414,8 +421,9 @@ class AnnealHoldSchedule:
     """External precision protocol: ramp, hold until activation, map the branch.
 
     Ramp runs log-linearly from the probe's log_beta_init to
-    hold_ratio * beta_c_hat over ramp_steps at hold_lr and holds there until
-    the activation detector fires (or max_steps). The equilibrium branch is
+    hold_ratio * beta_c_hat over ramp_steps at rate hold_lr * K / 2 (K the
+    probe's prototype count) and holds there until the activation detector
+    fires (or max_steps). The equilibrium branch is
     then mapped from the hold level up to branch_top_ratio * beta_c_hat in
     branch_levels geometric levels, each solved by EM (at most
     max_inner_steps iterations) from the previous level's means.
@@ -464,6 +472,54 @@ class ReverseSchedule:
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
+def _activation_summary(log, *trackers):
+    """The first reading at log_ratio >= 0, and each fired tracker's activation step."""
+    return {
+        "crossing_step": next((r.step for r in log.readings if r.log_ratio >= 0.0), None),
+        "activation_steps": [t.step for t in trackers if t.step is not None],
+    }
+
+
+def _ramp_hold(ws, mu, lb0, lb1, ramp_steps, max_steps, lr, every, observe):
+    """Mean-only GD while log beta ramps linearly from lb0 to lb1, then holds there.
+
+    Step n (from 0) runs at lb = lb0 + (lb1 - lb0) min(1, n / ramp_steps).
+    After each step with n % every == 0, observe(n, lb, mu) runs, and a
+    true return stops the loop; at most max_steps steps run. Returns (mu, lb, n): the
+    last step's means and log beta, and the step observe stopped at
+    (max_steps when it never did).
+    """
+    n, lb = 0, lb0
+    while n < max_steps:
+        lb = lb0 + (lb1 - lb0) * min(1.0, n / ramp_steps)
+        mu = _mean_step(ws, mu, math.exp(lb), lr)[0]
+        if n % every == 0 and observe(n, lb, mu):
+            break
+        n += 1
+    return mu, lb, n
+
+
+def _branch(ws, mu, levels, n, tol, max_iter, log, log_bc, nc1):
+    """Solve each (beta, log_beta) level by EM, starting from the previous level's means.
+
+    The step counter n advances by each level's EM iterations, and each
+    level records one reading. Returns (mu, n, fields), fields holding the
+    branch ([beta, order parameter] pairs), the per-level
+    branch_iterations and the branch_max_residual.
+    """
+    branch, iterations, residuals = [], [], []
+    for beta, lb in levels:
+        mu, its, res = _equilibrium(ws, mu, beta, tol, max_iter)
+        n += its
+        op = _spread(mu)
+        log.record(n, lb, log_bc, nc1, op)
+        branch.append([float(beta), op])
+        iterations.append(its)
+        residuals.append(res)
+    return mu, n, {"branch": branch, "branch_iterations": iterations,
+                   "branch_max_residual": max(residuals)}
+
+
 @_quiet_overflow
 def run_forward_split(dataset, config, schedule=None):
     """Drive the probe from below to above the critical precision.
@@ -486,78 +542,50 @@ def run_forward_split(dataset, config, schedule=None):
     log = TrajectoryLog("forward-split", dataset.seed)
     tracker = _ActivationTracker()
 
-    def reading(step, lb, op):
-        return CriticalityReading(
-            step=step, log_beta=lb, log_beta_c=log_bc, log_ratio=lb - log_bc,
-            nc1=const_nc1, order_parameter=op,
-        )
+    def observe(n, lb, mu):
+        op = _spread(mu)
+        log.record(n, lb, log_bc, const_nc1, op)
+        return tracker.feed(n, lb, op, supercritical=lb >= log_bc)
 
+    lb = config.log_beta_init
     if isinstance(schedule, LearnedBetaSchedule):
-        lb = config.log_beta_init
         for n in range(schedule.steps):
             mu, lb = _joint_step(ws, mu, lb, config.lr_means, config.lr_logbeta)
             if n % schedule.record_every == 0:
-                op = _spread(mu)
-                log.append(reading(n, lb, op))
-                tracker.feed(n, lb, op, supercritical=lb >= log_bc)
-        final = GmmProbeState(mu, lb, config.K_probe, z.shape[1])
-        _finish_forward(log, dataset, final, lam, tracker)
-        return log, final
-
-    if not isinstance(schedule, AnnealHoldSchedule):
+                observe(n, lb, mu)
+    elif isinstance(schedule, AnnealHoldSchedule):
+        # hold level is hold_ratio * beta_c_hat = hold_ratio / lam; a prototype's
+        # mean gradient carries its mass, about 1/K, so the rate scales with K / 2
+        lb_hold = math.log(schedule.hold_ratio) - math.log(lam)
+        mu, _, n = _ramp_hold(
+            ws, mu, lb, lb_hold, schedule.ramp_steps, schedule.max_steps,
+            schedule.hold_lr * config.K_probe / 2, schedule.record_every, observe,
+        )
+        # the branch starts at the hold level; n counts EM iterations from here on
+        lb_top = math.log(schedule.branch_top_ratio) - math.log(lam)
+        levels = [(math.exp(lb_level), lb_level)
+                  for lb_level in np.linspace(lb_hold, lb_top, schedule.branch_levels)]
+        mu, _, fields = _branch(
+            ws, mu, levels, n, EQUILIBRIUM_REL_TOL * math.sqrt(lam), schedule.max_inner_steps,
+            log, log_bc, const_nc1,
+        )
+        log.summary.update(fields)
+    else:
         raise ValidationError("schedule must be LearnedBetaSchedule or AnnealHoldSchedule")
-
-    lb0 = config.log_beta_init
-    # hold level is hold_ratio * beta_c_hat = hold_ratio / lam
-    lb_hold = math.log(schedule.hold_ratio) - math.log(lam)
-    n = 0
-    while n < schedule.max_steps:
-        lb = lb0 + (lb_hold - lb0) * min(1.0, n / schedule.ramp_steps)
-        mu = _mean_step(ws, mu, math.exp(lb), schedule.hold_lr)[0]
-        if n % schedule.record_every == 0:
-            op = _spread(mu)
-            log.append(reading(n, lb, op))
-            if tracker.feed(n, lb, op, supercritical=lb >= log_bc):
-                break
-        n += 1
-    # the branch starts at the hold level; n counts EM iterations from here on
-    tol = EQUILIBRIUM_REL_TOL * math.sqrt(lam)
-    branch, iterations, residuals = [], [], []
-    lb_top = math.log(schedule.branch_top_ratio) - math.log(lam)
-    for lb_level in np.linspace(lb_hold, lb_top, schedule.branch_levels):
-        b = math.exp(lb_level)
-        mu, its, res = _equilibrium(ws, mu, b, tol, schedule.max_inner_steps)
-        n += its
-        op = _spread(mu)
-        log.append(reading(n, lb_level, op))
-        branch.append([b, op])
-        iterations.append(its)
-        residuals.append(res)
-    final = GmmProbeState(mu, lb0, config.K_probe, z.shape[1])
-    _finish_forward(log, dataset, final, lam, tracker)
-    log.summary.update(
-        {"branch": branch, "branch_iterations": iterations, "branch_max_residual": max(residuals)}
-    )
-    return log, final
-
-
-def _finish_forward(log, dataset, state, lam, tracker):
+    # an annealed run's state keeps the initial log precision
+    final = GmmProbeState(mu, lb, config.K_probe, z.shape[1])
     beta_c_hat = 1.0 / lam
-    summary = {
+    beta = None if tracker.step is None else math.exp(tracker.log_beta)
+    log.summary.update({
         "beta_c_hat": beta_c_hat,
         "max_order_parameter": float(max(r.order_parameter for r in log.readings)),
-        "crossing_step": next(
-            (r.step for r in log.readings if r.log_ratio >= 0.0), None
-        ),
-        "activation_steps": [] if tracker.step is None else [tracker.step],
-        "activation_beta": None if tracker.step is None else math.exp(tracker.log_beta),
-        "overshoot_ratio": None
-        if tracker.step is None
-        else math.exp(tracker.log_beta) / beta_c_hat,
-        "split_angle_deg": _split_angle_deg(state, dataset.samples),
-        "split_direction": split_direction(state).tolist(),
-    }
-    log.summary.update(summary)
+        **_activation_summary(log, tracker),
+        "activation_beta": beta,
+        "overshoot_ratio": None if beta is None else beta / beta_c_hat,
+        "split_angle_deg": _split_angle_deg(final, z),
+        "split_direction": split_direction(final).tolist(),
+    })
+    return log, final
 
 
 @_quiet_overflow
@@ -574,35 +602,18 @@ def run_reverse_traversal(dataset, probe, schedule=None):
     z = dataset.samples
     lam, log_bc = _lam_and_logbc(z)
     beta_c_hat = 1.0 / lam
-    const_nc1 = _dataset_nc1(dataset, z)
-    mu = probe.means
-    ws = _Workspace(mu.shape[0], z)
-    tol = EQUILIBRIUM_REL_TOL * math.sqrt(lam)
+    ws = _Workspace(probe.K, z)
     log = TrajectoryLog("reverse-traversal", dataset.seed)
-    levels = np.exp(
-        np.linspace(
-            math.log(schedule.top_ratio * beta_c_hat),
-            math.log(schedule.bottom_ratio * beta_c_hat),
-            schedule.levels,
-        )
+    betas = np.exp(np.linspace(
+        math.log(schedule.top_ratio * beta_c_hat), math.log(schedule.bottom_ratio * beta_c_hat),
+        schedule.levels,
+    ))
+    _, _, fields = _branch(
+        ws, probe.means, [(b, math.log(b)) for b in betas], 0,
+        EQUILIBRIUM_REL_TOL * math.sqrt(lam), schedule.max_inner_steps,
+        log, log_bc, _dataset_nc1(dataset, z),
     )
-    n = 0
-    branch, iterations, residuals = [], [], []
-    for b in levels:
-        mu, its, res = _equilibrium(ws, mu, b, tol, schedule.max_inner_steps)
-        n += its
-        iterations.append(its)
-        residuals.append(res)
-        op = _spread(mu)
-        lb = math.log(b)
-        log.append(
-            CriticalityReading(
-                step=n, log_beta=lb, log_beta_c=log_bc, log_ratio=lb - log_bc,
-                nc1=const_nc1, order_parameter=op,
-            )
-        )
-        branch.append([float(b), op])
-    arr = np.asarray(branch)
+    arr = np.asarray(fields["branch"])
     plateau = float(arr[0, 1])
     shoulder = (arr[:, 1] > 0.25 * plateau) & (arr[:, 1] < 0.60 * plateau)
     merge_beta = None
@@ -617,9 +628,7 @@ def run_reverse_traversal(dataset, probe, schedule=None):
         {
             "beta_c_hat": beta_c_hat,
             "plateau_order_parameter": plateau,
-            "branch": branch,
-            "branch_iterations": iterations,
-            "branch_max_residual": max(residuals),
+            **fields,
             "merge_beta": merge_beta,
             "merge_relative_error": None
             if merge_beta is None
@@ -743,20 +752,13 @@ def run_endogenous(
                 )
             lam, log_bc = _lam_and_logbc(z)
             op = _spread(mu)
-            log.append(
-                CriticalityReading(
-                    step=n, log_beta=lb, log_beta_c=log_bc, log_ratio=lb - log_bc,
-                    nc1=_dataset_nc1(dataset, z), order_parameter=op,
-                )
-            )
+            log.record(n, lb, log_bc, _dataset_nc1(dataset, z), op)
             loss_trace.append([n, loss])
             if tracker.feed(n, lb, op, supercritical=lb >= log_bc):
                 break
-    crossing = next((r.step for r in log.readings if r.log_ratio >= 0.0), None)
     log.summary.update(
         {
-            "crossing_step": crossing,
-            "activation_steps": [] if tracker.step is None else [tracker.step],
+            **_activation_summary(log, tracker),
             "final_loss": loss_trace[-1][1] if loss_trace else None,
             "loss_trace": loss_trace,
             "split_angle_deg": None,
@@ -880,14 +882,6 @@ def run_hierarchical(dataset, config=None, schedule=None):
     const_nc1 = _dataset_nc1(dataset, z)
     log = TrajectoryLog("hierarchical", dataset.seed)
 
-    def record(step, lb):
-        log.append(
-            CriticalityReading(
-                step=step, log_beta=lb, log_beta_c=log_bc1, log_ratio=lb - log_bc1,
-                nc1=const_nc1, order_parameter=_spread(mu),
-            )
-        )
-
     def within_op(mu):
         g = np.argmin(((mu[:, None, :] - sup[None, :, :]) ** 2).sum(axis=-1), axis=1)
         tot = 0.0
@@ -897,35 +891,31 @@ def run_hierarchical(dataset, config=None, schedule=None):
                 tot += ((m - m.mean(axis=0)) ** 2).sum()
         return math.sqrt(tot / len(mu))
 
+    tracker1 = _ActivationTracker()
+    tracker2 = _ActivationTracker()
+
+    def observe1(step, lb, mu):
+        op = _spread(mu)
+        log.record(step, lb, log_bc1, const_nc1, op)
+        return tracker1.feed(step, lb, op, supercritical=lb >= math.log(bc1))
+
+    def observe2(m, lb, mu):
+        # stage 2 steps are numbered on from the settle reading at step n
+        log.record(n + m + 1, lb, log_bc1, const_nc1, _spread(mu))
+        return tracker2.feed(n + m + 1, lb, within_op(mu), supercritical=lb >= math.log(bc2))
+
     lr = config.lr_means
     # stage 1: ramp across bc1, hold, detect the super split
-    lb_a0 = math.log(schedule.start_ratio * bc1)
-    lb_a1 = math.log(schedule.hold1_ratio * bc1)
-    tracker1 = _ActivationTracker()
-    n = 0
-    lb = lb_a0
-    while n < schedule.max1_steps:
-        lb = lb_a0 + (lb_a1 - lb_a0) * min(1.0, n / schedule.ramp1_steps)
-        mu = _mean_step(ws, mu, math.exp(lb), lr)[0]
-        if n % schedule.record_every == 0:
-            record(n, lb)
-            if tracker1.feed(n, lb, _spread(mu), supercritical=lb >= math.log(bc1)):
-                break
-        n += 1
-    events = []
-    if tracker1.step is not None:
-        events.append(
-            {"stage": 1, "step": tracker1.step, "beta": math.exp(tracker1.log_beta),
-             "ratio_to_target": math.exp(tracker1.log_beta) / bc1}
-        )
+    mu, lb, n = _ramp_hold(
+        ws, mu, math.log(schedule.start_ratio * bc1), math.log(schedule.hold1_ratio * bc1),
+        schedule.ramp1_steps, schedule.max1_steps, lr, schedule.record_every, observe1,
+    )
     summary = {
         "beta_c1_hat": bc1,
         "beta_c2_hat": bc2,
         "within_anisotropy": anisotropy,
         "second_stage_gate": bool(gate),
-        "crossing_step": next((r.step for r in log.readings if r.log_ratio >= 0.0), None),
     }
-    tracker2 = _ActivationTracker()
     if gate and tracker1.step is not None:
         # bridge to below bc2, settle, then stage 2 across bc2
         lb_b1 = math.log(schedule.start_ratio * bc2)
@@ -937,31 +927,19 @@ def run_hierarchical(dataset, config=None, schedule=None):
         for _ in range(schedule.settle_steps):
             n += 1
             mu = _mean_step(ws, mu, math.exp(lb_b1), lr)[0]
-        record(n, lb_b1)
+        log.record(n, lb_b1, log_bc1, const_nc1, _spread(mu))
         lb_c1 = math.log(schedule.hold2_ratio * bc2)
-        m = 0
-        while m < schedule.max2_steps:
-            lb = lb_b1 + (lb_c1 - lb_b1) * min(1.0, m / schedule.ramp2_steps)
-            mu = _mean_step(ws, mu, math.exp(lb), lr)[0]
-            if m % schedule.record_every == 0:
-                n_glob = n + m + 1
-                record(n_glob, lb)
-                if tracker2.feed(n_glob, lb, within_op(mu), supercritical=lb >= math.log(bc2)):
-                    break
-            m += 1
+        mu, _, m = _ramp_hold(
+            ws, mu, lb_b1, lb_c1, schedule.ramp2_steps, schedule.max2_steps, lr,
+            schedule.record_every, observe2,
+        )
         n += m + 1
         # finish: the equilibrium at the stage-2 hold level; n advances by EM iterations
-        mu, its, _ = _equilibrium(
-            ws, mu, schedule.hold2_ratio * bc2, EQUILIBRIUM_REL_TOL * math.sqrt(lam1),
-            schedule.max_inner_steps,
+        mu, n, _ = _branch(
+            ws, mu, [(schedule.hold2_ratio * bc2, lb_c1)], n,
+            EQUILIBRIUM_REL_TOL * math.sqrt(lam1), schedule.max_inner_steps,
+            log, log_bc1, const_nc1,
         )
-        n += its
-        record(n, lb_c1)
-        if tracker2.step is not None:
-            events.append(
-                {"stage": 2, "step": tracker2.step, "beta": math.exp(tracker2.log_beta),
-                 "ratio_to_target": math.exp(tracker2.log_beta) / bc2}
-            )
         near = np.argmin(
             ((mu[:, None, :] - dataset.centers[None, :, :]) ** 2).sum(axis=-1), axis=1
         )
@@ -974,8 +952,12 @@ def run_hierarchical(dataset, config=None, schedule=None):
                 "tessellation_ok": bool(len(set(near.tolist())) == 8 and np.all(quad == 2)),
             }
         )
-    summary["activation_steps"] = [e["step"] for e in events]
-    summary["events"] = events
+    summary.update(_activation_summary(log, tracker1, tracker2))
+    summary["events"] = [
+        {"stage": stage, "step": t.step, "beta": math.exp(t.log_beta),
+         "ratio_to_target": math.exp(t.log_beta) / bc}
+        for stage, t, bc in ((1, tracker1, bc1), (2, tracker2, bc2)) if t.step is not None
+    ]
     summary["split_angle_deg"] = None
     log.summary.update(summary)
     return log

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .experiments import TrajectoryLog
-from .gmm_probe import CriticalityReading
 from .mathcore import pearson, weighted_linfit
 
 FULL_V = "FullV"
@@ -60,8 +59,9 @@ class ClassifierThresholds:
             raise ValidationError("decoupling_abs_corr must be in (0, 1)")
         if self.smooth_window < 1 or self.min_readings < 2 * self.smooth_window:
             raise ValidationError("need smooth_window >= 1 and min_readings >= 2x window")
-        if min(self.plateau_fraction, self.descent_decades, self.fold_return) <= 0:
-            raise ValidationError("thresholds must be positive")
+        if not all(0 < x < math.inf
+                   for x in (self.plateau_fraction, self.descent_decades, self.fold_return)):
+            raise ValidationError("thresholds must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,9 @@ class AxisReading:
     dissipation_regime: str  # "normal" | "low"
 
 
-def _channels(log, thresholds):
+def _channels(log, thresholds, horizon):
+    if horizon is not None and not 0 < float(horizon) < math.inf:
+        raise ValidationError("horizon must be positive and finite")
     if len(log.readings) < thresholds.min_readings:
         raise ValidationError(
             f"need >= {thresholds.min_readings} readings, got {len(log.readings)}"
@@ -154,9 +156,7 @@ def classify(log, horizon=None, thresholds=None):
     """
     if thresholds is None:
         thresholds = ClassifierThresholds()
-    steps, ratio, lnc1 = _channels(log, thresholds)
-    if horizon is not None and float(horizon) <= 0:
-        raise ValidationError("horizon must be positive")
+    steps, ratio, lnc1 = _channels(log, thresholds, horizon)
 
     try:
         decoupling = pearson(ratio, lnc1)
@@ -216,7 +216,7 @@ def axis_reading(log, horizon=None, thresholds=None):
     """The three binary kinematic axes; needs >= min_readings samples."""
     if thresholds is None:
         thresholds = ClassifierThresholds()
-    steps, ratio, lnc1 = _channels(log, thresholds)
+    steps, ratio, lnc1 = _channels(log, thresholds, horizon)
     initial = "sub" if ratio[0] < 0.0 else "super"
     onset_idx, _ = _descent_onset(lnc1, thresholds)
     crossing_hits = np.nonzero(ratio >= 0.0)[0]
@@ -246,12 +246,7 @@ def _assemble(regime, seed, steps, ratio, lnc1):
     log = TrajectoryLog(f"synthetic-{regime}", seed)
     for s, r, v in zip(steps, ratio, lnc1):
         op = 1e-4 * math.exp(2.0 * max(0.0, r))
-        log.append(
-            CriticalityReading(
-                step=int(s), log_beta=float(r), log_beta_c=0.0, log_ratio=float(r),
-                nc1=float(10.0 ** v), order_parameter=op,
-            )
-        )
+        log.record(int(s), float(r), 0.0, float(10.0 ** v), op)
     return log
 
 

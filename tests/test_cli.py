@@ -431,6 +431,20 @@ class TestEscapeCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dt" in err
 
+    @pytest.mark.parametrize("noise,seed_matters", [("1e-12", True), ("0.0", False)])
+    def test_sweep_is_seeded_by_the_first_run_seed(self, tmp_path, monkeypatch, noise,
+                                                   seed_matters):
+        for key, value in {"BIFURC_ESCAPE__NOISE_INTENSITY": noise,
+                           "BIFURC_ESCAPE__HORIZON": "20000",
+                           "BIFURC_ESCAPE__GAMMAS": "1e-3,3e-3,1e-2"}.items():
+            monkeypatch.setenv(key, value)
+        digests = set()
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            assert main(["escape", "sweep", "--seed", seed, "--out", str(out)]) == 0
+            digests.add(hashlib.sha256((out / "escape-sweep.json").read_bytes()).hexdigest())
+        assert len(digests) == (2 if seed_matters else 1)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_sweep_with_bad_tilt_curvature_exits_2(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("BIFURC_ESCAPE__TILT_CURVATURE", value)
@@ -826,4 +840,41 @@ class TestEscapeConfigFuzz:
             assert_strict_json(tmp)
         assert code in {0, 2, 3, 4}
         if curvature is not None and not 0.0 < curvature < math.inf:
+            assert code == 2
+
+
+class TestTaxonomyConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @example(fixture="exemplar_full_v.csv", decoupling=None, plateau=math.nan, descent=None,
+             fold=None, horizon=None).via("NaN plateau fraction")
+    @example(fixture="exemplar_full_v.csv", decoupling=None, plateau=None, descent=math.nan,
+             fold=None, horizon=None).via("NaN descent decades")
+    @example(fixture="exemplar_full_v.csv", decoupling=None, plateau=None, descent=None,
+             fold=math.nan, horizon=None).via("NaN fold return")
+    @example(fixture="exemplar_full_v.csv", decoupling=None, plateau=None, descent=None,
+             fold=None, horizon=math.nan).via("NaN horizon")
+    @example(fixture="exemplar_full_v.csv", decoupling=None, plateau=None, descent=None,
+             fold=None, horizon=math.inf).via("infinite horizon")
+    @given(
+        fixture=st.sampled_from(
+            ["exemplar_full_v.csv", "exemplar_fold_back.csv", "exemplar_no_arc.csv"]),
+        decoupling=maybe((0.05, 0.95)),
+        plateau=maybe((0.01, 0.9)),
+        descent=maybe((0.05, 2.0)),
+        fold=maybe((0.05, 2.0)),
+        horizon=maybe((10.0, 1e5)),
+    )
+    def test_classify_exits_with_a_documented_code(
+        self, fixture, decoupling, plateau, descent, fold, horizon
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(ini_section("taxonomy", {
+                "decoupling_abs_corr": decoupling, "plateau_fraction": plateau,
+                "descent_decades": descent, "fold_return": fold, "horizon": horizon,
+            }))
+            code = main(["classify", "--input", fixture, "--config", str(ini), "--out", tmp])
+            assert_strict_json(tmp)
+        assert code in {0, 2, 3, 4}
+        if any(v is not None and not math.isfinite(v) for v in (plateau, descent, fold, horizon)):
             assert code == 2

@@ -290,6 +290,14 @@ class TestTrajectoryLog:
             assert key in d
         assert d["crossing_step"] == 100
 
+    def test_record_sets_log_ratio(self):
+        log = X.TrajectoryLog("t", 0)
+        log.record(0, -1.25, 0.5, None, 0.01)
+        r = log.readings[0]
+        assert r.log_ratio == -1.75 and r.nc1 is None and r.degenerate is False
+        with pytest.raises(ValidationError):
+            log.record(0, -1.0, 0.5, None, 0.01)
+
     def test_summary_keeps_booleans(self):
         log = X.TrajectoryLog("t", 0, summary={"gate": True, "ok": False, "n": np.int64(3)})
         d = X.trajectory_summary(log)
@@ -348,6 +356,43 @@ class TestProtocolKernel:
             state = grad_step(state, enc.latents(x), self.CFG)
             assert reading.log_beta == state.log_precision
             assert reading.order_parameter == order_parameter(state)
+
+
+class TestDrivers:
+    def ramp(self, max_steps, stop_at=None):
+        ds = X.gen_bimodal(200, seed=3)
+        ws = X._Workspace(2, ds.samples)
+        mu = init_collapsed(ds.samples, ProbeConfig(K_probe=2), np.random.default_rng(0)).means
+        seen = []
+
+        def observe(n, lb, mu):
+            seen.append((n, lb))
+            return n == stop_at
+
+        _, lb, n = X._ramp_hold(ws, mu, -2.0, 0.0, 10, max_steps, 0.01, 4, observe)
+        return lb, n, seen
+
+    def test_ramp_hold_observes_every_kth_step_and_holds(self):
+        lb, n, seen = self.ramp(30)
+        assert n == 30 and lb == 0.0
+        assert [s for s, _ in seen] == list(range(0, 30, 4))
+        assert seen[1][1] == -2.0 + 2.0 * (4 / 10)
+
+    def test_ramp_hold_stops_where_observe_says(self):
+        lb, n, seen = self.ramp(30, stop_at=8)
+        assert n == 8 and seen[-1] == (8, lb)
+
+    def test_branch_counts_em_iterations(self):
+        ds = X.gen_bimodal(200, seed=3)
+        ws = X._Workspace(2, ds.samples)
+        mu = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        log = X.TrajectoryLog("t", 0)
+        levels = [(b, math.log(b)) for b in (1.0, 2.0)]
+        _, n, fields = X._branch(ws, mu, levels, 5, 1e-9, 500, log, 0.25, None)
+        assert n == 5 + sum(fields["branch_iterations"])
+        assert [r.step for r in log.readings][-1] == n
+        assert [b for b, _ in fields["branch"]] == [1.0, 2.0]
+        assert fields["branch_max_residual"] <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +494,20 @@ class TestAnnealHoldReverse:
         # the step pins when it fired
         fwd, _ = hysteresis
         assert fwd.summary["activation_steps"] == [10600]
+
+    def test_branch_iterations_are_pinned(self, hysteresis):
+        fwd, rev = hysteresis
+        assert fwd.summary["branch_iterations"] == [51, 29, 25, 22, 21, 20, 19, 19, 18, 18, 17, 17]
+        assert rev.summary["branch_iterations"] == [
+            1, 17, 18, 18, 19, 19, 20, 22, 25, 29, 35, 44, 60, 93, 208, 1078, 22, 5, 2,
+        ] + [1] * 17
+
+    def test_hold_rate_scales_with_k(self):
+        # at hold_lr itself the K = 8 hold never activated within max_steps
+        fwd, _ = X.run_forward_split(
+            X.gen_bimodal(2000, seed=0), ProbeConfig(K_probe=8), X.AnnealHoldSchedule()
+        )
+        assert fwd.summary["activation_steps"] == [12000]
 
     def test_overlap_requires_branches(self, hysteresis, learned_pair):
         fwd, _ = hysteresis
@@ -594,6 +653,10 @@ class TestHierarchical:
         # ratio_to_target equals the hold ratio whenever an event fires after
         # its ramp; the steps pin when each fired
         assert [ev["step"] for ev in hier_log.summary["events"]] == [12840, 18901]
+
+    def test_finish_solve_step_is_pinned(self, hier_log):
+        # the last reading follows the finish solve's EM iterations
+        assert hier_log.readings[-1].step == 19034
 
     def test_degenerate_sub_spacing_single_event(self):
         log = X.run_hierarchical(X.gen_hierarchical(4000, sub_spacing=0.0, seed=0))

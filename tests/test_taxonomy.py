@@ -42,6 +42,12 @@ class TestThresholds:
         with pytest.raises(ValidationError):
             T.ClassifierThresholds(plateau_fraction=-0.1)
 
+    @pytest.mark.parametrize("key", ["plateau_fraction", "descent_decades", "fold_return"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, key, value):
+        with pytest.raises(ValidationError):
+            T.ClassifierThresholds(**{key: value})
+
 
 class TestShapeClass:
     def test_label_guard(self):
@@ -79,6 +85,11 @@ class TestClassifyContract:
         log = synth_log(np.linspace(-1, 1, 30), np.linspace(1, -1, 30))
         with pytest.raises(ValidationError):
             T.classify(log, horizon=0.0)
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                T.classify(log, horizon=horizon)
+            with pytest.raises(ValidationError):
+                T.axis_reading(log, horizon=horizon)
 
     def test_constant_channel_is_decoupled(self):
         log = synth_log(np.linspace(-1, 1, 40), np.zeros(40))
