@@ -18,7 +18,8 @@ Every run writes into the output directory (``[run] out``, flag ``--out``);
 all outputs embed the 12-hex config hash and the package version. Exit codes:
 0 success, 2 configuration or validation problem, 3 numerical failure,
 4 I/O failure. Seed sweeps run in a process pool; each per-seed file is
-written by exactly one worker and the merged summary by the parent.
+written by exactly one worker and the merged summary by the parent. The seed
+list is checked before any worker starts: a negative or repeated seed exits 2.
 """
 
 import argparse
@@ -28,13 +29,14 @@ import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import build_config
-from .csvio import write_table
+from .csvio import run_identity, write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
 from .escape_lab import (
     aggregate_observations,
@@ -162,6 +164,28 @@ def _parallel_map(fn, jobs):
         return [fn(j) for j in jobs]
 
 
+def _sweep_seeds(cfg, out_dir, experiment, worker, merge, chart):
+    """Run worker((cfg, seed, out)) for every seed, then merge in seed order.
+
+    Each worker writes its own per-seed files and returns a tuple whose
+    first item is its seed. merge(results) returns the merged summary's
+    fields (per_seed among them) besides experiment and seeds;
+    chart(results, fields) returns line_chart's keyword arguments, or None to
+    draw no chart.
+    """
+    seeds = cfg.seeds()
+    jobs = [(cfg, seed, str(out_dir)) for seed in seeds]
+    results = sorted(_parallel_map(worker, jobs), key=lambda r: r[0])
+    path = out_dir / f"{experiment}_summary.json"
+    fields = merge(results)
+    _write_json(path, _payload(cfg, experiment=experiment, seeds=seeds, **fields))
+    drawn = chart(results, fields)
+    if drawn is not None:
+        line_chart(out_dir / f"{experiment}.svg", **drawn)
+    print(f"wrote {path}")
+    return 0
+
+
 def _probe_config(cfg):
     return ProbeConfig(
         K_probe=cfg.get_int("probe", "k"),
@@ -262,31 +286,41 @@ def _cmd_calibrate_hessian(cfg, out_dir):
 # toy experiments
 
 
+@_quiet_overflow
 def _toy_dataset(sub, cfg, seed):
+    """The toy dataset; one whose sample covariance overflows is a validation error."""
     n = cfg.get_int("data", "n")
     if sub in ("bimodal", "reverse", "endogenous"):
-        return gen_bimodal(
+        dataset = gen_bimodal(
             n,
             cfg.get_float("data", "center_offset"),
             cfg.get_float("data", "scale"),
             seed=seed,
         )
-    if sub == "unimodal":
-        return gen_unimodal(
+    elif sub == "unimodal":
+        dataset = gen_unimodal(
             n, cfg.get_int("data", "dim"), cfg.get_float("data", "scale"), seed=seed
         )
-    return gen_hierarchical(
-        n,
-        cfg.get_float("data", "super_spacing"),
-        cfg.get_float("data", "sub_spacing"),
-        cfg.get_float("data", "cluster_scale"),
-        seed=seed,
-    )
+    else:
+        dataset = gen_hierarchical(
+            n,
+            cfg.get_float("data", "super_spacing"),
+            cfg.get_float("data", "sub_spacing"),
+            cfg.get_float("data", "cluster_scale"),
+            seed=seed,
+        )
+    if not np.isfinite(covariance(dataset.samples)).all():
+        raise ValidationError("[data] values overflow the sample covariance")
+    return dataset
 
 
-def _toy_worker(job):
-    """Run one (subcommand, seed) cell and write its own files."""
-    sub, cfg, seed, out = job
+def _toy_worker(sub, job):
+    """Run one seed of `toy sub` and write its own files.
+
+    Returns (seed, summaries, trace): the summaries by CSV suffix, and the
+    (steps, log ratios) of the run's readings (None for `toy reverse`).
+    """
+    cfg, seed, out = job
     out_dir = Path(out)
     dataset = _toy_dataset(sub, cfg, seed)
     probe = _probe_config(cfg)
@@ -344,61 +378,18 @@ def _toy_worker(job):
             "reverse_tracking_error": summaries["_reverse"]["reverse_tracking_error"],
         }),
     }))
-    return seed, summaries
+    log = logs.get("")
+    trace = None if log is None else ([r.step for r in log.readings], list(log.column("log_ratio")))
+    return seed, summaries, trace
 
 
 def _prune_summary(summary):
     return {k: v for k, v in summary.items() if k not in _BULKY_SUMMARY_KEYS}
 
 
-def _plot_toy(sub, cfg, seeds, results, out_dir):
-    if sub == "reverse":
-        series = []
-        for seed, summaries in results:
-            for leg in ("_forward", "_reverse"):
-                branch = summaries[leg].get("branch") or []
-                if branch:
-                    pts = sorted(branch)
-                    series.append(
-                        (
-                            f"seed {seed}{leg.replace('_', ' ')}",
-                            [p[0] for p in pts],
-                            [p[1] for p in pts],
-                        )
-                    )
-        if not series:
-            return
-        line_chart(
-            out_dir / f"toy-{sub}.svg",
-            series,
-            title="equilibrium branches: prototype separation vs precision",
-            x_label="beta",
-            y_label="order parameter",
-        )
-        return
-    series = []
-    for seed, _ in results:
-        log = read_trajectory_csv(out_dir / f"toy-{sub}_seed{seed}.csv")
-        steps = [r.step for r in log.readings]
-        series.append((f"seed {seed}", steps, list(log.column("log_ratio"))))
-    if series:
-        xs = series[0][1]
-        series.append(("crossing", [xs[0], xs[-1]], [0.0, 0.0]))
-    line_chart(
-        out_dir / f"toy-{sub}.svg",
-        series,
-        title=f"toy {sub}: precision ratio trajectory",
-        x_label="step",
-        y_label="log(beta / beta_c)",
-    )
-
-
-def _cmd_toy(sub, cfg, out_dir):
-    seeds = cfg.seeds()
-    jobs = [(sub, cfg, seed, str(out_dir)) for seed in seeds]
-    results = sorted(_parallel_map(_toy_worker, jobs), key=lambda r: r[0])
+def _toy_merge(sub, results):
     per_seed = {}
-    for seed, summaries in results:
+    for seed, summaries, _ in results:
         if "" in summaries:
             per_seed[str(seed)] = _prune_summary(summaries[""])
         else:
@@ -406,18 +397,38 @@ def _cmd_toy(sub, cfg, out_dir):
                 "forward": _prune_summary(summaries["_forward"]),
                 "reverse": _prune_summary(summaries["_reverse"]),
             }
-    merged = {"experiment": f"toy-{sub}", "seeds": seeds, "per_seed": per_seed}
-    if sub == "reverse":
-        errors = [
-            per_seed[str(s)]["reverse"]["reverse_tracking_error"] for s in seeds
-        ]
-        merged["reverse_tracking_error"] = (
-            None if any(e is None for e in errors) else max(errors)
-        )
-    _write_json(out_dir / f"toy-{sub}_summary.json", _payload(cfg, **merged))
-    _plot_toy(sub, cfg, seeds, results, out_dir)
-    print(f"wrote {out_dir / f'toy-{sub}_summary.json'}")
-    return 0
+    if sub != "reverse":
+        return {"per_seed": per_seed}
+    errors = [run["reverse"]["reverse_tracking_error"] for run in per_seed.values()]
+    return {
+        "per_seed": per_seed,
+        "reverse_tracking_error": None if any(e is None for e in errors) else max(errors),
+    }
+
+
+def _toy_chart(sub, results, _fields):
+    if sub != "reverse":
+        series = [(f"seed {seed}", *trace) for seed, _, trace in results]
+        xs = series[0][1]
+        series.append(("crossing", [xs[0], xs[-1]], [0.0, 0.0]))
+        return dict(series=series, title=f"toy {sub}: precision ratio trajectory",
+                    x_label="step", y_label="log(beta / beta_c)")
+    series = []
+    for seed, summaries, _ in results:
+        for leg in ("_forward", "_reverse"):
+            pts = sorted(summaries[leg].get("branch") or [])
+            if pts:
+                series.append((f"seed {seed}{leg.replace('_', ' ')}",
+                               [p[0] for p in pts], [p[1] for p in pts]))
+    if not series:
+        return None
+    return dict(series=series, title="equilibrium branches: prototype separation vs precision",
+                x_label="beta", y_label="order parameter")
+
+
+def _cmd_toy(sub, cfg, out_dir):
+    return _sweep_seeds(cfg, out_dir, f"toy-{sub}", partial(_toy_worker, sub),
+                        partial(_toy_merge, sub), partial(_toy_chart, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -430,42 +441,32 @@ def _pitchfork_worker(job):
     run = simulate_pitchfork_1d(config, eps0=cfg.get_optional_float("sde", "eps0"))
     ts = [float(t) for t in run.times]
     eps = [float(e) for e in run.path_samples[:, 0, 0]]
-    identity = f"experiment=sde-pitchfork seed={seed} config={cfg.config_hash} version={__version__}"
-    write_table(Path(out) / f"sde-pitchfork_seed{seed}.csv", ["t", "epsilon"], zip(ts, eps), [identity])
+    write_table(Path(out) / f"sde-pitchfork_seed{seed}.csv", ["t", "epsilon"], zip(ts, eps),
+                [run_identity("sde-pitchfork", cfg.config_hash, seed)])
     return seed, ts, eps
 
 
 @_quiet_overflow
 def _cmd_sde_pitchfork(cfg, out_dir):
-    seeds = cfg.seeds()
-    results = sorted(
-        _parallel_map(_pitchfork_worker, [(cfg, s, str(out_dir)) for s in seeds]),
-        key=lambda r: r[0],
-    )
-    base = _sde_config(cfg, seeds[0])
-    eps_star = base.epsilon_star if base.growth_rate > 0 else 0.0
-    merged = {
-        "experiment": "sde-pitchfork",
-        "seeds": seeds,
-        "saturation_amplitude": float(eps_star),
-        "per_seed": {
-            str(seed): {"final_epsilon": eps[-1], "n_recorded": len(eps)}
-            for seed, _, eps in results
-        },
-    }
-    _write_json(out_dir / "sde-pitchfork_summary.json", _payload(cfg, **merged))
-    series = [(f"seed {s}", ts, eps) for s, ts, eps in results]
-    t_lo, t_hi = results[0][1][0], results[0][1][-1]
-    series.append(("saturation", [t_lo, t_hi], [eps_star, eps_star]))
-    line_chart(
-        out_dir / "sde-pitchfork.svg",
-        series,
-        title="pitchfork normal form: amplitude vs time",
-        x_label="t",
-        y_label="epsilon",
-    )
-    print(f"wrote {out_dir / 'sde-pitchfork_summary.json'}")
-    return 0
+    def merge(results):
+        base = _sde_config(cfg, cfg.seeds()[0])
+        return {
+            "saturation_amplitude": float(base.epsilon_star) if base.growth_rate > 0 else 0.0,
+            "per_seed": {
+                str(seed): {"final_epsilon": eps[-1], "n_recorded": len(eps)}
+                for seed, _, eps in results
+            },
+        }
+
+    def chart(results, fields):
+        eps_star = fields["saturation_amplitude"]
+        t_lo, t_hi = results[0][1][0], results[0][1][-1]
+        series = [(f"seed {s}", ts, eps) for s, ts, eps in results]
+        series.append(("saturation", [t_lo, t_hi], [eps_star, eps_star]))
+        return dict(series=series, title="pitchfork normal form: amplitude vs time",
+                    x_label="t", y_label="epsilon")
+
+    return _sweep_seeds(cfg, out_dir, "sde-pitchfork", _pitchfork_worker, merge, chart)
 
 
 def _coupled_worker(job):
@@ -486,7 +487,7 @@ def _coupled_worker(job):
         Path(out) / f"sde-coupled_seed{seed}.csv",
         ["mode", "projection_initial", "projection_final", "cosine"],
         rows,
-        [f"experiment=sde-coupled seed={seed} config={cfg.config_hash} version={__version__}"],
+        [run_identity("sde-coupled", cfg.config_hash, seed)],
     )
     mean_cos = float(np.mean(stats.cosines)) if len(stats.cosines) else None
     return seed, float(stats.spearman_rho), mean_cos, len(stats.excluded_modes)
@@ -494,53 +495,43 @@ def _coupled_worker(job):
 
 @_quiet_overflow
 def _cmd_sde_coupled(cfg, out_dir):
-    seeds = cfg.seeds()
-    results = sorted(
-        _parallel_map(_coupled_worker, [(cfg, s, str(out_dir)) for s in seeds]),
-        key=lambda r: r[0],
-    )
-    rhos = [r[1] for r in results]
-    prediction = predict_persistence(_sde_config(cfg, seeds[0]))
-    merged = {
-        "experiment": "sde-coupled",
-        "seeds": seeds,
-        "mean_spearman_rho": float(np.mean(rhos)),
-        "min_spearman_rho": float(np.min(rhos)),
-        "per_seed": {
-            str(seed): {
-                "spearman_rho": rho,
-                "mean_cosine": mean_cos,
-                "excluded_modes": excluded,
-            }
-            for seed, rho, mean_cos, excluded in results
-        },
-        "prediction": {  # an infinite time or amplitude (no noise floor) is written as null
-            "sigma_star": _finite_or_none(prediction.sigma_star),
-            "tau_r": _finite_or_none(prediction.tau_r),
-            "t_rand": _finite_or_none(prediction.t_rand),
-            "theta_sq": _finite_or_none(prediction.theta_sq),
-            "expected_cosine": _finite_or_none(prediction.expected_cosine),
-            "saturation_dominated": bool(prediction.saturation_dominated),
-        },
-    }
-    _write_json(out_dir / "sde-coupled_summary.json", _payload(cfg, **merged))
-    mean_rho = merged["mean_spearman_rho"]
-    series = [
-        ("spearman rho", seeds, rhos),
-        ("mean", [seeds[0], seeds[-1]], [mean_rho, mean_rho]),
-    ]
-    cosines = [r[2] for r in results]
-    if all(c is not None for c in cosines):
-        series.append(("mean cosine", seeds, cosines))
-    line_chart(
-        out_dir / "sde-coupled.svg",
-        series,
-        title="mode-lottery persistence across seeds",
-        x_label="seed",
-        y_label="statistic",
-    )
-    print(f"wrote {out_dir / 'sde-coupled_summary.json'}")
-    return 0
+    def merge(results):
+        rhos = [r[1] for r in results]
+        prediction = predict_persistence(_sde_config(cfg, cfg.seeds()[0]))
+        return {
+            "mean_spearman_rho": float(np.mean(rhos)),
+            "min_spearman_rho": float(np.min(rhos)),
+            "per_seed": {
+                str(seed): {
+                    "spearman_rho": rho,
+                    "mean_cosine": mean_cos,
+                    "excluded_modes": excluded,
+                }
+                for seed, rho, mean_cos, excluded in results
+            },
+            "prediction": {  # an infinite time or amplitude (no noise floor) is written as null
+                "sigma_star": _finite_or_none(prediction.sigma_star),
+                "tau_r": _finite_or_none(prediction.tau_r),
+                "t_rand": _finite_or_none(prediction.t_rand),
+                "theta_sq": _finite_or_none(prediction.theta_sq),
+                "expected_cosine": _finite_or_none(prediction.expected_cosine),
+                "saturation_dominated": bool(prediction.saturation_dominated),
+            },
+        }
+
+    def chart(results, fields):
+        seeds, rhos, cosines = ([r[i] for r in results] for i in range(3))
+        mean_rho = fields["mean_spearman_rho"]
+        series = [
+            ("spearman rho", seeds, rhos),
+            ("mean", [seeds[0], seeds[-1]], [mean_rho, mean_rho]),
+        ]
+        if all(c is not None for c in cosines):
+            series.append(("mean cosine", seeds, cosines))
+        return dict(series=series, title="mode-lottery persistence across seeds",
+                    x_label="seed", y_label="statistic")
+
+    return _sweep_seeds(cfg, out_dir, "sde-coupled", _coupled_worker, merge, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +595,7 @@ def _cmd_escape_sweep(cfg, out_dir):
     write_sweep_csv(
         out_dir / "escape-sweep.csv",
         stats,
-        preamble=f"experiment=escape-sweep config={cfg.config_hash} version={__version__}",
+        preamble=run_identity("escape-sweep", cfg.config_hash),
     )
     warning = None
     summary = None
@@ -772,8 +763,7 @@ def _dispatch(args):
         path=args.config,
         flags=_flag_overrides(args),
     )
-    if not cfg.seeds():
-        raise ConfigError("run.seeds must list at least one seed")
+    cfg.seeds()  # every command validates the seed list
     out_dir = Path(cfg.get("run", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "calibrate-hessian":

@@ -23,7 +23,6 @@ identical (config, seed) pairs always produce byte-identical files.
 import configparser
 import hashlib
 import importlib.resources
-import io
 import os
 
 from .errors import ConfigError
@@ -33,7 +32,7 @@ ENV_PREFIX = "BIFURC_"
 # One entry per known key; values are the built-in defaults (all strings).
 DEFAULTS = {
     "run": {
-        "seeds": "0",  # comma-separated RNG seeds, one run per seed
+        "seeds": "0",  # comma-separated distinct RNG seeds >= 0, one run per seed
         "out": "out",  # output directory
     },
     "probe": {
@@ -178,7 +177,12 @@ class RunConfig:
                 raise ValueError(raw)
             return [int(p) for p in parts]
 
-        return self._coerce("run", "seeds", parse, "a comma-separated seed list")
+        seeds = self._coerce("run", "seeds", parse, "a comma-separated seed list")
+        if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+            raise ConfigError(
+                f"run.seeds must be distinct non-negative integers, got {self.get('run', 'seeds')!r}"
+            )
+        return seeds
 
     # -- identity ---------------------------------------------------------
 
@@ -258,13 +262,3 @@ def build_config(overlay=None, preset=None, path=None, environ=None, flags=None)
             for key, value in kv.items():
                 cfg.set(section, key, value)
     return cfg
-
-
-def dump_config(cfg):
-    """Render the effective table as INI text (diff- and log-friendly)."""
-    parser = configparser.ConfigParser(interpolation=None)
-    for section in sorted(cfg.sections):
-        parser[section] = dict(sorted(cfg.sections[section].items()))
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()

@@ -8,7 +8,14 @@ through :mod:`csv`, so quoted fields and ``\\r\\n`` line ends are accepted.
 
 import csv
 
+from . import __version__
 from .errors import ValidationError
+
+
+def run_identity(experiment, config_hash, seed=None):
+    """The comment line naming a run: ``experiment=… [seed=…] config=… version=…``."""
+    seed_part = "" if seed is None else f" seed={seed}"
+    return f"experiment={experiment}{seed_part} config={config_hash or 'none'} version={__version__}"
 
 
 def _field(value):

@@ -213,9 +213,9 @@ def run_sweep(
     gammas = list(gammas)
     if len(set(gammas)) < 3:
         raise ValidationError("run_sweep needs >= 3 distinct gamma values")
-    return summarize_observations(
+    return fit_escape_models(aggregate_observations(
         sweep_observations(gammas, seeds_per_gamma, config, tilt, threshold, horizon, map)
-    )
+    ))
 
 
 def aggregate_observations(observations):
@@ -237,12 +237,13 @@ def aggregate_observations(observations):
     return stats
 
 
-def summarize_observations(observations):
-    """Aggregate observations per gamma and fit both models if possible."""
-    return _fit_stats(aggregate_observations(observations))
+def fit_escape_models(per_gamma_stats):
+    """Model comparison on per-gamma rows (from aggregate_observations or read_sweep_csv).
 
-
-def _fit_stats(stats):
+    Raises NoFitError when every level is censored; with fewer than 3
+    uncensored gamma > 0 levels both fits are None.
+    """
+    stats = list(per_gamma_stats)
     fittable = [s for s in stats if s.tau_mean is not None and s.gamma > 0 and s.tau_mean > 0]
     if not any(s.tau_mean is not None for s in stats):
         raise NoFitError("all sweep cells censored: nothing to fit")
@@ -262,11 +263,6 @@ def _fit_stats(stats):
         delta_aic=kram.aic - power.aic,
         unit_weights_used=unit,
     )
-
-
-def fit_escape_models(per_gamma_stats):
-    """Model comparison on pre-aggregated (gamma, mean, std, counts) rows."""
-    return _fit_stats(list(per_gamma_stats))
 
 
 CSV_HEADER = ["gamma", "tau_mean", "tau_std", "n_seeds", "censored"]

@@ -21,7 +21,6 @@ beta are those of the first reading in that streak. NC1 is the scalar
 trace(within-class scatter)/trace(between-class scatter).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -29,7 +28,7 @@ from typing import List
 import numpy as np
 
 from . import __version__
-from .csvio import read_table, write_table
+from .csvio import read_table, run_identity, write_table
 from .errors import (
     AbortedRunError,
     DegenerateInputError,
@@ -94,15 +93,6 @@ class SyntheticDataset:
 
     def component_counts(self):
         return np.bincount(self.labels, minlength=self.n_components)
-
-
-def counts_within_multinomial_band(dataset, n_sigma=3.0):
-    """True when every component count is within n_sigma of n/C (equal weights)."""
-    n = len(dataset.labels)
-    c = dataset.n_components
-    expect = n / c
-    sigma = math.sqrt(n * (1.0 / c) * (1.0 - 1.0 / c))
-    return bool(np.all(np.abs(dataset.component_counts() - expect) <= n_sigma * sigma))
 
 
 def gen_bimodal(n, center_offset=2.0, scale=1.0, seed=0):
@@ -259,10 +249,7 @@ class TrajectoryLog:
 
 def write_trajectory_csv(log, path, extra_comment=None):
     """CSV with one leading comment line carrying the run identity."""
-    identity = (
-        f"experiment={log.experiment_id} seed={log.seed} "
-        f"config={log.config_hash or 'none'} version={__version__}"
-    )
+    identity = run_identity(log.experiment_id, log.config_hash, log.seed)
     rows = (
         [r.step] + [None if v is None else float(v) for v in (
             r.log_beta, r.log_beta_c, r.log_ratio, r.nc1, r.order_parameter)]
@@ -330,12 +317,6 @@ def trajectory_summary(log):
     }
     out.update(_native(log.summary))
     return out
-
-
-def write_trajectory_summary(log, path):
-    with open(path, "w") as fh:
-        json.dump(trajectory_summary(log), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +810,11 @@ class HierarchySchedule:
     def __post_init__(self):
         if not (0.0 < self.start_ratio < 1.0 < self.hold1_ratio and 1.0 < self.hold2_ratio):
             raise ValidationError("need 0 < start_ratio < 1 < hold1_ratio and hold2_ratio")
-        if min(self.ramp1_steps, self.max1_steps, self.ramp2_steps, self.max2_steps,
-               self.max_inner_steps, self.record_every) < 1:
+        if min(self.ramp1_steps, self.max1_steps, self.bridge_steps, self.ramp2_steps,
+               self.max2_steps, self.max_inner_steps, self.record_every) < 1:
             raise ValidationError("schedule step counts must be >= 1")
+        if self.settle_steps < 0:
+            raise ValidationError("settle_steps must be >= 0")
 
 
 @_quiet_overflow
@@ -917,16 +900,15 @@ def run_hierarchical(dataset, config=None, schedule=None):
         "second_stage_gate": bool(gate),
     }
     if gate and tracker1.step is not None:
-        # bridge to below bc2, settle, then stage 2 across bc2
+        # bridge to below bc2 and settle there, unobserved; one reading at
+        # lb_b1 follows, then stage 2 across bc2
         lb_b1 = math.log(schedule.start_ratio * bc2)
-        lb_b0 = lb
-        for m in range(schedule.bridge_steps):
-            n += 1
-            beta = math.exp(lb_b0 + (lb_b1 - lb_b0) * m / schedule.bridge_steps)
-            mu = _mean_step(ws, mu, beta, lr)[0]
-        for _ in range(schedule.settle_steps):
-            n += 1
-            mu = _mean_step(ws, mu, math.exp(lb_b1), lr)[0]
+        mu, _, m = _ramp_hold(
+            ws, mu, lb, lb_b1, schedule.bridge_steps,
+            schedule.bridge_steps + schedule.settle_steps, lr, schedule.record_every,
+            lambda *_: False,
+        )
+        n += m
         log.record(n, lb_b1, log_bc1, const_nc1, _spread(mu))
         lb_c1 = math.log(schedule.hold2_ratio * bc2)
         mu, _, m = _ramp_hold(

@@ -202,15 +202,6 @@ def _langevin(config, tilt, eps, steps, rng, threshold=math.inf, every=65536):
     return n, eps, path
 
 
-def effective_potential(config, tilt, eps):
-    """V_eff(eps) = -(1/2) mu eps^2 + (1/4) alpha eps^4 + gamma U(eps)."""
-    e = np.asarray(eps, dtype=float)
-    v = -0.5 * config.growth_rate * e**2 + 0.25 * config.alpha * e**4
-    if tilt is not None and config.coupling != 0.0:
-        v = v + config.coupling * tilt.U(e)
-    return v
-
-
 def simulate_coupled_modes(config):
     """K modes in R^d with cubic self-saturation and inter-mode coupling.
 
@@ -339,20 +330,3 @@ def predict_persistence(config):
         expected_cosine=1.0 - theta_sq / 2.0,
         saturation_dominated=sat_term > 1.0,
     )
-
-
-def measured_theta_sq(run):
-    """Ensemble mean squared angle between initial and final directions."""
-    keep = [i for i in range(run.final_state.shape[0]) if i not in run.zero_final_modes]
-    cos = np.einsum("kd,kd->k", run.initial_directions[keep], run.final_directions[keep])
-    ang = np.arccos(np.clip(cos, -1.0, 1.0))
-    return float(np.mean(ang * ang))
-
-
-def mean_abs_pair_overlap(directions):
-    """Mean |d_j . d_k| over unordered mode pairs (self-orthogonalization probe)."""
-    d = np.asarray(directions)
-    g = np.abs(d @ d.T)
-    k = g.shape[0]
-    iu = np.triu_indices(k, 1)
-    return float(g[iu].mean())

@@ -20,7 +20,6 @@ from bifurc.cli import main
 from bifurc.config import (
     RunConfig,
     build_config,
-    dump_config,
     env_overrides,
     load_preset,
 )
@@ -30,6 +29,7 @@ from bifurc.experiments import TrajectoryLog, read_trajectory_csv, write_traject
 from bifurc.gmm_probe import CriticalityReading
 from bifurc.svgplot import line_chart
 from bifurc.errors import ValidationError
+from oracles import dump_config
 
 
 def read_json(path):
@@ -115,6 +115,12 @@ class TestConfigLayer:
         bad.write_text("probe]\nk = 1\n")
         with pytest.raises(ConfigError, match="malformed"):
             build_config(path=bad)
+
+    @pytest.mark.parametrize("raw", ["-1", "0,-2", "1,1", "3, 2,3", ""])
+    def test_seed_list_must_be_distinct_and_non_negative(self, raw):
+        with pytest.raises(ConfigError, match=r"run\.seeds"):
+            RunConfig({"run": {"seeds": raw}}).seeds()
+        assert RunConfig({"run": {"seeds": "2, 0,7"}}).seeds() == [2, 0, 7]
 
     def test_dump_config_lists_sections(self):
         text = dump_config(RunConfig())
@@ -227,6 +233,50 @@ class TestExitCodes:
         assert main(["toy", command, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,seeds",
+        [
+            (["toy", "bimodal"], "-1"),
+            (["calibrate-hessian"], "-1"),
+            (["sde", "pitchfork"], "1,1"),  # two workers would write one CSV
+            (["escape", "sweep"], "-1"),
+        ],
+    )
+    def test_bad_seed_list_exits_2_before_writing(self, tmp_path, capsys, monkeypatch, argv,
+                                                  seeds):
+        if seeds.startswith("-"):
+            argv = argv + ["--seed", seeds]
+        else:
+            monkeypatch.setenv("BIFURC_RUN__SEEDS", seeds)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "run.seeds" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("bimodal", "BIFURC_DATA__CENTER_OFFSET"),
+            ("bimodal", "BIFURC_DATA__SCALE"),
+            ("hierarchy", "BIFURC_DATA__SUPER_SPACING"),
+            ("hierarchy", "BIFURC_DATA__CLUSTER_SCALE"),
+        ],
+    )
+    def test_overflowing_data_exits_2_without_numpy_warnings(self, tmp_path, command, key):
+        env = {**os.environ, key: "1e200", "BIFURC_DATA__N": "50"}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bifurc",
+             "toy", command, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "overflow" in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
     def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
@@ -489,6 +539,16 @@ class TestSdeCommands:
         assert payload["prediction"]["expected_cosine"] > 0.5
         for seed in range(5):
             assert (tmp_path / f"sde-coupled_seed{seed}.csv").exists()
+
+    def test_coupled_chart_does_not_depend_on_seed_order(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BIFURC_SDE__STEPS", "200")
+        charts = []
+        for seeds in ("1,0", "0,1"):
+            monkeypatch.setenv("BIFURC_RUN__SEEDS", seeds)
+            out = tmp_path / seeds.replace(",", "")
+            assert main(["sde", "coupled", "--out", str(out)]) == 0
+            charts.append((out / "sde-coupled.svg").read_bytes())
+        assert charts[0] == charts[1]
 
     @pytest.mark.parametrize("command", ["pitchfork", "coupled"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -878,3 +938,62 @@ class TestTaxonomyConfigFuzz:
         assert code in {0, 2, 3, 4}
         if any(v is not None and not math.isfinite(v) for v in (plateau, descent, fold, horizon)):
             assert code == 2
+
+
+def seed_lists():
+    """None (keep the default seed) or a comma-separated list of small integers."""
+    return st.none() | st.lists(st.integers(-2, 3), max_size=2).map(
+        lambda seeds: ",".join(str(seed) for seed in seeds))
+
+
+def seeds_are_valid(seeds):
+    if seeds is None:
+        return True
+    parsed = [int(p) for p in seeds.split(",") if p]
+    return bool(parsed) and min(parsed) >= 0 and len(set(parsed)) == len(parsed)
+
+
+class TestRunDataConfigFuzz:
+    @settings(max_examples=80, deadline=None)
+    @example(command="bimodal", seeds="-1", n=None, offset=None, scale=None, dim=None).via(
+        "negative seed")
+    @example(command="bimodal", seeds="1,1", n=None, offset=None, scale=None, dim=None).via(
+        "duplicate seed")
+    @example(command="bimodal", seeds=None, n=None, offset=1e200, scale=None, dim=None).via(
+        "overflowing data")
+    @given(
+        command=st.sampled_from(["bimodal", "unimodal"]),
+        seeds=seed_lists(),
+        n=st.none() | st.integers(-1, 200),
+        offset=maybe((0.1, 5.0)),
+        scale=maybe((0.1, 10.0)),
+        dim=st.none() | st.integers(-1, 4),
+    )
+    def test_toy_exits_with_a_documented_code(self, command, seeds, n, offset, scale, dim):
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            run = "" if seeds is None else f"[run]\nseeds = {seeds}\n"
+            ini.write_text(run + ini_section("data", {
+                "n": 200 if n is None else n, "center_offset": offset, "scale": scale, "dim": dim,
+            }) + "[experiment]\nsteps = 40\n")
+            code = main(["toy", command, "--config", str(ini), "--out", tmp])
+            assert_strict_json(tmp)
+        assert code in {0, 2, 3, 4}
+        if not seeds_are_valid(seeds):
+            assert code == 2
+
+    @settings(max_examples=15, deadline=None)
+    @example(seeds="-1").via("negative seed")
+    @example(seeds="1,1").via("duplicate seed")
+    @given(seeds=seed_lists())
+    def test_pitchfork_seed_list_exits_with_a_documented_code(self, seeds):
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            run = "" if seeds is None else f"[run]\nseeds = {seeds}\n"
+            ini.write_text(run + "[sde]\nsteps = 100\n")
+            code = main(["sde", "pitchfork", "--config", str(ini), "--out", tmp])
+            if code == 0:
+                written = sorted(p.name for p in Path(tmp).glob("sde-pitchfork_seed*.csv"))
+                assert len(written) == len(read_json(Path(tmp) / "sde-pitchfork_summary.json")[
+                    "per_seed"])
+        assert code == (0 if seeds_are_valid(seeds) else 2)

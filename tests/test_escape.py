@@ -15,13 +15,13 @@ from bifurc.escape_lab import (
     EscapeObservation,
     GammaStats,
     TiltPotential,
+    aggregate_observations,
     default_sweep_config,
     fit_escape_models,
     measure_escape,
     quadratic_well_tilt,
     read_sweep_csv,
     run_sweep,
-    summarize_observations,
     sweep_observations,
     write_sweep_csv,
 )
@@ -172,7 +172,7 @@ class TestSweep:
             EscapeObservation(g, 0, None, 1000, True) for g in (1e-4, 1e-3, 1e-2)
         ]
         with pytest.raises(NoFitError):
-            summarize_observations(obs)
+            fit_escape_models(aggregate_observations(obs))
 
     def test_partially_censored_levels_are_excluded_from_fit(self):
         obs = []
@@ -182,7 +182,7 @@ class TestSweep:
             else:
                 for s, jitter in enumerate((0.95, 1.0, 1.05)):
                     obs.append(EscapeObservation(g, s, int(tau * jitter), 10**6, False))
-        summary = summarize_observations(obs)
+        summary = fit_escape_models(aggregate_observations(obs))
         assert summary.per_gamma[0].tau_mean is None
         assert summary.per_gamma[0].n_censored == 1
         assert summary.power_law is not None  # three clean levels remain
@@ -193,7 +193,7 @@ class TestSweep:
             EscapeObservation(1e-2, 0, 400, 10**6, False),
             EscapeObservation(3e-2, 0, None, 10**6, True),
         ]
-        summary = summarize_observations(obs)
+        summary = fit_escape_models(aggregate_observations(obs))
         assert summary.power_law is None and summary.delta_aic is None
         assert len(summary.per_gamma) == 3
 

@@ -9,9 +9,6 @@ from bifurc.errors import NumericalError, ValidationError
 from bifurc.sde import (
     SdeConfig,
     SdeRunResult,
-    effective_potential,
-    mean_abs_pair_overlap,
-    measured_theta_sq,
     persistence_stats,
     predict_persistence,
     simulate_coupled_modes,
@@ -19,6 +16,7 @@ from bifurc.sde import (
     simulate_tilted_langevin,
 )
 from bifurc.escape_lab import quadratic_well_tilt
+from oracles import effective_potential, mean_abs_pair_overlap, measured_theta_sq
 
 
 def closed_form_amplitude(mu, alpha, eps0, t):
