@@ -164,24 +164,22 @@ def _parallel_map(fn, jobs):
         return [fn(j) for j in jobs]
 
 
-def _sweep_seeds(cfg, out_dir, experiment, worker, merge, chart):
-    """Run worker((cfg, seed, out)) for every seed, then merge in seed order.
+def _sweep_seeds(cfg, out_dir, experiment, worker, summarize):
+    """Run worker((cfg, seed, out)) for every seed, then summarize in seed order.
 
     Each worker writes its own per-seed files and returns a tuple whose
-    first item is its seed. merge(results) returns the merged summary's
-    fields (per_seed among them) besides experiment and seeds;
-    chart(results, fields) returns line_chart's keyword arguments, or None to
-    draw no chart.
+    first item is its seed. summarize(results) returns (fields, chart): the
+    merged summary's fields (per_seed among them) besides experiment and
+    seeds, and line_chart's keyword arguments, or None to draw no chart.
     """
     seeds = cfg.seeds()
     jobs = [(cfg, seed, str(out_dir)) for seed in seeds]
     results = sorted(_parallel_map(worker, jobs), key=lambda r: r[0])
+    fields, chart = summarize(results)
     path = out_dir / f"{experiment}_summary.json"
-    fields = merge(results)
     _write_json(path, _payload(cfg, experiment=experiment, seeds=seeds, **fields))
-    drawn = chart(results, fields)
-    if drawn is not None:
-        line_chart(out_dir / f"{experiment}.svg", **drawn)
+    if chart is not None:
+        line_chart(out_dir / f"{experiment}.svg", **chart)
     print(f"wrote {path}")
     return 0
 
@@ -387,7 +385,7 @@ def _prune_summary(summary):
     return {k: v for k, v in summary.items() if k not in _BULKY_SUMMARY_KEYS}
 
 
-def _toy_merge(sub, results):
+def _toy_summary(sub, results):
     per_seed = {}
     for seed, summaries, _ in results:
         if "" in summaries:
@@ -398,21 +396,17 @@ def _toy_merge(sub, results):
                 "reverse": _prune_summary(summaries["_reverse"]),
             }
     if sub != "reverse":
-        return {"per_seed": per_seed}
-    errors = [run["reverse"]["reverse_tracking_error"] for run in per_seed.values()]
-    return {
-        "per_seed": per_seed,
-        "reverse_tracking_error": None if any(e is None for e in errors) else max(errors),
-    }
-
-
-def _toy_chart(sub, results, _fields):
-    if sub != "reverse":
         series = [(f"seed {seed}", *trace) for seed, _, trace in results]
         xs = series[0][1]
         series.append(("crossing", [xs[0], xs[-1]], [0.0, 0.0]))
-        return dict(series=series, title=f"toy {sub}: precision ratio trajectory",
-                    x_label="step", y_label="log(beta / beta_c)")
+        return {"per_seed": per_seed}, dict(
+            series=series, title=f"toy {sub}: precision ratio trajectory",
+            x_label="step", y_label="log(beta / beta_c)")
+    errors = [run["reverse"]["reverse_tracking_error"] for run in per_seed.values()]
+    fields = {
+        "per_seed": per_seed,
+        "reverse_tracking_error": None if any(e is None for e in errors) else max(errors),
+    }
     series = []
     for seed, summaries, _ in results:
         for leg in ("_forward", "_reverse"):
@@ -421,14 +415,15 @@ def _toy_chart(sub, results, _fields):
                 series.append((f"seed {seed}{leg.replace('_', ' ')}",
                                [p[0] for p in pts], [p[1] for p in pts]))
     if not series:
-        return None
-    return dict(series=series, title="equilibrium branches: prototype separation vs precision",
-                x_label="beta", y_label="order parameter")
+        return fields, None
+    return fields, dict(series=series,
+                        title="equilibrium branches: prototype separation vs precision",
+                        x_label="beta", y_label="order parameter")
 
 
 def _cmd_toy(sub, cfg, out_dir):
     return _sweep_seeds(cfg, out_dir, f"toy-{sub}", partial(_toy_worker, sub),
-                        partial(_toy_merge, sub), partial(_toy_chart, sub))
+                        partial(_toy_summary, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -448,25 +443,21 @@ def _pitchfork_worker(job):
 
 @_quiet_overflow
 def _cmd_sde_pitchfork(cfg, out_dir):
-    def merge(results):
+    def summarize(results):
         base = _sde_config(cfg, cfg.seeds()[0])
-        return {
-            "saturation_amplitude": float(base.epsilon_star) if base.growth_rate > 0 else 0.0,
-            "per_seed": {
-                str(seed): {"final_epsilon": eps[-1], "n_recorded": len(eps)}
-                for seed, _, eps in results
-            },
+        eps_star = float(base.epsilon_star) if base.growth_rate > 0 else 0.0
+        per_seed = {
+            str(seed): {"final_epsilon": eps[-1], "n_recorded": len(eps)}
+            for seed, _, eps in results
         }
-
-    def chart(results, fields):
-        eps_star = fields["saturation_amplitude"]
         t_lo, t_hi = results[0][1][0], results[0][1][-1]
         series = [(f"seed {s}", ts, eps) for s, ts, eps in results]
         series.append(("saturation", [t_lo, t_hi], [eps_star, eps_star]))
-        return dict(series=series, title="pitchfork normal form: amplitude vs time",
-                    x_label="t", y_label="epsilon")
+        return {"saturation_amplitude": eps_star, "per_seed": per_seed}, dict(
+            series=series, title="pitchfork normal form: amplitude vs time",
+            x_label="t", y_label="epsilon")
 
-    return _sweep_seeds(cfg, out_dir, "sde-pitchfork", _pitchfork_worker, merge, chart)
+    return _sweep_seeds(cfg, out_dir, "sde-pitchfork", _pitchfork_worker, summarize)
 
 
 def _coupled_worker(job):
@@ -495,11 +486,12 @@ def _coupled_worker(job):
 
 @_quiet_overflow
 def _cmd_sde_coupled(cfg, out_dir):
-    def merge(results):
-        rhos = [r[1] for r in results]
+    def summarize(results):
+        seeds, rhos, cosines = ([r[i] for r in results] for i in range(3))
+        mean_rho = float(np.mean(rhos))
         prediction = predict_persistence(_sde_config(cfg, cfg.seeds()[0]))
-        return {
-            "mean_spearman_rho": float(np.mean(rhos)),
+        fields = {
+            "mean_spearman_rho": mean_rho,
             "min_spearman_rho": float(np.min(rhos)),
             "per_seed": {
                 str(seed): {
@@ -518,20 +510,16 @@ def _cmd_sde_coupled(cfg, out_dir):
                 "saturation_dominated": bool(prediction.saturation_dominated),
             },
         }
-
-    def chart(results, fields):
-        seeds, rhos, cosines = ([r[i] for r in results] for i in range(3))
-        mean_rho = fields["mean_spearman_rho"]
         series = [
             ("spearman rho", seeds, rhos),
             ("mean", [seeds[0], seeds[-1]], [mean_rho, mean_rho]),
         ]
         if all(c is not None for c in cosines):
             series.append(("mean cosine", seeds, cosines))
-        return dict(series=series, title="mode-lottery persistence across seeds",
-                    x_label="seed", y_label="statistic")
+        return fields, dict(series=series, title="mode-lottery persistence across seeds",
+                            x_label="seed", y_label="statistic")
 
-    return _sweep_seeds(cfg, out_dir, "sde-coupled", _coupled_worker, merge, chart)
+    return _sweep_seeds(cfg, out_dir, "sde-coupled", _coupled_worker, summarize)
 
 
 # ---------------------------------------------------------------------------

@@ -810,11 +810,11 @@ class HierarchySchedule:
     def __post_init__(self):
         if not (0.0 < self.start_ratio < 1.0 < self.hold1_ratio and 1.0 < self.hold2_ratio):
             raise ValidationError("need 0 < start_ratio < 1 < hold1_ratio and hold2_ratio")
-        if min(self.ramp1_steps, self.max1_steps, self.bridge_steps, self.ramp2_steps,
-               self.max2_steps, self.max_inner_steps, self.record_every) < 1:
+        if min(self.ramp1_steps, self.max1_steps, self.ramp2_steps, self.max2_steps,
+               self.max_inner_steps, self.record_every) < 1:
             raise ValidationError("schedule step counts must be >= 1")
-        if self.settle_steps < 0:
-            raise ValidationError("settle_steps must be >= 0")
+        if min(self.bridge_steps, self.settle_steps) < 0:
+            raise ValidationError("bridge_steps and settle_steps must be >= 0")
 
 
 @_quiet_overflow
@@ -900,11 +900,11 @@ def run_hierarchical(dataset, config=None, schedule=None):
         "second_stage_gate": bool(gate),
     }
     if gate and tracker1.step is not None:
-        # bridge to below bc2 and settle there, unobserved; one reading at
-        # lb_b1 follows, then stage 2 across bc2
+        # bridge to below bc2 (a jump when bridge_steps is 0) and settle
+        # there, unobserved; one reading at lb_b1 follows, then stage 2 across bc2
         lb_b1 = math.log(schedule.start_ratio * bc2)
         mu, _, m = _ramp_hold(
-            ws, mu, lb, lb_b1, schedule.bridge_steps,
+            ws, mu, lb if schedule.bridge_steps else lb_b1, lb_b1, max(1, schedule.bridge_steps),
             schedule.bridge_steps + schedule.settle_steps, lr, schedule.record_every,
             lambda *_: False,
         )

@@ -700,11 +700,19 @@ class TestSchedules:
         "kwargs",
         [{"record_every": 0}, {"ramp1_steps": 0}, {"ramp2_steps": 0}, {"max_inner_steps": 0},
          {"start_ratio": 0.0}, {"start_ratio": 1.2}, {"hold1_ratio": 1.0},
-         {"hold2_ratio": math.nan}, {"bridge_steps": 0}, {"settle_steps": -1}],
+         {"hold2_ratio": math.nan}, {"bridge_steps": -1}, {"settle_steps": -1}],
     )
     def test_hierarchy_guards(self, kwargs):
         with pytest.raises(ValidationError):
             X.HierarchySchedule(**kwargs)
+
+    def test_zero_step_bridge_jumps_to_the_settle_level(self):
+        schedule = X.HierarchySchedule(bridge_steps=0, settle_steps=300, max2_steps=2000)
+        log = X.run_hierarchical(X.gen_hierarchical(400, seed=0), schedule=schedule)
+        lb_b1 = math.log(schedule.start_ratio * log.summary["beta_c2_hat"])
+        i = next(i for i, r in enumerate(log.readings) if r.log_beta == lb_b1)
+        # only the settle runs between stage 1's last reading and the one at lb_b1
+        assert log.readings[i].step - log.readings[i - 1].step == schedule.settle_steps
 
     @pytest.mark.parametrize("schedule", [X.AnnealHoldSchedule, X.ReverseSchedule])
     def test_equilibrium_cap_allows_an_iteration(self, schedule):
