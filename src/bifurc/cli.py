@@ -212,7 +212,7 @@ def _sde_config(cfg, seed):
 # calibrate-hessian
 
 
-@_quiet_overflow
+@_quiet_overflow()
 def _cmd_calibrate_hessian(cfg, out_dir):
     k = cfg.get_int("hessian", "k")
     source = cfg.get_choice("hessian", "source", {"bimodal", "identity"})
@@ -284,7 +284,7 @@ def _cmd_calibrate_hessian(cfg, out_dir):
 # toy experiments
 
 
-@_quiet_overflow
+@_quiet_overflow()
 def _toy_dataset(sub, cfg, seed):
     """The toy dataset; one whose sample covariance overflows is a validation error."""
     n = cfg.get_int("data", "n")
@@ -441,7 +441,7 @@ def _pitchfork_worker(job):
     return seed, ts, eps
 
 
-@_quiet_overflow
+@_quiet_overflow()
 def _cmd_sde_pitchfork(cfg, out_dir):
     def summarize(results):
         base = _sde_config(cfg, cfg.seeds()[0])
@@ -484,7 +484,7 @@ def _coupled_worker(job):
     return seed, float(stats.spearman_rho), mean_cos, len(stats.excluded_modes)
 
 
-@_quiet_overflow
+@_quiet_overflow()
 def _cmd_sde_coupled(cfg, out_dir):
     def summarize(results):
         seeds, rhos, cosines = ([r[i] for r in results] for i in range(3))

@@ -21,6 +21,7 @@ beta are those of the first reading in that streak. NC1 is the scalar
 trace(within-class scatter)/trace(between-class scatter).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -45,10 +46,11 @@ from .gmm_probe import (
     _mean_step,
     _spread,
     _Workspace,
+    critical_spectrum,
     init_collapsed,
     split_direction,
 )
-from .mathcore import covariance, sym_eigen, weighted_linfit
+from .mathcore import covariance, weighted_linfit
 
 ACTIVATION_FACTOR = 10.0
 ACTIVATION_CONSECUTIVE = 5
@@ -71,21 +73,17 @@ class SyntheticDataset:
     labels: np.ndarray  # N integers in [0, n_components)
     kind: str
     centers: np.ndarray  # n_components x d
-    scales: np.ndarray  # per-component isotropic scale
     seed: int
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        self.scales = np.asarray(self.scales, dtype=float)
         if self.samples.ndim != 2 or len(self.labels) != len(self.samples):
             raise ValidationError("samples must be N x d with one label per row")
         c = self.centers.shape[0]
         if self.labels.min(initial=0) < 0 or (len(self.labels) and self.labels.max() >= c):
             raise ValidationError("labels out of component range")
-        if np.any(self.scales <= 0):
-            raise ValidationError("component scales must be > 0")
 
     @property
     def n_components(self):
@@ -108,7 +106,7 @@ def gen_bimodal(n, center_offset=2.0, scale=1.0, seed=0):
     z = scale * rng.standard_normal((n, 2))
     z[:, 0] += np.where(labels == 0, -center_offset, center_offset)
     centers = np.array([[-center_offset, 0.0], [center_offset, 0.0]])
-    return SyntheticDataset(z, labels, "bimodal", centers, np.full(2, float(scale)), seed)
+    return SyntheticDataset(z, labels, "bimodal", centers, seed)
 
 
 def gen_unimodal(n, dim=2, scale=1.0, seed=0):
@@ -117,9 +115,7 @@ def gen_unimodal(n, dim=2, scale=1.0, seed=0):
         raise ValidationError("need finite scale > 0, n >= 2, dim >= 1")
     rng = np.random.default_rng(seed)
     z = scale * rng.standard_normal((n, dim))
-    return SyntheticDataset(
-        z, np.zeros(n, dtype=int), "unimodal", np.zeros((1, dim)), np.full(1, float(scale)), seed
-    )
+    return SyntheticDataset(z, np.zeros(n, dtype=int), "unimodal", np.zeros((1, dim)), seed)
 
 
 def gen_hierarchical(n, super_spacing=8.0, sub_spacing=2.0, scale=0.5, seed=0):
@@ -142,7 +138,7 @@ def gen_hierarchical(n, super_spacing=8.0, sub_spacing=2.0, scale=0.5, seed=0):
     centers = np.repeat(supers, 2, axis=0)
     centers[:, 0] += np.tile([-sub_spacing / 2.0, sub_spacing / 2.0], 4)
     z = centers[labels] + scale * rng.standard_normal((n, 2))
-    return SyntheticDataset(z, labels, "hierarchical", centers, np.full(8, float(scale)), seed)
+    return SyntheticDataset(z, labels, "hierarchical", centers, seed)
 
 
 def super_centers(dataset):
@@ -156,14 +152,13 @@ def super_centers(dataset):
 # the collapse metric
 
 
-def nc1(latents, labels, variant="trace_ratio"):
+def nc1(latents, labels):
     """Within/between class scatter ratio of a labeled latent cloud.
 
-    trace_ratio (default): trace(S_W)/trace(S_B), with S_W the pooled
-    within-class covariance and S_B the count-weighted covariance of class
-    means (both with the 1/N divisor). Variant "pinv" returns
-    trace(S_W pinv(S_B))/C. Needs >= 2 classes, each with >= 2 samples, and
-    non-coincident class means.
+    trace(S_W)/trace(S_B), with S_W the pooled within-class covariance and
+    S_B the count-weighted covariance of class means (both with the 1/N
+    divisor). Needs >= 2 classes, each with >= 2 samples, and non-coincident
+    class means.
     """
     z = np.asarray(latents, dtype=float)
     lab = np.asarray(labels)
@@ -191,17 +186,7 @@ def nc1(latents, labels, variant="trace_ratio"):
     tr_b = float(np.trace(s_b))
     if tr_b <= 0.0 or tr_b <= 1e-15 * tr_w:  # coincident means up to float residue
         raise DegenerateInputError("between-class scatter is zero: class means coincide")
-    if variant == "trace_ratio":
-        return tr_w / tr_b
-    if variant == "pinv":
-        spectrum = sym_eigen(s_b)
-        tol = 1e-12 * max(abs(spectrum.eigenvalues[0]), 1.0)
-        inv = np.zeros_like(spectrum.eigenvalues)
-        keep = np.abs(spectrum.eigenvalues) > tol
-        inv[keep] = 1.0 / spectrum.eigenvalues[keep]
-        pinv_b = (spectrum.eigenvectors * inv[None, :]) @ spectrum.eigenvectors.T
-        return float(np.trace(s_w @ pinv_b)) / len(classes)
-    raise ValidationError(f"unknown nc1 variant: {variant!r}")
+    return tr_w / tr_b
 
 
 def _dataset_nc1(dataset, latents):
@@ -259,15 +244,13 @@ def write_trajectory_csv(log, path, extra_comment=None):
 
 
 def _reading(rec):
-    lbc = float(rec[2])
     return CriticalityReading(
         step=int(rec[0]),
         log_beta=float(rec[1]),
-        log_beta_c=lbc,
+        log_beta_c=float(rec[2]),
         log_ratio=float(rec[3]),
         nc1=float(rec[4]) if rec[4].strip() else None,
         order_parameter=float(rec[5]),
-        degenerate=math.isinf(lbc),
     )
 
 
@@ -287,22 +270,6 @@ def read_trajectory_csv(path):
     return log
 
 
-def _native(obj):
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_native(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def trajectory_summary(log):
     """The canonical JSON summary: identity, crossing, activations, split angle."""
     out = {
@@ -315,7 +282,7 @@ def trajectory_summary(log):
         "activation_steps": [],
         "split_angle_deg": None,
     }
-    out.update(_native(log.summary))
+    out.update(log.summary)
     return out
 
 
@@ -361,24 +328,13 @@ class _ActivationTracker:
         return False
 
 
-def _principal_axis(samples):
-    return sym_eigen(covariance(samples)).eigenvectors[:, 0]
-
-
-def _split_angle_deg(state, samples):
+def _split_angle_deg(state, u):
+    """Angle between the prototypes' split direction and the axis u, in [0, 90] degrees."""
     v = split_direction(state)
-    u = _principal_axis(samples)
     cosv = abs(float(v @ u)) / (
         float(np.sqrt((v * v).sum())) * float(np.sqrt((u * u).sum()))
     )
     return math.degrees(math.acos(min(1.0, cosv)))
-
-
-def _lam_and_logbc(samples):
-    lam = float(sym_eigen(covariance(samples)).eigenvalues[0])
-    if not lam >= np.finfo(float).tiny:  # beta_c = 1/lam must stay a finite float
-        raise DegenerateInputError("degenerate sample covariance")
-    return lam, -math.log(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +405,9 @@ class ReverseSchedule:
 # A diverging run overflows inside numpy before the kernel's finite guards see
 # the result; the guards raise NumericalError, so the protocols (and the
 # calibrate-hessian command) silence numpy's overflow/invalid warnings once per
-# run instead of per kernel call.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+# run instead of per kernel call. Each call is a fresh np.errstate, so it can be
+# entered any number of times, as a decorator or a with block.
+_quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 def _activation_summary(log, *trackers):
@@ -501,7 +458,7 @@ def _branch(ws, mu, levels, n, tol, max_iter, log, log_bc, nc1):
                    "branch_max_residual": max(residuals)}
 
 
-@_quiet_overflow
+@_quiet_overflow()
 def run_forward_split(dataset, config, schedule=None):
     """Drive the probe from below to above the critical precision.
 
@@ -516,7 +473,8 @@ def run_forward_split(dataset, config, schedule=None):
         schedule = LearnedBetaSchedule()
     z = dataset.samples
     ws = _Workspace(config.K_probe, z)
-    lam, log_bc = _lam_and_logbc(z)
+    lam, spectrum = critical_spectrum(covariance(z))
+    log_bc = -math.log(lam)
     rng = np.random.default_rng(dataset.seed + 99)
     mu = init_collapsed(z, config, rng).means
     const_nc1 = _dataset_nc1(dataset, z)
@@ -563,13 +521,13 @@ def run_forward_split(dataset, config, schedule=None):
         **_activation_summary(log, tracker),
         "activation_beta": beta,
         "overshoot_ratio": None if beta is None else beta / beta_c_hat,
-        "split_angle_deg": _split_angle_deg(final, z),
+        "split_angle_deg": _split_angle_deg(final, spectrum.eigenvectors[:, 0]),
         "split_direction": split_direction(final).tolist(),
     })
     return log, final
 
 
-@_quiet_overflow
+@_quiet_overflow()
 def run_reverse_traversal(dataset, probe, schedule=None):
     """Anneal a split probe's precision back down through the crossing.
 
@@ -581,7 +539,8 @@ def run_reverse_traversal(dataset, probe, schedule=None):
     if schedule is None:
         schedule = ReverseSchedule()
     z = dataset.samples
-    lam, log_bc = _lam_and_logbc(z)
+    lam = critical_spectrum(covariance(z))[0]
+    log_bc = -math.log(lam)
     beta_c_hat = 1.0 / lam
     ws = _Workspace(probe.K, z)
     log = TrajectoryLog("reverse-traversal", dataset.seed)
@@ -615,8 +574,6 @@ def run_reverse_traversal(dataset, probe, schedule=None):
             if merge_beta is None
             else (merge_beta - beta_c_hat) / beta_c_hat,
             "op_fraction_at_half_beta_c": float(arr[half_idx, 1] / plateau),
-            "crossing_step": None,
-            "activation_steps": [],
         }
     )
     return log
@@ -671,7 +628,7 @@ class ToyEncoderState:
         self.step += 1
 
 
-@_quiet_overflow
+@_quiet_overflow()
 def run_endogenous(
     dataset,
     encoder_lr=0.05,
@@ -706,8 +663,7 @@ def run_endogenous(
     ws = _Workspace(config.K_probe, z)
     mu = init_collapsed(z, config, rng).means
     lb = config.log_beta_init
-    lam0, log_bc0 = _lam_and_logbc(z)
-    delta0 = config.log_beta_init - log_bc0
+    delta0 = config.log_beta_init + math.log(critical_spectrum(covariance(z))[0])
     if delta0 >= 0.0:
         raise PreconditionError(
             f"initial precision already supercritical: delta(0) = {delta0:.3f} >= 0"
@@ -731,7 +687,7 @@ def run_endogenous(
                 raise AbortedRunError(
                     f"encoder diverged at step {n} (loss = {loss})", partial=log
                 )
-            lam, log_bc = _lam_and_logbc(z)
+            log_bc = -math.log(critical_spectrum(covariance(z))[0])
             op = _spread(mu)
             log.record(n, lb, log_bc, _dataset_nc1(dataset, z), op)
             loss_trace.append([n, loss])
@@ -742,7 +698,6 @@ def run_endogenous(
             **_activation_summary(log, tracker),
             "final_loss": loss_trace[-1][1] if loss_trace else None,
             "loss_trace": loss_trace,
-            "split_angle_deg": None,
             "hypothesis_failures": audit_hypotheses(log),
             "encoder_steps": enc.step,
         }
@@ -817,7 +772,7 @@ class HierarchySchedule:
             raise ValidationError("bridge_steps and settle_steps must be >= 0")
 
 
-@_quiet_overflow
+@_quiet_overflow()
 def run_hierarchical(dataset, config=None, schedule=None):
     """Two-stage traversal of a hierarchical dataset with K = 8 prototypes.
 
@@ -840,13 +795,13 @@ def run_hierarchical(dataset, config=None, schedule=None):
         raise ValidationError("the two-level protocol uses K_probe = 8")
     z = dataset.samples
     n_samp = len(z)
-    lam1, log_bc1 = _lam_and_logbc(z)
+    lam1, spectrum = critical_spectrum(covariance(z))
+    log_bc1 = -math.log(lam1)
     bc1 = 1.0 / lam1
     sup = super_centers(dataset)
     sup_lab = dataset.labels // 2
     within = np.vstack([z[sup_lab == s] - z[sup_lab == s].mean(axis=0) for s in range(4)])
-    w_spec = sym_eigen((within.T @ within) / len(within))
-    lam2 = float(w_spec.eigenvalues[0])
+    lam2, w_spec = critical_spectrum((within.T @ within) / len(within))
     bc2 = 1.0 / lam2
     anisotropy = lam2 / float(np.sum(w_spec.eigenvalues))
     gate = anisotropy >= schedule.anisotropy_gate
@@ -855,7 +810,6 @@ def run_hierarchical(dataset, config=None, schedule=None):
     # aimed at each future super-cluster, so the 8-fold symmetry is broken
     # evenly instead of multinomially
     rng = np.random.default_rng(dataset.seed + 1000)
-    spectrum = sym_eigen(covariance(z))
     axes = spectrum.eigenvectors[:, :2]
     corners = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
     pattern = np.vstack([corners, corners])
@@ -940,6 +894,5 @@ def run_hierarchical(dataset, config=None, schedule=None):
          "ratio_to_target": math.exp(t.log_beta) / bc}
         for stage, t, bc in ((1, tracker1, bc1), (2, tracker2, bc2)) if t.step is not None
     ]
-    summary["split_angle_deg"] = None
     log.summary.update(summary)
     return log

@@ -23,22 +23,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, NumericalError
-from .mathcore import check_symmetric, covariance, sym_eigen
+from .mathcore import covariance, sym_eigen
 
 
 @dataclass
 class ProbeConfig:
-    """Probe protocol constants.
-
-    init_spread is the prototype jitter scale; None selects the default
-    1e-3 * sqrt(lambda_max) of the data at initialization time.
-    """
+    """Probe protocol constants."""
 
     K_probe: int = 10
     lr_means: float = 5e-3
     lr_logbeta: float = 1e-2
     log_beta_init: float = -2.5
-    init_spread: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 < self.lr_means < math.inf and 0.0 < self.lr_logbeta < math.inf):
@@ -77,9 +72,7 @@ class CriticalityReading:
     """One trajectory sample: the probe's phase coordinates at a step.
 
     log_ratio == log_beta - log_beta_c (within 1e-12). nc1 is present only
-    when the caller supplies a labeled latent batch. degenerate marks a
-    reading whose latent covariance had no positive top eigenvalue
-    (log_beta_c is the +inf sentinel there).
+    when the caller supplies a labeled latent batch.
     """
 
     step: int
@@ -88,29 +81,42 @@ class CriticalityReading:
     log_ratio: float
     nc1: Optional[float]
     order_parameter: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self):
+        """True when the latent covariance was degenerate (log_beta_c is the +inf sentinel)."""
+        return math.isinf(self.log_beta_c)
+
+
+def critical_spectrum(cov):
+    """(lambda_max, sym_eigen(cov)): a covariance's top eigenvalue and its spectrum.
+
+    Every critical precision beta_c = 1/lambda_max in the package is read
+    from here. A lambda_max below the smallest normal float raises
+    DegenerateInputError, so that beta_c is always a finite float.
+    """
+    spectrum = sym_eigen(cov)
+    lam = float(spectrum.eigenvalues[0])
+    if not lam >= np.finfo(float).tiny:
+        raise DegenerateInputError(
+            f"degenerate covariance: lambda_max = {lam:.3g} is below the smallest normal float"
+        )
+    return lam, spectrum
 
 
 def beta_c(cov):
     """Critical precision 1/lambda_max(cov) of a covariance matrix."""
-    c = check_symmetric(cov, "cov")
-    lam = sym_eigen(c).eigenvalues[0]
-    if lam <= 0.0:
-        raise DegenerateInputError("degenerate covariance: lambda_max <= 0")
-    return 1.0 / float(lam)
+    return 1.0 / critical_spectrum(cov)[0]
 
 
 def init_collapsed(samples, config, rng):
     """Near-symmetric start: prototypes at the sample mean plus a small jitter.
 
-    The jitter makes the symmetry breaking observable; its scale defaults to
+    The jitter makes the symmetry breaking observable; its scale is
     1e-3 * sqrt(lambda_max(Cov(samples))).
     """
     z = np.asarray(samples, dtype=float)
-    lam = sym_eigen(covariance(z)).eigenvalues[0]
-    spread = config.init_spread
-    if spread is None:
-        spread = 1e-3 * math.sqrt(max(lam, 0.0))
+    spread = 1e-3 * math.sqrt(critical_spectrum(covariance(z))[0])
     mu = z.mean(axis=0) + spread * rng.standard_normal((config.K_probe, z.shape[1]))
     return GmmProbeState(mu, config.log_beta_init, config.K_probe, z.shape[1])
 
@@ -334,17 +340,15 @@ def probe_step(state, encoder_latents, config, step=0, nc1=None):
     The latents are constants to the probe; beta_c is recomputed from their
     sample covariance each call, so the log_beta_c series depends on the
     latents alone (identical for any K_probe). A degenerate latent covariance
-    yields the +inf sentinel and the degenerate flag instead of an error.
+    (see critical_spectrum) yields the +inf sentinel, which sets the reading's
+    degenerate flag, instead of an error.
     """
     z = _check_batch(state, encoder_latents)
     new_state = grad_step(state, z, config)
-    lam = sym_eigen(covariance(z)).eigenvalues[0]
-    if lam <= 0.0:
+    try:
+        log_bc = -math.log(critical_spectrum(covariance(z))[0])
+    except DegenerateInputError:
         log_bc = math.inf
-        degenerate = True
-    else:
-        log_bc = -math.log(lam)
-        degenerate = False
     lb = new_state.log_precision
     reading = CriticalityReading(
         step=step,
@@ -353,6 +357,5 @@ def probe_step(state, encoder_latents, config, step=0, nc1=None):
         log_ratio=lb - log_bc,
         nc1=nc1,
         order_parameter=order_parameter(new_state),
-        degenerate=degenerate,
     )
     return new_state, reading

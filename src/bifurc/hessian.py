@@ -28,7 +28,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BracketError, PreconditionError, ValidationError
-from .gmm_probe import _check_batch, _mean_pull, _precision, _Workspace, exact_collapsed
+from .gmm_probe import (
+    _check_batch,
+    _mean_pull,
+    _precision,
+    _Workspace,
+    critical_spectrum,
+    exact_collapsed,
+)
 from .mathcore import check_symmetric, sym_eigen
 
 MAX_DENSE = 4096
@@ -230,11 +237,11 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     evaluations. The report also carries a uniform scan of the lowest
     eigenvalue over the bracket (it changes sign exactly once, since
     lambda_perp_1(beta) = (beta/K)(1 - beta lambda_max) is monotone through
-    the crossing for beta > 0).
+    the crossing for beta > 0). A degenerate cov (see critical_spectrum)
+    raises DegenerateInputError.
     """
-    eigs = sym_eigen(check_symmetric(cov, "cov")).eigenvalues
-    if eigs[0] <= 0:
-        raise ValidationError("degenerate covariance: lambda_max <= 0")
+    lam, spectrum = critical_spectrum(cov)
+    eigs = spectrum.eigenvalues
 
     def low(b):
         return lowest_eigenvalue(b, K, eigs)
@@ -244,7 +251,7 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     scan = [(float(b), float(low(b))) for b in grid]
     return CrossingReport(
         beta_critical_numeric=float(root),
-        beta_critical_analytic=1.0 / float(eigs[0]),
+        beta_critical_analytic=1.0 / lam,
         scan_points=scan,
         iterations=iterations,
     )

@@ -210,6 +210,9 @@ class TestExitCodes:
             ("endogenous", {"BIFURC_EXPERIMENT__ENCODER_LR": "nan"}),
             ("endogenous", {"BIFURC_EXPERIMENT__INIT_WEIGHT_SCALE": "nan"}),
             ("endogenous", {"BIFURC_EXPERIMENT__INIT_WEIGHT_SCALE": "1e-159"}),  # variance < 1e-308
+            # one-level variant: the within-super lambda_max is subnormal
+            ("hierarchy", {"BIFURC_DATA__SUB_SPACING": "0",
+                           "BIFURC_DATA__CLUSTER_SCALE": "1e-160"}),
         ],
     )
     def test_bad_experiment_shape_exits_2(self, tmp_path, capsys, monkeypatch, command, env):
@@ -283,6 +286,15 @@ class TestExitCodes:
         monkeypatch.setenv("BIFURC_HESSIAN__DIM", "0")
         assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
         assert "hessian.dim" in capsys.readouterr().err
+
+    def test_degenerate_hessian_covariance_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a subnormal lambda_max: beta_c = 1/lambda_max would overflow to inf
+        monkeypatch.setenv("BIFURC_HESSIAN__SCALE", "1e-160")
+        monkeypatch.setenv("BIFURC_HESSIAN__CENTER_OFFSET", "1e-160")
+        assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "degenerate covariance" in err
 
     def test_infinite_bracket_exits_2(self, tmp_path):
         # a bisection over [lo, inf] never narrows; it must be refused, not run

@@ -50,8 +50,10 @@ class TestBetaC:
         assert beta_c([[5.0, 0.0], [0.0, 1.0]]) == pytest.approx(0.2)
 
     def test_zero_covariance_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            beta_c(np.zeros((3, 3)))
+        # a subnormal lambda_max too: its reciprocal would overflow to inf
+        for cov in (np.zeros((3, 3)), np.diag([1e-310, 0.0])):
+            with pytest.raises(DegenerateInputError):
+                beta_c(cov)
 
 
 class TestNll:
@@ -210,18 +212,19 @@ class TestProbeStep:
         assert r2.log_beta_c == pytest.approx(r1.log_beta_c - 2.0 * math.log(2.0), abs=1e-12)
 
     def test_degenerate_latents_flagged(self):
-        z = np.tile([1.0, 2.0], (10, 1))
-        s = exact_collapsed(z, 2, -1.0)
-        s, r = probe_step(s, z, ProbeConfig(K_probe=2), step=0)
-        assert r.degenerate
-        assert r.log_beta_c == math.inf
-        assert r.log_ratio == -math.inf
+        # a zero covariance, and one whose lambda_max (1e-310) is subnormal
+        for z in (np.tile([1.0, 2.0], (10, 1)), np.tile([[-1e-155, 0.0], [1e-155, 0.0]], (5, 1))):
+            s = exact_collapsed(z, 2, -1.0)
+            s, r = probe_step(s, z, ProbeConfig(K_probe=2), step=0)
+            assert r.degenerate
+            assert r.log_beta_c == math.inf
+            assert r.log_ratio == -math.inf
 
     def test_static_latents_beta_rises_to_optimum(self):
         # at fixed collapsed means the full NLL has its beta optimum at
         # d / tr(Cov(z)); the learned channel must climb to it monotonically
         z = bimodal(n=300, seed=10)
-        cfg = ProbeConfig(K_probe=4, init_spread=0.0)
+        cfg = ProbeConfig(K_probe=4)
         s = exact_collapsed(z, 4, cfg.log_beta_init)
         beta_opt = z.shape[1] / np.trace(covariance(z))
         lbs = []
