@@ -603,7 +603,8 @@ def branch_overlap(forward_log, reverse_log, lo_ratio=1.45, hi_ratio=2.3, points
 
 @dataclass
 class ToyEncoderState:
-    """Linear autoencoder x -> z = x W^T -> x_hat = z V^T, trained by GD on MSE."""
+    """Linear autoencoder x -> z = x W^T -> x_hat = z V^T, trained by GD on MSE;
+    it reads the data only through S = x^T x / n for its step and x for its loss."""
 
     encode: np.ndarray  # d_lat x d_in
     decode: np.ndarray  # d_in x d_lat
@@ -617,12 +618,10 @@ class ToyEncoderState:
         err = self.latents(x) @ self.decode.T - x
         return float((err * err).mean() * x.shape[1])  # mean over rows of ||err||^2
 
-    def gd_step(self, x):
-        n = x.shape[0]
-        z = x @ self.encode.T
-        err = z @ self.decode.T - x
-        g_dec = (2.0 / n) * err.T @ z
-        g_enc = (2.0 / n) * (err @ self.decode).T @ x
+    def gd_step(self, s):
+        r = self.decode @ (self.encode @ s) - s  # (V W - I) S
+        g_dec = 2.0 * r @ self.encode.T
+        g_enc = 2.0 * self.decode.T @ r
         self.encode = self.encode - self.learning_rate * g_enc
         self.decode = self.decode - self.learning_rate * g_dec
         self.step += 1
@@ -671,8 +670,9 @@ def run_endogenous(
     log = TrajectoryLog("endogenous", dataset.seed, summary={"delta0": delta0})
     tracker = _ActivationTracker()
     loss_trace = []
+    s = x.T @ x / x.shape[0]
     for n in range(steps):
-        enc.gd_step(x)
+        enc.gd_step(s)
         z = enc.latents(x)
         ws.load(z)
         try:
@@ -794,14 +794,16 @@ def run_hierarchical(dataset, config=None, schedule=None):
     if config.K_probe != 8:
         raise ValidationError("the two-level protocol uses K_probe = 8")
     z = dataset.samples
-    n_samp = len(z)
     lam1, spectrum = critical_spectrum(covariance(z))
     log_bc1 = -math.log(lam1)
     bc1 = 1.0 / lam1
     sup = super_centers(dataset)
     sup_lab = dataset.labels // 2
     within = np.vstack([z[sup_lab == s] - z[sup_lab == s].mean(axis=0) for s in range(4)])
-    lam2, w_spec = critical_spectrum((within.T @ within) / len(within))
+    try:
+        lam2, w_spec = critical_spectrum((within.T @ within) / len(within))
+    except DegenerateInputError as err:
+        raise DegenerateInputError(f"within-super {err}") from None
     bc2 = 1.0 / lam2
     anisotropy = lam2 / float(np.sum(w_spec.eigenvalues))
     gate = anisotropy >= schedule.anisotropy_gate

@@ -50,3 +50,16 @@ def dump_config(cfg):
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
+
+
+def encoder_gd_step(enc, x):
+    """(encode, decode) after one GD step of a ToyEncoderState on the MSE over x's rows.
+
+    The reference x-space form: five N x d passes over the data.
+    """
+    n = x.shape[0]
+    z = x @ enc.encode.T
+    err = z @ enc.decode.T - x
+    g_dec = (2.0 / n) * err.T @ z
+    g_enc = (2.0 / n) * (err @ enc.decode).T @ x
+    return enc.encode - enc.learning_rate * g_enc, enc.decode - enc.learning_rate * g_dec

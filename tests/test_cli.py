@@ -221,6 +221,8 @@ class TestExitCodes:
         assert main(["toy", command, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        if "BIFURC_DATA__SUB_SPACING" in env:
+            assert "within-super degenerate covariance" in err
 
     @pytest.mark.parametrize(
         "command,key",

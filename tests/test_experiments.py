@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bifurc.experiments as X
 from bifurc.errors import (
@@ -21,7 +23,7 @@ from bifurc.gmm_probe import (
     order_parameter,
 )
 from bifurc.mathcore import covariance, sym_eigen
-from oracles import counts_within_multinomial_band
+from oracles import counts_within_multinomial_band, encoder_gd_step
 
 
 def top_eig(samples):
@@ -346,8 +348,9 @@ class TestProtocolKernel:
             learning_rate=0.05,
         )
         state = init_collapsed(enc.latents(x), self.CFG, rng)
+        s = x.T @ x / x.shape[0]
         for reading in log.readings:
-            enc.gd_step(x)
+            enc.gd_step(s)
             state = grad_step(state, enc.latents(x), self.CFG)
             assert reading.log_beta == state.log_precision
             assert reading.order_parameter == order_parameter(state)
@@ -529,6 +532,38 @@ class TestEndogenous:
         s = endo_log.summary
         assert s["crossing_step"] == 160
         assert s["activation_steps"] == [6840]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        d_in=st.integers(1, 4),
+        d_lat=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        x_scale=st.floats(0.0, 1e3),
+        w_scale=st.floats(1e-3, 10.0),
+        lr=st.floats(1e-4, 1.0),
+    )
+    def test_second_moment_step_matches_x_space_oracle(self, n, d_in, d_lat, seed, x_scale,
+                                                        w_scale, lr):
+        rng = np.random.default_rng(seed)
+        x = x_scale * rng.standard_normal((n, d_in))
+        enc = X.ToyEncoderState(
+            encode=w_scale * rng.standard_normal((d_lat, d_in)),
+            decode=w_scale * rng.standard_normal((d_in, d_lat)),
+            learning_rate=lr,
+            step=3,
+        )
+        w_norm, v_norm = np.linalg.norm(enc.encode), np.linalg.norm(enc.decode)
+        want_encode, want_decode = encoder_gd_step(enc, x)
+        enc.gd_step(x.T @ x / n)
+        # every term of either gradient is bounded by 2 tr(S) (|V||W| + 1) max(|V|, |W|);
+        # the weights' own scale covers the rounding of W - lr * g
+        trace_s = float(np.sum(x * x)) / n
+        scale = 2.0 * trace_s * (v_norm * w_norm + 1.0) * max(v_norm, w_norm)
+        tol = 1e-12 * (lr * scale + max(w_norm, v_norm))
+        assert np.max(np.abs(enc.encode - want_encode)) <= tol
+        assert np.max(np.abs(enc.decode - want_decode)) <= tol
+        assert enc.step == 4
 
     def test_no_hypothesis_failures(self, endo_log):
         assert endo_log.summary["hypothesis_failures"] == []
