@@ -84,9 +84,11 @@ from .taxonomy import ClassifierThresholds, axis_reading, classify
 _OVERLAYS = {
     ("toy", "bimodal"): {"probe": {"k": "8", "lr_means": "0.02"}},
     ("toy", "unimodal"): {"probe": {"k": "8", "lr_means": "0.02"}},
-    ("toy", "hierarchy"): {"probe": {"k": "8", "lr_means": "0.08"}, "data": {"n": "4000"}},
+    ("toy", "hierarchy"): {"probe": {"k": "8", "lr_means": "0.08"},
+                           "data": {"n": "4000", "scale": "0.5"}},
     ("toy", "reverse"): {"probe": {"k": "2"}, "data": {"n": "3000"}},
-    ("toy", "endogenous"): {"probe": {"k": "8", "lr_means": "0.015"}, "data": {"n": "4000"}},
+    ("toy", "endogenous"): {"probe": {"k": "8", "lr_means": "0.015"}, "data": {"n": "4000"},
+                            "experiment": {"steps": "14000"}},
     ("sde", "pitchfork"): {
         "sde": {"steps": "10000", "init_scale": "1e-3", "eps0": "1e-3"}
     },
@@ -214,23 +216,17 @@ def _sde_config(cfg, seed):
 
 @_quiet_overflow()
 def _cmd_calibrate_hessian(cfg, out_dir):
-    k = cfg.get_int("hessian", "k")
+    k = cfg.get_int("probe", "k")
     source = cfg.get_choice("hessian", "source", {"bimodal", "identity"})
     seed = cfg.seeds()[0]
     if source == "identity":
-        dim = cfg.get_int("hessian", "dim")
+        dim = cfg.get_int("data", "dim")
         if dim < 1:
-            raise ConfigError("hessian.dim must be >= 1")
+            raise ConfigError("data.dim must be >= 1")
         cov = np.eye(dim)
         samples = None
     else:
-        ds = gen_bimodal(
-            cfg.get_int("hessian", "n"),
-            cfg.get_float("hessian", "center_offset"),
-            cfg.get_float("hessian", "scale"),
-            seed=seed,
-        )
-        samples = ds.samples
+        samples = _toy_dataset("bimodal", cfg, seed).samples
         cov = covariance(samples)
     guess = beta_c(cov)
     lo = guess * cfg.get_float("hessian", "bracket_lo_ratio")
@@ -304,7 +300,7 @@ def _toy_dataset(sub, cfg, seed):
             n,
             cfg.get_float("data", "super_spacing"),
             cfg.get_float("data", "sub_spacing"),
-            cfg.get_float("data", "cluster_scale"),
+            cfg.get_float("data", "scale"),
             seed=seed,
         )
     if not np.isfinite(covariance(dataset.samples)).all():
@@ -351,7 +347,7 @@ def _toy_worker(sub, job):
             dataset,
             encoder_lr=cfg.get_float("experiment", "encoder_lr"),
             config=probe,
-            steps=cfg.get_int("experiment", "encoder_steps"),
+            steps=cfg.get_int("experiment", "steps"),
             latent_dim=cfg.get_int("experiment", "latent_dim"),
             init_weight_scale=cfg.get_float("experiment", "init_weight_scale"),
             record_every=record_every,

@@ -48,14 +48,12 @@ DEFAULTS = {
         "dim": "2",
         "super_spacing": "8.0",
         "sub_spacing": "2.0",
-        "cluster_scale": "0.5",
     },
     "experiment": {
         "steps": "7000",
         "record_every": "20",
         "mode": "learned",  # forward-split drive: learned | anneal
         "encoder_lr": "0.05",
-        "encoder_steps": "14000",
         "latent_dim": "2",
         "init_weight_scale": "0.1",
     },
@@ -84,12 +82,7 @@ DEFAULTS = {
         "tilt_curvature": "1.0",
     },
     "hessian": {
-        "k": "10",
         "source": "bimodal",  # covariance source: bimodal | identity
-        "n": "2000",
-        "dim": "2",
-        "center_offset": "2.0",
-        "scale": "1.0",
         "bracket_lo_ratio": "0.5",
         "bracket_hi_ratio": "1.5",
     },

@@ -264,8 +264,7 @@ def _joint_step(ws, mu, log_beta, lr_means, lr_logbeta):
     spread = ws.ss - 2.0 * (m * s).sum() + mass @ (m * m).sum(axis=1)
     dnll_dbeta = float(spread / (2.0 * n) - 0.5 * d / beta)
     new_log_beta = log_beta - lr_logbeta * beta * dnll_dbeta
-    if not math.isfinite(new_log_beta):
-        raise NumericalError(f"non-finite probe gradient at beta = {beta}")
+    _precision(new_log_beta)  # a log beta whose exp leaves (0, inf) fails here, not at its reader
     return new_mu, new_log_beta
 
 

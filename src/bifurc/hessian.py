@@ -77,15 +77,18 @@ def _check_beta_k(beta, K):
         raise ValidationError(f"K must be >= 1, got {K}")
 
 
+def _check_dense(K, d):
+    """Refuse a dense (K d) x (K d) Hessian above MAX_DENSE rows, before building it."""
+    if K * d > MAX_DENSE:
+        raise ValidationError(f"dense Hessian limited to K*d <= {MAX_DENSE}, got {K}*{d}")
+
+
 def analytic_hessian(beta, K, cov):
     """Assemble the dense (K d) x (K d) collapsed-state Hessian."""
     _check_beta_k(beta, K)
     sigma = check_symmetric(cov, "cov")
     d = sigma.shape[0]
-    if K * d > MAX_DENSE:
-        raise ValidationError(
-            f"dense assembly limited to K*d <= {MAX_DENSE}; use channel_spectrum"
-        )
+    _check_dense(K, d)
     eye_k = np.eye(K)
     delta_term = (beta / K) * np.kron(eye_k, np.eye(d))
     coupling = -(beta * beta / K) * np.kron(eye_k - 1.0 / K, sigma)
@@ -151,6 +154,7 @@ def numerical_hessian(state_at_collapse, samples):
     symmetrized.
     """
     state = state_at_collapse
+    _check_dense(state.K, state.d)
     z = _check_batch(state, samples)
     zbar = z.mean(axis=0)
     scale = max(np.max(np.abs(z - zbar)), 1.0)

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line layer: config, plots, commands."""
 
+import contextlib
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 import os
@@ -186,19 +188,24 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "env",
+        "command,env",
         [
-            {"BIFURC_PROBE__LR_LOGBETA": "50"},  # exp(log beta) underflows to 0
-            {"BIFURC_PROBE__LOG_BETA_INIT": "800"},  # exp(log beta) overflows
+            ("bimodal", {"BIFURC_PROBE__LR_LOGBETA": "50"}),  # exp(log beta) underflows to 0
+            ("bimodal", {"BIFURC_PROBE__LOG_BETA_INIT": "800"}),  # exp(log beta) overflows
+            # the last step's log beta is finite, but its exp overflows
+            ("bimodal", {"BIFURC_PROBE__LR_LOGBETA": "1e6", "BIFURC_EXPERIMENT__STEPS": "1"}),
+            ("endogenous", {"BIFURC_PROBE__LR_LOGBETA": "1e6", "BIFURC_EXPERIMENT__STEPS": "1"}),
         ],
     )
-    def test_precision_out_of_float_range_exits_3(self, tmp_path, capsys, monkeypatch, env):
+    def test_precision_out_of_float_range_exits_3(self, tmp_path, capsys, monkeypatch, command,
+                                                  env):
         small = {"BIFURC_DATA__N": "200", "BIFURC_EXPERIMENT__STEPS": "50"}
-        for key, value in {**env, **small}.items():
+        for key, value in {**small, **env}.items():
             monkeypatch.setenv(key, value)
-        assert main(["toy", "bimodal", "--out", str(tmp_path)]) == 3
+        assert main(["toy", command, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "precision exp(" in err
 
     @pytest.mark.parametrize(
         "command,env",
@@ -212,7 +219,7 @@ class TestExitCodes:
             ("endogenous", {"BIFURC_EXPERIMENT__INIT_WEIGHT_SCALE": "1e-159"}),  # variance < 1e-308
             # one-level variant: the within-super lambda_max is subnormal
             ("hierarchy", {"BIFURC_DATA__SUB_SPACING": "0",
-                           "BIFURC_DATA__CLUSTER_SCALE": "1e-160"}),
+                           "BIFURC_DATA__SCALE": "1e-160"}),
         ],
     )
     def test_bad_experiment_shape_exits_2(self, tmp_path, capsys, monkeypatch, command, env):
@@ -229,7 +236,7 @@ class TestExitCodes:
         [
             ("bimodal", "BIFURC_DATA__SCALE"),
             ("bimodal", "BIFURC_DATA__CENTER_OFFSET"),
-            ("hierarchy", "BIFURC_DATA__CLUSTER_SCALE"),
+            ("hierarchy", "BIFURC_DATA__SCALE"),
         ],
     )
     def test_nan_data_parameter_exits_2(self, tmp_path, capsys, monkeypatch, command, key):
@@ -266,7 +273,7 @@ class TestExitCodes:
             ("bimodal", "BIFURC_DATA__CENTER_OFFSET"),
             ("bimodal", "BIFURC_DATA__SCALE"),
             ("hierarchy", "BIFURC_DATA__SUPER_SPACING"),
-            ("hierarchy", "BIFURC_DATA__CLUSTER_SCALE"),
+            ("hierarchy", "BIFURC_DATA__SCALE"),
         ],
     )
     def test_overflowing_data_exits_2_without_numpy_warnings(self, tmp_path, command, key):
@@ -285,14 +292,22 @@ class TestExitCodes:
 
     def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
-        monkeypatch.setenv("BIFURC_HESSIAN__DIM", "0")
+        monkeypatch.setenv("BIFURC_DATA__DIM", "0")
         assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
-        assert "hessian.dim" in capsys.readouterr().err
+        assert "data.dim" in capsys.readouterr().err
+
+    def test_oversized_hessian_exits_2_before_building_it(self, tmp_path, capsys, monkeypatch):
+        # K d = 4,098: each finite-difference Hessian would take 8,196 gradient calls
+        monkeypatch.setenv("BIFURC_PROBE__K", "2049")
+        assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "K*d <= 4096" in err
 
     def test_degenerate_hessian_covariance_exits_2(self, tmp_path, capsys, monkeypatch):
         # a subnormal lambda_max: beta_c = 1/lambda_max would overflow to inf
-        monkeypatch.setenv("BIFURC_HESSIAN__SCALE", "1e-160")
-        monkeypatch.setenv("BIFURC_HESSIAN__CENTER_OFFSET", "1e-160")
+        monkeypatch.setenv("BIFURC_DATA__SCALE", "1e-160")
+        monkeypatch.setenv("BIFURC_DATA__CENTER_OFFSET", "1e-160")
         assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -355,10 +370,9 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
 
-    def test_overflowing_hessian_data_exits_3_without_numpy_warnings(self, tmp_path):
-        # samples at 1e200 overflow the covariance inside numpy; the eigen
-        # solver's finite guard turns that into a numerical failure
-        env = {**os.environ, "BIFURC_HESSIAN__SCALE": "1e200"}
+    def test_overflowing_hessian_data_exits_2_without_numpy_warnings(self, tmp_path):
+        # samples at 1e200 overflow the covariance: bad input, as in the toy commands
+        env = {**os.environ, "BIFURC_DATA__SCALE": "1e200"}
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "bifurc",
              "calibrate-hessian", "--out", str(tmp_path)],
@@ -367,8 +381,9 @@ class TestExitCodes:
             env=env,
             timeout=60,
         )
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "overflow" in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["pitchfork", "coupled"])
     def test_overflowing_sde_state_exits_3_without_numpy_warnings(self, tmp_path, command):
@@ -719,6 +734,19 @@ class TestCsvFormat:
         assert read_sweep_csv(tmp_path / "t.csv") == stats
 
 
+def fuzz_main(argv):
+    """main(argv), asserting that the fuzz input named no unknown config key.
+
+    Such an input exits 2 whatever its values, so a renamed key would
+    otherwise leave a fuzz passing without testing anything.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "unknown config" not in err.getvalue(), err.getvalue()
+    return code
+
+
 def edge_floats(near):
     """Edge values, then floats in the plausible range near, then any float."""
     return st.one_of(
@@ -744,10 +772,11 @@ class TestHessianConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             ini = Path(tmp) / "fuzz.ini"
             ini.write_text(
-                f"[hessian]\nsource = identity\nk = {k}\ndim = {dim}\n"
+                f"[hessian]\nsource = identity\n"
                 f"bracket_lo_ratio = {lo!r}\nbracket_hi_ratio = {hi!r}\n"
+                f"[probe]\nk = {k}\n[data]\ndim = {dim}\n"
             )
-            code = main(["calibrate-hessian", "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["calibrate-hessian", "--config", str(ini), "--out", tmp])
         assert code in {0, 2, 3, 4}
 
     @settings(max_examples=40, deadline=None)
@@ -767,11 +796,12 @@ class TestHessianConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             ini = Path(tmp) / "fuzz.ini"
             ini.write_text(
-                f"[hessian]\nsource = bimodal\nk = {k}\nn = {n}\nscale = {scale!r}\n"
-                f"center_offset = {offset!r}\n"
+                f"[hessian]\nsource = bimodal\n"
                 f"bracket_lo_ratio = {lo!r}\nbracket_hi_ratio = {hi!r}\n"
+                f"[probe]\nk = {k}\n[data]\nn = {n}\nscale = {scale!r}\n"
+                f"center_offset = {offset!r}\n"
             )
-            code = main(["calibrate-hessian", "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["calibrate-hessian", "--config", str(ini), "--out", tmp])
         assert code in {0, 2, 3, 4}
 
 
@@ -791,7 +821,7 @@ class TestProbeConfigFuzz:
                 f"[probe]\nk = {k}\nlr_means = {lr_means!r}\nlr_logbeta = {lr_logbeta!r}\n"
                 f"log_beta_init = {log_beta_init!r}\n[data]\nn = 200\n[experiment]\nsteps = 50\n"
             )
-            code = main(["toy", "unimodal", "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["toy", "unimodal", "--config", str(ini), "--out", tmp])
         assert code in {0, 2, 3, 4}
         if not 0.0 < lr_means < math.inf:
             assert code == 2
@@ -816,11 +846,11 @@ class TestExperimentConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             ini = Path(tmp) / "fuzz.ini"
             ini.write_text(
-                f"[data]\nn = 100\n[experiment]\nencoder_steps = 30\n"
+                f"[data]\nn = 100\n[experiment]\nsteps = 30\n"
                 f"latent_dim = {latent_dim}\nrecord_every = {record_every}\n"
                 f"encoder_lr = {encoder_lr!r}\ninit_weight_scale = {init_weight_scale!r}\n"
             )
-            code = main(["toy", "endogenous", "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["toy", "endogenous", "--config", str(ini), "--out", tmp])
         assert code in {0, 2, 3, 4}
         if latent_dim < 1 or record_every < 1:
             assert code == 2
@@ -875,7 +905,7 @@ class TestSdeConfigFuzz:
                 "steps": steps, **shape, "growth_rate": growth_rate, "coupling": coupling,
                 "noise_intensity": noise, "init_scale": init_scale,
             }))
-            code = main(["sde", command, "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["sde", command, "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)
         assert code in {0, 2, 3, 4}
         if init_scale is not None and not 0.0 <= init_scale < math.inf:
@@ -910,7 +940,7 @@ class TestEscapeConfigFuzz:
                     "noise_intensity": noise, "init_scale": init_scale, "threshold": threshold,
                 }) + f"gammas = {','.join(repr(g) for g in levels)}\n"
             )
-            code = main(["escape", "sweep", "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["escape", "sweep", "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)
         assert code in {0, 2, 3, 4}
         if curvature is not None and not 0.0 < curvature < math.inf:
@@ -947,7 +977,7 @@ class TestTaxonomyConfigFuzz:
                 "decoupling_abs_corr": decoupling, "plateau_fraction": plateau,
                 "descent_decades": descent, "fold_return": fold, "horizon": horizon,
             }))
-            code = main(["classify", "--input", fixture, "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["classify", "--input", fixture, "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)
         assert code in {0, 2, 3, 4}
         if any(v is not None and not math.isfinite(v) for v in (plateau, descent, fold, horizon)):
@@ -990,7 +1020,7 @@ class TestRunDataConfigFuzz:
             ini.write_text(run + ini_section("data", {
                 "n": 200 if n is None else n, "center_offset": offset, "scale": scale, "dim": dim,
             }) + "[experiment]\nsteps = 40\n")
-            code = main(["toy", command, "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["toy", command, "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)
         assert code in {0, 2, 3, 4}
         if not seeds_are_valid(seeds):
@@ -1005,7 +1035,7 @@ class TestRunDataConfigFuzz:
             ini = Path(tmp) / "fuzz.ini"
             run = "" if seeds is None else f"[run]\nseeds = {seeds}\n"
             ini.write_text(run + "[sde]\nsteps = 100\n")
-            code = main(["sde", "pitchfork", "--config", str(ini), "--out", tmp])
+            code = fuzz_main(["sde", "pitchfork", "--config", str(ini), "--out", tmp])
             if code == 0:
                 written = sorted(p.name for p in Path(tmp).glob("sde-pitchfork_seed*.csv"))
                 assert len(written) == len(read_json(Path(tmp) / "sde-pitchfork_summary.json")[

@@ -151,6 +151,14 @@ class TestNumericalHessian:
         num = numerical_hessian(exact_collapsed(2.0 * z, k, math.log(beta)), 2.0 * z)
         assert np.max(np.abs(num - expected)) <= 1e-4
 
+    def test_oversized_hessian_is_refused_before_it_is_built(self):
+        # K d = 4,098 > MAX_DENSE; unchecked, each would build a 4098 x 4098 matrix
+        z = bimodal(n=3, seed=8)
+        with pytest.raises(ValidationError, match=r"K\*d <= 4096, got 2049\*2"):
+            numerical_hessian(exact_collapsed(z, 2049, 0.0), z)
+        with pytest.raises(ValidationError, match=r"K\*d <= 4096, got 2049\*2"):
+            analytic_hessian(1.0, 2049, covariance(z))
+
     def test_non_collapsed_state_rejected(self):
         z = bimodal(n=100, seed=7)
         state = exact_collapsed(z, 2, 0.0)
