@@ -48,10 +48,6 @@ from .escape_lab import (
     write_sweep_csv,
 )
 from .experiments import (
-    AnnealHoldSchedule,
-    HierarchySchedule,
-    LearnedBetaSchedule,
-    ReverseSchedule,
     _quiet_overflow,
     branch_overlap,
     gen_bimodal,
@@ -282,8 +278,14 @@ def _cmd_calibrate_hessian(cfg, out_dir):
 
 @_quiet_overflow()
 def _toy_dataset(sub, cfg, seed):
-    """The toy dataset; one whose sample covariance overflows is a validation error."""
+    """The toy dataset; one whose sample covariance overflows is a validation error.
+
+    Every kind but unimodal is 2-D, so there [data] dim must be 2.
+    """
     n = cfg.get_int("data", "n")
+    dim = cfg.get_int("data", "dim")
+    if sub != "unimodal" and dim != 2:
+        raise ConfigError(f"data.dim must be 2: the {sub} data are 2-D, got {dim}")
     if sub in ("bimodal", "reverse", "endogenous"):
         dataset = gen_bimodal(
             n,
@@ -292,9 +294,7 @@ def _toy_dataset(sub, cfg, seed):
             seed=seed,
         )
     elif sub == "unimodal":
-        dataset = gen_unimodal(
-            n, cfg.get_int("data", "dim"), cfg.get_float("data", "scale"), seed=seed
-        )
+        dataset = gen_unimodal(n, dim, cfg.get_float("data", "scale"), seed=seed)
     else:
         dataset = gen_hierarchical(
             n,
@@ -321,20 +321,13 @@ def _toy_worker(sub, job):
     record_every = cfg.get_int("experiment", "record_every")
     logs = {}
     if sub in ("bimodal", "unimodal"):
-        mode = cfg.get_choice("experiment", "mode", {"learned", "anneal"})
-        if mode == "learned":
-            schedule = LearnedBetaSchedule(
-                steps=cfg.get_int("experiment", "steps"), record_every=record_every
-            )
-        else:
-            schedule = AnnealHoldSchedule(record_every=record_every)
-        log, _ = run_forward_split(dataset, probe, schedule)
-        logs[""] = log
-    elif sub == "reverse":
-        forward, state = run_forward_split(
-            dataset, probe, AnnealHoldSchedule(record_every=record_every)
+        logs[""], _ = run_forward_split(
+            dataset, probe, cfg.get_choice("experiment", "mode", {"learned", "anneal"}),
+            steps=cfg.get_int("experiment", "steps"), record_every=record_every,
         )
-        reverse = run_reverse_traversal(dataset, state, ReverseSchedule())
+    elif sub == "reverse":
+        forward, state = run_forward_split(dataset, probe, "anneal", record_every=record_every)
+        reverse = run_reverse_traversal(dataset, state)
         merge_err = reverse.summary.get("merge_relative_error")
         reverse.summary["reverse_tracking_error"] = (
             None if merge_err is None else abs(float(merge_err))
@@ -354,10 +347,7 @@ def _toy_worker(sub, job):
         )
         logs[""] = log
     else:  # hierarchy
-        log = run_hierarchical(
-            dataset, probe, HierarchySchedule(record_every=record_every)
-        )
-        logs[""] = log
+        logs[""] = run_hierarchical(dataset, probe, record_every)
     summaries = {}
     for suffix, log in logs.items():
         log.config_hash = cfg.config_hash

@@ -54,6 +54,7 @@ from .mathcore import covariance, weighted_linfit
 
 ACTIVATION_FACTOR = 10.0
 ACTIVATION_CONSECUTIVE = 5
+HYPOTHESIS_WINDOW_STEPS = 100
 HYPOTHESIS_REL_TOL = 1e-9
 # equilibrium-branch levels are solved to max|G(mu) - mu| <= this * sqrt(lambda_max)
 EQUILIBRIUM_REL_TOL = 1e-10
@@ -300,9 +301,7 @@ class _ActivationTracker:
     that feeds it must therefore keep a finite seed asymmetry.
     """
 
-    def __init__(self, factor=ACTIVATION_FACTOR, consecutive=ACTIVATION_CONSECUTIVE):
-        self.factor = factor
-        self.consecutive = consecutive
+    def __init__(self):
         self.pre = []
         self.recent = []
         self.median = None
@@ -318,10 +317,10 @@ class _ActivationTracker:
         if self.step is not None:
             return True
         self.recent.append((step, log_beta, op))
-        if len(self.recent) > self.consecutive:
+        if len(self.recent) > ACTIVATION_CONSECUTIVE:
             self.recent.pop(0)
-        if len(self.recent) == self.consecutive and all(
-            o > self.factor * self.median for _, _, o in self.recent
+        if len(self.recent) == ACTIVATION_CONSECUTIVE and all(
+            o > ACTIVATION_FACTOR * self.median for _, _, o in self.recent
         ):
             self.step, self.log_beta = self.recent[0][0], self.recent[0][1]
             return True
@@ -338,65 +337,31 @@ def _split_angle_deg(state, u):
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# drives: the fixed precision protocols, as ratios to each run's beta_c_hat
+#
+# anneal (run_forward_split mode "anneal"): log beta ramps linearly from the
+# probe's log_beta_init to ANNEAL_HOLD_RATIO * beta_c_hat over ANNEAL_RAMP_STEPS
+# mean-only steps at rate ANNEAL_HOLD_LR * K / 2 (K the probe's prototype
+# count) and holds there until the activation detector fires (at most
+# ANNEAL_MAX_STEPS steps in all). The equilibrium branch is then mapped from the
+# hold level up to BRANCH_TOP_RATIO * beta_c_hat in ANNEAL_BRANCH_LEVELS
+# geometric levels, each solved by EM from the previous level's means.
+#
+# reverse (run_reverse_traversal): REVERSE_LEVELS geometric levels descend from
+# BRANCH_TOP_RATIO to REVERSE_BOTTOM_RATIO times beta_c_hat, each solved by EM
+# from the previous level's means.
+#
+# Every EM solve stops after at most MAX_EM_ITERATIONS iterations.
 
-
-@dataclass
-class LearnedBetaSchedule:
-    """Let the probe's own precision channel carry beta across the crossing."""
-
-    steps: int = 7000
-    record_every: int = 20
-
-    def __post_init__(self):
-        if self.steps < 1 or self.record_every < 1:
-            raise ValidationError("steps and record_every must be >= 1")
-
-
-@dataclass
-class AnnealHoldSchedule:
-    """External precision protocol: ramp, hold until activation, map the branch.
-
-    Ramp runs log-linearly from the probe's log_beta_init to
-    hold_ratio * beta_c_hat over ramp_steps at rate hold_lr * K / 2 (K the
-    probe's prototype count) and holds there until the activation detector
-    fires (or max_steps). The equilibrium branch is
-    then mapped from the hold level up to branch_top_ratio * beta_c_hat in
-    branch_levels geometric levels, each solved by EM (at most
-    max_inner_steps iterations) from the previous level's means.
-    """
-
-    ramp_steps: int = 1000
-    hold_ratio: float = 1.35
-    hold_lr: float = 5e-3
-    max_steps: int = 30000
-    branch_levels: int = 12
-    branch_top_ratio: float = 2.4
-    record_every: int = 20
-    max_inner_steps: int = 9000
-
-    def __post_init__(self):
-        if self.hold_ratio <= 1.0 or self.branch_top_ratio <= self.hold_ratio:
-            raise ValidationError("need hold_ratio > 1 and branch_top_ratio > hold_ratio")
-        if min(self.ramp_steps, self.max_steps, self.record_every, self.branch_levels,
-               self.max_inner_steps) < 1:
-            raise ValidationError("schedule step counts must be >= 1")
-
-
-@dataclass
-class ReverseSchedule:
-    """Descending geometric beta levels, each solved by EM (at most max_inner_steps iterations)."""
-
-    levels: int = 36
-    top_ratio: float = 2.4
-    bottom_ratio: float = 0.3
-    max_inner_steps: int = 9000
-
-    def __post_init__(self):
-        if self.levels < 4 or self.max_inner_steps < 1:
-            raise ValidationError("need >= 4 levels and max_inner_steps >= 1")
-        if not (0 < self.bottom_ratio < 1.0 < self.top_ratio):
-            raise ValidationError("need bottom_ratio < 1 < top_ratio")
+ANNEAL_RAMP_STEPS = 1000
+ANNEAL_HOLD_RATIO = 1.35
+ANNEAL_HOLD_LR = 5e-3
+ANNEAL_MAX_STEPS = 30000
+ANNEAL_BRANCH_LEVELS = 12
+BRANCH_TOP_RATIO = 2.4
+REVERSE_LEVELS = 36
+REVERSE_BOTTOM_RATIO = 0.3
+MAX_EM_ITERATIONS = 9000
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +402,7 @@ def _ramp_hold(ws, mu, lb0, lb1, ramp_steps, max_steps, lr, every, observe):
     return mu, lb, n
 
 
-def _branch(ws, mu, levels, n, tol, max_iter, log, log_bc, nc1):
+def _branch(ws, mu, levels, n, tol, log, log_bc, nc1):
     """Solve each (beta, log_beta) level by EM, starting from the previous level's means.
 
     The step counter n advances by each level's EM iterations, and each
@@ -447,7 +412,7 @@ def _branch(ws, mu, levels, n, tol, max_iter, log, log_bc, nc1):
     """
     branch, iterations, residuals = [], [], []
     for beta, lb in levels:
-        mu, its, res = _equilibrium(ws, mu, beta, tol, max_iter)
+        mu, its, res = _equilibrium(ws, mu, beta, tol, MAX_EM_ITERATIONS)
         n += its
         op = _spread(mu)
         log.record(n, lb, log_bc, nc1, op)
@@ -459,18 +424,21 @@ def _branch(ws, mu, levels, n, tol, max_iter, log, log_bc, nc1):
 
 
 @_quiet_overflow()
-def run_forward_split(dataset, config, schedule=None):
+def run_forward_split(dataset, config, mode="learned", steps=7000, record_every=20):
     """Drive the probe from below to above the critical precision.
 
-    schedule None (or LearnedBetaSchedule) trains means and precision jointly:
-    beta rises on its own while the latents stay fixed. An AnnealHoldSchedule
-    instead imposes the precision externally and additionally maps the
-    equilibrium branch upward for later overlap comparisons.
+    mode "learned" trains means and precision jointly for steps steps: beta
+    rises on its own while the latents stay fixed. Mode "anneal" instead
+    imposes the precision externally (the anneal drive above) and additionally
+    maps the equilibrium branch upward for later overlap comparisons. A
+    reading is recorded every record_every steps.
 
     Returns (TrajectoryLog, trained GmmProbeState).
     """
-    if schedule is None:
-        schedule = LearnedBetaSchedule()
+    if mode not in ("learned", "anneal"):
+        raise ValidationError(f"mode must be 'learned' or 'anneal', got {mode!r}")
+    if steps < 1 or record_every < 1:
+        raise ValidationError("steps and record_every must be >= 1")
     z = dataset.samples
     ws = _Workspace(config.K_probe, z)
     lam, spectrum = critical_spectrum(covariance(z))
@@ -487,30 +455,27 @@ def run_forward_split(dataset, config, schedule=None):
         return tracker.feed(n, lb, op, supercritical=lb >= log_bc)
 
     lb = config.log_beta_init
-    if isinstance(schedule, LearnedBetaSchedule):
-        for n in range(schedule.steps):
+    if mode == "learned":
+        for n in range(steps):
             mu, lb = _joint_step(ws, mu, lb, config.lr_means, config.lr_logbeta)
-            if n % schedule.record_every == 0:
+            if n % record_every == 0:
                 observe(n, lb, mu)
-    elif isinstance(schedule, AnnealHoldSchedule):
-        # hold level is hold_ratio * beta_c_hat = hold_ratio / lam; a prototype's
-        # mean gradient carries its mass, about 1/K, so the rate scales with K / 2
-        lb_hold = math.log(schedule.hold_ratio) - math.log(lam)
+    else:
+        # hold level is ANNEAL_HOLD_RATIO * beta_c_hat = ANNEAL_HOLD_RATIO / lam; a
+        # prototype's mean gradient carries its mass, about 1/K, so the rate scales with K / 2
+        lb_hold = math.log(ANNEAL_HOLD_RATIO) - math.log(lam)
         mu, _, n = _ramp_hold(
-            ws, mu, lb, lb_hold, schedule.ramp_steps, schedule.max_steps,
-            schedule.hold_lr * config.K_probe / 2, schedule.record_every, observe,
+            ws, mu, lb, lb_hold, ANNEAL_RAMP_STEPS, ANNEAL_MAX_STEPS,
+            ANNEAL_HOLD_LR * config.K_probe / 2, record_every, observe,
         )
         # the branch starts at the hold level; n counts EM iterations from here on
-        lb_top = math.log(schedule.branch_top_ratio) - math.log(lam)
+        lb_top = math.log(BRANCH_TOP_RATIO) - math.log(lam)
         levels = [(math.exp(lb_level), lb_level)
-                  for lb_level in np.linspace(lb_hold, lb_top, schedule.branch_levels)]
+                  for lb_level in np.linspace(lb_hold, lb_top, ANNEAL_BRANCH_LEVELS)]
         mu, _, fields = _branch(
-            ws, mu, levels, n, EQUILIBRIUM_REL_TOL * math.sqrt(lam), schedule.max_inner_steps,
-            log, log_bc, const_nc1,
+            ws, mu, levels, n, EQUILIBRIUM_REL_TOL * math.sqrt(lam), log, log_bc, const_nc1,
         )
         log.summary.update(fields)
-    else:
-        raise ValidationError("schedule must be LearnedBetaSchedule or AnnealHoldSchedule")
     # an annealed run's state keeps the initial log precision
     final = GmmProbeState(mu, lb, config.K_probe, z.shape[1])
     beta_c_hat = 1.0 / lam
@@ -528,7 +493,7 @@ def run_forward_split(dataset, config, schedule=None):
 
 
 @_quiet_overflow()
-def run_reverse_traversal(dataset, probe, schedule=None):
+def run_reverse_traversal(dataset, probe):
     """Anneal a split probe's precision back down through the crossing.
 
     Each descending level is solved by EM from the previous level's means,
@@ -536,8 +501,6 @@ def run_reverse_traversal(dataset, probe, schedule=None):
     zero intercept of a straight-line fit to order_parameter^2 vs beta over
     the branch shoulder (readings between 25% and 60% of the plateau).
     """
-    if schedule is None:
-        schedule = ReverseSchedule()
     z = dataset.samples
     lam = critical_spectrum(covariance(z))[0]
     log_bc = -math.log(lam)
@@ -545,13 +508,12 @@ def run_reverse_traversal(dataset, probe, schedule=None):
     ws = _Workspace(probe.K, z)
     log = TrajectoryLog("reverse-traversal", dataset.seed)
     betas = np.exp(np.linspace(
-        math.log(schedule.top_ratio * beta_c_hat), math.log(schedule.bottom_ratio * beta_c_hat),
-        schedule.levels,
+        math.log(BRANCH_TOP_RATIO * beta_c_hat), math.log(REVERSE_BOTTOM_RATIO * beta_c_hat),
+        REVERSE_LEVELS,
     ))
     _, _, fields = _branch(
         ws, probe.means, [(b, math.log(b)) for b in betas], 0,
-        EQUILIBRIUM_REL_TOL * math.sqrt(lam), schedule.max_inner_steps,
-        log, log_bc, _dataset_nc1(dataset, z),
+        EQUILIBRIUM_REL_TOL * math.sqrt(lam), log, log_bc, _dataset_nc1(dataset, z),
     )
     arr = np.asarray(fields["branch"])
     plateau = float(arr[0, 1])
@@ -579,11 +541,11 @@ def run_reverse_traversal(dataset, probe, schedule=None):
     return log
 
 
-def branch_overlap(forward_log, reverse_log, lo_ratio=1.45, hi_ratio=2.3, points=10):
+def branch_overlap(forward_log, reverse_log):
     """Max relative order-parameter deviation between the two equilibrium branches.
 
     Both logs must carry a 'branch' summary ([beta, op] pairs); they are
-    interpolated onto a common beta grid spanning [lo_ratio, hi_ratio] times
+    interpolated onto a common 10-point beta grid spanning [1.45, 2.3] times
     the forward run's estimated critical precision.
     """
     if "branch" not in forward_log.summary or "branch" not in reverse_log.summary:
@@ -591,7 +553,7 @@ def branch_overlap(forward_log, reverse_log, lo_ratio=1.45, hi_ratio=2.3, points
     bc = forward_log.summary["beta_c_hat"]
     fwd = np.asarray(sorted(forward_log.summary["branch"]))
     rev = np.asarray(sorted(reverse_log.summary["branch"]))
-    grid = np.linspace(lo_ratio * bc, hi_ratio * bc, points)
+    grid = np.linspace(1.45 * bc, 2.3 * bc, 10)
     fi = np.interp(grid, fwd[:, 0], fwd[:, 1])
     ri = np.interp(grid, rev[:, 0], rev[:, 1])
     return float(np.max(np.abs(fi - ri) / np.maximum(fi, ri)))
@@ -645,8 +607,8 @@ def run_endogenous(
     without any external schedule. Stops early once activation fires.
     Encoder divergence raises AbortedRunError carrying the partial log.
     """
-    if latent_dim < 1 or record_every < 1:
-        raise ValidationError("latent_dim and record_every must be >= 1")
+    if min(steps, latent_dim, record_every) < 1:
+        raise ValidationError("steps, latent_dim and record_every must be >= 1")
     if not (0.0 < encoder_lr < math.inf and math.isfinite(init_weight_scale)):
         raise ValidationError("encoder_lr must be in (0, inf) and init_weight_scale finite")
     if config is None:
@@ -705,17 +667,18 @@ def run_endogenous(
     return log
 
 
-def audit_hypotheses(log, window_steps=100, rel_tol=HYPOTHESIS_REL_TOL):
+def audit_hypotheses(log):
     """Check the crossing argument's two premises on windowed averages.
 
     Premise 1: beta(t) non-decreasing; premise 2: beta_c(t) non-increasing —
-    both on consecutive window_steps-sized window means, with a small relative
-    tolerance so float-level jitter near an asymptote is not reported.
-    Returns a list of violation events (empty for a healthy run).
+    both on the means of consecutive HYPOTHESIS_WINDOW_STEPS-step windows, with
+    the relative tolerance HYPOTHESIS_REL_TOL so float-level jitter near an
+    asymptote is not reported. Returns a list of violation events (empty for a
+    healthy run).
     """
     bins = {}
     for r in log.readings:
-        bins.setdefault(r.step // window_steps, []).append(r)
+        bins.setdefault(r.step // HYPOTHESIS_WINDOW_STEPS, []).append(r)
     keys = sorted(bins)
     events = []
     prev_beta = prev_bc = None
@@ -723,14 +686,14 @@ def audit_hypotheses(log, window_steps=100, rel_tol=HYPOTHESIS_REL_TOL):
         grp = bins[kb]
         beta = float(np.mean([math.exp(r.log_beta) for r in grp]))
         bc = float(np.mean([math.exp(r.log_beta_c) for r in grp]))
-        if prev_beta is not None and beta < prev_beta * (1.0 - rel_tol):
+        if prev_beta is not None and beta < prev_beta * (1.0 - HYPOTHESIS_REL_TOL):
             events.append(
-                {"channel": "beta", "window_start_step": int(kb * window_steps),
+                {"channel": "beta", "window_start_step": int(kb * HYPOTHESIS_WINDOW_STEPS),
                  "delta": beta - prev_beta}
             )
-        if prev_bc is not None and bc > prev_bc * (1.0 + rel_tol):
+        if prev_bc is not None and bc > prev_bc * (1.0 + HYPOTHESIS_REL_TOL):
             events.append(
-                {"channel": "beta_c", "window_start_step": int(kb * window_steps),
+                {"channel": "beta_c", "window_start_step": int(kb * HYPOTHESIS_WINDOW_STEPS),
                  "delta": bc - prev_bc}
             )
         prev_beta, prev_bc = beta, bc
@@ -741,54 +704,45 @@ def audit_hypotheses(log, window_steps=100, rel_tol=HYPOTHESIS_REL_TOL):
 # hierarchical two-stage splitting
 
 
-@dataclass
-class HierarchySchedule:
-    """Phase plan for the two-stage traversal (ratios are vs each stage's beta_c).
+# hierarchy (run_hierarchical; ratios are to each stage's beta_c): stage 1 ramps
+# from HIERARCHY_START_RATIO to HIERARCHY_HOLD_RATIO times beta_c1 over
+# HIERARCHY_RAMP1_STEPS and holds there (at most HIERARCHY_MAX1_STEPS steps in
+# all). When stage 1 fired and the within-super anisotropy reaches
+# HIERARCHY_ANISOTROPY_GATE, an unobserved bridge ramps down to
+# HIERARCHY_START_RATIO * beta_c2 over HIERARCHY_BRIDGE_STEPS and settles there
+# for HIERARCHY_SETTLE_STEPS more; stage 2 then ramps to HIERARCHY_HOLD_RATIO *
+# beta_c2 over HIERARCHY_RAMP2_STEPS and holds (at most HIERARCHY_MAX2_STEPS in
+# all), and the means are solved by EM at that hold level.
 
-    After stage 2 the means are solved by EM (at most max_inner_steps
-    iterations) at hold2_ratio * beta_c2 before the assignment is read.
-    """
-
-    ramp1_steps: int = 1500
-    hold1_ratio: float = 1.3
-    max1_steps: int = 25000
-    bridge_steps: int = 2500
-    settle_steps: int = 800
-    ramp2_steps: int = 2000
-    hold2_ratio: float = 1.3
-    max2_steps: int = 12000
-    max_inner_steps: int = 9000
-    record_every: int = 20
-    start_ratio: float = 0.5
-    anisotropy_gate: float = 0.65
-
-    def __post_init__(self):
-        if not (0.0 < self.start_ratio < 1.0 < self.hold1_ratio and 1.0 < self.hold2_ratio):
-            raise ValidationError("need 0 < start_ratio < 1 < hold1_ratio and hold2_ratio")
-        if min(self.ramp1_steps, self.max1_steps, self.ramp2_steps, self.max2_steps,
-               self.max_inner_steps, self.record_every) < 1:
-            raise ValidationError("schedule step counts must be >= 1")
-        if min(self.bridge_steps, self.settle_steps) < 0:
-            raise ValidationError("bridge_steps and settle_steps must be >= 0")
+HIERARCHY_START_RATIO = 0.5
+HIERARCHY_HOLD_RATIO = 1.3
+HIERARCHY_RAMP1_STEPS = 1500
+HIERARCHY_MAX1_STEPS = 25000
+HIERARCHY_BRIDGE_STEPS = 2500
+HIERARCHY_SETTLE_STEPS = 800
+HIERARCHY_RAMP2_STEPS = 2000
+HIERARCHY_MAX2_STEPS = 12000
+HIERARCHY_ANISOTROPY_GATE = 0.65
 
 
 @_quiet_overflow()
-def run_hierarchical(dataset, config=None, schedule=None):
+def run_hierarchical(dataset, config=None, record_every=20):
     """Two-stage traversal of a hierarchical dataset with K = 8 prototypes.
 
     Stage 1 ramps the precision across beta_c1 = 1/lambda_max(total cov) and
     detects the super-cluster split via the global order parameter. Stage 2
     runs only when the pooled within-super covariance is anisotropic enough
-    (top eigenvalue fraction >= anisotropy_gate); it ramps across
+    (top eigenvalue fraction >= HIERARCHY_ANISOTROPY_GATE); it ramps across
     beta_c2 = 1/lambda_max(within cov) and detects the sub-cluster split via
     the within-super order parameter. The means are then solved by EM at the
     stage-2 hold level, and the prototype-to-subcluster assignment of that
-    equilibrium is reported for the tessellation check.
+    equilibrium is reported for the tessellation check. A reading is recorded
+    every record_every steps.
     """
     if config is None:
         config = ProbeConfig(K_probe=8, lr_means=0.08)
-    if schedule is None:
-        schedule = HierarchySchedule()
+    if record_every < 1:
+        raise ValidationError("record_every must be >= 1")
     if dataset.kind != "hierarchical":
         raise ValidationError("run_hierarchical needs the hierarchical dataset kind")
     if config.K_probe != 8:
@@ -806,7 +760,7 @@ def run_hierarchical(dataset, config=None, schedule=None):
         raise DegenerateInputError(f"within-super {err}") from None
     bc2 = 1.0 / lam2
     anisotropy = lam2 / float(np.sum(w_spec.eigenvalues))
-    gate = anisotropy >= schedule.anisotropy_gate
+    gate = anisotropy >= HIERARCHY_ANISOTROPY_GATE
 
     # corner-stratified jitter on the top principal axes: one prototype pair
     # aimed at each future super-cluster, so the 8-fold symmetry is broken
@@ -846,8 +800,8 @@ def run_hierarchical(dataset, config=None, schedule=None):
     lr = config.lr_means
     # stage 1: ramp across bc1, hold, detect the super split
     mu, lb, n = _ramp_hold(
-        ws, mu, math.log(schedule.start_ratio * bc1), math.log(schedule.hold1_ratio * bc1),
-        schedule.ramp1_steps, schedule.max1_steps, lr, schedule.record_every, observe1,
+        ws, mu, math.log(HIERARCHY_START_RATIO * bc1), math.log(HIERARCHY_HOLD_RATIO * bc1),
+        HIERARCHY_RAMP1_STEPS, HIERARCHY_MAX1_STEPS, lr, record_every, observe1,
     )
     summary = {
         "beta_c1_hat": bc1,
@@ -856,27 +810,25 @@ def run_hierarchical(dataset, config=None, schedule=None):
         "second_stage_gate": bool(gate),
     }
     if gate and tracker1.step is not None:
-        # bridge to below bc2 (a jump when bridge_steps is 0) and settle
-        # there, unobserved; one reading at lb_b1 follows, then stage 2 across bc2
-        lb_b1 = math.log(schedule.start_ratio * bc2)
+        # bridge to below bc2 and settle there, unobserved; one reading at
+        # lb_b1 follows, then stage 2 across bc2
+        lb_b1 = math.log(HIERARCHY_START_RATIO * bc2)
         mu, _, m = _ramp_hold(
-            ws, mu, lb if schedule.bridge_steps else lb_b1, lb_b1, max(1, schedule.bridge_steps),
-            schedule.bridge_steps + schedule.settle_steps, lr, schedule.record_every,
-            lambda *_: False,
+            ws, mu, lb, lb_b1, HIERARCHY_BRIDGE_STEPS,
+            HIERARCHY_BRIDGE_STEPS + HIERARCHY_SETTLE_STEPS, lr, record_every, lambda *_: False,
         )
         n += m
         log.record(n, lb_b1, log_bc1, const_nc1, _spread(mu))
-        lb_c1 = math.log(schedule.hold2_ratio * bc2)
+        lb_c1 = math.log(HIERARCHY_HOLD_RATIO * bc2)
         mu, _, m = _ramp_hold(
-            ws, mu, lb_b1, lb_c1, schedule.ramp2_steps, schedule.max2_steps, lr,
-            schedule.record_every, observe2,
+            ws, mu, lb_b1, lb_c1, HIERARCHY_RAMP2_STEPS, HIERARCHY_MAX2_STEPS, lr,
+            record_every, observe2,
         )
         n += m + 1
         # finish: the equilibrium at the stage-2 hold level; n advances by EM iterations
         mu, n, _ = _branch(
-            ws, mu, [(schedule.hold2_ratio * bc2, lb_c1)], n,
-            EQUILIBRIUM_REL_TOL * math.sqrt(lam1), schedule.max_inner_steps,
-            log, log_bc1, const_nc1,
+            ws, mu, [(HIERARCHY_HOLD_RATIO * bc2, lb_c1)], n,
+            EQUILIBRIUM_REL_TOL * math.sqrt(lam1), log, log_bc1, const_nc1,
         )
         near = np.argmin(
             ((mu[:, None, :] - dataset.centers[None, :, :]) ** 2).sum(axis=-1), axis=1

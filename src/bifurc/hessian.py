@@ -22,8 +22,8 @@ found by the Illinois method on either route.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .gmm_probe import (
 from .mathcore import check_symmetric, sym_eigen
 
 MAX_DENSE = 4096
+# both crossing scans stop once the root's bracket is narrower than this (see _illinois)
+CROSSING_TOL = 1e-6
 
 
 @dataclass
@@ -47,17 +49,13 @@ class ChannelSpectrum:
 
     antisymmetric_eigenvalues holds (lambda_perp_i, sigma_i^2, K-1) triples,
     ordered like the spatial eigenvalues (descending sigma_i^2, so the first
-    entry is the lowest, first-destabilizing channel). unstable_direction is
-    the principal spatial eigenvector when lambda_perp_1 < 0 (the full
-    unstable mode is that vector tensored with any zero-sum component
-    vector), else None.
+    entry is the lowest, first-destabilizing channel).
     """
 
     symmetric_eigenvalue: float
     antisymmetric_eigenvalues: List[Tuple[float, float, int]]
     beta: float
     K: int
-    unstable_direction: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -119,15 +117,6 @@ def channel_spectrum(beta, K, spatial_eigs):
         beta=beta,
         K=K,
     )
-
-
-def channel_spectrum_from_cov(beta, K, cov):
-    """channel_spectrum plus the unstable-direction report when supercritical."""
-    spectrum = sym_eigen(check_symmetric(cov, "cov"))
-    cs = channel_spectrum(beta, K, spectrum.eigenvalues)
-    if cs.antisymmetric_eigenvalues[0][0] < 0.0:
-        cs = replace(cs, unstable_direction=spectrum.eigenvectors[:, 0])
-    return cs
 
 
 def flat_spectrum(cs):
@@ -232,14 +221,14 @@ def _illinois(f, lo, hi, tol):
     return a + 0.5 * (b - a), evaluations
 
 
-def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
+def find_crossing(K, cov, beta_lo, beta_hi):
     """Locate the beta where the lowest Hessian eigenvalue crosses zero.
 
     Finds the root of the closed-form lowest eigenvalue over
-    [beta_lo, beta_hi] by the Illinois method, to a bracket narrower than tol,
-    absolutely and relative to beta (see _illinois); iterations counts its
-    evaluations. The report also carries a uniform scan of the lowest
-    eigenvalue over the bracket (it changes sign exactly once, since
+    [beta_lo, beta_hi] by the Illinois method, to a bracket narrower than
+    CROSSING_TOL, absolutely and relative to beta (see _illinois); iterations
+    counts its evaluations. The report also carries a uniform 41-point scan of
+    the lowest eigenvalue over the bracket (it changes sign exactly once, since
     lambda_perp_1(beta) = (beta/K)(1 - beta lambda_max) is monotone through
     the crossing for beta > 0). A degenerate cov (see critical_spectrum)
     raises DegenerateInputError.
@@ -250,8 +239,8 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     def low(b):
         return lowest_eigenvalue(b, K, eigs)
 
-    root, iterations = _illinois(low, beta_lo, beta_hi, tol)
-    grid = np.linspace(beta_lo, beta_hi, scan_points)
+    root, iterations = _illinois(low, beta_lo, beta_hi, CROSSING_TOL)
+    grid = np.linspace(beta_lo, beta_hi, 41)
     scan = [(float(b), float(low(b))) for b in grid]
     return CrossingReport(
         beta_critical_numeric=float(root),
@@ -261,11 +250,12 @@ def find_crossing(K, cov, beta_lo, beta_hi, scan_points=41, tol=1e-6):
     )
 
 
-def find_crossing_numeric(K, samples, beta_lo, beta_hi, tol=1e-6):
+def find_crossing_numeric(K, samples, beta_lo, beta_hi):
     """Zero-crossing scan over the finite-difference Hessian's lowest eigenvalue.
 
     The independent (all-numeric) route: at each root-finder point the
-    Hessian is rebuilt by numerical_hessian and diagonalized. Returns
+    Hessian is rebuilt by numerical_hessian and diagonalized, to a bracket
+    narrower than CROSSING_TOL. Returns
     (root, evaluations), evaluations being the number of Hessians built.
     """
     z = np.asarray(samples, dtype=float)
@@ -274,4 +264,4 @@ def find_crossing_numeric(K, samples, beta_lo, beta_hi, tol=1e-6):
         h = numerical_hessian(exact_collapsed(z, K, math.log(beta)), z)
         return float(sym_eigen(h).eigenvalues[-1])
 
-    return _illinois(low, beta_lo, beta_hi, tol)
+    return _illinois(low, beta_lo, beta_hi, CROSSING_TOL)

@@ -23,8 +23,6 @@ from bifurc.escape_lab import (
     run_sweep,
 )
 from bifurc.experiments import (
-    AnnealHoldSchedule,
-    ReverseSchedule,
     gen_bimodal,
     gen_hierarchical,
     read_trajectory_csv,
@@ -46,7 +44,7 @@ from bifurc.gmm_probe import (
 )
 from bifurc.hessian import (
     analytic_hessian,
-    channel_spectrum_from_cov,
+    channel_spectrum,
     find_crossing,
     flat_spectrum,
     numerical_hessian,
@@ -100,7 +98,7 @@ def test_criterion_02_channel_spectrum_degeneracies():
         a = rng.standard_normal((d, d))
         cov = a @ a.T / d + 0.1 * np.eye(d)
         dense = np.sort(sym_eigen(analytic_hessian(beta, k, cov)).eigenvalues)
-        closed = np.sort(flat_spectrum(channel_spectrum_from_cov(beta, k, cov)))
+        closed = np.sort(flat_spectrum(channel_spectrum(beta, k, sym_eigen(cov).eigenvalues)))
         worst = max(worst, float(np.max(np.abs(dense - closed))))
     _finish(
         2,
@@ -209,8 +207,8 @@ def test_criterion_07_reverse_traversal():
     t0 = time.perf_counter()
     dataset = gen_bimodal(3000, seed=0)
     probe = ProbeConfig(K_probe=2, lr_means=0.05)
-    forward, state = run_forward_split(dataset, probe, AnnealHoldSchedule())
-    reverse = run_reverse_traversal(dataset, state, ReverseSchedule())
+    forward, state = run_forward_split(dataset, probe, "anneal")
+    reverse = run_reverse_traversal(dataset, state)
     merge_err = abs(reverse.summary["merge_relative_error"])
     overshoot = forward.summary["overshoot_ratio"]
     _finish(

@@ -220,6 +220,11 @@ class TestExitCodes:
             # one-level variant: the within-super lambda_max is subnormal
             ("hierarchy", {"BIFURC_DATA__SUB_SPACING": "0",
                            "BIFURC_DATA__SCALE": "1e-160"}),
+            ("bimodal", {"BIFURC_EXPERIMENT__STEPS": "0"}),
+            ("endogenous", {"BIFURC_EXPERIMENT__STEPS": "0"}),
+            ("bimodal", {"BIFURC_EXPERIMENT__MODE": "anneal",
+                         "BIFURC_EXPERIMENT__RECORD_EVERY": "0"}),
+            ("reverse", {"BIFURC_EXPERIMENT__RECORD_EVERY": "0"}),
         ],
     )
     def test_bad_experiment_shape_exits_2(self, tmp_path, capsys, monkeypatch, command, env):
@@ -289,6 +294,18 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and "overflow" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["toy", "bimodal"], ["toy", "hierarchy"], ["toy", "reverse"], ["toy", "endogenous"],
+         ["calibrate-hessian"]],
+    )
+    def test_dim_other_than_2_on_2d_data_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("BIFURC_DATA__DIM", "7")
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "data.dim" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
@@ -611,6 +628,14 @@ class TestToyCommands:
         assert (tmp_path / "toy-reverse_seed0_forward.csv").exists()
         assert (tmp_path / "toy-reverse_seed0_reverse.csv").exists()
         assert (tmp_path / "toy-reverse.svg").exists()
+
+    def test_anneal_mode_holds_until_activation_then_maps_the_branch(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setenv("BIFURC_EXPERIMENT__MODE", "anneal")
+        assert main(["toy", "bimodal", "--seed", "0", "--out", str(tmp_path)]) == 0
+        run = read_json(tmp_path / "toy-bimodal_seed0.json")
+        assert run["activation_steps"] == [12000]
+        assert len(run["branch"]) == len(run["branch_iterations"]) == 12
 
     def test_hierarchy_zero_sub_spacing_single_event(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -1023,7 +1048,7 @@ class TestRunDataConfigFuzz:
             code = fuzz_main(["toy", command, "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)
         assert code in {0, 2, 3, 4}
-        if not seeds_are_valid(seeds):
+        if not seeds_are_valid(seeds) or (command == "bimodal" and dim not in (None, 2)):
             assert code == 2
 
     @settings(max_examples=15, deadline=None)

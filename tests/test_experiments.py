@@ -37,9 +37,8 @@ def top_eig(samples):
 @pytest.fixture(scope="module")
 def learned_pair():
     cfg = ProbeConfig(K_probe=8, lr_means=0.02, lr_logbeta=1e-2)
-    sched = X.LearnedBetaSchedule(steps=7000)
-    log_b, state_b = X.run_forward_split(X.gen_bimodal(2000, seed=0), cfg, sched)
-    log_u, state_u = X.run_forward_split(X.gen_unimodal(2000, seed=0), cfg, sched)
+    log_b, state_b = X.run_forward_split(X.gen_bimodal(2000, seed=0), cfg, steps=7000)
+    log_u, state_u = X.run_forward_split(X.gen_unimodal(2000, seed=0), cfg, steps=7000)
     return log_b, state_b, log_u, state_u
 
 
@@ -47,8 +46,8 @@ def learned_pair():
 def hysteresis():
     ds = X.gen_bimodal(3000, seed=1)
     cfg = ProbeConfig(K_probe=2, lr_means=0.05)
-    fwd, state = X.run_forward_split(ds, cfg, X.AnnealHoldSchedule())
-    rev = X.run_reverse_traversal(ds, state, X.ReverseSchedule())
+    fwd, state = X.run_forward_split(ds, cfg, "anneal")
+    rev = X.run_reverse_traversal(ds, state)
     return fwd, rev
 
 
@@ -312,9 +311,7 @@ class TestProtocolKernel:
     def run_and_replay(self):
         """A 60-step learned forward split and 60 grad_step calls from its start."""
         ds = X.gen_bimodal(300, seed=7)
-        log, final = X.run_forward_split(
-            ds, self.CFG, X.LearnedBetaSchedule(steps=60, record_every=1)
-        )
+        log, final = X.run_forward_split(ds, self.CFG, steps=60, record_every=1)
         state = init_collapsed(ds.samples, self.CFG, np.random.default_rng(ds.seed + 99))
         replay = []
         for _ in range(60):
@@ -386,7 +383,7 @@ class TestDrivers:
         mu = np.array([[-1.0, 0.0], [1.0, 0.0]])
         log = X.TrajectoryLog("t", 0)
         levels = [(b, math.log(b)) for b in (1.0, 2.0)]
-        _, n, fields = X._branch(ws, mu, levels, 5, 1e-9, 500, log, 0.25, None)
+        _, n, fields = X._branch(ws, mu, levels, 5, 1e-9, log, 0.25, None)
         assert n == 5 + sum(fields["branch_iterations"])
         assert [r.step for r in log.readings][-1] == n
         assert [b for b, _ in fields["branch"]] == [1.0, 2.0]
@@ -478,7 +475,7 @@ class TestAnnealHoldReverse:
     def test_branch_levels_report_convergence(self, hysteresis):
         fwd, rev = hysteresis
         tol = X.EQUILIBRIUM_REL_TOL * math.sqrt(1.0 / rev.summary["beta_c_hat"])
-        cap = X.ReverseSchedule().max_inner_steps
+        cap = X.MAX_EM_ITERATIONS
         for log in (fwd, rev):
             iterations = log.summary["branch_iterations"]
             assert len(iterations) == len(log.summary["branch"])
@@ -501,10 +498,8 @@ class TestAnnealHoldReverse:
         ] + [1] * 17
 
     def test_hold_rate_scales_with_k(self):
-        # at hold_lr itself the K = 8 hold never activated within max_steps
-        fwd, _ = X.run_forward_split(
-            X.gen_bimodal(2000, seed=0), ProbeConfig(K_probe=8), X.AnnealHoldSchedule()
-        )
+        # at ANNEAL_HOLD_LR itself the K = 8 hold never activated within ANNEAL_MAX_STEPS
+        fwd, _ = X.run_forward_split(X.gen_bimodal(2000, seed=0), ProbeConfig(K_probe=8), "anneal")
         assert fwd.summary["activation_steps"] == [12000]
 
     def test_overlap_requires_branches(self, hysteresis, learned_pair):
@@ -597,11 +592,11 @@ class TestEndogenous:
             X.run_endogenous(ds, config=cfg, steps=100)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"latent_dim": 0}, {"latent_dim": -1}, {"record_every": 0}]
+        "kwargs", [{"latent_dim": 0}, {"latent_dim": -1}, {"record_every": 0}, {"steps": 0}]
     )
     def test_latent_dim_and_record_cadence_validated(self, kwargs):
         with pytest.raises(ValidationError, match="latent_dim and record_every"):
-            X.run_endogenous(X.gen_bimodal(100, seed=0), steps=10, **kwargs)
+            X.run_endogenous(X.gen_bimodal(100, seed=0), **{"steps": 10, **kwargs})
 
     def test_divergence_aborts_with_partial_log(self):
         ds = X.gen_bimodal(500, seed=0)
@@ -705,52 +700,25 @@ class TestHierarchical:
 
 
 # ---------------------------------------------------------------------------
-# schedule validation
+# protocol argument validation
 
 
-class TestSchedules:
-    def test_learned_schedule_guards(self):
-        with pytest.raises(ValidationError):
-            X.LearnedBetaSchedule(steps=0)
-        with pytest.raises(ValidationError):
-            X.LearnedBetaSchedule(record_every=0)
-
-    def test_anneal_hold_guards(self):
-        with pytest.raises(ValidationError):
-            X.AnnealHoldSchedule(hold_ratio=0.9)
-        with pytest.raises(ValidationError):
-            X.AnnealHoldSchedule(branch_top_ratio=1.2)
-
-    def test_reverse_guards(self):
-        with pytest.raises(ValidationError):
-            X.ReverseSchedule(levels=2)
-        with pytest.raises(ValidationError):
-            X.ReverseSchedule(bottom_ratio=1.5)
-
+class TestProtocolArguments:
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"record_every": 0}, {"ramp1_steps": 0}, {"ramp2_steps": 0}, {"max_inner_steps": 0},
-         {"start_ratio": 0.0}, {"start_ratio": 1.2}, {"hold1_ratio": 1.0},
-         {"hold2_ratio": math.nan}, {"bridge_steps": -1}, {"settle_steps": -1}],
+        "mode,kwargs",
+        [("learned", {"steps": 0}), ("learned", {"record_every": 0}),
+         ("anneal", {"record_every": 0})],
     )
-    def test_hierarchy_guards(self, kwargs):
-        with pytest.raises(ValidationError):
-            X.HierarchySchedule(**kwargs)
-
-    def test_zero_step_bridge_jumps_to_the_settle_level(self):
-        schedule = X.HierarchySchedule(bridge_steps=0, settle_steps=300, max2_steps=2000)
-        log = X.run_hierarchical(X.gen_hierarchical(400, seed=0), schedule=schedule)
-        lb_b1 = math.log(schedule.start_ratio * log.summary["beta_c2_hat"])
-        i = next(i for i, r in enumerate(log.readings) if r.log_beta == lb_b1)
-        # only the settle runs between stage 1's last reading and the one at lb_b1
-        assert log.readings[i].step - log.readings[i - 1].step == schedule.settle_steps
-
-    @pytest.mark.parametrize("schedule", [X.AnnealHoldSchedule, X.ReverseSchedule])
-    def test_equilibrium_cap_allows_an_iteration(self, schedule):
-        with pytest.raises(ValidationError):
-            schedule(max_inner_steps=0)
-
-    def test_forward_split_rejects_unknown_schedule(self):
+    def test_forward_split_step_counts_must_be_positive(self, mode, kwargs):
         ds = X.gen_bimodal(100, seed=0)
         with pytest.raises(ValidationError):
-            X.run_forward_split(ds, ProbeConfig(K_probe=2), schedule="ramp")
+            X.run_forward_split(ds, ProbeConfig(K_probe=2), mode, **kwargs)
+
+    def test_hierarchy_record_every_must_be_positive(self):
+        with pytest.raises(ValidationError):
+            X.run_hierarchical(X.gen_hierarchical(400, seed=0), record_every=0)
+
+    def test_forward_split_rejects_unknown_mode(self):
+        ds = X.gen_bimodal(100, seed=0)
+        with pytest.raises(ValidationError):
+            X.run_forward_split(ds, ProbeConfig(K_probe=2), "ramp")

@@ -12,7 +12,6 @@ from bifurc.hessian import (
     _illinois,
     analytic_hessian,
     channel_spectrum,
-    channel_spectrum_from_cov,
     find_crossing,
     find_crossing_numeric,
     flat_spectrum,
@@ -112,14 +111,6 @@ class TestChannelSpectrum:
         cs = channel_spectrum(0.9, 4, [2.0, 1.0, 0.5])
         assert all(mult == 3 for _, _, mult in cs.antisymmetric_eigenvalues)
         assert len(flat_spectrum(cs)) == 12
-
-    def test_unstable_direction_reported_when_supercritical(self):
-        cov = np.diag([5.0, 1.0])
-        sub = channel_spectrum_from_cov(0.1, 8, cov)
-        assert sub.unstable_direction is None
-        sup = channel_spectrum_from_cov(0.3, 8, cov)
-        assert sup.unstable_direction is not None
-        assert abs(sup.unstable_direction[0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_unsorted_eigs_rejected(self):
         with pytest.raises(ValidationError):
