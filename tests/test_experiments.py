@@ -502,6 +502,19 @@ class TestAnnealHoldReverse:
         fwd, _ = X.run_forward_split(X.gen_bimodal(2000, seed=0), ProbeConfig(K_probe=8), "anneal")
         assert fwd.summary["activation_steps"] == [12000]
 
+    def test_branches_span_the_drive_ratios(self, hysteresis):
+        # forward maps hold -> top, reverse maps top -> bottom, as ratios to beta_c_hat
+        fwd, rev = hysteresis
+        bc = rev.summary["beta_c_hat"]
+        fb = [b / bc for b, _ in fwd.summary["branch"]]
+        rb = [b / bc for b, _ in rev.summary["branch"]]
+        assert len(fb) == X.ANNEAL_BRANCH_LEVELS
+        assert len(rb) == X.REVERSE_LEVELS
+        assert fb[0] == pytest.approx(X.ANNEAL_HOLD_RATIO, rel=1e-9)
+        assert fb[-1] == pytest.approx(X.BRANCH_TOP_RATIO, rel=1e-9)
+        assert rb[0] == pytest.approx(X.BRANCH_TOP_RATIO, rel=1e-9)
+        assert rb[-1] == pytest.approx(X.REVERSE_BOTTOM_RATIO, rel=1e-9)
+
     def test_overlap_requires_branches(self, hysteresis, learned_pair):
         fwd, _ = hysteresis
         log_b, _, _, _ = learned_pair
@@ -682,6 +695,23 @@ class TestHierarchical:
     def test_finish_solve_step_is_pinned(self, hier_log):
         # the last reading follows the finish solve's EM iterations
         assert hier_log.readings[-1].step == 19034
+
+    def test_events_fire_at_the_hold_ratio(self, hier_log):
+        # both events fire after their stage's ramp, so at the one hold level
+        for ev in hier_log.summary["events"]:
+            assert ev["ratio_to_target"] == pytest.approx(X.HIERARCHY_HOLD_RATIO, rel=1e-9)
+
+    def test_bridge_and_settle_run_between_the_stages(self, hier_log):
+        s = hier_log.summary
+        lb_b1 = math.log(X.HIERARCHY_START_RATIO * s["beta_c2_hat"])
+        i = next(i for i, r in enumerate(hier_log.readings) if r.log_beta == lb_b1)
+        steps = [r.step for r in hier_log.readings[i - 1 : i + 2]]
+        # stage 1 (a reading every 20 steps) stops on the reading that completes
+        # its event's run; the unobserved bridge and settle follow, and stage 2
+        # is observed from the next step on
+        assert steps[0] == s["events"][0]["step"] + 20 * (X.ACTIVATION_CONSECUTIVE - 1)
+        assert steps[1] - steps[0] == X.HIERARCHY_BRIDGE_STEPS + X.HIERARCHY_SETTLE_STEPS
+        assert steps[2] == steps[1] + 1
 
     def test_degenerate_sub_spacing_single_event(self):
         log = X.run_hierarchical(X.gen_hierarchical(4000, sub_spacing=0.0, seed=0))
