@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import build_config
+from .config import DEFAULTS, build_config
 from .csvio import run_identity, write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
 from .escape_lab import (
@@ -316,6 +316,11 @@ def _toy_worker(sub, job):
     """
     cfg, seed, out = job
     out_dir = Path(out)
+    if sub in ("reverse", "hierarchy"):  # their drives are constants
+        for key in ("steps", "mode"):
+            default = DEFAULTS["experiment"][key]
+            if cfg.get("experiment", key) != default:
+                raise ConfigError(f"toy {sub} does not read experiment.{key}: keep it at {default}")
     dataset = _toy_dataset(sub, cfg, seed)
     probe = _probe_config(cfg)
     record_every = cfg.get_int("experiment", "record_every")

@@ -41,6 +41,7 @@ from .gmm_probe import (
     CriticalityReading,
     GmmProbeState,
     ProbeConfig,
+    _centred,
     _equilibrium,
     _joint_step,
     _mean_step,
@@ -153,15 +154,12 @@ def super_centers(dataset):
 # the collapse metric
 
 
-def nc1(latents, labels):
-    """Within/between class scatter ratio of a labeled latent cloud.
+def class_scatters(samples, labels):
+    """(S_W, S_B): pooled within-class and count-weighted class-mean covariances (divisor N).
 
-    trace(S_W)/trace(S_B), with S_W the pooled within-class covariance and
-    S_B the count-weighted covariance of class means (both with the 1/N
-    divisor). Needs >= 2 classes, each with >= 2 samples, and non-coincident
-    class means.
+    Needs >= 2 classes, each with >= 2 samples.
     """
-    z = np.asarray(latents, dtype=float)
+    z = np.asarray(samples, dtype=float)
     lab = np.asarray(labels)
     if z.ndim != 2 or len(lab) != len(z):
         raise ValidationError("latents must be N x d with one label per row")
@@ -181,19 +179,30 @@ def nc1(latents, labels):
         s_w += dev.T @ dev
         dm = mu - gmean
         s_b += len(zc) * np.outer(dm, dm)
-    s_w /= n
-    s_b /= n
-    tr_w = float(np.trace(s_w))
-    tr_b = float(np.trace(s_b))
+    return s_w / n, s_b / n
+
+
+def scatter_ratio(s_w, s_b, w):
+    """trace(W S_W W^T)/trace(W S_B W^T): the NC1 of the cloud x W^T from x's class scatters.
+
+    Coinciding class means raise DegenerateInputError.
+    """
+    tr_w, tr_b = (float(((w @ s) * w).sum()) for s in (s_w, s_b))
     if tr_b <= 0.0 or tr_b <= 1e-15 * tr_w:  # coincident means up to float residue
         raise DegenerateInputError("between-class scatter is zero: class means coincide")
     return tr_w / tr_b
 
 
-def _dataset_nc1(dataset, latents):
-    """NC1 of the given latents under the dataset's labels, None when undefined."""
+def nc1(latents, labels):
+    """Within/between class scatter ratio trace(S_W)/trace(S_B) of a labeled latent cloud."""
+    s_w, s_b = class_scatters(latents, labels)
+    return scatter_ratio(s_w, s_b, np.eye(len(s_w)))
+
+
+def _or_none(fn, *args):
+    """fn(*args), or None where it raises DegenerateInputError (an undefined NC1)."""
     try:
-        return nc1(latents, dataset.labels)
+        return fn(*args)
     except DegenerateInputError:
         return None
 
@@ -445,7 +454,7 @@ def run_forward_split(dataset, config, mode="learned", steps=7000, record_every=
     log_bc = -math.log(lam)
     rng = np.random.default_rng(dataset.seed + 99)
     mu = init_collapsed(z, config, rng).means
-    const_nc1 = _dataset_nc1(dataset, z)
+    const_nc1 = _or_none(nc1, z, dataset.labels)
     log = TrajectoryLog("forward-split", dataset.seed)
     tracker = _ActivationTracker()
 
@@ -513,7 +522,7 @@ def run_reverse_traversal(dataset, probe):
     ))
     _, _, fields = _branch(
         ws, probe.means, [(b, math.log(b)) for b in betas], 0,
-        EQUILIBRIUM_REL_TOL * math.sqrt(lam), log, log_bc, _dataset_nc1(dataset, z),
+        EQUILIBRIUM_REL_TOL * math.sqrt(lam), log, log_bc, _or_none(nc1, z, dataset.labels),
     )
     arr = np.asarray(fields["branch"])
     plateau = float(arr[0, 1])
@@ -589,6 +598,12 @@ class ToyEncoderState:
         self.step += 1
 
 
+def _mapped_covariance(w, cov):
+    """W Cov W^T, symmetrised: the covariance of the cloud x W^T from x's covariance."""
+    a = w @ cov @ w.T
+    return (a + a.T) / 2.0
+
+
 @_quiet_overflow()
 def run_endogenous(
     dataset,
@@ -632,11 +647,15 @@ def run_endogenous(
     log = TrajectoryLog("endogenous", dataset.seed, summary={"delta0": delta0})
     tracker = _ActivationTracker()
     loss_trace = []
+    # x's moments, once: the step reads S, the batch xc, the record points
+    # Cov(z) = W Cov(x) W^T and NC1 through the class scatters of x
     s = x.T @ x / x.shape[0]
+    xc, x_bar = _centred(x)
+    cov_x = covariance(x)
+    scatters = _or_none(class_scatters, x, dataset.labels)
     for n in range(steps):
         enc.gd_step(s)
-        z = enc.latents(x)
-        ws.load(z)
+        ws.project(enc.encode, xc, x_bar)
         try:
             mu, lb = _joint_step(ws, mu, lb, config.lr_means, config.lr_logbeta)
         except NumericalError as blowup:
@@ -649,9 +668,10 @@ def run_endogenous(
                 raise AbortedRunError(
                     f"encoder diverged at step {n} (loss = {loss})", partial=log
                 )
-            log_bc = -math.log(critical_spectrum(covariance(z))[0])
+            w = enc.encode
+            log_bc = -math.log(critical_spectrum(_mapped_covariance(w, cov_x))[0])
             op = _spread(mu)
-            log.record(n, lb, log_bc, _dataset_nc1(dataset, z), op)
+            log.record(n, lb, log_bc, scatters and _or_none(scatter_ratio, *scatters, w), op)
             loss_trace.append([n, loss])
             if tracker.feed(n, lb, op, supercritical=lb >= log_bc):
                 break
@@ -772,7 +792,7 @@ def run_hierarchical(dataset, config=None, record_every=20):
     delta = 1e-3 * math.sqrt(lam1)
     mu = z.mean(axis=0) + delta * (pattern @ axes.T) + 0.1 * delta * rng.standard_normal((8, 2))
     ws = _Workspace(8, z)
-    const_nc1 = _dataset_nc1(dataset, z)
+    const_nc1 = _or_none(nc1, z, dataset.labels)
     log = TrajectoryLog("hierarchical", dataset.seed)
 
     def within_op(mu):

@@ -146,8 +146,18 @@ def _check_batch(state, samples):
 # Centring keeps the expansion of ||z - mu||^2 from cancelling against ||c||^2
 # for a batch far from the origin. Each protocol run allocates its workspace
 # once and the kernel overwrites it in place: a fresh K x N array per step costs
-# page faults once it outgrows the allocator's small-block pool. The weights e
-# are a view into the workspace, valid only until its next kernel call or load.
+# page faults once it outgrows the allocator's small-block pool. A run whose
+# latents z = x W^T move with W centres x once and refills za each step with one
+# product W @ xc (project). The weights e are a view into the workspace, valid
+# only until its next kernel call; za's rows only until the next project.
+
+
+def _centred(z):
+    """(zc, c): the rows of z (N x d) centred on their mean c, as a contiguous d x N array."""
+    zc = z.T.copy()
+    c = zc.mean(axis=1)  # contiguous rows: several times faster than z.mean(axis=0)
+    zc -= c[:, None]
+    return zc, c
 
 
 class _Workspace:
@@ -155,24 +165,24 @@ class _Workspace:
 
     za is (d+1) x N: rows z_j - c_j, then a row of ones; ss = sum_n ||z_n - c||^2;
     zw holds za / total. e is the only K x N buffer (logits, then shifted
-    weights); amax and total are its per-sample max and sum.
+    weights); amax and total are its per-sample max and sum. project() refills
+    za and c in place for latents x W^T, from x centred once.
     """
 
     def __init__(self, k, z):
         n, d = z.shape
-        self.za = np.ones((d + 1, n))
+        zc, self.c = _centred(z)
+        self.za = np.vstack((zc, np.ones(n)))
         self.zw = np.empty((d + 1, n))
         self.e = np.empty((k, n))
         self.amax = np.empty(n)
         self.total = np.empty(n)
-        self.load(z)
+        self.ss = float(np.vdot(zc, zc))
 
-    def load(self, z):
-        """Make z (same shape as the current batch) the batch, centring it into za."""
-        zc = self.za[:-1]
-        np.copyto(zc, z.T)
-        self.c = zc.mean(axis=1)  # contiguous rows: several times faster than z.mean(axis=0)
-        zc -= self.c[:, None]
+    def project(self, w, xc, x_bar):
+        """Make z = x W^T (w: d x d_in) the batch: za[:-1] = W xc, c = W x_bar for _centred(x)."""
+        zc = np.matmul(w, xc, out=self.za[:-1])
+        self.c = w @ x_bar
         self.ss = float(np.vdot(zc, zc))
 
 

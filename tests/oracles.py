@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 
+from bifurc.errors import ValidationError
+from bifurc.experiments import TrajectoryLog
+from bifurc.taxonomy import DELAYED_ESCAPE, FOLD_BACK, FULL_V, REGIMES, classify
+
 
 def counts_within_multinomial_band(dataset, n_sigma=3.0):
     """True when every component count is within n_sigma of n/C (equal weights)."""
@@ -63,3 +67,113 @@ def encoder_gd_step(enc, x):
     g_dec = (2.0 / n) * err.T @ z
     g_enc = (2.0 / n) * (err @ enc.decode).T @ x
     return enc.encode - enc.learning_rate * g_enc, enc.decode - enc.learning_rate * g_dec
+
+
+# ---------------------------------------------------------------------------
+# regime-kinematics generators (the classifier's recovery tests and exemplars)
+
+
+def _front_loaded(u, sharpness=8.0):
+    """Concave 0->1 ramp: steep at first, flattening out (u in [0,1])."""
+    return (1.0 - np.exp(-sharpness * u)) / (1.0 - math.exp(-sharpness))
+
+
+def _assemble(regime, seed, steps, ratio, lnc1):
+    log = TrajectoryLog(f"synthetic-{regime}", seed)
+    for s, r, v in zip(steps, ratio, lnc1):
+        op = 1e-4 * math.exp(2.0 * max(0.0, r))
+        log.record(int(s), float(r), 0.0, float(10.0 ** v), op)
+    return log
+
+
+def make_regime_log(
+    regime,
+    seed,
+    n_readings=150,
+    horizon=3000.0,
+    ratio_noise=0.03,
+    nc1_noise=0.04,
+    nc1_trend=0.0,
+):
+    """Synthesize a TrajectoryLog from one regime's defining kinematics.
+
+    Shape parameters (depths, peak positions, collapse sizes) are drawn per
+    seed from documented uniform ranges; both channels get white Gaussian
+    noise. nc1_trend adds a linear drift (decades over the horizon) to the
+    NoArc NC1 channel only — it shifts the control's correlation without
+    introducing arc kinematics.
+    """
+    if regime not in REGIMES:
+        raise ValidationError(f"regime must be one of {REGIMES}")
+    if n_readings < 20:
+        raise ValidationError("need >= 20 readings")
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, n_readings)
+    step_size = max(1, int(round(horizon / n_readings)))
+    steps = np.arange(n_readings) * step_size
+
+    if regime == FULL_V:
+        depth = rng.uniform(1.0, 2.0)
+        top = rng.uniform(0.5, 1.5)
+        ratio = -depth + (depth + top) * t
+        t_cross = depth / (depth + top)
+        t_peak = min(0.95, t_cross + rng.uniform(0.0, 0.03))
+        v0 = rng.uniform(0.5, 1.0)
+        rise = rng.uniform(0.1, 0.3)
+        drop = rng.uniform(2.5, 4.0)
+        u = np.clip((t - t_peak) / (1.0 - t_peak), 0.0, 1.0)
+        lnc1 = np.where(
+            t <= t_peak,
+            v0 + rise * t / t_peak,
+            v0 + rise - drop * (0.45 * u + 0.55 * _front_loaded(u)),
+        )
+    elif regime == FOLD_BACK:
+        # brief overshoot past the crossing, then the ratio retraces for the
+        # rest of the run while NC1 keeps collapsing all the way to the end
+        start = -rng.uniform(0.4, 0.8)
+        peak = rng.uniform(0.8, 1.5)
+        t_peak = rng.uniform(0.06, 0.12)
+        fold = rng.uniform(2.0, 3.5)
+        ratio = np.where(
+            t <= t_peak,
+            start + (peak - start) * t / t_peak,
+            peak - fold * (t - t_peak) / (1.0 - t_peak),
+        )
+        t_cross = t_peak * (-start) / (peak - start)
+        v0 = rng.uniform(0.5, 1.0)
+        drop = rng.uniform(2.5, 4.0)
+        t_on = min(0.9, t_cross + rng.uniform(0.0, 0.02))
+        # mixed collapse shape: the front-loaded part clears the plateau gate
+        # quickly, the linear part keeps the channels co-moving over the fold
+        u = np.clip((t - t_on) / (1.0 - t_on), 0.0, 1.0)
+        lnc1 = v0 - drop * (0.6 * u + 0.4 * _front_loaded(u))
+    elif regime == DELAYED_ESCAPE:
+        start = -rng.uniform(0.02, 0.1)
+        rise = rng.uniform(0.8, 1.5)
+        ratio = start + rise * t
+        v0 = rng.uniform(0.5, 1.0)
+        drop = rng.uniform(2.0, 3.0)
+        t_on = rng.uniform(0.3, 0.6)
+        lnc1 = np.where(
+            t <= t_on, v0, v0 - drop * _front_loaded((t - t_on) / (1.0 - t_on))
+        )
+    else:  # NO_ARC
+        ratio = -0.5 + 1.2 * t
+        v0 = rng.uniform(0.5, 1.0)
+        freq = rng.uniform(2.0, 4.0)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        lnc1 = v0 + 0.25 * np.sin(2.0 * math.pi * freq * t + phase) + nc1_trend * t
+
+    ratio = ratio + ratio_noise * rng.standard_normal(n_readings)
+    lnc1 = lnc1 + nc1_noise * rng.standard_normal(n_readings)
+    return _assemble(regime, seed, steps, ratio, lnc1)
+
+
+def recovery_rate(regime, n_trials=200, seed0=0, thresholds=None, **kwargs):
+    """Fraction of seeded synthetic logs of a regime the classifier recovers."""
+    hits = 0
+    for s in range(seed0, seed0 + n_trials):
+        log = make_regime_log(regime, seed=s, **kwargs)
+        if classify(log, thresholds=thresholds).label == regime:
+            hits += 1
+    return hits / n_trials

@@ -51,7 +51,8 @@ from bifurc.hessian import (
 )
 from bifurc.mathcore import covariance, sym_eigen
 from bifurc.sde import persistence_stats, simulate_coupled_modes
-from bifurc.taxonomy import REGIMES, classify, recovery_rate
+from bifurc.taxonomy import REGIMES, classify
+from oracles import recovery_rate
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
 

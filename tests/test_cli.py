@@ -307,6 +307,21 @@ class TestExitCodes:
         assert err.startswith("error:") and "data.dim" in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [("reverse", "steps", "0"), ("reverse", "mode", "anneal"),
+         ("hierarchy", "steps", "100"), ("hierarchy", "mode", "bogus")],
+    )
+    def test_unread_experiment_key_exits_2(self, tmp_path, capsys, monkeypatch, command, key,
+                                           value):
+        # these drives are constants: the key would move only the config hash
+        monkeypatch.setenv(f"BIFURC_EXPERIMENT__{key.upper()}", value)
+        monkeypatch.setenv("BIFURC_DATA__N", "300")
+        assert main(["toy", command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"experiment.{key}" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
         monkeypatch.setenv("BIFURC_DATA__DIM", "0")

@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bifurc.experiments as X
@@ -18,6 +19,9 @@ from bifurc.errors import (
 from bifurc.gmm_probe import (
     CriticalityReading,
     ProbeConfig,
+    _centred,
+    _joint_step,
+    _Workspace,
     grad_step,
     init_collapsed,
     order_parameter,
@@ -332,8 +336,9 @@ class TestProtocolKernel:
             assert reading.order_parameter == order_parameter(state)
 
     def test_endogenous_run_matches_encoder_and_grad_step_replay(self):
-        # the latents change every step, so the run refills its workspace's row
-        # norms each step; the public API builds a fresh workspace per call
+        # the run refills its workspace each step with one product W @ xc from
+        # the x-space batch, and the replay builds its batch the same way; the
+        # public grad_step on fresh latents x W^T rounds differently, by ~1e-16
         ds = X.gen_bimodal(300, seed=7)
         log = X.run_endogenous(ds, config=self.CFG, steps=40, record_every=1)
         assert len(log.readings) == 40
@@ -345,12 +350,80 @@ class TestProtocolKernel:
             learning_rate=0.05,
         )
         state = init_collapsed(enc.latents(x), self.CFG, rng)
+        ws = _Workspace(self.CFG.K_probe, enc.latents(x))
+        xc, x_bar = _centred(x)
+        mu, lb = state.means, state.log_precision
         s = x.T @ x / x.shape[0]
         for reading in log.readings:
             enc.gd_step(s)
+            ws.project(enc.encode, xc, x_bar)
+            mu, lb = _joint_step(ws, mu, lb, self.CFG.lr_means, self.CFG.lr_logbeta)
+            assert reading.log_beta == lb
+            assert reading.order_parameter == order_parameter(replace(state, means=mu))
             state = grad_step(state, enc.latents(x), self.CFG)
-            assert reading.log_beta == state.log_precision
-            assert reading.order_parameter == order_parameter(state)
+            assert abs(state.log_precision - lb) <= 1e-14 * abs(lb)
+            assert np.abs(state.means - mu).max() <= 1e-14 * np.abs(mu).max()
+
+
+@st.composite
+def projection_cases(draw):
+    """(x, W, labels): N x d_in data, a d_lat x d_in map and 3 classes of >= 2 samples.
+
+    d_in and d_lat run over 1-4 independently, so W may be square, wide or
+    tall (a latent dim above d_in); the data sit at an offset from the origin.
+    """
+    d_in, d_lat = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(6, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.arange(n) % 3)
+    centers = draw(st.floats(0.1, 5.0)) * rng.standard_normal((3, d_in))
+    x = centers[labels] + rng.standard_normal((n, d_in)) + draw(st.floats(-50.0, 50.0))
+    w = draw(st.floats(1e-3, 10.0)) * rng.standard_normal((d_lat, d_in))
+    return x, w, labels
+
+
+def _tall_case(seed=3):
+    """A fixed 4 x 1 map: a latent dim above d_in, so Cov(z) has rank 1."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(12) % 3
+    x = 2.0 * labels[:, None] + rng.standard_normal((12, 1)) + 10.0
+    return x, rng.standard_normal((4, 1)), labels
+
+
+class TestProjectedMoments:
+    """The endogenous run's x-space reads agree with the same reads of the latents x W^T."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(case=_tall_case())
+    @given(case=projection_cases())
+    def test_x_space_fill_matches_a_workspace_of_the_latents(self, case):
+        x, w, _ = case
+        z = x @ w.T
+        ws = _Workspace(3, np.zeros_like(z))
+        ws.project(w, *_centred(x))
+        ref = _Workspace(3, z)
+        # roundoff of sums of d_in products of |W| |x| size, before centring
+        tol = 1e-13 * np.abs(w).sum(axis=1).max() * np.abs(x).max()
+        np.testing.assert_allclose(ws.za, ref.za, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(ws.c, ref.c, rtol=0.0, atol=tol)
+        assert abs(ws.ss - ref.ss) <= 2.0 * np.sqrt(z.size * ref.ss) * tol + z.size * tol**2
+
+    @settings(max_examples=150, deadline=None)
+    @example(case=_tall_case())
+    @given(case=projection_cases())
+    def test_mapped_covariance_and_nc1_match_the_latents(self, case):
+        x, w, labels = case
+        z = x @ w.T
+        cov_z = covariance(z)
+        tol = 1e-12 * (np.abs(w).sum(axis=1).max() * np.abs(x).max()) ** 2
+        np.testing.assert_allclose(
+            X._mapped_covariance(w, covariance(x)), cov_z, rtol=0.0, atol=tol
+        )
+        s_w, s_b = X.class_scatters(z, labels)
+        assume(np.trace(s_b) > 1e-6 * np.trace(s_w))  # NC1 well conditioned
+        assert X.scatter_ratio(*X.class_scatters(x, labels), w) == pytest.approx(
+            X.nc1(z, labels), rel=1e-8
+        )
 
 
 class TestDrivers:

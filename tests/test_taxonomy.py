@@ -12,6 +12,7 @@ from bifurc.errors import ValidationError
 from bifurc.escape_lab import quadratic_well_tilt
 from bifurc.gmm_probe import CriticalityReading
 from bifurc.sde import SdeConfig, simulate_tilted_langevin
+from oracles import make_regime_log, recovery_rate
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
 
@@ -115,7 +116,7 @@ class TestClassifyContract:
 
     def test_evidence_always_finite(self):
         for regime in T.REGIMES:
-            res = T.classify(T.make_regime_log(regime, seed=5))
+            res = T.classify(make_regime_log(regime, seed=5))
             for v in (res.descent_corr, res.plateau_fraction, res.decoupling_corr):
                 assert math.isfinite(v)
             assert res.descent_sign in (-1, 1)
@@ -125,17 +126,17 @@ class TestClassifyContract:
 class TestRegimeRecovery:
     @pytest.mark.parametrize("regime", T.REGIMES)
     def test_recovery_rate_at_least_95pct(self, regime):
-        assert T.recovery_rate(regime, n_trials=200) >= 0.95
+        assert recovery_rate(regime, n_trials=200) >= 0.95
 
     def test_generator_guards(self):
         with pytest.raises(ValidationError):
-            T.make_regime_log("Spiral", seed=0)
+            make_regime_log("Spiral", seed=0)
         with pytest.raises(ValidationError):
-            T.make_regime_log(T.FULL_V, seed=0, n_readings=10)
+            make_regime_log(T.FULL_V, seed=0, n_readings=10)
 
     def test_generator_reproducible(self):
-        a = T.make_regime_log(T.FOLD_BACK, seed=4)
-        b = T.make_regime_log(T.FOLD_BACK, seed=4)
+        a = make_regime_log(T.FOLD_BACK, seed=4)
+        b = make_regime_log(T.FOLD_BACK, seed=4)
         assert [r.nc1 for r in a.readings] == [r.nc1 for r in b.readings]
         assert [r.log_ratio for r in a.readings] == [r.log_ratio for r in b.readings]
 
@@ -155,7 +156,7 @@ class TestInvariances:
 
     @pytest.mark.parametrize("regime", T.REGIMES)
     def test_affine_time_rescaling(self, regime):
-        log = T.make_regime_log(regime, seed=0)
+        log = make_regime_log(regime, seed=0)
         scaled = self.remap(log, lambda s: 3 * s + 7)
         a, b = T.classify(log), T.classify(scaled)
         assert a.label == b.label
@@ -164,7 +165,7 @@ class TestInvariances:
 
     @pytest.mark.parametrize("regime", T.REGIMES)
     def test_monotone_reindexing(self, regime):
-        log = T.make_regime_log(regime, seed=1)
+        log = make_regime_log(regime, seed=1)
         warped = self.remap(log, lambda s: (s + 3) ** 2)
         a, b = T.classify(log), T.classify(warped)
         assert a.label == b.label
@@ -178,19 +179,19 @@ class TestAxisReading:
             T.axis_reading(log)
 
     def test_full_v_axes(self):
-        ax = T.axis_reading(T.make_regime_log(T.FULL_V, seed=0))
+        ax = T.axis_reading(make_regime_log(T.FULL_V, seed=0))
         assert ax.initial_criticality == "sub"
         assert ax.rate_ordering == "beta_leads"
         assert ax.dissipation_regime == "normal"
 
     def test_fold_back_axes(self):
-        ax = T.axis_reading(T.make_regime_log(T.FOLD_BACK, seed=0))
+        ax = T.axis_reading(make_regime_log(T.FOLD_BACK, seed=0))
         assert ax.initial_criticality == "sub"
         assert ax.rate_ordering == "beta_c_leads"
         assert ax.dissipation_regime == "normal"
 
     def test_delayed_escape_axes(self):
-        ax = T.axis_reading(T.make_regime_log(T.DELAYED_ESCAPE, seed=0))
+        ax = T.axis_reading(make_regime_log(T.DELAYED_ESCAPE, seed=0))
         assert ax.initial_criticality == "sub"
         assert ax.dissipation_regime == "low"
 
