@@ -308,6 +308,19 @@ def _toy_dataset(sub, cfg, seed):
     return dataset
 
 
+_ENCODER_KEYS = ("encoder_lr", "latent_dim", "init_weight_scale")
+# the [experiment] keys a toy command does not read, so that a value other than
+# the default would move only the config hash: reverse and hierarchy run
+# constant drives, and only endogenous has an encoder but no forward-split mode
+_UNREAD_EXPERIMENT_KEYS = {
+    "bimodal": _ENCODER_KEYS,
+    "unimodal": _ENCODER_KEYS,
+    "reverse": ("steps", "mode") + _ENCODER_KEYS,
+    "hierarchy": ("steps", "mode") + _ENCODER_KEYS,
+    "endogenous": ("mode",),
+}
+
+
 def _toy_worker(sub, job):
     """Run one seed of `toy sub` and write its own files.
 
@@ -316,11 +329,10 @@ def _toy_worker(sub, job):
     """
     cfg, seed, out = job
     out_dir = Path(out)
-    if sub in ("reverse", "hierarchy"):  # their drives are constants
-        for key in ("steps", "mode"):
-            default = DEFAULTS["experiment"][key]
-            if cfg.get("experiment", key) != default:
-                raise ConfigError(f"toy {sub} does not read experiment.{key}: keep it at {default}")
+    for key in _UNREAD_EXPERIMENT_KEYS[sub]:
+        default = DEFAULTS["experiment"][key]
+        if cfg.get("experiment", key) != default:
+            raise ConfigError(f"toy {sub} does not read experiment.{key}: keep it at {default}")
     dataset = _toy_dataset(sub, cfg, seed)
     probe = _probe_config(cfg)
     record_every = cfg.get_int("experiment", "record_every")

@@ -544,7 +544,7 @@ def run_reverse_traversal(dataset, probe):
             "merge_relative_error": None
             if merge_beta is None
             else (merge_beta - beta_c_hat) / beta_c_hat,
-            "op_fraction_at_half_beta_c": float(arr[half_idx, 1] / plateau),
+            "op_fraction_at_half_beta_c": float(arr[half_idx, 1] / plateau) if plateau else None,
         }
     )
     return log
@@ -565,7 +565,9 @@ def branch_overlap(forward_log, reverse_log):
     grid = np.linspace(1.45 * bc, 2.3 * bc, 10)
     fi = np.interp(grid, fwd[:, 0], fwd[:, 1])
     ri = np.interp(grid, rev[:, 0], rev[:, 1])
-    return float(np.max(np.abs(fi - ri) / np.maximum(fi, ri)))
+    top = np.maximum(fi, ri)
+    # where both order parameters are 0 (one prototype, or no split) the branches agree
+    return float(np.divide(np.abs(fi - ri), top, out=np.zeros(10), where=top > 0.0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +652,12 @@ def run_endogenous(
     # x's moments, once: the step reads S, the batch xc, the record points
     # Cov(z) = W Cov(x) W^T and NC1 through the class scatters of x
     s = x.T @ x / x.shape[0]
-    xc, x_bar = _centred(x)
+    xc, x_bar, r_x = _centred(x)
     cov_x = covariance(x)
     scatters = _or_none(class_scatters, x, dataset.labels)
     for n in range(steps):
         enc.gd_step(s)
-        ws.project(enc.encode, xc, x_bar)
+        ws.project(enc.encode, xc, x_bar, r_x)
         try:
             mu, lb = _joint_step(ws, mu, lb, config.lr_means, config.lr_logbeta)
         except NumericalError as blowup:

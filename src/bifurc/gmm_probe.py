@@ -144,45 +144,70 @@ def _check_batch(state, samples):
 # coef @ za of the centred, feature-major batch, and every component's weighted
 # moments are one product (za / total) @ e.T, so no K x N array is normalised.
 # Centring keeps the expansion of ||z - mu||^2 from cancelling against ||c||^2
-# for a batch far from the origin. Each protocol run allocates its workspace
-# once and the kernel overwrites it in place: a fresh K x N array per step costs
-# page faults once it outgrows the allocator's small-block pool. A run whose
-# latents z = x W^T move with W centres x once and refills za each step with one
-# product W @ xc (project). The weights e are a view into the workspace, valid
-# only until its next kernel call; za's rows only until the next project.
+# for a batch far from the origin. The softmax is shifted by one scalar per step,
+# not by each sample's max: any shift that keeps every exponent in the normal
+# range is as accurate (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41,
+# 2021), and this one rides in coef's constant column, so the product returns
+# shifted logits and no K x N max or subtract pass is made (see
+# _shifted_weights). Each protocol run allocates its workspace once and the
+# kernel overwrites it in place: a fresh K x N array per step costs page faults
+# once it outgrows the allocator's small-block pool. A run whose latents
+# z = x W^T move with W centres x once and refills za each step with one product
+# W @ xc (project). The weights e are a view into the workspace, valid only until
+# its next kernel call; za's rows only until the next project.
+
+# The scalar shift's range limit L: on that path every exp argument lies in
+# [-L, 0], so each weight and each per-sample total is at least e^-L ~ 1e-87,
+# and za / total is at most r e^L, finite while the batch radius r is below
+# RADIUS_LIMIT. The widest range a protocol reaches is 146 (toy hierarchy);
+# a wider one takes the per-sample max.
+SHIFT_LIMIT = 200.0
+RADIUS_LIMIT = 1e200
 
 
 def _centred(z):
-    """(zc, c): the rows of z (N x d) centred on their mean c, as a contiguous d x N array."""
+    """(zc, c, r): the rows of z (N x d) centred on their mean c, as a contiguous d x N array.
+
+    r = max_n ||zc_n||, the batch radius that bounds the kernel's logits.
+    """
     zc = z.T.copy()
     c = zc.mean(axis=1)  # contiguous rows: several times faster than z.mean(axis=0)
     zc -= c[:, None]
-    return zc, c
+    return zc, c, math.sqrt(np.einsum("jn,jn->n", zc, zc).max())
 
 
 class _Workspace:
     """A latent batch (N x d), centred and feature-major, and the kernel's buffers.
 
-    za is (d+1) x N: rows z_j - c_j, then a row of ones; ss = sum_n ||z_n - c||^2;
-    zw holds za / total. e is the only K x N buffer (logits, then shifted
-    weights); amax and total are its per-sample max and sum. project() refills
-    za and c in place for latents x W^T, from x centred once.
+    za is (d+1) x N: rows z_j - c_j, then a row of ones; ss = sum_n ||z_n - c||^2
+    and r >= max_n ||z_n - c||; zw holds za / total. e is the only K x N buffer
+    (logits, then shifted weights); coef holds the logits' K x (d+1)
+    coefficients, amax the per-sample max where the kernel takes it, and total
+    the per-sample sum. project() refills za, c and r in place for latents
+    x W^T, from x centred once.
     """
 
     def __init__(self, k, z):
         n, d = z.shape
-        zc, self.c = _centred(z)
+        zc, self.c, self.r = _centred(z)
         self.za = np.vstack((zc, np.ones(n)))
         self.zw = np.empty((d + 1, n))
         self.e = np.empty((k, n))
+        self.coef = np.empty((k, d + 1))
+        self.ones = np.ones(k)
         self.amax = np.empty(n)
         self.total = np.empty(n)
         self.ss = float(np.vdot(zc, zc))
 
-    def project(self, w, xc, x_bar):
-        """Make z = x W^T (w: d x d_in) the batch: za[:-1] = W xc, c = W x_bar for _centred(x)."""
+    def project(self, w, xc, x_bar, r_x):
+        """Make z = x W^T (w: d x d_in) the batch, for (xc, x_bar, r_x) = _centred(x).
+
+        za[:-1] = W xc and c = W x_bar; r = ||W||_F r_x bounds max_n ||W xc_n||
+        without a pass over the batch.
+        """
         zc = np.matmul(w, xc, out=self.za[:-1])
         self.c = w @ x_bar
+        self.r = math.sqrt(np.vdot(w, w)) * r_x
         self.ss = float(np.vdot(zc, zc))
 
 
@@ -198,17 +223,30 @@ def _precision(log_beta):
 
 
 def _shifted_weights(ws, m, beta):
-    """(e, max, sum) with e = exp(a - max_k a) per column, for m = mu - c.
+    """(e, shift, total) with e = exp(a - shift) and total its column sums, for m = mu - c.
 
     a_kn = beta m_k.(z_n - c) - (beta/2)||m_k||^2 is -(beta/2)||z_n - mu_k||^2 up
     to (beta/2)||z_n - c||^2, which is the same for every k and cancels in p.
+    With M = max_k ||m_k|| and r the workspace's radius bound, every a_kn lies
+    in [-beta M (r + M/2), beta M r], so the scalar shift s = beta M r puts every
+    exponent in [-beta M (2r + M), 0]. Below SHIFT_LIMIT (and for r below
+    RADIUS_LIMIT) the shift is that scalar, folded into coef's constant column;
+    otherwise it is each sample's max (ws.amax), the only shift that keeps a
+    wider range from underflowing.
     """
-    coef = np.column_stack((beta * m, (m * m).sum(axis=1) * (-0.5 * beta)))
+    sq = (m * m).sum(axis=1)
+    mmax = math.sqrt(sq.max())
+    shift = beta * mmax * ws.r
+    scalar = beta * mmax * (2.0 * ws.r + mmax) < SHIFT_LIMIT and ws.r < RADIUS_LIMIT
+    coef = ws.coef
+    np.multiply(m, beta, out=coef[:, :-1])
+    np.subtract(sq * (-0.5 * beta), shift if scalar else 0.0, out=coef[:, -1])
     e = np.matmul(coef, ws.za, out=ws.e)
-    amax = e.max(axis=0, out=ws.amax)
-    e -= amax
+    if not scalar:
+        shift = e.max(axis=0, out=ws.amax)
+        e -= shift
     np.exp(e, out=e)
-    return e, amax, e.sum(axis=0, out=ws.total)
+    return e, shift, np.matmul(ws.ones, e, out=ws.total)
 
 
 def _moments(ws, mu, beta):
@@ -287,8 +325,8 @@ def _nll(ws, mu, log_beta):
     """The mean NLL of the workspace's batch under means mu and log beta."""
     k, d = mu.shape
     beta = _precision(log_beta)
-    _, amax, total = _shifted_weights(ws, mu - ws.c, beta)
-    lse = amax + np.log(total)
+    _, shift, total = _shifted_weights(ws, mu - ws.c, beta)
+    lse = shift + np.log(total)
     return float(
         -lse.mean()
         + 0.5 * beta * ws.ss / ws.za.shape[1]

@@ -178,13 +178,18 @@ def _illinois(f, lo, hi, tol):
     The Illinois method (Dowell & Jarratt, BIT 11, 1971): regula falsi that
     halves the stored value of an endpoint kept twice in a row, so neither end
     stalls; a secant point not strictly inside [a, b] becomes the midpoint.
+    A secant point within delta = tol * min(a, 1) / 2 of an endpoint moves
+    delta inside instead (the minimum step of Dekker's and Brent's methods), so
+    once the secant has found the root from one side the next point lands past
+    it and closes the bracket, whatever the sign of the noise in f there.
     While b > 16 a the next point is the geometric midpoint sqrt(a b)
     instead: it halves the bracket's width in decades, where secant or
     arithmetic points would take about one evaluation per halving of its
     width, a thousand across 300 decades. It stops once
     b - a <= tol * min(a, 1), so a root far below 1 keeps its relative
-    accuracy, or at float resolution. An endpoint where f is exactly 0 is the
-    root; endpoints of one sign raise BracketError.
+    accuracy, or at float resolution, and returns the endpoint where |f| is
+    smaller. An endpoint where f is exactly 0 is the root; endpoints of one
+    sign raise BracketError.
     """
     if not 0 < lo < hi < math.inf:
         raise ValidationError(f"need a finite bracket 0 < beta_lo < beta_hi, got [{lo}, {hi}]")
@@ -198,12 +203,14 @@ def _illinois(f, lo, hi, tol):
             f"no sign change in [{lo}, {hi}]: lowest eigenvalue {fa:.3e} .. {fb:.3e}"
         )
     rising = fb > 0.0
-    a, b, evaluations, moved = lo, hi, 2, None
+    # ha, hb: the endpoints' values as the secant uses them, halved by the Illinois rule
+    a, b, ha, hb, evaluations, moved = lo, hi, fa, fb, 2, None
     while b - a > tol * min(a, 1.0):
         if b > 16.0 * a:
             m, moved = math.sqrt(a) * math.sqrt(b), None
         else:
-            m = b - fb * (b - a) / (fb - fa)
+            delta = 0.5 * tol * min(a, 1.0)
+            m = min(max(b - hb * (b - a) / (hb - ha), a + delta), b - delta)
             if not a < m < b:
                 m = a + 0.5 * (b - a)
                 if not a < m < b:
@@ -213,12 +220,12 @@ def _illinois(f, lo, hi, tol):
         if fm == 0.0:
             return m, evaluations
         if (fm > 0.0) == rising:
-            fa *= 0.5 if moved == "b" else 1.0
-            b, fb, moved = m, fm, "b"
+            ha *= 0.5 if moved == "b" else 1.0
+            b, fb, hb, moved = m, fm, fm, "b"
         else:
-            fb *= 0.5 if moved == "a" else 1.0
-            a, fa, moved = m, fm, "a"
-    return a + 0.5 * (b - a), evaluations
+            hb *= 0.5 if moved == "a" else 1.0
+            a, fa, ha, moved = m, fm, fm, "a"
+    return (a if abs(fa) <= abs(fb) else b), evaluations
 
 
 def find_crossing(K, cov, beta_lo, beta_hi):

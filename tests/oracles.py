@@ -69,6 +69,22 @@ def encoder_gd_step(enc, x):
     return enc.encode - enc.learning_rate * g_enc, enc.decode - enc.learning_rate * g_dec
 
 
+def max_shift_kernel(z, mu, beta):
+    """The probe kernel's textbook reference at fixed beta: (p, lse, pull).
+
+    p is the N x K softmax of the logits -(beta/2)||z_n - mu_k||^2, shifted by
+    each sample's largest logit; lse is each sample's log-sum-exp of them;
+    pull is the K x d sum_n p_nk (z_n - mu_k).
+    """
+    diff = z[:, None, :] - mu[None, :, :]
+    a = -0.5 * beta * (diff * diff).sum(axis=-1)
+    amax = a.max(axis=1, keepdims=True)
+    w = np.exp(a - amax)
+    total = w.sum(axis=1, keepdims=True)
+    p = w / total
+    return p, amax[:, 0] + np.log(total[:, 0]), np.einsum("nk,nkd->kd", p, diff)
+
+
 # ---------------------------------------------------------------------------
 # regime-kinematics generators (the classifier's recovery tests and exemplars)
 

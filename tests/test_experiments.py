@@ -22,6 +22,7 @@ from bifurc.gmm_probe import (
     _centred,
     _joint_step,
     _Workspace,
+    exact_collapsed,
     grad_step,
     init_collapsed,
     order_parameter,
@@ -351,12 +352,12 @@ class TestProtocolKernel:
         )
         state = init_collapsed(enc.latents(x), self.CFG, rng)
         ws = _Workspace(self.CFG.K_probe, enc.latents(x))
-        xc, x_bar = _centred(x)
+        xc, x_bar, r_x = _centred(x)
         mu, lb = state.means, state.log_precision
         s = x.T @ x / x.shape[0]
         for reading in log.readings:
             enc.gd_step(s)
-            ws.project(enc.encode, xc, x_bar)
+            ws.project(enc.encode, xc, x_bar, r_x)
             mu, lb = _joint_step(ws, mu, lb, self.CFG.lr_means, self.CFG.lr_logbeta)
             assert reading.log_beta == lb
             assert reading.order_parameter == order_parameter(replace(state, means=mu))
@@ -407,6 +408,7 @@ class TestProjectedMoments:
         np.testing.assert_allclose(ws.za, ref.za, rtol=0.0, atol=tol)
         np.testing.assert_allclose(ws.c, ref.c, rtol=0.0, atol=tol)
         assert abs(ws.ss - ref.ss) <= 2.0 * np.sqrt(z.size * ref.ss) * tol + z.size * tol**2
+        assert ws.r >= ref.r * (1.0 - 1e-12) - tol  # the kernel's shift needs an upper bound
 
     @settings(max_examples=150, deadline=None)
     @example(case=_tall_case())
@@ -587,6 +589,16 @@ class TestAnnealHoldReverse:
         assert fb[-1] == pytest.approx(X.BRANCH_TOP_RATIO, rel=1e-9)
         assert rb[0] == pytest.approx(X.BRANCH_TOP_RATIO, rel=1e-9)
         assert rb[-1] == pytest.approx(X.REVERSE_BOTTOM_RATIO, rel=1e-9)
+
+    def test_one_prototype_branch_has_no_plateau_fraction_and_full_overlap(self):
+        # a single prototype never splits: every level's order parameter is 0
+        ds = X.gen_bimodal(100, seed=0)
+        rev = X.run_reverse_traversal(ds, exact_collapsed(ds.samples, 1, 0.0))
+        assert rev.summary["plateau_order_parameter"] == 0.0
+        assert rev.summary["op_fraction_at_half_beta_c"] is None
+        fwd = X.TrajectoryLog("forward-split", 0, summary={
+            "beta_c_hat": rev.summary["beta_c_hat"], "branch": rev.summary["branch"]})
+        assert X.branch_overlap(fwd, rev) == 0.0
 
     def test_overlap_requires_branches(self, hysteresis, learned_pair):
         fwd, _ = hysteresis

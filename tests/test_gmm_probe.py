@@ -3,18 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bifurc.errors import DegenerateInputError, DimensionError, NumericalError
 from bifurc.gmm_probe import (
+    SHIFT_LIMIT,
     GmmProbeState,
     ProbeConfig,
+    _centred,
     _em_step,
     _equilibrium,
     _joint_step,
     _mean_step,
+    _nll,
     _shifted_weights,
     _Workspace,
     beta_c,
@@ -28,6 +31,7 @@ from bifurc.gmm_probe import (
     split_direction,
 )
 from bifurc.mathcore import covariance
+from oracles import max_shift_kernel
 
 
 def bimodal(n=400, seed=0, c=2.0):
@@ -329,6 +333,76 @@ class TestKernelAgainstPerComponentReference:
         assert stepped.log_precision == pytest.approx(log_beta_ref, rel=1e-12, abs=1e-12)
 
 
+@st.composite
+def shift_cases(draw):
+    """A batch spread up to 1e4, prototypes up to 1e3 from its mean, log beta in [-20, 8].
+
+    The kernel's logit range bound beta M (2r + M) then falls on both sides of
+    SHIFT_LIMIT, far above it too.
+    """
+    k, d, n = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    spread = draw(st.sampled_from([1.0, 1e2, 1e4]))
+    z = spread * draw(hnp.arrays(float, (n, d), elements=st.floats(-1.0, 1.0)))
+    offsets = draw(hnp.arrays(float, (k, d), elements=st.floats(-1e3, 1e3)))
+    return z, z.mean(axis=0) + offsets, draw(st.floats(-20.0, 8.0))
+
+
+def _pair(beta):
+    """z = -1, 1 and means -1, 1 (d = 1): r = M = 1, so the range bound is 3 beta."""
+    return np.array([[-1.0], [1.0]]), np.array([[-1.0], [1.0]]), math.log(beta)
+
+
+class TestScalarShiftAgainstPerSampleMax:
+    @settings(max_examples=300, deadline=None)
+    @example(case=_pair(190.0 / 3.0)).via("range bound 190: the scalar shift")
+    @example(case=_pair(210.0 / 3.0)).via("range bound 210: the per-sample max")
+    @example(case=(np.array([[-1e4, 0.0], [1e4, 5.0], [0.0, -1e4]]),
+                   np.array([[1e3, 0.0], [-1e3, 1e3]]), math.log(10.0))).via(
+        "large beta, far prototypes, |z - c| of 1e4")
+    @given(case=shift_cases())
+    def test_responsibilities_nll_and_mean_step(self, case):
+        z, mu, log_beta = case
+        k, d = mu.shape
+        n = z.shape[0]
+        beta = math.exp(log_beta)
+        p_ref, lse_ref, pull_ref = max_shift_kernel(z, mu, beta)
+        ws = _Workspace(k, z)
+        r, big_m = ws.r, float(np.sqrt(((mu - ws.c) ** 2).sum(axis=1).max()))
+        # roundoff of logits of size beta size^2, in either form; size bounds
+        # r + M without squaring, which underflows for tiny z and mu
+        size = math.sqrt(d) * (np.abs(z - ws.c).max() + np.abs(mu - ws.c).max())
+        tol = 1e-13 * (1.0 + beta * size**2)
+
+        e, shift, _ = _shifted_weights(ws, mu - ws.c, beta)
+        scalar = isinstance(shift, float)
+        assert scalar == (beta * big_m * (2.0 * r + big_m) < SHIFT_LIMIT)
+        event("scalar shift" if scalar else "per-sample max")
+        if scalar:  # every exp argument in [-L, 0]
+            assert e.min() >= math.exp(-SHIFT_LIMIT) and e.max() <= 1.0
+
+        state = GmmProbeState(mu, log_beta, k, d)
+        np.testing.assert_allclose(responsibilities(state, z), p_ref, rtol=0.0, atol=tol)
+        nll_ref = (-lse_ref.mean() + math.log(k) + 0.5 * d * math.log(2.0 * math.pi)
+                   - 0.5 * d * log_beta)
+        assert abs(_nll(ws, mu, log_beta) - nll_ref) <= tol
+        stepped = _mean_step(ws, mu, beta, 1.0 / beta)[0]  # mu + pull / N
+        np.testing.assert_allclose(stepped, mu + pull_ref / n, rtol=1e-14, atol=size * tol)
+
+    def test_radius_above_the_limit_takes_the_per_sample_max(self):
+        # latents W x with r = ||W||_F r_x = 1.4e300: M = 1e-150 and beta = 3.5e-149
+        # give a range bound of 100, but the samples at right angles to m sit 50
+        # below the scalar shift, so za / total would reach 1e300 e^50 and overflow
+        x = 1e150 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        mu, beta = np.array([[1e-150, 0.0], [-1e-150, 0.0]]), 3.5e-149
+        ws = _Workspace(2, np.zeros_like(x))
+        with np.errstate(over="ignore"):  # ss = sum ||z_n||^2 overflows
+            ws.project(1e150 * np.eye(2), *_centred(x))
+        assert not isinstance(_shifted_weights(ws, mu, beta)[1], float)
+        np.testing.assert_allclose(
+            _em_step(ws, mu, beta), [[5e299, 0.0], [-5e299, 0.0]], rtol=1e-12, atol=0.0
+        )
+
+
 class TestEquilibrium:
     """The EM branch solver: its fixed points are the zeros of the mean gradient."""
 
@@ -448,6 +522,8 @@ class TestWorkspace:
 
     def test_weights_are_views_into_the_workspace(self):
         ws = _Workspace(3, bimodal(n=50))
-        e, amax, total = _shifted_weights(ws, -np.tile(ws.c, (3, 1)), 1.0)
-        assert np.shares_memory(e, ws.e)
-        assert np.shares_memory(amax, ws.amax) and np.shares_memory(total, ws.total)
+        m = np.array([[-3.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
+        for beta in (1.0, 1e3):  # the scalar shift (a float), then the per-sample max
+            e, shift, total = _shifted_weights(ws, m, beta)
+            assert np.shares_memory(e, ws.e) and np.shares_memory(total, ws.total)
+            assert np.shares_memory(shift, ws.amax) == (beta == 1e3)

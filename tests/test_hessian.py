@@ -299,6 +299,26 @@ class TestBisect:
         assert evaluations == len(calls) <= 12
         assert abs(root - guess) <= 1e-6 * guess
 
+    @pytest.mark.parametrize("root", [0.37, 0.8, 1.3, 2.9])
+    @pytest.mark.parametrize("lo,hi", [(0.5, 1.5), (0.3, 1.9)])
+    def test_evaluation_count_does_not_depend_on_the_sign_of_noise_at_the_root(
+        self, root, lo, hi
+    ):
+        # a lowest eigenvalue's shape (beta/K)(1 - beta/beta_c) plus noise of 1e-10,
+        # which sets f's sign within ~1e-9 of the root, as roundoff does in a
+        # finite-difference Hessian; the minimum step carries the next point past
+        # that band, whichever side of the root the noise puts the secant on
+        results = []
+        for sign in (1.0, -1.0):
+
+            def f(b):
+                return (b / 10.0) * (1.0 - b / root) + sign * 1e-10 * math.sin(1e7 * b)
+
+            results.append(_illinois(f, lo * root, hi * root, 1e-6))
+        assert results[0][1] == results[1][1]
+        for got, _ in results:
+            assert abs(got - root) <= 2e-6 * root
+
     @pytest.mark.parametrize("root", [0.3, 1.0, 1.9])
     def test_steep_convex_function_does_not_stall_on_one_endpoint(self, root):
         # plain regula falsi keeps the left endpoint here and creeps in from
