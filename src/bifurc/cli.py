@@ -19,7 +19,9 @@ all outputs embed the 12-hex config hash and the package version. Exit codes:
 0 success, 2 configuration or validation problem, 3 numerical failure,
 4 I/O failure. Seed sweeps run in a process pool; each per-seed file is
 written by exactly one worker and the merged summary by the parent. The seed
-list is checked before any worker starts: a negative or repeated seed exits 2.
+list and the keys a command does not read are checked before any worker
+starts: a negative or repeated seed, or an unread key away from its default,
+exits 2.
 """
 
 import argparse
@@ -42,7 +44,6 @@ from .escape_lab import (
     aggregate_observations,
     default_sweep_config,
     fit_escape_models,
-    quadratic_well_tilt,
     read_sweep_csv,
     sweep_observations,
     write_sweep_csv,
@@ -99,6 +100,22 @@ _OVERLAYS = {
             "init_scale": "0.05",
         }
     },
+}
+
+_ENCODER_KEYS = tuple(("experiment", k) for k in ("encoder_lr", "latent_dim", "init_weight_scale"))
+_DRIVE_KEYS = (("experiment", "steps"), ("experiment", "mode"))
+# The (section, key) pairs a command does not read, so that a value other than
+# its default would move only the config hash: reverse and hierarchy run
+# constant drives, only endogenous has an encoder but no forward-split mode,
+# the scalar pitchfork has no coupling term and the coupled modes start at random.
+_UNREAD_KEYS = {
+    ("toy", "bimodal"): _ENCODER_KEYS,
+    ("toy", "unimodal"): _ENCODER_KEYS,
+    ("toy", "reverse"): _DRIVE_KEYS + _ENCODER_KEYS,
+    ("toy", "hierarchy"): _DRIVE_KEYS + _ENCODER_KEYS,
+    ("toy", "endogenous"): (("experiment", "mode"),),
+    ("sde", "pitchfork"): (("sde", "coupling"),),
+    ("sde", "coupled"): (("sde", "eps0"),),
 }
 
 # Keys too bulky for the merged cross-seed summary; they stay in the
@@ -308,19 +325,6 @@ def _toy_dataset(sub, cfg, seed):
     return dataset
 
 
-_ENCODER_KEYS = ("encoder_lr", "latent_dim", "init_weight_scale")
-# the [experiment] keys a toy command does not read, so that a value other than
-# the default would move only the config hash: reverse and hierarchy run
-# constant drives, and only endogenous has an encoder but no forward-split mode
-_UNREAD_EXPERIMENT_KEYS = {
-    "bimodal": _ENCODER_KEYS,
-    "unimodal": _ENCODER_KEYS,
-    "reverse": ("steps", "mode") + _ENCODER_KEYS,
-    "hierarchy": ("steps", "mode") + _ENCODER_KEYS,
-    "endogenous": ("mode",),
-}
-
-
 def _toy_worker(sub, job):
     """Run one seed of `toy sub` and write its own files.
 
@@ -329,10 +333,6 @@ def _toy_worker(sub, job):
     """
     cfg, seed, out = job
     out_dir = Path(out)
-    for key in _UNREAD_EXPERIMENT_KEYS[sub]:
-        default = DEFAULTS["experiment"][key]
-        if cfg.get("experiment", key) != default:
-            raise ConfigError(f"toy {sub} does not read experiment.{key}: keep it at {default}")
     dataset = _toy_dataset(sub, cfg, seed)
     probe = _probe_config(cfg)
     record_every = cfg.get_int("experiment", "record_every")
@@ -577,7 +577,7 @@ def _cmd_escape_sweep(cfg, out_dir):
         cfg.get_float_list("escape", "gammas"),
         cfg.get_int("escape", "seeds_per_gamma"),
         default_sweep_config(cfg),
-        quadratic_well_tilt(cfg.get_float("escape", "tilt_curvature")),
+        cfg.get_float("escape", "tilt_curvature"),
         cfg.get_float("escape", "threshold"),
         cfg.get_int("escape", "horizon"),
         _parallel_map,
@@ -755,6 +755,11 @@ def _dispatch(args):
         flags=_flag_overrides(args),
     )
     cfg.seeds()  # every command validates the seed list
+    for section, key in _UNREAD_KEYS.get((args.command, sub), ()):
+        default = overlay.get(section, {}).get(key, DEFAULTS[section][key])
+        if cfg.get(section, key) != default:
+            raise ConfigError(
+                f"{args.command} {sub} does not read {section}.{key}: keep it at {default!r}")
     out_dir = Path(cfg.get("run", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "calibrate-hessian":

@@ -17,13 +17,14 @@ by weighted least squares in log tau with relative-error weights
 (mean/std)^2, AIC = chi^2 + 2k. Censored levels are reported but never
 fitted. Escape times are in integrator steps.
 
-The built-in tilt is U(eps) = -(1/2) eps^2: the drift gains +gamma eps, the
-drift-dominated regime with effective linear rate mu + gamma.
+The tilt is the quadratic well U(eps) = -(1/2) c eps^2 of curvature c
+([escape] tilt_curvature, default 1): a rate term, not a third system. The
+drift gains +gamma c eps, so each cell is the scalar pitchfork at effective
+linear rate mu + gamma c, run by sde's one scalar stepper.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -38,51 +39,6 @@ _DEFAULTS = RunConfig()
 DEFAULT_GAMMAS = tuple(_DEFAULTS.get_float_list("escape", "gammas"))
 DEFAULT_THRESHOLD = _DEFAULTS.get_float("escape", "threshold")
 DEFAULT_HORIZON = _DEFAULTS.get_int("escape", "horizon")
-
-
-@dataclass
-class TiltPotential:
-    """An evaluable tilt U(eps) with its exact derivative U'(eps).
-
-    Construction spot-checks that dU matches a central difference of U at a
-    few points (1e-8 band), so a mistyped derivative fails fast.
-    """
-
-    U: callable
-    dU: callable
-    description: str = ""
-
-    def __post_init__(self):
-        for x in (-0.7, 0.11, 0.9):
-            h = 1e-6
-            fd = (self.U(x + h) - self.U(x - h)) / (2 * h)
-            if abs(fd - self.dU(x)) > 1e-8 * max(1.0, abs(self.dU(x))):
-                raise ValidationError(
-                    f"dU is not the derivative of U at {x}: {self.dU(x)} vs {fd}"
-                )
-
-
-def _quadratic_u(c, e):
-    return -0.5 * c * e * e
-
-
-def _quadratic_du(c, e):
-    return -c * e
-
-
-def quadratic_well_tilt(c=1.0):
-    """The canonical built-in tilt U(eps) = -(1/2) c eps^2 (0 < c < inf).
-
-    -gamma U' = +gamma c eps: linear destabilization, escape rate mu + gamma c.
-    Built from module-level functions, so a process pool can pickle it.
-    """
-    if not 0 < c < math.inf:
-        raise ValidationError("quadratic_well_tilt needs 0 < c < inf")
-    return TiltPotential(
-        U=partial(_quadratic_u, c),
-        dU=partial(_quadratic_du, c),
-        description=f"U(eps) = -(1/2)*{c}*eps^2",
-    )
 
 
 @dataclass
@@ -120,13 +76,14 @@ class SweepSummary:
     unit_weights_used: bool = False
 
 
-def measure_escape(config, tilt, threshold, horizon=DEFAULT_HORIZON, eps0=None):
+def measure_escape(config, curvature, threshold, horizon=DEFAULT_HORIZON, eps0=None):
     """First step at which |eps| >= threshold, or a censored observation.
 
-    Starts at eps0 (default: config.init_scale, exactly). The threshold must
-    lie strictly between init_scale and the saturation amplitude eps*.
-    Noise uses the config seed; with noise_intensity 0 the path is
-    deterministic and no random numbers are drawn.
+    The drift gains the tilt force gamma c eps, gamma = config.coupling and
+    c = curvature. Starts at eps0 (default: config.init_scale, exactly). The
+    threshold must lie strictly between init_scale and the saturation
+    amplitude eps*. Noise uses the config seed; with noise_intensity 0 the
+    path is deterministic and no random numbers are drawn.
     """
     if config.modes != 1 or config.dim != 1:
         raise ConfigError("measure_escape runs the scalar dynamics (modes = dim = 1)")
@@ -140,7 +97,8 @@ def measure_escape(config, tilt, threshold, horizon=DEFAULT_HORIZON, eps0=None):
     elif threshold <= config.init_scale:
         raise ConfigError("threshold must exceed init_scale")
     start = config.init_scale if eps0 is None else float(eps0)
-    n, eps, _ = _langevin(config, tilt, start, horizon, np.random.default_rng(config.seed), threshold)
+    n, eps, _ = _langevin(config, start, horizon, np.random.default_rng(config.seed), threshold,
+                          curvature=curvature)
     tau = n if abs(eps) >= threshold else None
     return EscapeObservation(config.coupling, config.seed, tau, horizon, tau is None)
 
@@ -181,41 +139,21 @@ def _measure_cell(job):
     return measure_escape(*job)
 
 
-def sweep_observations(gammas, seeds_per_gamma, config, tilt, threshold, horizon, mapper):
+def sweep_observations(gammas, seeds_per_gamma, config, curvature, threshold, horizon, mapper):
     """One EscapeObservation per cell of sweep_cells, in cell order.
 
-    mapper(fn, jobs) maps the measurement over a list of jobs (map, or a
-    process pool's). A noise-free cell does not depend on its seed, so each
-    gamma's first cell is measured and copied to its other seeds.
+    curvature is the tilt's c, 0 < c < inf. mapper(fn, jobs) maps the
+    measurement over a list of jobs (map, or a process pool's). A noise-free
+    cell does not depend on its seed, so each gamma's first cell is measured
+    and copied to its other seeds.
     """
+    if not 0 < curvature < math.inf:
+        raise ValidationError(f"tilt_curvature must satisfy 0 < c < inf, got {curvature}")
     cells = sweep_cells(gammas, seeds_per_gamma, config)
     stride = seeds_per_gamma if config.noise_intensity == 0 else 1
-    jobs = [(c, tilt, threshold, horizon) for c in cells[::stride]]
+    jobs = [(c, curvature, threshold, horizon) for c in cells[::stride]]
     measured = list(mapper(_measure_cell, jobs))
     return [replace(measured[i // stride], seed=c.seed) for i, c in enumerate(cells)]
-
-
-def run_sweep(
-    gammas,
-    seeds_per_gamma,
-    config,
-    tilt,
-    threshold,
-    horizon=DEFAULT_HORIZON,
-):
-    """Escape-time sweep over the cells of sweep_cells.
-
-    Censored cells are counted per level; levels with no uncensored cell get
-    empty means. Fitting needs >= 3 distinct uncensored gamma > 0 levels; with
-    none at all this raises NoFitError (callers that want the statistics
-    anyway should use aggregate_observations and fit separately).
-    """
-    gammas = list(gammas)
-    if len(set(gammas)) < 3:
-        raise ValidationError("run_sweep needs >= 3 distinct gamma values")
-    return fit_escape_models(aggregate_observations(
-        sweep_observations(gammas, seeds_per_gamma, config, tilt, threshold, horizon, map)
-    ))
 
 
 def aggregate_observations(observations):

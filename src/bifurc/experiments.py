@@ -439,8 +439,9 @@ def run_forward_split(dataset, config, mode="learned", steps=7000, record_every=
     mode "learned" trains means and precision jointly for steps steps: beta
     rises on its own while the latents stay fixed. Mode "anneal" instead
     imposes the precision externally (the anneal drive above) and additionally
-    maps the equilibrium branch upward for later overlap comparisons. A
-    reading is recorded every record_every steps.
+    maps the equilibrium branch upward for later overlap comparisons; it
+    needs K_probe >= 2, since one prototype has no anti-symmetric channel to
+    end the hold early. A reading is recorded every record_every steps.
 
     Returns (TrajectoryLog, trained GmmProbeState).
     """
@@ -448,6 +449,8 @@ def run_forward_split(dataset, config, mode="learned", steps=7000, record_every=
         raise ValidationError(f"mode must be 'learned' or 'anneal', got {mode!r}")
     if steps < 1 or record_every < 1:
         raise ValidationError("steps and record_every must be >= 1")
+    if mode == "anneal" and config.K_probe < 2:
+        raise ValidationError("the anneal drive needs probe.k >= 2: one prototype cannot split")
     z = dataset.samples
     ws = _Workspace(config.K_probe, z)
     lam, spectrum = critical_spectrum(covariance(z))

@@ -174,7 +174,6 @@ class FitReport:
 
     model_kind: "power_law" (log tau = a + b log gamma) or
     "kramers_exponential" (log tau = a + b gamma). Logs are natural.
-    point_residuals holds (observed, fitted) pairs in log space.
     aic == chi_squared + 2 * number of coefficients.
     """
 
@@ -182,7 +181,6 @@ class FitReport:
     coefficients: tuple
     chi_squared: float
     aic: float
-    point_residuals: list
 
 
 def fit_model(model_kind, gammas, log_taus, weights):
@@ -197,6 +195,4 @@ def fit_model(model_kind, gammas, log_taus, weights):
     else:
         raise ValidationError(f"unknown model_kind {model_kind!r}")
     a, b, chi2 = weighted_linfit(x, log_taus, weights)
-    fitted = a + b * x
-    residuals = [(float(o), float(f)) for o, f in zip(log_taus, fitted)]
-    return FitReport(model_kind, (a, b), chi2, chi2 + 2.0 * 2, residuals)
+    return FitReport(model_kind, (a, b), chi2, chi2 + 2.0 * 2)

@@ -1,9 +1,8 @@
 """Euler-Maruyama simulators for the order-parameter dynamics.
 
-Three systems share one integrator convention:
+Two systems share one integrator convention:
 
   * scalar supercritical pitchfork   eps' = mu eps - alpha eps^3 + eta
-  * tilted scalar Langevin           eps' = mu eps - alpha eps^3 - gamma U'(eps) + eta
   * K coupled modes in R^d           eps_k' = mu eps_k - alpha ||eps_k||^2 eps_k
                                              - gamma sum_{j!=k} (eps_j^T eps_k) eps_j
                                              + eta_k
@@ -13,12 +12,15 @@ increment of sqrt(2 D dt) * N(0,1) per step. The generator is numpy's
 default_rng (PCG64, ziggurat normal transform), seeded from SdeConfig.seed;
 identical seeds reproduce identical paths bit-for-bit on one platform.
 
-The two scalar systems and every escape cell of escape_lab run one private
-stepper: eps = eps + dt * drift, then eps += sqrt(2 D dt) * g. It draws g
-in chunks of one recording interval, or 65,536 when nothing is recorded
-(the same stream as one draw per step), draws nothing when D = 0, and can
-stop at the first step with |eps| >= threshold. A non-finite state at a
-chunk end, or at a recorded coupled-mode state, raises NumericalError.
+The pitchfork and every escape cell of escape_lab run one private scalar
+stepper: eps = eps + dt * drift, then eps += sqrt(2 D dt) * g. An escape
+cell's tilt U = -(1/2) c eps^2 is a rate term, not a third system: it adds
+gamma c eps to the drift, so the cell is the pitchfork at rate mu + gamma c.
+The stepper draws g in chunks of one recording interval, or 65,536 when
+nothing is recorded (the same stream as one draw per step), draws nothing
+when D = 0, and can stop at the first step with |eps| >= threshold. A
+non-finite state at a chunk end, or at a recorded coupled-mode state,
+raises NumericalError.
 
 Paths are decimated to at most ~2000 recorded states. The coupled-mode
 simulator also draws a fixed random unit reference direction (after the
@@ -144,22 +146,13 @@ def simulate_pitchfork_1d(config, eps0=None):
     eps0 overrides the random N(0, init_scale^2) initial condition with an
     exact starting value (deterministic studies).
     """
-    return simulate_tilted_langevin(config, tilt=None, eps0=eps0)
-
-
-def simulate_tilted_langevin(config, tilt, eps0=None):
-    """Scalar Langevin with an optional tilt -gamma U'(eps) in the drift.
-
-    With tilt None (or coupling 0 and a null tilt) this is exactly the
-    pitchfork simulator: same seed, same path.
-    """
     if config.modes != 1 or config.dim != 1:
-        raise ValidationError("tilted Langevin requires modes = dim = 1")
+        raise ValidationError("the scalar pitchfork requires modes = dim = 1")
     rng = np.random.default_rng(config.seed)
     eps0 = config.init_scale * float(rng.standard_normal()) if eps0 is None else float(eps0)
     if not math.isfinite(eps0):
         raise ValidationError("eps0 must be finite")
-    _, eps, path = _langevin(config, tilt, eps0, config.steps, rng, every=_decimation(config.steps))
+    _, eps, path = _langevin(config, eps0, config.steps, rng, every=_decimation(config.steps))
     rec = np.array([(0, eps0)] + path)
     final = np.array([[eps]])
     idirs, _ = _unit_rows(np.array([[eps0]]))
@@ -175,21 +168,22 @@ def simulate_tilted_langevin(config, tilt, eps0=None):
     )
 
 
-def _langevin(config, tilt, eps, steps, rng, threshold=math.inf, every=65536):
+def _langevin(config, eps, steps, rng, threshold=math.inf, every=65536, curvature=0.0):
     """The scalar stepper of the module docstring, from eps for at most `steps`
     steps in chunks of `every`: (steps taken, final eps, path), path holding
-    (step, eps) at each chunk end."""
+    (step, eps) at each chunk end. A non-zero curvature c adds the tilt force
+    gamma c eps (gamma = config.coupling) to the drift."""
     mu, al, ga, dt = config.growth_rate, config.alpha, config.coupling, config.dt
     amp = math.sqrt(2.0 * config.noise_intensity * dt)
-    du = tilt.dU if tilt is not None and ga != 0.0 else None
+    tilted = ga != 0.0 and curvature != 0.0
     n, path = 0, []
     while n < steps and not abs(eps) >= threshold:
         m = min(every, steps - n)
         draws = rng.standard_normal(m).tolist() if amp else repeat(0.0, m)
         for g in draws:
             drift = mu * eps - al * eps * eps * eps
-            if du is not None:
-                drift -= ga * du(eps)
+            if tilted:
+                drift += ga * (curvature * eps)
             eps = eps + dt * drift
             if amp:
                 eps += amp * g
@@ -263,17 +257,16 @@ class PersistenceStats:
     excluded_modes: List[int] = field(default_factory=list)
 
 
-def persistence_stats(run, reference=None):
-    """Cosines d_k(0)^T d_k(T) and the Spearman of reference projections.
+def persistence_stats(run):
+    """Cosines d_k(0)^T d_k(T) and the Spearman of projections onto the run's
+    stored random reference direction.
 
-    reference defaults to the run's stored random direction. Modes whose
-    final magnitude is exactly zero are excluded from the cosine list and
-    reported in excluded_modes.
+    Modes whose final magnitude is exactly zero are excluded from the cosine
+    list and reported in excluded_modes.
     """
-    ref = reference if reference is not None else run.reference_direction
+    ref = run.reference_direction
     if ref is None:
         raise ValidationError("no reference direction available")
-    ref = np.asarray(ref, dtype=float)
     keep = [i for i in range(run.final_state.shape[0]) if i not in run.zero_final_modes]
     cos = np.einsum(
         "kd,kd->k", run.initial_directions[keep], run.final_directions[keep]

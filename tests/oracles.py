@@ -7,6 +7,12 @@ import math
 import numpy as np
 
 from bifurc.errors import ValidationError
+from bifurc.escape_lab import (
+    DEFAULT_HORIZON,
+    aggregate_observations,
+    fit_escape_models,
+    sweep_observations,
+)
 from bifurc.experiments import TrajectoryLog
 from bifurc.taxonomy import DELAYED_ESCAPE, FOLD_BACK, FULL_V, REGIMES, classify
 
@@ -20,13 +26,18 @@ def counts_within_multinomial_band(dataset, n_sigma=3.0):
     return bool(np.all(np.abs(dataset.component_counts() - expect) <= n_sigma * sigma))
 
 
-def effective_potential(config, tilt, eps):
-    """V_eff(eps) = -(1/2) mu eps^2 + (1/4) alpha eps^4 + gamma U(eps)."""
+def effective_potential(config, curvature, eps):
+    """V_eff(eps) = -(1/2) mu eps^2 + (1/4) alpha eps^4 + gamma U(eps), U = -(1/2) c eps^2."""
     e = np.asarray(eps, dtype=float)
-    v = -0.5 * config.growth_rate * e**2 + 0.25 * config.alpha * e**4
-    if tilt is not None and config.coupling != 0.0:
-        v = v + config.coupling * tilt.U(e)
-    return v
+    u = -0.5 * curvature * e**2
+    return -0.5 * config.growth_rate * e**2 + 0.25 * config.alpha * e**4 + config.coupling * u
+
+
+def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold, horizon=DEFAULT_HORIZON):
+    """Serial sweep_observations -> aggregate_observations -> fit_escape_models,
+    the chain `escape sweep` runs through its process pool."""
+    return fit_escape_models(aggregate_observations(sweep_observations(
+        gammas, seeds_per_gamma, config, curvature, threshold, horizon, map)))
 
 
 def measured_theta_sq(run):

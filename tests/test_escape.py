@@ -1,7 +1,6 @@
 """Escape-time measurement, censoring, and tau(gamma) model comparison."""
 
 import math
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -14,18 +13,16 @@ from bifurc.escape_lab import (
     DEFAULT_THRESHOLD,
     EscapeObservation,
     GammaStats,
-    TiltPotential,
     aggregate_observations,
     default_sweep_config,
     fit_escape_models,
     measure_escape,
-    quadratic_well_tilt,
     read_sweep_csv,
-    run_sweep,
     sweep_observations,
     write_sweep_csv,
 )
 from bifurc.sde import SdeConfig
+from oracles import escape_sweep
 
 try:
     from importlib.resources import files as _files
@@ -52,38 +49,13 @@ def escape_time_closed_form(mu_eff, alpha, eps0, theta):
     return math.log(num / den) / (2 * mu_eff)
 
 
-class TestTiltPotential:
-    def test_quadratic_well_values(self):
-        tilt = quadratic_well_tilt()
-        assert tilt.U(2.0) == -2.0
-        assert tilt.dU(2.0) == -2.0
-
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
-    def test_quadratic_well_rejects_strength_outside_open_half_line(self, c):
-        with pytest.raises(ValidationError):
-            quadratic_well_tilt(c)
-
-    def test_quadratic_well_survives_pickling(self):
-        # the CLI sends the tilt to its process pool
-        tilt = pickle.loads(pickle.dumps(quadratic_well_tilt(2.0)))
-        assert tilt.U(3.0) == -9.0 and tilt.dU(3.0) == -6.0
-
-    def test_mismatched_derivative_rejected(self):
-        with pytest.raises(ValidationError):
-            TiltPotential(U=lambda e: e * e, dU=lambda e: e)
-
-    def test_custom_quartic_accepted(self):
-        tilt = TiltPotential(U=lambda e: e**4, dU=lambda e: 4 * e**3)
-        assert tilt.dU(0.5) == 0.5
-
-
 class TestMeasureEscape:
     def test_matches_closed_form_and_quadrature(self):
         cfg = default_sweep_config()
         cfg = SdeConfig(
             **{**cfg.__dict__, "coupling": 1e-3}
         )
-        obs = measure_escape(cfg, quadratic_well_tilt(), DEFAULT_THRESHOLD)
+        obs = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD)
         assert not obs.censored
         mu_eff = cfg.growth_rate + cfg.coupling  # quadratic tilt adds +gamma*eps
         t_closed = escape_time_closed_form(mu_eff, cfg.alpha, cfg.init_scale, DEFAULT_THRESHOLD)
@@ -94,7 +66,7 @@ class TestMeasureEscape:
 
     def test_zero_start_never_escapes(self):
         cfg = default_sweep_config()
-        obs = measure_escape(cfg, None, DEFAULT_THRESHOLD, horizon=10_000, eps0=0.0)
+        obs = measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, horizon=10_000, eps0=0.0)
         assert obs.censored
         assert obs.tau is None
         assert obs.horizon == 10_000
@@ -102,38 +74,38 @@ class TestMeasureEscape:
     def test_undriven_deterministic_run_censors_at_horizon(self):
         # tau(gamma=0) ~ 4.9e6 steps, far beyond a 1e5 horizon
         cfg = default_sweep_config()
-        obs = measure_escape(cfg, quadratic_well_tilt(), DEFAULT_THRESHOLD, horizon=100_000)
+        obs = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD, horizon=100_000)
         assert obs.censored and obs.tau is None
 
     def test_start_beyond_threshold_is_instant(self):
         cfg = default_sweep_config()
-        obs = measure_escape(cfg, None, DEFAULT_THRESHOLD, eps0=8e-3)
+        obs = measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, eps0=8e-3)
         assert obs.tau == 0 and not obs.censored
 
     def test_threshold_must_exceed_start(self):
         cfg = default_sweep_config()
         with pytest.raises(ConfigError):
-            measure_escape(cfg, None, threshold=1e-4)
+            measure_escape(cfg, 0.0, threshold=1e-4)
 
     def test_threshold_must_stay_below_saturation(self):
         cfg = default_sweep_config()
         with pytest.raises(ConfigError):
-            measure_escape(cfg, None, threshold=0.02)  # eps* = 0.01
+            measure_escape(cfg, 0.0, threshold=0.02)  # eps* = 0.01
 
     def test_rejects_multimode_config(self):
         cfg = SdeConfig(growth_rate=1e-5, alpha=0.1, dt=0.05, steps=1, modes=2, dim=3,
                         init_scale=5e-4)
         with pytest.raises(ConfigError):
-            measure_escape(cfg, None, DEFAULT_THRESHOLD)
+            measure_escape(cfg, 0.0, DEFAULT_THRESHOLD)
 
     def test_noisy_escape_reproducible_and_faster(self):
         base = default_sweep_config().__dict__
         det = measure_escape(SdeConfig(**{**base, "coupling": 1e-3}),
-                             quadratic_well_tilt(), DEFAULT_THRESHOLD)
+                             1.0, DEFAULT_THRESHOLD)
         # noise floor sqrt(D / mu_eff) ~ 3e-5, well under the 5e-4 start
         noisy_cfg = SdeConfig(**{**base, "coupling": 1e-3, "noise_intensity": 1e-12, "seed": 4})
-        a = measure_escape(noisy_cfg, quadratic_well_tilt(), DEFAULT_THRESHOLD)
-        b = measure_escape(noisy_cfg, quadratic_well_tilt(), DEFAULT_THRESHOLD)
+        a = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
+        b = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
         assert a.tau == b.tau
         assert not a.censored
         # weak noise perturbs but does not wildly move the escape time
@@ -143,14 +115,7 @@ class TestMeasureEscape:
 class TestSweep:
     def test_mini_sweep_monotone_and_power_like(self):
         cfg = default_sweep_config()
-        summary = run_sweep(
-            gammas=(1e-3, 3e-3, 1e-2),
-            seeds_per_gamma=1,
-            config=cfg,
-            tilt=quadratic_well_tilt(),
-            threshold=DEFAULT_THRESHOLD,
-            horizon=200_000,
-        )
+        summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, 1.0, DEFAULT_THRESHOLD, 200_000)
         means = [s.tau_mean for s in summary.per_gamma]
         assert all(m is not None for m in means)
         assert means == sorted(means, reverse=True)
@@ -160,10 +125,9 @@ class TestSweep:
         assert summary.unit_weights_used  # deterministic repeats have zero spread
 
     def test_repeated_gamma_counts_once(self):
-        kwargs = dict(seeds_per_gamma=2, config=default_sweep_config(),
-                      tilt=quadratic_well_tilt(), threshold=DEFAULT_THRESHOLD, horizon=200_000)
-        plain = run_sweep(gammas=(1e-3, 3e-3, 1e-2), **kwargs)
-        repeated = run_sweep(gammas=(1e-2, 1e-3, 1e-3, 3e-3), **kwargs)
+        args = (2, default_sweep_config(), 1.0, DEFAULT_THRESHOLD, 200_000)
+        plain = escape_sweep((1e-3, 3e-3, 1e-2), *args)
+        repeated = escape_sweep((1e-2, 1e-3, 1e-3, 3e-3), *args)
         assert repeated.per_gamma == plain.per_gamma
         assert [s.n_seeds for s in repeated.per_gamma] == [2, 2, 2]
 
@@ -197,10 +161,10 @@ class TestSweep:
         assert summary.power_law is None and summary.delta_aic is None
         assert len(summary.per_gamma) == 3
 
-    def test_needs_three_distinct_gammas(self):
-        cfg = default_sweep_config()
-        with pytest.raises(ValidationError):
-            run_sweep((1e-3, 1e-3), 1, cfg, None, DEFAULT_THRESHOLD)
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_curvature_outside_open_half_line_rejected(self, c):
+        with pytest.raises(ValidationError, match="tilt_curvature"):
+            sweep_observations((1e-3,), 1, default_sweep_config(), c, DEFAULT_THRESHOLD, 10, map)
 
     def test_exact_power_law_recovered(self):
         g = np.array([0.1, 0.2, 0.5, 1.0])
@@ -230,16 +194,23 @@ class TestSweepCells:
         return calls
 
     def test_default_sweep_taus(self):
-        summary = run_sweep(
-            DEFAULT_GAMMAS, 3, default_sweep_config(), quadratic_well_tilt(1.0), DEFAULT_THRESHOLD
-        )
+        summary = escape_sweep(DEFAULT_GAMMAS, 3, default_sweep_config(), 1.0, DEFAULT_THRESHOLD)
         zero, *positive = summary.per_gamma
         assert (zero.gamma, zero.tau_mean, zero.n_censored) == (0.0, None, 3)
         assert [s.tau_mean for s in positive] == [420723, 148814, 45622, 15304, 4602]
 
+    def test_noisy_sweep_taus_off_unit_curvature(self):
+        # at c = 1.7, c * eps != eps: a reordered tilt product gamma * (c * eps) moves these bits
+        noisy = replace(default_sweep_config(), noise_intensity=1e-12)
+        obs = sweep_observations((1e-3, 3e-3, 1e-2), 2, noisy, 1.7, DEFAULT_THRESHOLD, 50_000, map)
+        assert [(o.gamma, o.seed, o.tau) for o in obs] == [
+            (1e-3, 0, 26808), (1e-3, 1000, 27617), (3e-3, 0, 9076), (3e-3, 1000, 9084),
+            (1e-2, 0, 2729), (1e-2, 1000, 2707),
+        ]
+
     def test_noise_free_sweep_steps_once_per_gamma(self, stepper_calls):
         obs = sweep_observations(
-            (1e-3, 3e-3, 1e-2), 3, default_sweep_config(), quadratic_well_tilt(),
+            (1e-3, 3e-3, 1e-2), 3, default_sweep_config(), 1.0,
             DEFAULT_THRESHOLD, 100_000, map,
         )
         assert stepper_calls == [(1e-3, 0), (3e-3, 0), (1e-2, 0)]
@@ -250,7 +221,7 @@ class TestSweepCells:
 
     def test_noisy_sweep_steps_once_per_cell_and_reproduces(self, stepper_calls):
         noisy = replace(default_sweep_config(), noise_intensity=1e-12)
-        args = ((1e-3, 1e-2), 3, noisy, quadratic_well_tilt(), DEFAULT_THRESHOLD, 100_000, map)
+        args = ((1e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 100_000, map)
         first = sweep_observations(*args)
         assert len(stepper_calls) == 6
         assert sweep_observations(*args) == first

@@ -236,7 +236,6 @@ class TestFitModel:
         rep = fit_model("power_law", g, np.log(m), (m / s) ** 2)
         assert isinstance(rep, FitReport)
         assert rep.aic == pytest.approx(rep.chi_squared + 4.0, abs=1e-12)
-        assert len(rep.point_residuals) == 6
 
     def test_kramers_uses_linear_gamma(self):
         # data lying exactly on log tau = 9 - gamma

@@ -9,13 +9,12 @@ from bifurc.errors import NumericalError, ValidationError
 from bifurc.sde import (
     SdeConfig,
     SdeRunResult,
+    _langevin,
     persistence_stats,
     predict_persistence,
     simulate_coupled_modes,
     simulate_pitchfork_1d,
-    simulate_tilted_langevin,
 )
-from bifurc.escape_lab import quadratic_well_tilt
 from oracles import effective_potential, mean_abs_pair_overlap, measured_theta_sq
 
 
@@ -191,68 +190,62 @@ class TestPitchfork1d:
 
 
 class TestTiltedLangevin:
-    def test_null_tilt_is_path_identical_to_pitchfork(self):
-        cfg = SdeConfig(
-            growth_rate=0.5, alpha=0.5, noise_intensity=1e-3, dt=0.05, steps=300,
-            init_scale=0.02, seed=11,
-        )
-        plain = simulate_pitchfork_1d(cfg)
-        tilted = simulate_tilted_langevin(cfg, tilt=None)
-        assert np.array_equal(plain.path_samples, tilted.path_samples)
+    """The escape cells' tilt: the scalar stepper with a curvature c adds gamma c eps."""
 
     def test_chunked_draws_match_a_per_step_reference(self):
         # the stepper draws one recording interval at a time; a plain loop
-        # with one scalar draw per step must give the same bits
+        # with one scalar draw per step and the tilt as -gamma U'(eps) must give the same bits
         cfg = SdeConfig(
             growth_rate=0.05, alpha=0.5, coupling=0.02, noise_intensity=1e-3, dt=0.05,
             steps=4999, init_scale=0.02, seed=3,
         )
-        tilt = quadratic_well_tilt(1.5)
-        run = simulate_tilted_langevin(cfg, tilt)
+        rng = np.random.default_rng(cfg.seed)
+        eps0 = cfg.init_scale * float(rng.standard_normal())
+        n, final, path = _langevin(cfg, eps0, cfg.steps, rng, every=2, curvature=1.5)
         rng = np.random.default_rng(cfg.seed)
         eps = cfg.init_scale * float(rng.standard_normal())
         amp = math.sqrt(2.0 * cfg.noise_intensity * cfg.dt)
-        path = [eps]
-        for n in range(1, cfg.steps + 1):
+        ref = []
+        for k in range(1, cfg.steps + 1):
             drift = cfg.growth_rate * eps - cfg.alpha * eps * eps * eps
-            drift -= cfg.coupling * tilt.dU(eps)
+            drift -= cfg.coupling * (-1.5 * eps)  # U'(eps) = -c eps
             eps = eps + cfg.dt * drift
             eps += amp * float(rng.standard_normal())
-            if n % 2 == 0 or n == cfg.steps:
-                path.append(eps)
-        assert run.path_samples[:, 0, 0].tolist() == path
+            if k % 2 == 0 or k == cfg.steps:
+                ref.append((k, eps))
+        assert (n, final) == (cfg.steps, eps)
+        assert path == ref
 
-    def test_zero_coupling_ignores_tilt(self):
+    def test_zero_coupling_ignores_curvature(self):
         cfg = SdeConfig(
             growth_rate=0.5, alpha=0.5, coupling=0.0, noise_intensity=1e-3,
             dt=0.05, steps=300, init_scale=0.02, seed=11,
         )
-        plain = simulate_pitchfork_1d(cfg)
-        tilted = simulate_tilted_langevin(cfg, tilt=quadratic_well_tilt())
-        assert np.array_equal(plain.path_samples, tilted.path_samples)
+        plain = _langevin(cfg, 0.02, cfg.steps, np.random.default_rng(cfg.seed))
+        tilted = _langevin(cfg, 0.02, cfg.steps, np.random.default_rng(cfg.seed), curvature=1.0)
+        assert plain == tilted
 
     def test_destabilizing_tilt_speeds_up_growth(self):
-        base = dict(growth_rate=0.01, alpha=0.5, dt=0.05, steps=2000)
-        slow = simulate_pitchfork_1d(SdeConfig(**base), eps0=0.01)
-        cfg = SdeConfig(coupling=0.05, **base)
-        fast = simulate_tilted_langevin(cfg, tilt=quadratic_well_tilt(), eps0=0.01)
-        assert fast.final_state[0, 0] > slow.final_state[0, 0]
+        cfg = SdeConfig(growth_rate=0.01, alpha=0.5, coupling=0.05, dt=0.05, steps=2000)
+        _, slow, _ = _langevin(cfg, 0.01, cfg.steps, np.random.default_rng(0))
+        _, fast, _ = _langevin(cfg, 0.01, cfg.steps, np.random.default_rng(0), curvature=1.0)
+        assert fast > slow
 
     def test_effective_potential_minimum_tracks_tilt(self):
-        # gamma * U with U = -(1/2) eps^2 deepens the wells: minima move
-        # from sqrt(mu/alpha) to sqrt((mu + gamma)/alpha)
+        # gamma * U with U = -(1/2) c eps^2 deepens the wells: minima move
+        # from sqrt(mu/alpha) to sqrt((mu + gamma c)/alpha)
         cfg = SdeConfig(growth_rate=0.2, alpha=0.5, coupling=0.3, dt=0.01, steps=10)
         grid = np.linspace(0.0, 2.0, 200001)
-        v = effective_potential(cfg, quadratic_well_tilt(), grid)
+        v = effective_potential(cfg, 1.0, grid)
         argmin = grid[int(np.argmin(v))]
         assert argmin == pytest.approx(math.sqrt(0.5 / 0.5), abs=1e-4)
-        v0 = effective_potential(cfg, None, grid)
+        v0 = effective_potential(cfg, 0.0, grid)
         assert grid[int(np.argmin(v0))] == pytest.approx(math.sqrt(0.4), abs=1e-4)
 
     def test_effective_potential_is_even_without_tilt(self):
         cfg = SdeConfig(growth_rate=0.2, alpha=0.5, dt=0.01, steps=10)
         xs = np.array([-1.3, -0.2, 0.2, 1.3])
-        v = effective_potential(cfg, None, xs)
+        v = effective_potential(cfg, 0.0, xs)
         assert np.allclose(v, v[::-1], atol=0, rtol=0)
 
 

@@ -9,9 +9,8 @@ import pytest
 import bifurc.experiments as X
 import bifurc.taxonomy as T
 from bifurc.errors import ValidationError
-from bifurc.escape_lab import quadratic_well_tilt
 from bifurc.gmm_probe import CriticalityReading
-from bifurc.sde import SdeConfig, simulate_tilted_langevin
+from bifurc.sde import SdeConfig, simulate_pitchfork_1d
 from oracles import make_regime_log, recovery_rate
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
@@ -198,11 +197,12 @@ class TestAxisReading:
 
 class TestDerivedDelayedEscape:
     def test_small_damping_langevin_run_classifies_delayed(self):
+        # the quadratic tilt at gamma = 1e-4, c = 1 is the pitchfork at rate mu + gamma
         cfg = SdeConfig(
-            growth_rate=0.01, alpha=1.0, coupling=1e-4, noise_intensity=1e-10,
+            growth_rate=0.01 + 1e-4, alpha=1.0, noise_intensity=1e-10,
             dt=0.05, steps=20000, modes=1, dim=1, init_scale=0.0, seed=3,
         )
-        run = simulate_tilted_langevin(cfg, tilt=quadratic_well_tilt(1.0), eps0=1e-3)
+        run = simulate_pitchfork_1d(cfg, eps0=1e-3)
         eps = np.abs(run.path_samples[:, 0, 0])
         n = len(eps)
         # supercritical from the start; the collapse proxy tracks the escape
