@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifurc import __version__
-from bifurc.cli import main
+from bifurc.cli import _OVERLAYS, _sde_config, main
 from bifurc.config import (
     RunConfig,
     build_config,
@@ -29,6 +29,7 @@ from bifurc.errors import ConfigError
 from bifurc.escape_lab import read_sweep_csv, write_sweep_csv
 from bifurc.experiments import TrajectoryLog, read_trajectory_csv, write_trajectory_csv
 from bifurc.gmm_probe import CriticalityReading
+from bifurc.sde import persistence_stats, simulate_coupled_modes
 from bifurc.svgplot import line_chart
 from bifurc.errors import ValidationError
 from oracles import dump_config
@@ -624,6 +625,28 @@ class TestSdeCommands:
         assert payload["prediction"]["expected_cosine"] > 0.5
         for seed in range(5):
             assert (tmp_path / f"sde-coupled_seed{seed}.csv").exists()
+
+    @pytest.mark.parametrize("noise", [None, "0"])
+    def test_coupled_outputs_are_the_runs_persistence_stats(self, tmp_path, monkeypatch, noise):
+        if noise is not None:
+            monkeypatch.setenv("BIFURC_SDE__NOISE_INTENSITY", noise)
+        assert main(["sde", "coupled", "--seed", "0", "--out", str(tmp_path)]) == 0
+        cfg = build_config(overlay=_OVERLAYS[("sde", "coupled")])
+        stats = persistence_stats(simulate_coupled_modes(_sde_config(cfg, 0)))
+        lines = (tmp_path / "sde-coupled_seed0.csv").read_text().splitlines()
+        assert lines[1] == "mode,projection_initial,projection_final,cosine"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(r[0]) for r in rows] == list(range(cfg.get_int("sde", "modes")))
+        assert [[float(r[1]), float(r[2])] for r in rows] == stats.projection_pairs.tolist()
+        assert [float(r[3]) for r in rows] == stats.cosines.tolist()
+        run = read_json(tmp_path / "sde-coupled_summary.json")["per_seed"]["0"]
+        assert run["mean_cosine"] == float(np.mean(stats.cosines))
+        assert run["excluded_modes"] == len(stats.excluded_modes) == 0
+        prediction = read_json(tmp_path / "sde-coupled_summary.json")["prediction"]
+        assert prediction["saturation_dominated"] is False
+        if noise == "0":  # no noise floor: infinite amplitude and randomization time
+            assert prediction["sigma_star"] is None and prediction["t_rand"] is None
+            assert prediction["theta_sq"] == 0.0 and prediction["expected_cosine"] == 1.0
 
     def test_coupled_chart_does_not_depend_on_seed_order(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIFURC_SDE__STEPS", "200")
