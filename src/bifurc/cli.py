@@ -31,6 +31,7 @@ import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -41,14 +42,14 @@ from .config import DEFAULTS, build_config
 from .csvio import run_identity, write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
 from .escape_lab import (
-    aggregate_observations,
     default_sweep_config,
     fit_escape_models,
     read_sweep_csv,
-    sweep_observations,
+    sweep_statistics,
     write_sweep_csv,
 )
 from .experiments import (
+    HIERARCHY_MAX1_STEPS,
     _quiet_overflow,
     branch_overlap,
     gen_bimodal,
@@ -137,8 +138,10 @@ def _payload(cfg, **fields):
     return {"config_hash": cfg.config_hash, "version": __version__, **fields}
 
 
-def _finite_or_none(x):
-    return float(x) if math.isfinite(x) else None
+def _json_fields(record):
+    """A dataclass record's fields for JSON, a non-finite float written as null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in asdict(record).items()}
 
 
 def _fit_report_dict(report):
@@ -391,6 +394,9 @@ def _prune_summary(summary):
 def _toy_summary(sub, results):
     per_seed = {}
     for seed, summaries, _ in results:
+        if sub == "hierarchy" and not summaries[""]["events"]:
+            print(f"warning: seed {seed}: stage 1 did not activate within HIERARCHY_MAX1_STEPS"
+                  f" = {HIERARCHY_MAX1_STEPS} steps; no events recorded", file=sys.stderr)
         if "" in summaries:
             per_seed[str(seed)] = _prune_summary(summaries[""])
         else:
@@ -467,16 +473,9 @@ def _coupled_worker(job):
     cfg, seed, out = job
     run = simulate_coupled_modes(_sde_config(cfg, seed))
     stats = persistence_stats(run)
-    cos_by_mode = {}
-    kept = [
-        i for i in range(run.final_state.shape[0]) if i not in run.zero_final_modes
-    ]
-    for idx, mode in enumerate(kept):
-        cos_by_mode[mode] = float(stats.cosines[idx])
-    rows = []
-    for mode in range(run.final_state.shape[0]):
-        p0, p1 = stats.projection_pairs[mode]
-        rows.append((mode, float(p0), float(p1), cos_by_mode.get(mode)))
+    cosines = iter(stats.cosines.tolist())  # one per mode that is not excluded
+    rows = [(mode, p0, p1, None if mode in stats.excluded_modes else next(cosines))
+            for mode, (p0, p1) in enumerate(stats.projection_pairs.tolist())]
     write_table(
         Path(out) / f"sde-coupled_seed{seed}.csv",
         ["mode", "projection_initial", "projection_final", "cosine"],
@@ -504,14 +503,8 @@ def _cmd_sde_coupled(cfg, out_dir):
                 }
                 for seed, rho, mean_cos, excluded in results
             },
-            "prediction": {  # an infinite time or amplitude (no noise floor) is written as null
-                "sigma_star": _finite_or_none(prediction.sigma_star),
-                "tau_r": _finite_or_none(prediction.tau_r),
-                "t_rand": _finite_or_none(prediction.t_rand),
-                "theta_sq": _finite_or_none(prediction.theta_sq),
-                "expected_cosine": _finite_or_none(prediction.expected_cosine),
-                "saturation_dominated": bool(prediction.saturation_dominated),
-            },
+            # an infinite time or amplitude (no noise floor) is written as null
+            "prediction": _json_fields(prediction),
         }
         series = [
             ("spearman rho", seeds, rhos),
@@ -573,7 +566,7 @@ def _plot_escape_fit(path, stats, summary):
 
 
 def _cmd_escape_sweep(cfg, out_dir):
-    observations = sweep_observations(
+    stats = sweep_statistics(
         cfg.get_float_list("escape", "gammas"),
         cfg.get_int("escape", "seeds_per_gamma"),
         default_sweep_config(cfg),
@@ -582,7 +575,6 @@ def _cmd_escape_sweep(cfg, out_dir):
         cfg.get_int("escape", "horizon"),
         _parallel_map,
     )
-    stats = aggregate_observations(observations)
     write_sweep_csv(
         out_dir / "escape-sweep.csv",
         stats,
@@ -598,16 +590,7 @@ def _cmd_escape_sweep(cfg, out_dir):
         warning = "fewer than 3 uncensored gamma > 0 levels; no model fit performed"
     payload = {
         "experiment": "escape-sweep",
-        "per_gamma": [
-            {
-                "gamma": s.gamma,
-                "tau_mean": s.tau_mean,
-                "tau_std": s.tau_std,
-                "n_seeds": s.n_seeds,
-                "n_censored": s.n_censored,
-            }
-            for s in stats
-        ],
+        "per_gamma": [_json_fields(s) for s in stats],
         "fit": None if summary is None else _fit_payload(summary),
         "warning": warning,
     }

@@ -33,7 +33,7 @@ from .config import RunConfig
 from .csvio import read_table, write_table
 from .errors import ConfigError, NoFitError, ValidationError
 from .mathcore import FitReport, fit_model
-from .sde import SdeConfig, _langevin
+from .sde import STABILITY_LIMIT, SdeConfig, _langevin
 
 _DEFAULTS = RunConfig()
 DEFAULT_GAMMAS = tuple(_DEFAULTS.get_float_list("escape", "gammas"))
@@ -42,22 +42,10 @@ DEFAULT_HORIZON = _DEFAULTS.get_int("escape", "horizon")
 
 
 @dataclass
-class EscapeObservation:
-    """First-passage result for one (gamma, seed) cell.
-
-    tau is in integrator steps; censored means |eps| never reached the
-    threshold within the horizon (tau is then None).
-    """
-
-    gamma: float
-    seed: int
-    tau: Optional[int]
-    horizon: int
-    censored: bool
-
-
-@dataclass
 class GammaStats:
+    """Escape statistics of one gamma level over its seeds; the mean and
+    standard deviation are over the escaped seeds (None when all censor)."""
+
     gamma: float
     tau_mean: Optional[float]
     tau_std: Optional[float]
@@ -77,7 +65,7 @@ class SweepSummary:
 
 
 def measure_escape(config, curvature, threshold, horizon=DEFAULT_HORIZON, eps0=None):
-    """First step at which |eps| >= threshold, or a censored observation.
+    """First step at which |eps| >= threshold, or None (censored at the horizon).
 
     The drift gains the tilt force gamma c eps, gamma = config.coupling and
     c = curvature. Starts at eps0 (default: config.init_scale, exactly). The
@@ -99,8 +87,7 @@ def measure_escape(config, curvature, threshold, horizon=DEFAULT_HORIZON, eps0=N
     start = config.init_scale if eps0 is None else float(eps0)
     n, eps, _ = _langevin(config, start, horizon, np.random.default_rng(config.seed), threshold,
                           curvature=curvature)
-    tau = n if abs(eps) >= threshold else None
-    return EscapeObservation(config.coupling, config.seed, tau, horizon, tau is None)
+    return n if abs(eps) >= threshold else None
 
 
 def default_sweep_config(cfg=_DEFAULTS):
@@ -123,60 +110,51 @@ def default_sweep_config(cfg=_DEFAULTS):
     )
 
 
-def sweep_cells(gammas, seeds_per_gamma, config):
-    """One config per sweep cell: coupling = each distinct gamma in sorted
-    order, seed = config.seed + 1000 s for s < seeds_per_gamma."""
-    if seeds_per_gamma < 1:
-        raise ValidationError("seeds_per_gamma must be >= 1")
-    return [
-        replace(config, coupling=float(g), seed=config.seed + 1000 * s)
-        for g in sorted(set(gammas))
-        for s in range(seeds_per_gamma)
-    ]
-
-
 def _measure_cell(job):
     return measure_escape(*job)
 
 
-def sweep_observations(gammas, seeds_per_gamma, config, curvature, threshold, horizon, mapper):
-    """One EscapeObservation per cell of sweep_cells, in cell order.
+def sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, horizon, mapper):
+    """Per-gamma escape statistics (GammaStats), ascending in gamma, no fitting.
 
-    curvature is the tilt's c, 0 < c < inf. mapper(fn, jobs) maps the
-    measurement over a list of jobs (map, or a process pool's). A noise-free
-    cell does not depend on its seed, so each gamma's first cell is measured
-    and copied to its other seeds.
+    Each distinct gamma is a level of seeds_per_gamma cells, cell s at seed
+    config.seed + 1000 s. curvature is the tilt's c, 0 < c < inf, and every
+    level's cell rate must keep dt |mu + gamma c| within STABILITY_LIMIT.
+    mapper(fn, jobs) maps the measurement over a list of jobs (map, or a
+    process pool's). A noise-free cell does not depend on its seed, so each
+    level measures one cell and counts it for all its seeds.
     """
     if not 0 < curvature < math.inf:
         raise ValidationError(f"tilt_curvature must satisfy 0 < c < inf, got {curvature}")
-    cells = sweep_cells(gammas, seeds_per_gamma, config)
-    stride = seeds_per_gamma if config.noise_intensity == 0 else 1
-    jobs = [(c, curvature, threshold, horizon) for c in cells[::stride]]
-    measured = list(mapper(_measure_cell, jobs))
-    return [replace(measured[i // stride], seed=c.seed) for i, c in enumerate(cells)]
-
-
-def aggregate_observations(observations):
-    """Per-gamma escape statistics, sorted by gamma (no fitting)."""
-    by_gamma = {}
-    for o in sorted(observations, key=lambda o: (o.gamma, o.seed)):
-        by_gamma.setdefault(o.gamma, []).append(o)
+    if seeds_per_gamma < 1:
+        raise ValidationError("seeds_per_gamma must be >= 1")
+    levels = [replace(config, coupling=float(g)) for g in sorted(set(gammas))]
+    for level in levels:
+        rate = config.dt * abs(config.growth_rate + level.coupling * curvature)
+        if not rate <= STABILITY_LIMIT:
+            raise ValidationError(
+                f"stability guard violated at gamma = {level.coupling}: dt*|mu + gamma*"
+                f"tilt_curvature| = {rate:.3g} > {STABILITY_LIMIT}"
+            )
+    measured = 1 if config.noise_intensity == 0 else seeds_per_gamma
+    jobs = [
+        (replace(level, seed=config.seed + 1000 * s), curvature, threshold, horizon)
+        for level in levels
+        for s in range(measured)
+    ]
+    taus = iter(mapper(_measure_cell, jobs))
     stats = []
-    for g in sorted(by_gamma):
-        cells = by_gamma[g]
-        taus = [o.tau for o in cells if not o.censored]
-        n_cens = sum(1 for o in cells if o.censored)
-        if taus:
-            mean = float(np.mean(taus))
-            std = float(np.std(taus))
-        else:
-            mean = std = None
-        stats.append(GammaStats(g, mean, std, len(cells), n_cens))
+    for level in levels:
+        cells = [next(taus) for _ in range(measured)] * (seeds_per_gamma // measured)
+        escaped = [t for t in cells if t is not None]
+        mean, std = (float(np.mean(escaped)), float(np.std(escaped))) if escaped else (None, None)
+        stats.append(GammaStats(level.coupling, mean, std, seeds_per_gamma,
+                                seeds_per_gamma - len(escaped)))
     return stats
 
 
 def fit_escape_models(per_gamma_stats):
-    """Model comparison on per-gamma rows (from aggregate_observations or read_sweep_csv).
+    """Model comparison on per-gamma rows (from sweep_statistics or read_sweep_csv).
 
     Raises NoFitError when every level is censored; with fewer than 3
     uncensored gamma > 0 levels both fits are None.

@@ -72,10 +72,8 @@ class SdeConfig:
             raise ValidationError("dt, steps, modes, dim must be positive")
         if not 0 <= self.init_scale < math.inf:
             raise ValidationError("init_scale must be finite and >= 0")
-        guard = abs(self.growth_rate)
-        if self.growth_rate > 0:
-            guard = max(guard, self.alpha * (self.growth_rate / self.alpha))  # alpha*eps*^2 = mu
-        guard = max(guard, self.coupling * self.modes)
+        # alpha*eps*^2 = mu when mu > 0, so |mu| already bounds the saturation rate
+        guard = max(abs(self.growth_rate), self.coupling * self.modes)
         if not self.dt * guard <= STABILITY_LIMIT:
             raise ValidationError(
                 f"stability guard violated: dt*max(|mu|, alpha*eps*^2, gamma*K) = "
@@ -92,16 +90,15 @@ class SdeConfig:
 
 @dataclass
 class SdeRunResult:
-    """Decimated path plus endpoint data for one simulation."""
+    """Decimated path of one simulation; its last sample is the final state."""
 
     times: np.ndarray  # strictly increasing recorded times
     path_samples: np.ndarray  # (n_rec, modes, dim)
-    final_state: np.ndarray  # (modes, dim)
-    initial_directions: np.ndarray  # (modes, dim) unit rows
-    final_directions: np.ndarray  # (modes, dim) unit rows; zero rows flagged
-    zero_final_modes: List[int]
-    seed: int
     reference_direction: Optional[np.ndarray] = None
+
+    @property
+    def final_state(self):  # (modes, dim)
+        return self.path_samples[-1]
 
 
 @dataclass
@@ -126,13 +123,6 @@ def _decimation(steps):
     return max(1, steps // 2000)
 
 
-def _unit_rows(m):
-    norms = np.linalg.norm(m, axis=1)
-    zero = [i for i, v in enumerate(norms) if v == 0.0]
-    safe = np.where(norms > 0, norms, 1.0)
-    return m / safe[:, None], zero
-
-
 def _record(times, samples, step, dt, state):
     if not np.isfinite(state).all():
         raise NumericalError(f"coupled-mode state is not finite by step {step}")
@@ -154,18 +144,7 @@ def simulate_pitchfork_1d(config, eps0=None):
         raise ValidationError("eps0 must be finite")
     _, eps, path = _langevin(config, eps0, config.steps, rng, every=_decimation(config.steps))
     rec = np.array([(0, eps0)] + path)
-    final = np.array([[eps]])
-    idirs, _ = _unit_rows(np.array([[eps0]]))
-    fdirs, zero = _unit_rows(final)
-    return SdeRunResult(
-        times=rec[:, 0] * config.dt,
-        path_samples=rec[:, 1].reshape(-1, 1, 1),
-        final_state=final,
-        initial_directions=idirs,
-        final_directions=fdirs,
-        zero_final_modes=zero,
-        seed=config.seed,
-    )
+    return SdeRunResult(times=rec[:, 0] * config.dt, path_samples=rec[:, 1].reshape(-1, 1, 1))
 
 
 def _langevin(config, eps, steps, rng, threshold=math.inf, every=65536, curvature=0.0):
@@ -217,7 +196,6 @@ def simulate_coupled_modes(config):
     e = config.init_scale * rng.standard_normal((k, d))
     ref = rng.standard_normal(d)
     ref /= np.linalg.norm(ref)
-    e0 = e.copy()
     amp = math.sqrt(2.0 * d_noise * dt)
     dec = _decimation(config.steps)
     times, samples = [], []
@@ -233,18 +211,7 @@ def simulate_coupled_modes(config):
             e += amp * rng.standard_normal((k, d))
         if n % dec == 0 or n == config.steps:
             _record(times, samples, n, dt, e)
-    idirs, _ = _unit_rows(e0)
-    fdirs, zero = _unit_rows(e)
-    return SdeRunResult(
-        times=np.asarray(times),
-        path_samples=np.asarray(samples),
-        final_state=e,
-        initial_directions=idirs,
-        final_directions=fdirs,
-        zero_final_modes=zero,
-        seed=config.seed,
-        reference_direction=ref,
-    )
+    return SdeRunResult(np.asarray(times), np.asarray(samples), ref)
 
 
 @dataclass
@@ -258,28 +225,27 @@ class PersistenceStats:
 
 
 def persistence_stats(run):
-    """Cosines d_k(0)^T d_k(T) and the Spearman of projections onto the run's
-    stored random reference direction.
+    """Cosines d_k(0)^T d_k(T) of the unit rows of the path's first and last
+    states, and the Spearman of their projections onto the run's stored
+    random reference direction.
 
     Modes whose final magnitude is exactly zero are excluded from the cosine
-    list and reported in excluded_modes.
+    list and reported in excluded_modes; a zero initial row has cosine 0.
     """
     ref = run.reference_direction
     if ref is None:
         raise ValidationError("no reference direction available")
-    keep = [i for i in range(run.final_state.shape[0]) if i not in run.zero_final_modes]
-    cos = np.einsum(
-        "kd,kd->k", run.initial_directions[keep], run.final_directions[keep]
-    )
-    e0 = run.path_samples[0]
-    p0 = e0 @ ref
-    p1 = run.final_state @ ref
-    rho = spearman(p0, p1)
+    e0, e1 = run.path_samples[0], run.path_samples[-1]
+    n0, n1 = np.linalg.norm(e0, axis=1), np.linalg.norm(e1, axis=1)
+    keep = n1 > 0
+    cos = np.einsum("kd,kd->k", e0[keep] / np.where(n0 > 0, n0, 1.0)[keep, None],
+                    e1[keep] / n1[keep, None])
+    p0, p1 = e0 @ ref, e1 @ ref
     return PersistenceStats(
         cosines=cos,
         projection_pairs=np.stack([p0, p1], axis=1),
-        spearman_rho=float(rho),
-        excluded_modes=list(run.zero_final_modes),
+        spearman_rho=float(spearman(p0, p1)),
+        excluded_modes=np.flatnonzero(~keep).tolist(),
     )
 
 

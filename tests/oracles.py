@@ -7,13 +7,9 @@ import math
 import numpy as np
 
 from bifurc.errors import ValidationError
-from bifurc.escape_lab import (
-    DEFAULT_HORIZON,
-    aggregate_observations,
-    fit_escape_models,
-    sweep_observations,
-)
+from bifurc.escape_lab import DEFAULT_HORIZON, fit_escape_models, sweep_statistics
 from bifurc.experiments import TrajectoryLog
+from bifurc.sde import persistence_stats
 from bifurc.taxonomy import DELAYED_ESCAPE, FOLD_BACK, FULL_V, REGIMES, classify
 
 
@@ -34,16 +30,15 @@ def effective_potential(config, curvature, eps):
 
 
 def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold, horizon=DEFAULT_HORIZON):
-    """Serial sweep_observations -> aggregate_observations -> fit_escape_models,
-    the chain `escape sweep` runs through its process pool."""
-    return fit_escape_models(aggregate_observations(sweep_observations(
-        gammas, seeds_per_gamma, config, curvature, threshold, horizon, map)))
+    """Serial sweep_statistics -> fit_escape_models, the chain `escape sweep`
+    runs through its process pool."""
+    return fit_escape_models(sweep_statistics(
+        gammas, seeds_per_gamma, config, curvature, threshold, horizon, map))
 
 
 def measured_theta_sq(run):
     """Ensemble mean squared angle between initial and final directions."""
-    keep = [i for i in range(run.final_state.shape[0]) if i not in run.zero_final_modes]
-    cos = np.einsum("kd,kd->k", run.initial_directions[keep], run.final_directions[keep])
+    cos = persistence_stats(run).cosines
     ang = np.arccos(np.clip(cos, -1.0, 1.0))
     return float(np.mean(ang * ang))
 

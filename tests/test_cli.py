@@ -581,12 +581,14 @@ class TestEscapeCommands:
             digests.add(hashlib.sha256((out / "escape-sweep.json").read_bytes()).hexdigest())
         assert len(digests) == (2 if seed_matters else 1)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    # 1e4 is finite, but dt * gamma * c = 5 at gamma = 1e-2, 25 times the stability limit
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e4"])
     def test_sweep_with_bad_tilt_curvature_exits_2(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("BIFURC_ESCAPE__TILT_CURVATURE", value)
         monkeypatch.setenv("BIFURC_ESCAPE__HORIZON", "100")
         assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
         assert "tilt_curvature" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fit_with_too_few_levels_exits_3(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
@@ -648,6 +650,20 @@ class TestSdeCommands:
             assert prediction["sigma_star"] is None and prediction["t_rand"] is None
             assert prediction["theta_sq"] == 0.0 and prediction["expected_cosine"] == 1.0
 
+    def test_coupled_row_of_an_excluded_mode_has_no_cosine(self, tmp_path, monkeypatch):
+        def mode_3_ends_at_zero(config):
+            run = simulate_coupled_modes(config)
+            run.path_samples[-1, 3] = 0.0
+            return run
+
+        monkeypatch.setattr("bifurc.cli.simulate_coupled_modes", mode_3_ends_at_zero)
+        monkeypatch.setenv("BIFURC_SDE__STEPS", "200")
+        assert main(["sde", "coupled", "--seed", "0", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "sde-coupled_seed0.csv").read_text().splitlines()
+        assert [line.endswith(",") for line in lines[2:]] == [m == 3 for m in range(50)]
+        assert read_json(tmp_path / "sde-coupled_summary.json")["per_seed"]["0"][
+            "excluded_modes"] == 1
+
     def test_coupled_chart_does_not_depend_on_seed_order(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIFURC_SDE__STEPS", "200")
         charts = []
@@ -699,7 +715,7 @@ class TestToyCommands:
         assert run["activation_steps"] == [12000]
         assert len(run["branch"]) == len(run["branch_iterations"]) == 12
 
-    def test_hierarchy_zero_sub_spacing_single_event(self, tmp_path):
+    def test_hierarchy_zero_sub_spacing_single_event(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[data]\nsub_spacing = 0.0\n")
         code = main(["toy", "hierarchy", "--config", str(ini), "--out", str(tmp_path)])
@@ -708,6 +724,16 @@ class TestToyCommands:
         run = payload["per_seed"]["0"]
         assert len(run["events"]) == 1
         assert not run["second_stage_gate"]
+        assert "warning" not in capsys.readouterr().err
+
+    def test_hierarchy_without_activation_warns_per_seed(self, tmp_path, capsys, monkeypatch):
+        for key, value in {"N": "200", "SUPER_SPACING": "20", "SUB_SPACING": "2"}.items():
+            monkeypatch.setenv(f"BIFURC_DATA__{key}", value)
+        assert main(["toy", "hierarchy", "--seed", "0", "--out", str(tmp_path)]) == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines() if "warning" in ln]
+        assert warnings == ["warning: seed 0: stage 1 did not activate within "
+                            "HIERARCHY_MAX1_STEPS = 25000 steps; no events recorded"]
+        assert read_json(tmp_path / "toy-hierarchy_seed0.json")["events"] == []
 
     def test_identical_config_and_seed_byte_identical(self, tmp_path):
         ini = tmp_path / "run.ini"

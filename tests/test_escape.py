@@ -11,14 +11,12 @@ from bifurc.errors import ConfigError, NoFitError, ValidationError
 from bifurc.escape_lab import (
     DEFAULT_GAMMAS,
     DEFAULT_THRESHOLD,
-    EscapeObservation,
     GammaStats,
-    aggregate_observations,
     default_sweep_config,
     fit_escape_models,
     measure_escape,
     read_sweep_csv,
-    sweep_observations,
+    sweep_statistics,
     write_sweep_csv,
 )
 from bifurc.sde import SdeConfig
@@ -55,32 +53,27 @@ class TestMeasureEscape:
         cfg = SdeConfig(
             **{**cfg.__dict__, "coupling": 1e-3}
         )
-        obs = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD)
-        assert not obs.censored
+        tau = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD)
+        assert tau is not None
         mu_eff = cfg.growth_rate + cfg.coupling  # quadratic tilt adds +gamma*eps
         t_closed = escape_time_closed_form(mu_eff, cfg.alpha, cfg.init_scale, DEFAULT_THRESHOLD)
         t_quad = escape_time_quadrature(mu_eff, cfg.alpha, cfg.init_scale, DEFAULT_THRESHOLD)
         assert t_closed == pytest.approx(t_quad, rel=1e-4)
-        assert obs.tau * cfg.dt == pytest.approx(t_closed, rel=0.02)
-        assert obs.tau * cfg.dt == pytest.approx(t_quad, rel=0.01 * 2)
+        assert tau * cfg.dt == pytest.approx(t_closed, rel=0.02)
+        assert tau * cfg.dt == pytest.approx(t_quad, rel=0.01 * 2)
 
     def test_zero_start_never_escapes(self):
         cfg = default_sweep_config()
-        obs = measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, horizon=10_000, eps0=0.0)
-        assert obs.censored
-        assert obs.tau is None
-        assert obs.horizon == 10_000
+        assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, horizon=10_000, eps0=0.0) is None
 
     def test_undriven_deterministic_run_censors_at_horizon(self):
         # tau(gamma=0) ~ 4.9e6 steps, far beyond a 1e5 horizon
         cfg = default_sweep_config()
-        obs = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD, horizon=100_000)
-        assert obs.censored and obs.tau is None
+        assert measure_escape(cfg, 1.0, DEFAULT_THRESHOLD, horizon=100_000) is None
 
     def test_start_beyond_threshold_is_instant(self):
         cfg = default_sweep_config()
-        obs = measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, eps0=8e-3)
-        assert obs.tau == 0 and not obs.censored
+        assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, eps0=8e-3) == 0
 
     def test_threshold_must_exceed_start(self):
         cfg = default_sweep_config()
@@ -106,10 +99,10 @@ class TestMeasureEscape:
         noisy_cfg = SdeConfig(**{**base, "coupling": 1e-3, "noise_intensity": 1e-12, "seed": 4})
         a = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
         b = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
-        assert a.tau == b.tau
-        assert not a.censored
+        assert a == b
+        assert a is not None
         # weak noise perturbs but does not wildly move the escape time
-        assert a.tau == pytest.approx(det.tau, rel=0.5)
+        assert a == pytest.approx(det, rel=0.5)
 
 
 class TestSweep:
@@ -132,39 +125,48 @@ class TestSweep:
         assert [s.n_seeds for s in repeated.per_gamma] == [2, 2, 2]
 
     def test_all_censored_raises_no_fit(self):
-        obs = [
-            EscapeObservation(g, 0, None, 1000, True) for g in (1e-4, 1e-3, 1e-2)
-        ]
+        # a stub mapper stands in for the measurement: one tau (or None) per job
+        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, default_sweep_config(), 1.0,
+                                 DEFAULT_THRESHOLD, 1000, lambda fn, jobs: [None] * 3)
         with pytest.raises(NoFitError):
-            fit_escape_models(aggregate_observations(obs))
+            fit_escape_models(stats)
 
     def test_partially_censored_levels_are_excluded_from_fit(self):
-        obs = []
-        for i, (g, tau) in enumerate([(1e-4, None), (1e-3, 5000), (3e-3, 1500), (1e-2, 400)]):
-            if tau is None:
-                obs.append(EscapeObservation(g, 0, None, 1000, True))
-            else:
-                for s, jitter in enumerate((0.95, 1.0, 1.05)):
-                    obs.append(EscapeObservation(g, s, int(tau * jitter), 10**6, False))
-        summary = fit_escape_models(aggregate_observations(obs))
+        taus = [None, None, None]
+        for tau in (5000, 1500, 400):
+            taus += [int(tau * jitter) for jitter in (0.95, 1.0, 1.05)]
+        noisy = replace(default_sweep_config(), noise_intensity=1e-12)
+        summary = fit_escape_models(sweep_statistics(
+            (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 10**6,
+            lambda fn, jobs: taus))
         assert summary.per_gamma[0].tau_mean is None
-        assert summary.per_gamma[0].n_censored == 1
+        assert summary.per_gamma[0].n_censored == 3
         assert summary.power_law is not None  # three clean levels remain
+        assert not summary.unit_weights_used
 
     def test_fewer_than_three_levels_yields_no_fit_but_stats(self):
-        obs = [
-            EscapeObservation(1e-3, 0, 5000, 10**6, False),
-            EscapeObservation(1e-2, 0, 400, 10**6, False),
-            EscapeObservation(3e-2, 0, None, 10**6, True),
-        ]
-        summary = fit_escape_models(aggregate_observations(obs))
+        stats = sweep_statistics((1e-3, 1e-2, 3e-2), 1, default_sweep_config(), 1.0,
+                                 DEFAULT_THRESHOLD, 10**6, lambda fn, jobs: [5000, 400, None])
+        summary = fit_escape_models(stats)
         assert summary.power_law is None and summary.delta_aic is None
         assert len(summary.per_gamma) == 3
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 1e4])
     def test_curvature_outside_open_half_line_rejected(self, c):
         with pytest.raises(ValidationError, match="tilt_curvature"):
-            sweep_observations((1e-3,), 1, default_sweep_config(), c, DEFAULT_THRESHOLD, 10, map)
+            sweep_statistics((1e-3,), 1, default_sweep_config(), c, DEFAULT_THRESHOLD, 10, map)
+
+    def test_stability_limit_applies_to_the_tilted_rate(self):
+        def sweep(c, mapper):
+            return sweep_statistics((1e-4, 1e-2), 1, default_sweep_config(), c,
+                                    DEFAULT_THRESHOLD, 10, mapper)
+
+        # dt (mu + gamma c) at gamma = 1e-2 is 0.05 (1e-5 + 1e-2 c): 0.19996 at c = 399.9,
+        # 0.2000005 at c = 400; a refused sweep never calls its mapper
+        assert [s.n_censored for s in sweep(399.9, lambda fn, jobs: [None, None])] == [1, 1]
+        with pytest.raises(ValidationError, match="tilt_curvature") as err:
+            sweep(400.0, None)
+        assert "gamma = 0.01" in str(err.value)
 
     def test_exact_power_law_recovered(self):
         g = np.array([0.1, 0.2, 0.5, 1.0])
@@ -176,6 +178,16 @@ class TestSweep:
         assert b == pytest.approx(-1.2, abs=1e-10)
         assert summary.power_law.chi_squared == pytest.approx(0.0, abs=1e-16)
         assert summary.delta_aic > 0  # exponential form cannot match a power law
+
+
+def recording_map(cells):
+    """A serial mapper that appends (gamma, seed, tau) of every measured cell to cells."""
+    def mapper(fn, jobs):
+        taus = [fn(job) for job in jobs]
+        cells.extend((job[0].coupling, job[0].seed, tau) for job, tau in zip(jobs, taus))
+        return taus
+
+    return mapper
 
 
 class TestSweepCells:
@@ -202,30 +214,32 @@ class TestSweepCells:
     def test_noisy_sweep_taus_off_unit_curvature(self):
         # at c = 1.7, c * eps != eps: a reordered tilt product gamma * (c * eps) moves these bits
         noisy = replace(default_sweep_config(), noise_intensity=1e-12)
-        obs = sweep_observations((1e-3, 3e-3, 1e-2), 2, noisy, 1.7, DEFAULT_THRESHOLD, 50_000, map)
-        assert [(o.gamma, o.seed, o.tau) for o in obs] == [
+        cells = []
+        sweep_statistics((1e-3, 3e-3, 1e-2), 2, noisy, 1.7, DEFAULT_THRESHOLD, 50_000,
+                         recording_map(cells))
+        assert cells == [
             (1e-3, 0, 26808), (1e-3, 1000, 27617), (3e-3, 0, 9076), (3e-3, 1000, 9084),
             (1e-2, 0, 2729), (1e-2, 1000, 2707),
         ]
 
     def test_noise_free_sweep_steps_once_per_gamma(self, stepper_calls):
-        obs = sweep_observations(
+        stats = sweep_statistics(
             (1e-3, 3e-3, 1e-2), 3, default_sweep_config(), 1.0,
             DEFAULT_THRESHOLD, 100_000, map,
         )
         assert stepper_calls == [(1e-3, 0), (3e-3, 0), (1e-2, 0)]
-        assert [(o.gamma, o.seed) for o in obs] == [
-            (g, s) for g in (1e-3, 3e-3, 1e-2) for s in (0, 1000, 2000)
+        # each level's one measured cell counts for its three seeds
+        assert [(s.gamma, s.n_seeds, s.n_censored, s.tau_std) for s in stats] == [
+            (g, 3, 0, 0.0) for g in (1e-3, 3e-3, 1e-2)
         ]
-        assert len({o.tau for o in obs if o.gamma == 1e-3}) == 1
 
     def test_noisy_sweep_steps_once_per_cell_and_reproduces(self, stepper_calls):
         noisy = replace(default_sweep_config(), noise_intensity=1e-12)
         args = ((1e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 100_000, map)
-        first = sweep_observations(*args)
-        assert len(stepper_calls) == 6
-        assert sweep_observations(*args) == first
-        assert len({o.tau for o in first if o.gamma == 1e-3}) > 1  # seeds draw their own noise
+        first = sweep_statistics(*args)
+        assert stepper_calls == [(g, s) for g in (1e-3, 1e-2) for s in (0, 1000, 2000)]
+        assert sweep_statistics(*args) == first
+        assert first[0].tau_std > 0  # seeds draw their own noise
 
 
 class TestReferenceRefit:

@@ -263,9 +263,9 @@ class TestCoupledModes:
             growth_rate=0.5, alpha=0.5, dt=0.05, steps=1000, modes=5, dim=4,
             init_scale=0.01, seed=5,
         )
-        run = simulate_coupled_modes(cfg)
-        cos = np.einsum("kd,kd->k", run.initial_directions, run.final_directions)
-        assert np.all(cos >= 1.0 - 1e-12)
+        stats = persistence_stats(simulate_coupled_modes(cfg))
+        assert stats.excluded_modes == [] and len(stats.cosines) == 5
+        assert np.all(stats.cosines >= 1.0 - 1e-12)
 
     def test_rejects_multimode_in_one_dimension(self):
         with pytest.raises(ValidationError):
@@ -333,25 +333,20 @@ class TestCoupledModes:
         run = lottery_runs[0]
         norms = np.linalg.norm(run.final_state, axis=1)
         r_star = lottery_preset(0).epsilon_star
-        winners = run.final_directions[norms >= 0.5 * r_star]
+        winners = (run.final_state / norms[:, None])[norms >= 0.5 * r_star]
         assert len(winners) >= 2
-        before = mean_abs_pair_overlap(run.initial_directions)
+        e0 = run.path_samples[0]
+        before = mean_abs_pair_overlap(e0 / np.linalg.norm(e0, axis=1)[:, None])
         after = mean_abs_pair_overlap(winners)
         assert after < before
 
 
 class TestPersistenceStats:
     def test_excluded_zero_modes(self):
-        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         run = SdeRunResult(
             times=np.array([0.0, 1.0]),
             path_samples=np.array([[[0.6, 0.0], [0.0, 0.4], [0.5, 0.5]],
                                    [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]]),
-            final_state=np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-            initial_directions=np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]]),
-            final_directions=dirs,
-            zero_final_modes=[2],
-            seed=0,
             reference_direction=np.array([1.0, 0.0]),
         )
         stats = persistence_stats(run)
@@ -361,15 +356,7 @@ class TestPersistenceStats:
         assert stats.projection_pairs.shape == (3, 2)
 
     def test_requires_some_reference(self):
-        run = SdeRunResult(
-            times=np.array([0.0]),
-            path_samples=np.zeros((1, 1, 1)),
-            final_state=np.zeros((1, 1)),
-            initial_directions=np.zeros((1, 1)),
-            final_directions=np.zeros((1, 1)),
-            zero_final_modes=[],
-            seed=0,
-        )
+        run = SdeRunResult(times=np.array([0.0]), path_samples=np.zeros((1, 1, 1)))
         with pytest.raises(ValidationError):
             persistence_stats(run)
 
