@@ -488,10 +488,14 @@ def _coupled_worker(job):
 
 @_quiet_overflow()
 def _cmd_sde_coupled(cfg, out_dir):
+    modes = cfg.get_int("sde", "modes")
+    if modes < 3:
+        raise ConfigError(f"sde.modes must be >= 3 for the persistence Spearman, got {modes}")
+    prediction = predict_persistence(_sde_config(cfg, cfg.seeds()[0]))
+
     def summarize(results):
         seeds, rhos, cosines = ([r[i] for r in results] for i in range(3))
         mean_rho = float(np.mean(rhos))
-        prediction = predict_persistence(_sde_config(cfg, cfg.seeds()[0]))
         fields = {
             "mean_spearman_rho": mean_rho,
             "min_spearman_rho": float(np.min(rhos)),

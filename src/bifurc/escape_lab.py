@@ -29,17 +29,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import RunConfig
 from .csvio import read_table, write_table
 from .errors import ConfigError, NoFitError, ValidationError
 from .mathcore import FitReport, fit_model
 from .sde import STABILITY_LIMIT, SdeConfig, _langevin
-
-_DEFAULTS = RunConfig()
-DEFAULT_GAMMAS = tuple(_DEFAULTS.get_float_list("escape", "gammas"))
-DEFAULT_THRESHOLD = _DEFAULTS.get_float("escape", "threshold")
-DEFAULT_HORIZON = _DEFAULTS.get_int("escape", "horizon")
-
 
 @dataclass
 class GammaStats:
@@ -64,14 +57,14 @@ class SweepSummary:
     unit_weights_used: bool = False
 
 
-def measure_escape(config, curvature, threshold, horizon=DEFAULT_HORIZON, eps0=None):
+def measure_escape(config, curvature, threshold, horizon):
     """First step at which |eps| >= threshold, or None (censored at the horizon).
 
     The drift gains the tilt force gamma c eps, gamma = config.coupling and
-    c = curvature. Starts at eps0 (default: config.init_scale, exactly). The
-    threshold must lie strictly between init_scale and the saturation
-    amplitude eps*. Noise uses the config seed; with noise_intensity 0 the
-    path is deterministic and no random numbers are drawn.
+    c = curvature. Starts at exactly config.init_scale. The threshold must
+    lie strictly between init_scale and the saturation amplitude eps*. Noise
+    uses the config seed; with noise_intensity 0 the path is deterministic
+    and no random numbers are drawn.
     """
     if config.modes != 1 or config.dim != 1:
         raise ConfigError("measure_escape runs the scalar dynamics (modes = dim = 1)")
@@ -84,18 +77,17 @@ def measure_escape(config, curvature, threshold, horizon=DEFAULT_HORIZON, eps0=N
             )
     elif threshold <= config.init_scale:
         raise ConfigError("threshold must exceed init_scale")
-    start = config.init_scale if eps0 is None else float(eps0)
-    n, eps, _ = _langevin(config, start, horizon, np.random.default_rng(config.seed), threshold,
-                          curvature=curvature)
+    n, eps, _ = _langevin(config, config.init_scale, horizon, np.random.default_rng(config.seed),
+                          threshold, curvature=curvature)
     return n if abs(eps) >= threshold else None
 
 
-def default_sweep_config(cfg=_DEFAULTS):
+def default_sweep_config(cfg):
     """Scalar base config of the dissipation sweep, from cfg's [escape] section.
 
-    The seed is cfg's first [run] seed. cfg defaults to the built-in
-    configuration: mu = 1e-5 and alpha = 0.1 put eps* at 0.01; the threshold
-    eps*/2 and start eps*/20 give tau ~= ln(10)/(mu + gamma) time units, so
+    The seed is cfg's first [run] seed. In the built-in configuration
+    mu = 1e-5 and alpha = 0.1 put eps* at 0.01; the threshold eps*/2 and
+    start eps*/20 give tau ~= ln(10)/(mu + gamma) time units, so
     the gamma=0 deterministic control needs ~4.9e6 steps and censors at the
     1e6 horizon while every gamma >= 1e-4 escapes well inside it.
     """

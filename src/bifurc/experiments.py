@@ -91,9 +91,6 @@ class SyntheticDataset:
     def n_components(self):
         return self.centers.shape[0]
 
-    def component_counts(self):
-        return np.bincount(self.labels, minlength=self.n_components)
-
 
 def gen_bimodal(n, center_offset=2.0, scale=1.0, seed=0):
     """Two isotropic components at (-offset, 0) and (+offset, 0) in 2D."""
@@ -242,7 +239,7 @@ class TrajectoryLog:
         return np.asarray(vals, dtype=float)
 
 
-def write_trajectory_csv(log, path, extra_comment=None):
+def write_trajectory_csv(log, path):
     """CSV with one leading comment line carrying the run identity."""
     identity = run_identity(log.experiment_id, log.config_hash, log.seed)
     rows = (
@@ -250,7 +247,7 @@ def write_trajectory_csv(log, path, extra_comment=None):
             r.log_beta, r.log_beta_c, r.log_ratio, r.nc1, r.order_parameter)]
         for r in log.readings
     )
-    write_table(path, TRAJECTORY_HEADER, rows, [identity, extra_comment])
+    write_table(path, TRAJECTORY_HEADER, rows, [identity])
 
 
 def _reading(rec):

@@ -321,36 +321,6 @@ def _spread(mu):
     return float(np.sqrt((c * c).sum(axis=1).mean()))
 
 
-def _nll(ws, mu, log_beta):
-    """The mean NLL of the workspace's batch under means mu and log beta."""
-    k, d = mu.shape
-    beta = _precision(log_beta)
-    _, shift, total = _shifted_weights(ws, mu - ws.c, beta)
-    lse = shift + np.log(total)
-    return float(
-        -lse.mean()
-        + 0.5 * beta * ws.ss / ws.za.shape[1]
-        + math.log(k)
-        + 0.5 * d * math.log(2.0 * math.pi)
-        - 0.5 * d * log_beta
-    )
-
-
-def nll(state, samples):
-    """Full per-sample-mean negative log-likelihood (see module docstring)."""
-    z = _check_batch(state, samples)
-    return _nll(_Workspace(state.K, z), state.means, state.log_precision)
-
-
-def responsibilities(state, samples):
-    """Posterior component weights p(k|z): an N x K row-stochastic matrix."""
-    z = _check_batch(state, samples)
-    ws = _Workspace(state.K, z)
-    e, _, total = _shifted_weights(ws, state.means - ws.c, _precision(state.log_precision))
-    e /= total
-    return e.T
-
-
 def grad_step(state, batch, config):
     """One plain gradient-descent step on the full NLL (means and log beta).
 

@@ -119,18 +119,6 @@ def channel_spectrum(beta, K, spatial_eigs):
     )
 
 
-def flat_spectrum(cs):
-    """All K*d eigenvalues of the assembled Hessian, sorted descending.
-
-    beta/K appears with multiplicity d (the symmetric channel) and each
-    lambda_perp_i with multiplicity K-1.
-    """
-    vals = [cs.symmetric_eigenvalue] * (len(cs.antisymmetric_eigenvalues))
-    for lam, _, mult in cs.antisymmetric_eigenvalues:
-        vals.extend([lam] * mult)
-    return np.sort(np.asarray(vals))[::-1]
-
-
 def numerical_hessian(state_at_collapse, samples):
     """Hessian of nll over the mean coordinates, by central differences of its gradient.
 

@@ -89,20 +89,9 @@ def sym_eigen(matrix):
 
 
 def _ranks(values):
-    # average ranks for ties, 1-based
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(n)
-    sv = v[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # average ranks for ties, 1-based: a run of c equal values ending at rank r gets r - (c-1)/2
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def pearson(xs, ys):

@@ -35,7 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import DegenerateInputError, NumericalError, ValidationError
 from .mathcore import spearman
 
 STABILITY_LIMIT = 0.2
@@ -241,10 +241,17 @@ def persistence_stats(run):
     cos = np.einsum("kd,kd->k", e0[keep] / np.where(n0 > 0, n0, 1.0)[keep, None],
                     e1[keep] / n1[keep, None])
     p0, p1 = e0 @ ref, e1 @ ref
+    try:
+        rho = spearman(p0, p1)
+    except DegenerateInputError:
+        raise DegenerateInputError(
+            "the modes' projections are constant, so their Spearman is undefined: at "
+            "init_scale = 0 every mode starts at zero, and at noise_intensity = 0 stays there"
+        ) from None
     return PersistenceStats(
         cosines=cos,
         projection_pairs=np.stack([p0, p1], axis=1),
-        spearman_rho=float(spearman(p0, p1)),
+        spearman_rho=rho,
         excluded_modes=np.flatnonzero(~keep).tolist(),
     )
 
@@ -259,7 +266,11 @@ def predict_persistence(config):
     growth term remains.
     """
     if config.growth_rate <= 0:
-        raise ValidationError("predict_persistence requires growth_rate > 0")
+        raise ValidationError(
+            f"predict_persistence requires sde.growth_rate > 0, got {config.growth_rate}")
+    if config.init_scale == 0 and config.noise_intensity > 0:  # sigma_star = 0: log(0) below
+        raise ValidationError(
+            "predict_persistence requires sde.init_scale > 0 at noise_intensity > 0")
     mu, al, d_noise = config.growth_rate, config.alpha, config.noise_intensity
     d = config.dim
     t_total = config.steps * config.dt

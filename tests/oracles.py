@@ -6,11 +6,19 @@ import math
 
 import numpy as np
 
+from bifurc.config import RunConfig
 from bifurc.errors import ValidationError
-from bifurc.escape_lab import DEFAULT_HORIZON, fit_escape_models, sweep_statistics
+from bifurc.escape_lab import fit_escape_models, sweep_statistics
 from bifurc.experiments import TrajectoryLog
+from bifurc.gmm_probe import _check_batch, _precision, _shifted_weights, _Workspace
 from bifurc.sde import persistence_stats
 from bifurc.taxonomy import DELAYED_ESCAPE, FOLD_BACK, FULL_V, REGIMES, classify
+
+# the built-in configuration and the [escape] values the tests read from it
+DEFAULTS = RunConfig()
+DEFAULT_GAMMAS = tuple(DEFAULTS.get_float_list("escape", "gammas"))
+DEFAULT_THRESHOLD = DEFAULTS.get_float("escape", "threshold")
+DEFAULT_HORIZON = DEFAULTS.get_int("escape", "horizon")
 
 
 def counts_within_multinomial_band(dataset, n_sigma=3.0):
@@ -19,7 +27,50 @@ def counts_within_multinomial_band(dataset, n_sigma=3.0):
     c = dataset.n_components
     expect = n / c
     sigma = math.sqrt(n * (1.0 / c) * (1.0 - 1.0 / c))
-    return bool(np.all(np.abs(dataset.component_counts() - expect) <= n_sigma * sigma))
+    counts = np.bincount(dataset.labels, minlength=c)
+    return bool(np.all(np.abs(counts - expect) <= n_sigma * sigma))
+
+
+def _nll(ws, mu, log_beta):
+    """The mean NLL of the workspace's batch under means mu and log beta."""
+    k, d = mu.shape
+    beta = _precision(log_beta)
+    _, shift, total = _shifted_weights(ws, mu - ws.c, beta)
+    lse = shift + np.log(total)
+    return float(
+        -lse.mean()
+        + 0.5 * beta * ws.ss / ws.za.shape[1]
+        + math.log(k)
+        + 0.5 * d * math.log(2.0 * math.pi)
+        - 0.5 * d * log_beta
+    )
+
+
+def nll(state, samples):
+    """Full per-sample-mean negative log-likelihood (see the gmm_probe module docstring)."""
+    z = _check_batch(state, samples)
+    return _nll(_Workspace(state.K, z), state.means, state.log_precision)
+
+
+def responsibilities(state, samples):
+    """Posterior component weights p(k|z): an N x K row-stochastic matrix."""
+    z = _check_batch(state, samples)
+    ws = _Workspace(state.K, z)
+    e, _, total = _shifted_weights(ws, state.means - ws.c, _precision(state.log_precision))
+    e /= total
+    return e.T
+
+
+def flat_spectrum(cs):
+    """All K*d eigenvalues of the assembled Hessian, sorted descending.
+
+    beta/K appears with multiplicity d (the symmetric channel) and each
+    lambda_perp_i with multiplicity K-1.
+    """
+    vals = [cs.symmetric_eigenvalue] * (len(cs.antisymmetric_eigenvalues))
+    for lam, _, mult in cs.antisymmetric_eigenvalues:
+        vals.extend([lam] * mult)
+    return np.sort(np.asarray(vals))[::-1]
 
 
 def effective_potential(config, curvature, eps):

@@ -13,13 +13,7 @@ import numpy as np
 
 from bifurc.cli import _sde_config
 from bifurc.config import build_config
-from bifurc.escape_lab import (
-    DEFAULT_GAMMAS,
-    DEFAULT_THRESHOLD,
-    default_sweep_config,
-    fit_escape_models,
-    read_sweep_csv,
-)
+from bifurc.escape_lab import default_sweep_config, fit_escape_models, read_sweep_csv
 from bifurc.experiments import (
     gen_bimodal,
     gen_hierarchical,
@@ -36,21 +30,22 @@ from bifurc.gmm_probe import (
     exact_collapsed,
     grad_step,
     init_collapsed,
-    nll,
     probe_step,
-    responsibilities,
 )
-from bifurc.hessian import (
-    analytic_hessian,
-    channel_spectrum,
-    find_crossing,
-    flat_spectrum,
-    numerical_hessian,
-)
+from bifurc.hessian import analytic_hessian, channel_spectrum, find_crossing, numerical_hessian
 from bifurc.mathcore import covariance, sym_eigen
 from bifurc.sde import persistence_stats, simulate_coupled_modes
 from bifurc.taxonomy import REGIMES, classify
-from oracles import escape_sweep, recovery_rate
+from oracles import (
+    DEFAULT_GAMMAS,
+    DEFAULT_THRESHOLD,
+    DEFAULTS,
+    escape_sweep,
+    flat_spectrum,
+    nll,
+    recovery_rate,
+    responsibilities,
+)
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
 
@@ -153,7 +148,8 @@ def test_criterion_04_fixture_refit():
 
 def test_criterion_05_escape_monotonicity():
     t0 = time.perf_counter()
-    summary = escape_sweep(DEFAULT_GAMMAS, 3, default_sweep_config(), 1.0, DEFAULT_THRESHOLD)
+    summary = escape_sweep(DEFAULT_GAMMAS, 3, default_sweep_config(DEFAULTS), 1.0,
+                           DEFAULT_THRESHOLD)
     zero = [s for s in summary.per_gamma if s.gamma == 0.0][0]
     zero_censored = zero.tau_mean is None and zero.n_censored == 3
     positive = [s for s in summary.per_gamma if s.gamma > 0.0]

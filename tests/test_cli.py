@@ -685,6 +685,24 @@ class TestSdeCommands:
         assert not (tmp_path / f"sde-{command}_summary.json").exists()
 
 
+    @pytest.mark.parametrize("env,keys", [
+        ({"BIFURC_SDE__GROWTH_RATE": "0"}, ["sde.growth_rate"]),
+        ({"BIFURC_SDE__MODES": "2"}, ["sde.modes"]),
+        ({"BIFURC_SDE__INIT_SCALE": "0"}, ["sde.init_scale"]),
+        ({"BIFURC_SDE__NOISE_INTENSITY": "0", "BIFURC_SDE__INIT_SCALE": "0"},
+         ["init_scale", "noise_intensity"]),
+    ])
+    def test_coupled_refuses_degenerate_input_before_writing(self, tmp_path, capsys,
+                                                             monkeypatch, env, keys):
+        monkeypatch.setenv("BIFURC_SDE__STEPS", "200")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["sde", "coupled", "--seed", "0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(key in err for key in keys)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestToyCommands:
     def test_endogenous_crossing_is_finite(self, tmp_path):
         code = main(["toy", "endogenous", "--out", str(tmp_path)])
@@ -970,6 +988,28 @@ class TestExperimentConfigFuzz:
         if not (0.0 < encoder_lr < math.inf and math.isfinite(init_weight_scale)):
             assert code == 2
 
+    # an anneal run holds until activation whatever steps is, so the batch is small
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.integers(0, 4),
+        mode=st.sampled_from(["learned", "anneal", "", "bogus"]),
+        steps=st.integers(-1, 60),
+        record_every=st.integers(0, 5),
+    )
+    def test_bimodal_drive_exits_with_a_documented_code(self, k, mode, steps, record_every):
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(
+                f"[probe]\nk = {k}\n[data]\nn = 100\n[experiment]\nmode = {mode}\n"
+                f"steps = {steps}\nrecord_every = {record_every}\n"
+            )
+            code = fuzz_main(["toy", "bimodal", "--config", str(ini), "--out", tmp])
+        assert code in {0, 2, 3, 4}
+        if mode not in ("learned", "anneal") or min(k, steps, record_every) < 1:
+            assert code == 2
+        if mode == "anneal" and k < 2:
+            assert code == 2
+
 
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON token {token}")
@@ -998,6 +1038,8 @@ class TestSdeConfigFuzz:
              noise=1e300, init_scale=None).via("state overflows")
     @example(command="coupled", steps=200, modes=4, dim=3, growth_rate=None, coupling=None,
              noise=0.0, init_scale=None).via("noise-free modes")
+    @example(command="coupled", steps=200, modes=4, dim=3, growth_rate=-0.5, coupling=None,
+             noise=None, init_scale=None).via("no growth: no persistence prediction")
     @given(
         command=st.sampled_from(["pitchfork", "coupled"]),
         steps=st.integers(0, 200),
@@ -1020,6 +1062,8 @@ class TestSdeConfigFuzz:
             }))
             code = fuzz_main(["sde", command, "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)
+            if code == 2:  # refused before anything is written
+                assert os.listdir(tmp) == ["fuzz.ini"]
         assert code in {0, 2, 3, 4}
         if init_scale is not None and not 0.0 <= init_scale < math.inf:
             assert code == 2

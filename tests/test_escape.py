@@ -9,8 +9,6 @@ import pytest
 import bifurc.escape_lab as escape_lab
 from bifurc.errors import ConfigError, NoFitError, ValidationError
 from bifurc.escape_lab import (
-    DEFAULT_GAMMAS,
-    DEFAULT_THRESHOLD,
     GammaStats,
     default_sweep_config,
     fit_escape_models,
@@ -20,7 +18,7 @@ from bifurc.escape_lab import (
     write_sweep_csv,
 )
 from bifurc.sde import SdeConfig
-from oracles import escape_sweep
+from oracles import DEFAULT_GAMMAS, DEFAULT_HORIZON, DEFAULT_THRESHOLD, DEFAULTS, escape_sweep
 
 try:
     from importlib.resources import files as _files
@@ -49,11 +47,11 @@ def escape_time_closed_form(mu_eff, alpha, eps0, theta):
 
 class TestMeasureEscape:
     def test_matches_closed_form_and_quadrature(self):
-        cfg = default_sweep_config()
+        cfg = default_sweep_config(DEFAULTS)
         cfg = SdeConfig(
             **{**cfg.__dict__, "coupling": 1e-3}
         )
-        tau = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD)
+        tau = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
         assert tau is not None
         mu_eff = cfg.growth_rate + cfg.coupling  # quadratic tilt adds +gamma*eps
         t_closed = escape_time_closed_form(mu_eff, cfg.alpha, cfg.init_scale, DEFAULT_THRESHOLD)
@@ -63,42 +61,38 @@ class TestMeasureEscape:
         assert tau * cfg.dt == pytest.approx(t_quad, rel=0.01 * 2)
 
     def test_zero_start_never_escapes(self):
-        cfg = default_sweep_config()
-        assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, horizon=10_000, eps0=0.0) is None
+        cfg = replace(default_sweep_config(DEFAULTS), init_scale=0.0)
+        assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, horizon=10_000) is None
 
     def test_undriven_deterministic_run_censors_at_horizon(self):
         # tau(gamma=0) ~ 4.9e6 steps, far beyond a 1e5 horizon
-        cfg = default_sweep_config()
+        cfg = default_sweep_config(DEFAULTS)
         assert measure_escape(cfg, 1.0, DEFAULT_THRESHOLD, horizon=100_000) is None
 
-    def test_start_beyond_threshold_is_instant(self):
-        cfg = default_sweep_config()
-        assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, eps0=8e-3) == 0
-
     def test_threshold_must_exceed_start(self):
-        cfg = default_sweep_config()
+        cfg = default_sweep_config(DEFAULTS)
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, threshold=1e-4)
+            measure_escape(cfg, 0.0, threshold=1e-4, horizon=DEFAULT_HORIZON)
 
     def test_threshold_must_stay_below_saturation(self):
-        cfg = default_sweep_config()
+        cfg = default_sweep_config(DEFAULTS)
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, threshold=0.02)  # eps* = 0.01
+            measure_escape(cfg, 0.0, threshold=0.02, horizon=DEFAULT_HORIZON)  # eps* = 0.01
 
     def test_rejects_multimode_config(self):
         cfg = SdeConfig(growth_rate=1e-5, alpha=0.1, dt=0.05, steps=1, modes=2, dim=3,
                         init_scale=5e-4)
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, DEFAULT_THRESHOLD)
+            measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
 
     def test_noisy_escape_reproducible_and_faster(self):
-        base = default_sweep_config().__dict__
+        base = default_sweep_config(DEFAULTS).__dict__
         det = measure_escape(SdeConfig(**{**base, "coupling": 1e-3}),
-                             1.0, DEFAULT_THRESHOLD)
+                             1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
         # noise floor sqrt(D / mu_eff) ~ 3e-5, well under the 5e-4 start
         noisy_cfg = SdeConfig(**{**base, "coupling": 1e-3, "noise_intensity": 1e-12, "seed": 4})
-        a = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
-        b = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
+        a = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
+        b = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
         assert a == b
         assert a is not None
         # weak noise perturbs but does not wildly move the escape time
@@ -107,7 +101,7 @@ class TestMeasureEscape:
 
 class TestSweep:
     def test_mini_sweep_monotone_and_power_like(self):
-        cfg = default_sweep_config()
+        cfg = default_sweep_config(DEFAULTS)
         summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, 1.0, DEFAULT_THRESHOLD, 200_000)
         means = [s.tau_mean for s in summary.per_gamma]
         assert all(m is not None for m in means)
@@ -118,7 +112,7 @@ class TestSweep:
         assert summary.unit_weights_used  # deterministic repeats have zero spread
 
     def test_repeated_gamma_counts_once(self):
-        args = (2, default_sweep_config(), 1.0, DEFAULT_THRESHOLD, 200_000)
+        args = (2, default_sweep_config(DEFAULTS), 1.0, DEFAULT_THRESHOLD, 200_000)
         plain = escape_sweep((1e-3, 3e-3, 1e-2), *args)
         repeated = escape_sweep((1e-2, 1e-3, 1e-3, 3e-3), *args)
         assert repeated.per_gamma == plain.per_gamma
@@ -126,7 +120,7 @@ class TestSweep:
 
     def test_all_censored_raises_no_fit(self):
         # a stub mapper stands in for the measurement: one tau (or None) per job
-        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, default_sweep_config(), 1.0,
+        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, default_sweep_config(DEFAULTS), 1.0,
                                  DEFAULT_THRESHOLD, 1000, lambda fn, jobs: [None] * 3)
         with pytest.raises(NoFitError):
             fit_escape_models(stats)
@@ -135,7 +129,7 @@ class TestSweep:
         taus = [None, None, None]
         for tau in (5000, 1500, 400):
             taus += [int(tau * jitter) for jitter in (0.95, 1.0, 1.05)]
-        noisy = replace(default_sweep_config(), noise_intensity=1e-12)
+        noisy = replace(default_sweep_config(DEFAULTS), noise_intensity=1e-12)
         summary = fit_escape_models(sweep_statistics(
             (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 10**6,
             lambda fn, jobs: taus))
@@ -145,7 +139,7 @@ class TestSweep:
         assert not summary.unit_weights_used
 
     def test_fewer_than_three_levels_yields_no_fit_but_stats(self):
-        stats = sweep_statistics((1e-3, 1e-2, 3e-2), 1, default_sweep_config(), 1.0,
+        stats = sweep_statistics((1e-3, 1e-2, 3e-2), 1, default_sweep_config(DEFAULTS), 1.0,
                                  DEFAULT_THRESHOLD, 10**6, lambda fn, jobs: [5000, 400, None])
         summary = fit_escape_models(stats)
         assert summary.power_law is None and summary.delta_aic is None
@@ -154,11 +148,12 @@ class TestSweep:
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 1e4])
     def test_curvature_outside_open_half_line_rejected(self, c):
         with pytest.raises(ValidationError, match="tilt_curvature"):
-            sweep_statistics((1e-3,), 1, default_sweep_config(), c, DEFAULT_THRESHOLD, 10, map)
+            sweep_statistics((1e-3,), 1, default_sweep_config(DEFAULTS), c, DEFAULT_THRESHOLD, 10,
+                             map)
 
     def test_stability_limit_applies_to_the_tilted_rate(self):
         def sweep(c, mapper):
-            return sweep_statistics((1e-4, 1e-2), 1, default_sweep_config(), c,
+            return sweep_statistics((1e-4, 1e-2), 1, default_sweep_config(DEFAULTS), c,
                                     DEFAULT_THRESHOLD, 10, mapper)
 
         # dt (mu + gamma c) at gamma = 1e-2 is 0.05 (1e-5 + 1e-2 c): 0.19996 at c = 399.9,
@@ -206,14 +201,15 @@ class TestSweepCells:
         return calls
 
     def test_default_sweep_taus(self):
-        summary = escape_sweep(DEFAULT_GAMMAS, 3, default_sweep_config(), 1.0, DEFAULT_THRESHOLD)
+        summary = escape_sweep(DEFAULT_GAMMAS, 3, default_sweep_config(DEFAULTS), 1.0,
+                               DEFAULT_THRESHOLD)
         zero, *positive = summary.per_gamma
         assert (zero.gamma, zero.tau_mean, zero.n_censored) == (0.0, None, 3)
         assert [s.tau_mean for s in positive] == [420723, 148814, 45622, 15304, 4602]
 
     def test_noisy_sweep_taus_off_unit_curvature(self):
         # at c = 1.7, c * eps != eps: a reordered tilt product gamma * (c * eps) moves these bits
-        noisy = replace(default_sweep_config(), noise_intensity=1e-12)
+        noisy = replace(default_sweep_config(DEFAULTS), noise_intensity=1e-12)
         cells = []
         sweep_statistics((1e-3, 3e-3, 1e-2), 2, noisy, 1.7, DEFAULT_THRESHOLD, 50_000,
                          recording_map(cells))
@@ -224,7 +220,7 @@ class TestSweepCells:
 
     def test_noise_free_sweep_steps_once_per_gamma(self, stepper_calls):
         stats = sweep_statistics(
-            (1e-3, 3e-3, 1e-2), 3, default_sweep_config(), 1.0,
+            (1e-3, 3e-3, 1e-2), 3, default_sweep_config(DEFAULTS), 1.0,
             DEFAULT_THRESHOLD, 100_000, map,
         )
         assert stepper_calls == [(1e-3, 0), (3e-3, 0), (1e-2, 0)]
@@ -234,7 +230,7 @@ class TestSweepCells:
         ]
 
     def test_noisy_sweep_steps_once_per_cell_and_reproduces(self, stepper_calls):
-        noisy = replace(default_sweep_config(), noise_intensity=1e-12)
+        noisy = replace(default_sweep_config(DEFAULTS), noise_intensity=1e-12)
         args = ((1e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 100_000, map)
         first = sweep_statistics(*args)
         assert stepper_calls == [(g, s) for g in (1e-3, 1e-2) for s in (0, 1000, 2000)]
@@ -297,7 +293,7 @@ class TestCsvRoundtrip:
             read_sweep_csv(p)
 
     def test_default_sweep_constants_sane(self):
-        cfg = default_sweep_config()
+        cfg = default_sweep_config(DEFAULTS)
         assert cfg.epsilon_star == pytest.approx(0.01, abs=1e-12)
         assert cfg.init_scale < DEFAULT_THRESHOLD < cfg.epsilon_star
         assert DEFAULT_GAMMAS[0] == 0.0 and len(DEFAULT_GAMMAS) == 6

@@ -17,21 +17,18 @@ from bifurc.gmm_probe import (
     _equilibrium,
     _joint_step,
     _mean_step,
-    _nll,
     _shifted_weights,
     _Workspace,
     beta_c,
     exact_collapsed,
     grad_step,
     init_collapsed,
-    nll,
     order_parameter,
     probe_step,
-    responsibilities,
     split_direction,
 )
 from bifurc.mathcore import covariance
-from oracles import max_shift_kernel
+from oracles import _nll, max_shift_kernel, nll, responsibilities
 
 
 def bimodal(n=400, seed=0, c=2.0):

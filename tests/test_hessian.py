@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from bifurc.errors import BracketError, PreconditionError, ValidationError
 from bifurc.experiments import gen_bimodal
-from bifurc.gmm_probe import GmmProbeState, beta_c, exact_collapsed, nll
+from bifurc.gmm_probe import GmmProbeState, beta_c, exact_collapsed
 from bifurc.hessian import (
     _illinois,
     analytic_hessian,
     channel_spectrum,
     find_crossing,
     find_crossing_numeric,
-    flat_spectrum,
     lowest_eigenvalue,
     numerical_hessian,
 )
 from bifurc.mathcore import covariance, sym_eigen
+from oracles import flat_spectrum, nll
 
 
 def bimodal(n=400, seed=0):

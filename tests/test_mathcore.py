@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from bifurc.errors import DegenerateInputError, DimensionError, NumericalError, ValidationError
 from bifurc.mathcore import (
     FitReport,
+    _ranks,
     covariance,
     fit_model,
     pearson,
@@ -151,7 +152,33 @@ class TestSymEigenProperties:
         assert np.all(pivots > 0)
 
 
+def loop_ranks(values):
+    """Reference average ranks (1-based): walk the sorted values, one run of ties at a time."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size)
+    sv = v[order]
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestSpearman:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            arrays(float, st.integers(0, 40), elements=st.integers(-3, 3).map(float)),
+            arrays(float, st.integers(0, 40), elements=st.floats(allow_nan=False)),
+        )
+    )
+    def test_ranks_match_the_tie_loop_bit_for_bit(self, values):
+        np.testing.assert_array_equal(_ranks(values), loop_ranks(values))
+
     def test_monotone(self):
         assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
 
