@@ -41,13 +41,7 @@ from . import __version__
 from .config import DEFAULTS, build_config
 from .csvio import run_identity, write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
-from .escape_lab import (
-    default_sweep_config,
-    fit_escape_models,
-    read_sweep_csv,
-    sweep_statistics,
-    write_sweep_csv,
-)
+from .escape_lab import fit_escape_models, read_sweep_csv, sweep_statistics, write_sweep_csv
 from .experiments import (
     HIERARCHY_MAX1_STEPS,
     _quiet_overflow,
@@ -101,22 +95,33 @@ _OVERLAYS = {
             "init_scale": "0.05",
         }
     },
+    # mu = 1e-5 and alpha = 0.1 put eps* at 0.01; the threshold eps*/2 and start
+    # eps*/20 give tau ~= ln(10)/(mu + gamma) time units, so the gamma = 0
+    # deterministic control needs ~4.9e6 steps and censors at the 1e6 horizon
+    # while every gamma >= 1e-4 escapes well inside it
+    ("escape", "sweep"): {"sde": {"growth_rate": "1e-5", "dt": "0.05", "init_scale": "5e-4"}},
 }
 
 _ENCODER_KEYS = tuple(("experiment", k) for k in ("encoder_lr", "latent_dim", "init_weight_scale"))
 _DRIVE_KEYS = (("experiment", "steps"), ("experiment", "mode"))
 # The (section, key) pairs a command does not read, so that a value other than
 # its default would move only the config hash: reverse and hierarchy run
-# constant drives, only endogenous has an encoder but no forward-split mode,
-# the scalar pitchfork has no coupling term and the coupled modes start at random.
+# constant drives (reverse's anneal at its own rate, hierarchy's from its own
+# start level with no precision channel), only endogenous has an encoder but no
+# forward-split mode, the scalar pitchfork has no coupling term, the coupled
+# modes start at random, and the escape cells are scalar, start at init_scale,
+# run to the [escape] horizon and take their coupling from the gammas.
 _UNREAD_KEYS = {
     ("toy", "bimodal"): _ENCODER_KEYS,
     ("toy", "unimodal"): _ENCODER_KEYS,
-    ("toy", "reverse"): _DRIVE_KEYS + _ENCODER_KEYS,
-    ("toy", "hierarchy"): _DRIVE_KEYS + _ENCODER_KEYS,
+    ("toy", "reverse"): _DRIVE_KEYS + _ENCODER_KEYS + (("probe", "lr_means"),
+                                                       ("probe", "lr_logbeta")),
+    ("toy", "hierarchy"): _DRIVE_KEYS + _ENCODER_KEYS + (("probe", "lr_logbeta"),
+                                                         ("probe", "log_beta_init")),
     ("toy", "endogenous"): (("experiment", "mode"),),
     ("sde", "pitchfork"): (("sde", "coupling"),),
     ("sde", "coupled"): (("sde", "eps0"),),
+    ("escape", "sweep"): tuple(("sde", k) for k in ("coupling", "steps", "modes", "dim", "eps0")),
 }
 
 # Keys too bulky for the merged cross-seed summary; they stay in the
@@ -328,6 +333,43 @@ def _toy_dataset(sub, cfg, seed):
     return dataset
 
 
+def _toy_logs(sub, cfg, seed):
+    """The trajectory logs of one seed of `toy sub`, by CSV suffix.
+
+    The reverse leg's summary also carries the run's reverse_tracking_error
+    and branch_overlap.
+    """
+    dataset = _toy_dataset(sub, cfg, seed)
+    probe = _probe_config(cfg)
+    record_every = cfg.get_int("experiment", "record_every")
+    if sub in ("bimodal", "unimodal"):
+        log, _ = run_forward_split(
+            dataset, probe, cfg.get_choice("experiment", "mode", {"learned", "anneal"}),
+            steps=cfg.get_int("experiment", "steps"), record_every=record_every,
+        )
+        return {"": log}
+    if sub == "reverse":
+        forward, state = run_forward_split(dataset, probe, "anneal", record_every=record_every)
+        reverse = run_reverse_traversal(dataset, state)
+        merge_err = reverse.summary.get("merge_relative_error")
+        reverse.summary["reverse_tracking_error"] = (
+            None if merge_err is None else abs(float(merge_err))
+        )
+        reverse.summary["branch_overlap"] = branch_overlap(forward, reverse)
+        return {"_forward": forward, "_reverse": reverse}
+    if sub == "endogenous":
+        return {"": run_endogenous(
+            dataset,
+            encoder_lr=cfg.get_float("experiment", "encoder_lr"),
+            config=probe,
+            steps=cfg.get_int("experiment", "steps"),
+            latent_dim=cfg.get_int("experiment", "latent_dim"),
+            init_weight_scale=cfg.get_float("experiment", "init_weight_scale"),
+            record_every=record_every,
+        )}
+    return {"": run_hierarchical(dataset, probe, record_every)}
+
+
 def _toy_worker(sub, job):
     """Run one seed of `toy sub` and write its own files.
 
@@ -336,38 +378,7 @@ def _toy_worker(sub, job):
     """
     cfg, seed, out = job
     out_dir = Path(out)
-    dataset = _toy_dataset(sub, cfg, seed)
-    probe = _probe_config(cfg)
-    record_every = cfg.get_int("experiment", "record_every")
-    logs = {}
-    if sub in ("bimodal", "unimodal"):
-        logs[""], _ = run_forward_split(
-            dataset, probe, cfg.get_choice("experiment", "mode", {"learned", "anneal"}),
-            steps=cfg.get_int("experiment", "steps"), record_every=record_every,
-        )
-    elif sub == "reverse":
-        forward, state = run_forward_split(dataset, probe, "anneal", record_every=record_every)
-        reverse = run_reverse_traversal(dataset, state)
-        merge_err = reverse.summary.get("merge_relative_error")
-        reverse.summary["reverse_tracking_error"] = (
-            None if merge_err is None else abs(float(merge_err))
-        )
-        reverse.summary["branch_overlap"] = branch_overlap(forward, reverse)
-        logs["_forward"] = forward
-        logs["_reverse"] = reverse
-    elif sub == "endogenous":
-        log = run_endogenous(
-            dataset,
-            encoder_lr=cfg.get_float("experiment", "encoder_lr"),
-            config=probe,
-            steps=cfg.get_int("experiment", "steps"),
-            latent_dim=cfg.get_int("experiment", "latent_dim"),
-            init_weight_scale=cfg.get_float("experiment", "init_weight_scale"),
-            record_every=record_every,
-        )
-        logs[""] = log
-    else:  # hierarchy
-        logs[""] = run_hierarchical(dataset, probe, record_every)
+    logs = _toy_logs(sub, cfg, seed)
     summaries = {}
     for suffix, log in logs.items():
         log.config_hash = cfg.config_hash
@@ -573,7 +584,7 @@ def _cmd_escape_sweep(cfg, out_dir):
     stats = sweep_statistics(
         cfg.get_float_list("escape", "gammas"),
         cfg.get_int("escape", "seeds_per_gamma"),
-        default_sweep_config(cfg),
+        _sde_config(cfg, cfg.seeds()[0]),
         cfg.get_float("escape", "tilt_curvature"),
         cfg.get_float("escape", "threshold"),
         cfg.get_int("escape", "horizon"),

@@ -74,11 +74,6 @@ DEFAULTS = {
         "seeds_per_gamma": "3",
         "threshold": "5e-3",
         "horizon": "1000000",
-        "growth_rate": "1e-5",
-        "alpha": "0.1",
-        "noise_intensity": "0.0",
-        "dt": "0.05",
-        "init_scale": "5e-4",
         "tilt_curvature": "1.0",
     },
     "hessian": {

@@ -21,6 +21,11 @@ The tilt is the quadratic well U(eps) = -(1/2) c eps^2 of curvature c
 ([escape] tilt_curvature, default 1): a rate term, not a third system. The
 drift gains +gamma c eps, so each cell is the scalar pitchfork at effective
 linear rate mu + gamma c, run by sde's one scalar stepper.
+
+A sweep's cells share one scalar SdeConfig. This module reads no
+configuration table: `escape sweep` builds that config from [sde] under
+its own overlay, and the sweep's gammas, seeds, threshold, horizon and
+curvature from [escape].
 """
 
 import math
@@ -32,7 +37,7 @@ import numpy as np
 from .csvio import read_table, write_table
 from .errors import ConfigError, NoFitError, ValidationError
 from .mathcore import FitReport, fit_model
-from .sde import STABILITY_LIMIT, SdeConfig, _langevin
+from .sde import STABILITY_LIMIT, _langevin
 
 @dataclass
 class GammaStats:
@@ -80,26 +85,6 @@ def measure_escape(config, curvature, threshold, horizon):
     n, eps, _ = _langevin(config, config.init_scale, horizon, np.random.default_rng(config.seed),
                           threshold, curvature=curvature)
     return n if abs(eps) >= threshold else None
-
-
-def default_sweep_config(cfg):
-    """Scalar base config of the dissipation sweep, from cfg's [escape] section.
-
-    The seed is cfg's first [run] seed. In the built-in configuration
-    mu = 1e-5 and alpha = 0.1 put eps* at 0.01; the threshold eps*/2 and
-    start eps*/20 give tau ~= ln(10)/(mu + gamma) time units, so
-    the gamma=0 deterministic control needs ~4.9e6 steps and censors at the
-    1e6 horizon while every gamma >= 1e-4 escapes well inside it.
-    """
-    return SdeConfig(
-        growth_rate=cfg.get_float("escape", "growth_rate"),
-        alpha=cfg.get_float("escape", "alpha"),
-        noise_intensity=cfg.get_float("escape", "noise_intensity"),
-        dt=cfg.get_float("escape", "dt"),
-        steps=1,
-        init_scale=cfg.get_float("escape", "init_scale"),
-        seed=cfg.seeds()[0],
-    )
 
 
 def _measure_cell(job):

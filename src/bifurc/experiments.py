@@ -40,7 +40,6 @@ from .errors import (
 from .gmm_probe import (
     CriticalityReading,
     GmmProbeState,
-    ProbeConfig,
     _centred,
     _equilibrium,
     _joint_step,
@@ -117,7 +116,7 @@ def gen_unimodal(n, dim=2, scale=1.0, seed=0):
     return SyntheticDataset(z, np.zeros(n, dtype=int), "unimodal", np.zeros((1, dim)), seed)
 
 
-def gen_hierarchical(n, super_spacing=8.0, sub_spacing=2.0, scale=0.5, seed=0):
+def gen_hierarchical(n, super_spacing, sub_spacing, scale, seed):
     """Four super-clusters on a square grid, each split into two sub-clusters.
 
     Super-centers sit at (+-super_spacing/2, +-super_spacing/2); each super
@@ -607,15 +606,8 @@ def _mapped_covariance(w, cov):
 
 
 @_quiet_overflow()
-def run_endogenous(
-    dataset,
-    encoder_lr=0.05,
-    config=None,
-    steps=14000,
-    latent_dim=2,
-    init_weight_scale=0.1,
-    record_every=20,
-):
+def run_endogenous(dataset, encoder_lr, config, steps, latent_dim, init_weight_scale,
+                   record_every):
     """Alternate one encoder GD step and one joint probe step on its latents.
 
     The encoder starts with small weights, so the latent cloud is compressed
@@ -628,8 +620,6 @@ def run_endogenous(
         raise ValidationError("steps, latent_dim and record_every must be >= 1")
     if not (0.0 < encoder_lr < math.inf and math.isfinite(init_weight_scale)):
         raise ValidationError("encoder_lr must be in (0, inf) and init_weight_scale finite")
-    if config is None:
-        config = ProbeConfig(K_probe=8, lr_means=0.015, lr_logbeta=1e-2)
     x = dataset.samples
     rng = np.random.default_rng(dataset.seed + 500)
     enc = ToyEncoderState(
@@ -748,7 +738,7 @@ HIERARCHY_ANISOTROPY_GATE = 0.65
 
 
 @_quiet_overflow()
-def run_hierarchical(dataset, config=None, record_every=20):
+def run_hierarchical(dataset, config, record_every):
     """Two-stage traversal of a hierarchical dataset with K = 8 prototypes.
 
     Stage 1 ramps the precision across beta_c1 = 1/lambda_max(total cov) and
@@ -761,8 +751,6 @@ def run_hierarchical(dataset, config=None, record_every=20):
     equilibrium is reported for the tessellation check. A reading is recorded
     every record_every steps.
     """
-    if config is None:
-        config = ProbeConfig(K_probe=8, lr_means=0.08)
     if record_every < 1:
         raise ValidationError("record_every must be >= 1")
     if dataset.kind != "hierarchical":

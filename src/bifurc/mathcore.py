@@ -94,12 +94,24 @@ def _ranks(values):
     return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
-def pearson(xs, ys):
-    """Plain Pearson correlation; raises on a constant input sequence."""
+def _finite_pair(xs, ys, name):
+    """Two equal-length 1-D float arrays; a NaN or infinite entry is a ValidationError.
+
+    Not a DegenerateInputError: a caller that treats a constant sequence as
+    "no correlation" must not read a non-finite one that way.
+    """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError("pearson needs two equal-length 1-D sequences")
+        raise DimensionError(f"{name} needs two equal-length 1-D sequences")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError(f"{name} needs finite values")
+    return x, y
+
+
+def pearson(xs, ys):
+    """Plain Pearson correlation; raises on a constant or non-finite input sequence."""
+    x, y = _finite_pair(xs, ys, "pearson")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = np.sqrt(np.sum(xc * xc))
@@ -112,13 +124,11 @@ def pearson(xs, ys):
 def spearman(xs, ys):
     """Spearman rank correlation with average ranks for ties.
 
-    Both sequences must have length >= 3; a constant sequence makes the
-    correlation undefined and raises DegenerateInputError.
+    Both sequences must have length >= 3 and be finite (a NaN would rank as
+    the largest value); a constant sequence makes the correlation undefined
+    and raises DegenerateInputError.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-        raise DimensionError("spearman needs two equal-length 1-D sequences")
+    x, y = _finite_pair(xs, ys, "spearman")
     if x.size < 3:
         raise DimensionError(f"spearman needs length >= 3, got {x.size}")
     return pearson(_ranks(x), _ranks(y))

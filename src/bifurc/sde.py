@@ -43,7 +43,7 @@ STABILITY_LIMIT = 0.2
 
 @dataclass
 class SdeConfig:
-    """Parameters shared by the three simulators.
+    """Parameters shared by the two simulators and escape_lab's escape cells.
 
     growth_rate is the linear rate mu = beta - beta_c; alpha the cubic
     self-saturation; coupling the inter-mode (or tilt) strength gamma;

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from bifurc.config import RunConfig
+from bifurc.cli import _OVERLAYS, _sde_config, _toy_logs
+from bifurc.config import build_config
 from bifurc.errors import ValidationError
 from bifurc.escape_lab import fit_escape_models, sweep_statistics
 from bifurc.experiments import TrajectoryLog
@@ -14,11 +15,24 @@ from bifurc.gmm_probe import _check_batch, _precision, _shifted_weights, _Worksp
 from bifurc.sde import persistence_stats
 from bifurc.taxonomy import DELAYED_ESCAPE, FOLD_BACK, FULL_V, REGIMES, classify
 
-# the built-in configuration and the [escape] values the tests read from it
-DEFAULTS = RunConfig()
-DEFAULT_GAMMAS = tuple(DEFAULTS.get_float_list("escape", "gammas"))
-DEFAULT_THRESHOLD = DEFAULTS.get_float("escape", "threshold")
-DEFAULT_HORIZON = DEFAULTS.get_int("escape", "horizon")
+
+def command_config(command, sub=None, **sections):
+    """The table `bifurc command sub` runs at with no file or environment,
+    with the given {key: value} sections laid over it."""
+    return build_config(overlay=_OVERLAYS.get((command, sub)), environ={}, flags=sections)
+
+
+def toy_logs(sub, seed, **sections):
+    """The trajectory logs of `bifurc toy sub --seed seed`, by CSV suffix."""
+    return _toy_logs(sub, command_config("toy", sub, **sections), seed)
+
+
+# the `escape sweep` table, its scalar cell and the [escape] values the tests read from it
+SWEEP = command_config("escape", "sweep")
+SWEEP_CELL = _sde_config(SWEEP, SWEEP.seeds()[0])
+DEFAULT_GAMMAS = tuple(SWEEP.get_float_list("escape", "gammas"))
+DEFAULT_THRESHOLD = SWEEP.get_float("escape", "threshold")
+DEFAULT_HORIZON = SWEEP.get_int("escape", "horizon")
 
 
 def counts_within_multinomial_band(dataset, n_sigma=3.0):

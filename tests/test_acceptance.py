@@ -13,16 +13,8 @@ import numpy as np
 
 from bifurc.cli import _sde_config
 from bifurc.config import build_config
-from bifurc.escape_lab import default_sweep_config, fit_escape_models, read_sweep_csv
-from bifurc.experiments import (
-    gen_bimodal,
-    gen_hierarchical,
-    read_trajectory_csv,
-    run_endogenous,
-    run_forward_split,
-    run_hierarchical,
-    run_reverse_traversal,
-)
+from bifurc.escape_lab import fit_escape_models, read_sweep_csv
+from bifurc.experiments import gen_bimodal, read_trajectory_csv
 from bifurc.gmm_probe import (
     GmmProbeState,
     ProbeConfig,
@@ -37,14 +29,13 @@ from bifurc.mathcore import covariance, sym_eigen
 from bifurc.sde import persistence_stats, simulate_coupled_modes
 from bifurc.taxonomy import REGIMES, classify
 from oracles import (
-    DEFAULT_GAMMAS,
-    DEFAULT_THRESHOLD,
-    DEFAULTS,
+    command_config,
     escape_sweep,
     flat_spectrum,
     nll,
     recovery_rate,
     responsibilities,
+    toy_logs,
 )
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
@@ -148,8 +139,12 @@ def test_criterion_04_fixture_refit():
 
 def test_criterion_05_escape_monotonicity():
     t0 = time.perf_counter()
-    summary = escape_sweep(DEFAULT_GAMMAS, 3, default_sweep_config(DEFAULTS), 1.0,
-                           DEFAULT_THRESHOLD)
+    cfg = command_config("escape", "sweep")
+    summary = escape_sweep(
+        cfg.get_float_list("escape", "gammas"), cfg.get_int("escape", "seeds_per_gamma"),
+        _sde_config(cfg, cfg.seeds()[0]), cfg.get_float("escape", "tilt_curvature"),
+        cfg.get_float("escape", "threshold"), cfg.get_int("escape", "horizon"),
+    )
     zero = [s for s in summary.per_gamma if s.gamma == 0.0][0]
     zero_censored = zero.tau_mean is None and zero.n_censored == 3
     positive = [s for s in summary.per_gamma if s.gamma > 0.0]
@@ -175,7 +170,7 @@ def test_criterion_06_endogenous_crossing():
     # the dynamical output is when activation fires: pinned per seed
     pinned_activation = [6840, 6100, 6060, 6680, 6340]
     for seed in range(5):
-        log = run_endogenous(gen_bimodal(4000, seed=seed))
+        log = toy_logs("endogenous", seed)[""]
         s = log.summary
         crossing = s["crossing_step"]
         activations = s["activation_steps"]
@@ -198,10 +193,8 @@ def test_criterion_06_endogenous_crossing():
 
 def test_criterion_07_reverse_traversal():
     t0 = time.perf_counter()
-    dataset = gen_bimodal(3000, seed=0)
-    probe = ProbeConfig(K_probe=2, lr_means=0.05)
-    forward, state = run_forward_split(dataset, probe, "anneal")
-    reverse = run_reverse_traversal(dataset, state)
+    logs = toy_logs("reverse", 0)
+    forward, reverse = logs["_forward"], logs["_reverse"]
     merge_err = abs(reverse.summary["merge_relative_error"])
     overshoot = forward.summary["overshoot_ratio"]
     _finish(
@@ -220,7 +213,7 @@ def test_criterion_08_hierarchy_two_stage():
     quad_hits = 0
     details = []
     for seed in range(3):
-        log = run_hierarchical(gen_hierarchical(4000, seed=seed))
+        log = toy_logs("hierarchy", seed)[""]
         s = log.summary
         events = s["events"]
         seed_events_ok = len(events) == 2 and all(

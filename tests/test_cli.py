@@ -319,10 +319,18 @@ class TestExitCodes:
            for key, value in (("encoder_lr", "5"), ("latent_dim", "3"),
                               ("init_weight_scale", "0.3"))],
          ("toy endogenous", "experiment.mode", "anneal"),
+         # the anneal drive runs at its own rate; the hierarchy has no precision channel
+         ("toy reverse", "probe.lr_means", "0.5"),
+         ("toy reverse", "probe.lr_logbeta", "0.5"),
+         ("toy hierarchy", "probe.lr_logbeta", "0.5"),
+         ("toy hierarchy", "probe.log_beta_init", "1.0"),
          # 100 would also break the stability guard of a term that is never integrated
          ("sde pitchfork", "sde.coupling", "5"),
          ("sde pitchfork", "sde.coupling", "100"),
-         ("sde coupled", "sde.eps0", "0.5")],
+         ("sde coupled", "sde.eps0", "0.5"),
+         *[("escape sweep", f"sde.{key}", value)
+           for key, value in (("coupling", "1e-3"), ("steps", "10"), ("modes", "2"),
+                              ("dim", "2"), ("eps0", "1e-3"))]],
     )
     def test_unread_key_exits_2(self, tmp_path, capsys, monkeypatch, command, key, value):
         # the command does not read the key, which would move only the config hash
@@ -560,8 +568,19 @@ class TestEscapeCommands:
         first = (tmp_path / "escape-sweep.csv").read_text().splitlines()[0]
         assert "config=" in first and "version=" in first
 
+    def test_default_sweep_rows_are_pinned(self, tmp_path):
+        # every value of the sweep's calibration shows in these rows: a wrong one moves them
+        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 0
+        rows = [(s.gamma, s.tau_mean, s.tau_std, s.n_seeds, s.n_censored)
+                for s in read_sweep_csv(tmp_path / "escape-sweep.csv")]
+        assert rows == [(0.0, None, None, 3, 3)] + [
+            (gamma, tau, 0.0, 3, 0) for gamma, tau in
+            ((1e-4, 420723.0), (3e-4, 148814.0), (1e-3, 45622.0), (3e-3, 15304.0),
+             (1e-2, 4602.0))
+        ]
+
     def test_sweep_with_nan_step_size_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BIFURC_ESCAPE__DT", "nan")
+        monkeypatch.setenv("BIFURC_SDE__DT", "nan")
         monkeypatch.setenv("BIFURC_ESCAPE__HORIZON", "100")
         assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -570,7 +589,7 @@ class TestEscapeCommands:
     @pytest.mark.parametrize("noise,seed_matters", [("1e-12", True), ("0.0", False)])
     def test_sweep_is_seeded_by_the_first_run_seed(self, tmp_path, monkeypatch, noise,
                                                    seed_matters):
-        for key, value in {"BIFURC_ESCAPE__NOISE_INTENSITY": noise,
+        for key, value in {"BIFURC_SDE__NOISE_INTENSITY": noise,
                            "BIFURC_ESCAPE__HORIZON": "20000",
                            "BIFURC_ESCAPE__GAMMAS": "1e-3,3e-3,1e-2"}.items():
             monkeypatch.setenv(key, value)
@@ -1094,8 +1113,9 @@ class TestEscapeConfigFuzz:
             ini.write_text(
                 ini_section("escape", {
                     "seeds_per_gamma": seeds, "horizon": horizon, "tilt_curvature": curvature,
-                    "noise_intensity": noise, "init_scale": init_scale, "threshold": threshold,
+                    "threshold": threshold,
                 }) + f"gammas = {','.join(repr(g) for g in levels)}\n"
+                + ini_section("sde", {"noise_intensity": noise, "init_scale": init_scale})
             )
             code = fuzz_main(["escape", "sweep", "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)

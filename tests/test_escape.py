@@ -10,7 +10,6 @@ import bifurc.escape_lab as escape_lab
 from bifurc.errors import ConfigError, NoFitError, ValidationError
 from bifurc.escape_lab import (
     GammaStats,
-    default_sweep_config,
     fit_escape_models,
     measure_escape,
     read_sweep_csv,
@@ -18,7 +17,7 @@ from bifurc.escape_lab import (
     write_sweep_csv,
 )
 from bifurc.sde import SdeConfig
-from oracles import DEFAULT_GAMMAS, DEFAULT_HORIZON, DEFAULT_THRESHOLD, DEFAULTS, escape_sweep
+from oracles import DEFAULT_GAMMAS, DEFAULT_HORIZON, DEFAULT_THRESHOLD, SWEEP_CELL, escape_sweep
 
 try:
     from importlib.resources import files as _files
@@ -47,7 +46,7 @@ def escape_time_closed_form(mu_eff, alpha, eps0, theta):
 
 class TestMeasureEscape:
     def test_matches_closed_form_and_quadrature(self):
-        cfg = default_sweep_config(DEFAULTS)
+        cfg = SWEEP_CELL
         cfg = SdeConfig(
             **{**cfg.__dict__, "coupling": 1e-3}
         )
@@ -61,21 +60,21 @@ class TestMeasureEscape:
         assert tau * cfg.dt == pytest.approx(t_quad, rel=0.01 * 2)
 
     def test_zero_start_never_escapes(self):
-        cfg = replace(default_sweep_config(DEFAULTS), init_scale=0.0)
+        cfg = replace(SWEEP_CELL, init_scale=0.0)
         assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, horizon=10_000) is None
 
     def test_undriven_deterministic_run_censors_at_horizon(self):
         # tau(gamma=0) ~ 4.9e6 steps, far beyond a 1e5 horizon
-        cfg = default_sweep_config(DEFAULTS)
+        cfg = SWEEP_CELL
         assert measure_escape(cfg, 1.0, DEFAULT_THRESHOLD, horizon=100_000) is None
 
     def test_threshold_must_exceed_start(self):
-        cfg = default_sweep_config(DEFAULTS)
+        cfg = SWEEP_CELL
         with pytest.raises(ConfigError):
             measure_escape(cfg, 0.0, threshold=1e-4, horizon=DEFAULT_HORIZON)
 
     def test_threshold_must_stay_below_saturation(self):
-        cfg = default_sweep_config(DEFAULTS)
+        cfg = SWEEP_CELL
         with pytest.raises(ConfigError):
             measure_escape(cfg, 0.0, threshold=0.02, horizon=DEFAULT_HORIZON)  # eps* = 0.01
 
@@ -86,7 +85,7 @@ class TestMeasureEscape:
             measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
 
     def test_noisy_escape_reproducible_and_faster(self):
-        base = default_sweep_config(DEFAULTS).__dict__
+        base = SWEEP_CELL.__dict__
         det = measure_escape(SdeConfig(**{**base, "coupling": 1e-3}),
                              1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
         # noise floor sqrt(D / mu_eff) ~ 3e-5, well under the 5e-4 start
@@ -101,7 +100,7 @@ class TestMeasureEscape:
 
 class TestSweep:
     def test_mini_sweep_monotone_and_power_like(self):
-        cfg = default_sweep_config(DEFAULTS)
+        cfg = SWEEP_CELL
         summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, 1.0, DEFAULT_THRESHOLD, 200_000)
         means = [s.tau_mean for s in summary.per_gamma]
         assert all(m is not None for m in means)
@@ -112,7 +111,7 @@ class TestSweep:
         assert summary.unit_weights_used  # deterministic repeats have zero spread
 
     def test_repeated_gamma_counts_once(self):
-        args = (2, default_sweep_config(DEFAULTS), 1.0, DEFAULT_THRESHOLD, 200_000)
+        args = (2, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD, 200_000)
         plain = escape_sweep((1e-3, 3e-3, 1e-2), *args)
         repeated = escape_sweep((1e-2, 1e-3, 1e-3, 3e-3), *args)
         assert repeated.per_gamma == plain.per_gamma
@@ -120,7 +119,7 @@ class TestSweep:
 
     def test_all_censored_raises_no_fit(self):
         # a stub mapper stands in for the measurement: one tau (or None) per job
-        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, default_sweep_config(DEFAULTS), 1.0,
+        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, SWEEP_CELL, 1.0,
                                  DEFAULT_THRESHOLD, 1000, lambda fn, jobs: [None] * 3)
         with pytest.raises(NoFitError):
             fit_escape_models(stats)
@@ -129,7 +128,7 @@ class TestSweep:
         taus = [None, None, None]
         for tau in (5000, 1500, 400):
             taus += [int(tau * jitter) for jitter in (0.95, 1.0, 1.05)]
-        noisy = replace(default_sweep_config(DEFAULTS), noise_intensity=1e-12)
+        noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
         summary = fit_escape_models(sweep_statistics(
             (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 10**6,
             lambda fn, jobs: taus))
@@ -139,7 +138,7 @@ class TestSweep:
         assert not summary.unit_weights_used
 
     def test_fewer_than_three_levels_yields_no_fit_but_stats(self):
-        stats = sweep_statistics((1e-3, 1e-2, 3e-2), 1, default_sweep_config(DEFAULTS), 1.0,
+        stats = sweep_statistics((1e-3, 1e-2, 3e-2), 1, SWEEP_CELL, 1.0,
                                  DEFAULT_THRESHOLD, 10**6, lambda fn, jobs: [5000, 400, None])
         summary = fit_escape_models(stats)
         assert summary.power_law is None and summary.delta_aic is None
@@ -148,13 +147,11 @@ class TestSweep:
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 1e4])
     def test_curvature_outside_open_half_line_rejected(self, c):
         with pytest.raises(ValidationError, match="tilt_curvature"):
-            sweep_statistics((1e-3,), 1, default_sweep_config(DEFAULTS), c, DEFAULT_THRESHOLD, 10,
-                             map)
+            sweep_statistics((1e-3,), 1, SWEEP_CELL, c, DEFAULT_THRESHOLD, 10, map)
 
     def test_stability_limit_applies_to_the_tilted_rate(self):
         def sweep(c, mapper):
-            return sweep_statistics((1e-4, 1e-2), 1, default_sweep_config(DEFAULTS), c,
-                                    DEFAULT_THRESHOLD, 10, mapper)
+            return sweep_statistics((1e-4, 1e-2), 1, SWEEP_CELL, c, DEFAULT_THRESHOLD, 10, mapper)
 
         # dt (mu + gamma c) at gamma = 1e-2 is 0.05 (1e-5 + 1e-2 c): 0.19996 at c = 399.9,
         # 0.2000005 at c = 400; a refused sweep never calls its mapper
@@ -201,15 +198,14 @@ class TestSweepCells:
         return calls
 
     def test_default_sweep_taus(self):
-        summary = escape_sweep(DEFAULT_GAMMAS, 3, default_sweep_config(DEFAULTS), 1.0,
-                               DEFAULT_THRESHOLD)
+        summary = escape_sweep(DEFAULT_GAMMAS, 3, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD)
         zero, *positive = summary.per_gamma
         assert (zero.gamma, zero.tau_mean, zero.n_censored) == (0.0, None, 3)
         assert [s.tau_mean for s in positive] == [420723, 148814, 45622, 15304, 4602]
 
     def test_noisy_sweep_taus_off_unit_curvature(self):
         # at c = 1.7, c * eps != eps: a reordered tilt product gamma * (c * eps) moves these bits
-        noisy = replace(default_sweep_config(DEFAULTS), noise_intensity=1e-12)
+        noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
         cells = []
         sweep_statistics((1e-3, 3e-3, 1e-2), 2, noisy, 1.7, DEFAULT_THRESHOLD, 50_000,
                          recording_map(cells))
@@ -220,8 +216,7 @@ class TestSweepCells:
 
     def test_noise_free_sweep_steps_once_per_gamma(self, stepper_calls):
         stats = sweep_statistics(
-            (1e-3, 3e-3, 1e-2), 3, default_sweep_config(DEFAULTS), 1.0,
-            DEFAULT_THRESHOLD, 100_000, map,
+            (1e-3, 3e-3, 1e-2), 3, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD, 100_000, map,
         )
         assert stepper_calls == [(1e-3, 0), (3e-3, 0), (1e-2, 0)]
         # each level's one measured cell counts for its three seeds
@@ -230,7 +225,7 @@ class TestSweepCells:
         ]
 
     def test_noisy_sweep_steps_once_per_cell_and_reproduces(self, stepper_calls):
-        noisy = replace(default_sweep_config(DEFAULTS), noise_intensity=1e-12)
+        noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
         args = ((1e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 100_000, map)
         first = sweep_statistics(*args)
         assert stepper_calls == [(g, s) for g in (1e-3, 1e-2) for s in (0, 1000, 2000)]
@@ -293,7 +288,7 @@ class TestCsvRoundtrip:
             read_sweep_csv(p)
 
     def test_default_sweep_constants_sane(self):
-        cfg = default_sweep_config(DEFAULTS)
+        cfg = SWEEP_CELL
         assert cfg.epsilon_star == pytest.approx(0.01, abs=1e-12)
         assert cfg.init_scale < DEFAULT_THRESHOLD < cfg.epsilon_star
         assert DEFAULT_GAMMAS[0] == 0.0 and len(DEFAULT_GAMMAS) == 6

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bifurc.experiments as X
+from bifurc.cli import _probe_config, _toy_dataset
 from bifurc.errors import (
     AbortedRunError,
     DegenerateInputError,
@@ -28,11 +29,33 @@ from bifurc.gmm_probe import (
     order_parameter,
 )
 from bifurc.mathcore import covariance, sym_eigen
-from oracles import counts_within_multinomial_band, encoder_gd_step
+from oracles import command_config, counts_within_multinomial_band, encoder_gd_step, toy_logs
+
+ENDOGENOUS = command_config("toy", "endogenous")
+HIERARCHY_PROBE = _probe_config(command_config("toy", "hierarchy"))
 
 
 def top_eig(samples):
     return float(sym_eigen(covariance(samples)).eigenvalues[0])
+
+
+def hierarchical(n, seed=0, **data):
+    """The `toy hierarchy` dataset of n samples at seed, with the given [data] values."""
+    return _toy_dataset("hierarchy", command_config("toy", "hierarchy", data={"n": n, **data}),
+                        seed)
+
+
+def endogenous(dataset, **changes):
+    """run_endogenous on dataset with `toy endogenous`'s arguments, changed by changes."""
+    return X.run_endogenous(dataset, **{
+        "encoder_lr": ENDOGENOUS.get_float("experiment", "encoder_lr"),
+        "config": _probe_config(ENDOGENOUS),
+        "steps": ENDOGENOUS.get_int("experiment", "steps"),
+        "latent_dim": ENDOGENOUS.get_int("experiment", "latent_dim"),
+        "init_weight_scale": ENDOGENOUS.get_float("experiment", "init_weight_scale"),
+        "record_every": ENDOGENOUS.get_int("experiment", "record_every"),
+        **changes,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -41,29 +64,23 @@ def top_eig(samples):
 
 @pytest.fixture(scope="module")
 def learned_pair():
-    cfg = ProbeConfig(K_probe=8, lr_means=0.02, lr_logbeta=1e-2)
-    log_b, state_b = X.run_forward_split(X.gen_bimodal(2000, seed=0), cfg, steps=7000)
-    log_u, state_u = X.run_forward_split(X.gen_unimodal(2000, seed=0), cfg, steps=7000)
-    return log_b, state_b, log_u, state_u
+    return toy_logs("bimodal", 0)[""], toy_logs("unimodal", 0)[""]
 
 
 @pytest.fixture(scope="module")
 def hysteresis():
-    ds = X.gen_bimodal(3000, seed=1)
-    cfg = ProbeConfig(K_probe=2, lr_means=0.05)
-    fwd, state = X.run_forward_split(ds, cfg, "anneal")
-    rev = X.run_reverse_traversal(ds, state)
-    return fwd, rev
+    logs = toy_logs("reverse", 1)
+    return logs["_forward"], logs["_reverse"]
 
 
 @pytest.fixture(scope="module")
 def endo_log():
-    return X.run_endogenous(X.gen_bimodal(4000, seed=0))
+    return toy_logs("endogenous", 0)[""]
 
 
 @pytest.fixture(scope="module")
 def hier_log():
-    return X.run_hierarchical(X.gen_hierarchical(4000, seed=0))
+    return toy_logs("hierarchy", 0)[""]
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +129,7 @@ class TestGenerators:
         assert np.all(ds.labels == 0)
 
     def test_hierarchical_structure(self):
-        ds = X.gen_hierarchical(4000, seed=0)
+        ds = hierarchical(4000)
         assert ds.n_components == 8
         sup = X.super_centers(ds)
         assert np.array_equal(
@@ -121,7 +138,7 @@ class TestGenerators:
         assert counts_within_multinomial_band(ds)
 
     def test_hierarchical_scale_separation(self):
-        ds = X.gen_hierarchical(4000, seed=0)
+        ds = hierarchical(4000)
         lam1 = top_eig(ds.samples)
         sup_lab = ds.labels // 2
         within = np.vstack(
@@ -132,12 +149,12 @@ class TestGenerators:
 
     def test_hierarchical_degenerate_combinations(self):
         with pytest.raises(ValidationError):
-            X.gen_hierarchical(400, super_spacing=0.0, sub_spacing=0.0)
-        flat = X.gen_hierarchical(400, sub_spacing=0.0, seed=0)  # one-level variant ok
+            hierarchical(400, super_spacing=0.0, sub_spacing=0.0)
+        flat = hierarchical(400, sub_spacing=0.0)  # one-level variant ok
         assert np.array_equal(flat.centers[0::2], flat.centers[1::2])
 
     def test_scale_must_be_positive(self):
-        for gen in (X.gen_bimodal, X.gen_unimodal, X.gen_hierarchical):
+        for gen in (X.gen_bimodal, X.gen_unimodal, hierarchical):
             with pytest.raises(ValidationError):
                 gen(100, scale=0.0)
 
@@ -148,9 +165,9 @@ class TestGenerators:
             (X.gen_bimodal, "scale"),
             (X.gen_bimodal, "center_offset"),
             (X.gen_unimodal, "scale"),
-            (X.gen_hierarchical, "scale"),
-            (X.gen_hierarchical, "super_spacing"),
-            (X.gen_hierarchical, "sub_spacing"),
+            (hierarchical, "scale"),
+            (hierarchical, "super_spacing"),
+            (hierarchical, "sub_spacing"),
         ],
     )
     def test_non_finite_parameters_rejected(self, gen, key, value):
@@ -341,7 +358,8 @@ class TestProtocolKernel:
         # the x-space batch, and the replay builds its batch the same way; the
         # public grad_step on fresh latents x W^T rounds differently, by ~1e-16
         ds = X.gen_bimodal(300, seed=7)
-        log = X.run_endogenous(ds, config=self.CFG, steps=40, record_every=1)
+        log = X.run_endogenous(ds, encoder_lr=0.05, config=self.CFG, steps=40, latent_dim=2,
+                               init_weight_scale=0.1, record_every=1)
         assert len(log.readings) == 40
         rng = np.random.default_rng(ds.seed + 500)
         x = ds.samples
@@ -471,40 +489,40 @@ class TestDrivers:
 
 class TestForwardLearned:
     def test_structured_data_activates_after_crossing(self, learned_pair):
-        log_b, _, _, _ = learned_pair
+        log_b, _ = learned_pair
         s = log_b.summary
         assert s["crossing_step"] is not None
         assert len(s["activation_steps"]) == 1
         assert s["activation_steps"][0] >= s["crossing_step"]
 
     def test_control_never_activates(self, learned_pair):
-        _, _, log_u, _ = learned_pair
+        _, log_u = learned_pair
         assert log_u.summary["activation_steps"] == []
 
     def test_order_parameter_gap_at_least_ten(self, learned_pair):
-        log_b, _, log_u, _ = learned_pair
+        log_b, log_u = learned_pair
         gap = log_b.summary["max_order_parameter"] / log_u.summary["max_order_parameter"]
         assert gap >= 10.0
 
     def test_split_direction_along_center_axis(self, learned_pair):
-        log_b, _, _, _ = learned_pair
+        log_b, _ = learned_pair
         v = np.asarray(log_b.summary["split_direction"])
         angle = math.degrees(math.acos(min(1.0, abs(v[0]) / np.linalg.norm(v))))
         assert angle <= 5.0
         assert log_b.summary["split_angle_deg"] <= 5.0
 
     def test_structured_precision_stalls_above_critical(self, learned_pair):
-        log_b, _, _, _ = learned_pair
+        log_b, _ = learned_pair
         ratio = math.exp(log_b.readings[-1].log_beta) / log_b.summary["beta_c_hat"]
         assert 1.4 < ratio < 1.9  # learned precision rests well above beta_c
 
     def test_control_precision_stalls_at_critical(self, learned_pair):
-        _, _, log_u, _ = learned_pair
+        _, log_u = learned_pair
         ratio = math.exp(log_u.readings[-1].log_beta) / log_u.summary["beta_c_hat"]
         assert 0.9 < ratio < 1.15  # no structure: the stall point IS beta_c
 
     def test_recording_cadence(self, learned_pair):
-        log_b, _, _, _ = learned_pair
+        log_b, _ = learned_pair
         steps = [r.step for r in log_b.readings]
         assert steps[0] == 0 and all(b - a == 20 for a, b in zip(steps, steps[1:]))
 
@@ -602,7 +620,7 @@ class TestAnnealHoldReverse:
 
     def test_overlap_requires_branches(self, hysteresis, learned_pair):
         fwd, _ = hysteresis
-        log_b, _, _, _ = learned_pair
+        log_b, _ = learned_pair
         with pytest.raises(ValidationError):
             X.branch_overlap(log_b, fwd)
 
@@ -678,7 +696,7 @@ class TestEndogenous:
         traces = []
         for k in (3, 8):
             cfg = ProbeConfig(K_probe=k, lr_means=0.015, lr_logbeta=1e-2)
-            log = X.run_endogenous(ds, config=cfg, steps=2000)
+            log = endogenous(ds, config=cfg, steps=2000)
             traces.append([r.log_beta_c for r in log.readings])
         n = min(len(traces[0]), len(traces[1]))
         assert traces[0][:n] == traces[1][:n]  # bit-identical
@@ -687,20 +705,20 @@ class TestEndogenous:
         ds = X.gen_bimodal(500, seed=0)
         cfg = ProbeConfig(K_probe=8, log_beta_init=5.0)
         with pytest.raises(PreconditionError):
-            X.run_endogenous(ds, config=cfg, steps=100)
+            endogenous(ds, config=cfg, steps=100)
 
     @pytest.mark.parametrize(
         "kwargs", [{"latent_dim": 0}, {"latent_dim": -1}, {"record_every": 0}, {"steps": 0}]
     )
     def test_latent_dim_and_record_cadence_validated(self, kwargs):
         with pytest.raises(ValidationError, match="latent_dim and record_every"):
-            X.run_endogenous(X.gen_bimodal(100, seed=0), **{"steps": 10, **kwargs})
+            endogenous(X.gen_bimodal(100, seed=0), **{"steps": 10, **kwargs})
 
     def test_divergence_aborts_with_partial_log(self):
         ds = X.gen_bimodal(500, seed=0)
         with np.errstate(all="ignore"):
             with pytest.raises(AbortedRunError) as exc:
-                X.run_endogenous(ds, encoder_lr=5.0, steps=2000)
+                endogenous(ds, encoder_lr=5.0, steps=2000)
         assert isinstance(exc.value.partial, X.TrajectoryLog)
 
 
@@ -799,7 +817,7 @@ class TestHierarchical:
         assert steps[2] == steps[1] + 1
 
     def test_degenerate_sub_spacing_single_event(self):
-        log = X.run_hierarchical(X.gen_hierarchical(4000, sub_spacing=0.0, seed=0))
+        log = toy_logs("hierarchy", 0, data={"sub_spacing": 0.0})[""]
         s = log.summary
         assert s["second_stage_gate"] is False
         assert len(s["events"]) == 1
@@ -807,11 +825,9 @@ class TestHierarchical:
 
     def test_kind_and_size_guards(self):
         with pytest.raises(ValidationError):
-            X.run_hierarchical(X.gen_bimodal(200, seed=0))
+            X.run_hierarchical(X.gen_bimodal(200, seed=0), HIERARCHY_PROBE, 20)
         with pytest.raises(ValidationError):
-            X.run_hierarchical(
-                X.gen_hierarchical(400, seed=0), config=ProbeConfig(K_probe=5)
-            )
+            X.run_hierarchical(hierarchical(400), ProbeConfig(K_probe=5), 20)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +847,7 @@ class TestProtocolArguments:
 
     def test_hierarchy_record_every_must_be_positive(self):
         with pytest.raises(ValidationError):
-            X.run_hierarchical(X.gen_hierarchical(400, seed=0), record_every=0)
+            X.run_hierarchical(hierarchical(400), HIERARCHY_PROBE, 0)
 
     def test_forward_split_rejects_unknown_mode(self):
         ds = X.gen_bimodal(100, seed=0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,3 +283,16 @@ class TestFitModel:
 def test_pearson_constant_rejected():
     with pytest.raises(DegenerateInputError):
         pearson([1.0, 1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("fn", [pearson, spearman])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected_as_invalid_not_degenerate(fn, bad):
+    # a NaN once ranked as the largest value (spearman 0.4) and pearson read nan with a warning
+    for xs, ys in (([1.0, bad, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+                   ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 4.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite") as exc:
+                fn(xs, ys)
+        assert not isinstance(exc.value, DegenerateInputError)

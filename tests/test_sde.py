@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bifurc.errors import NumericalError, ValidationError
+from bifurc.errors import DegenerateInputError, NumericalError, ValidationError
 from bifurc.sde import (
     SdeConfig,
     SdeRunResult,
@@ -354,6 +354,16 @@ class TestPersistenceStats:
         assert len(stats.cosines) == 2
         assert np.allclose(stats.cosines, [1.0, 1.0])
         assert stats.projection_pairs.shape == (3, 2)
+
+    def test_non_finite_projection_is_not_read_as_constant(self):
+        run = SdeRunResult(
+            times=np.array([0.0, 1.0]),
+            path_samples=np.array([[[0.6], [0.4], [0.5]], [[2.0], [np.nan], [1.0]]]),
+            reference_direction=np.array([1.0]),
+        )
+        with pytest.raises(ValidationError, match="finite") as exc:
+            persistence_stats(run)
+        assert not isinstance(exc.value, DegenerateInputError)
 
     def test_requires_some_reference(self):
         run = SdeRunResult(times=np.array([0.0]), path_samples=np.zeros((1, 1, 1)))
