@@ -8,12 +8,24 @@ import numpy as np
 
 from bifurc.cli import _OVERLAYS, _sde_config, _toy_logs
 from bifurc.config import build_config
-from bifurc.errors import ValidationError
+from bifurc.errors import DegenerateInputError, ValidationError
 from bifurc.escape_lab import fit_escape_models, sweep_statistics
 from bifurc.experiments import TrajectoryLog
 from bifurc.gmm_probe import _check_batch, _precision, _shifted_weights, _Workspace
+from bifurc.mathcore import pearson, weighted_linfit
 from bifurc.sde import persistence_stats
-from bifurc.taxonomy import DELAYED_ESCAPE, FOLD_BACK, FULL_V, REGIMES, classify
+from bifurc.taxonomy import (
+    DELAYED_ESCAPE,
+    FOLD_BACK,
+    FULL_V,
+    NO_ARC,
+    REGIMES,
+    ClassifierThresholds,
+    _channels,
+    _descent_onset,
+    _plateau_fraction,
+    classify,
+)
 
 
 def command_config(command, sub=None, **sections):
@@ -264,3 +276,68 @@ def recovery_rate(regime, n_trials=200, seed0=0, thresholds=None, **kwargs):
         if classify(log, thresholds=thresholds).label == regime:
             hits += 1
     return hits / n_trials
+
+
+# ---------------------------------------------------------------------------
+# the classifier's two-pass reference: shape and axes read in separate passes
+
+
+def _reference_shape(log, horizon, thresholds):
+    steps, ratio, lnc1 = _channels(log, thresholds, horizon)
+    try:
+        decoupling = pearson(ratio, lnc1)
+    except DegenerateInputError:
+        decoupling = 0.0
+    record = dict(descent_corr=decoupling, descent_sign=1 if decoupling >= 0 else -1,
+                  plateau_fraction=0.0, decoupling_corr=decoupling, indeterminate=False)
+    if abs(decoupling) < thresholds.decoupling_abs_corr:
+        return dict(record, label=NO_ARC)
+    crossing_hits = np.nonzero(ratio >= 0.0)[0]
+    onset_idx, sm = _descent_onset(lnc1, thresholds)
+    if len(crossing_hits) == 0:
+        return dict(record, label=FULL_V if decoupling < 0 else FOLD_BACK, indeterminate=True)
+    plateau = _plateau_fraction(steps, onset_idx, int(crossing_hits[0]), horizon)
+    if plateau >= thresholds.plateau_fraction:
+        return dict(record, label=DELAYED_ESCAPE, plateau_fraction=plateau)
+    if float(ratio.max() - ratio[-1]) >= thresholds.fold_return:
+        start = int(np.argmax(ratio))
+    else:
+        start = int(np.argmax(sm)) + (thresholds.smooth_window - 1) // 2
+    start = max(0, min(start, len(ratio) - 3))
+    leg_r, leg_n = ratio[start:], lnc1[start:]
+    try:
+        descent_corr = pearson(leg_r, leg_n)
+    except DegenerateInputError:
+        descent_corr = 0.0
+    _, slope, _ = weighted_linfit(leg_r, leg_n, np.ones(len(leg_r)))
+    sign = 1 if (slope > 0 or (slope == 0 and descent_corr >= 0)) else -1
+    return dict(label=FOLD_BACK if sign > 0 else FULL_V, descent_corr=descent_corr,
+                descent_sign=sign, plateau_fraction=plateau, decoupling_corr=decoupling,
+                indeterminate=False)
+
+
+def _reference_axes(log, horizon, thresholds):
+    steps, ratio, lnc1 = _channels(log, thresholds, horizon)
+    onset_idx, _ = _descent_onset(lnc1, thresholds)
+    crossing_hits = np.nonzero(ratio >= 0.0)[0]
+    post = onset_idx
+    if post is None:
+        post = int(crossing_hits[0]) if len(crossing_hits) else 0
+    diffs = np.diff(ratio[post:])
+    crossing_idx = int(crossing_hits[0]) if len(crossing_hits) else None
+    plateau = _plateau_fraction(steps, onset_idx, crossing_idx, horizon)
+    return {
+        "initial_criticality": "sub" if ratio[0] < 0.0 else "super",
+        "rate_ordering": ("beta_leads" if int((diffs > 0).sum()) >= int((diffs < 0).sum())
+                          else "beta_c_leads"),
+        "dissipation_regime": "low" if plateau >= thresholds.plateau_fraction else "normal",
+    }
+
+
+def reference_classification(log, horizon=None, thresholds=None):
+    """The shape, its evidence and the three axes, each computed in its own
+    pass over the trajectory, as a dict keyed like classify's fields."""
+    if thresholds is None:
+        thresholds = ClassifierThresholds()
+    return dict(_reference_shape(log, horizon, thresholds),
+                axes=_reference_axes(log, horizon, thresholds))

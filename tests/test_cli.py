@@ -518,6 +518,25 @@ class TestClassifyCommand:
         assert file_payload["version"] == __version__
         assert len(file_payload["config_hash"]) == 12
 
+    @pytest.mark.parametrize(
+        "fixture,digest",
+        [
+            ("exemplar_full_v.csv",
+             "f2be25b2ad7fc77fa9aa4aea390380c92d7d1fd37f48e261bbbec247e0fd87fd"),
+            ("exemplar_fold_back.csv",
+             "ee0ae7d461ef0360a834f0db257b99d2f618f3aa8ed387726c5d28b002d775f0"),
+            ("exemplar_no_arc.csv",
+             "3db4b2645966a2b2ab5ee9baa96fb0bb6453d40ee103389863336b094455394a"),
+        ],
+    )
+    def test_exemplar_report_bytes(self, tmp_path, capsys, monkeypatch, fixture, digest):
+        # the default-config report, byte for byte, in the file and on stdout
+        for name in [n for n in os.environ if n.startswith("BIFURC_")]:
+            monkeypatch.delenv(name)
+        assert main(["classify", "--input", fixture, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert hashlib.sha256((tmp_path / "classify.json").read_bytes()).hexdigest() == digest
+
     def test_constant_nc1_is_no_arc(self, tmp_path, capsys):
         log = TrajectoryLog("flat", 0)
         for i in range(40):

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import bifurc.taxonomy as T
 from bifurc.errors import ValidationError
 from bifurc.gmm_probe import CriticalityReading
 from bifurc.sde import SdeConfig, simulate_pitchfork_1d
-from oracles import make_regime_log, recovery_rate
+from oracles import make_regime_log, recovery_rate, reference_classification
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
 
@@ -120,6 +121,17 @@ class TestClassifyContract:
                 assert math.isfinite(v)
             assert res.descent_sign in (-1, 1)
             assert res.indeterminate is False
+
+
+class TestOnePassReading:
+    @pytest.mark.parametrize("horizon", [None, 5000.0])
+    @pytest.mark.parametrize("regime", T.REGIMES)
+    def test_matches_the_two_pass_reference(self, regime, horizon):
+        for seed in range(50):
+            log = make_regime_log(regime, seed=seed)
+            got = dict(asdict(T.classify(log, horizon=horizon)),
+                       axes=asdict(T.axis_reading(log, horizon=horizon)))
+            assert got == reference_classification(log, horizon=horizon)
 
 
 class TestRegimeRecovery:
