@@ -68,7 +68,7 @@ from .sde import (
     simulate_pitchfork_1d,
 )
 from .svgplot import line_chart
-from .taxonomy import ClassifierThresholds, axis_reading, classify
+from .taxonomy import ClassifierThresholds, classify
 
 # Per-command defaults layered under any user-provided configuration: each
 # experiment keeps the prototype counts, learning rates, and sizes its
@@ -104,18 +104,20 @@ _OVERLAYS = {
 
 _ENCODER_KEYS = tuple(("experiment", k) for k in ("encoder_lr", "latent_dim", "init_weight_scale"))
 _DRIVE_KEYS = (("experiment", "steps"), ("experiment", "mode"))
+_ANNEAL_KEYS = (("probe", "lr_means"), ("probe", "lr_logbeta"))
 # The (section, key) pairs a command does not read, so that a value other than
 # its default would move only the config hash: reverse and hierarchy run
 # constant drives (reverse's anneal at its own rate, hierarchy's from its own
 # start level with no precision channel), only endogenous has an encoder but no
 # forward-split mode, the scalar pitchfork has no coupling term, the coupled
 # modes start at random, and the escape cells are scalar, start at init_scale,
-# run to the [escape] horizon and take their coupling from the gammas.
+# run to the [escape] horizon and take their coupling from the gammas. The
+# forward split's anneal mode also runs at its own rate and length
+# (_dispatch adds _ANNEAL_KEYS and experiment.steps there).
 _UNREAD_KEYS = {
     ("toy", "bimodal"): _ENCODER_KEYS,
     ("toy", "unimodal"): _ENCODER_KEYS,
-    ("toy", "reverse"): _DRIVE_KEYS + _ENCODER_KEYS + (("probe", "lr_means"),
-                                                       ("probe", "lr_logbeta")),
+    ("toy", "reverse"): _DRIVE_KEYS + _ENCODER_KEYS + _ANNEAL_KEYS,
     ("toy", "hierarchy"): _DRIVE_KEYS + _ENCODER_KEYS + (("probe", "lr_logbeta"),
                                                          ("probe", "log_beta_init")),
     ("toy", "endogenous"): (("experiment", "mode"),),
@@ -646,24 +648,9 @@ def _cmd_classify(cfg, out_dir, input_arg):
         smooth_window=cfg.get_int("taxonomy", "smooth_window"),
         min_readings=cfg.get_int("taxonomy", "min_readings"),
     )
-    horizon = cfg.get_optional_float("taxonomy", "horizon")
-    shape = classify(log, horizon=horizon, thresholds=thresholds)
-    axes = axis_reading(log, horizon=horizon, thresholds=thresholds)
-    payload = _payload(
-        cfg,
-        input=Path(str(path)).name,
-        label=shape.label,
-        descent_corr=float(shape.descent_corr),
-        descent_sign=int(shape.descent_sign),
-        plateau_fraction=float(shape.plateau_fraction),
-        decoupling_corr=float(shape.decoupling_corr),
-        indeterminate=bool(shape.indeterminate),
-        axes={
-            "initial_criticality": axes.initial_criticality,
-            "rate_ordering": axes.rate_ordering,
-            "dissipation_regime": axes.dissipation_regime,
-        },
-    )
+    shape = classify(log, horizon=cfg.get_optional_float("taxonomy", "horizon"),
+                     thresholds=thresholds)
+    payload = _payload(cfg, input=Path(str(path)).name, **_json_fields(shape))
     _write_json(out_dir / "classify.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -753,7 +740,10 @@ def _dispatch(args):
         flags=_flag_overrides(args),
     )
     cfg.seeds()  # every command validates the seed list
-    for section, key in _UNREAD_KEYS.get((args.command, sub), ()):
+    unread = _UNREAD_KEYS.get((args.command, sub), ())
+    if sub in ("bimodal", "unimodal") and cfg.get("experiment", "mode") == "anneal":
+        unread += _ANNEAL_KEYS + (("experiment", "steps"),)
+    for section, key in unread:
         default = overlay.get(section, {}).get(key, DEFAULTS[section][key])
         if cfg.get(section, key) != default:
             raise ConfigError(

@@ -17,7 +17,9 @@ horizon; (3) the sign of the descent-leg slope of log10 NC1 vs log ratio,
 with the leg starting at the ratio peak when the ratio folds back by at
 least fold_return, else at the (smoothed) NC1 peak. A run that never
 crosses yet shows coupled channels is flagged indeterminate (truncated
-pre-critical segment) rather than forced into a class.
+pre-critical segment) rather than forced into a class. The same pass reads
+the three binary kinematic axes (initial criticality, rate ordering,
+dissipation regime) into the result's AxisReading.
 
 The bundled exemplar CSVs (fixtures/exemplar_*.csv) are static trajectories
 that classify reads; the seeded regime generators behind the recovery tests
@@ -64,14 +66,24 @@ class ClassifierThresholds:
 
 
 @dataclass(frozen=True)
+class AxisReading:
+    """The three binary kinematic axes of a trajectory."""
+
+    initial_criticality: str  # "sub" | "super"
+    rate_ordering: str  # "beta_leads" | "beta_c_leads"
+    dissipation_regime: str  # "normal" | "low"
+
+
+@dataclass(frozen=True)
 class ShapeClass:
-    """Classification outcome plus the evidence scalars behind it."""
+    """Classification outcome, the evidence scalars behind it and the axes."""
 
     label: str  # one of REGIMES
     descent_corr: float
     descent_sign: int  # +-1
     plateau_fraction: float
     decoupling_corr: float
+    axes: AxisReading
     indeterminate: bool = False  # set for truncated pre-critical runs
 
     def __post_init__(self):
@@ -82,15 +94,6 @@ class ShapeClass:
                 raise ValidationError("evidence fields must be finite")
         if self.descent_sign not in (-1, 1):
             raise ValidationError("descent_sign must be +-1")
-
-
-@dataclass(frozen=True)
-class AxisReading:
-    """The three binary kinematic axes of a trajectory."""
-
-    initial_criticality: str  # "sub" | "super"
-    rate_ordering: str  # "beta_leads" | "beta_c_leads"
-    dissipation_regime: str  # "normal" | "low"
 
 
 def _channels(log, thresholds, horizon):
@@ -144,89 +147,66 @@ def _plateau_fraction(steps, onset_idx, crossing_idx, horizon):
 
 
 def classify(log, horizon=None, thresholds=None):
-    """Assign one of the four arc shapes to a trajectory log.
+    """Assign one of the four arc shapes to a trajectory log and read its axes.
 
     horizon, when given, is the reference duration (in step units) for the
     plateau fraction; by default the plateau is the recorded-sample fraction
     (see _plateau_fraction). Thresholds: see ClassifierThresholds. The
     result carries its evidence (descent correlation and slope sign, plateau
-    fraction, whole-trajectory decoupling correlation). A coupled run with
-    no crossing is returned with indeterminate=True.
+    fraction, whole-trajectory decoupling correlation) and the three binary
+    kinematic axes. A coupled run with no crossing is returned with
+    indeterminate=True.
     """
     if thresholds is None:
         thresholds = ClassifierThresholds()
     steps, ratio, lnc1 = _channels(log, thresholds, horizon)
+    onset_idx, sm = _descent_onset(lnc1, thresholds)
+    crossing_hits = np.nonzero(ratio >= 0.0)[0]
+    crossing_idx = int(crossing_hits[0]) if len(crossing_hits) else None
+    plateau = _plateau_fraction(steps, onset_idx, crossing_idx, horizon)
+
+    # the ratio's direction after the descent onset (else after the crossing)
+    post = onset_idx if onset_idx is not None else crossing_idx or 0
+    diffs = np.diff(ratio[post:])
+    axes = AxisReading(
+        initial_criticality="sub" if ratio[0] < 0.0 else "super",
+        rate_ordering="beta_leads" if (diffs > 0).sum() >= (diffs < 0).sum() else "beta_c_leads",
+        dissipation_regime="low" if plateau >= thresholds.plateau_fraction else "normal",
+    )
 
     try:
         decoupling = pearson(ratio, lnc1)
     except DegenerateInputError:  # a constant channel co-moves with nothing
         decoupling = 0.0
+    # the gate and plateau branches report the whole-trajectory correlation
+    descent_corr, sign = decoupling, 1 if decoupling >= 0 else -1
+    indeterminate = False
     if abs(decoupling) < thresholds.decoupling_abs_corr:
-        return ShapeClass(
-            label=NO_ARC, descent_corr=decoupling,
-            descent_sign=1 if decoupling >= 0 else -1,
-            plateau_fraction=0.0, decoupling_corr=decoupling,
-        )
-
-    crossing_hits = np.nonzero(ratio >= 0.0)[0]
-    onset_idx, sm = _descent_onset(lnc1, thresholds)
-    if len(crossing_hits) == 0:
-        return ShapeClass(
-            label=FULL_V if decoupling < 0 else FOLD_BACK,
-            descent_corr=decoupling, descent_sign=1 if decoupling >= 0 else -1,
-            plateau_fraction=0.0, decoupling_corr=decoupling, indeterminate=True,
-        )
-    crossing_idx = int(crossing_hits[0])
-
-    plateau = _plateau_fraction(steps, onset_idx, crossing_idx, horizon)
-    if plateau >= thresholds.plateau_fraction:
-        return ShapeClass(
-            label=DELAYED_ESCAPE, descent_corr=decoupling,
-            descent_sign=1 if decoupling >= 0 else -1,
-            plateau_fraction=plateau, decoupling_corr=decoupling,
-        )
-
-    # descent leg: from the ratio peak when the trajectory folds back,
-    # else from the (smoothed) NC1 peak
-    folds = float(ratio.max() - ratio[-1]) >= thresholds.fold_return
-    if folds:
-        start = int(np.argmax(ratio))
+        label, plateau = NO_ARC, 0.0  # the evidence has no plateau; the axes read it
+    elif crossing_idx is None:
+        label, indeterminate = FULL_V if sign < 0 else FOLD_BACK, True
+    elif plateau >= thresholds.plateau_fraction:
+        label = DELAYED_ESCAPE
     else:
-        w = thresholds.smooth_window
-        start = int(np.argmax(sm)) + (w - 1) // 2
-    start = min(start, len(ratio) - 3)
-    if start < 0:
-        start = 0
-    leg_r, leg_n = ratio[start:], lnc1[start:]
-    try:
-        descent_corr = pearson(leg_r, leg_n)
-    except DegenerateInputError:
-        descent_corr = 0.0
-    _, slope, _ = weighted_linfit(leg_r, leg_n, np.ones(len(leg_r)))
-    sign = 1 if (slope > 0 or (slope == 0 and descent_corr >= 0)) else -1
+        # descent leg: from the ratio peak when the trajectory folds back,
+        # else from the (smoothed) NC1 peak
+        if float(ratio.max() - ratio[-1]) >= thresholds.fold_return:
+            start = int(np.argmax(ratio))
+        else:
+            start = int(np.argmax(sm)) + (thresholds.smooth_window - 1) // 2
+        start = max(0, min(start, len(ratio) - 3))
+        leg_r, leg_n = ratio[start:], lnc1[start:]
+        try:
+            descent_corr = pearson(leg_r, leg_n)
+        except DegenerateInputError:
+            descent_corr = 0.0
+        try:
+            _, slope, _ = weighted_linfit(leg_r, leg_n, np.ones(len(leg_r)))
+        except DegenerateInputError:  # a ratio constant over the leg has no slope
+            slope = 0.0
+        sign = 1 if (slope > 0 or (slope == 0 and descent_corr >= 0)) else -1
+        label = FOLD_BACK if sign > 0 else FULL_V
     return ShapeClass(
-        label=FOLD_BACK if sign > 0 else FULL_V,
-        descent_corr=descent_corr, descent_sign=sign,
-        plateau_fraction=plateau, decoupling_corr=decoupling,
+        label=label, descent_corr=descent_corr, descent_sign=sign, plateau_fraction=plateau,
+        decoupling_corr=decoupling, axes=axes, indeterminate=indeterminate,
     )
-
-
-def axis_reading(log, horizon=None, thresholds=None):
-    """The three binary kinematic axes; needs >= min_readings samples."""
-    if thresholds is None:
-        thresholds = ClassifierThresholds()
-    steps, ratio, lnc1 = _channels(log, thresholds, horizon)
-    initial = "sub" if ratio[0] < 0.0 else "super"
-    onset_idx, _ = _descent_onset(lnc1, thresholds)
-    crossing_hits = np.nonzero(ratio >= 0.0)[0]
-    post = onset_idx
-    if post is None:
-        post = int(crossing_hits[0]) if len(crossing_hits) else 0
-    diffs = np.diff(ratio[post:])
-    rising = int((diffs > 0).sum())
-    falling = int((diffs < 0).sum())
-    ordering = "beta_leads" if rising >= falling else "beta_c_leads"
-    crossing_idx = int(crossing_hits[0]) if len(crossing_hits) else None
-    plateau = _plateau_fraction(steps, onset_idx, crossing_idx, horizon)
-    regime = "low" if plateau >= thresholds.plateau_fraction else "normal"
-    return AxisReading(initial, ordering, regime)

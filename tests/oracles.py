@@ -28,10 +28,11 @@ from bifurc.taxonomy import (
 )
 
 
-def command_config(command, sub=None, **sections):
-    """The table `bifurc command sub` runs at with no file or environment,
-    with the given {key: value} sections laid over it."""
-    return build_config(overlay=_OVERLAYS.get((command, sub)), environ={}, flags=sections)
+def command_config(command, sub=None, preset=None, **sections):
+    """The table `bifurc command sub [--preset preset]` runs at with no file or
+    environment, with the given {key: value} sections laid over it."""
+    return build_config(overlay=_OVERLAYS.get((command, sub)), preset=preset, environ={},
+                        flags=sections)
 
 
 def toy_logs(sub, seed, **sections):

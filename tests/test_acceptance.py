@@ -12,7 +12,6 @@ import importlib.resources
 import numpy as np
 
 from bifurc.cli import _sde_config
-from bifurc.config import build_config
 from bifurc.escape_lab import fit_escape_models, read_sweep_csv
 from bifurc.experiments import gen_bimodal, read_trajectory_csv
 from bifurc.gmm_probe import (
@@ -96,7 +95,7 @@ def test_criterion_02_channel_spectrum_degeneracies():
 
 def test_criterion_03_coupled_mode_lottery():
     t0 = time.perf_counter()
-    cfg = build_config(preset="appendix-d3")
+    cfg = command_config("sde", "coupled", preset="appendix-d3")
     rhos = []
     for seed in range(5):
         run = simulate_coupled_modes(_sde_config(cfg, seed))

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifurc import __version__
-from bifurc.cli import _OVERLAYS, _sde_config, main
+from bifurc.cli import _sde_config, main
 from bifurc.config import (
     RunConfig,
     build_config,
@@ -32,12 +32,20 @@ from bifurc.gmm_probe import CriticalityReading
 from bifurc.sde import persistence_stats, simulate_coupled_modes
 from bifurc.svgplot import line_chart
 from bifurc.errors import ValidationError
-from oracles import dump_config
+from oracles import command_config, dump_config
 
 
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    """monkeypatch, with no BIFURC_* variable of the caller's environment left for main."""
+    for name in [n for n in os.environ if n.startswith("BIFURC_")]:
+        monkeypatch.delenv(name)
+    return monkeypatch
 
 
 def tree_digest(root):
@@ -324,6 +332,11 @@ class TestExitCodes:
          ("toy reverse", "probe.lr_logbeta", "0.5"),
          ("toy hierarchy", "probe.lr_logbeta", "0.5"),
          ("toy hierarchy", "probe.log_beta_init", "1.0"),
+         # nor does the forward split's anneal mode read the learned drive's rates or length
+         *[(f"toy {command} anneal", key, value)
+           for command in ("bimodal", "unimodal")
+           for key, value in (("probe.lr_means", "0.5"), ("probe.lr_logbeta", "0.5"),
+                              ("experiment.steps", "5"))],
          # 100 would also break the stability guard of a term that is never integrated
          ("sde pitchfork", "sde.coupling", "5"),
          ("sde pitchfork", "sde.coupling", "100"),
@@ -337,6 +350,9 @@ class TestExitCodes:
         section, name = key.split(".")
         monkeypatch.setenv(f"BIFURC_{section.upper()}__{name.upper()}", value)
         monkeypatch.setenv("BIFURC_DATA__N", "300")
+        if command.endswith(" anneal"):
+            command = command.removesuffix(" anneal")
+            monkeypatch.setenv("BIFURC_EXPERIMENT__MODE", "anneal")
         assert main([*command.split(), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
@@ -529,10 +545,8 @@ class TestClassifyCommand:
              "3db4b2645966a2b2ab5ee9baa96fb0bb6453d40ee103389863336b094455394a"),
         ],
     )
-    def test_exemplar_report_bytes(self, tmp_path, capsys, monkeypatch, fixture, digest):
+    def test_exemplar_report_bytes(self, tmp_path, capsys, clean_env, fixture, digest):
         # the default-config report, byte for byte, in the file and on stdout
-        for name in [n for n in os.environ if n.startswith("BIFURC_")]:
-            monkeypatch.delenv(name)
         assert main(["classify", "--input", fixture, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
         assert hashlib.sha256((tmp_path / "classify.json").read_bytes()).hexdigest() == digest
@@ -667,11 +681,12 @@ class TestSdeCommands:
             assert (tmp_path / f"sde-coupled_seed{seed}.csv").exists()
 
     @pytest.mark.parametrize("noise", [None, "0"])
-    def test_coupled_outputs_are_the_runs_persistence_stats(self, tmp_path, monkeypatch, noise):
+    def test_coupled_outputs_are_the_runs_persistence_stats(self, tmp_path, clean_env, noise):
         if noise is not None:
-            monkeypatch.setenv("BIFURC_SDE__NOISE_INTENSITY", noise)
+            clean_env.setenv("BIFURC_SDE__NOISE_INTENSITY", noise)
         assert main(["sde", "coupled", "--seed", "0", "--out", str(tmp_path)]) == 0
-        cfg = build_config(overlay=_OVERLAYS[("sde", "coupled")])
+        cfg = command_config("sde", "coupled",
+                             sde={} if noise is None else {"noise_intensity": noise})
         stats = persistence_stats(simulate_coupled_modes(_sde_config(cfg, 0)))
         lines = (tmp_path / "sde-coupled_seed0.csv").read_text().splitlines()
         assert lines[1] == "mode,projection_initial,projection_final,cosine"
@@ -1026,7 +1041,8 @@ class TestExperimentConfigFuzz:
         if not (0.0 < encoder_lr < math.inf and math.isfinite(init_weight_scale)):
             assert code == 2
 
-    # an anneal run holds until activation whatever steps is, so the batch is small
+    # an anneal run holds until activation and reads no steps (a steps value
+    # would be refused), so the batch is small
     @settings(max_examples=20, deadline=None)
     @given(
         k=st.integers(0, 4),
@@ -1039,11 +1055,14 @@ class TestExperimentConfigFuzz:
             ini = Path(tmp) / "fuzz.ini"
             ini.write_text(
                 f"[probe]\nk = {k}\n[data]\nn = 100\n[experiment]\nmode = {mode}\n"
-                f"steps = {steps}\nrecord_every = {record_every}\n"
+                + ("" if mode == "anneal" else f"steps = {steps}\n")
+                + f"record_every = {record_every}\n"
             )
             code = fuzz_main(["toy", "bimodal", "--config", str(ini), "--out", tmp])
         assert code in {0, 2, 3, 4}
-        if mode not in ("learned", "anneal") or min(k, steps, record_every) < 1:
+        if mode not in ("learned", "anneal") or min(k, record_every) < 1:
+            assert code == 2
+        if mode == "learned" and steps < 1:
             assert code == 2
         if mode == "anneal" and k < 2:
             assert code == 2

@@ -15,6 +15,7 @@ from bifurc.sde import SdeConfig, simulate_pitchfork_1d
 from oracles import make_regime_log, recovery_rate, reference_classification
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
+AXES = T.AxisReading("sub", "beta_leads", "normal")
 
 
 def synth_log(ratio, lnc1, steps=None, experiment="t"):
@@ -53,15 +54,15 @@ class TestThresholds:
 class TestShapeClass:
     def test_label_guard(self):
         with pytest.raises(ValidationError):
-            T.ShapeClass("Spiral", 0.0, 1, 0.0, 0.0)
+            T.ShapeClass("Spiral", 0.0, 1, 0.0, 0.0, AXES)
 
     def test_finite_evidence_guard(self):
         with pytest.raises(ValidationError):
-            T.ShapeClass(T.NO_ARC, math.nan, 1, 0.0, 0.0)
+            T.ShapeClass(T.NO_ARC, math.nan, 1, 0.0, 0.0, AXES)
 
     def test_sign_guard(self):
         with pytest.raises(ValidationError):
-            T.ShapeClass(T.NO_ARC, 0.0, 0, 0.0, 0.0)
+            T.ShapeClass(T.NO_ARC, 0.0, 0, 0.0, 0.0, AXES)
 
 
 class TestClassifyContract:
@@ -90,7 +91,7 @@ class TestClassifyContract:
             with pytest.raises(ValidationError):
                 T.classify(log, horizon=horizon)
             with pytest.raises(ValidationError):
-                T.axis_reading(log, horizon=horizon)
+                T.classify(log, horizon=horizon).axes
 
     def test_constant_channel_is_decoupled(self):
         log = synth_log(np.linspace(-1, 1, 40), np.zeros(40))
@@ -105,6 +106,15 @@ class TestClassifyContract:
         res = T.classify(synth_log(ratio, lnc1))
         assert res.label == T.FOLD_BACK
         assert res.descent_corr == 0.0
+
+    def test_flat_final_descent_leg_has_zero_slope(self):
+        # NC1 keeps rising while the ratio crosses zero and then stays at 1.0,
+        # so the descent leg from the NC1 peak has no ratio spread to fit a slope on
+        ratio = np.concatenate([np.linspace(-0.5, 1.0, 70), np.full(10, 1.0)])
+        res = T.classify(synth_log(ratio, np.linspace(-2.0, 1.0, 80)))
+        assert res.label == T.FOLD_BACK
+        assert res.descent_corr == 0.0
+        assert res.descent_sign == 1
 
     def test_truncated_precritical_run_flagged(self):
         # coupled channels but the ratio never reaches zero
@@ -129,8 +139,7 @@ class TestOnePassReading:
     def test_matches_the_two_pass_reference(self, regime, horizon):
         for seed in range(50):
             log = make_regime_log(regime, seed=seed)
-            got = dict(asdict(T.classify(log, horizon=horizon)),
-                       axes=asdict(T.axis_reading(log, horizon=horizon)))
+            got = asdict(T.classify(log, horizon=horizon))
             assert got == reference_classification(log, horizon=horizon)
 
 
@@ -187,22 +196,22 @@ class TestAxisReading:
     def test_needs_enough_readings(self):
         log = synth_log(np.linspace(-1, 1, 10), np.linspace(1, -1, 10))
         with pytest.raises(ValidationError):
-            T.axis_reading(log)
+            T.classify(log).axes
 
     def test_full_v_axes(self):
-        ax = T.axis_reading(make_regime_log(T.FULL_V, seed=0))
+        ax = T.classify(make_regime_log(T.FULL_V, seed=0)).axes
         assert ax.initial_criticality == "sub"
         assert ax.rate_ordering == "beta_leads"
         assert ax.dissipation_regime == "normal"
 
     def test_fold_back_axes(self):
-        ax = T.axis_reading(make_regime_log(T.FOLD_BACK, seed=0))
+        ax = T.classify(make_regime_log(T.FOLD_BACK, seed=0)).axes
         assert ax.initial_criticality == "sub"
         assert ax.rate_ordering == "beta_c_leads"
         assert ax.dissipation_regime == "normal"
 
     def test_delayed_escape_axes(self):
-        ax = T.axis_reading(make_regime_log(T.DELAYED_ESCAPE, seed=0))
+        ax = T.classify(make_regime_log(T.DELAYED_ESCAPE, seed=0)).axes
         assert ax.initial_criticality == "sub"
         assert ax.dissipation_regime == "low"
 
@@ -224,7 +233,7 @@ class TestDerivedDelayedEscape:
         res = T.classify(log)
         assert res.label == T.DELAYED_ESCAPE
         assert 0.15 <= res.plateau_fraction <= 0.55
-        ax = T.axis_reading(log)
+        ax = res.axes
         assert ax.initial_criticality == "super"
         assert ax.dissipation_regime == "low"
 
