@@ -18,10 +18,10 @@ Every run writes into the output directory (``[run] out``, flag ``--out``);
 all outputs embed the 12-hex config hash and the package version. Exit codes:
 0 success, 2 configuration or validation problem, 3 numerical failure,
 4 I/O failure. Seed sweeps run in a process pool; each per-seed file is
-written by exactly one worker and the merged summary by the parent. The seed
-list and the keys a command does not read are checked before any worker
-starts: a negative or repeated seed, or an unread key away from its default,
-exits 2.
+written by exactly one worker and the merged summary by the parent. A command
+reads its whole configuration in the parent before it creates the output
+directory: a negative or repeated seed, or a key the command did not read, in
+a section it read from, whose text is not the command's default, exits 2.
 """
 
 import argparse
@@ -31,7 +31,7 @@ import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -102,30 +102,6 @@ _OVERLAYS = {
     ("escape", "sweep"): {"sde": {"growth_rate": "1e-5", "dt": "0.05", "init_scale": "5e-4"}},
 }
 
-_ENCODER_KEYS = tuple(("experiment", k) for k in ("encoder_lr", "latent_dim", "init_weight_scale"))
-_DRIVE_KEYS = (("experiment", "steps"), ("experiment", "mode"))
-_ANNEAL_KEYS = (("probe", "lr_means"), ("probe", "lr_logbeta"))
-# The (section, key) pairs a command does not read, so that a value other than
-# its default would move only the config hash: reverse and hierarchy run
-# constant drives (reverse's anneal at its own rate, hierarchy's from its own
-# start level with no precision channel), only endogenous has an encoder but no
-# forward-split mode, the scalar pitchfork has no coupling term, the coupled
-# modes start at random, and the escape cells are scalar, start at init_scale,
-# run to the [escape] horizon and take their coupling from the gammas. The
-# forward split's anneal mode also runs at its own rate and length
-# (_dispatch adds _ANNEAL_KEYS and experiment.steps there).
-_UNREAD_KEYS = {
-    ("toy", "bimodal"): _ENCODER_KEYS,
-    ("toy", "unimodal"): _ENCODER_KEYS,
-    ("toy", "reverse"): _DRIVE_KEYS + _ENCODER_KEYS + _ANNEAL_KEYS,
-    ("toy", "hierarchy"): _DRIVE_KEYS + _ENCODER_KEYS + (("probe", "lr_logbeta"),
-                                                         ("probe", "log_beta_init")),
-    ("toy", "endogenous"): (("experiment", "mode"),),
-    ("sde", "pitchfork"): (("sde", "coupling"),),
-    ("sde", "coupled"): (("sde", "eps0"),),
-    ("escape", "sweep"): tuple(("sde", k) for k in ("coupling", "steps", "modes", "dim", "eps0")),
-}
-
 # Keys too bulky for the merged cross-seed summary; they stay in the
 # per-seed JSON files.
 _BULKY_SUMMARY_KEYS = ("loss_trace", "branch")
@@ -141,8 +117,8 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _payload(cfg, **fields):
-    return {"config_hash": cfg.config_hash, "version": __version__, **fields}
+def _payload(config_hash, /, **fields):  # a trajectory summary repeats config_hash
+    return {"config_hash": config_hash, "version": __version__, **fields}
 
 
 def _json_fields(record):
@@ -189,8 +165,8 @@ def _parallel_map(fn, jobs):
         return [fn(j) for j in jobs]
 
 
-def _sweep_seeds(cfg, out_dir, experiment, worker, summarize):
-    """Run worker((cfg, seed, out)) for every seed, then summarize in seed order.
+def _sweep_seeds(cfg, ready, experiment, worker, summarize):
+    """Run worker((seed, out)) per seed in ready()'s directory, then summarize in seed order.
 
     Each worker writes its own per-seed files and returns a tuple whose
     first item is its seed. summarize(results) returns (fields, chart): the
@@ -198,39 +174,35 @@ def _sweep_seeds(cfg, out_dir, experiment, worker, summarize):
     seeds, and line_chart's keyword arguments, or None to draw no chart.
     """
     seeds = cfg.seeds()
-    jobs = [(cfg, seed, str(out_dir)) for seed in seeds]
+    out_dir = ready()
+    jobs = [(seed, str(out_dir)) for seed in seeds]
     results = sorted(_parallel_map(worker, jobs), key=lambda r: r[0])
     fields, chart = summarize(results)
     path = out_dir / f"{experiment}_summary.json"
-    _write_json(path, _payload(cfg, experiment=experiment, seeds=seeds, **fields))
+    _write_json(path, _payload(cfg.config_hash, experiment=experiment, seeds=seeds, **fields))
     if chart is not None:
         line_chart(out_dir / f"{experiment}.svg", **chart)
     print(f"wrote {path}")
     return 0
 
 
-def _probe_config(cfg):
-    return ProbeConfig(
-        K_probe=cfg.get_int("probe", "k"),
-        lr_means=cfg.get_float("probe", "lr_means"),
-        lr_logbeta=cfg.get_float("probe", "lr_logbeta"),
-        log_beta_init=cfg.get_float("probe", "log_beta_init"),
-    )
+def _section(cfg, cls, section, names=None, **given):
+    """cls from the given values and the [section] keys named like its fields,
+    each read as its field's type; names defaults to every field not given."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    names = [name for name in kinds if name not in given] if names is None else names
+    read = {int: cfg.get_int, float: cfg.get_float}
+    return cls(**given, **{name: read[kinds[name]](section, name) for name in names})
 
 
-def _sde_config(cfg, seed):
-    return SdeConfig(
-        growth_rate=cfg.get_float("sde", "growth_rate"),
-        alpha=cfg.get_float("sde", "alpha"),
-        coupling=cfg.get_float("sde", "coupling"),
-        noise_intensity=cfg.get_float("sde", "noise_intensity"),
-        dt=cfg.get_float("sde", "dt"),
-        steps=cfg.get_int("sde", "steps"),
-        modes=cfg.get_int("sde", "modes"),
-        dim=cfg.get_int("sde", "dim"),
-        init_scale=cfg.get_float("sde", "init_scale"),
-        seed=seed,
-    )
+def _probe_config(cfg, names=None):
+    """ProbeConfig from [probe] k and the named keys; the other fields keep their defaults."""
+    return _section(cfg, ProbeConfig, "probe", names, K_probe=cfg.get_int("probe", "k"))
+
+
+def _sde_config(cfg, seed, names=None):
+    """SdeConfig from the named [sde] keys; the other fields keep their defaults."""
+    return _section(cfg, SdeConfig, "sde", names, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +210,7 @@ def _sde_config(cfg, seed):
 
 
 @_quiet_overflow()
-def _cmd_calibrate_hessian(cfg, out_dir):
+def _cmd_calibrate_hessian(cfg, ready):
     k = cfg.get_int("probe", "k")
     source = cfg.get_choice("hessian", "source", {"bimodal", "identity"})
     seed = cfg.seeds()[0]
@@ -249,11 +221,12 @@ def _cmd_calibrate_hessian(cfg, out_dir):
         cov = np.eye(dim)
         samples = None
     else:
-        samples = _toy_dataset("bimodal", cfg, seed).samples
+        samples = _toy_dataset(_toy_data("bimodal", cfg), seed).samples
         cov = covariance(samples)
     guess = beta_c(cov)
     lo = guess * cfg.get_float("hessian", "bracket_lo_ratio")
     hi = guess * cfg.get_float("hessian", "bracket_hi_ratio")
+    out_dir = ready()
     report = find_crossing(k, cov, lo, hi)
     result = {
         "k": k,
@@ -285,7 +258,7 @@ def _cmd_calibrate_hessian(cfg, out_dir):
             max_abs_hessian_difference=float(np.max(np.abs(numeric - analytic))),
             finite_difference_hessians=fd_hessians + 1,
         )
-    _write_json(out_dir / "hessian_report.json", _payload(cfg, **result))
+    _write_json(out_dir / "hessian_report.json", _payload(cfg.config_hash, **result))
     xs = [b for b, _ in report.scan_points]
     ys = [v for _, v in report.scan_points]
     line_chart(
@@ -303,9 +276,8 @@ def _cmd_calibrate_hessian(cfg, out_dir):
 # toy experiments
 
 
-@_quiet_overflow()
-def _toy_dataset(sub, cfg, seed):
-    """The toy dataset; one whose sample covariance overflows is a validation error.
+def _toy_data(sub, cfg):
+    """`toy sub`'s dataset generator with its [data] values, a picklable callable of the seed.
 
     Every kind but unimodal is 2-D, so there [data] dim must be 2.
     """
@@ -313,45 +285,57 @@ def _toy_dataset(sub, cfg, seed):
     dim = cfg.get_int("data", "dim")
     if sub != "unimodal" and dim != 2:
         raise ConfigError(f"data.dim must be 2: the {sub} data are 2-D, got {dim}")
-    if sub in ("bimodal", "reverse", "endogenous"):
-        dataset = gen_bimodal(
-            n,
-            cfg.get_float("data", "center_offset"),
-            cfg.get_float("data", "scale"),
-            seed=seed,
-        )
-    elif sub == "unimodal":
-        dataset = gen_unimodal(n, dim, cfg.get_float("data", "scale"), seed=seed)
-    else:
-        dataset = gen_hierarchical(
-            n,
-            cfg.get_float("data", "super_spacing"),
-            cfg.get_float("data", "sub_spacing"),
-            cfg.get_float("data", "scale"),
-            seed=seed,
-        )
+    if sub == "unimodal":
+        return partial(gen_unimodal, n, dim, cfg.get_float("data", "scale"))
+    if sub == "hierarchy":
+        return partial(gen_hierarchical, n, cfg.get_float("data", "super_spacing"),
+                       cfg.get_float("data", "sub_spacing"), cfg.get_float("data", "scale"))
+    return partial(gen_bimodal, n, cfg.get_float("data", "center_offset"),
+                   cfg.get_float("data", "scale"))
+
+
+@_quiet_overflow()
+def _toy_dataset(data, seed):
+    """data(seed=seed); a dataset whose sample covariance overflows is a validation error."""
+    dataset = data(seed=seed)
     if not np.isfinite(covariance(dataset.samples)).all():
         raise ValidationError("[data] values overflow the sample covariance")
     return dataset
 
 
-def _toy_logs(sub, cfg, seed):
+def _toy_protocol(sub, cfg):
+    """`toy sub`'s drive with its [probe] and [experiment] values, a picklable
+    callable of the dataset.
+
+    The hierarchy ramps from its own start level with no precision channel,
+    and the anneal drive (always, for reverse) runs at its own rate and length.
+    """
+    every = cfg.get_int("experiment", "record_every")
+    if sub == "hierarchy":
+        return partial(run_hierarchical, config=_probe_config(cfg, ("lr_means",)),
+                       record_every=every)
+    if sub == "endogenous":
+        return partial(run_endogenous, config=_probe_config(cfg), record_every=every,
+                       encoder_lr=cfg.get_float("experiment", "encoder_lr"),
+                       steps=cfg.get_int("experiment", "steps"),
+                       latent_dim=cfg.get_int("experiment", "latent_dim"),
+                       init_weight_scale=cfg.get_float("experiment", "init_weight_scale"))
+    if sub == "reverse" or cfg.get_choice("experiment", "mode", {"learned", "anneal"}) == "anneal":
+        return partial(run_forward_split, config=_probe_config(cfg, ("log_beta_init",)),
+                       mode="anneal", record_every=every)
+    return partial(run_forward_split, config=_probe_config(cfg), mode="learned",
+                   record_every=every, steps=cfg.get_int("experiment", "steps"))
+
+
+def _toy_logs(sub, data, protocol, seed):
     """The trajectory logs of one seed of `toy sub`, by CSV suffix.
 
     The reverse leg's summary also carries the run's reverse_tracking_error
     and branch_overlap.
     """
-    dataset = _toy_dataset(sub, cfg, seed)
-    probe = _probe_config(cfg)
-    record_every = cfg.get_int("experiment", "record_every")
-    if sub in ("bimodal", "unimodal"):
-        log, _ = run_forward_split(
-            dataset, probe, cfg.get_choice("experiment", "mode", {"learned", "anneal"}),
-            steps=cfg.get_int("experiment", "steps"), record_every=record_every,
-        )
-        return {"": log}
+    dataset = _toy_dataset(data, seed)
     if sub == "reverse":
-        forward, state = run_forward_split(dataset, probe, "anneal", record_every=record_every)
+        forward, state = protocol(dataset)
         reverse = run_reverse_traversal(dataset, state)
         merge_err = reverse.summary.get("merge_relative_error")
         reverse.summary["reverse_tracking_error"] = (
@@ -359,34 +343,26 @@ def _toy_logs(sub, cfg, seed):
         )
         reverse.summary["branch_overlap"] = branch_overlap(forward, reverse)
         return {"_forward": forward, "_reverse": reverse}
-    if sub == "endogenous":
-        return {"": run_endogenous(
-            dataset,
-            encoder_lr=cfg.get_float("experiment", "encoder_lr"),
-            config=probe,
-            steps=cfg.get_int("experiment", "steps"),
-            latent_dim=cfg.get_int("experiment", "latent_dim"),
-            init_weight_scale=cfg.get_float("experiment", "init_weight_scale"),
-            record_every=record_every,
-        )}
-    return {"": run_hierarchical(dataset, probe, record_every)}
+    if sub in ("bimodal", "unimodal"):
+        return {"": protocol(dataset)[0]}
+    return {"": protocol(dataset)}
 
 
-def _toy_worker(sub, job):
+def _toy_worker(sub, data, protocol, config_hash, job):
     """Run one seed of `toy sub` and write its own files.
 
     Returns (seed, summaries, trace): the summaries by CSV suffix, and the
     (steps, log ratios) of the run's readings (None for `toy reverse`).
     """
-    cfg, seed, out = job
+    seed, out = job
     out_dir = Path(out)
-    logs = _toy_logs(sub, cfg, seed)
+    logs = _toy_logs(sub, data, protocol, seed)
     summaries = {}
     for suffix, log in logs.items():
-        log.config_hash = cfg.config_hash
+        log.config_hash = config_hash
         write_trajectory_csv(log, out_dir / f"toy-{sub}_seed{seed}{suffix}.csv")
         summaries[suffix] = trajectory_summary(log)
-    _write_json(out_dir / f"toy-{sub}_seed{seed}.json", _payload(cfg, **{
+    _write_json(out_dir / f"toy-{sub}_seed{seed}.json", _payload(config_hash, **{
         "experiment": f"toy-{sub}",
         "seed": seed,
         **(summaries[""] if "" in summaries else {
@@ -443,31 +419,36 @@ def _toy_summary(sub, results):
                         x_label="beta", y_label="order parameter")
 
 
-def _cmd_toy(sub, cfg, out_dir):
-    return _sweep_seeds(cfg, out_dir, f"toy-{sub}", partial(_toy_worker, sub),
-                        partial(_toy_summary, sub))
+def _cmd_toy(sub, cfg, ready):
+    worker = partial(_toy_worker, sub, _toy_data(sub, cfg), _toy_protocol(sub, cfg),
+                     cfg.config_hash)
+    return _sweep_seeds(cfg, ready, f"toy-{sub}", worker, partial(_toy_summary, sub))
 
 
 # ---------------------------------------------------------------------------
 # sde
 
 
-def _pitchfork_worker(job):
-    cfg, seed, out = job
-    config = _sde_config(cfg, seed)
-    run = simulate_pitchfork_1d(config, eps0=cfg.get_optional_float("sde", "eps0"))
+def _pitchfork_worker(config, eps0, config_hash, job):
+    seed, out = job
+    run = simulate_pitchfork_1d(replace(config, seed=seed), eps0=eps0)
     ts = [float(t) for t in run.times]
     eps = [float(e) for e in run.path_samples[:, 0, 0]]
     write_table(Path(out) / f"sde-pitchfork_seed{seed}.csv", ["t", "epsilon"], zip(ts, eps),
-                [run_identity("sde-pitchfork", cfg.config_hash, seed)])
+                [run_identity("sde-pitchfork", config_hash, seed)])
     return seed, ts, eps
 
 
 @_quiet_overflow()
-def _cmd_sde_pitchfork(cfg, out_dir):
+def _cmd_sde_pitchfork(cfg, ready):
+    # the scalar normal form has no coupling term
+    config = _sde_config(cfg, cfg.seeds()[0], ("growth_rate", "alpha", "noise_intensity", "dt",
+                                               "steps", "modes", "dim", "init_scale"))
+    worker = partial(_pitchfork_worker, config, cfg.get_optional_float("sde", "eps0"),
+                     cfg.config_hash)
+    eps_star = float(config.epsilon_star) if config.growth_rate > 0 else 0.0
+
     def summarize(results):
-        base = _sde_config(cfg, cfg.seeds()[0])
-        eps_star = float(base.epsilon_star) if base.growth_rate > 0 else 0.0
         per_seed = {
             str(seed): {"final_epsilon": eps[-1], "n_recorded": len(eps)}
             for seed, _, eps in results
@@ -479,12 +460,12 @@ def _cmd_sde_pitchfork(cfg, out_dir):
             series=series, title="pitchfork normal form: amplitude vs time",
             x_label="t", y_label="epsilon")
 
-    return _sweep_seeds(cfg, out_dir, "sde-pitchfork", _pitchfork_worker, summarize)
+    return _sweep_seeds(cfg, ready, "sde-pitchfork", worker, summarize)
 
 
-def _coupled_worker(job):
-    cfg, seed, out = job
-    run = simulate_coupled_modes(_sde_config(cfg, seed))
+def _coupled_worker(config, config_hash, job):
+    seed, out = job
+    run = simulate_coupled_modes(replace(config, seed=seed))
     stats = persistence_stats(run)
     cosines = iter(stats.cosines.tolist())  # one per mode that is not excluded
     rows = [(mode, p0, p1, None if mode in stats.excluded_modes else next(cosines))
@@ -493,18 +474,19 @@ def _coupled_worker(job):
         Path(out) / f"sde-coupled_seed{seed}.csv",
         ["mode", "projection_initial", "projection_final", "cosine"],
         rows,
-        [run_identity("sde-coupled", cfg.config_hash, seed)],
+        [run_identity("sde-coupled", config_hash, seed)],
     )
     mean_cos = float(np.mean(stats.cosines)) if len(stats.cosines) else None
     return seed, float(stats.spearman_rho), mean_cos, len(stats.excluded_modes)
 
 
 @_quiet_overflow()
-def _cmd_sde_coupled(cfg, out_dir):
-    modes = cfg.get_int("sde", "modes")
-    if modes < 3:
-        raise ConfigError(f"sde.modes must be >= 3 for the persistence Spearman, got {modes}")
-    prediction = predict_persistence(_sde_config(cfg, cfg.seeds()[0]))
+def _cmd_sde_coupled(cfg, ready):
+    config = _sde_config(cfg, cfg.seeds()[0])  # the modes start at random: no eps0
+    if config.modes < 3:
+        raise ConfigError(
+            f"sde.modes must be >= 3 for the persistence Spearman, got {config.modes}")
+    prediction = predict_persistence(config)
 
     def summarize(results):
         seeds, rhos, cosines = ([r[i] for r in results] for i in range(3))
@@ -532,7 +514,8 @@ def _cmd_sde_coupled(cfg, out_dir):
         return fields, dict(series=series, title="mode-lottery persistence across seeds",
                             x_label="seed", y_label="statistic")
 
-    return _sweep_seeds(cfg, out_dir, "sde-coupled", _coupled_worker, summarize)
+    return _sweep_seeds(cfg, ready, "sde-coupled", partial(_coupled_worker, config,
+                                                           cfg.config_hash), summarize)
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +565,21 @@ def _plot_escape_fit(path, stats, summary):
     )
 
 
-def _cmd_escape_sweep(cfg, out_dir):
-    stats = sweep_statistics(
+def _cmd_escape_sweep(cfg, ready):
+    sweep = partial(
+        sweep_statistics,
         cfg.get_float_list("escape", "gammas"),
         cfg.get_int("escape", "seeds_per_gamma"),
-        _sde_config(cfg, cfg.seeds()[0]),
+        # the cells are scalar, start at init_scale, run to the [escape] horizon
+        # and take their coupling from the gammas
+        _sde_config(cfg, cfg.seeds()[0],
+                    ("growth_rate", "alpha", "noise_intensity", "dt", "init_scale")),
         cfg.get_float("escape", "tilt_curvature"),
         cfg.get_float("escape", "threshold"),
         cfg.get_int("escape", "horizon"),
-        _parallel_map,
     )
+    out_dir = ready()
+    stats = sweep(_parallel_map)
     write_sweep_csv(
         out_dir / "escape-sweep.csv",
         stats,
@@ -611,7 +599,7 @@ def _cmd_escape_sweep(cfg, out_dir):
         "fit": None if summary is None else _fit_payload(summary),
         "warning": warning,
     }
-    _write_json(out_dir / "escape-sweep.json", _payload(cfg, **payload))
+    _write_json(out_dir / "escape-sweep.json", _payload(cfg.config_hash, **payload))
     _plot_escape_fit(out_dir / "escape-sweep.svg", stats, summary)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
@@ -619,7 +607,8 @@ def _cmd_escape_sweep(cfg, out_dir):
     return 0
 
 
-def _cmd_escape_fit(cfg, out_dir, input_arg):
+def _cmd_escape_fit(cfg, ready, input_arg):
+    out_dir = ready()
     path = _resolve_input(input_arg)
     stats = read_sweep_csv(path)
     summary = fit_escape_models(stats)
@@ -627,7 +616,7 @@ def _cmd_escape_fit(cfg, out_dir, input_arg):
         raise NoFitError("fewer than 3 uncensored gamma > 0 levels: cannot fit")
     payload = {"experiment": "escape-fit", "input": Path(str(path)).name}
     payload.update(_fit_payload(summary))
-    _write_json(out_dir / "escape-fit.json", _payload(cfg, **payload))
+    _write_json(out_dir / "escape-fit.json", _payload(cfg.config_hash, **payload))
     _plot_escape_fit(out_dir / "escape-fit.svg", stats, summary)
     print(f"wrote {out_dir / 'escape-fit.json'}")
     return 0
@@ -637,20 +626,14 @@ def _cmd_escape_fit(cfg, out_dir, input_arg):
 # classify
 
 
-def _cmd_classify(cfg, out_dir, input_arg):
+def _cmd_classify(cfg, ready, input_arg):
     path = _resolve_input(input_arg)
     log = read_trajectory_csv(path)
-    thresholds = ClassifierThresholds(
-        decoupling_abs_corr=cfg.get_float("taxonomy", "decoupling_abs_corr"),
-        plateau_fraction=cfg.get_float("taxonomy", "plateau_fraction"),
-        descent_decades=cfg.get_float("taxonomy", "descent_decades"),
-        fold_return=cfg.get_float("taxonomy", "fold_return"),
-        smooth_window=cfg.get_int("taxonomy", "smooth_window"),
-        min_readings=cfg.get_int("taxonomy", "min_readings"),
-    )
-    shape = classify(log, horizon=cfg.get_optional_float("taxonomy", "horizon"),
-                     thresholds=thresholds)
-    payload = _payload(cfg, input=Path(str(path)).name, **_json_fields(shape))
+    thresholds = _section(cfg, ClassifierThresholds, "taxonomy")
+    horizon = cfg.get_optional_float("taxonomy", "horizon")
+    out_dir = ready()
+    shape = classify(log, horizon=horizon, thresholds=thresholds)
+    payload = _payload(cfg.config_hash, input=Path(str(path)).name, **_json_fields(shape))
     _write_json(out_dir / "classify.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -740,29 +723,36 @@ def _dispatch(args):
         flags=_flag_overrides(args),
     )
     cfg.seeds()  # every command validates the seed list
-    unread = _UNREAD_KEYS.get((args.command, sub), ())
-    if sub in ("bimodal", "unimodal") and cfg.get("experiment", "mode") == "anneal":
-        unread += _ANNEAL_KEYS + (("experiment", "steps"),)
-    for section, key in unread:
-        default = overlay.get(section, {}).get(key, DEFAULTS[section][key])
-        if cfg.get(section, key) != default:
-            raise ConfigError(
-                f"{args.command} {sub} does not read {section}.{key}: keep it at {default!r}")
-    out_dir = Path(cfg.get("run", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def ready():
+        """Create and return the output directory, once the command has read its
+        configuration; a key it left unread in a section it read from would move
+        only the config hash, so its text must be the command's default."""
+        out_dir = Path(cfg.get("run", "out"))
+        defaults = {section: {**DEFAULTS[section], **overlay.get(section, {})}
+                    for section in sorted({section for section, _ in cfg.read})}
+        unread = [f"{section}.{key} = {default!r}"
+                  for section, kv in defaults.items() for key, default in kv.items()
+                  if (section, key) not in cfg.read and cfg.sections[section][key] != default]
+        if unread:
+            raise ConfigError(f"{' '.join(filter(None, (args.command, sub)))} does not read "
+                              f"these keys; keep them at their defaults: {', '.join(unread)}")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir
+
     if args.command == "calibrate-hessian":
-        return _cmd_calibrate_hessian(cfg, out_dir)
+        return _cmd_calibrate_hessian(cfg, ready)
     if args.command == "toy":
-        return _cmd_toy(sub, cfg, out_dir)
+        return _cmd_toy(sub, cfg, ready)
     if args.command == "sde":
         if sub == "pitchfork":
-            return _cmd_sde_pitchfork(cfg, out_dir)
-        return _cmd_sde_coupled(cfg, out_dir)
+            return _cmd_sde_pitchfork(cfg, ready)
+        return _cmd_sde_coupled(cfg, ready)
     if args.command == "escape":
         if sub == "sweep":
-            return _cmd_escape_sweep(cfg, out_dir)
-        return _cmd_escape_fit(cfg, out_dir, args.input)
-    return _cmd_classify(cfg, out_dir, args.input)
+            return _cmd_escape_sweep(cfg, ready)
+        return _cmd_escape_fit(cfg, ready, args.input)
+    return _cmd_classify(cfg, ready, args.input)
 
 
 def main(argv=None):

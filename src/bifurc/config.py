@@ -105,6 +105,7 @@ class RunConfig:
 
     def __init__(self, sections=None):
         self.sections = {s: dict(kv) for s, kv in DEFAULTS.items()}
+        self.read = set()  # every (section, key) that get has returned
         if sections:
             for section, kv in sections.items():
                 for key, value in kv.items():
@@ -119,6 +120,7 @@ class RunConfig:
 
     def get(self, section, key):
         _check_key(section, key)
+        self.read.add((section, key))
         return self.sections[section][key]
 
     def _coerce(self, section, key, caster, kind):

@@ -553,17 +553,18 @@ def branch_overlap(forward_log, reverse_log):
     """Max relative order-parameter deviation between the two equilibrium branches.
 
     Both logs must carry a 'branch' summary ([beta, op] pairs); they are
-    interpolated onto a common 10-point beta grid spanning [1.45, 2.3] times
-    the forward run's estimated critical precision.
+    interpolated onto a common 10-point grid spanning [1.45, 2.3] times the
+    forward run's estimated critical precision. The interpolation runs in
+    beta / beta_c_hat units, so a tiny beta_c_hat cannot overflow its slopes.
     """
     if "branch" not in forward_log.summary or "branch" not in reverse_log.summary:
         raise ValidationError("both logs need a mapped equilibrium branch")
     bc = forward_log.summary["beta_c_hat"]
     fwd = np.asarray(sorted(forward_log.summary["branch"]))
     rev = np.asarray(sorted(reverse_log.summary["branch"]))
-    grid = np.linspace(1.45 * bc, 2.3 * bc, 10)
-    fi = np.interp(grid, fwd[:, 0], fwd[:, 1])
-    ri = np.interp(grid, rev[:, 0], rev[:, 1])
+    grid = np.linspace(1.45, 2.3, 10)
+    fi = np.interp(grid, fwd[:, 0] / bc, fwd[:, 1])
+    ri = np.interp(grid, rev[:, 0] / bc, rev[:, 1])
     top = np.maximum(fi, ri)
     # where both order parameters are 0 (one prototype, or no split) the branches agree
     return float(np.divide(np.abs(fi - ri), top, out=np.zeros(10), where=top > 0.0).max())

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from bifurc.cli import _OVERLAYS, _sde_config, _toy_logs
+from bifurc.cli import _OVERLAYS, _sde_config, _toy_data, _toy_logs, _toy_protocol
 from bifurc.config import build_config
 from bifurc.errors import DegenerateInputError, ValidationError
 from bifurc.escape_lab import fit_escape_models, sweep_statistics
@@ -37,7 +37,8 @@ def command_config(command, sub=None, preset=None, **sections):
 
 def toy_logs(sub, seed, **sections):
     """The trajectory logs of `bifurc toy sub --seed seed`, by CSV suffix."""
-    return _toy_logs(sub, command_config("toy", sub, **sections), seed)
+    cfg = command_config("toy", sub, **sections)
+    return _toy_logs(sub, _toy_data(sub, cfg), _toy_protocol(sub, cfg), seed)
 
 
 # the `escape sweep` table, its scalar cell and the [escape] values the tests read from it

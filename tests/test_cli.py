@@ -35,6 +35,13 @@ from bifurc.errors import ValidationError
 from oracles import command_config, dump_config
 
 
+# a trailing word of a test_unread_key_exits_2 command, and the variable it sets
+UNREAD_KEY_VARIANTS = {
+    "anneal": ("BIFURC_EXPERIMENT__MODE", "anneal"),
+    "identity": ("BIFURC_HESSIAN__SOURCE", "identity"),
+}
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -343,20 +350,45 @@ class TestExitCodes:
          ("sde coupled", "sde.eps0", "0.5"),
          *[("escape sweep", f"sde.{key}", value)
            for key, value in (("coupling", "1e-3"), ("steps", "10"), ("modes", "2"),
-                              ("dim", "2"), ("eps0", "1e-3"))]],
+                              ("dim", "2"), ("eps0", "1e-3"))],
+         # each dataset reads only its own shape keys
+         ("toy bimodal", "data.super_spacing", "5.0"),
+         ("toy hierarchy", "data.center_offset", "3.0"),
+         ("toy unimodal", "data.center_offset", "3.0"),
+         # the Hessian reads only the prototype count, and the bimodal data or its dim
+         ("calibrate-hessian", "probe.lr_means", "0.5"),
+         ("calibrate-hessian", "data.sub_spacing", "1.0"),
+         ("calibrate-hessian identity", "data.n", "500")],
     )
     def test_unread_key_exits_2(self, tmp_path, capsys, monkeypatch, command, key, value):
         # the command does not read the key, which would move only the config hash
         section, name = key.split(".")
-        monkeypatch.setenv(f"BIFURC_{section.upper()}__{name.upper()}", value)
         monkeypatch.setenv("BIFURC_DATA__N", "300")
-        if command.endswith(" anneal"):
-            command = command.removesuffix(" anneal")
-            monkeypatch.setenv("BIFURC_EXPERIMENT__MODE", "anneal")
-        assert main([*command.split(), "--out", str(tmp_path)]) == 2
+        monkeypatch.setenv(f"BIFURC_{section.upper()}__{name.upper()}", value)
+        argv = command.split()
+        if argv[-1] in UNREAD_KEY_VARIANTS:
+            monkeypatch.setenv(*UNREAD_KEY_VARIANTS[argv.pop()])
+        assert main([*argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_every_unread_key_is_named_in_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIFURC_EXPERIMENT__STEPS", "5")
+        monkeypatch.setenv("BIFURC_PROBE__LR_MEANS", "0.5")
+        assert main(["toy", "reverse", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "probe.lr_means = '5e-3'" in err and "experiment.steps = '7000'" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_section_the_command_never_reads_is_accepted(self, tmp_path, monkeypatch):
+        # toy bimodal reads no [hessian] key, so no [hessian] value is checked
+        for name, value in {"BIFURC_HESSIAN__SOURCE": "identity", "BIFURC_DATA__N": "100",
+                            "BIFURC_EXPERIMENT__STEPS": "40"}.items():
+            monkeypatch.setenv(name, value)
+        assert main(["toy", "bimodal", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "toy-bimodal_summary.json").exists()
 
     @pytest.mark.parametrize(
         "command,env",
@@ -513,6 +545,46 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"bifurc {__version__}"
+
+
+class TestReadsBeforeTheCheck:
+    # the unread-key check sees only the reads made before it, so a command
+    # must read its whole configuration before the check creates --out
+    @pytest.mark.parametrize(
+        "argv,env",
+        [(["calibrate-hessian"], {"DATA__N": "200", "PROBE__K": "2"}),
+         (["calibrate-hessian"], {"HESSIAN__SOURCE": "identity"}),
+         (["toy", "bimodal"], {"DATA__N": "100", "EXPERIMENT__STEPS": "40"}),
+         (["toy", "bimodal"], {"DATA__N": "100", "EXPERIMENT__MODE": "anneal"}),
+         (["toy", "unimodal"], {"DATA__N": "100", "EXPERIMENT__STEPS": "40"}),
+         (["toy", "hierarchy"], {"DATA__N": "200"}),
+         (["toy", "reverse"], {"DATA__N": "200"}),
+         (["toy", "endogenous"], {"DATA__N": "100", "EXPERIMENT__STEPS": "30"}),
+         (["sde", "pitchfork"], {"SDE__STEPS": "100"}),
+         (["sde", "coupled"], {"SDE__STEPS": "50"}),
+         (["escape", "sweep"], {"ESCAPE__GAMMAS": "0.05,0.1,0.2", "ESCAPE__HORIZON": "1000"}),
+         (["escape", "fit", "--input", "table5.csv"], {}),
+         (["classify", "--input", "exemplar_full_v.csv"], {})],
+        ids=["calibrate-hessian", "calibrate-hessian-identity", "toy-bimodal",
+             "toy-bimodal-anneal", "toy-unimodal", "toy-hierarchy", "toy-reverse",
+             "toy-endogenous", "sde-pitchfork", "sde-coupled", "escape-sweep", "escape-fit",
+             "classify"],
+    )
+    def test_no_key_is_read_after_the_check(self, tmp_path, capsys, clean_env, argv, env):
+        out = tmp_path / "out"
+        get = RunConfig.get
+
+        def get_before_the_check(cfg, section, key):
+            assert not out.exists(), f"{section}.{key} read after the unread-key check"
+            return get(cfg, section, key)
+
+        clean_env.setattr(RunConfig, "get", get_before_the_check)
+        # serial, so that the workers run with the patched get too
+        clean_env.setattr("bifurc.cli._parallel_map", lambda fn, jobs: [fn(j) for j in jobs])
+        for name, value in env.items():
+            clean_env.setenv(f"BIFURC_{name}", value)
+        assert main([*argv, "--seed", "0", "--out", str(out)]) == 0, capsys.readouterr().err
+        assert list(out.iterdir())
 
 
 class TestClassifyCommand:
@@ -919,15 +991,17 @@ class TestCsvFormat:
 
 
 def fuzz_main(argv):
-    """main(argv), asserting that the fuzz input named no unknown config key.
+    """main(argv), asserting that the fuzz input named no unknown or unread config key.
 
-    Such an input exits 2 whatever its values, so a renamed key would
-    otherwise leave a fuzz passing without testing anything.
+    Such an input exits 2 whatever its values, so a renamed key, or one the
+    command does not read, would otherwise leave a fuzz passing without
+    testing anything.
     """
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv)
     assert "unknown config" not in err.getvalue(), err.getvalue()
+    assert "does not read" not in err.getvalue(), err.getvalue()
     return code
 
 
@@ -1114,7 +1188,9 @@ class TestSdeConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             ini = Path(tmp) / "fuzz.ini"
             ini.write_text(ini_section("sde", {
-                "steps": steps, **shape, "growth_rate": growth_rate, "coupling": coupling,
+                "steps": steps, **shape, "growth_rate": growth_rate,
+                # the scalar pitchfork has no coupling term to read
+                "coupling": coupling if command == "coupled" else None,
                 "noise_intensity": noise, "init_scale": init_scale,
             }))
             code = fuzz_main(["sde", command, "--config", str(ini), "--out", tmp])
@@ -1233,7 +1309,10 @@ class TestRunDataConfigFuzz:
             ini = Path(tmp) / "fuzz.ini"
             run = "" if seeds is None else f"[run]\nseeds = {seeds}\n"
             ini.write_text(run + ini_section("data", {
-                "n": 200 if n is None else n, "center_offset": offset, "scale": scale, "dim": dim,
+                "n": 200 if n is None else n,
+                # the single Gaussian has no center offset to read
+                "center_offset": offset if command == "bimodal" else None,
+                "scale": scale, "dim": dim,
             }) + "[experiment]\nsteps = 40\n")
             code = fuzz_main(["toy", command, "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)
@@ -1246,6 +1325,8 @@ class TestRunDataConfigFuzz:
     @settings(max_examples=5, deadline=None)
     @example(n=200, offset=1e200, scale=None, k=None).via("overflowing data")
     @example(n=2, offset=None, scale=None, k=1).via("one prototype: no branch plateau")
+    @example(n=39, offset=7.217825085969298e+102, scale=None, k=None).via(
+        "beta_c_hat of 2e-206: branch slopes overflow in beta units")
     @given(
         n=st.integers(-1, 200),
         offset=maybe((0.1, 5.0)),

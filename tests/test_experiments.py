@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bifurc.experiments as X
-from bifurc.cli import _probe_config, _toy_dataset
+from bifurc.cli import _probe_config, _toy_data, _toy_dataset
 from bifurc.errors import (
     AbortedRunError,
     DegenerateInputError,
@@ -41,8 +41,8 @@ def top_eig(samples):
 
 def hierarchical(n, seed=0, **data):
     """The `toy hierarchy` dataset of n samples at seed, with the given [data] values."""
-    return _toy_dataset("hierarchy", command_config("toy", "hierarchy", data={"n": n, **data}),
-                        seed)
+    return _toy_dataset(
+        _toy_data("hierarchy", command_config("toy", "hierarchy", data={"n": n, **data})), seed)
 
 
 def endogenous(dataset, **changes):
