@@ -57,7 +57,7 @@ from .experiments import (
     trajectory_summary,
     write_trajectory_csv,
 )
-from .gmm_probe import ProbeConfig, beta_c, exact_collapsed
+from .gmm_probe import ProbeConfig, beta_c, check_rates, exact_collapsed
 from .hessian import analytic_hessian, find_crossing, find_crossing_numeric, numerical_hessian
 from .mathcore import covariance
 from .sde import (
@@ -186,23 +186,12 @@ def _sweep_seeds(cfg, ready, experiment, worker, summarize):
     return 0
 
 
-def _section(cfg, cls, section, names=None, **given):
-    """cls from the given values and the [section] keys named like its fields,
-    each read as its field's type; names defaults to every field not given."""
-    kinds = {f.name: f.type for f in fields(cls)}
-    names = [name for name in kinds if name not in given] if names is None else names
+def _section(cfg, cls, section, **given):
+    """cls from the given values and, for each other field, the [section] key of
+    its name, read as the field's type."""
     read = {int: cfg.get_int, float: cfg.get_float}
-    return cls(**given, **{name: read[kinds[name]](section, name) for name in names})
-
-
-def _probe_config(cfg, names=None):
-    """ProbeConfig from [probe] k and the named keys; the other fields keep their defaults."""
-    return _section(cfg, ProbeConfig, "probe", names, K_probe=cfg.get_int("probe", "k"))
-
-
-def _sde_config(cfg, seed, names=None):
-    """SdeConfig from the named [sde] keys; the other fields keep their defaults."""
-    return _section(cfg, SdeConfig, "sde", names, seed=seed)
+    return cls(**given, **{f.name: read[f.type](section, f.name)
+                           for f in fields(cls) if f.name not in given})
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +301,23 @@ def _toy_protocol(sub, cfg):
     """
     every = cfg.get_int("experiment", "record_every")
     if sub == "hierarchy":
-        return partial(run_hierarchical, config=_probe_config(cfg, ("lr_means",)),
-                       record_every=every)
+        lr = cfg.get_float("probe", "lr_means")
+        check_rates(lr)
+        return partial(run_hierarchical, lr=lr, record_every=every)
+    k = cfg.get_int("probe", "k")
+    if k < 1:
+        raise ConfigError(f"probe.k must be >= 1, got {k}")
+    start = dict(k=k, log_beta_init=cfg.get_float("probe", "log_beta_init"), record_every=every)
     if sub == "endogenous":
-        return partial(run_endogenous, config=_probe_config(cfg), record_every=every,
+        return partial(run_endogenous, **start, rates=_section(cfg, ProbeConfig, "probe"),
                        encoder_lr=cfg.get_float("experiment", "encoder_lr"),
                        steps=cfg.get_int("experiment", "steps"),
                        latent_dim=cfg.get_int("experiment", "latent_dim"),
                        init_weight_scale=cfg.get_float("experiment", "init_weight_scale"))
     if sub == "reverse" or cfg.get_choice("experiment", "mode", {"learned", "anneal"}) == "anneal":
-        return partial(run_forward_split, config=_probe_config(cfg, ("log_beta_init",)),
-                       mode="anneal", record_every=every)
-    return partial(run_forward_split, config=_probe_config(cfg), mode="learned",
-                   record_every=every, steps=cfg.get_int("experiment", "steps"))
+        return partial(run_forward_split, **start, rates=None, steps=None)
+    return partial(run_forward_split, **start, rates=_section(cfg, ProbeConfig, "probe"),
+                   steps=cfg.get_int("experiment", "steps"))
 
 
 def _toy_logs(sub, data, protocol, seed):
@@ -441,9 +434,7 @@ def _pitchfork_worker(config, eps0, config_hash, job):
 
 @_quiet_overflow()
 def _cmd_sde_pitchfork(cfg, ready):
-    # the scalar normal form has no coupling term
-    config = _sde_config(cfg, cfg.seeds()[0], ("growth_rate", "alpha", "noise_intensity", "dt",
-                                               "steps", "modes", "dim", "init_scale"))
+    config = _section(cfg, SdeConfig, "sde", seed=cfg.seeds()[0], coupling=0.0)  # no coupling term
     worker = partial(_pitchfork_worker, config, cfg.get_optional_float("sde", "eps0"),
                      cfg.config_hash)
     eps_star = float(config.epsilon_star) if config.growth_rate > 0 else 0.0
@@ -482,7 +473,7 @@ def _coupled_worker(config, config_hash, job):
 
 @_quiet_overflow()
 def _cmd_sde_coupled(cfg, ready):
-    config = _sde_config(cfg, cfg.seeds()[0])  # the modes start at random: no eps0
+    config = _section(cfg, SdeConfig, "sde", seed=cfg.seeds()[0])  # random start: no eps0
     if config.modes < 3:
         raise ConfigError(
             f"sde.modes must be >= 3 for the persistence Spearman, got {config.modes}")
@@ -565,21 +556,22 @@ def _plot_escape_fit(path, stats, summary):
     )
 
 
+def _escape_sweep(cfg):
+    """`escape sweep`'s sweep_statistics, a callable of the mapper. The cells are
+    scalar, start at init_scale, run for at most [escape] horizon steps, and each
+    gamma level replaces their coupling."""
+    cell = _section(cfg, SdeConfig, "sde", seed=cfg.seeds()[0], modes=1, dim=1, coupling=0.0,
+                    steps=cfg.get_int("escape", "horizon"))
+    return partial(sweep_statistics, gammas=cfg.get_float_list("escape", "gammas"),
+                   seeds_per_gamma=cfg.get_int("escape", "seeds_per_gamma"), config=cell,
+                   curvature=cfg.get_float("escape", "tilt_curvature"),
+                   threshold=cfg.get_float("escape", "threshold"))
+
+
 def _cmd_escape_sweep(cfg, ready):
-    sweep = partial(
-        sweep_statistics,
-        cfg.get_float_list("escape", "gammas"),
-        cfg.get_int("escape", "seeds_per_gamma"),
-        # the cells are scalar, start at init_scale, run to the [escape] horizon
-        # and take their coupling from the gammas
-        _sde_config(cfg, cfg.seeds()[0],
-                    ("growth_rate", "alpha", "noise_intensity", "dt", "init_scale")),
-        cfg.get_float("escape", "tilt_curvature"),
-        cfg.get_float("escape", "threshold"),
-        cfg.get_int("escape", "horizon"),
-    )
+    sweep = _escape_sweep(cfg)
     out_dir = ready()
-    stats = sweep(_parallel_map)
+    stats = sweep(mapper=_parallel_map)
     write_sweep_csv(
         out_dir / "escape-sweep.csv",
         stats,
@@ -608,9 +600,9 @@ def _cmd_escape_sweep(cfg, ready):
 
 
 def _cmd_escape_fit(cfg, ready, input_arg):
-    out_dir = ready()
     path = _resolve_input(input_arg)
     stats = read_sweep_csv(path)
+    out_dir = ready()
     summary = fit_escape_models(stats)
     if summary.power_law is None:
         raise NoFitError("fewer than 3 uncensored gamma > 0 levels: cannot fit")

@@ -25,6 +25,7 @@ import hashlib
 import importlib.resources
 import os
 
+from .csvio import read_lines
 from .errors import ConfigError
 
 ENV_PREFIX = "BIFURC_"
@@ -202,8 +203,7 @@ def _parse_ini(text, origin):
 
 def read_config_file(path):
     """Parse one INI file into a plain {section: {key: value}} dict."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_ini(fh.read(), str(path))
+    return _parse_ini("".join(read_lines(path)), str(path))
 
 
 def load_preset(name):

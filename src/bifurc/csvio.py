@@ -26,6 +26,15 @@ def _field(value):
     return str(value)
 
 
+def read_lines(path, newline=None):
+    """The lines of the UTF-8 text file at path; bytes that do not decode raise ValidationError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def write_table(path, header, rows, comments=()):
     """Write the non-empty comments (each after ``# ``), the header, the rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -42,8 +51,7 @@ def read_table(path, header, what, parse_row):
     ``parse_row`` raises ValidationError naming the table ``what``. Rows of
     blank fields are skipped.
     """
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path, newline="")
     comments = [ln[1:] for ln in lines if ln.startswith("#")]
     reader = csv.reader(ln for ln in lines if not ln.startswith("#"))
     found = next(reader, None)

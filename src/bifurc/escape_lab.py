@@ -22,10 +22,10 @@ The tilt is the quadratic well U(eps) = -(1/2) c eps^2 of curvature c
 drift gains +gamma c eps, so each cell is the scalar pitchfork at effective
 linear rate mu + gamma c, run by sde's one scalar stepper.
 
-A sweep's cells share one scalar SdeConfig. This module reads no
-configuration table: `escape sweep` builds that config from [sde] under
-its own overlay, and the sweep's gammas, seeds, threshold, horizon and
-curvature from [escape].
+A sweep's cells share one scalar SdeConfig, whose steps is each cell's
+horizon. This module reads no configuration table: `escape sweep` builds
+that config from [sde] under its own overlay and [escape] horizon, and the
+sweep's gammas, seeds, threshold and curvature from [escape].
 """
 
 import math
@@ -62,8 +62,8 @@ class SweepSummary:
     unit_weights_used: bool = False
 
 
-def measure_escape(config, curvature, threshold, horizon):
-    """First step at which |eps| >= threshold, or None (censored at the horizon).
+def measure_escape(config, curvature, threshold):
+    """First step at which |eps| >= threshold, or None (censored at config.steps).
 
     The drift gains the tilt force gamma c eps, gamma = config.coupling and
     c = curvature. Starts at exactly config.init_scale. The threshold must
@@ -82,8 +82,8 @@ def measure_escape(config, curvature, threshold, horizon):
             )
     elif threshold <= config.init_scale:
         raise ConfigError("threshold must exceed init_scale")
-    n, eps, _ = _langevin(config, config.init_scale, horizon, np.random.default_rng(config.seed),
-                          threshold, curvature=curvature)
+    n, eps, _ = _langevin(config, config.init_scale, config.steps,
+                          np.random.default_rng(config.seed), threshold, curvature=curvature)
     return n if abs(eps) >= threshold else None
 
 
@@ -91,7 +91,7 @@ def _measure_cell(job):
     return measure_escape(*job)
 
 
-def sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, horizon, mapper):
+def sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, mapper):
     """Per-gamma escape statistics (GammaStats), ascending in gamma, no fitting.
 
     Each distinct gamma is a level of seeds_per_gamma cells, cell s at seed
@@ -115,7 +115,7 @@ def sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, hori
             )
     measured = 1 if config.noise_intensity == 0 else seeds_per_gamma
     jobs = [
-        (replace(level, seed=config.seed + 1000 * s), curvature, threshold, horizon)
+        (replace(level, seed=config.seed + 1000 * s), curvature, threshold)
         for level in levels
         for s in range(measured)
     ]

@@ -91,7 +91,7 @@ class SyntheticDataset:
         return self.centers.shape[0]
 
 
-def gen_bimodal(n, center_offset=2.0, scale=1.0, seed=0):
+def gen_bimodal(n, center_offset, scale, seed):
     """Two isotropic components at (-offset, 0) and (+offset, 0) in 2D."""
     if not math.isfinite(center_offset):
         raise ValidationError("center_offset must be finite")
@@ -107,7 +107,7 @@ def gen_bimodal(n, center_offset=2.0, scale=1.0, seed=0):
     return SyntheticDataset(z, labels, "bimodal", centers, seed)
 
 
-def gen_unimodal(n, dim=2, scale=1.0, seed=0):
+def gen_unimodal(n, dim, scale, seed):
     """A single isotropic component at the origin (the no-structure control)."""
     if not 0 < scale < math.inf or n < 2 or dim < 1:
         raise ValidationError("need finite scale > 0, n >= 2, dim >= 1")
@@ -344,7 +344,7 @@ def _split_angle_deg(state, u):
 # ---------------------------------------------------------------------------
 # drives: the fixed precision protocols, as ratios to each run's beta_c_hat
 #
-# anneal (run_forward_split mode "anneal"): log beta ramps linearly from the
+# anneal (run_forward_split with no rates): log beta ramps linearly from the
 # probe's log_beta_init to ANNEAL_HOLD_RATIO * beta_c_hat over ANNEAL_RAMP_STEPS
 # mean-only steps at rate ANNEAL_HOLD_LR * K / 2 (K the probe's prototype
 # count) and holds there until the activation detector fires (at most
@@ -429,30 +429,30 @@ def _branch(ws, mu, levels, n, tol, log, log_bc, nc1):
 
 
 @_quiet_overflow()
-def run_forward_split(dataset, config, mode="learned", steps=7000, record_every=20):
-    """Drive the probe from below to above the critical precision.
+def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
+    """Drive k prototypes from log_beta_init to above the critical precision.
 
-    mode "learned" trains means and precision jointly for steps steps: beta
-    rises on its own while the latents stay fixed. Mode "anneal" instead
-    imposes the precision externally (the anneal drive above) and additionally
-    maps the equilibrium branch upward for later overlap comparisons; it
-    needs K_probe >= 2, since one prototype has no anti-symmetric channel to
-    end the hold early. A reading is recorded every record_every steps.
+    With the step's rates (a ProbeConfig) and a step count, the learned drive
+    trains means and precision jointly for steps steps while the latents stay
+    fixed. With both None, the anneal drive above imposes the precision and maps
+    the equilibrium branch upward; it needs k >= 2, since one prototype has no
+    anti-symmetric channel to end the hold early. A reading is recorded every
+    record_every steps.
 
     Returns (TrajectoryLog, trained GmmProbeState).
     """
-    if mode not in ("learned", "anneal"):
-        raise ValidationError(f"mode must be 'learned' or 'anneal', got {mode!r}")
-    if steps < 1 or record_every < 1:
+    if (rates is None) != (steps is None):
+        raise ValidationError("the learned drive takes rates and steps, the anneal drive neither")
+    if record_every < 1 or steps is not None and steps < 1:
         raise ValidationError("steps and record_every must be >= 1")
-    if mode == "anneal" and config.K_probe < 2:
+    if steps is None and k < 2:
         raise ValidationError("the anneal drive needs probe.k >= 2: one prototype cannot split")
     z = dataset.samples
-    ws = _Workspace(config.K_probe, z)
+    ws = _Workspace(k, z)
     lam, spectrum = critical_spectrum(covariance(z))
     log_bc = -math.log(lam)
     rng = np.random.default_rng(dataset.seed + 99)
-    mu = init_collapsed(z, config, rng).means
+    mu = init_collapsed(z, k, log_beta_init, rng).means
     const_nc1 = _or_none(nc1, z, dataset.labels)
     log = TrajectoryLog("forward-split", dataset.seed)
     tracker = _ActivationTracker()
@@ -462,10 +462,10 @@ def run_forward_split(dataset, config, mode="learned", steps=7000, record_every=
         log.record(n, lb, log_bc, const_nc1, op)
         return tracker.feed(n, lb, op, supercritical=lb >= log_bc)
 
-    lb = config.log_beta_init
-    if mode == "learned":
+    lb = log_beta_init
+    if steps is not None:
         for n in range(steps):
-            mu, lb = _joint_step(ws, mu, lb, config.lr_means, config.lr_logbeta)
+            mu, lb = _joint_step(ws, mu, lb, rates.lr_means, rates.lr_logbeta)
             if n % record_every == 0:
                 observe(n, lb, mu)
     else:
@@ -474,7 +474,7 @@ def run_forward_split(dataset, config, mode="learned", steps=7000, record_every=
         lb_hold = math.log(ANNEAL_HOLD_RATIO) - math.log(lam)
         mu, _, n = _ramp_hold(
             ws, mu, lb, lb_hold, ANNEAL_RAMP_STEPS, ANNEAL_MAX_STEPS,
-            ANNEAL_HOLD_LR * config.K_probe / 2, record_every, observe,
+            ANNEAL_HOLD_LR * k / 2, record_every, observe,
         )
         # the branch starts at the hold level; n counts EM iterations from here on
         lb_top = math.log(BRANCH_TOP_RATIO) - math.log(lam)
@@ -485,7 +485,7 @@ def run_forward_split(dataset, config, mode="learned", steps=7000, record_every=
         )
         log.summary.update(fields)
     # an annealed run's state keeps the initial log precision
-    final = GmmProbeState(mu, lb, config.K_probe, z.shape[1])
+    final = GmmProbeState(mu, lb, k, z.shape[1])
     beta_c_hat = 1.0 / lam
     beta = None if tracker.step is None else math.exp(tracker.log_beta)
     log.summary.update({
@@ -607,9 +607,9 @@ def _mapped_covariance(w, cov):
 
 
 @_quiet_overflow()
-def run_endogenous(dataset, encoder_lr, config, steps, latent_dim, init_weight_scale,
-                   record_every):
-    """Alternate one encoder GD step and one joint probe step on its latents.
+def run_endogenous(dataset, encoder_lr, k, log_beta_init, rates, steps, latent_dim,
+                   init_weight_scale, record_every):
+    """Alternate one encoder GD step and one joint probe step of k prototypes on its latents.
 
     The encoder starts with small weights, so the latent cloud is compressed
     and beta(0) < beta_c(0); training spreads the latents (beta_c falls)
@@ -629,10 +629,10 @@ def run_endogenous(dataset, encoder_lr, config, steps, latent_dim, init_weight_s
         learning_rate=encoder_lr,
     )
     z = enc.latents(x)
-    ws = _Workspace(config.K_probe, z)
-    mu = init_collapsed(z, config, rng).means
-    lb = config.log_beta_init
-    delta0 = config.log_beta_init + math.log(critical_spectrum(covariance(z))[0])
+    ws = _Workspace(k, z)
+    mu = init_collapsed(z, k, log_beta_init, rng).means
+    lb = log_beta_init
+    delta0 = log_beta_init + math.log(critical_spectrum(covariance(z))[0])
     if delta0 >= 0.0:
         raise PreconditionError(
             f"initial precision already supercritical: delta(0) = {delta0:.3f} >= 0"
@@ -650,7 +650,7 @@ def run_endogenous(dataset, encoder_lr, config, steps, latent_dim, init_weight_s
         enc.gd_step(s)
         ws.project(enc.encode, xc, x_bar, r_x)
         try:
-            mu, lb = _joint_step(ws, mu, lb, config.lr_means, config.lr_logbeta)
+            mu, lb = _joint_step(ws, mu, lb, rates.lr_means, rates.lr_logbeta)
         except NumericalError as blowup:
             raise AbortedRunError(
                 f"encoder-probe co-evolution diverged at step {n}: {blowup}", partial=log
@@ -739,8 +739,8 @@ HIERARCHY_ANISOTROPY_GATE = 0.65
 
 
 @_quiet_overflow()
-def run_hierarchical(dataset, config, record_every):
-    """Two-stage traversal of a hierarchical dataset with K = 8 prototypes.
+def run_hierarchical(dataset, lr, record_every):
+    """Two-stage traversal of a hierarchical dataset with K = 8 prototypes at mean rate lr.
 
     Stage 1 ramps the precision across beta_c1 = 1/lambda_max(total cov) and
     detects the super-cluster split via the global order parameter. Stage 2
@@ -756,8 +756,6 @@ def run_hierarchical(dataset, config, record_every):
         raise ValidationError("record_every must be >= 1")
     if dataset.kind != "hierarchical":
         raise ValidationError("run_hierarchical needs the hierarchical dataset kind")
-    if config.K_probe != 8:
-        raise ValidationError("the two-level protocol uses K_probe = 8")
     z = dataset.samples
     lam1, spectrum = critical_spectrum(covariance(z))
     log_bc1 = -math.log(lam1)
@@ -808,7 +806,6 @@ def run_hierarchical(dataset, config, record_every):
         log.record(n + m + 1, lb, log_bc1, const_nc1, _spread(mu))
         return tracker2.feed(n + m + 1, lb, within_op(mu), supercritical=lb >= math.log(bc2))
 
-    lr = config.lr_means
     # stage 1: ramp across bc1, hold, detect the super split
     mu, lb, n = _ramp_hold(
         ws, mu, math.log(HIERARCHY_START_RATIO * bc1), math.log(HIERARCHY_HOLD_RATIO * bc1),

@@ -28,18 +28,19 @@ from .mathcore import covariance, sym_eigen
 
 @dataclass
 class ProbeConfig:
-    """Probe protocol constants."""
+    """The probe step's two learning rates, [probe] lr_means and lr_logbeta."""
 
-    K_probe: int = 10
-    lr_means: float = 5e-3
-    lr_logbeta: float = 1e-2
-    log_beta_init: float = -2.5
+    lr_means: float
+    lr_logbeta: float
 
     def __post_init__(self):
-        if not (0.0 < self.lr_means < math.inf and 0.0 < self.lr_logbeta < math.inf):
-            raise DegenerateInputError("learning rates must be positive finite floats")
-        if self.K_probe < 1:
-            raise DegenerateInputError("K_probe must be >= 1")
+        check_rates(self.lr_means, self.lr_logbeta)
+
+
+def check_rates(*rates):
+    """Raise DegenerateInputError unless every learning rate is a positive finite float."""
+    if not all(0.0 < rate < math.inf for rate in rates):
+        raise DegenerateInputError("learning rates must be positive finite floats")
 
 
 @dataclass
@@ -109,16 +110,16 @@ def beta_c(cov):
     return 1.0 / critical_spectrum(cov)[0]
 
 
-def init_collapsed(samples, config, rng):
-    """Near-symmetric start: prototypes at the sample mean plus a small jitter.
+def init_collapsed(samples, k, log_beta, rng):
+    """Near-symmetric start: k prototypes at the sample mean plus a small jitter.
 
     The jitter makes the symmetry breaking observable; its scale is
     1e-3 * sqrt(lambda_max(Cov(samples))).
     """
     z = np.asarray(samples, dtype=float)
     spread = 1e-3 * math.sqrt(critical_spectrum(covariance(z))[0])
-    mu = z.mean(axis=0) + spread * rng.standard_normal((config.K_probe, z.shape[1]))
-    return GmmProbeState(mu, config.log_beta_init, config.K_probe, z.shape[1])
+    mu = z.mean(axis=0) + spread * rng.standard_normal((k, z.shape[1]))
+    return GmmProbeState(mu, log_beta, k, z.shape[1])
 
 
 def exact_collapsed(samples, K, log_beta):
@@ -356,7 +357,7 @@ def probe_step(state, encoder_latents, config, step=0, nc1=None):
 
     The latents are constants to the probe; beta_c is recomputed from their
     sample covariance each call, so the log_beta_c series depends on the
-    latents alone (identical for any K_probe). A degenerate latent covariance
+    latents alone (identical for any K). A degenerate latent covariance
     (see critical_spectrum) yields the +inf sentinel, which sets the reading's
     degenerate flag, instead of an error.
     """

@@ -112,11 +112,14 @@ def _finite_pair(xs, ys, name):
 def pearson(xs, ys):
     """Plain Pearson correlation; raises on a constant or non-finite input sequence."""
     x, y = _finite_pair(xs, ys, "pearson")
+    # exactly, before centring: a long constant's centred values are roundoff, not zeros
+    if not (x.size and x.min() < x.max() and y.min() < y.max()):
+        raise DegenerateInputError("correlation undefined for a constant sequence")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = np.sqrt(np.sum(xc * xc))
     sy = np.sqrt(np.sum(yc * yc))
-    if sx == 0.0 or sy == 0.0:
+    if sx == 0.0 or sy == 0.0:  # a spread that underflows when squared
         raise DegenerateInputError("correlation undefined for a constant sequence")
     return float(np.sum(xc * yc) / (sx * sy))
 

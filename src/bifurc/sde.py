@@ -53,14 +53,14 @@ class SdeConfig:
 
     growth_rate: float
     alpha: float
-    coupling: float = 0.0
-    noise_intensity: float = 0.0
-    dt: float = 0.01
-    steps: int = 1000
-    modes: int = 1
-    dim: int = 1
-    init_scale: float = 0.0
-    seed: int = 0
+    coupling: float
+    noise_intensity: float
+    dt: float
+    steps: int
+    modes: int
+    dim: int
+    init_scale: float
+    seed: int
 
     def __post_init__(self):
         # each guard is written so that a NaN fails it

@@ -46,14 +46,14 @@ NC1_LOG_FLOOR = 1e-15  # NC1 values are clamped here before taking log10
 
 @dataclass(frozen=True)
 class ClassifierThresholds:
-    """Decision constants; defaults documented in the classifier docstring."""
+    """Decision constants, the [taxonomy] keys of the same names (their values live there)."""
 
-    decoupling_abs_corr: float = 0.5  # below: channels considered decoupled
-    plateau_fraction: float = 0.1  # at or above: delayed escape
-    descent_decades: float = 0.5  # sustained NC1 drop that marks the onset
-    fold_return: float = 0.5  # ratio units retraced from peak = a fold
-    smooth_window: int = 5  # trailing mean window (readings)
-    min_readings: int = 20
+    decoupling_abs_corr: float  # below: channels considered decoupled
+    plateau_fraction: float  # at or above: delayed escape
+    descent_decades: float  # sustained NC1 drop that marks the onset
+    fold_return: float  # ratio units retraced from peak = a fold
+    smooth_window: int  # trailing mean window (readings)
+    min_readings: int
 
     def __post_init__(self):
         if not (0 < self.decoupling_abs_corr < 1):
@@ -146,19 +146,17 @@ def _plateau_fraction(steps, onset_idx, crossing_idx, horizon):
     return max(0.0, float(steps[onset_idx] - steps[crossing_idx]) / float(horizon))
 
 
-def classify(log, horizon=None, thresholds=None):
+def classify(log, horizon, thresholds):
     """Assign one of the four arc shapes to a trajectory log and read its axes.
 
-    horizon, when given, is the reference duration (in step units) for the
-    plateau fraction; by default the plateau is the recorded-sample fraction
-    (see _plateau_fraction). Thresholds: see ClassifierThresholds. The
-    result carries its evidence (descent correlation and slope sign, plateau
-    fraction, whole-trajectory decoupling correlation) and the three binary
-    kinematic axes. A coupled run with no crossing is returned with
-    indeterminate=True.
+    horizon, when not None, is the reference duration (in step units) for the
+    plateau fraction; with None the plateau is the recorded-sample fraction
+    (see _plateau_fraction). thresholds is a ClassifierThresholds, which the
+    command reads from [taxonomy]. The result carries its evidence (descent
+    correlation and slope sign, plateau fraction, whole-trajectory decoupling
+    correlation) and the three binary kinematic axes. A coupled run with no
+    crossing is returned with indeterminate=True.
     """
-    if thresholds is None:
-        thresholds = ClassifierThresholds()
     steps, ratio, lnc1 = _channels(log, thresholds, horizon)
     onset_idx, sm = _descent_onset(lnc1, thresholds)
     crossing_hits = np.nonzero(ratio >= 0.0)[0]

@@ -6,14 +6,28 @@ import math
 
 import numpy as np
 
-from bifurc.cli import _OVERLAYS, _sde_config, _toy_data, _toy_logs, _toy_protocol
-from bifurc.config import build_config
+from bifurc.cli import (
+    _OVERLAYS,
+    _escape_sweep,
+    _section,
+    _toy_data,
+    _toy_dataset,
+    _toy_logs,
+    _toy_protocol,
+)
+from bifurc.config import RunConfig, build_config
 from bifurc.errors import DegenerateInputError, ValidationError
 from bifurc.escape_lab import fit_escape_models, sweep_statistics
 from bifurc.experiments import TrajectoryLog
-from bifurc.gmm_probe import _check_batch, _precision, _shifted_weights, _Workspace
+from bifurc.gmm_probe import (
+    ProbeConfig,
+    _check_batch,
+    _precision,
+    _shifted_weights,
+    _Workspace,
+)
 from bifurc.mathcore import pearson, weighted_linfit
-from bifurc.sde import persistence_stats
+from bifurc.sde import SdeConfig, persistence_stats
 from bifurc.taxonomy import (
     DELAYED_ESCAPE,
     FOLD_BACK,
@@ -41,12 +55,23 @@ def toy_logs(sub, seed, **sections):
     return _toy_logs(sub, _toy_data(sub, cfg), _toy_protocol(sub, cfg), seed)
 
 
+def toy_dataset(sub, n, seed=0, **data):
+    """The dataset of `bifurc toy sub --seed seed` at [data] n = n and the given [data] values."""
+    return _toy_dataset(_toy_data(sub, command_config("toy", sub, data={"n": n, **data})), seed)
+
+
+# the records at the built-in table's values: tests replace the fields they change
+TABLE = RunConfig()
+PROBE = _section(TABLE, ProbeConfig, "probe")
+LOG_BETA_INIT = TABLE.get_float("probe", "log_beta_init")
+THRESHOLDS = _section(TABLE, ClassifierThresholds, "taxonomy")
+SDE = _section(TABLE, SdeConfig, "sde", seed=0)
+
 # the `escape sweep` table, its scalar cell and the [escape] values the tests read from it
 SWEEP = command_config("escape", "sweep")
-SWEEP_CELL = _sde_config(SWEEP, SWEEP.seeds()[0])
+SWEEP_CELL = _escape_sweep(SWEEP).keywords["config"]
 DEFAULT_GAMMAS = tuple(SWEEP.get_float_list("escape", "gammas"))
 DEFAULT_THRESHOLD = SWEEP.get_float("escape", "threshold")
-DEFAULT_HORIZON = SWEEP.get_int("escape", "horizon")
 
 
 def counts_within_multinomial_band(dataset, n_sigma=3.0):
@@ -108,11 +133,11 @@ def effective_potential(config, curvature, eps):
     return -0.5 * config.growth_rate * e**2 + 0.25 * config.alpha * e**4 + config.coupling * u
 
 
-def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold, horizon=DEFAULT_HORIZON):
+def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold):
     """Serial sweep_statistics -> fit_escape_models, the chain `escape sweep`
     runs through its process pool."""
     return fit_escape_models(sweep_statistics(
-        gammas, seeds_per_gamma, config, curvature, threshold, horizon, map))
+        gammas, seeds_per_gamma, config, curvature, threshold, map))
 
 
 def measured_theta_sq(run):
@@ -270,12 +295,12 @@ def make_regime_log(
     return _assemble(regime, seed, steps, ratio, lnc1)
 
 
-def recovery_rate(regime, n_trials=200, seed0=0, thresholds=None, **kwargs):
+def recovery_rate(regime, n_trials=200, seed0=0, thresholds=THRESHOLDS, **kwargs):
     """Fraction of seeded synthetic logs of a regime the classifier recovers."""
     hits = 0
     for s in range(seed0, seed0 + n_trials):
         log = make_regime_log(regime, seed=s, **kwargs)
-        if classify(log, thresholds=thresholds).label == regime:
+        if classify(log, None, thresholds).label == regime:
             hits += 1
     return hits / n_trials
 
@@ -336,10 +361,8 @@ def _reference_axes(log, horizon, thresholds):
     }
 
 
-def reference_classification(log, horizon=None, thresholds=None):
+def reference_classification(log, horizon, thresholds):
     """The shape, its evidence and the three axes, each computed in its own
     pass over the trajectory, as a dict keyed like classify's fields."""
-    if thresholds is None:
-        thresholds = ClassifierThresholds()
     return dict(_reference_shape(log, horizon, thresholds),
                 axes=_reference_axes(log, horizon, thresholds))

@@ -11,9 +11,9 @@ import time
 import importlib.resources
 import numpy as np
 
-from bifurc.cli import _sde_config
+from bifurc.cli import _escape_sweep, _section
 from bifurc.escape_lab import fit_escape_models, read_sweep_csv
-from bifurc.experiments import gen_bimodal, read_trajectory_csv
+from bifurc.experiments import read_trajectory_csv
 from bifurc.gmm_probe import (
     GmmProbeState,
     ProbeConfig,
@@ -25,15 +25,18 @@ from bifurc.gmm_probe import (
 )
 from bifurc.hessian import analytic_hessian, channel_spectrum, find_crossing, numerical_hessian
 from bifurc.mathcore import covariance, sym_eigen
-from bifurc.sde import persistence_stats, simulate_coupled_modes
+from bifurc.sde import SdeConfig, persistence_stats, simulate_coupled_modes
 from bifurc.taxonomy import REGIMES, classify
 from oracles import (
+    LOG_BETA_INIT,
+    PROBE,
+    THRESHOLDS,
     command_config,
-    escape_sweep,
     flat_spectrum,
     nll,
     recovery_rate,
     responsibilities,
+    toy_dataset,
     toy_logs,
 )
 
@@ -52,7 +55,7 @@ def _finish(num, budget_s, t0, ok, detail):
 
 def test_criterion_01_hessian_calibration():
     t0 = time.perf_counter()
-    z = gen_bimodal(2000, seed=0).samples
+    z = toy_dataset("bimodal", 2000, 0).samples
     cov = covariance(z)
     guess = beta_c(cov)
     report = find_crossing(10, cov, 0.5 * guess, 1.5 * guess)
@@ -98,7 +101,7 @@ def test_criterion_03_coupled_mode_lottery():
     cfg = command_config("sde", "coupled", preset="appendix-d3")
     rhos = []
     for seed in range(5):
-        run = simulate_coupled_modes(_sde_config(cfg, seed))
+        run = simulate_coupled_modes(_section(cfg, SdeConfig, "sde", seed=seed))
         rhos.append(float(persistence_stats(run).spearman_rho))
     mean = float(np.mean(rhos))
     _finish(
@@ -138,12 +141,8 @@ def test_criterion_04_fixture_refit():
 
 def test_criterion_05_escape_monotonicity():
     t0 = time.perf_counter()
-    cfg = command_config("escape", "sweep")
-    summary = escape_sweep(
-        cfg.get_float_list("escape", "gammas"), cfg.get_int("escape", "seeds_per_gamma"),
-        _sde_config(cfg, cfg.seeds()[0]), cfg.get_float("escape", "tilt_curvature"),
-        cfg.get_float("escape", "threshold"), cfg.get_int("escape", "horizon"),
-    )
+    # the sweep `escape sweep` runs, serially
+    summary = fit_escape_models(_escape_sweep(command_config("escape", "sweep"))(mapper=map))
     zero = [s for s in summary.per_gamma if s.gamma == 0.0][0]
     zero_censored = zero.tau_mean is None and zero.n_censored == 3
     positive = [s for s in summary.per_gamma if s.gamma > 0.0]
@@ -246,7 +245,7 @@ def test_criterion_09_probe_correctness():
         n = int(rng.integers(10, 40))
         z = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
         state = GmmProbeState(rng.standard_normal((k, d)), float(rng.uniform(-1, 1)), k, d)
-        cfg = ProbeConfig(K_probe=k, lr_means=1.0, lr_logbeta=1.0)
+        cfg = ProbeConfig(lr_means=1.0, lr_logbeta=1.0)
         stepped = grad_step(state, z, cfg)
         grad_means = state.means - stepped.means
         grad_logbeta = state.log_precision - stepped.log_precision
@@ -274,9 +273,8 @@ def test_criterion_09_probe_correctness():
     latents = np.random.default_rng(99).standard_normal((200, 3))
     log_bcs = set()
     for k_probe in (2, 5, 9):
-        cfg = ProbeConfig(K_probe=k_probe)
-        state = init_collapsed(latents, cfg, np.random.default_rng(0))
-        _, reading = probe_step(state, latents, cfg)
+        state = init_collapsed(latents, k_probe, LOG_BETA_INIT, np.random.default_rng(0))
+        _, reading = probe_step(state, latents, PROBE)
         log_bcs.add(reading.log_beta_c)
     _finish(
         9,
@@ -297,7 +295,7 @@ def test_criterion_10_taxonomy_recovery():
         "exemplar_no_arc.csv": "NoArc",
     }
     fixtures_ok = all(
-        classify(read_trajectory_csv(FIXTURES / name)).label == label
+        classify(read_trajectory_csv(FIXTURES / name), None, THRESHOLDS).label == label
         for name, label in fixtures.items()
     )
     _finish(

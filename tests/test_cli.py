@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifurc import __version__
-from bifurc.cli import _sde_config, main
+from bifurc.cli import _section, main
 from bifurc.config import (
     RunConfig,
     build_config,
@@ -29,7 +29,7 @@ from bifurc.errors import ConfigError
 from bifurc.escape_lab import read_sweep_csv, write_sweep_csv
 from bifurc.experiments import TrajectoryLog, read_trajectory_csv, write_trajectory_csv
 from bifurc.gmm_probe import CriticalityReading
-from bifurc.sde import persistence_stats, simulate_coupled_modes
+from bifurc.sde import SdeConfig, persistence_stats, simulate_coupled_modes
 from bifurc.svgplot import line_chart
 from bifurc.errors import ValidationError
 from oracles import command_config, dump_config
@@ -241,6 +241,7 @@ class TestExitCodes:
             ("bimodal", {"BIFURC_EXPERIMENT__MODE": "anneal",
                          "BIFURC_EXPERIMENT__RECORD_EVERY": "0"}),
             ("reverse", {"BIFURC_EXPERIMENT__RECORD_EVERY": "0"}),
+            ("bimodal", {"BIFURC_EXPERIMENT__MODE": "ramp"}),  # a drive that does not exist
         ],
     )
     def test_bad_experiment_shape_exits_2(self, tmp_path, capsys, monkeypatch, command, env):
@@ -339,6 +340,8 @@ class TestExitCodes:
          ("toy reverse", "probe.lr_logbeta", "0.5"),
          ("toy hierarchy", "probe.lr_logbeta", "0.5"),
          ("toy hierarchy", "probe.log_beta_init", "1.0"),
+         # its two-level drive has 8 prototypes of its own
+         ("toy hierarchy", "probe.k", "5"),
          # nor does the forward split's anneal mode read the learned drive's rates or length
          *[(f"toy {command} anneal", key, value)
            for command in ("bimodal", "unimodal")
@@ -402,6 +405,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "probe.k >= 2" in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["bimodal", "endogenous"])
+    def test_no_prototype_exits_2_before_writing(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("BIFURC_PROBE__K", "0")
+        out = tmp_path / "out"
+        assert main(["toy", command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "probe.k must be >= 1" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [(["toy", "bimodal", "--config"], "run.ini"),
+         (["classify", "--input"], "log.csv"),
+         (["escape", "fit", "--input"], "sweep.csv")],
+    )
+    def test_input_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, argv, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe step\n")
+        out = tmp_path / "out"
+        assert main([*argv, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
@@ -714,6 +741,15 @@ class TestEscapeCommands:
         assert "tilt_curvature" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # a cell's step budget is its steps, which must be >= 1
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_sweep_with_non_positive_horizon_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("BIFURC_ESCAPE__HORIZON", value)
+        assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "steps" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_fit_with_too_few_levels_exits_3(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
         csv.write_text(
@@ -759,7 +795,7 @@ class TestSdeCommands:
         assert main(["sde", "coupled", "--seed", "0", "--out", str(tmp_path)]) == 0
         cfg = command_config("sde", "coupled",
                              sde={} if noise is None else {"noise_intensity": noise})
-        stats = persistence_stats(simulate_coupled_modes(_sde_config(cfg, 0)))
+        stats = persistence_stats(simulate_coupled_modes(_section(cfg, SdeConfig, "sde", seed=0)))
         lines = (tmp_path / "sde-coupled_seed0.csv").read_text().splitlines()
         assert lines[1] == "mode,projection_initial,projection_final,cosine"
         rows = [line.split(",") for line in lines[2:]]
@@ -1234,7 +1270,7 @@ class TestEscapeConfigFuzz:
             code = fuzz_main(["escape", "sweep", "--config", str(ini), "--out", tmp])
             assert_strict_json(tmp)
         assert code in {0, 2, 3, 4}
-        if curvature is not None and not 0.0 < curvature < math.inf:
+        if curvature is not None and not 0.0 < curvature < math.inf or horizon < 1:
             assert code == 2
 
 

@@ -16,8 +16,7 @@ from bifurc.escape_lab import (
     sweep_statistics,
     write_sweep_csv,
 )
-from bifurc.sde import SdeConfig
-from oracles import DEFAULT_GAMMAS, DEFAULT_HORIZON, DEFAULT_THRESHOLD, SWEEP_CELL, escape_sweep
+from oracles import DEFAULT_GAMMAS, DEFAULT_THRESHOLD, SDE, SWEEP_CELL, escape_sweep
 
 try:
     from importlib.resources import files as _files
@@ -46,11 +45,8 @@ def escape_time_closed_form(mu_eff, alpha, eps0, theta):
 
 class TestMeasureEscape:
     def test_matches_closed_form_and_quadrature(self):
-        cfg = SWEEP_CELL
-        cfg = SdeConfig(
-            **{**cfg.__dict__, "coupling": 1e-3}
-        )
-        tau = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
+        cfg = replace(SWEEP_CELL, coupling=1e-3)
+        tau = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD)
         assert tau is not None
         mu_eff = cfg.growth_rate + cfg.coupling  # quadratic tilt adds +gamma*eps
         t_closed = escape_time_closed_form(mu_eff, cfg.alpha, cfg.init_scale, DEFAULT_THRESHOLD)
@@ -60,38 +56,36 @@ class TestMeasureEscape:
         assert tau * cfg.dt == pytest.approx(t_quad, rel=0.01 * 2)
 
     def test_zero_start_never_escapes(self):
-        cfg = replace(SWEEP_CELL, init_scale=0.0)
-        assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, horizon=10_000) is None
+        cfg = replace(SWEEP_CELL, init_scale=0.0, steps=10_000)
+        assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD) is None
 
     def test_undriven_deterministic_run_censors_at_horizon(self):
         # tau(gamma=0) ~ 4.9e6 steps, far beyond a 1e5 horizon
-        cfg = SWEEP_CELL
-        assert measure_escape(cfg, 1.0, DEFAULT_THRESHOLD, horizon=100_000) is None
+        cfg = replace(SWEEP_CELL, steps=100_000)
+        assert measure_escape(cfg, 1.0, DEFAULT_THRESHOLD) is None
 
     def test_threshold_must_exceed_start(self):
         cfg = SWEEP_CELL
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, threshold=1e-4, horizon=DEFAULT_HORIZON)
+            measure_escape(cfg, 0.0, threshold=1e-4)
 
     def test_threshold_must_stay_below_saturation(self):
         cfg = SWEEP_CELL
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, threshold=0.02, horizon=DEFAULT_HORIZON)  # eps* = 0.01
+            measure_escape(cfg, 0.0, threshold=0.02)  # eps* = 0.01
 
     def test_rejects_multimode_config(self):
-        cfg = SdeConfig(growth_rate=1e-5, alpha=0.1, dt=0.05, steps=1, modes=2, dim=3,
-                        init_scale=5e-4)
+        cfg = replace(SDE, growth_rate=1e-5, alpha=0.1, dt=0.05, steps=1, modes=2, dim=3,
+                      init_scale=5e-4)
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
+            measure_escape(cfg, 0.0, DEFAULT_THRESHOLD)
 
     def test_noisy_escape_reproducible_and_faster(self):
-        base = SWEEP_CELL.__dict__
-        det = measure_escape(SdeConfig(**{**base, "coupling": 1e-3}),
-                             1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
+        det = measure_escape(replace(SWEEP_CELL, coupling=1e-3), 1.0, DEFAULT_THRESHOLD)
         # noise floor sqrt(D / mu_eff) ~ 3e-5, well under the 5e-4 start
-        noisy_cfg = SdeConfig(**{**base, "coupling": 1e-3, "noise_intensity": 1e-12, "seed": 4})
-        a = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
-        b = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD, DEFAULT_HORIZON)
+        noisy_cfg = replace(SWEEP_CELL, coupling=1e-3, noise_intensity=1e-12, seed=4)
+        a = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
+        b = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
         assert a == b
         assert a is not None
         # weak noise perturbs but does not wildly move the escape time
@@ -100,8 +94,8 @@ class TestMeasureEscape:
 
 class TestSweep:
     def test_mini_sweep_monotone_and_power_like(self):
-        cfg = SWEEP_CELL
-        summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, 1.0, DEFAULT_THRESHOLD, 200_000)
+        cfg = replace(SWEEP_CELL, steps=200_000)
+        summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, 1.0, DEFAULT_THRESHOLD)
         means = [s.tau_mean for s in summary.per_gamma]
         assert all(m is not None for m in means)
         assert means == sorted(means, reverse=True)
@@ -111,7 +105,7 @@ class TestSweep:
         assert summary.unit_weights_used  # deterministic repeats have zero spread
 
     def test_repeated_gamma_counts_once(self):
-        args = (2, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD, 200_000)
+        args = (2, replace(SWEEP_CELL, steps=200_000), 1.0, DEFAULT_THRESHOLD)
         plain = escape_sweep((1e-3, 3e-3, 1e-2), *args)
         repeated = escape_sweep((1e-2, 1e-3, 1e-3, 3e-3), *args)
         assert repeated.per_gamma == plain.per_gamma
@@ -119,8 +113,8 @@ class TestSweep:
 
     def test_all_censored_raises_no_fit(self):
         # a stub mapper stands in for the measurement: one tau (or None) per job
-        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, SWEEP_CELL, 1.0,
-                                 DEFAULT_THRESHOLD, 1000, lambda fn, jobs: [None] * 3)
+        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, replace(SWEEP_CELL, steps=1000), 1.0,
+                                 DEFAULT_THRESHOLD, lambda fn, jobs: [None] * 3)
         with pytest.raises(NoFitError):
             fit_escape_models(stats)
 
@@ -130,8 +124,7 @@ class TestSweep:
             taus += [int(tau * jitter) for jitter in (0.95, 1.0, 1.05)]
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
         summary = fit_escape_models(sweep_statistics(
-            (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 10**6,
-            lambda fn, jobs: taus))
+            (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, lambda fn, jobs: taus))
         assert summary.per_gamma[0].tau_mean is None
         assert summary.per_gamma[0].n_censored == 3
         assert summary.power_law is not None  # three clean levels remain
@@ -139,7 +132,7 @@ class TestSweep:
 
     def test_fewer_than_three_levels_yields_no_fit_but_stats(self):
         stats = sweep_statistics((1e-3, 1e-2, 3e-2), 1, SWEEP_CELL, 1.0,
-                                 DEFAULT_THRESHOLD, 10**6, lambda fn, jobs: [5000, 400, None])
+                                 DEFAULT_THRESHOLD, lambda fn, jobs: [5000, 400, None])
         summary = fit_escape_models(stats)
         assert summary.power_law is None and summary.delta_aic is None
         assert len(summary.per_gamma) == 3
@@ -147,11 +140,12 @@ class TestSweep:
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 1e4])
     def test_curvature_outside_open_half_line_rejected(self, c):
         with pytest.raises(ValidationError, match="tilt_curvature"):
-            sweep_statistics((1e-3,), 1, SWEEP_CELL, c, DEFAULT_THRESHOLD, 10, map)
+            sweep_statistics((1e-3,), 1, replace(SWEEP_CELL, steps=10), c, DEFAULT_THRESHOLD, map)
 
     def test_stability_limit_applies_to_the_tilted_rate(self):
         def sweep(c, mapper):
-            return sweep_statistics((1e-4, 1e-2), 1, SWEEP_CELL, c, DEFAULT_THRESHOLD, 10, mapper)
+            return sweep_statistics((1e-4, 1e-2), 1, replace(SWEEP_CELL, steps=10), c,
+                                    DEFAULT_THRESHOLD, mapper)
 
         # dt (mu + gamma c) at gamma = 1e-2 is 0.05 (1e-5 + 1e-2 c): 0.19996 at c = 399.9,
         # 0.2000005 at c = 400; a refused sweep never calls its mapper
@@ -207,8 +201,8 @@ class TestSweepCells:
         # at c = 1.7, c * eps != eps: a reordered tilt product gamma * (c * eps) moves these bits
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
         cells = []
-        sweep_statistics((1e-3, 3e-3, 1e-2), 2, noisy, 1.7, DEFAULT_THRESHOLD, 50_000,
-                         recording_map(cells))
+        sweep_statistics((1e-3, 3e-3, 1e-2), 2, replace(noisy, steps=50_000), 1.7,
+                         DEFAULT_THRESHOLD, recording_map(cells))
         assert cells == [
             (1e-3, 0, 26808), (1e-3, 1000, 27617), (3e-3, 0, 9076), (3e-3, 1000, 9084),
             (1e-2, 0, 2729), (1e-2, 1000, 2707),
@@ -216,7 +210,7 @@ class TestSweepCells:
 
     def test_noise_free_sweep_steps_once_per_gamma(self, stepper_calls):
         stats = sweep_statistics(
-            (1e-3, 3e-3, 1e-2), 3, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD, 100_000, map,
+            (1e-3, 3e-3, 1e-2), 3, replace(SWEEP_CELL, steps=100_000), 1.0, DEFAULT_THRESHOLD, map,
         )
         assert stepper_calls == [(1e-3, 0), (3e-3, 0), (1e-2, 0)]
         # each level's one measured cell counts for its three seeds
@@ -226,7 +220,7 @@ class TestSweepCells:
 
     def test_noisy_sweep_steps_once_per_cell_and_reproduces(self, stepper_calls):
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
-        args = ((1e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, 100_000, map)
+        args = ((1e-3, 1e-2), 3, replace(noisy, steps=100_000), 1.0, DEFAULT_THRESHOLD, map)
         first = sweep_statistics(*args)
         assert stepper_calls == [(g, s) for g in (1e-3, 1e-2) for s in (0, 1000, 2000)]
         assert sweep_statistics(*args) == first

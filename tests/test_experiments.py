@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bifurc.experiments as X
-from bifurc.cli import _probe_config, _toy_data, _toy_dataset
+from bifurc.cli import _toy_protocol
 from bifurc.errors import (
     AbortedRunError,
     DegenerateInputError,
@@ -19,7 +20,6 @@ from bifurc.errors import (
 )
 from bifurc.gmm_probe import (
     CriticalityReading,
-    ProbeConfig,
     _centred,
     _joint_step,
     _Workspace,
@@ -29,33 +29,35 @@ from bifurc.gmm_probe import (
     order_parameter,
 )
 from bifurc.mathcore import covariance, sym_eigen
-from oracles import command_config, counts_within_multinomial_band, encoder_gd_step, toy_logs
+from bifurc.taxonomy import NO_ARC, classify
+from oracles import (
+    LOG_BETA_INIT,
+    PROBE,
+    THRESHOLDS,
+    command_config,
+    counts_within_multinomial_band,
+    encoder_gd_step,
+    toy_dataset,
+    toy_logs,
+)
 
 ENDOGENOUS = command_config("toy", "endogenous")
-HIERARCHY_PROBE = _probe_config(command_config("toy", "hierarchy"))
+HIERARCHY_LR = command_config("toy", "hierarchy").get_float("probe", "lr_means")
 
 
 def top_eig(samples):
     return float(sym_eigen(covariance(samples)).eigenvalues[0])
 
 
-def hierarchical(n, seed=0, **data):
-    """The `toy hierarchy` dataset of n samples at seed, with the given [data] values."""
-    return _toy_dataset(
-        _toy_data("hierarchy", command_config("toy", "hierarchy", data={"n": n, **data})), seed)
+# the `toy` datasets of n samples at a seed (default 0), with the given [data] values
+bimodal, unimodal, hierarchical = (
+    partial(toy_dataset, sub) for sub in ("bimodal", "unimodal", "hierarchy"))
 
 
 def endogenous(dataset, **changes):
     """run_endogenous on dataset with `toy endogenous`'s arguments, changed by changes."""
-    return X.run_endogenous(dataset, **{
-        "encoder_lr": ENDOGENOUS.get_float("experiment", "encoder_lr"),
-        "config": _probe_config(ENDOGENOUS),
-        "steps": ENDOGENOUS.get_int("experiment", "steps"),
-        "latent_dim": ENDOGENOUS.get_int("experiment", "latent_dim"),
-        "init_weight_scale": ENDOGENOUS.get_float("experiment", "init_weight_scale"),
-        "record_every": ENDOGENOUS.get_int("experiment", "record_every"),
-        **changes,
-    })
+    return X.run_endogenous(dataset, **{**_toy_protocol("endogenous", ENDOGENOUS).keywords,
+                                        **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -90,41 +92,41 @@ def hier_log():
 class TestGenerators:
     def test_bimodal_top_eigenvalue_band(self):
         for seed in range(3):
-            lam = top_eig(X.gen_bimodal(2000, seed=seed).samples)
+            lam = top_eig(bimodal(2000, seed).samples)
             assert abs(lam - 5.0) <= 0.15
 
     def test_bimodal_labels_centers_counts(self):
-        ds = X.gen_bimodal(2000, seed=0)
+        ds = bimodal(2000, 0)
         assert set(ds.labels.tolist()) == {0, 1}
         assert np.array_equal(ds.centers, [[-2.0, 0.0], [2.0, 0.0]])
         for seed in range(5):
-            assert counts_within_multinomial_band(X.gen_bimodal(2000, seed=seed))
+            assert counts_within_multinomial_band(bimodal(2000, seed))
 
     def test_bimodal_means_near_centers(self):
-        ds = X.gen_bimodal(4000, seed=2)
+        ds = bimodal(4000, 2)
         for c in (0, 1):
             mu = ds.samples[ds.labels == c].mean(axis=0)
             assert np.linalg.norm(mu - ds.centers[c]) < 0.1
 
     def test_bimodal_reproducible(self):
-        a = X.gen_bimodal(500, seed=9)
-        b = X.gen_bimodal(500, seed=9)
-        c = X.gen_bimodal(500, seed=10)
+        a = bimodal(500, 9)
+        b = bimodal(500, 9)
+        c = bimodal(500, 10)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.labels, b.labels)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_bimodal_zero_offset_rejected(self):
         with pytest.raises(ValidationError):
-            X.gen_bimodal(100, center_offset=0.0)
+            bimodal(100, center_offset=0.0)
 
     def test_unimodal_critical_precision_near_one(self):
         for seed in range(3):
-            ds = X.gen_unimodal(2000, seed=seed)
+            ds = unimodal(2000, seed)
             assert abs(1.0 / top_eig(ds.samples) - 1.0) <= 0.05
 
     def test_unimodal_single_class(self):
-        ds = X.gen_unimodal(200, seed=0)
+        ds = unimodal(200, 0)
         assert ds.n_components == 1
         assert np.all(ds.labels == 0)
 
@@ -154,7 +156,7 @@ class TestGenerators:
         assert np.array_equal(flat.centers[0::2], flat.centers[1::2])
 
     def test_scale_must_be_positive(self):
-        for gen in (X.gen_bimodal, X.gen_unimodal, hierarchical):
+        for gen in (bimodal, unimodal, hierarchical):
             with pytest.raises(ValidationError):
                 gen(100, scale=0.0)
 
@@ -162,9 +164,9 @@ class TestGenerators:
     @pytest.mark.parametrize(
         "gen,key",
         [
-            (X.gen_bimodal, "scale"),
-            (X.gen_bimodal, "center_offset"),
-            (X.gen_unimodal, "scale"),
+            (bimodal, "scale"),
+            (bimodal, "center_offset"),
+            (unimodal, "scale"),
             (hierarchical, "scale"),
             (hierarchical, "super_spacing"),
             (hierarchical, "sub_spacing"),
@@ -176,7 +178,7 @@ class TestGenerators:
 
     def test_super_centers_needs_hierarchical_kind(self):
         with pytest.raises(ValidationError):
-            X.super_centers(X.gen_bimodal(100, seed=0))
+            X.super_centers(bimodal(100, 0))
 
     def test_dataset_label_range_guard(self):
         with pytest.raises(ValidationError):
@@ -197,29 +199,29 @@ class TestNc1:
         assert X.nc1(z, lab) == pytest.approx(0.25, abs=1e-12)
 
     def test_collapsed_latents_give_zero(self):
-        ds = X.gen_bimodal(500, seed=0)
+        ds = bimodal(500, 0)
         z = ds.centers[ds.labels]
         assert X.nc1(z, ds.labels) == 0.0
 
     def test_shuffled_labels_large(self):
-        ds = X.gen_bimodal(2000, seed=0)
+        ds = bimodal(2000, 0)
         rng = np.random.default_rng(11)
         assert X.nc1(ds.samples, rng.permutation(ds.labels)) >= 10.0
 
     def test_random_ten_classes_large(self):
-        ds = X.gen_unimodal(2000, seed=0)
+        ds = unimodal(2000, 0)
         lab = np.random.default_rng(12).integers(0, 10, 2000)
         assert X.nc1(ds.samples, lab) >= 10.0
 
     def test_rotation_invariance(self):
-        ds = X.gen_bimodal(600, seed=3)
+        ds = bimodal(600, 3)
         q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))
         a = X.nc1(ds.samples, ds.labels)
         b = X.nc1(ds.samples @ q, ds.labels)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
     def test_scale_invariance_trace_ratio(self):
-        ds = X.gen_bimodal(600, seed=4)
+        ds = bimodal(600, 4)
         a = X.nc1(ds.samples, ds.labels)
         b = X.nc1(3.0 * ds.samples, ds.labels)
         assert abs(a - b) <= 1e-12 * a
@@ -328,13 +330,15 @@ def test_quiet_overflow_enters_as_a_with_block_twice():
 
 
 class TestProtocolKernel:
-    CFG = ProbeConfig(K_probe=5, lr_means=0.03, lr_logbeta=1e-2)
+    K = 5
+    CFG = replace(PROBE, lr_means=0.03, lr_logbeta=1e-2)
 
     def run_and_replay(self):
         """A 60-step learned forward split and 60 grad_step calls from its start."""
-        ds = X.gen_bimodal(300, seed=7)
-        log, final = X.run_forward_split(ds, self.CFG, steps=60, record_every=1)
-        state = init_collapsed(ds.samples, self.CFG, np.random.default_rng(ds.seed + 99))
+        ds = bimodal(300, 7)
+        log, final = X.run_forward_split(ds, self.K, LOG_BETA_INIT, 1, self.CFG, 60)
+        state = init_collapsed(ds.samples, self.K, LOG_BETA_INIT,
+                               np.random.default_rng(ds.seed + 99))
         replay = []
         for _ in range(60):
             state = grad_step(state, ds.samples, self.CFG)
@@ -357,9 +361,10 @@ class TestProtocolKernel:
         # the run refills its workspace each step with one product W @ xc from
         # the x-space batch, and the replay builds its batch the same way; the
         # public grad_step on fresh latents x W^T rounds differently, by ~1e-16
-        ds = X.gen_bimodal(300, seed=7)
-        log = X.run_endogenous(ds, encoder_lr=0.05, config=self.CFG, steps=40, latent_dim=2,
-                               init_weight_scale=0.1, record_every=1)
+        ds = bimodal(300, 7)
+        log = X.run_endogenous(ds, encoder_lr=0.05, k=self.K, log_beta_init=LOG_BETA_INIT,
+                               rates=self.CFG, steps=40, latent_dim=2, init_weight_scale=0.1,
+                               record_every=1)
         assert len(log.readings) == 40
         rng = np.random.default_rng(ds.seed + 500)
         x = ds.samples
@@ -368,8 +373,8 @@ class TestProtocolKernel:
             decode=0.1 * rng.standard_normal((2, 2)),
             learning_rate=0.05,
         )
-        state = init_collapsed(enc.latents(x), self.CFG, rng)
-        ws = _Workspace(self.CFG.K_probe, enc.latents(x))
+        state = init_collapsed(enc.latents(x), self.K, LOG_BETA_INIT, rng)
+        ws = _Workspace(self.K, enc.latents(x))
         xc, x_bar, r_x = _centred(x)
         mu, lb = state.means, state.log_precision
         s = x.T @ x / x.shape[0]
@@ -448,9 +453,9 @@ class TestProjectedMoments:
 
 class TestDrivers:
     def ramp(self, max_steps, stop_at=None):
-        ds = X.gen_bimodal(200, seed=3)
+        ds = bimodal(200, 3)
         ws = X._Workspace(2, ds.samples)
-        mu = init_collapsed(ds.samples, ProbeConfig(K_probe=2), np.random.default_rng(0)).means
+        mu = init_collapsed(ds.samples, 2, LOG_BETA_INIT, np.random.default_rng(0)).means
         seen = []
 
         def observe(n, lb, mu):
@@ -471,7 +476,7 @@ class TestDrivers:
         assert n == 8 and seen[-1] == (8, lb)
 
     def test_branch_counts_em_iterations(self):
-        ds = X.gen_bimodal(200, seed=3)
+        ds = bimodal(200, 3)
         ws = X._Workspace(2, ds.samples)
         mu = np.array([[-1.0, 0.0], [1.0, 0.0]])
         log = X.TrajectoryLog("t", 0)
@@ -592,7 +597,7 @@ class TestAnnealHoldReverse:
 
     def test_hold_rate_scales_with_k(self):
         # at ANNEAL_HOLD_LR itself the K = 8 hold never activated within ANNEAL_MAX_STEPS
-        fwd, _ = X.run_forward_split(X.gen_bimodal(2000, seed=0), ProbeConfig(K_probe=8), "anneal")
+        fwd, _ = X.run_forward_split(bimodal(2000, 0), 8, LOG_BETA_INIT, 20, None, None)
         assert fwd.summary["activation_steps"] == [12000]
 
     def test_branches_span_the_drive_ratios(self, hysteresis):
@@ -610,7 +615,7 @@ class TestAnnealHoldReverse:
 
     def test_one_prototype_branch_has_no_plateau_fraction_and_full_overlap(self):
         # a single prototype never splits: every level's order parameter is 0
-        ds = X.gen_bimodal(100, seed=0)
+        ds = bimodal(100, 0)
         rev = X.run_reverse_traversal(ds, exact_collapsed(ds.samples, 1, 0.0))
         assert rev.summary["plateau_order_parameter"] == 0.0
         assert rev.summary["op_fraction_at_half_beta_c"] is None
@@ -692,30 +697,29 @@ class TestEndogenous:
         assert all(r.nc1 is not None and r.nc1 > 0 for r in endo_log.readings)
 
     def test_probe_size_invariant_critical_trace(self):
-        ds = X.gen_bimodal(1000, seed=2)
+        ds = bimodal(1000, 2)
         traces = []
         for k in (3, 8):
-            cfg = ProbeConfig(K_probe=k, lr_means=0.015, lr_logbeta=1e-2)
-            log = endogenous(ds, config=cfg, steps=2000)
+            log = endogenous(ds, k=k, rates=replace(PROBE, lr_means=0.015, lr_logbeta=1e-2),
+                             steps=2000)
             traces.append([r.log_beta_c for r in log.readings])
         n = min(len(traces[0]), len(traces[1]))
         assert traces[0][:n] == traces[1][:n]  # bit-identical
 
     def test_supercritical_start_rejected(self):
-        ds = X.gen_bimodal(500, seed=0)
-        cfg = ProbeConfig(K_probe=8, log_beta_init=5.0)
+        ds = bimodal(500, 0)
         with pytest.raises(PreconditionError):
-            endogenous(ds, config=cfg, steps=100)
+            endogenous(ds, k=8, log_beta_init=5.0, rates=PROBE, steps=100)
 
     @pytest.mark.parametrize(
         "kwargs", [{"latent_dim": 0}, {"latent_dim": -1}, {"record_every": 0}, {"steps": 0}]
     )
     def test_latent_dim_and_record_cadence_validated(self, kwargs):
         with pytest.raises(ValidationError, match="latent_dim and record_every"):
-            endogenous(X.gen_bimodal(100, seed=0), **{"steps": 10, **kwargs})
+            endogenous(bimodal(100, 0), **{"steps": 10, **kwargs})
 
     def test_divergence_aborts_with_partial_log(self):
-        ds = X.gen_bimodal(500, seed=0)
+        ds = bimodal(500, 0)
         with np.errstate(all="ignore"):
             with pytest.raises(AbortedRunError) as exc:
                 endogenous(ds, encoder_lr=5.0, steps=2000)
@@ -825,9 +829,18 @@ class TestHierarchical:
 
     def test_kind_and_size_guards(self):
         with pytest.raises(ValidationError):
-            X.run_hierarchical(X.gen_bimodal(200, seed=0), HIERARCHY_PROBE, 20)
-        with pytest.raises(ValidationError):
-            X.run_hierarchical(hierarchical(400), ProbeConfig(K_probe=5), 20)
+            X.run_hierarchical(bimodal(200, 0), HIERARCHY_LR, 20)
+
+
+# ---------------------------------------------------------------------------
+# the classifier on the protocols' own logs
+
+
+def test_constant_nc1_logs_read_no_arc_with_no_correlation(hysteresis, hier_log):
+    # fixed latents write one NC1 value per run: no correlation, so no sign from roundoff
+    for log in (*hysteresis, hier_log):
+        shape = classify(log, None, THRESHOLDS)
+        assert (shape.label, shape.decoupling_corr, shape.descent_sign) == (NO_ARC, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -836,20 +849,22 @@ class TestHierarchical:
 
 class TestProtocolArguments:
     @pytest.mark.parametrize(
-        "mode,kwargs",
-        [("learned", {"steps": 0}), ("learned", {"record_every": 0}),
-         ("anneal", {"record_every": 0})],
+        "record_every,learned",
+        [(20, {"rates": PROBE, "steps": 0}), (0, {"rates": PROBE, "steps": 7000}),
+         (0, {"rates": None, "steps": None})],
     )
-    def test_forward_split_step_counts_must_be_positive(self, mode, kwargs):
-        ds = X.gen_bimodal(100, seed=0)
-        with pytest.raises(ValidationError):
-            X.run_forward_split(ds, ProbeConfig(K_probe=2), mode, **kwargs)
+    def test_forward_split_step_counts_must_be_positive(self, record_every, learned):
+        ds = bimodal(100, 0)
+        with pytest.raises(ValidationError, match="steps and record_every"):
+            X.run_forward_split(ds, 2, LOG_BETA_INIT, record_every, **learned)
 
     def test_hierarchy_record_every_must_be_positive(self):
         with pytest.raises(ValidationError):
-            X.run_hierarchical(hierarchical(400), HIERARCHY_PROBE, 0)
+            X.run_hierarchical(hierarchical(400), HIERARCHY_LR, 0)
 
-    def test_forward_split_rejects_unknown_mode(self):
-        ds = X.gen_bimodal(100, seed=0)
-        with pytest.raises(ValidationError):
-            X.run_forward_split(ds, ProbeConfig(K_probe=2), "ramp")
+    @pytest.mark.parametrize("half", [{"rates": PROBE, "steps": None},
+                                      {"rates": None, "steps": 7000}])
+    def test_forward_split_takes_rates_and_steps_together(self, half):
+        ds = bimodal(100, 0)
+        with pytest.raises(ValidationError, match="takes rates and steps"):
+            X.run_forward_split(ds, 2, LOG_BETA_INIT, 20, **half)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from bifurc.gmm_probe import (
     split_direction,
 )
 from bifurc.mathcore import covariance
-from oracles import _nll, max_shift_kernel, nll, responsibilities
+from oracles import LOG_BETA_INIT, PROBE, _nll, max_shift_kernel, nll, responsibilities
 
 
 def bimodal(n=400, seed=0, c=2.0):
@@ -138,15 +139,14 @@ class TestGradStep:
     def test_symmetric_state_means_fixed(self):
         z = bimodal(n=200, seed=5)
         s = exact_collapsed(z, 4, -1.0)
-        cfg = ProbeConfig(K_probe=4)
-        s2 = grad_step(s, z, cfg)
+        s2 = grad_step(s, z, PROBE)
         assert np.max(np.abs(s2.means - s.means)) <= 1e-12
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal((30, 2))
         s = GmmProbeState(rng.standard_normal((3, 2)), 0.3, 3, 2)
-        cfg = ProbeConfig(K_probe=3, lr_means=1.0, lr_logbeta=1.0)
+        cfg = ProbeConfig(lr_means=1.0, lr_logbeta=1.0)
         s2 = grad_step(s, z, cfg)
         analytic_gm = (s.means - s2.means) / cfg.lr_means
         analytic_gb = (s.log_precision - s2.log_precision) / cfg.lr_logbeta
@@ -158,7 +158,7 @@ class TestGradStep:
     def test_low_beta_pushed_up(self):
         z = bimodal(n=100, seed=7)
         s = exact_collapsed(z, 3, -4.0)
-        s2 = grad_step(s, z, ProbeConfig(K_probe=3))
+        s2 = grad_step(s, z, PROBE)
         assert s2.log_precision > s.log_precision
 
     @pytest.mark.parametrize("log_beta", [800.0, -800.0])  # exp overflows / is 0.0
@@ -166,7 +166,7 @@ class TestGradStep:
         z = bimodal(n=50, seed=8)
         s = exact_collapsed(z, 3, log_beta)
         with pytest.raises(NumericalError):
-            grad_step(s, z, ProbeConfig(K_probe=3))
+            grad_step(s, z, PROBE)
         with pytest.raises(NumericalError):
             nll(s, z)
 
@@ -190,33 +190,31 @@ class TestProbeStep:
         # four corner points have exactly unit covariance
         z = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         s = exact_collapsed(z, 2, -1.0)
-        cfg = ProbeConfig(K_probe=2)
         for step in range(3):
-            s, r = probe_step(s, z, cfg, step=step)
+            s, r = probe_step(s, z, PROBE, step=step)
             assert r.log_beta_c == 0.0
             assert r.log_ratio == r.log_beta
 
     def test_reading_ratio_identity(self):
         z = bimodal(n=120, seed=8)
-        s = init_collapsed(z, ProbeConfig(K_probe=5), np.random.default_rng(0))
-        s, r = probe_step(s, z, ProbeConfig(K_probe=5), step=0)
+        s = init_collapsed(z, 5, LOG_BETA_INIT, np.random.default_rng(0))
+        s, r = probe_step(s, z, PROBE, step=0)
         assert abs(r.log_ratio - (r.log_beta - r.log_beta_c)) <= 1e-12
 
     def test_rescaling_shifts_log_beta_c(self):
         z = bimodal(n=150, seed=9)
-        cfg = ProbeConfig(K_probe=3)
         rng = np.random.default_rng(1)
-        s1 = init_collapsed(z, cfg, rng)
-        _, r1 = probe_step(s1, z, cfg, step=0)
-        s2 = init_collapsed(2.0 * z, cfg, rng)
-        _, r2 = probe_step(s2, 2.0 * z, cfg, step=0)
+        s1 = init_collapsed(z, 3, LOG_BETA_INIT, rng)
+        _, r1 = probe_step(s1, z, PROBE, step=0)
+        s2 = init_collapsed(2.0 * z, 3, LOG_BETA_INIT, rng)
+        _, r2 = probe_step(s2, 2.0 * z, PROBE, step=0)
         assert r2.log_beta_c == pytest.approx(r1.log_beta_c - 2.0 * math.log(2.0), abs=1e-12)
 
     def test_degenerate_latents_flagged(self):
         # a zero covariance, and one whose lambda_max (1e-310) is subnormal
         for z in (np.tile([1.0, 2.0], (10, 1)), np.tile([[-1e-155, 0.0], [1e-155, 0.0]], (5, 1))):
             s = exact_collapsed(z, 2, -1.0)
-            s, r = probe_step(s, z, ProbeConfig(K_probe=2), step=0)
+            s, r = probe_step(s, z, PROBE, step=0)
             assert r.degenerate
             assert r.log_beta_c == math.inf
             assert r.log_ratio == -math.inf
@@ -225,12 +223,11 @@ class TestProbeStep:
         # at fixed collapsed means the full NLL has its beta optimum at
         # d / tr(Cov(z)); the learned channel must climb to it monotonically
         z = bimodal(n=300, seed=10)
-        cfg = ProbeConfig(K_probe=4)
-        s = exact_collapsed(z, 4, cfg.log_beta_init)
+        s = exact_collapsed(z, 4, LOG_BETA_INIT)
         beta_opt = z.shape[1] / np.trace(covariance(z))
         lbs = []
         for step in range(2500):
-            s, r = probe_step(s, z, cfg, step=step)
+            s, r = probe_step(s, z, PROBE, step=step)
             lbs.append(r.log_beta)
         lbs = np.array(lbs)
         below = lbs < math.log(beta_opt) - 0.01
@@ -240,21 +237,19 @@ class TestProbeStep:
     def test_detachment_never_mutates_latents(self):
         z = bimodal(n=80, seed=11)
         snapshot = z.copy()
-        cfg = ProbeConfig(K_probe=3)
-        s = init_collapsed(z, cfg, np.random.default_rng(2))
+        s = init_collapsed(z, 3, LOG_BETA_INIT, np.random.default_rng(2))
         for step in range(10):
-            s, _ = probe_step(s, z, cfg, step=step)
+            s, _ = probe_step(s, z, PROBE, step=step)
         assert np.array_equal(z, snapshot)
 
     def test_log_beta_c_invariant_in_K_probe(self):
         z = bimodal(n=200, seed=12)
         traces = []
         for k in (2, 5, 10, 20, 50):
-            cfg = ProbeConfig(K_probe=k)
-            s = init_collapsed(z, cfg, np.random.default_rng(3))
+            s = init_collapsed(z, k, LOG_BETA_INIT, np.random.default_rng(3))
             tr = []
             for step in range(20):
-                s, r = probe_step(s, z, cfg, step=step)
+                s, r = probe_step(s, z, PROBE, step=step)
                 tr.append(r.log_beta_c)
             traces.append(tr)
         for tr in traces[1:]:
@@ -273,7 +268,7 @@ class TestProbeConfig:
     @pytest.mark.parametrize("key", ["lr_means", "lr_logbeta"])
     def test_learning_rate_outside_positive_floats_rejected(self, key, lr):
         with pytest.raises(DegenerateInputError, match="learning rates"):
-            ProbeConfig(**{key: lr})
+            replace(PROBE, **{key: lr})
 
 
 def naive_kernel(z, mu, log_beta, lr_means, lr_logbeta):
@@ -314,7 +309,7 @@ class TestKernelAgainstPerComponentReference:
     def test_nll_responsibilities_and_grad_step(self, case):
         z, mu, log_beta = case
         k, d = mu.shape
-        cfg = ProbeConfig(K_probe=k, lr_means=0.05, lr_logbeta=0.02)
+        cfg = ProbeConfig(lr_means=0.05, lr_logbeta=0.02)
         state = GmmProbeState(mu, log_beta, k, d)
         value, p_ref, means_ref, log_beta_ref = naive_kernel(
             z, mu, log_beta, cfg.lr_means, cfg.lr_logbeta
@@ -356,6 +351,8 @@ class TestScalarShiftAgainstPerSampleMax:
     @example(case=(np.array([[-1e4, 0.0], [1e4, 5.0], [0.0, -1e4]]),
                    np.array([[1e3, 0.0], [-1e3, 1e3]]), math.log(10.0))).via(
         "large beta, far prototypes, |z - c| of 1e4")
+    @example(case=(np.array([[4.94e-322], [0.0]]), np.array([[2.5e-322], [2.5e-322]]), 0.0)).via(
+        "subnormal latents and means: the mean step lands 1 ulp from the reference")
     @given(case=shift_cases())
     def test_responsibilities_nll_and_mean_step(self, case):
         z, mu, log_beta = case
@@ -383,7 +380,11 @@ class TestScalarShiftAgainstPerSampleMax:
                    - 0.5 * d * log_beta)
         assert abs(_nll(ws, mu, log_beta) - nll_ref) <= tol
         stepped = _mean_step(ws, mu, beta, 1.0 / beta)[0]  # mu + pull / N
-        np.testing.assert_allclose(stepped, mu + pull_ref / n, rtol=1e-14, atol=size * tol)
+        expected = mu + pull_ref / n
+        # size * tol underflows to 0 for subnormal values, and no rtol holds there: the
+        # floor of 4 ulps of the smallest value is below what rtol allows for normal ones
+        atol = max(size * tol, 4.0 * float(np.spacing(np.abs(expected).min())))
+        np.testing.assert_allclose(stepped, expected, rtol=1e-14, atol=atol)
 
     def test_radius_above_the_limit_takes_the_per_sample_max(self):
         # latents W x with r = ||W||_F r_x = 1.4e300: M = 1e-150 and beta = 3.5e-149

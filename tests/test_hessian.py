@@ -18,7 +18,7 @@ from bifurc.hessian import (
     numerical_hessian,
 )
 from bifurc.mathcore import covariance, sym_eigen
-from oracles import flat_spectrum, nll
+from oracles import flat_spectrum, nll, toy_dataset
 
 
 def bimodal(n=400, seed=0):
@@ -286,7 +286,7 @@ class TestBisect:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_few_evaluations_on_the_closed_form_lowest_eigenvalue(self, seed):
         # the default calibrate-hessian bracket, where halving needs 22 evaluations
-        cov = covariance(gen_bimodal(2000, seed=seed).samples)
+        cov = covariance(toy_dataset("bimodal", 2000, seed).samples)
         guess = beta_c(cov)
         eigs = sym_eigen(cov).eigenvalues
         calls = []
@@ -337,7 +337,7 @@ class TestBisect:
         # a fuzzed calibrate-hessian case (k = 4, n = 59, bracket ratios 0.5 and
         # 1e308, beta_c = 7.8e-34) that took 1,038 evaluations by arithmetic
         # midpoints; the geometric midpoint crosses the decades in a few
-        ds = gen_bimodal(59, -3.614377606952927e16, 1.4956490752050952e-266, seed=0)
+        ds = gen_bimodal(59, -3.614377606952927e16, 1.4956490752050952e-266, 0)
         cov = covariance(ds.samples)
         guess = beta_c(cov)
         report = find_crossing(4, cov, 0.5 * guess, 1e308 * guess)

@@ -283,6 +283,9 @@ class TestFitModel:
 def test_pearson_constant_rejected():
     with pytest.raises(DegenerateInputError):
         pearson([1.0, 1.0], [1.0, 2.0])
+    # the mean of 335 copies is not this value, so centring leaves roundoff, not zeros
+    with pytest.raises(DegenerateInputError):
+        pearson(np.arange(335.0), [-0.30397986632059304] * 335)
 
 
 @pytest.mark.parametrize("fn", [pearson, spearman])

@@ -5,13 +5,21 @@ public method or property of such a class, must be loaded somewhere in the
 package (a call, a reference, an attribute read), apart from the names the
 README documents for outside callers. A reference computation that only the
 tests use belongs in ``tests/oracles.py``. Only ``cli`` reads a configuration
-table: no other module calls a typed ``RunConfig`` reader.
+table: no other module calls a typed ``RunConfig`` reader, and the records
+built from it restate none of its values as field defaults.
 """
 
 import ast
+from dataclasses import MISSING, fields
 from pathlib import Path
 
+import pytest
+
 import bifurc
+from bifurc.config import DEFAULTS
+from bifurc.gmm_probe import ProbeConfig
+from bifurc.sde import SdeConfig
+from bifurc.taxonomy import ClassifierThresholds
 
 # the library entry points the README documents, which no command calls
 OUTSIDE_CALLERS = {"probe_step", "CriticalityReading.degenerate", "SdeRunResult.final_state"}
@@ -67,3 +75,14 @@ def test_only_the_cli_reads_a_run_config():
                     and node.func.attr in TYPED_READERS):
                 readers.add(f"{path.stem}.{node.func.attr}")
     assert readers == set()
+
+
+@pytest.mark.parametrize(
+    "cls,section",
+    [(ProbeConfig, "probe"), (ClassifierThresholds, "taxonomy"), (SdeConfig, "sde")],
+)
+def test_each_record_field_is_a_table_key_with_no_default(cls, section):
+    # a field default would be a second copy of the table's value, one the CLI could lean on
+    for f in fields(cls):
+        assert f.default is MISSING and f.default_factory is MISSING, f"{cls.__name__}.{f.name}"
+    assert {f.name for f in fields(cls)} - {"seed"} <= set(DEFAULTS[section])

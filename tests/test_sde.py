@@ -1,13 +1,13 @@
 """Integrator correctness, mirror symmetry, persistence statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bifurc.errors import DegenerateInputError, NumericalError, ValidationError
 from bifurc.sde import (
-    SdeConfig,
     SdeRunResult,
     _langevin,
     persistence_stats,
@@ -15,7 +15,7 @@ from bifurc.sde import (
     simulate_coupled_modes,
     simulate_pitchfork_1d,
 )
-from oracles import effective_potential, mean_abs_pair_overlap, measured_theta_sq
+from oracles import SDE, effective_potential, mean_abs_pair_overlap, measured_theta_sq
 
 
 def closed_form_amplitude(mu, alpha, eps0, t):
@@ -30,7 +30,8 @@ def closed_form_amplitude(mu, alpha, eps0, t):
 
 def lottery_preset(seed):
     """200 coupled modes in R^10, weak coupling, weak noise."""
-    return SdeConfig(
+    return replace(
+        SDE,
         growth_rate=0.1,
         alpha=0.1,
         coupling=1e-3,
@@ -52,11 +53,12 @@ def lottery_runs():
 class TestConfig:
     def test_stability_guard_rejects_coarse_dt(self):
         with pytest.raises(ValidationError):
-            SdeConfig(growth_rate=1.0, alpha=1.0, dt=0.5, steps=10)
+            replace(SDE, growth_rate=1.0, alpha=1.0, dt=0.5, steps=10)
 
     def test_guard_covers_coupling_times_modes(self):
         with pytest.raises(ValidationError):
-            SdeConfig(
+            replace(
+                SDE,
                 growth_rate=0.01,
                 alpha=0.1,
                 coupling=0.05,
@@ -67,21 +69,21 @@ class TestConfig:
             )
 
     def test_epsilon_star(self):
-        cfg = SdeConfig(growth_rate=0.04, alpha=0.1, dt=0.01, steps=10)
+        cfg = replace(SDE, growth_rate=0.04, alpha=0.1, dt=0.01, steps=10)
         assert cfg.epsilon_star == pytest.approx(math.sqrt(0.4), abs=1e-15)
 
     def test_epsilon_star_requires_positive_growth(self):
-        cfg = SdeConfig(growth_rate=-0.1, alpha=0.1, dt=0.01, steps=10)
+        cfg = replace(SDE, growth_rate=-0.1, alpha=0.1, dt=0.01, steps=10)
         with pytest.raises(ValidationError):
             _ = cfg.epsilon_star
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValidationError):
-            SdeConfig(growth_rate=0.1, alpha=-1.0, dt=0.01, steps=10)
+            replace(SDE, growth_rate=0.1, alpha=-1.0, dt=0.01, steps=10)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValidationError):
-            SdeConfig(growth_rate=0.1, alpha=1.0, noise_intensity=-1e-3, dt=0.01, steps=10)
+            replace(SDE, growth_rate=0.1, alpha=1.0, noise_intensity=-1e-3, dt=0.01, steps=10)
 
     @pytest.mark.parametrize(
         "key", ["growth_rate", "alpha", "coupling", "noise_intensity", "dt", "init_scale"]
@@ -89,34 +91,34 @@ class TestConfig:
     def test_nan_parameter_rejected(self, key):
         base = {"growth_rate": 0.1, "alpha": 1.0, "dt": 0.01, "steps": 10}
         with pytest.raises(ValidationError):
-            SdeConfig(**{**base, key: math.nan})
+            replace(SDE, **{**base, key: math.nan})
 
     @pytest.mark.parametrize("value", [-1.0, math.inf])
     def test_init_scale_must_be_finite_and_nonnegative(self, value):
         with pytest.raises(ValidationError):
-            SdeConfig(growth_rate=0.1, alpha=1.0, dt=0.01, steps=10, init_scale=value)
+            replace(SDE, growth_rate=0.1, alpha=1.0, dt=0.01, steps=10, init_scale=value)
 
 
 class TestPitchfork1d:
     def test_supercritical_reaches_fixed_point(self):
-        cfg = SdeConfig(growth_rate=0.5, alpha=0.5, dt=0.05, steps=2000)
+        cfg = replace(SDE, growth_rate=0.5, alpha=0.5, dt=0.05, steps=2000)
         run = simulate_pitchfork_1d(cfg, eps0=0.1)
         assert abs(run.final_state[0, 0] - 1.0) <= 1e-3
 
     def test_subcritical_decays_to_zero(self):
-        cfg = SdeConfig(growth_rate=-0.5, alpha=0.5, dt=0.05, steps=2000)
+        cfg = replace(SDE, growth_rate=-0.5, alpha=0.5, dt=0.05, steps=2000)
         run = simulate_pitchfork_1d(cfg, eps0=0.1)
         assert abs(run.final_state[0, 0]) < 1e-10
 
     def test_mirror_symmetry_exact_without_noise(self):
-        cfg = SdeConfig(growth_rate=0.5, alpha=0.5, dt=0.05, steps=500)
+        cfg = replace(SDE, growth_rate=0.5, alpha=0.5, dt=0.05, steps=500)
         up = simulate_pitchfork_1d(cfg, eps0=0.3)
         down = simulate_pitchfork_1d(cfg, eps0=-0.3)
         assert np.array_equal(up.path_samples, -down.path_samples)
         assert np.array_equal(up.final_state, -down.final_state)
 
     def test_matches_closed_form_solution(self):
-        cfg = SdeConfig(growth_rate=0.5, alpha=0.5, dt=0.01, steps=1000)
+        cfg = replace(SDE, growth_rate=0.5, alpha=0.5, dt=0.01, steps=1000)
         run = simulate_pitchfork_1d(cfg, eps0=0.1)
         exact = closed_form_amplitude(0.5, 0.5, 0.1, 10.0)
         assert run.final_state[0, 0] == pytest.approx(exact, rel=2e-3)
@@ -126,7 +128,7 @@ class TestPitchfork1d:
         exact = closed_form_amplitude(0.5, 0.5, 0.1, 10.0)
         errs = []
         for dt, steps in ((0.01, 1000), (0.005, 2000)):
-            cfg = SdeConfig(growth_rate=0.5, alpha=0.5, dt=dt, steps=steps)
+            cfg = replace(SDE, growth_rate=0.5, alpha=0.5, dt=dt, steps=steps)
             run = simulate_pitchfork_1d(cfg, eps0=0.1)
             errs.append(abs(run.final_state[0, 0] - exact))
         assert 1.6 <= errs[0] / errs[1] <= 2.4
@@ -136,7 +138,8 @@ class TestPitchfork1d:
         d_noise, t_total = 0.01, 1.0
         finals = []
         for seed in range(1000):
-            cfg = SdeConfig(
+            cfg = replace(
+                SDE,
                 growth_rate=0.0,
                 alpha=1e-8,
                 noise_intensity=d_noise,
@@ -149,7 +152,8 @@ class TestPitchfork1d:
         assert var == pytest.approx(2 * d_noise * t_total, rel=0.10)
 
     def test_same_seed_reproduces_path_bitwise(self):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.5, alpha=0.5, noise_intensity=1e-3, dt=0.05, steps=400, seed=7,
             init_scale=0.01,
         )
@@ -160,27 +164,27 @@ class TestPitchfork1d:
     def test_different_seeds_differ(self):
         base = dict(growth_rate=0.5, alpha=0.5, noise_intensity=1e-3, dt=0.05, steps=400,
                     init_scale=0.01)
-        a = simulate_pitchfork_1d(SdeConfig(seed=1, **base))
-        b = simulate_pitchfork_1d(SdeConfig(seed=2, **base))
+        a = simulate_pitchfork_1d(replace(SDE, seed=1, **base))
+        b = simulate_pitchfork_1d(replace(SDE, seed=2, **base))
         assert not np.array_equal(a.path_samples, b.path_samples)
 
     def test_rejects_multimode_config(self):
-        cfg = SdeConfig(growth_rate=0.1, alpha=0.1, dt=0.01, steps=10, modes=3, dim=2)
+        cfg = replace(SDE, growth_rate=0.1, alpha=0.1, dt=0.01, steps=10, modes=3, dim=2)
         with pytest.raises(ValidationError):
             simulate_pitchfork_1d(cfg)
 
     def test_rejects_non_finite_start(self):
-        cfg = SdeConfig(growth_rate=0.1, alpha=0.1, dt=0.01, steps=10)
+        cfg = replace(SDE, growth_rate=0.1, alpha=0.1, dt=0.01, steps=10)
         with pytest.raises(ValidationError):
             simulate_pitchfork_1d(cfg, eps0=math.nan)
 
     def test_non_finite_state_raises(self):
-        cfg = SdeConfig(growth_rate=0.1, alpha=0.1, noise_intensity=1e300, dt=0.01, steps=200)
+        cfg = replace(SDE, growth_rate=0.1, alpha=0.1, noise_intensity=1e300, dt=0.01, steps=200)
         with pytest.raises(NumericalError):
             simulate_pitchfork_1d(cfg, eps0=0.0)
 
     def test_path_decimated_and_times_increasing(self):
-        cfg = SdeConfig(growth_rate=0.1, alpha=0.1, dt=0.01, steps=10000)
+        cfg = replace(SDE, growth_rate=0.1, alpha=0.1, dt=0.01, steps=10000)
         run = simulate_pitchfork_1d(cfg, eps0=0.05)
         assert len(run.times) <= 2002
         assert np.all(np.diff(run.times) > 0)
@@ -195,7 +199,8 @@ class TestTiltedLangevin:
     def test_chunked_draws_match_a_per_step_reference(self):
         # the stepper draws one recording interval at a time; a plain loop
         # with one scalar draw per step and the tilt as -gamma U'(eps) must give the same bits
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.05, alpha=0.5, coupling=0.02, noise_intensity=1e-3, dt=0.05,
             steps=4999, init_scale=0.02, seed=3,
         )
@@ -217,7 +222,8 @@ class TestTiltedLangevin:
         assert path == ref
 
     def test_zero_coupling_ignores_curvature(self):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.5, alpha=0.5, coupling=0.0, noise_intensity=1e-3,
             dt=0.05, steps=300, init_scale=0.02, seed=11,
         )
@@ -226,7 +232,7 @@ class TestTiltedLangevin:
         assert plain == tilted
 
     def test_destabilizing_tilt_speeds_up_growth(self):
-        cfg = SdeConfig(growth_rate=0.01, alpha=0.5, coupling=0.05, dt=0.05, steps=2000)
+        cfg = replace(SDE, growth_rate=0.01, alpha=0.5, coupling=0.05, dt=0.05, steps=2000)
         _, slow, _ = _langevin(cfg, 0.01, cfg.steps, np.random.default_rng(0))
         _, fast, _ = _langevin(cfg, 0.01, cfg.steps, np.random.default_rng(0), curvature=1.0)
         assert fast > slow
@@ -234,7 +240,7 @@ class TestTiltedLangevin:
     def test_effective_potential_minimum_tracks_tilt(self):
         # gamma * U with U = -(1/2) c eps^2 deepens the wells: minima move
         # from sqrt(mu/alpha) to sqrt((mu + gamma c)/alpha)
-        cfg = SdeConfig(growth_rate=0.2, alpha=0.5, coupling=0.3, dt=0.01, steps=10)
+        cfg = replace(SDE, growth_rate=0.2, alpha=0.5, coupling=0.3, dt=0.01, steps=10)
         grid = np.linspace(0.0, 2.0, 200001)
         v = effective_potential(cfg, 1.0, grid)
         argmin = grid[int(np.argmin(v))]
@@ -243,7 +249,7 @@ class TestTiltedLangevin:
         assert grid[int(np.argmin(v0))] == pytest.approx(math.sqrt(0.4), abs=1e-4)
 
     def test_effective_potential_is_even_without_tilt(self):
-        cfg = SdeConfig(growth_rate=0.2, alpha=0.5, dt=0.01, steps=10)
+        cfg = replace(SDE, growth_rate=0.2, alpha=0.5, dt=0.01, steps=10)
         xs = np.array([-1.3, -0.2, 0.2, 1.3])
         v = effective_potential(cfg, 0.0, xs)
         assert np.allclose(v, v[::-1], atol=0, rtol=0)
@@ -251,7 +257,8 @@ class TestTiltedLangevin:
 
 class TestCoupledModes:
     def test_single_mode_reaches_radius(self):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.5, alpha=0.5, dt=0.05, steps=2000, modes=1, dim=3,
             init_scale=0.01, seed=3,
         )
@@ -259,7 +266,8 @@ class TestCoupledModes:
         assert np.linalg.norm(run.final_state) == pytest.approx(1.0, abs=1e-3)
 
     def test_uncoupled_noiseless_modes_keep_direction(self):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.5, alpha=0.5, dt=0.05, steps=1000, modes=5, dim=4,
             init_scale=0.01, seed=5,
         )
@@ -270,11 +278,12 @@ class TestCoupledModes:
     def test_rejects_multimode_in_one_dimension(self):
         with pytest.raises(ValidationError):
             simulate_coupled_modes(
-                SdeConfig(growth_rate=0.1, alpha=0.1, dt=0.01, steps=10, modes=4, dim=1)
+                replace(SDE, growth_rate=0.1, alpha=0.1, dt=0.01, steps=10, modes=4, dim=1)
             )
 
     def test_non_finite_state_raises(self):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.1, alpha=0.1, noise_intensity=1e300, dt=0.01, steps=200, modes=2,
             dim=3, init_scale=0.01,
         )
@@ -282,7 +291,8 @@ class TestCoupledModes:
             simulate_coupled_modes(cfg)
 
     def test_reference_direction_is_unit_and_reproducible(self):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.1, alpha=0.1, dt=0.05, steps=20, modes=3, dim=6,
             init_scale=0.01, seed=9,
         )
@@ -320,7 +330,8 @@ class TestCoupledModes:
         # uncoupled ensemble far from the randomization time (T ~ T_rand/250);
         # the coarse growth-phase budget (d-1)/sigma_star^2 is per-coordinate,
         # so low dim keeps it honest (it inflates ~(d-2)x at large d)
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.1, alpha=0.1, coupling=0.0, noise_intensity=1e-5,
             dt=0.05, steps=2000, modes=400, dim=3, init_scale=0.05, seed=0,
         )
@@ -373,7 +384,8 @@ class TestPersistenceStats:
 
 class TestPredictPersistence:
     def test_noiseless_prediction_is_perfect_persistence(self):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.1, alpha=0.1, dt=0.05, steps=100, modes=2, dim=5,
             init_scale=0.05,
         )
@@ -395,7 +407,8 @@ class TestPredictPersistence:
         assert not pred.saturation_dominated
 
     def test_long_horizon_flags_saturation_randomization(self):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.1, alpha=0.1, coupling=0.0, noise_intensity=1e-5,
             dt=0.05, steps=2_000_000, modes=2, dim=10, init_scale=0.05,
         )
@@ -404,7 +417,7 @@ class TestPredictPersistence:
         assert pred.theta_sq > 1.0
 
     def test_requires_positive_growth(self):
-        cfg = SdeConfig(growth_rate=-0.1, alpha=0.1, dt=0.01, steps=10)
+        cfg = replace(SDE, growth_rate=-0.1, alpha=0.1, dt=0.01, steps=10)
         with pytest.raises(ValidationError):
             predict_persistence(cfg)
 
@@ -413,7 +426,8 @@ class TestPredictPersistence:
         [(5e-168, 5e-168), (0.1, 5e-168)],  # log(0); 1 / sigma_star^2 with sigma_star^2 = 0
     )
     def test_underflowing_budget_is_a_numerical_error(self, growth_rate, init_scale):
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=growth_rate, alpha=0.1, noise_intensity=1e-5, dt=0.05, steps=1,
             modes=3, dim=2, init_scale=init_scale,
         )

@@ -2,7 +2,7 @@
 
 import importlib.resources
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ import bifurc.experiments as X
 import bifurc.taxonomy as T
 from bifurc.errors import ValidationError
 from bifurc.gmm_probe import CriticalityReading
-from bifurc.sde import SdeConfig, simulate_pitchfork_1d
-from oracles import make_regime_log, recovery_rate, reference_classification
+from bifurc.sde import simulate_pitchfork_1d
+from oracles import SDE, THRESHOLDS, make_regime_log, recovery_rate, reference_classification
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"
 AXES = T.AxisReading("sub", "beta_leads", "normal")
@@ -36,19 +36,19 @@ def synth_log(ratio, lnc1, steps=None, experiment="t"):
 class TestThresholds:
     def test_guards(self):
         with pytest.raises(ValidationError):
-            T.ClassifierThresholds(decoupling_abs_corr=0.0)
+            replace(THRESHOLDS, decoupling_abs_corr=0.0)
         with pytest.raises(ValidationError):
-            T.ClassifierThresholds(smooth_window=0)
+            replace(THRESHOLDS, smooth_window=0)
         with pytest.raises(ValidationError):
-            T.ClassifierThresholds(min_readings=5)  # < 2x window
+            replace(THRESHOLDS, min_readings=5)  # < 2x window
         with pytest.raises(ValidationError):
-            T.ClassifierThresholds(plateau_fraction=-0.1)
+            replace(THRESHOLDS, plateau_fraction=-0.1)
 
     @pytest.mark.parametrize("key", ["plateau_fraction", "descent_decades", "fold_return"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_threshold_rejected(self, key, value):
         with pytest.raises(ValidationError):
-            T.ClassifierThresholds(**{key: value})
+            replace(THRESHOLDS, **{key: value})
 
 
 class TestShapeClass:
@@ -76,26 +76,26 @@ class TestClassifyContract:
                 )
             )
         with pytest.raises(ValidationError):
-            T.classify(log)
+            T.classify(log, None, THRESHOLDS)
 
     def test_needs_enough_readings(self):
         log = synth_log(np.linspace(-1, 1, 10), np.linspace(1, -1, 10))
         with pytest.raises(ValidationError):
-            T.classify(log)
+            T.classify(log, None, THRESHOLDS)
 
     def test_horizon_must_be_positive(self):
         log = synth_log(np.linspace(-1, 1, 30), np.linspace(1, -1, 30))
         with pytest.raises(ValidationError):
-            T.classify(log, horizon=0.0)
+            T.classify(log, 0.0, THRESHOLDS)
         for horizon in (math.nan, math.inf):
             with pytest.raises(ValidationError):
-                T.classify(log, horizon=horizon)
+                T.classify(log, horizon, THRESHOLDS)
             with pytest.raises(ValidationError):
-                T.classify(log, horizon=horizon).axes
+                T.classify(log, horizon, THRESHOLDS).axes
 
     def test_constant_channel_is_decoupled(self):
         log = synth_log(np.linspace(-1, 1, 40), np.zeros(40))
-        res = T.classify(log)
+        res = T.classify(log, None, THRESHOLDS)
         assert res.label == T.NO_ARC
         assert res.decoupling_corr == 0.0
 
@@ -103,7 +103,7 @@ class TestClassifyContract:
         # NC1 collapses on the way up, then stays flat while the ratio folds back
         ratio = np.concatenate([np.linspace(-0.5, 1.5, 70), np.linspace(1.4, 0.7, 30)])
         lnc1 = np.concatenate([np.linspace(1.0, -2.0, 70), np.full(30, -2.0)])
-        res = T.classify(synth_log(ratio, lnc1))
+        res = T.classify(synth_log(ratio, lnc1), None, THRESHOLDS)
         assert res.label == T.FOLD_BACK
         assert res.descent_corr == 0.0
 
@@ -111,7 +111,7 @@ class TestClassifyContract:
         # NC1 keeps rising while the ratio crosses zero and then stays at 1.0,
         # so the descent leg from the NC1 peak has no ratio spread to fit a slope on
         ratio = np.concatenate([np.linspace(-0.5, 1.0, 70), np.full(10, 1.0)])
-        res = T.classify(synth_log(ratio, np.linspace(-2.0, 1.0, 80)))
+        res = T.classify(synth_log(ratio, np.linspace(-2.0, 1.0, 80)), None, THRESHOLDS)
         assert res.label == T.FOLD_BACK
         assert res.descent_corr == 0.0
         assert res.descent_sign == 1
@@ -120,13 +120,13 @@ class TestClassifyContract:
         # coupled channels but the ratio never reaches zero
         ratio = np.linspace(-2.0, -0.2, 60)
         lnc1 = np.linspace(1.0, -1.5, 60)
-        res = T.classify(synth_log(ratio, lnc1))
+        res = T.classify(synth_log(ratio, lnc1), None, THRESHOLDS)
         assert res.indeterminate is True
         assert res.label in (T.FULL_V, T.FOLD_BACK)
 
     def test_evidence_always_finite(self):
         for regime in T.REGIMES:
-            res = T.classify(make_regime_log(regime, seed=5))
+            res = T.classify(make_regime_log(regime, seed=5), None, THRESHOLDS)
             for v in (res.descent_corr, res.plateau_fraction, res.decoupling_corr):
                 assert math.isfinite(v)
             assert res.descent_sign in (-1, 1)
@@ -139,8 +139,8 @@ class TestOnePassReading:
     def test_matches_the_two_pass_reference(self, regime, horizon):
         for seed in range(50):
             log = make_regime_log(regime, seed=seed)
-            got = asdict(T.classify(log, horizon=horizon))
-            assert got == reference_classification(log, horizon=horizon)
+            got = asdict(T.classify(log, horizon, THRESHOLDS))
+            assert got == reference_classification(log, horizon, THRESHOLDS)
 
 
 class TestRegimeRecovery:
@@ -178,7 +178,7 @@ class TestInvariances:
     def test_affine_time_rescaling(self, regime):
         log = make_regime_log(regime, seed=0)
         scaled = self.remap(log, lambda s: 3 * s + 7)
-        a, b = T.classify(log), T.classify(scaled)
+        a, b = T.classify(log, None, THRESHOLDS), T.classify(scaled, None, THRESHOLDS)
         assert a.label == b.label
         assert a.plateau_fraction == b.plateau_fraction
         assert a.descent_corr == b.descent_corr
@@ -187,7 +187,7 @@ class TestInvariances:
     def test_monotone_reindexing(self, regime):
         log = make_regime_log(regime, seed=1)
         warped = self.remap(log, lambda s: (s + 3) ** 2)
-        a, b = T.classify(log), T.classify(warped)
+        a, b = T.classify(log, None, THRESHOLDS), T.classify(warped, None, THRESHOLDS)
         assert a.label == b.label
         assert a.plateau_fraction == b.plateau_fraction
 
@@ -196,22 +196,22 @@ class TestAxisReading:
     def test_needs_enough_readings(self):
         log = synth_log(np.linspace(-1, 1, 10), np.linspace(1, -1, 10))
         with pytest.raises(ValidationError):
-            T.classify(log).axes
+            T.classify(log, None, THRESHOLDS).axes
 
     def test_full_v_axes(self):
-        ax = T.classify(make_regime_log(T.FULL_V, seed=0)).axes
+        ax = T.classify(make_regime_log(T.FULL_V, seed=0), None, THRESHOLDS).axes
         assert ax.initial_criticality == "sub"
         assert ax.rate_ordering == "beta_leads"
         assert ax.dissipation_regime == "normal"
 
     def test_fold_back_axes(self):
-        ax = T.classify(make_regime_log(T.FOLD_BACK, seed=0)).axes
+        ax = T.classify(make_regime_log(T.FOLD_BACK, seed=0), None, THRESHOLDS).axes
         assert ax.initial_criticality == "sub"
         assert ax.rate_ordering == "beta_c_leads"
         assert ax.dissipation_regime == "normal"
 
     def test_delayed_escape_axes(self):
-        ax = T.classify(make_regime_log(T.DELAYED_ESCAPE, seed=0)).axes
+        ax = T.classify(make_regime_log(T.DELAYED_ESCAPE, seed=0), None, THRESHOLDS).axes
         assert ax.initial_criticality == "sub"
         assert ax.dissipation_regime == "low"
 
@@ -219,7 +219,8 @@ class TestAxisReading:
 class TestDerivedDelayedEscape:
     def test_small_damping_langevin_run_classifies_delayed(self):
         # the quadratic tilt at gamma = 1e-4, c = 1 is the pitchfork at rate mu + gamma
-        cfg = SdeConfig(
+        cfg = replace(
+            SDE,
             growth_rate=0.01 + 1e-4, alpha=1.0, noise_intensity=1e-10,
             dt=0.05, steps=20000, modes=1, dim=1, init_scale=0.0, seed=3,
         )
@@ -230,7 +231,7 @@ class TestDerivedDelayedEscape:
         ratio = 0.01 + 0.49 * np.arange(n) / (n - 1)
         lnc1 = 1.0 - 2.5 * np.minimum(1.0, eps / 0.08) ** 2
         log = synth_log(ratio, lnc1, steps=np.arange(n) * 10)
-        res = T.classify(log)
+        res = T.classify(log, None, THRESHOLDS)
         assert res.label == T.DELAYED_ESCAPE
         assert 0.15 <= res.plateau_fraction <= 0.55
         ax = res.axes
@@ -249,12 +250,12 @@ class TestExemplarFixtures:
     )
     def test_fixture_class(self, name, label):
         log = X.read_trajectory_csv(FIXTURES / name)
-        assert T.classify(log).label == label
+        assert T.classify(log, None, THRESHOLDS).label == label
 
     def test_fixture_evidence_values(self):
-        full_v = T.classify(X.read_trajectory_csv(FIXTURES / "exemplar_full_v.csv"))
-        fold = T.classify(X.read_trajectory_csv(FIXTURES / "exemplar_fold_back.csv"))
-        ctrl = T.classify(X.read_trajectory_csv(FIXTURES / "exemplar_no_arc.csv"))
+        full_v, fold, ctrl = (
+            T.classify(X.read_trajectory_csv(FIXTURES / f"exemplar_{name}.csv"), None, THRESHOLDS)
+            for name in ("full_v", "fold_back", "no_arc"))
         assert full_v.descent_corr == pytest.approx(-0.97, abs=0.03)
         assert fold.descent_corr == pytest.approx(0.90, abs=0.03)
         assert ctrl.decoupling_corr == pytest.approx(-0.48, abs=0.03)
