@@ -21,7 +21,9 @@ all outputs embed the 12-hex config hash and the package version. Exit codes:
 written by exactly one worker and the merged summary by the parent. A command
 reads its whole configuration in the parent before it creates the output
 directory: a negative or repeated seed, or a key the command did not read, in
-a section it read from, whose text is not the command's default, exits 2.
+a section it read from, whose text is not the command's default, exits 2. A
+refusal that comes after that (exit 2) removes the directories the command
+created while they are still empty.
 """
 
 import argparse
@@ -31,6 +33,7 @@ import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
@@ -57,7 +60,7 @@ from .experiments import (
     trajectory_summary,
     write_trajectory_csv,
 )
-from .gmm_probe import ProbeConfig, beta_c, check_rates, exact_collapsed
+from .gmm_probe import ProbeConfig, beta_c, check_rates
 from .hessian import analytic_hessian, find_crossing, find_crossing_numeric, numerical_hessian
 from .mathcore import covariance
 from .sde import (
@@ -238,8 +241,7 @@ def _cmd_calibrate_hessian(cfg, ready):
     else:
         fd_bc, fd_hessians = find_crossing_numeric(k, samples, lo, hi)
         beta_ref = report.beta_critical_analytic
-        state = exact_collapsed(samples, k, math.log(beta_ref))
-        numeric = numerical_hessian(state, samples)
+        numeric = numerical_hessian(samples, k, math.log(beta_ref))
         analytic = analytic_hessian(beta_ref, k, cov)
         result.update(
             beta_critical_finite_difference=float(fd_bc),
@@ -434,7 +436,8 @@ def _pitchfork_worker(config, eps0, config_hash, job):
 
 @_quiet_overflow()
 def _cmd_sde_pitchfork(cfg, ready):
-    config = _section(cfg, SdeConfig, "sde", seed=cfg.seeds()[0], coupling=0.0)  # no coupling term
+    # the scalar normal form: no coupling term, one mode of one dimension
+    config = _section(cfg, SdeConfig, "sde", seed=cfg.seeds()[0], coupling=0.0, modes=1, dim=1)
     worker = partial(_pitchfork_worker, config, cfg.get_optional_float("sde", "eps0"),
                      cfg.config_hash)
     eps_star = float(config.epsilon_star) if config.growth_rate > 0 else 0.0
@@ -560,8 +563,11 @@ def _escape_sweep(cfg):
     """`escape sweep`'s sweep_statistics, a callable of the mapper. The cells are
     scalar, start at init_scale, run for at most [escape] horizon steps, and each
     gamma level replaces their coupling."""
+    horizon = cfg.get_int("escape", "horizon")
+    if horizon < 1:
+        raise ConfigError(f"escape.horizon must be >= 1, got {horizon}")
     cell = _section(cfg, SdeConfig, "sde", seed=cfg.seeds()[0], modes=1, dim=1, coupling=0.0,
-                    steps=cfg.get_int("escape", "horizon"))
+                    steps=horizon)
     return partial(sweep_statistics, gammas=cfg.get_float_list("escape", "gammas"),
                    seeds_per_gamma=cfg.get_int("escape", "seeds_per_gamma"), config=cell,
                    curvature=cfg.get_float("escape", "tilt_curvature"),
@@ -715,6 +721,7 @@ def _dispatch(args):
         flags=_flag_overrides(args),
     )
     cfg.seeds()  # every command validates the seed list
+    created = []  # the directories ready() made, deepest first
 
     def ready():
         """Create and return the output directory, once the command has read its
@@ -729,22 +736,32 @@ def _dispatch(args):
         if unread:
             raise ConfigError(f"{' '.join(filter(None, (args.command, sub)))} does not read "
                               f"these keys; keep them at their defaults: {', '.join(unread)}")
+        created.extend(p for p in (out_dir, *out_dir.parents) if not p.exists())
         out_dir.mkdir(parents=True, exist_ok=True)
         return out_dir
 
-    if args.command == "calibrate-hessian":
-        return _cmd_calibrate_hessian(cfg, ready)
-    if args.command == "toy":
-        return _cmd_toy(sub, cfg, ready)
-    if args.command == "sde":
-        if sub == "pitchfork":
-            return _cmd_sde_pitchfork(cfg, ready)
-        return _cmd_sde_coupled(cfg, ready)
-    if args.command == "escape":
-        if sub == "sweep":
+    try:
+        if args.command == "calibrate-hessian":
+            return _cmd_calibrate_hessian(cfg, ready)
+        if args.command == "toy":
+            return _cmd_toy(sub, cfg, ready)
+        if args.command == "sde":
+            if sub == "pitchfork":
+                return _cmd_sde_pitchfork(cfg, ready)
+            return _cmd_sde_coupled(cfg, ready)
+        if args.command == "escape":
+            if sub == "fit":
+                return _cmd_escape_fit(cfg, ready, args.input)
+            if args.input is not None:
+                raise ConfigError("escape sweep does not read --input")
             return _cmd_escape_sweep(cfg, ready)
-        return _cmd_escape_fit(cfg, ready, args.input)
-    return _cmd_classify(cfg, ready, args.input)
+        return _cmd_classify(cfg, ready, args.input)
+    except ValidationError:
+        # a refusal leaves no directory it made empty; one that a seed wrote into stays
+        for path in created:
+            with suppress(OSError):  # rmdir refuses a directory that is not empty
+                path.rmdir()
+        raise
 
 
 def main(argv=None):

@@ -30,7 +30,7 @@ sweep's gammas, seeds, threshold and curvature from [escape].
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,9 +53,8 @@ class GammaStats:
 
 @dataclass
 class SweepSummary:
-    """Per-gamma statistics plus both model fits (when fittable)."""
+    """Both model fits of a sweep's per-gamma statistics (when fittable)."""
 
-    per_gamma: List[GammaStats]
     power_law: Optional[FitReport]
     kramers: Optional[FitReport]
     delta_aic: Optional[float]
@@ -141,7 +140,7 @@ def fit_escape_models(per_gamma_stats):
     if not any(s.tau_mean is not None for s in stats):
         raise NoFitError("all sweep cells censored: nothing to fit")
     if len(fittable) < 3:
-        return SweepSummary(stats, None, None, None)
+        return SweepSummary(None, None, None)
     g = np.array([s.gamma for s in fittable])
     m = np.array([s.tau_mean for s in fittable])
     sd = np.array([s.tau_std for s in fittable])
@@ -150,7 +149,6 @@ def fit_escape_models(per_gamma_stats):
     power = fit_model("power_law", g, np.log(m), w)
     kram = fit_model("kramers_exponential", g, np.log(m), w)
     return SweepSummary(
-        per_gamma=stats,
         power_law=power,
         kramers=kram,
         delta_aic=kram.aic - power.aic,

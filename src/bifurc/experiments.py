@@ -485,7 +485,7 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
         )
         log.summary.update(fields)
     # an annealed run's state keeps the initial log precision
-    final = GmmProbeState(mu, lb, k, z.shape[1])
+    final = GmmProbeState(mu, lb)
     beta_c_hat = 1.0 / lam
     beta = None if tracker.step is None else math.exp(tracker.log_beta)
     log.summary.update({

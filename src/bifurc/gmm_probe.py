@@ -49,23 +49,21 @@ class GmmProbeState:
 
     means: np.ndarray
     log_precision: float
-    K: int
-    d: int
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
-        if self.means.shape != (self.K, self.d):
-            raise DimensionError(
-                f"means shape {self.means.shape} != (K, d) = ({self.K}, {self.d})"
-            )
-        if self.K < 1 or self.d < 1:
-            raise DimensionError("K and d must be >= 1")
+        if self.means.ndim != 2 or self.means.size == 0:
+            raise DimensionError(f"means must be K x d with K, d >= 1, got {self.means.shape}")
         if not math.isfinite(self.log_precision):
             raise DegenerateInputError("log_precision must be finite")
 
     @property
-    def beta(self):
-        return math.exp(self.log_precision)
+    def K(self):
+        return self.means.shape[0]
+
+    @property
+    def d(self):
+        return self.means.shape[1]
 
 
 @dataclass
@@ -119,14 +117,7 @@ def init_collapsed(samples, k, log_beta, rng):
     z = np.asarray(samples, dtype=float)
     spread = 1e-3 * math.sqrt(critical_spectrum(covariance(z))[0])
     mu = z.mean(axis=0) + spread * rng.standard_normal((k, z.shape[1]))
-    return GmmProbeState(mu, log_beta, k, z.shape[1])
-
-
-def exact_collapsed(samples, K, log_beta):
-    """All prototypes exactly at the sample mean (the symmetric state S0)."""
-    z = np.asarray(samples, dtype=float)
-    mu = np.tile(z.mean(axis=0), (K, 1))
-    return GmmProbeState(mu, log_beta, K, z.shape[1])
+    return GmmProbeState(mu, log_beta)
 
 
 def _check_batch(state, samples):

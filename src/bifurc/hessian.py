@@ -27,15 +27,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import BracketError, PreconditionError, ValidationError
-from .gmm_probe import (
-    _check_batch,
-    _mean_pull,
-    _precision,
-    _Workspace,
-    critical_spectrum,
-    exact_collapsed,
-)
+from .errors import BracketError, DimensionError, ValidationError
+from .gmm_probe import _mean_pull, _precision, _Workspace, critical_spectrum
 from .mathcore import check_symmetric, sym_eigen
 
 MAX_DENSE = 4096
@@ -54,8 +47,6 @@ class ChannelSpectrum:
 
     symmetric_eigenvalue: float
     antisymmetric_eigenvalues: List[Tuple[float, float, int]]
-    beta: float
-    K: int
 
 
 @dataclass
@@ -111,43 +102,36 @@ def channel_spectrum(beta, K, spatial_eigs):
     # Python floats: a huge beta overflows to -inf here without a numpy warning
     beta = float(beta)
     anti = [((beta / K) * (1.0 - beta * s), s, K - 1) for s in eigs.tolist()]
-    return ChannelSpectrum(
-        symmetric_eigenvalue=beta / K,
-        antisymmetric_eigenvalues=anti,
-        beta=beta,
-        K=K,
-    )
+    return ChannelSpectrum(symmetric_eigenvalue=beta / K, antisymmetric_eigenvalues=anti)
 
 
-def numerical_hessian(state_at_collapse, samples):
-    """Hessian of nll over the mean coordinates, by central differences of its gradient.
+def numerical_hessian(samples, K, log_beta):
+    """Hessian of nll over the mean coordinates at the collapsed state, by central
+    differences of its gradient.
 
-    The state must be exactly collapsed (every mean at the sample mean);
-    beta is held fixed at the state's value. Column i is
+    The collapsed state puts all K means at the sample mean, and beta =
+    exp(log_beta) is held fixed. Column i is
     (g(x + h_i e_i) - g(x - h_i e_i)) / (2 h_i), with g the probe kernel's
     analytic mean gradient -(beta/N)(p z - rowsum(p) mu) (Nocedal & Wright,
     Numerical Optimization, sec. 8.1): 2 K d gradient calls. Steps are
     per-coordinate, h_a = 1e-4 * std_a of the centered samples. The output is
     symmetrized.
     """
-    state = state_at_collapse
-    _check_dense(state.K, state.d)
-    z = _check_batch(state, samples)
-    zbar = z.mean(axis=0)
-    scale = max(np.max(np.abs(z - zbar)), 1.0)
-    if np.max(np.abs(state.means - zbar)) > 1e-9 * scale:
-        raise PreconditionError("numerical_hessian requires all means at the sample mean")
-    k, d = state.K, state.d
-    beta = _precision(state.log_precision)
+    z = np.asarray(samples, dtype=float)
+    if K < 1 or z.ndim != 2 or z.size == 0:
+        raise DimensionError(f"need K >= 1 and a non-empty N x d batch, got K = {K}, {z.shape}")
+    d = z.shape[1]
+    _check_dense(K, d)
+    beta = _precision(log_beta)
     std = z.std(axis=0)
-    steps = np.tile(1e-4 * np.where(std > 0, std, 1.0), k)
-    ws = _Workspace(k, z)
+    steps = np.tile(1e-4 * np.where(std > 0, std, 1.0), K)
+    ws = _Workspace(K, z)
 
     def pull(flat_means):
-        return _mean_pull(ws, flat_means.reshape(k, d), beta)[0].reshape(-1)
+        return _mean_pull(ws, flat_means.reshape(K, d), beta)[0].reshape(-1)
 
-    x0 = state.means.reshape(-1)
-    hess = np.empty((k * d, k * d))
+    x0 = np.tile(z.mean(axis=0), (K, 1)).reshape(-1)
+    hess = np.empty((K * d, K * d))
     for i, dx in enumerate(np.diag(steps)):
         hess[:, i] = (pull(x0 + dx) - pull(x0 - dx)) * (-beta / (2.0 * steps[i] * z.shape[0]))
     return (hess + hess.T) / 2.0
@@ -253,10 +237,8 @@ def find_crossing_numeric(K, samples, beta_lo, beta_hi):
     narrower than CROSSING_TOL. Returns
     (root, evaluations), evaluations being the number of Hessians built.
     """
-    z = np.asarray(samples, dtype=float)
-
     def low(beta):
-        h = numerical_hessian(exact_collapsed(z, K, math.log(beta)), z)
+        h = numerical_hessian(samples, K, math.log(beta))
         return float(sym_eigen(h).eigenvalues[-1])
 
     return _illinois(low, beta_lo, beta_hi, CROSSING_TOL)

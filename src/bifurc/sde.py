@@ -64,14 +64,18 @@ class SdeConfig:
 
     def __post_init__(self):
         # each guard is written so that a NaN fails it
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be > 0")
-        if not (self.coupling >= 0 and self.noise_intensity >= 0):
-            raise ValidationError("coupling and noise_intensity must be >= 0")
-        if not (self.dt > 0 and self.steps >= 1 and self.modes >= 1 and self.dim >= 1):
-            raise ValidationError("dt, steps, modes, dim must be positive")
-        if not 0 <= self.init_scale < math.inf:
-            raise ValidationError("init_scale must be finite and >= 0")
+        for name, holds, rule in (
+            ("alpha", self.alpha > 0, "> 0"),
+            ("coupling", self.coupling >= 0, ">= 0"),
+            ("noise_intensity", self.noise_intensity >= 0, ">= 0"),
+            ("dt", self.dt > 0, "> 0"),
+            ("steps", self.steps >= 1, ">= 1"),
+            ("modes", self.modes >= 1, ">= 1"),
+            ("dim", self.dim >= 1, ">= 1"),
+            ("init_scale", 0 <= self.init_scale < math.inf, "finite and >= 0"),
+        ):
+            if not holds:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
         # alpha*eps*^2 = mu when mu > 0, so |mu| already bounds the saturation rate
         guard = max(abs(self.growth_rate), self.coupling * self.modes)
         if not self.dt * guard <= STABILITY_LIMIT:

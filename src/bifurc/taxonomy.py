@@ -15,9 +15,10 @@ The decision procedure is: (1) the decoupling gate on whole-trajectory
 Pearson correlation; (2) the plateau test on (descent onset - crossing) /
 horizon; (3) the sign of the descent-leg slope of log10 NC1 vs log ratio,
 with the leg starting at the ratio peak when the ratio folds back by at
-least fold_return, else at the (smoothed) NC1 peak. A run that never
-crosses yet shows coupled channels is flagged indeterminate (truncated
-pre-critical segment) rather than forced into a class. The same pass reads
+least fold_return, else at the (smoothed) NC1 peak. A run whose channels
+co-move but that never crosses (a truncated pre-critical segment), or that
+crosses while NC1 never starts its descent, is flagged indeterminate rather
+than forced into a class. The same pass reads
 the three binary kinematic axes (initial criticality, rate ordering,
 dissipation regime) into the result's AxisReading.
 
@@ -84,7 +85,7 @@ class ShapeClass:
     plateau_fraction: float
     decoupling_corr: float
     axes: AxisReading
-    indeterminate: bool = False  # set for truncated pre-critical runs
+    indeterminate: bool = False  # set for a coupled run with no crossing or no descent onset
 
     def __post_init__(self):
         if self.label not in REGIMES:
@@ -154,8 +155,10 @@ def classify(log, horizon, thresholds):
     (see _plateau_fraction). thresholds is a ClassifierThresholds, which the
     command reads from [taxonomy]. The result carries its evidence (descent
     correlation and slope sign, plateau fraction, whole-trajectory decoupling
-    correlation) and the three binary kinematic axes. A coupled run with no
-    crossing is returned with indeterminate=True.
+    correlation) and the three binary kinematic axes. A coupled run that never
+    crosses, or that crosses with no descent onset, is returned with
+    indeterminate=True, its label, sign and descent_corr read from the
+    whole-trajectory correlation.
     """
     steps, ratio, lnc1 = _channels(log, thresholds, horizon)
     onset_idx, sm = _descent_onset(lnc1, thresholds)
@@ -181,7 +184,7 @@ def classify(log, horizon, thresholds):
     indeterminate = False
     if abs(decoupling) < thresholds.decoupling_abs_corr:
         label, plateau = NO_ARC, 0.0  # the evidence has no plateau; the axes read it
-    elif crossing_idx is None:
+    elif crossing_idx is None or onset_idx is None:
         label, indeterminate = FULL_V if sign < 0 else FOLD_BACK, True
     elif plateau >= thresholds.plateau_fraction:
         label = DELAYED_ESCAPE

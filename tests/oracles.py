@@ -20,6 +20,7 @@ from bifurc.errors import DegenerateInputError, ValidationError
 from bifurc.escape_lab import fit_escape_models, sweep_statistics
 from bifurc.experiments import TrajectoryLog
 from bifurc.gmm_probe import (
+    GmmProbeState,
     ProbeConfig,
     _check_batch,
     _precision,
@@ -99,6 +100,12 @@ def _nll(ws, mu, log_beta):
     )
 
 
+def exact_collapsed(samples, K, log_beta):
+    """All prototypes exactly at the sample mean (the symmetric state S0)."""
+    z = np.asarray(samples, dtype=float)
+    return GmmProbeState(np.tile(z.mean(axis=0), (K, 1)), log_beta)
+
+
 def nll(state, samples):
     """Full per-sample-mean negative log-likelihood (see the gmm_probe module docstring)."""
     z = _check_batch(state, samples)
@@ -134,10 +141,10 @@ def effective_potential(config, curvature, eps):
 
 
 def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold):
-    """Serial sweep_statistics -> fit_escape_models, the chain `escape sweep`
-    runs through its process pool."""
-    return fit_escape_models(sweep_statistics(
-        gammas, seeds_per_gamma, config, curvature, threshold, map))
+    """(stats, summary): serial sweep_statistics -> fit_escape_models, the chain
+    `escape sweep` runs through its process pool."""
+    stats = sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, map)
+    return stats, fit_escape_models(stats)
 
 
 def measured_theta_sq(run):

@@ -18,7 +18,6 @@ from bifurc.gmm_probe import (
     GmmProbeState,
     ProbeConfig,
     beta_c,
-    exact_collapsed,
     grad_step,
     init_collapsed,
     probe_step,
@@ -61,9 +60,8 @@ def test_criterion_01_hessian_calibration():
     report = find_crossing(10, cov, 0.5 * guess, 1.5 * guess)
     gap = abs(report.beta_critical_numeric - report.beta_critical_analytic)
     beta = report.beta_critical_analytic
-    state = exact_collapsed(z, 10, math.log(beta))
     deviation = float(
-        np.max(np.abs(numerical_hessian(state, z) - analytic_hessian(beta, 10, cov)))
+        np.max(np.abs(numerical_hessian(z, 10, math.log(beta)) - analytic_hessian(beta, 10, cov)))
     )
     _finish(
         1,
@@ -142,10 +140,11 @@ def test_criterion_04_fixture_refit():
 def test_criterion_05_escape_monotonicity():
     t0 = time.perf_counter()
     # the sweep `escape sweep` runs, serially
-    summary = fit_escape_models(_escape_sweep(command_config("escape", "sweep"))(mapper=map))
-    zero = [s for s in summary.per_gamma if s.gamma == 0.0][0]
+    stats = _escape_sweep(command_config("escape", "sweep"))(mapper=map)
+    summary = fit_escape_models(stats)
+    zero = [s for s in stats if s.gamma == 0.0][0]
     zero_censored = zero.tau_mean is None and zero.n_censored == 3
-    positive = [s for s in summary.per_gamma if s.gamma > 0.0]
+    positive = [s for s in stats if s.gamma > 0.0]
     means = [s.tau_mean for s in positive]
     monotone = all(m is not None for m in means) and all(
         a > b for a, b in zip(means, means[1:])
@@ -244,7 +243,7 @@ def test_criterion_09_probe_correctness():
         d = int(rng.integers(1, 5))
         n = int(rng.integers(10, 40))
         z = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
-        state = GmmProbeState(rng.standard_normal((k, d)), float(rng.uniform(-1, 1)), k, d)
+        state = GmmProbeState(rng.standard_normal((k, d)), float(rng.uniform(-1, 1)))
         cfg = ProbeConfig(lr_means=1.0, lr_logbeta=1.0)
         stepped = grad_step(state, z, cfg)
         grad_means = state.means - stepped.means
@@ -256,12 +255,12 @@ def test_criterion_09_probe_correctness():
                 up[i, a] += h
                 dn[i, a] -= h
                 fd_means[i, a] = (
-                    nll(GmmProbeState(up, state.log_precision, k, d), z)
-                    - nll(GmmProbeState(dn, state.log_precision, k, d), z)
+                    nll(GmmProbeState(up, state.log_precision), z)
+                    - nll(GmmProbeState(dn, state.log_precision), z)
                 ) / (2 * h)
         fd_logbeta = (
-            nll(GmmProbeState(state.means, state.log_precision + h, k, d), z)
-            - nll(GmmProbeState(state.means, state.log_precision - h, k, d), z)
+            nll(GmmProbeState(state.means, state.log_precision + h), z)
+            - nll(GmmProbeState(state.means, state.log_precision - h), z)
         ) / (2 * h)
         ref = max(float(np.max(np.abs(fd_means))), abs(fd_logbeta))
         err = max(float(np.max(np.abs(grad_means - fd_means))), abs(grad_logbeta - fd_logbeta))

@@ -350,6 +350,9 @@ class TestExitCodes:
          # 100 would also break the stability guard of a term that is never integrated
          ("sde pitchfork", "sde.coupling", "5"),
          ("sde pitchfork", "sde.coupling", "100"),
+         # the scalar normal form is one mode of one dimension
+         ("sde pitchfork", "sde.modes", "2"),
+         ("sde pitchfork", "sde.dim", "2"),
          ("sde coupled", "sde.eps0", "0.5"),
          *[("escape sweep", f"sde.{key}", value)
            for key, value in (("coupling", "1e-3"), ("steps", "10"), ("modes", "2"),
@@ -614,6 +617,39 @@ class TestReadsBeforeTheCheck:
         assert list(out.iterdir())
 
 
+class TestRefusalLeavesNoOutput:
+    # each is refused (exit 2) by a check that runs once --out exists: in a
+    # worker, or in the library call that follows the command's reads
+    @pytest.mark.parametrize(
+        "argv,env",
+        [(["toy", "bimodal"], {"DATA__SCALE": "-1"}),
+         (["toy", "unimodal"], {"DATA__N": "1"}),
+         (["toy", "reverse"], {"DATA__CENTER_OFFSET": "0"}),
+         (["toy", "reverse"], {"PROBE__K": "1"}),
+         (["toy", "bimodal"], {"EXPERIMENT__RECORD_EVERY": "0"}),
+         (["toy", "bimodal"], {"EXPERIMENT__STEPS": "0"}),
+         (["toy", "endogenous"], {"EXPERIMENT__LATENT_DIM": "0"}),
+         (["toy", "hierarchy"], {"EXPERIMENT__RECORD_EVERY": "0"}),
+         (["calibrate-hessian"], {"PROBE__K": "0"}),
+         (["calibrate-hessian"], {"HESSIAN__BRACKET_LO_RATIO": "2"}),
+         (["escape", "sweep"], {"ESCAPE__THRESHOLD": "1e-9"})],
+    )
+    def test_refusal_removes_the_directories_it_created(self, tmp_path, capsys, clean_env,
+                                                        argv, env):
+        for name, value in env.items():
+            clean_env.setenv(f"BIFURC_{name}", value)
+        out = tmp_path / "made" / "out"
+        assert main([*argv, "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refusal_keeps_an_existing_empty_out(self, tmp_path, clean_env):
+        clean_env.setenv("BIFURC_PROBE__K", "0")
+        assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
+        assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
+
+
 class TestClassifyCommand:
     @pytest.mark.parametrize(
         "fixture,label",
@@ -715,8 +751,7 @@ class TestEscapeCommands:
         monkeypatch.setenv("BIFURC_SDE__DT", "nan")
         monkeypatch.setenv("BIFURC_ESCAPE__HORIZON", "100")
         assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "dt" in err
+        assert capsys.readouterr().err == "error: dt must be > 0, got nan\n"
 
     @pytest.mark.parametrize("noise,seed_matters", [("1e-12", True), ("0.0", False)])
     def test_sweep_is_seeded_by_the_first_run_seed(self, tmp_path, monkeypatch, noise,
@@ -741,14 +776,21 @@ class TestEscapeCommands:
         assert "tilt_curvature" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    # a cell's step budget is its steps, which must be >= 1
+    # a cell's step budget is the horizon, which must be >= 1
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_sweep_with_non_positive_horizon_exits_2(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("BIFURC_ESCAPE__HORIZON", value)
         assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "steps" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: escape.horizon must be >= 1, got {value}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_refuses_an_input(self, tmp_path, capsys):
+        # only escape fit and classify read --input
+        out = tmp_path / "out"
+        argv = ["escape", "sweep", "--input", "nonexistent.csv", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: escape sweep does not read --input\n"
+        assert not out.exists()
 
     def test_fit_with_too_few_levels_exits_3(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
@@ -842,8 +884,25 @@ class TestSdeCommands:
         monkeypatch.setenv("BIFURC_SDE__STEPS", "200")
         assert main(["sde", command, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "init_scale" in err
+        assert err == f"error: init_scale must be finite and >= 0, got {float(value)}\n"
         assert not (tmp_path / f"sde-{command}_summary.json").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("steps", "0", "steps must be >= 1, got 0"),
+        ("dt", "-0.5", "dt must be > 0, got -0.5"),
+        ("alpha", "nan", "alpha must be > 0, got nan"),
+        ("coupling", "-1", "coupling must be >= 0, got -1.0"),
+        ("noise_intensity", "-1e-5", "noise_intensity must be >= 0, got -1e-05"),
+        ("modes", "0", "modes must be >= 1, got 0"),
+        ("dim", "0", "dim must be >= 1, got 0"),
+    ])
+    def test_bad_sde_field_is_named_with_its_value(self, tmp_path, capsys, monkeypatch, key,
+                                                   value, message):
+        monkeypatch.setenv(f"BIFURC_SDE__{key.upper()}", value)
+        out = tmp_path / "out"
+        assert main(["sde", "coupled", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("env,keys", [

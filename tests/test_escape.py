@@ -95,8 +95,8 @@ class TestMeasureEscape:
 class TestSweep:
     def test_mini_sweep_monotone_and_power_like(self):
         cfg = replace(SWEEP_CELL, steps=200_000)
-        summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, 1.0, DEFAULT_THRESHOLD)
-        means = [s.tau_mean for s in summary.per_gamma]
+        stats, summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, 1.0, DEFAULT_THRESHOLD)
+        means = [s.tau_mean for s in stats]
         assert all(m is not None for m in means)
         assert means == sorted(means, reverse=True)
         assert summary.power_law is not None
@@ -106,10 +106,10 @@ class TestSweep:
 
     def test_repeated_gamma_counts_once(self):
         args = (2, replace(SWEEP_CELL, steps=200_000), 1.0, DEFAULT_THRESHOLD)
-        plain = escape_sweep((1e-3, 3e-3, 1e-2), *args)
-        repeated = escape_sweep((1e-2, 1e-3, 1e-3, 3e-3), *args)
-        assert repeated.per_gamma == plain.per_gamma
-        assert [s.n_seeds for s in repeated.per_gamma] == [2, 2, 2]
+        plain, _ = escape_sweep((1e-3, 3e-3, 1e-2), *args)
+        repeated, _ = escape_sweep((1e-2, 1e-3, 1e-3, 3e-3), *args)
+        assert repeated == plain
+        assert [s.n_seeds for s in repeated] == [2, 2, 2]
 
     def test_all_censored_raises_no_fit(self):
         # a stub mapper stands in for the measurement: one tau (or None) per job
@@ -123,10 +123,11 @@ class TestSweep:
         for tau in (5000, 1500, 400):
             taus += [int(tau * jitter) for jitter in (0.95, 1.0, 1.05)]
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
-        summary = fit_escape_models(sweep_statistics(
-            (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, lambda fn, jobs: taus))
-        assert summary.per_gamma[0].tau_mean is None
-        assert summary.per_gamma[0].n_censored == 3
+        stats = sweep_statistics(
+            (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, lambda fn, jobs: taus)
+        summary = fit_escape_models(stats)
+        assert stats[0].tau_mean is None
+        assert stats[0].n_censored == 3
         assert summary.power_law is not None  # three clean levels remain
         assert not summary.unit_weights_used
 
@@ -135,7 +136,7 @@ class TestSweep:
                                  DEFAULT_THRESHOLD, lambda fn, jobs: [5000, 400, None])
         summary = fit_escape_models(stats)
         assert summary.power_law is None and summary.delta_aic is None
-        assert len(summary.per_gamma) == 3
+        assert len(stats) == 3
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 1e4])
     def test_curvature_outside_open_half_line_rejected(self, c):
@@ -192,8 +193,8 @@ class TestSweepCells:
         return calls
 
     def test_default_sweep_taus(self):
-        summary = escape_sweep(DEFAULT_GAMMAS, 3, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD)
-        zero, *positive = summary.per_gamma
+        stats, _ = escape_sweep(DEFAULT_GAMMAS, 3, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD)
+        zero, *positive = stats
         assert (zero.gamma, zero.tau_mean, zero.n_censored) == (0.0, None, 3)
         assert [s.tau_mean for s in positive] == [420723, 148814, 45622, 15304, 4602]
 

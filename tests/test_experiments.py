@@ -23,13 +23,12 @@ from bifurc.gmm_probe import (
     _centred,
     _joint_step,
     _Workspace,
-    exact_collapsed,
     grad_step,
     init_collapsed,
     order_parameter,
 )
 from bifurc.mathcore import covariance, sym_eigen
-from bifurc.taxonomy import NO_ARC, classify
+from bifurc.taxonomy import FOLD_BACK, NO_ARC, classify
 from oracles import (
     LOG_BETA_INIT,
     PROBE,
@@ -37,6 +36,7 @@ from oracles import (
     command_config,
     counts_within_multinomial_band,
     encoder_gd_step,
+    exact_collapsed,
     toy_dataset,
     toy_logs,
 )
@@ -695,6 +695,14 @@ class TestEndogenous:
 
     def test_nc1_channel_recorded(self, endo_log):
         assert all(r.nc1 is not None and r.nc1 > 0 for r in endo_log.readings)
+
+    def test_flat_nc1_leg_classifies_indeterminate(self, endo_log):
+        # the run crosses, but its NC1 never starts a descent: the label, sign and
+        # descent correlation are read from the whole-trajectory correlation
+        shape = classify(endo_log, None, THRESHOLDS)
+        assert (shape.label, shape.indeterminate, shape.descent_sign) == (FOLD_BACK, True, 1)
+        assert shape.descent_corr == shape.decoupling_corr == pytest.approx(0.668, abs=1e-3)
+        assert shape.plateau_fraction == 0.0
 
     def test_probe_size_invariant_critical_trace(self):
         ds = bimodal(1000, 2)

@@ -21,7 +21,6 @@ from bifurc.gmm_probe import (
     _shifted_weights,
     _Workspace,
     beta_c,
-    exact_collapsed,
     grad_step,
     init_collapsed,
     order_parameter,
@@ -29,7 +28,15 @@ from bifurc.gmm_probe import (
     split_direction,
 )
 from bifurc.mathcore import covariance
-from oracles import LOG_BETA_INIT, PROBE, _nll, max_shift_kernel, nll, responsibilities
+from oracles import (
+    LOG_BETA_INIT,
+    PROBE,
+    _nll,
+    exact_collapsed,
+    max_shift_kernel,
+    nll,
+    responsibilities,
+)
 
 
 def bimodal(n=400, seed=0, c=2.0):
@@ -60,13 +67,13 @@ class TestBetaC:
 
 class TestNll:
     def test_single_component_at_mean(self):
-        s = GmmProbeState(np.array([[1.5]]), 0.0, 1, 1)
+        s = GmmProbeState(np.array([[1.5]]), 0.0)
         assert nll(s, np.array([[1.5]])) == pytest.approx(0.5 * math.log(2 * math.pi))
 
     def test_collapsed_two_components_match_single(self):
         z = bimodal(n=50, seed=1)
-        s1 = GmmProbeState(np.array([[0.3, -0.2]]), -0.7, 1, 2)
-        s2 = GmmProbeState(np.array([[0.3, -0.2], [0.3, -0.2]]), -0.7, 2, 2)
+        s1 = GmmProbeState(np.array([[0.3, -0.2]]), -0.7)
+        s2 = GmmProbeState(np.array([[0.3, -0.2], [0.3, -0.2]]), -0.7)
         assert nll(s2, z) == pytest.approx(nll(s1, z), abs=1e-12)
 
     def test_matches_direct_density_sum(self):
@@ -75,7 +82,7 @@ class TestNll:
         z = rng.standard_normal((9, 2))
         mu = rng.standard_normal((3, 2))
         lb = 0.4
-        s = GmmProbeState(mu, lb, 3, 2)
+        s = GmmProbeState(mu, lb)
         beta = math.exp(lb)
         dens = np.zeros(9)
         for k in range(3):
@@ -85,24 +92,24 @@ class TestNll:
         assert nll(s, z) == pytest.approx(expected, abs=1e-10)
 
     def test_empty_batch_rejected(self):
-        s = GmmProbeState(np.zeros((2, 2)), 0.0, 2, 2)
+        s = GmmProbeState(np.zeros((2, 2)), 0.0)
         with pytest.raises(DimensionError):
             nll(s, np.zeros((0, 2)))
 
 
 class TestResponsibilities:
     def test_equal_means_uniform(self):
-        s = GmmProbeState(np.ones((4, 3)), 0.2, 4, 3)
+        s = GmmProbeState(np.ones((4, 3)), 0.2)
         p = responsibilities(s, np.random.default_rng(0).standard_normal((6, 3)))
         assert np.allclose(p, 0.25)
 
     def test_high_precision_one_hot(self):
-        s = GmmProbeState(np.array([[0.0], [5.0]]), math.log(200.0), 2, 1)
+        s = GmmProbeState(np.array([[0.0], [5.0]]), math.log(200.0))
         p = responsibilities(s, np.array([[0.2]]))
         assert p[0, 0] > 1.0 - 1e-12
 
     def test_symmetric_point(self):
-        s = GmmProbeState(np.array([[-1.0], [1.0]]), math.log(2.0), 2, 1)
+        s = GmmProbeState(np.array([[-1.0], [1.0]]), math.log(2.0))
         p = responsibilities(s, np.array([[0.0]]))
         assert np.allclose(p, 0.5)
 
@@ -111,7 +118,7 @@ class TestResponsibilities:
         for _ in range(25):
             k = int(rng.integers(1, 7))
             d = int(rng.integers(1, 5))
-            s = GmmProbeState(rng.standard_normal((k, d)), float(rng.normal()), k, d)
+            s = GmmProbeState(rng.standard_normal((k, d)), float(rng.normal()))
             p = responsibilities(s, rng.standard_normal((12, d)))
             assert np.all(p > 0)
             assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
@@ -126,11 +133,11 @@ def numeric_grads(state, z, h=1e-5):
             dn = state.means.copy()
             up[k, a] += h
             dn[k, a] -= h
-            su = GmmProbeState(up, state.log_precision, state.K, state.d)
-            sd = GmmProbeState(dn, state.log_precision, state.K, state.d)
+            su = GmmProbeState(up, state.log_precision)
+            sd = GmmProbeState(dn, state.log_precision)
             gm[k, a] = (nll(su, z) - nll(sd, z)) / (2 * h)
-    su = GmmProbeState(state.means, state.log_precision + h, state.K, state.d)
-    sd = GmmProbeState(state.means, state.log_precision - h, state.K, state.d)
+    su = GmmProbeState(state.means, state.log_precision + h)
+    sd = GmmProbeState(state.means, state.log_precision - h)
     gb = (nll(su, z) - nll(sd, z)) / (2 * h)
     return gm, gb
 
@@ -145,7 +152,7 @@ class TestGradStep:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal((30, 2))
-        s = GmmProbeState(rng.standard_normal((3, 2)), 0.3, 3, 2)
+        s = GmmProbeState(rng.standard_normal((3, 2)), 0.3)
         cfg = ProbeConfig(lr_means=1.0, lr_logbeta=1.0)
         s2 = grad_step(s, z, cfg)
         analytic_gm = (s.means - s2.means) / cfg.lr_means
@@ -173,15 +180,15 @@ class TestGradStep:
 
 class TestOrderParameter:
     def test_collapsed_is_zero(self):
-        assert order_parameter(GmmProbeState(np.ones((3, 2)), 0.0, 3, 2)) == 0.0
+        assert order_parameter(GmmProbeState(np.ones((3, 2)), 0.0)) == 0.0
 
     def test_symmetric_pair(self):
-        s = GmmProbeState(np.array([[-1.0], [1.0]]), 0.0, 2, 1)
+        s = GmmProbeState(np.array([[-1.0], [1.0]]), 0.0)
         assert order_parameter(s) == pytest.approx(1.0)
 
     def test_unit_square_corners(self):
         mu = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        s = GmmProbeState(mu, 0.0, 4, 2)
+        s = GmmProbeState(mu, 0.0)
         assert order_parameter(s) == pytest.approx(math.sqrt(0.5))
 
 
@@ -257,7 +264,7 @@ class TestProbeStep:
 
 
 def test_split_direction_unit_norm():
-    s = GmmProbeState(np.array([[-1.0, 0.1], [1.0, -0.1]]), 0.0, 2, 2)
+    s = GmmProbeState(np.array([[-1.0, 0.1], [1.0, -0.1]]), 0.0)
     v = split_direction(s)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
     assert abs(v[0]) > abs(v[1])
@@ -310,7 +317,7 @@ class TestKernelAgainstPerComponentReference:
         z, mu, log_beta = case
         k, d = mu.shape
         cfg = ProbeConfig(lr_means=0.05, lr_logbeta=0.02)
-        state = GmmProbeState(mu, log_beta, k, d)
+        state = GmmProbeState(mu, log_beta)
         value, p_ref, means_ref, log_beta_ref = naive_kernel(
             z, mu, log_beta, cfg.lr_means, cfg.lr_logbeta
         )
@@ -374,7 +381,7 @@ class TestScalarShiftAgainstPerSampleMax:
         if scalar:  # every exp argument in [-L, 0]
             assert e.min() >= math.exp(-SHIFT_LIMIT) and e.max() <= 1.0
 
-        state = GmmProbeState(mu, log_beta, k, d)
+        state = GmmProbeState(mu, log_beta)
         np.testing.assert_allclose(responsibilities(state, z), p_ref, rtol=0.0, atol=tol)
         nll_ref = (-lse_ref.mean() + math.log(k) + 0.5 * d * math.log(2.0 * math.pi)
                    - 0.5 * d * log_beta)

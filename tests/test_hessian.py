@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifurc.errors import BracketError, PreconditionError, ValidationError
+from bifurc.errors import BracketError, ValidationError
 from bifurc.experiments import gen_bimodal
-from bifurc.gmm_probe import GmmProbeState, beta_c, exact_collapsed
+from bifurc.gmm_probe import GmmProbeState, beta_c
 from bifurc.hessian import (
     _illinois,
     analytic_hessian,
@@ -18,7 +18,7 @@ from bifurc.hessian import (
     numerical_hessian,
 )
 from bifurc.mathcore import covariance, sym_eigen
-from oracles import flat_spectrum, nll, toy_dataset
+from oracles import exact_collapsed, flat_spectrum, nll, toy_dataset
 
 
 def bimodal(n=400, seed=0):
@@ -45,7 +45,7 @@ def nll_difference_hessian(state, z):
     e = np.diag(steps)
 
     def f(x):
-        return nll(GmmProbeState(x.reshape(k, d), state.log_precision, k, d), z)
+        return nll(GmmProbeState(x.reshape(k, d), state.log_precision), z)
 
     hess = np.empty((n, n))
     f0 = f(x0)
@@ -120,15 +120,13 @@ class TestChannelSpectrum:
 class TestNumericalHessian:
     def test_matches_analytic_on_bimodal(self):
         z = bimodal(n=500, seed=4)
-        state = exact_collapsed(z, 3, math.log(0.3))
-        num = numerical_hessian(state, z)
+        num = numerical_hessian(z, 3, math.log(0.3))
         ana = analytic_hessian(0.3, 3, covariance(z))
         assert np.max(np.abs(num - ana)) <= 1e-4
 
     def test_single_component_is_beta_identity(self):
         z = bimodal(n=300, seed=5)
-        state = exact_collapsed(z, 1, math.log(0.8))
-        num = numerical_hessian(state, z)
+        num = numerical_hessian(z, 1, math.log(0.8))
         assert np.max(np.abs(num - 0.8 * np.eye(2))) <= 1e-4
 
     def test_coupling_scales_with_data(self):
@@ -139,23 +137,16 @@ class TestNumericalHessian:
         expected = analytic_hessian(beta, k, 4.0 * cov)
         direct = analytic_hessian(beta, k, covariance(2.0 * z))
         assert np.allclose(direct, expected, atol=1e-12)
-        num = numerical_hessian(exact_collapsed(2.0 * z, k, math.log(beta)), 2.0 * z)
+        num = numerical_hessian(2.0 * z, k, math.log(beta))
         assert np.max(np.abs(num - expected)) <= 1e-4
 
     def test_oversized_hessian_is_refused_before_it_is_built(self):
         # K d = 4,098 > MAX_DENSE; unchecked, each would build a 4098 x 4098 matrix
         z = bimodal(n=3, seed=8)
         with pytest.raises(ValidationError, match=r"K\*d <= 4096, got 2049\*2"):
-            numerical_hessian(exact_collapsed(z, 2049, 0.0), z)
+            numerical_hessian(z, 2049, 0.0)
         with pytest.raises(ValidationError, match=r"K\*d <= 4096, got 2049\*2"):
             analytic_hessian(1.0, 2049, covariance(z))
-
-    def test_non_collapsed_state_rejected(self):
-        z = bimodal(n=100, seed=7)
-        state = exact_collapsed(z, 2, 0.0)
-        state.means[0, 0] += 0.5
-        with pytest.raises(PreconditionError):
-            numerical_hessian(state, z)
 
 
 class TestGradientDifferenceHessian:
@@ -169,9 +160,9 @@ class TestGradientDifferenceHessian:
     )
     def test_matches_the_nll_difference_oracle_and_the_closed_form(self, k, d, n, beta, seed):
         z = np.random.default_rng(seed).standard_normal((n, d))
-        state = exact_collapsed(z, k, math.log(beta))
-        num = numerical_hessian(state, z)
+        num = numerical_hessian(z, k, math.log(beta))
         assert np.array_equal(num, num.T)
+        state = exact_collapsed(z, k, math.log(beta))
         assert np.max(np.abs(num - nll_difference_hessian(state, z))) <= 1e-6
         assert np.max(np.abs(num - analytic_hessian(beta, k, covariance(z)))) <= 1e-4
 

@@ -108,13 +108,24 @@ class TestClassifyContract:
         assert res.descent_corr == 0.0
 
     def test_flat_final_descent_leg_has_zero_slope(self):
-        # NC1 keeps rising while the ratio crosses zero and then stays at 1.0,
-        # so the descent leg from the NC1 peak has no ratio spread to fit a slope on
+        # NC1 dips just after the ratio crosses zero (the descent onset), then
+        # climbs to its peak once the ratio has stopped at 1.0, so the descent
+        # leg from the NC1 peak has no ratio spread to fit a slope on
         ratio = np.concatenate([np.linspace(-0.5, 1.0, 70), np.full(10, 1.0)])
-        res = T.classify(synth_log(ratio, np.linspace(-2.0, 1.0, 80)), None, THRESHOLDS)
-        assert res.label == T.FOLD_BACK
+        lnc1 = np.concatenate([np.linspace(-2.0, 0.0, 25), np.linspace(-0.2, -1.0, 5),
+                               np.linspace(-1.0, 1.0, 42), np.full(8, 1.0)])
+        res = T.classify(synth_log(ratio, lnc1), None, THRESHOLDS)
+        assert (res.label, res.indeterminate) == (T.FOLD_BACK, False)
         assert res.descent_corr == 0.0
         assert res.descent_sign == 1
+
+    def test_crossing_without_descent_onset_flagged(self):
+        # NC1 keeps rising while the ratio crosses zero: there is no descent leg
+        ratio = np.concatenate([np.linspace(-0.5, 1.0, 70), np.full(10, 1.0)])
+        res = T.classify(synth_log(ratio, np.linspace(-2.0, 1.0, 80)), None, THRESHOLDS)
+        assert (res.label, res.indeterminate) == (T.FOLD_BACK, True)
+        assert res.descent_corr == res.decoupling_corr > THRESHOLDS.decoupling_abs_corr
+        assert (res.descent_sign, res.plateau_fraction) == (1, 0.0)
 
     def test_truncated_precritical_run_flagged(self):
         # coupled channels but the ratio never reaches zero
