@@ -704,9 +704,12 @@ class TestClassifyCommand:
 
 
 class TestEscapeCommands:
-    def test_fit_reproduces_bundled_report(self, tmp_path, capsys):
+    def test_fit_reproduces_bundled_report(self, tmp_path, capsys, clean_env):
         code = main(["escape", "fit", "--input", "table5.csv", "--out", str(tmp_path)])
         assert code == 0
+        # the default-config report, byte for byte
+        assert hashlib.sha256((tmp_path / "escape-fit.json").read_bytes()).hexdigest() == (
+            "736685bb19b2409bbfde3d489ac70d9950be4b8788fce2b62cbbfa08798ea9cb")
         rep = read_json(tmp_path / "escape-fit.json")
         assert rep["delta_aic"] == pytest.approx(19.26, abs=0.1)
         assert rep["power_law"]["intercept"] == pytest.approx(9.11, abs=0.01)
@@ -736,16 +739,25 @@ class TestEscapeCommands:
         first = (tmp_path / "escape-sweep.csv").read_text().splitlines()[0]
         assert "config=" in first and "version=" in first
 
-    def test_default_sweep_rows_are_pinned(self, tmp_path):
+    # the default gammas fit both models; two levels are too few, so the fit is four nulls
+    @pytest.mark.parametrize("gammas,levels,digest", [
+        (None, ((1e-4, 420723.0), (3e-4, 148814.0), (1e-3, 45622.0), (3e-3, 15304.0),
+                (1e-2, 4602.0)),
+         "d6f250d8313854a9e098419d2f25f707e574c77b8f9438d0a641c78c363c6635"),
+        ("1e-3,1e-2", ((1e-3, 45622.0), (1e-2, 4602.0)),
+         "a856cd327c0363b251b485f8de92834720f144f27fdf000a3cc0fe384717eb32"),
+    ], ids=["default", "two-level"])
+    def test_default_sweep_rows_are_pinned(self, tmp_path, clean_env, gammas, levels, digest):
         # every value of the sweep's calibration shows in these rows: a wrong one moves them
+        if gammas is not None:
+            clean_env.setenv("BIFURC_ESCAPE__GAMMAS", gammas)
         assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 0
         rows = [(s.gamma, s.tau_mean, s.tau_std, s.n_seeds, s.n_censored)
                 for s in read_sweep_csv(tmp_path / "escape-sweep.csv")]
-        assert rows == [(0.0, None, None, 3, 3)] + [
-            (gamma, tau, 0.0, 3, 0) for gamma, tau in
-            ((1e-4, 420723.0), (3e-4, 148814.0), (1e-3, 45622.0), (3e-3, 15304.0),
-             (1e-2, 4602.0))
-        ]
+        censored = [(0.0, None, None, 3, 3)] if gammas is None else []
+        assert rows == censored + [(gamma, tau, 0.0, 3, 0) for gamma, tau in levels]
+        # and the report, byte for byte
+        assert hashlib.sha256((tmp_path / "escape-sweep.json").read_bytes()).hexdigest() == digest
 
     def test_sweep_with_nan_step_size_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_SDE__DT", "nan")
