@@ -44,7 +44,13 @@ from . import __version__
 from .config import DEFAULTS, build_config
 from .csvio import run_identity, write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
-from .escape_lab import fit_escape_models, read_sweep_csv, sweep_statistics, write_sweep_csv
+from .escape_lab import (
+    fit_escape_models,
+    fitted_levels,
+    read_sweep_csv,
+    sweep_statistics,
+    write_sweep_csv,
+)
 from .experiments import (
     HIERARCHY_MAX1_STEPS,
     _quiet_overflow,
@@ -62,7 +68,7 @@ from .experiments import (
 )
 from .gmm_probe import ProbeConfig, beta_c, check_rates
 from .hessian import analytic_hessian, find_crossing, find_crossing_numeric, numerical_hessian
-from .mathcore import covariance
+from .mathcore import MAX_EIGEN_DIM, covariance
 from .sde import (
     SdeConfig,
     persistence_stats,
@@ -125,21 +131,9 @@ def _payload(config_hash, /, **fields):  # a trajectory summary repeats config_h
 
 
 def _json_fields(record):
-    """A dataclass record's fields for JSON, a non-finite float written as null."""
+    """A record's fields for JSON, nested records too; a top-level non-finite float is null."""
     return {k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in asdict(record).items()}
-
-
-def _fit_report_dict(report):
-    if report is None:
-        return None
-    return {
-        "model": report.model_kind,
-        "intercept": float(report.coefficients[0]),
-        "slope": float(report.coefficients[1]),
-        "chi_squared": float(report.chi_squared),
-        "aic": float(report.aic),
-    }
 
 
 def _resolve_input(raw):
@@ -208,8 +202,8 @@ def _cmd_calibrate_hessian(cfg, ready):
     seed = cfg.seeds()[0]
     if source == "identity":
         dim = cfg.get_int("data", "dim")
-        if dim < 1:
-            raise ConfigError("data.dim must be >= 1")
+        if not 1 <= dim <= MAX_EIGEN_DIM:  # before np.eye, whose size grows as dim**2
+            raise ConfigError(f"data.dim must be in [1, {MAX_EIGEN_DIM}], got {dim}")
         cov = np.eye(dim)
         samples = None
     else:
@@ -516,33 +510,20 @@ def _cmd_sde_coupled(cfg, ready):
 # escape
 
 
-def _fit_payload(summary):
-    return {
-        "power_law": _fit_report_dict(summary.power_law),
-        "kramers": _fit_report_dict(summary.kramers),
-        "delta_aic": None if summary.delta_aic is None else float(summary.delta_aic),
-        "unit_weights_used": bool(summary.unit_weights_used),
-    }
-
-
 def _plot_escape_fit(path, stats, summary):
-    points = [
-        (s.gamma, s.tau_mean)
-        for s in stats
-        if s.tau_mean is not None and s.gamma > 0 and s.tau_mean > 0
-    ]
+    points = fitted_levels(stats)
     if not points:
         return
-    lg = [math.log10(g) for g, _ in points]
-    lt = [math.log10(t) for _, t in points]
+    lg = [math.log10(s.gamma) for s in points]
+    lt = [math.log10(s.tau_mean) for s in points]
     series = [("measured", lg, lt)]
     if summary is not None and summary.power_law is not None:
         grid = np.linspace(min(lg), max(lg), 40)
-        a, b = summary.power_law.coefficients
+        a, b = summary.power_law.intercept, summary.power_law.slope
         series.append(
             ("power law", list(grid), [(a + b * (x * math.log(10))) / math.log(10) for x in grid])
         )
-        a, b = summary.kramers.coefficients
+        a, b = summary.kramers.intercept, summary.kramers.slope
         series.append(
             (
                 "exponential",
@@ -594,7 +575,7 @@ def _cmd_escape_sweep(cfg, ready):
     payload = {
         "experiment": "escape-sweep",
         "per_gamma": [_json_fields(s) for s in stats],
-        "fit": None if summary is None else _fit_payload(summary),
+        "fit": None if summary is None else _json_fields(summary),
         "warning": warning,
     }
     _write_json(out_dir / "escape-sweep.json", _payload(cfg.config_hash, **payload))
@@ -612,9 +593,9 @@ def _cmd_escape_fit(cfg, ready, input_arg):
     summary = fit_escape_models(stats)
     if summary.power_law is None:
         raise NoFitError("fewer than 3 uncensored gamma > 0 levels: cannot fit")
-    payload = {"experiment": "escape-fit", "input": Path(str(path)).name}
-    payload.update(_fit_payload(summary))
-    _write_json(out_dir / "escape-fit.json", _payload(cfg.config_hash, **payload))
+    payload = _payload(cfg.config_hash, experiment="escape-fit", input=Path(str(path)).name,
+                       **_json_fields(summary))
+    _write_json(out_dir / "escape-fit.json", payload)
     _plot_escape_fit(out_dir / "escape-fit.svg", stats, summary)
     print(f"wrote {out_dir / 'escape-fit.json'}")
     return 0

@@ -36,7 +36,7 @@ import numpy as np
 
 from .csvio import read_table, write_table
 from .errors import ConfigError, NoFitError, ValidationError
-from .mathcore import FitReport, fit_model
+from .mathcore import weighted_linfit
 from .sde import STABILITY_LIMIT, _langevin
 
 @dataclass
@@ -52,13 +52,29 @@ class GammaStats:
 
 
 @dataclass
+class FitReport:
+    """One escape-time model fitted to log tau, under the names its report uses.
+
+    model: "power_law" (log tau = intercept + slope log gamma) or
+    "kramers_exponential" (log tau = intercept + slope gamma). Logs are
+    natural; aic == chi_squared + 2 * 2 coefficients.
+    """
+
+    model: str
+    intercept: float
+    slope: float
+    chi_squared: float
+    aic: float
+
+
+@dataclass
 class SweepSummary:
     """Both model fits of a sweep's per-gamma statistics (when fittable)."""
 
     power_law: Optional[FitReport]
     kramers: Optional[FitReport]
     delta_aic: Optional[float]
-    unit_weights_used: bool = False
+    unit_weights_used: bool
 
 
 def measure_escape(config, curvature, threshold):
@@ -129,31 +145,34 @@ def sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, mapp
     return stats
 
 
+def fitted_levels(stats):
+    """The levels a fit reads: tau_mean set, gamma > 0 and tau_mean > 0."""
+    return [s for s in stats if s.tau_mean is not None and s.gamma > 0 and s.tau_mean > 0]
+
+
 def fit_escape_models(per_gamma_stats):
     """Model comparison on per-gamma rows (from sweep_statistics or read_sweep_csv).
 
     Raises NoFitError when every level is censored; with fewer than 3
-    uncensored gamma > 0 levels both fits are None.
+    fitted levels both fits are None.
     """
     stats = list(per_gamma_stats)
-    fittable = [s for s in stats if s.tau_mean is not None and s.gamma > 0 and s.tau_mean > 0]
+    fittable = fitted_levels(stats)
     if not any(s.tau_mean is not None for s in stats):
         raise NoFitError("all sweep cells censored: nothing to fit")
     if len(fittable) < 3:
-        return SweepSummary(None, None, None)
+        return SweepSummary(None, None, None, False)
     g = np.array([s.gamma for s in fittable])
     m = np.array([s.tau_mean for s in fittable])
     sd = np.array([s.tau_std for s in fittable])
     unit = bool(np.any(sd <= 0))
     w = np.ones_like(m) if unit else (m / sd) ** 2
-    power = fit_model("power_law", g, np.log(m), w)
-    kram = fit_model("kramers_exponential", g, np.log(m), w)
-    return SweepSummary(
-        power_law=power,
-        kramers=kram,
-        delta_aic=kram.aic - power.aic,
-        unit_weights_used=unit,
-    )
+    reports = []
+    for model, x in (("power_law", np.log(g)), ("kramers_exponential", g)):
+        a, b, chi2 = weighted_linfit(x, np.log(m), w)
+        reports.append(FitReport(model, a, b, chi2, chi2 + 2.0 * 2))
+    power, kram = reports
+    return SweepSummary(power, kram, kram.aic - power.aic, unit)
 
 
 CSV_HEADER = ["gamma", "tau_mean", "tau_std", "n_seeds", "censored"]
@@ -163,12 +182,16 @@ def read_sweep_csv(path):
     """Ingest per-gamma escape statistics from the documented CSV schema.
 
     Header: gamma,tau_mean,tau_std,n_seeds,censored. Empty tau fields mark
-    fully censored levels; censored is the count of censored seeds.
+    fully censored levels; censored is the count of censored seeds. A
+    non-finite gamma, tau_mean or tau_std is a bad row.
     """
     def parse(rec):
+        gamma = float(rec[0])
         mean = float(rec[1]) if rec[1].strip() else None
         std = float(rec[2]) if rec[2].strip() and mean is not None else None
-        return GammaStats(float(rec[0]), mean, std, int(rec[3]), int(rec[4]))
+        if not all(math.isfinite(v) for v in (gamma, mean, std) if v is not None):
+            raise ValueError
+        return GammaStats(gamma, mean, std, int(rec[3]), int(rec[4]))
 
     rows = read_table(path, CSV_HEADER, "escape CSV", parse)[1]
     if not rows:

@@ -142,59 +142,32 @@ def weighted_linfit(xs, ys, weights):
 
     Minimizes sum_i w_i (y_i - a - b x_i)^2 and returns
     (intercept a, slope b, chi_squared) with chi_squared the minimized
-    weighted residual sum. Weights must be positive; all-identical xs are a
-    singular design.
+    weighted residual sum. xs and ys must be finite and weights positive;
+    all-identical xs are a singular design. A fit whose sums overflow the
+    float range raises NumericalError, and numpy warns nothing.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+    x, y = _finite_pair(xs, ys, "weighted_linfit")
     w = np.asarray(weights, dtype=float)
-    if not (x.shape == y.shape == w.shape) or x.ndim != 1:
-        raise DimensionError("weighted_linfit needs three equal-length 1-D sequences")
+    if w.shape != x.shape:
+        raise DimensionError("weighted_linfit needs one weight per point")
     if x.size < 3:
         raise DimensionError(f"weighted_linfit needs length >= 3, got {x.size}")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValidationError("weights must be positive and finite")
-    s = w.sum()
-    sx = np.sum(w * x)
-    sy = np.sum(w * y)
-    sxx = np.sum(w * x * x)
-    sxy = np.sum(w * x * y)
-    det = s * sxx - sx * sx
-    scale = s * sxx if s * sxx > 0 else 1.0
-    if abs(det) <= 1e-14 * scale:
-        raise DegenerateInputError("singular design: xs carry no spread")
-    b = (s * sxy - sx * sy) / det
-    a = (sy - b * sx) / s
-    r = y - a - b * x
-    chi2 = float(np.sum(w * r * r))
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite value, refused below
+        s = w.sum()
+        sx = np.sum(w * x)
+        sy = np.sum(w * y)
+        sxx = np.sum(w * x * x)
+        sxy = np.sum(w * x * y)
+        det = s * sxx - sx * sx
+        scale = s * sxx if s * sxx > 0 else 1.0
+        if scale < np.inf and abs(det) <= 1e-14 * scale:
+            raise DegenerateInputError("singular design: xs carry no spread")
+        b = (s * sxy - sx * sy) / det
+        a = (sy - b * sx) / s
+        r = y - a - b * x
+        chi2 = float(np.sum(w * r * r))
+    if not np.isfinite([scale, a, b, chi2]).all():
+        raise NumericalError("weighted_linfit: the fit overflows the float range")
     return float(a), float(b), chi2
-
-
-@dataclass
-class FitReport:
-    """A fitted two-coefficient escape-time model.
-
-    model_kind: "power_law" (log tau = a + b log gamma) or
-    "kramers_exponential" (log tau = a + b gamma). Logs are natural.
-    aic == chi_squared + 2 * number of coefficients.
-    """
-
-    model_kind: str
-    coefficients: tuple
-    chi_squared: float
-    aic: float
-
-
-def fit_model(model_kind, gammas, log_taus, weights):
-    """Fit one of the two escape-time models and assemble its FitReport."""
-    g = np.asarray(gammas, dtype=float)
-    if model_kind == "power_law":
-        if np.any(g <= 0):
-            raise ValidationError("power_law fit needs gamma > 0")
-        x = np.log(g)
-    elif model_kind == "kramers_exponential":
-        x = g
-    else:
-        raise ValidationError(f"unknown model_kind {model_kind!r}")
-    a, b, chi2 = weighted_linfit(x, log_taus, weights)
-    return FitReport(model_kind, (a, b), chi2, chi2 + 2.0 * 2)

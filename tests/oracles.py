@@ -328,7 +328,7 @@ def _reference_shape(log, horizon, thresholds):
         return dict(record, label=NO_ARC)
     crossing_hits = np.nonzero(ratio >= 0.0)[0]
     onset_idx, sm = _descent_onset(lnc1, thresholds)
-    if len(crossing_hits) == 0:
+    if len(crossing_hits) == 0 or onset_idx is None:  # no crossing, or no descent after it
         return dict(record, label=FULL_V if decoupling < 0 else FOLD_BACK, indeterminate=True)
     plateau = _plateau_fraction(steps, onset_idx, int(crossing_hits[0]), horizon)
     if plateau >= thresholds.plateau_fraction:
@@ -343,7 +343,10 @@ def _reference_shape(log, horizon, thresholds):
         descent_corr = pearson(leg_r, leg_n)
     except DegenerateInputError:
         descent_corr = 0.0
-    _, slope, _ = weighted_linfit(leg_r, leg_n, np.ones(len(leg_r)))
+    try:
+        _, slope, _ = weighted_linfit(leg_r, leg_n, np.ones(len(leg_r)))
+    except DegenerateInputError:  # a flat leg has no slope
+        slope = 0.0
     sign = 1 if (slope > 0 or (slope == 0 and descent_corr >= 0)) else -1
     return dict(label=FOLD_BACK if sign > 0 else FULL_V, descent_corr=descent_corr,
                 descent_sign=sign, plateau_fraction=plateau, decoupling_corr=decoupling,

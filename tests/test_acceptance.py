@@ -117,12 +117,12 @@ def test_criterion_04_fixture_refit():
     summary = fit_escape_models(stats)
     p, k = summary.power_law, summary.kramers
     checks = [
-        abs(p.coefficients[0] - 9.11) <= 0.01,
-        abs(p.coefficients[1] - (-1.225)) <= 0.005,
+        abs(p.intercept - 9.11) <= 0.01,
+        abs(p.slope - (-1.225)) <= 0.005,
         abs(p.chi_squared - 1.52) <= 0.02,
         abs(p.aic - 5.52) <= 0.02,
-        abs(k.coefficients[0] - 11.65) <= 0.02,
-        abs(k.coefficients[1] - (-2.631)) <= 0.01,
+        abs(k.intercept - 11.65) <= 0.02,
+        abs(k.slope - (-2.631)) <= 0.01,
         abs(k.chi_squared - 20.78) <= 0.1,
         abs(summary.delta_aic - 19.26) <= 0.1,
     ]
@@ -131,8 +131,8 @@ def test_criterion_04_fixture_refit():
         1.0,
         t0,
         all(checks),
-        f"power ({p.coefficients[0]:.3f}, {p.coefficients[1]:.4f}, chi2 {p.chi_squared:.3f}, "
-        f"aic {p.aic:.3f}); exponential ({k.coefficients[0]:.3f}, {k.coefficients[1]:.3f}, "
+        f"power ({p.intercept:.3f}, {p.slope:.4f}, chi2 {p.chi_squared:.3f}, "
+        f"aic {p.aic:.3f}); exponential ({k.intercept:.3f}, {k.slope:.3f}, "
         f"chi2 {k.chi_squared:.2f}); delta_aic {summary.delta_aic:.2f}",
     )
 
@@ -149,7 +149,7 @@ def test_criterion_05_escape_monotonicity():
     monotone = all(m is not None for m in means) and all(
         a > b for a, b in zip(means, means[1:])
     )
-    exponent = abs(float(summary.power_law.coefficients[1]))
+    exponent = abs(summary.power_law.slope)
     _finish(
         5,
         300.0,

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -433,11 +434,15 @@ class TestExitCodes:
         assert err.startswith("error:") and name in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch):
+    # above sym_eigen's d <= 4096 the identity is refused before it is built
+    @pytest.mark.parametrize("dim", ["0", "4097", "99999999999999999999"])
+    def test_zero_dim_identity_hessian_exits_2(self, tmp_path, capsys, monkeypatch, dim):
         monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", "identity")
-        monkeypatch.setenv("BIFURC_DATA__DIM", "0")
-        assert main(["calibrate-hessian", "--out", str(tmp_path)]) == 2
+        monkeypatch.setenv("BIFURC_DATA__DIM", dim)
+        out = tmp_path / "out"
+        assert main(["calibrate-hessian", "--out", str(out)]) == 2
         assert "data.dim" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_hessian_exits_2_before_building_it(self, tmp_path, capsys, monkeypatch):
         # K d = 4,098: each finite-difference Hessian would take 8,196 gradient calls
@@ -813,6 +818,22 @@ class TestEscapeCommands:
         )
         code = main(["escape", "fit", "--input", str(csv), "--out", str(tmp_path)])
         assert code == 3
+
+    # a non-finite field is a bad row (2); a fit whose sums overflow is a numerical failure (3)
+    @pytest.mark.parametrize("rows,code", [
+        (["1e200,100.0,1.0,3,0", "2e200,50.0,1.0,3,0", "3e200,20.0,1.0,3,0"], 3),
+        (["1e-3,100.0,1.0,3,0", "inf,50.0,1.0,3,0", "0.1,20.0,1.0,3,0", "1,10.0,1.0,3,0"], 2),
+        (["1e-3,100.0,1.0,3,0", "1e-2,50.0,1.0,3,0", "0.1,20.0,1.0,3,0",
+          "1e308,10.0,1.0,3,0"], 3),
+    ], ids=["gammas-1e200", "gamma-inf", "gamma-1e308"])
+    def test_fit_off_the_floats_writes_no_report(self, tmp_path, capsys, rows, code):
+        csv = tmp_path / "levels.csv"
+        csv.write_text("gamma,tau_mean,tau_std,n_seeds,censored\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["escape", "fit", "--input", str(csv), "--out", str(tmp_path)]) == code
+        assert not (tmp_path / "escape-fit.json").exists()
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestSdeCommands:

@@ -101,7 +101,7 @@ class TestSweep:
         assert means == sorted(means, reverse=True)
         assert summary.power_law is not None
         # mu << gamma, so tau ~ ln(theta/sigma0)/gamma: slope near -1
-        assert summary.power_law.coefficients[1] == pytest.approx(-1.0, abs=0.1)
+        assert summary.power_law.slope == pytest.approx(-1.0, abs=0.1)
         assert summary.unit_weights_used  # deterministic repeats have zero spread
 
     def test_repeated_gamma_counts_once(self):
@@ -160,7 +160,7 @@ class TestSweep:
         tau = 2000.0 * g**-1.2
         stats = [GammaStats(gi, ti, 0.05 * ti, 3, 0) for gi, ti in zip(g, tau)]
         summary = fit_escape_models(stats)
-        a, b = summary.power_law.coefficients
+        a, b = summary.power_law.intercept, summary.power_law.slope
         assert a == pytest.approx(math.log(2000.0), abs=1e-10)
         assert b == pytest.approx(-1.2, abs=1e-10)
         assert summary.power_law.chi_squared == pytest.approx(0.0, abs=1e-16)
@@ -232,12 +232,12 @@ class TestReferenceRefit:
     def test_reference_statistics_model_comparison(self):
         stats = read_sweep_csv(TABLE5)
         summary = fit_escape_models(stats)
-        pa, pb = summary.power_law.coefficients
+        pa, pb = summary.power_law.intercept, summary.power_law.slope
         assert pa == pytest.approx(9.1102, abs=0.01)
         assert pb == pytest.approx(-1.2253, abs=0.005)
         assert summary.power_law.chi_squared == pytest.approx(1.5183, abs=0.02)
         assert summary.power_law.aic == pytest.approx(5.5183, abs=0.02)
-        ka, kb = summary.kramers.coefficients
+        ka, kb = summary.kramers.intercept, summary.kramers.slope
         assert ka == pytest.approx(11.6509, abs=0.02)
         assert kb == pytest.approx(-2.6313, abs=0.01)
         assert summary.kramers.chi_squared == pytest.approx(20.7823, abs=0.1)
@@ -247,7 +247,7 @@ class TestReferenceRefit:
     def test_power_law_extrapolation_at_low_dissipation(self):
         stats = read_sweep_csv(TABLE5)
         summary = fit_escape_models(stats)
-        a, b = summary.power_law.coefficients
+        a, b = summary.power_law.intercept, summary.power_law.slope
         tau_01 = math.exp(a + b * math.log(0.1))
         assert tau_01 == pytest.approx(151_987, rel=0.01)
 
@@ -274,6 +274,13 @@ class TestCsvRoundtrip:
         p = tmp_path / "bad.csv"
         p.write_text("gamma,tau,std\n0.1,1,1\n")
         with pytest.raises(ValidationError):
+            read_sweep_csv(p)
+
+    @pytest.mark.parametrize("row", ["nan,10.0,1.0,3,0", "0.1,inf,1.0,3,0", "0.1,10.0,-inf,3,0"])
+    def test_rejects_non_finite_field(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"gamma,tau_mean,tau_std,n_seeds,censored\n{row}\n")
+        with pytest.raises(ValidationError, match="bad escape CSV row"):
             read_sweep_csv(p)
 
     def test_rejects_empty_file(self, tmp_path):

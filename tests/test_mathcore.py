@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,11 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bifurc.errors import DegenerateInputError, DimensionError, NumericalError, ValidationError
+from bifurc.escape_lab import FitReport, GammaStats, fit_escape_models
 from bifurc.mathcore import (
-    FitReport,
     _ranks,
     covariance,
-    fit_model,
     pearson,
     spearman,
     sym_eigen,
@@ -231,6 +231,20 @@ class TestWeightedLinfit:
         with pytest.raises(ValidationError):
             weighted_linfit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
 
+    def test_non_finite_or_overflowing_fit_refused_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValidationError, match="finite") as exc:
+                    weighted_linfit([1.0, bad, 3.0], [1.0, 2.0, 3.0], np.ones(3))
+                assert not isinstance(exc.value, DegenerateInputError)
+                with pytest.raises(ValidationError, match="finite"):
+                    weighted_linfit([1.0, 2.0, 3.0], [1.0, bad, 3.0], np.ones(3))
+            # finite xs whose squares overflow, their sum too or cancelling
+            for xs in ([1e200, 2e200, 3e200], [-1e200, 0.0, 1e200]):
+                with pytest.raises(NumericalError, match="overflows"):
+                    weighted_linfit(xs, [1.0, 2.0, 3.0], np.ones(3))
+
     def test_relative_error_weighted_power_law(self):
         g = np.array([p[0] for p in SWEEP_POINTS])
         m = np.array([p[1] for p in SWEEP_POINTS])
@@ -259,25 +273,20 @@ class TestWeightedLinfit:
 
 class TestFitModel:
     def test_aic_is_chi2_plus_4(self):
-        g = np.array([p[0] for p in SWEEP_POINTS])
-        m = np.array([p[1] for p in SWEEP_POINTS])
-        s = np.array([p[2] for p in SWEEP_POINTS])
-        rep = fit_model("power_law", g, np.log(m), (m / s) ** 2)
-        assert isinstance(rep, FitReport)
+        summary = fit_escape_models([GammaStats(g, m, s, 3, 0) for g, m, s in SWEEP_POINTS])
+        rep = summary.power_law
+        assert isinstance(rep, FitReport) and rep.model == "power_law"
         assert rep.aic == pytest.approx(rep.chi_squared + 4.0, abs=1e-12)
 
     def test_kramers_uses_linear_gamma(self):
-        # data lying exactly on log tau = 9 - gamma
+        # data lying exactly on log tau = 9 - gamma; a zero tau_std gives unit weights
         g = np.array([0.1, 0.3, 0.5, 1.0])
-        y = 9.0 - g
-        rep = fit_model("kramers_exponential", g, y, np.ones(4))
+        summary = fit_escape_models([GammaStats(gi, math.exp(9.0 - gi), 0.0, 3, 0) for gi in g])
+        rep = summary.kramers
+        assert summary.unit_weights_used and rep.model == "kramers_exponential"
         assert rep.chi_squared == pytest.approx(0.0, abs=1e-20)
-        assert rep.coefficients[0] == pytest.approx(9.0)
-        assert rep.coefficients[1] == pytest.approx(-1.0)
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValidationError):
-            fit_model("cubic", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert rep.intercept == pytest.approx(9.0)
+        assert rep.slope == pytest.approx(-1.0)
 
 
 def test_pearson_constant_rejected():

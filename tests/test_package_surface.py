@@ -18,6 +18,7 @@ import pytest
 
 import bifurc
 from bifurc.config import DEFAULTS
+from bifurc.escape_lab import FitReport, SweepSummary
 from bifurc.gmm_probe import ProbeConfig
 from bifurc.sde import PersistencePrediction, SdeConfig
 from bifurc.taxonomy import AxisReading, ClassifierThresholds, ShapeClass
@@ -26,7 +27,9 @@ from bifurc.taxonomy import AxisReading, ClassifierThresholds, ShapeClass
 OUTSIDE_CALLERS = {"probe_step", "CriticalityReading.degenerate", "SdeRunResult.final_state"}
 # the fields of the records the CLI writes whole (cli._json_fields), which no attribute reads
 WRITTEN_WHOLE = {f"{cls.__name__}.{f.name}"
-                 for cls in (PersistencePrediction, ShapeClass, AxisReading) for f in fields(cls)}
+                 for cls in (PersistencePrediction, ShapeClass, AxisReading, SweepSummary,
+                             FitReport)
+                 for f in fields(cls)}
 # RunConfig's typed readers: a value read from the table outside the CLI is a second
 # place where a command's calibration can live
 TYPED_READERS = {"get_int", "get_float", "get_optional_float", "get_float_list", "get_choice",

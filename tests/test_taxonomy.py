@@ -33,6 +33,22 @@ def synth_log(ratio, lnc1, steps=None, experiment="t"):
     return log
 
 
+def flat_leg_log():
+    # NC1 dips just after the ratio crosses zero (the descent onset), then
+    # climbs to its peak once the ratio has stopped at 1.0, so the descent
+    # leg from the NC1 peak has no ratio spread to fit a slope on
+    ratio = np.concatenate([np.linspace(-0.5, 1.0, 70), np.full(10, 1.0)])
+    lnc1 = np.concatenate([np.linspace(-2.0, 0.0, 25), np.linspace(-0.2, -1.0, 5),
+                           np.linspace(-1.0, 1.0, 42), np.full(8, 1.0)])
+    return synth_log(ratio, lnc1)
+
+
+def no_onset_log():
+    # NC1 keeps rising while the ratio crosses zero: there is no descent leg
+    ratio = np.concatenate([np.linspace(-0.5, 1.0, 70), np.full(10, 1.0)])
+    return synth_log(ratio, np.linspace(-2.0, 1.0, 80))
+
+
 class TestThresholds:
     def test_guards(self):
         with pytest.raises(ValidationError):
@@ -108,21 +124,13 @@ class TestClassifyContract:
         assert res.descent_corr == 0.0
 
     def test_flat_final_descent_leg_has_zero_slope(self):
-        # NC1 dips just after the ratio crosses zero (the descent onset), then
-        # climbs to its peak once the ratio has stopped at 1.0, so the descent
-        # leg from the NC1 peak has no ratio spread to fit a slope on
-        ratio = np.concatenate([np.linspace(-0.5, 1.0, 70), np.full(10, 1.0)])
-        lnc1 = np.concatenate([np.linspace(-2.0, 0.0, 25), np.linspace(-0.2, -1.0, 5),
-                               np.linspace(-1.0, 1.0, 42), np.full(8, 1.0)])
-        res = T.classify(synth_log(ratio, lnc1), None, THRESHOLDS)
+        res = T.classify(flat_leg_log(), None, THRESHOLDS)
         assert (res.label, res.indeterminate) == (T.FOLD_BACK, False)
         assert res.descent_corr == 0.0
         assert res.descent_sign == 1
 
     def test_crossing_without_descent_onset_flagged(self):
-        # NC1 keeps rising while the ratio crosses zero: there is no descent leg
-        ratio = np.concatenate([np.linspace(-0.5, 1.0, 70), np.full(10, 1.0)])
-        res = T.classify(synth_log(ratio, np.linspace(-2.0, 1.0, 80)), None, THRESHOLDS)
+        res = T.classify(no_onset_log(), None, THRESHOLDS)
         assert (res.label, res.indeterminate) == (T.FOLD_BACK, True)
         assert res.descent_corr == res.decoupling_corr > THRESHOLDS.decoupling_abs_corr
         assert (res.descent_sign, res.plateau_fraction) == (1, 0.0)
@@ -152,6 +160,14 @@ class TestOnePassReading:
             log = make_regime_log(regime, seed=seed)
             got = asdict(T.classify(log, horizon, THRESHOLDS))
             assert got == reference_classification(log, horizon, THRESHOLDS)
+
+    # the generator writes neither: a descent leg with no ratio spread, a crossing with no onset
+    @pytest.mark.parametrize("horizon", [None, 5000.0])
+    @pytest.mark.parametrize("make_log", [flat_leg_log, no_onset_log])
+    def test_matches_the_reference_off_the_generator(self, make_log, horizon):
+        log = make_log()
+        got = asdict(T.classify(log, horizon, THRESHOLDS))
+        assert got == reference_classification(log, horizon, THRESHOLDS)
 
 
 class TestRegimeRecovery:
