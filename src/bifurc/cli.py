@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import asdict, fields, replace
 from functools import partial
@@ -154,6 +153,9 @@ def _parallel_map(fn, jobs):
     jobs = list(jobs)
     if len(jobs) <= 1:
         return [fn(j) for j in jobs]
+    # imported here, so that a single-job command does not pay for the pool's import
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
     workers = min(len(jobs), os.cpu_count() or 1)
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -18,14 +18,14 @@ cell's tilt U = -(1/2) c eps^2 is a rate term, not a third system: it adds
 gamma c eps to the drift, so the cell is the pitchfork at rate mu + gamma c.
 The stepper draws g in chunks of one recording interval, or 65,536 when
 nothing is recorded (the same stream as one draw per step), draws nothing
-when D = 0, and can stop at the first step with |eps| >= threshold. A
-non-finite state at a chunk end, or at a recorded coupled-mode state,
-raises NumericalError.
+when D = 0, and can stop at the first step with |eps| >= threshold.
 
-Paths are decimated to at most ~2000 recorded states. The coupled-mode
-simulator also draws a fixed random unit reference direction (after the
-initial condition, before the path noise) used by the scalar-projection
-persistence proxy.
+The pitchfork's path is decimated to at most ~2000 recorded states; the
+coupled-mode run keeps only its start and end states, and draws a fixed
+random unit reference direction (after the initial condition, before the
+path noise) for the scalar-projection persistence proxy. A non-finite
+state at a scalar chunk end, or at a coupled-mode check (the start, every
+_decimation(steps) steps and the last step), raises NumericalError.
 """
 
 import math
@@ -39,6 +39,11 @@ from .errors import DegenerateInputError, NumericalError, ValidationError
 from .mathcore import spearman
 
 STABILITY_LIMIT = 0.2
+# A K x d float64 state of 2**22 entries is 32 MiB, and a coupled-mode step holds
+# about six arrays of that size (the start, the state, the drift, the coupling
+# product, the noise draw and a temporary), so the largest run allowed needs
+# about 200 MB. The Gram matrix, min(K, d)^2 entries, is never larger than a state.
+MAX_MODE_ENTRIES = 2**22
 
 
 @dataclass
@@ -76,6 +81,9 @@ class SdeConfig:
         ):
             if not holds:
                 raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
+        if self.modes * self.dim > MAX_MODE_ENTRIES:  # before a simulator allocates the state
+            raise ValidationError(f"modes * dim must be <= {MAX_MODE_ENTRIES}, got "
+                                  f"modes = {self.modes}, dim = {self.dim}")
         # alpha*eps*^2 = mu when mu > 0, so |mu| already bounds the saturation rate
         guard = max(abs(self.growth_rate), self.coupling * self.modes)
         if not self.dt * guard <= STABILITY_LIMIT:
@@ -94,7 +102,8 @@ class SdeConfig:
 
 @dataclass
 class SdeRunResult:
-    """Decimated path of one simulation; its last sample is the final state."""
+    """Recorded states of one run, the last being its final state: the pitchfork's
+    decimated path, or the coupled modes' start and end (times 0 and steps*dt)."""
 
     times: np.ndarray  # strictly increasing recorded times
     path_samples: np.ndarray  # (n_rec, modes, dim)
@@ -127,11 +136,9 @@ def _decimation(steps):
     return max(1, steps // 2000)
 
 
-def _record(times, samples, step, dt, state):
+def _check_finite(state, step):
     if not np.isfinite(state).all():
         raise NumericalError(f"coupled-mode state is not finite by step {step}")
-    times.append(step * dt)
-    samples.append(state.copy())
 
 
 def simulate_pitchfork_1d(config, eps0=None):
@@ -183,8 +190,9 @@ def simulate_coupled_modes(config):
     """K modes in R^d with cubic self-saturation and inter-mode coupling.
 
     Initial condition: every entry of the K x d mode matrix i.i.d.
-    N(0, init_scale^2). Coupling uses the Gram matrix G = E E^T:
-    the j != k sum equals G E - ||eps_k||^2 eps_k row-wise.
+    N(0, init_scale^2). The j != k coupling sum is (E E^T) E - ||eps_k||^2 eps_k
+    row-wise, taken through the smaller Gram matrix: E (E^T E) when modes >= dim.
+    Only the start and end states are kept.
     """
     if config.dim < 2 and config.modes > 1:
         raise ValidationError("coupled modes require dim >= 2")
@@ -197,25 +205,24 @@ def simulate_coupled_modes(config):
         config.noise_intensity,
         config.dt,
     )
-    e = config.init_scale * rng.standard_normal((k, d))
+    e0 = e = config.init_scale * rng.standard_normal((k, d))
     ref = rng.standard_normal(d)
     ref /= np.linalg.norm(ref)
     amp = math.sqrt(2.0 * d_noise * dt)
     dec = _decimation(config.steps)
-    times, samples = [], []
-    _record(times, samples, 0, dt, e)
+    _check_finite(e0, 0)
     for n in range(1, config.steps + 1):
         nr2 = np.einsum("kd,kd->k", e, e)
         drift = mu * e - al * nr2[:, None] * e
         if ga != 0.0 and k > 1:
-            gram = e @ e.T
-            drift -= ga * (gram @ e - nr2[:, None] * e)
+            shared = e @ (e.T @ e) if k >= d else (e @ e.T) @ e
+            drift -= ga * (shared - nr2[:, None] * e)
         e = e + dt * drift
         if amp > 0.0:
             e += amp * rng.standard_normal((k, d))
         if n % dec == 0 or n == config.steps:
-            _record(times, samples, n, dt, e)
-    return SdeRunResult(np.asarray(times), np.asarray(samples), ref)
+            _check_finite(e, n)
+    return SdeRunResult(np.array([0.0, config.steps * dt]), np.stack([e0, e]), ref)
 
 
 @dataclass

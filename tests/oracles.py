@@ -16,7 +16,7 @@ from bifurc.cli import (
     _toy_protocol,
 )
 from bifurc.config import RunConfig, build_config
-from bifurc.errors import DegenerateInputError, ValidationError
+from bifurc.errors import DegenerateInputError, NumericalError, ValidationError
 from bifurc.escape_lab import fit_escape_models, sweep_statistics
 from bifurc.experiments import TrajectoryLog
 from bifurc.gmm_probe import (
@@ -28,7 +28,7 @@ from bifurc.gmm_probe import (
     _Workspace,
 )
 from bifurc.mathcore import pearson, weighted_linfit
-from bifurc.sde import SdeConfig, persistence_stats
+from bifurc.sde import SdeConfig, SdeRunResult, _decimation, persistence_stats
 from bifurc.taxonomy import (
     DELAYED_ESCAPE,
     FOLD_BACK,
@@ -145,6 +145,58 @@ def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold):
     `escape sweep` runs through its process pool."""
     stats = sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, map)
     return stats, fit_escape_models(stats)
+
+
+# Reference coupled-mode stepper: the K x K Gram matrix on every step, and every
+# decimated state recorded. The package's stepper keeps only the start and end
+# states and takes the smaller Gram matrix, so it must match this one's start and
+# reference direction exactly and its end state to roundoff.
+
+
+def _record(times, samples, step, dt, state):
+    if not np.isfinite(state).all():
+        raise NumericalError(f"coupled-mode state is not finite by step {step}")
+    times.append(step * dt)
+    samples.append(state.copy())
+
+
+def simulate_coupled_modes(config):
+    """K modes in R^d with cubic self-saturation and inter-mode coupling.
+
+    Initial condition: every entry of the K x d mode matrix i.i.d.
+    N(0, init_scale^2). Coupling uses the Gram matrix G = E E^T:
+    the j != k sum equals G E - ||eps_k||^2 eps_k row-wise.
+    """
+    if config.dim < 2 and config.modes > 1:
+        raise ValidationError("coupled modes require dim >= 2")
+    rng = np.random.default_rng(config.seed)
+    k, d = config.modes, config.dim
+    mu, al, ga, d_noise, dt = (
+        config.growth_rate,
+        config.alpha,
+        config.coupling,
+        config.noise_intensity,
+        config.dt,
+    )
+    e = config.init_scale * rng.standard_normal((k, d))
+    ref = rng.standard_normal(d)
+    ref /= np.linalg.norm(ref)
+    amp = math.sqrt(2.0 * d_noise * dt)
+    dec = _decimation(config.steps)
+    times, samples = [], []
+    _record(times, samples, 0, dt, e)
+    for n in range(1, config.steps + 1):
+        nr2 = np.einsum("kd,kd->k", e, e)
+        drift = mu * e - al * nr2[:, None] * e
+        if ga != 0.0 and k > 1:
+            gram = e @ e.T
+            drift -= ga * (gram @ e - nr2[:, None] * e)
+        e = e + dt * drift
+        if amp > 0.0:
+            e += amp * rng.standard_normal((k, d))
+        if n % dec == 0 or n == config.steps:
+            _record(times, samples, n, dt, e)
+    return SdeRunResult(np.asarray(times), np.asarray(samples), ref)
 
 
 def measured_theta_sq(run):

@@ -937,6 +937,20 @@ class TestSdeCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,modes,dim", [
+        ("MODES", "99999999999999999999", "10"),
+        ("DIM", "50", "99999999999999999999"),
+    ])
+    def test_oversized_state_exits_2(self, tmp_path, capsys, monkeypatch, key, modes, dim):
+        # without coupling, the stability guard's dt * coupling * modes does not bound modes
+        monkeypatch.setenv("BIFURC_SDE__COUPLING", "0")
+        monkeypatch.setenv(f"BIFURC_SDE__{key}", "99999999999999999999")
+        out = tmp_path / "out"
+        assert main(["sde", "coupled", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: modes * dim must be <= 4194304, got modes = {modes}, dim = {dim}\n")
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("env,keys", [
         ({"BIFURC_SDE__GROWTH_RATE": "0"}, ["sde.growth_rate"]),

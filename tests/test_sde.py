@@ -1,13 +1,18 @@
 """Integrator correctness, mirror symmetry, persistence statistics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
+from bifurc.cli import _section
 from bifurc.errors import DegenerateInputError, NumericalError, ValidationError
 from bifurc.sde import (
+    MAX_MODE_ENTRIES,
+    SdeConfig,
     SdeRunResult,
     _langevin,
     persistence_stats,
@@ -15,7 +20,13 @@ from bifurc.sde import (
     simulate_coupled_modes,
     simulate_pitchfork_1d,
 )
-from oracles import SDE, effective_potential, mean_abs_pair_overlap, measured_theta_sq
+from oracles import (
+    SDE,
+    command_config,
+    effective_potential,
+    mean_abs_pair_overlap,
+    measured_theta_sq,
+)
 
 
 def closed_form_amplitude(mu, alpha, eps0, t):
@@ -97,6 +108,12 @@ class TestConfig:
     def test_init_scale_must_be_finite_and_nonnegative(self, value):
         with pytest.raises(ValidationError):
             replace(SDE, growth_rate=0.1, alpha=1.0, dt=0.01, steps=10, init_scale=value)
+
+    @pytest.mark.parametrize("modes,dim", [(MAX_MODE_ENTRIES + 1, 1), (2, 2**21 + 1)])
+    def test_modes_times_dim_is_bounded(self, modes, dim):
+        replace(SDE, modes=MAX_MODE_ENTRIES // dim, dim=dim)  # at or below the bound
+        with pytest.raises(ValidationError, match=f"got modes = {modes}, dim = {dim}$"):
+            replace(SDE, modes=modes, dim=dim)
 
 
 class TestPitchfork1d:
@@ -287,8 +304,49 @@ class TestCoupledModes:
             growth_rate=0.1, alpha=0.1, noise_intensity=1e300, dt=0.01, steps=200, modes=2,
             dim=3, init_scale=0.01,
         )
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        # a 200-step run is checked at every step, so the first non-finite state's step is named
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="not finite by step 2$"):
             simulate_coupled_modes(cfg)
+
+    def test_run_keeps_its_start_and_end_states(self):
+        cfg = replace(
+            SDE,
+            growth_rate=0.1, alpha=0.1, coupling=1e-3, noise_intensity=1e-5, dt=0.05,
+            steps=4001, modes=7, dim=3, init_scale=0.05,
+        )
+        run = simulate_coupled_modes(cfg)
+        assert run.path_samples.shape == (2, 7, 3)
+        assert run.times.tolist() == [0.0, 4001 * 0.05]
+
+    def test_run_allocates_a_few_states(self):
+        # a run that records every decimated state holds 201 states here, then their stacked copy
+        cfg = replace(
+            SDE,
+            growth_rate=0.1, alpha=0.1, coupling=1e-3, noise_intensity=1e-5, dt=0.05,
+            steps=200, modes=200, dim=50, init_scale=0.05,
+        )
+        simulate_coupled_modes(replace(cfg, steps=1))  # numpy's lazy set-up is not the run's
+        tracemalloc.start()
+        try:
+            simulate_coupled_modes(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * cfg.modes * cfg.dim * 8  # ten K x d float64 states: 800 kB
+
+    @pytest.mark.parametrize("config", [
+        _section(command_config("sde", "coupled"), SdeConfig, "sde", seed=0),
+        _section(command_config("sde", "coupled"), SdeConfig, "sde", seed=1),
+        replace(SDE, growth_rate=0.1, alpha=0.1, coupling=0.01, noise_intensity=1e-5, dt=0.05,
+                steps=1000, modes=6, dim=10, init_scale=0.05, seed=4),
+    ], ids=["default-seed0", "default-seed1", "modes-below-dim"])
+    def test_matches_the_recording_reference(self, config):
+        run, ref = simulate_coupled_modes(config), oracles.simulate_coupled_modes(config)
+        assert np.array_equal(run.path_samples[0], ref.path_samples[0])
+        assert np.array_equal(run.reference_direction, ref.reference_direction)
+        assert np.max(np.abs(run.final_state - ref.final_state)) <= 1e-12
+        assert persistence_stats(run).spearman_rho == persistence_stats(ref).spearman_rho
 
     def test_reference_direction_is_unit_and_reproducible(self):
         cfg = replace(
