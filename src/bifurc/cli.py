@@ -69,6 +69,7 @@ from .gmm_probe import ProbeConfig, beta_c, check_rates
 from .hessian import analytic_hessian, find_crossing, find_crossing_numeric, numerical_hessian
 from .mathcore import MAX_EIGEN_DIM, covariance
 from .sde import (
+    MAX_SAMPLE_ENTRIES,
     SdeConfig,
     persistence_stats,
     predict_persistence,
@@ -193,6 +194,15 @@ def _section(cfg, cls, section, **given):
                            for f in fields(cls) if f.name not in given})
 
 
+def _check_entries(*sizes):
+    """Refuse an array of the given (key, size) dimensions above MAX_SAMPLE_ENTRIES
+    entries, naming the keys, before anything of that shape is allocated."""
+    if math.prod(size for _, size in sizes) > MAX_SAMPLE_ENTRIES:
+        raise ConfigError(f"{' * '.join(key for key, _ in sizes)} must be <= "
+                          f"{MAX_SAMPLE_ENTRIES}, got "
+                          + ", ".join(f"{key} = {size}" for key, size in sizes))
+
+
 # ---------------------------------------------------------------------------
 # calibrate-hessian
 
@@ -272,6 +282,7 @@ def _toy_data(sub, cfg):
     dim = cfg.get_int("data", "dim")
     if sub != "unimodal" and dim != 2:
         raise ConfigError(f"data.dim must be 2: the {sub} data are 2-D, got {dim}")
+    _check_entries(("data.n", n), ("data.dim", dim))
     if sub == "unimodal":
         return partial(gen_unimodal, n, dim, cfg.get_float("data", "scale"))
     if sub == "hierarchy":
@@ -305,12 +316,15 @@ def _toy_protocol(sub, cfg):
     k = cfg.get_int("probe", "k")
     if k < 1:
         raise ConfigError(f"probe.k must be >= 1, got {k}")
+    n = cfg.get_int("data", "n")
+    _check_entries(("probe.k", k), ("data.n", n))
     start = dict(k=k, log_beta_init=cfg.get_float("probe", "log_beta_init"), record_every=every)
     if sub == "endogenous":
+        latent_dim = cfg.get_int("experiment", "latent_dim")
+        _check_entries(("data.n", n), ("experiment.latent_dim", latent_dim))
         return partial(run_endogenous, **start, rates=_section(cfg, ProbeConfig, "probe"),
                        encoder_lr=cfg.get_float("experiment", "encoder_lr"),
-                       steps=cfg.get_int("experiment", "steps"),
-                       latent_dim=cfg.get_int("experiment", "latent_dim"),
+                       steps=cfg.get_int("experiment", "steps"), latent_dim=latent_dim,
                        init_weight_scale=cfg.get_float("experiment", "init_weight_scale"))
     if sub == "reverse" or cfg.get_choice("experiment", "mode", {"learned", "anneal"}) == "anneal":
         return partial(run_forward_split, **start, rates=None, steps=None)

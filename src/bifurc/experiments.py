@@ -44,6 +44,7 @@ from .gmm_probe import (
     _equilibrium,
     _joint_step,
     _mean_step,
+    _precision,
     _spread,
     _Workspace,
     critical_spectrum,
@@ -388,23 +389,30 @@ def _activation_summary(log, *trackers):
     }
 
 
-def _ramp_hold(ws, mu, lb0, lb1, ramp_steps, max_steps, lr, every, observe):
-    """Mean-only GD while log beta ramps linearly from lb0 to lb1, then holds there.
+def _drive(mu, lb, steps, every, step, observe, start=0):
+    """Run mu, lb = step(n, mu, lb) for n = 0, 1, ..., at most steps times.
 
-    Step n (from 0) runs at lb = lb0 + (lb1 - lb0) min(1, n / ramp_steps).
-    After each step with n % every == 0, observe(n, lb, mu) runs, and a
-    true return stops the loop; at most max_steps steps run. Returns (mu, lb, n): the
-    last step's means and log beta, and the step observe stopped at
-    (max_steps when it never did).
+    After each step with n % every == 0, observe(start + n, lb, mu) runs, and
+    a true return stops the loop. Returns (mu, lb, start + n): the last
+    step's means and log beta, and the step observe stopped at (start + steps
+    when it never did).
     """
-    n, lb = 0, lb0
-    while n < max_steps:
+    for n in range(steps):
+        mu, lb = step(n, mu, lb)
+        if n % every == 0 and observe(start + n, lb, mu):
+            return mu, lb, start + n
+    return mu, lb, start + steps
+
+
+def _ramp(ws, lb0, lb1, ramp_steps, lr):
+    """_drive's step for mean-only GD while log beta ramps linearly from lb0 to lb1,
+    then holds there: step n runs at lb = lb0 + (lb1 - lb0) min(1, n / ramp_steps)."""
+
+    def step(n, mu, _):
         lb = lb0 + (lb1 - lb0) * min(1.0, n / ramp_steps)
-        mu = _mean_step(ws, mu, math.exp(lb), lr)[0]
-        if n % every == 0 and observe(n, lb, mu):
-            break
-        n += 1
-    return mu, lb, n
+        return _mean_step(ws, mu, _precision(lb), lr)[0], lb
+
+    return step
 
 
 def _branch(ws, mu, levels, n, tol, log, log_bc, nc1):
@@ -460,22 +468,19 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
     def observe(n, lb, mu):
         op = _spread(mu)
         log.record(n, lb, log_bc, const_nc1, op)
-        return tracker.feed(n, lb, op, supercritical=lb >= log_bc)
+        # activation ends the anneal drive; the learned drive records to its last step
+        return tracker.feed(n, lb, op, supercritical=lb >= log_bc) and steps is None
 
     lb = log_beta_init
     if steps is not None:
-        for n in range(steps):
-            mu, lb = _joint_step(ws, mu, lb, rates.lr_means, rates.lr_logbeta)
-            if n % record_every == 0:
-                observe(n, lb, mu)
+        mu, lb, _ = _drive(mu, lb, steps, record_every, lambda n, mu, lb: _joint_step(
+            ws, mu, lb, rates.lr_means, rates.lr_logbeta), observe)
     else:
         # hold level is ANNEAL_HOLD_RATIO * beta_c_hat = ANNEAL_HOLD_RATIO / lam; a
         # prototype's mean gradient carries its mass, about 1/K, so the rate scales with K / 2
         lb_hold = math.log(ANNEAL_HOLD_RATIO) - math.log(lam)
-        mu, _, n = _ramp_hold(
-            ws, mu, lb, lb_hold, ANNEAL_RAMP_STEPS, ANNEAL_MAX_STEPS,
-            ANNEAL_HOLD_LR * k / 2, record_every, observe,
-        )
+        mu, _, n = _drive(mu, lb, ANNEAL_MAX_STEPS, record_every, _ramp(
+            ws, lb, lb_hold, ANNEAL_RAMP_STEPS, ANNEAL_HOLD_LR * k / 2), observe)
         # the branch starts at the hold level; n counts EM iterations from here on
         lb_top = math.log(BRANCH_TOP_RATIO) - math.log(lam)
         levels = [(math.exp(lb_level), lb_level)
@@ -631,7 +636,6 @@ def run_endogenous(dataset, encoder_lr, k, log_beta_init, rates, steps, latent_d
     z = enc.latents(x)
     ws = _Workspace(k, z)
     mu = init_collapsed(z, k, log_beta_init, rng).means
-    lb = log_beta_init
     delta0 = log_beta_init + math.log(critical_spectrum(covariance(z))[0])
     if delta0 >= 0.0:
         raise PreconditionError(
@@ -646,28 +650,29 @@ def run_endogenous(dataset, encoder_lr, k, log_beta_init, rates, steps, latent_d
     xc, x_bar, r_x = _centred(x)
     cov_x = covariance(x)
     scatters = _or_none(class_scatters, x, dataset.labels)
-    for n in range(steps):
+
+    def step(n, mu, lb):
         enc.gd_step(s)
         ws.project(enc.encode, xc, x_bar, r_x)
         try:
-            mu, lb = _joint_step(ws, mu, lb, rates.lr_means, rates.lr_logbeta)
+            return _joint_step(ws, mu, lb, rates.lr_means, rates.lr_logbeta)
         except NumericalError as blowup:
             raise AbortedRunError(
                 f"encoder-probe co-evolution diverged at step {n}: {blowup}", partial=log
             ) from None
-        if n % record_every == 0:
-            loss = enc.loss(x)
-            if not math.isfinite(loss):
-                raise AbortedRunError(
-                    f"encoder diverged at step {n} (loss = {loss})", partial=log
-                )
-            w = enc.encode
-            log_bc = -math.log(critical_spectrum(_mapped_covariance(w, cov_x))[0])
-            op = _spread(mu)
-            log.record(n, lb, log_bc, scatters and _or_none(scatter_ratio, *scatters, w), op)
-            loss_trace.append([n, loss])
-            if tracker.feed(n, lb, op, supercritical=lb >= log_bc):
-                break
+
+    def observe(n, lb, mu):
+        loss = enc.loss(x)
+        if not math.isfinite(loss):
+            raise AbortedRunError(f"encoder diverged at step {n} (loss = {loss})", partial=log)
+        w = enc.encode
+        log_bc = -math.log(critical_spectrum(_mapped_covariance(w, cov_x))[0])
+        op = _spread(mu)
+        log.record(n, lb, log_bc, scatters and _or_none(scatter_ratio, *scatters, w), op)
+        loss_trace.append([n, loss])
+        return tracker.feed(n, lb, op, supercritical=lb >= log_bc)
+
+    _drive(mu, log_beta_init, steps, record_every, step, observe)
     log.summary.update(
         {
             **_activation_summary(log, tracker),
@@ -801,16 +806,14 @@ def run_hierarchical(dataset, lr, record_every):
         log.record(step, lb, log_bc1, const_nc1, op)
         return tracker1.feed(step, lb, op, supercritical=lb >= math.log(bc1))
 
-    def observe2(m, lb, mu):
-        # stage 2 steps are numbered on from the settle reading at step n
-        log.record(n + m + 1, lb, log_bc1, const_nc1, _spread(mu))
-        return tracker2.feed(n + m + 1, lb, within_op(mu), supercritical=lb >= math.log(bc2))
+    def observe2(step, lb, mu):
+        log.record(step, lb, log_bc1, const_nc1, _spread(mu))
+        return tracker2.feed(step, lb, within_op(mu), supercritical=lb >= math.log(bc2))
 
     # stage 1: ramp across bc1, hold, detect the super split
-    mu, lb, n = _ramp_hold(
-        ws, mu, math.log(HIERARCHY_START_RATIO * bc1), math.log(HIERARCHY_HOLD_RATIO * bc1),
-        HIERARCHY_RAMP1_STEPS, HIERARCHY_MAX1_STEPS, lr, record_every, observe1,
-    )
+    lb_a0 = math.log(HIERARCHY_START_RATIO * bc1)
+    mu, lb, n = _drive(mu, lb_a0, HIERARCHY_MAX1_STEPS, record_every, _ramp(
+        ws, lb_a0, math.log(HIERARCHY_HOLD_RATIO * bc1), HIERARCHY_RAMP1_STEPS, lr), observe1)
     summary = {
         "beta_c1_hat": bc1,
         "beta_c2_hat": bc2,
@@ -821,18 +824,13 @@ def run_hierarchical(dataset, lr, record_every):
         # bridge to below bc2 and settle there, unobserved; one reading at
         # lb_b1 follows, then stage 2 across bc2
         lb_b1 = math.log(HIERARCHY_START_RATIO * bc2)
-        mu, _, m = _ramp_hold(
-            ws, mu, lb, lb_b1, HIERARCHY_BRIDGE_STEPS,
-            HIERARCHY_BRIDGE_STEPS + HIERARCHY_SETTLE_STEPS, lr, record_every, lambda *_: False,
-        )
-        n += m
+        mu, _, n = _drive(mu, lb, HIERARCHY_BRIDGE_STEPS + HIERARCHY_SETTLE_STEPS, record_every,
+                          _ramp(ws, lb, lb_b1, HIERARCHY_BRIDGE_STEPS, lr), lambda *_: False,
+                          start=n)
         log.record(n, lb_b1, log_bc1, const_nc1, _spread(mu))
         lb_c1 = math.log(HIERARCHY_HOLD_RATIO * bc2)
-        mu, _, m = _ramp_hold(
-            ws, mu, lb_b1, lb_c1, HIERARCHY_RAMP2_STEPS, HIERARCHY_MAX2_STEPS, lr,
-            record_every, observe2,
-        )
-        n += m + 1
+        mu, _, n = _drive(mu, lb_b1, HIERARCHY_MAX2_STEPS, record_every, _ramp(
+            ws, lb_b1, lb_c1, HIERARCHY_RAMP2_STEPS, lr), observe2, start=n + 1)
         # finish: the equilibrium at the stage-2 hold level; n advances by EM iterations
         mu, n, _ = _branch(
             ws, mu, [(HIERARCHY_HOLD_RATIO * bc2, lb_c1)], n,

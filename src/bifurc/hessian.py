@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import BracketError, DimensionError, ValidationError
 from .gmm_probe import _mean_pull, _precision, _Workspace, critical_spectrum
-from .mathcore import check_symmetric, sym_eigen
+from .mathcore import MAX_EIGEN_DIM, check_symmetric, sym_eigen
 
-MAX_DENSE = 4096
 # both crossing scans stop once the root's bracket is narrower than this (see _illinois)
 CROSSING_TOL = 1e-6
 
@@ -67,9 +66,9 @@ def _check_beta_k(beta, K):
 
 
 def _check_dense(K, d):
-    """Refuse a dense (K d) x (K d) Hessian above MAX_DENSE rows, before building it."""
-    if K * d > MAX_DENSE:
-        raise ValidationError(f"dense Hessian limited to K*d <= {MAX_DENSE}, got {K}*{d}")
+    """Refuse a dense (K d) x (K d) Hessian above MAX_EIGEN_DIM rows, before building it."""
+    if K * d > MAX_EIGEN_DIM:
+        raise ValidationError(f"dense Hessian limited to K*d <= {MAX_EIGEN_DIM}, got {K}*{d}")
 
 
 def analytic_hessian(beta, K, cov):

@@ -44,6 +44,13 @@ STABILITY_LIMIT = 0.2
 # product, the noise draw and a temporary), so the largest run allowed needs
 # about 200 MB. The Gram matrix, min(K, d)^2 entries, is never larger than a state.
 MAX_MODE_ENTRIES = 2**22
+# The probe's arrays take the same bound: a K x N kernel buffer, an N x dim sample
+# cloud or an N x latent_dim latent batch, each held a few times over by a run.
+MAX_SAMPLE_ENTRIES = MAX_MODE_ENTRIES
+# numpy's ziggurat normal draws |g| < 13.71: past the table's edge r = 3.654 it adds
+# -ln(1 - U) / r with 1 - U >= 2**-53, at most 10.06. So init_scale <= 2**1020 keeps
+# every start draw init_scale * g below 16 * 2**1020 = 2**1024, where floats overflow.
+MAX_INIT_SCALE = 2.0**1020
 
 
 @dataclass
@@ -81,6 +88,9 @@ class SdeConfig:
         ):
             if not holds:
                 raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
+        if self.init_scale > MAX_INIT_SCALE:  # before a simulator draws its start
+            raise ValidationError(f"init_scale must be <= 2**1020 for a finite start draw, "
+                                  f"got {self.init_scale}")
         if self.modes * self.dim > MAX_MODE_ENTRIES:  # before a simulator allocates the state
             raise ValidationError(f"modes * dim must be <= {MAX_MODE_ENTRIES}, got "
                                   f"modes = {self.modes}, dim = {self.dim}")

@@ -207,17 +207,23 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command,env",
         [
-            ("bimodal", {"BIFURC_PROBE__LR_LOGBETA": "50"}),  # exp(log beta) underflows to 0
-            ("bimodal", {"BIFURC_PROBE__LOG_BETA_INIT": "800"}),  # exp(log beta) overflows
+            # exp(log beta) underflows to 0
+            ("bimodal", {"BIFURC_PROBE__LR_LOGBETA": "50", "BIFURC_EXPERIMENT__STEPS": "50"}),
+            # exp(log beta) overflows
+            ("bimodal", {"BIFURC_PROBE__LOG_BETA_INIT": "800", "BIFURC_EXPERIMENT__STEPS": "50"}),
             # the last step's log beta is finite, but its exp overflows
             ("bimodal", {"BIFURC_PROBE__LR_LOGBETA": "1e6", "BIFURC_EXPERIMENT__STEPS": "1"}),
             ("endogenous", {"BIFURC_PROBE__LR_LOGBETA": "1e6", "BIFURC_EXPERIMENT__STEPS": "1"}),
+            # the anneal ramp starts at log_beta_init and reads no [experiment] steps
+            ("reverse", {"BIFURC_PROBE__LOG_BETA_INIT": "800"}),
+            ("reverse", {"BIFURC_PROBE__LOG_BETA_INIT": "-800"}),
+            ("bimodal", {"BIFURC_PROBE__LOG_BETA_INIT": "800",
+                         "BIFURC_EXPERIMENT__MODE": "anneal"}),
         ],
     )
     def test_precision_out_of_float_range_exits_3(self, tmp_path, capsys, monkeypatch, command,
                                                   env):
-        small = {"BIFURC_DATA__N": "200", "BIFURC_EXPERIMENT__STEPS": "50"}
-        for key, value in {**small, **env}.items():
+        for key, value in {"BIFURC_DATA__N": "200", **env}.items():
             monkeypatch.setenv(key, value)
         assert main(["toy", command, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -442,6 +448,28 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["calibrate-hessian", "--out", str(out)]) == 2
         assert "data.dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    # B = 99999999999999999999 is past numpy's dimension limit; each is refused before
+    # anything of its size is allocated
+    @pytest.mark.parametrize("argv,key", [
+        ("toy reverse", "probe.k"),
+        ("toy bimodal", "probe.k"),
+        ("toy endogenous", "probe.k"),
+        ("toy hierarchy", "data.n"),
+        ("toy bimodal", "data.n"),
+        ("calibrate-hessian", "data.n"),
+        ("toy unimodal", "data.dim"),
+        ("toy endogenous", "experiment.latent_dim"),
+    ])
+    def test_oversized_sample_array_exits_2(self, tmp_path, capsys, monkeypatch, argv, key):
+        section, name = key.split(".")
+        monkeypatch.setenv(f"BIFURC_{section.upper()}__{name.upper()}", "99999999999999999999")
+        out = tmp_path / "out"
+        assert main([*argv.split(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{key} = 99999999999999999999" in err and "must be <= 4194304" in err
         assert not out.exists()
 
     def test_oversized_hessian_exits_2_before_building_it(self, tmp_path, capsys, monkeypatch):
@@ -949,6 +977,15 @@ class TestSdeCommands:
         assert main(["sde", "coupled", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: modes * dim must be <= 4194304, got modes = {modes}, dim = {dim}\n")
+        assert not out.exists()
+
+    def test_start_draw_that_can_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 1e308 passes the finite check, but 1e308 * N(0, 1) overflows for |g| > 1.8
+        monkeypatch.setenv("BIFURC_SDE__INIT_SCALE", "1e308")
+        out = tmp_path / "out"
+        assert main(["sde", "coupled", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: init_scale must be <=") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -452,7 +452,7 @@ class TestProjectedMoments:
 
 
 class TestDrivers:
-    def ramp(self, max_steps, stop_at=None):
+    def ramp(self, steps, stop_at=None, start=0):
         ds = bimodal(200, 3)
         ws = X._Workspace(2, ds.samples)
         mu = init_collapsed(ds.samples, 2, LOG_BETA_INIT, np.random.default_rng(0)).means
@@ -462,18 +462,24 @@ class TestDrivers:
             seen.append((n, lb))
             return n == stop_at
 
-        _, lb, n = X._ramp_hold(ws, mu, -2.0, 0.0, 10, max_steps, 0.01, 4, observe)
+        _, lb, n = X._drive(mu, -2.0, steps, 4, X._ramp(ws, -2.0, 0.0, 10, 0.01), observe, start)
         return lb, n, seen
 
-    def test_ramp_hold_observes_every_kth_step_and_holds(self):
+    def test_ramp_observes_every_kth_step_and_holds(self):
         lb, n, seen = self.ramp(30)
         assert n == 30 and lb == 0.0
         assert [s for s, _ in seen] == list(range(0, 30, 4))
         assert seen[1][1] == -2.0 + 2.0 * (4 / 10)
 
-    def test_ramp_hold_stops_where_observe_says(self):
+    def test_ramp_stops_where_observe_says(self):
         lb, n, seen = self.ramp(30, stop_at=8)
         assert n == 8 and seen[-1] == (8, lb)
+
+    def test_start_numbers_the_steps_on(self):
+        lb, n, seen = self.ramp(30, stop_at=108, start=100)
+        assert n == 108 and [s for s, _ in seen] == [100, 104, 108]
+        assert seen[1][1] == -2.0 + 2.0 * (4 / 10)  # the ramp still runs from its own step 0
+        assert self.ramp(30, start=100)[1] == 130
 
     def test_branch_counts_em_iterations(self):
         ds = bimodal(200, 3)
@@ -530,6 +536,12 @@ class TestForwardLearned:
         log_b, _ = learned_pair
         steps = [r.step for r in log_b.readings]
         assert steps[0] == 0 and all(b - a == 20 for a, b in zip(steps, steps[1:]))
+
+    def test_learned_drive_records_past_activation(self, learned_pair):
+        # activation ends only the anneal drive; the learned one runs all its steps
+        log_b, _ = learned_pair
+        assert log_b.summary["activation_steps"] == [5020]
+        assert log_b.readings[-1].step == 6980 and len(log_b.readings) == 350
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ class TestNumericalHessian:
         assert np.max(np.abs(num - expected)) <= 1e-4
 
     def test_oversized_hessian_is_refused_before_it_is_built(self):
-        # K d = 4,098 > MAX_DENSE; unchecked, each would build a 4098 x 4098 matrix
+        # K d = 4,098 > MAX_EIGEN_DIM; unchecked, each would build a 4098 x 4098 matrix
         z = bimodal(n=3, seed=8)
         with pytest.raises(ValidationError, match=r"K\*d <= 4096, got 2049\*2"):
             numerical_hessian(z, 2049, 0.0)
