@@ -865,6 +865,29 @@ class TestEscapeCommands:
 
 
 class TestSdeCommands:
+    # every file of each command at its default config, byte for byte
+    @pytest.mark.parametrize("command,digests", [
+        ("pitchfork", {
+            "sde-pitchfork.svg":
+                "e82267de7de618f6a1eb03b722be4eca0e8b6af0713b3387836f3a441efdcbfe",
+            "sde-pitchfork_seed0.csv":
+                "8c56c8e0b507fd30462b4c8458b155ab3c9c3128b47dc3b77673a18b7edd84d4",
+            "sde-pitchfork_summary.json":
+                "9aca697c31d1fbf975162f2b4e723f0c678c0954c0a2e5d952e0521a3656358e",
+        }),
+        ("coupled", {
+            "sde-coupled.svg":
+                "902f53fc50355a85f6bb43765e8eab34ede441060d3f7980f7d0f8de3a152278",
+            "sde-coupled_seed0.csv":
+                "7965d72dcb3098c7e59bf87cf3f21d19a4e93d0e7b65d929331e27a3573568f1",
+            "sde-coupled_summary.json":
+                "11530098869330da6b281fa9a322f46b4bcf7847adb10aef3f3225e20078e9db",
+        }),
+    ])
+    def test_default_outputs_are_pinned(self, tmp_path, clean_env, command, digests):
+        assert main(["sde", command, "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert tree_digest(tmp_path) == digests
+
     def test_pitchfork_saturates(self, tmp_path):
         code = main(["sde", "pitchfork", "--out", str(tmp_path)])
         assert code == 0
