@@ -340,8 +340,8 @@ def _toy_logs(sub, data, protocol, seed):
     """
     dataset = _toy_dataset(data, seed)
     if sub == "reverse":
-        forward, state = protocol(dataset)
-        reverse = run_reverse_traversal(dataset, state)
+        forward, means = protocol(dataset)
+        reverse = run_reverse_traversal(dataset, means)
         merge_err = reverse.summary.get("merge_relative_error")
         reverse.summary["reverse_tracking_error"] = (
             None if merge_err is None else abs(float(merge_err))
@@ -436,9 +436,7 @@ def _cmd_toy(sub, cfg, ready):
 
 def _pitchfork_worker(config, eps0, config_hash, job):
     seed, out = job
-    run = simulate_pitchfork_1d(replace(config, seed=seed), eps0=eps0)
-    ts = [float(t) for t in run.times]
-    eps = [float(e) for e in run.path_samples[:, 0, 0]]
+    ts, eps = (a.tolist() for a in simulate_pitchfork_1d(replace(config, seed=seed), eps0=eps0))
     write_table(Path(out) / f"sde-pitchfork_seed{seed}.csv", ["t", "epsilon"], zip(ts, eps),
                 [run_identity("sde-pitchfork", config_hash, seed)])
     return seed, ts, eps
@@ -469,8 +467,7 @@ def _cmd_sde_pitchfork(cfg, ready):
 
 def _coupled_worker(config, config_hash, job):
     seed, out = job
-    run = simulate_coupled_modes(replace(config, seed=seed))
-    stats = persistence_stats(run)
+    stats = persistence_stats(*simulate_coupled_modes(replace(config, seed=seed)))
     cosines = iter(stats.cosines.tolist())  # one per mode that is not excluded
     rows = [(mode, p0, p1, None if mode in stats.excluded_modes else next(cosines))
             for mode, (p0, p1) in enumerate(stats.projection_pairs.tolist())]

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .gmm_probe import (
     CriticalityReading,
-    GmmProbeState,
     _centred,
     _equilibrium,
     _joint_step,
@@ -333,9 +332,8 @@ class _ActivationTracker:
         return False
 
 
-def _split_angle_deg(state, u):
-    """Angle between the prototypes' split direction and the axis u, in [0, 90] degrees."""
-    v = split_direction(state)
+def _split_angle_deg(v, u):
+    """Angle between the axes v and u, in [0, 90] degrees."""
     cosv = abs(float(v @ u)) / (
         float(np.sqrt((v * v).sum())) * float(np.sqrt((u * u).sum()))
     )
@@ -447,7 +445,7 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
     anti-symmetric channel to end the hold early. A reading is recorded every
     record_every steps.
 
-    Returns (TrajectoryLog, trained GmmProbeState).
+    Returns (TrajectoryLog, the final K x d means).
     """
     if (rates is None) != (steps is None):
         raise ValidationError("the learned drive takes rates and steps, the anneal drive neither")
@@ -471,16 +469,15 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
         # activation ends the anneal drive; the learned drive records to its last step
         return tracker.feed(n, lb, op, supercritical=lb >= log_bc) and steps is None
 
-    lb = log_beta_init
     if steps is not None:
-        mu, lb, _ = _drive(mu, lb, steps, record_every, lambda n, mu, lb: _joint_step(
-            ws, mu, lb, rates.lr_means, rates.lr_logbeta), observe)
+        mu = _drive(mu, log_beta_init, steps, record_every, lambda n, mu, lb: _joint_step(
+            ws, mu, lb, rates.lr_means, rates.lr_logbeta), observe)[0]
     else:
         # hold level is ANNEAL_HOLD_RATIO * beta_c_hat = ANNEAL_HOLD_RATIO / lam; a
         # prototype's mean gradient carries its mass, about 1/K, so the rate scales with K / 2
         lb_hold = math.log(ANNEAL_HOLD_RATIO) - math.log(lam)
-        mu, _, n = _drive(mu, lb, ANNEAL_MAX_STEPS, record_every, _ramp(
-            ws, lb, lb_hold, ANNEAL_RAMP_STEPS, ANNEAL_HOLD_LR * k / 2), observe)
+        mu, _, n = _drive(mu, log_beta_init, ANNEAL_MAX_STEPS, record_every, _ramp(
+            ws, log_beta_init, lb_hold, ANNEAL_RAMP_STEPS, ANNEAL_HOLD_LR * k / 2), observe)
         # the branch starts at the hold level; n counts EM iterations from here on
         lb_top = math.log(BRANCH_TOP_RATIO) - math.log(lam)
         levels = [(math.exp(lb_level), lb_level)
@@ -489,8 +486,7 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
             ws, mu, levels, n, EQUILIBRIUM_REL_TOL * math.sqrt(lam), log, log_bc, const_nc1,
         )
         log.summary.update(fields)
-    # an annealed run's state keeps the initial log precision
-    final = GmmProbeState(mu, lb)
+    v = split_direction(mu)
     beta_c_hat = 1.0 / lam
     beta = None if tracker.step is None else math.exp(tracker.log_beta)
     log.summary.update({
@@ -499,15 +495,15 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
         **_activation_summary(log, tracker),
         "activation_beta": beta,
         "overshoot_ratio": None if beta is None else beta / beta_c_hat,
-        "split_angle_deg": _split_angle_deg(final, spectrum.eigenvectors[:, 0]),
-        "split_direction": split_direction(final).tolist(),
+        "split_angle_deg": _split_angle_deg(v, spectrum.eigenvectors[:, 0]),
+        "split_direction": v.tolist(),
     })
-    return log, final
+    return log, mu
 
 
 @_quiet_overflow()
-def run_reverse_traversal(dataset, probe):
-    """Anneal a split probe's precision back down through the crossing.
+def run_reverse_traversal(dataset, means):
+    """Anneal a split probe's precision back down through the crossing, from its K x d means.
 
     Each descending level is solved by EM from the previous level's means,
     and the step counter advances by EM iterations; the merge point is the
@@ -518,14 +514,14 @@ def run_reverse_traversal(dataset, probe):
     lam = critical_spectrum(covariance(z))[0]
     log_bc = -math.log(lam)
     beta_c_hat = 1.0 / lam
-    ws = _Workspace(probe.K, z)
+    ws = _Workspace(len(means), z)
     log = TrajectoryLog("reverse-traversal", dataset.seed)
     betas = np.exp(np.linspace(
         math.log(BRANCH_TOP_RATIO * beta_c_hat), math.log(REVERSE_BOTTOM_RATIO * beta_c_hat),
         REVERSE_LEVELS,
     ))
     _, _, fields = _branch(
-        ws, probe.means, [(b, math.log(b)) for b in betas], 0,
+        ws, means, [(b, math.log(b)) for b in betas], 0,
         EQUILIBRIUM_REL_TOL * math.sqrt(lam), log, log_bc, _or_none(nc1, z, dataset.labels),
     )
     arr = np.asarray(fields["branch"])

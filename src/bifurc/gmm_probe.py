@@ -336,10 +336,10 @@ def order_parameter(state):
     return _spread(state.means)
 
 
-def split_direction(state):
-    """Principal eigenvector of the prototype scatter (the broken-symmetry axis)."""
-    c = state.means - state.means.mean(axis=0)
-    scatter = (c.T @ c) / state.K
+def split_direction(means):
+    """Principal eigenvector of the K x d means' scatter (the broken-symmetry axis)."""
+    c = means - means.mean(axis=0)
+    scatter = (c.T @ c) / len(means)
     return sym_eigen(scatter).eigenvectors[:, 0]
 
 

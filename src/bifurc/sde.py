@@ -21,9 +21,9 @@ nothing is recorded (the same stream as one draw per step), draws nothing
 when D = 0, and can stop at the first step with |eps| >= threshold.
 
 The pitchfork's path is decimated to at most ~2000 recorded states; the
-coupled-mode run keeps only its start and end states, and draws a fixed
-random unit reference direction (after the initial condition, before the
-path noise) for the scalar-projection persistence proxy. A non-finite
+coupled-mode run returns only its start and end states and the random
+unit reference direction of the scalar-projection persistence proxy, drawn
+after the initial condition and before the path noise. A non-finite
 state at a scalar chunk end, or at a coupled-mode check (the start, every
 _decimation(steps) steps and the last step), raises NumericalError.
 """
@@ -31,7 +31,7 @@ _decimation(steps) steps and the last step), raises NumericalError.
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -111,20 +111,6 @@ class SdeConfig:
 
 
 @dataclass
-class SdeRunResult:
-    """Recorded states of one run, the last being its final state: the pitchfork's
-    decimated path, or the coupled modes' start and end (times 0 and steps*dt)."""
-
-    times: np.ndarray  # strictly increasing recorded times
-    path_samples: np.ndarray  # (n_rec, modes, dim)
-    reference_direction: Optional[np.ndarray] = None
-
-    @property
-    def final_state(self):  # (modes, dim)
-        return self.path_samples[-1]
-
-
-@dataclass
 class PersistencePrediction:
     """Closed-form angular-diffusion budget for one coupled-mode run.
 
@@ -154,6 +140,7 @@ def _check_finite(state, step):
 def simulate_pitchfork_1d(config, eps0=None):
     """Scalar pitchfork normal form; requires modes = dim = 1.
 
+    Returns (times, eps): the decimated path as two 1-D arrays, start first.
     eps0 overrides the random N(0, init_scale^2) initial condition with an
     exact starting value (deterministic studies).
     """
@@ -165,7 +152,7 @@ def simulate_pitchfork_1d(config, eps0=None):
         raise ValidationError("eps0 must be finite")
     _, eps, path = _langevin(config, eps0, config.steps, rng, every=_decimation(config.steps))
     rec = np.array([(0, eps0)] + path)
-    return SdeRunResult(times=rec[:, 0] * config.dt, path_samples=rec[:, 1].reshape(-1, 1, 1))
+    return rec[:, 0] * config.dt, rec[:, 1]
 
 
 def _langevin(config, eps, steps, rng, threshold=math.inf, every=65536, curvature=0.0):
@@ -202,7 +189,8 @@ def simulate_coupled_modes(config):
     Initial condition: every entry of the K x d mode matrix i.i.d.
     N(0, init_scale^2). The j != k coupling sum is (E E^T) E - ||eps_k||^2 eps_k
     row-wise, taken through the smaller Gram matrix: E (E^T E) when modes >= dim.
-    Only the start and end states are kept.
+    Returns (start, end, reference): the K x d states at times 0 and steps*dt,
+    and the unit reference direction.
     """
     if config.dim < 2 and config.modes > 1:
         raise ValidationError("coupled modes require dim >= 2")
@@ -232,7 +220,7 @@ def simulate_coupled_modes(config):
             e += amp * rng.standard_normal((k, d))
         if n % dec == 0 or n == config.steps:
             _check_finite(e, n)
-    return SdeRunResult(np.array([0.0, config.steps * dt]), np.stack([e0, e]), ref)
+    return e0, e, ref
 
 
 @dataclass
@@ -245,23 +233,19 @@ class PersistenceStats:
     excluded_modes: List[int] = field(default_factory=list)
 
 
-def persistence_stats(run):
-    """Cosines d_k(0)^T d_k(T) of the unit rows of the path's first and last
-    states, and the Spearman of their projections onto the run's stored
-    random reference direction.
+def persistence_stats(start, end, reference):
+    """Cosines d_k(0)^T d_k(T) of the unit rows of a coupled run's start and
+    end states, and the Spearman of their projections onto the run's
+    reference direction.
 
     Modes whose final magnitude is exactly zero are excluded from the cosine
     list and reported in excluded_modes; a zero initial row has cosine 0.
     """
-    ref = run.reference_direction
-    if ref is None:
-        raise ValidationError("no reference direction available")
-    e0, e1 = run.path_samples[0], run.path_samples[-1]
-    n0, n1 = np.linalg.norm(e0, axis=1), np.linalg.norm(e1, axis=1)
+    n0, n1 = np.linalg.norm(start, axis=1), np.linalg.norm(end, axis=1)
     keep = n1 > 0
-    cos = np.einsum("kd,kd->k", e0[keep] / np.where(n0 > 0, n0, 1.0)[keep, None],
-                    e1[keep] / n1[keep, None])
-    p0, p1 = e0 @ ref, e1 @ ref
+    cos = np.einsum("kd,kd->k", start[keep] / np.where(n0 > 0, n0, 1.0)[keep, None],
+                    end[keep] / n1[keep, None])
+    p0, p1 = start @ reference, end @ reference
     try:
         rho = spearman(p0, p1)
     except DegenerateInputError:

@@ -28,7 +28,7 @@ from bifurc.gmm_probe import (
     _Workspace,
 )
 from bifurc.mathcore import pearson, weighted_linfit
-from bifurc.sde import SdeConfig, SdeRunResult, _decimation, persistence_stats
+from bifurc.sde import SdeConfig, _decimation, persistence_stats
 from bifurc.taxonomy import (
     DELAYED_ESCAPE,
     FOLD_BACK,
@@ -165,7 +165,9 @@ def simulate_coupled_modes(config):
 
     Initial condition: every entry of the K x d mode matrix i.i.d.
     N(0, init_scale^2). Coupling uses the Gram matrix G = E E^T:
-    the j != k sum equals G E - ||eps_k||^2 eps_k row-wise.
+    the j != k sum equals G E - ||eps_k||^2 eps_k row-wise. Returns (times,
+    samples, reference): the decimated times, the (n_rec, K, d) recorded states
+    and the unit reference direction.
     """
     if config.dim < 2 and config.modes > 1:
         raise ValidationError("coupled modes require dim >= 2")
@@ -196,12 +198,12 @@ def simulate_coupled_modes(config):
             e += amp * rng.standard_normal((k, d))
         if n % dec == 0 or n == config.steps:
             _record(times, samples, n, dt, e)
-    return SdeRunResult(np.asarray(times), np.asarray(samples), ref)
+    return np.asarray(times), np.asarray(samples), ref
 
 
-def measured_theta_sq(run):
+def measured_theta_sq(start, end, reference):
     """Ensemble mean squared angle between initial and final directions."""
-    cos = persistence_stats(run).cosines
+    cos = persistence_stats(start, end, reference).cosines
     ang = np.arccos(np.clip(cos, -1.0, 1.0))
     return float(np.mean(ang * ang))
 

@@ -100,7 +100,7 @@ def test_criterion_03_coupled_mode_lottery():
     rhos = []
     for seed in range(5):
         run = simulate_coupled_modes(_section(cfg, SdeConfig, "sde", seed=seed))
-        rhos.append(float(persistence_stats(run).spearman_rho))
+        rhos.append(float(persistence_stats(*run).spearman_rho))
     mean = float(np.mean(rhos))
     _finish(
         3,

@@ -921,7 +921,7 @@ class TestSdeCommands:
         assert main(["sde", "coupled", "--seed", "0", "--out", str(tmp_path)]) == 0
         cfg = command_config("sde", "coupled",
                              sde={} if noise is None else {"noise_intensity": noise})
-        stats = persistence_stats(simulate_coupled_modes(_section(cfg, SdeConfig, "sde", seed=0)))
+        stats = persistence_stats(*simulate_coupled_modes(_section(cfg, SdeConfig, "sde", seed=0)))
         lines = (tmp_path / "sde-coupled_seed0.csv").read_text().splitlines()
         assert lines[1] == "mode,projection_initial,projection_final,cosine"
         rows = [line.split(",") for line in lines[2:]]
@@ -939,9 +939,9 @@ class TestSdeCommands:
 
     def test_coupled_row_of_an_excluded_mode_has_no_cosine(self, tmp_path, monkeypatch):
         def mode_3_ends_at_zero(config):
-            run = simulate_coupled_modes(config)
-            run.path_samples[-1, 3] = 0.0
-            return run
+            start, end, reference = simulate_coupled_modes(config)
+            end[3] = 0.0
+            return start, end, reference
 
         monkeypatch.setattr("bifurc.cli.simulate_coupled_modes", mode_3_ends_at_zero)
         monkeypatch.setenv("BIFURC_SDE__STEPS", "200")

@@ -336,19 +336,20 @@ class TestProtocolKernel:
     def run_and_replay(self):
         """A 60-step learned forward split and 60 grad_step calls from its start."""
         ds = bimodal(300, 7)
-        log, final = X.run_forward_split(ds, self.K, LOG_BETA_INIT, 1, self.CFG, 60)
+        log, means = X.run_forward_split(ds, self.K, LOG_BETA_INIT, 1, self.CFG, 60)
         state = init_collapsed(ds.samples, self.K, LOG_BETA_INIT,
                                np.random.default_rng(ds.seed + 99))
         replay = []
         for _ in range(60):
             state = grad_step(state, ds.samples, self.CFG)
             replay.append(state)
-        return log, final, replay
+        return log, means, replay
 
     def test_bitwise_match_with_probe_grad_step(self):
-        _, final, replay = self.run_and_replay()
-        assert np.array_equal(final.means, replay[-1].means)
-        assert final.log_precision == replay[-1].log_precision
+        # record_every = 1, so the last reading follows the last step
+        log, means, replay = self.run_and_replay()
+        assert np.array_equal(means, replay[-1].means)
+        assert log.readings[-1].log_beta == replay[-1].log_precision
 
     def test_recorded_order_parameter_matches_probe(self):
         log, _, replay = self.run_and_replay()
@@ -628,7 +629,7 @@ class TestAnnealHoldReverse:
     def test_one_prototype_branch_has_no_plateau_fraction_and_full_overlap(self):
         # a single prototype never splits: every level's order parameter is 0
         ds = bimodal(100, 0)
-        rev = X.run_reverse_traversal(ds, exact_collapsed(ds.samples, 1, 0.0))
+        rev = X.run_reverse_traversal(ds, exact_collapsed(ds.samples, 1, 0.0).means)
         assert rev.summary["plateau_order_parameter"] == 0.0
         assert rev.summary["op_fraction_at_half_beta_c"] is None
         fwd = X.TrajectoryLog("forward-split", 0, summary={

@@ -264,8 +264,7 @@ class TestProbeStep:
 
 
 def test_split_direction_unit_norm():
-    s = GmmProbeState(np.array([[-1.0, 0.1], [1.0, -0.1]]), 0.0)
-    v = split_direction(s)
+    v = split_direction(np.array([[-1.0, 0.1], [1.0, -0.1]]))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
     assert abs(v[0]) > abs(v[1])
 

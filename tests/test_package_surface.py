@@ -24,7 +24,7 @@ from bifurc.sde import PersistencePrediction, SdeConfig
 from bifurc.taxonomy import AxisReading, ClassifierThresholds, ShapeClass
 
 # the library entry points the README documents, which no command calls
-OUTSIDE_CALLERS = {"probe_step", "CriticalityReading.degenerate", "SdeRunResult.final_state"}
+OUTSIDE_CALLERS = {"probe_step", "CriticalityReading.degenerate"}
 # the fields of the records the CLI writes whole (cli._json_fields), which no attribute reads
 WRITTEN_WHOLE = {f"{cls.__name__}.{f.name}"
                  for cls in (PersistencePrediction, ShapeClass, AxisReading, SweepSummary,

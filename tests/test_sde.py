@@ -13,7 +13,6 @@ from bifurc.errors import DegenerateInputError, NumericalError, ValidationError
 from bifurc.sde import (
     MAX_MODE_ENTRIES,
     SdeConfig,
-    SdeRunResult,
     _langevin,
     persistence_stats,
     predict_persistence,
@@ -119,26 +118,25 @@ class TestConfig:
 class TestPitchfork1d:
     def test_supercritical_reaches_fixed_point(self):
         cfg = replace(SDE, growth_rate=0.5, alpha=0.5, dt=0.05, steps=2000)
-        run = simulate_pitchfork_1d(cfg, eps0=0.1)
-        assert abs(run.final_state[0, 0] - 1.0) <= 1e-3
+        _, eps = simulate_pitchfork_1d(cfg, eps0=0.1)
+        assert abs(eps[-1] - 1.0) <= 1e-3
 
     def test_subcritical_decays_to_zero(self):
         cfg = replace(SDE, growth_rate=-0.5, alpha=0.5, dt=0.05, steps=2000)
-        run = simulate_pitchfork_1d(cfg, eps0=0.1)
-        assert abs(run.final_state[0, 0]) < 1e-10
+        _, eps = simulate_pitchfork_1d(cfg, eps0=0.1)
+        assert abs(eps[-1]) < 1e-10
 
     def test_mirror_symmetry_exact_without_noise(self):
         cfg = replace(SDE, growth_rate=0.5, alpha=0.5, dt=0.05, steps=500)
-        up = simulate_pitchfork_1d(cfg, eps0=0.3)
-        down = simulate_pitchfork_1d(cfg, eps0=-0.3)
-        assert np.array_equal(up.path_samples, -down.path_samples)
-        assert np.array_equal(up.final_state, -down.final_state)
+        _, up = simulate_pitchfork_1d(cfg, eps0=0.3)
+        _, down = simulate_pitchfork_1d(cfg, eps0=-0.3)
+        assert np.array_equal(up, -down)
 
     def test_matches_closed_form_solution(self):
         cfg = replace(SDE, growth_rate=0.5, alpha=0.5, dt=0.01, steps=1000)
-        run = simulate_pitchfork_1d(cfg, eps0=0.1)
+        _, eps = simulate_pitchfork_1d(cfg, eps0=0.1)
         exact = closed_form_amplitude(0.5, 0.5, 0.1, 10.0)
-        assert run.final_state[0, 0] == pytest.approx(exact, rel=2e-3)
+        assert eps[-1] == pytest.approx(exact, rel=2e-3)
 
     def test_euler_error_is_first_order_in_dt(self):
         # halving dt should roughly halve the endpoint error
@@ -146,8 +144,8 @@ class TestPitchfork1d:
         errs = []
         for dt, steps in ((0.01, 1000), (0.005, 2000)):
             cfg = replace(SDE, growth_rate=0.5, alpha=0.5, dt=dt, steps=steps)
-            run = simulate_pitchfork_1d(cfg, eps0=0.1)
-            errs.append(abs(run.final_state[0, 0] - exact))
+            _, eps = simulate_pitchfork_1d(cfg, eps0=0.1)
+            errs.append(abs(eps[-1] - exact))
         assert 1.6 <= errs[0] / errs[1] <= 2.4
 
     def test_noise_variance_scales_as_2dt(self):
@@ -164,7 +162,7 @@ class TestPitchfork1d:
                 steps=100,
                 seed=seed,
             )
-            finals.append(simulate_pitchfork_1d(cfg, eps0=0.0).final_state[0, 0])
+            finals.append(simulate_pitchfork_1d(cfg, eps0=0.0)[1][-1])
         var = float(np.var(finals))
         assert var == pytest.approx(2 * d_noise * t_total, rel=0.10)
 
@@ -174,16 +172,16 @@ class TestPitchfork1d:
             growth_rate=0.5, alpha=0.5, noise_intensity=1e-3, dt=0.05, steps=400, seed=7,
             init_scale=0.01,
         )
-        a = simulate_pitchfork_1d(cfg)
-        b = simulate_pitchfork_1d(cfg)
-        assert np.array_equal(a.path_samples, b.path_samples)
+        _, a = simulate_pitchfork_1d(cfg)
+        _, b = simulate_pitchfork_1d(cfg)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         base = dict(growth_rate=0.5, alpha=0.5, noise_intensity=1e-3, dt=0.05, steps=400,
                     init_scale=0.01)
-        a = simulate_pitchfork_1d(replace(SDE, seed=1, **base))
-        b = simulate_pitchfork_1d(replace(SDE, seed=2, **base))
-        assert not np.array_equal(a.path_samples, b.path_samples)
+        _, a = simulate_pitchfork_1d(replace(SDE, seed=1, **base))
+        _, b = simulate_pitchfork_1d(replace(SDE, seed=2, **base))
+        assert not np.array_equal(a, b)
 
     def test_rejects_multimode_config(self):
         cfg = replace(SDE, growth_rate=0.1, alpha=0.1, dt=0.01, steps=10, modes=3, dim=2)
@@ -202,12 +200,12 @@ class TestPitchfork1d:
 
     def test_path_decimated_and_times_increasing(self):
         cfg = replace(SDE, growth_rate=0.1, alpha=0.1, dt=0.01, steps=10000)
-        run = simulate_pitchfork_1d(cfg, eps0=0.05)
-        assert len(run.times) <= 2002
-        assert np.all(np.diff(run.times) > 0)
-        assert run.times[0] == 0.0
-        assert run.times[-1] == pytest.approx(100.0, abs=1e-9)
-        assert run.path_samples.shape == (len(run.times), 1, 1)
+        times, eps = simulate_pitchfork_1d(cfg, eps0=0.05)
+        assert len(times) <= 2002
+        assert np.all(np.diff(times) > 0)
+        assert times[0] == 0.0 and eps[0] == 0.05
+        assert times[-1] == pytest.approx(100.0, abs=1e-9)
+        assert eps.shape == times.shape == (len(times),)
 
 
 class TestTiltedLangevin:
@@ -279,8 +277,8 @@ class TestCoupledModes:
             growth_rate=0.5, alpha=0.5, dt=0.05, steps=2000, modes=1, dim=3,
             init_scale=0.01, seed=3,
         )
-        run = simulate_coupled_modes(cfg)
-        assert np.linalg.norm(run.final_state) == pytest.approx(1.0, abs=1e-3)
+        _, end, _ = simulate_coupled_modes(cfg)
+        assert np.linalg.norm(end) == pytest.approx(1.0, abs=1e-3)
 
     def test_uncoupled_noiseless_modes_keep_direction(self):
         cfg = replace(
@@ -288,7 +286,7 @@ class TestCoupledModes:
             growth_rate=0.5, alpha=0.5, dt=0.05, steps=1000, modes=5, dim=4,
             init_scale=0.01, seed=5,
         )
-        stats = persistence_stats(simulate_coupled_modes(cfg))
+        stats = persistence_stats(*simulate_coupled_modes(cfg))
         assert stats.excluded_modes == [] and len(stats.cosines) == 5
         assert np.all(stats.cosines >= 1.0 - 1e-12)
 
@@ -315,9 +313,10 @@ class TestCoupledModes:
             growth_rate=0.1, alpha=0.1, coupling=1e-3, noise_intensity=1e-5, dt=0.05,
             steps=4001, modes=7, dim=3, init_scale=0.05,
         )
-        run = simulate_coupled_modes(cfg)
-        assert run.path_samples.shape == (2, 7, 3)
-        assert run.times.tolist() == [0.0, 4001 * 0.05]
+        start, end, reference = simulate_coupled_modes(cfg)
+        assert start.shape == end.shape == (7, 3)
+        assert reference.shape == (3,)
+        assert not np.array_equal(start, end)
 
     def test_run_allocates_a_few_states(self):
         # a run that records every decimated state holds 201 states here, then their stacked copy
@@ -342,11 +341,13 @@ class TestCoupledModes:
                 steps=1000, modes=6, dim=10, init_scale=0.05, seed=4),
     ], ids=["default-seed0", "default-seed1", "modes-below-dim"])
     def test_matches_the_recording_reference(self, config):
-        run, ref = simulate_coupled_modes(config), oracles.simulate_coupled_modes(config)
-        assert np.array_equal(run.path_samples[0], ref.path_samples[0])
-        assert np.array_equal(run.reference_direction, ref.reference_direction)
-        assert np.max(np.abs(run.final_state - ref.final_state)) <= 1e-12
-        assert persistence_stats(run).spearman_rho == persistence_stats(ref).spearman_rho
+        start, end, reference = simulate_coupled_modes(config)
+        _, samples, ref_reference = oracles.simulate_coupled_modes(config)
+        assert np.array_equal(start, samples[0])
+        assert np.array_equal(reference, ref_reference)
+        assert np.max(np.abs(end - samples[-1])) <= 1e-12
+        assert persistence_stats(start, end, reference).spearman_rho == persistence_stats(
+            samples[0], samples[-1], ref_reference).spearman_rho
 
     def test_reference_direction_is_unit_and_reproducible(self):
         cfg = replace(
@@ -356,18 +357,17 @@ class TestCoupledModes:
         )
         a = simulate_coupled_modes(cfg)
         b = simulate_coupled_modes(cfg)
-        assert np.linalg.norm(a.reference_direction) == pytest.approx(1.0, abs=1e-12)
-        assert np.array_equal(a.reference_direction, b.reference_direction)
-        assert np.array_equal(a.path_samples, b.path_samples)
+        assert np.linalg.norm(a[2]) == pytest.approx(1.0, abs=1e-12)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_lottery_projection_rank_correlation_band(self, lottery_runs):
-        rhos = [persistence_stats(r).spearman_rho for r in lottery_runs.values()]
+        rhos = [persistence_stats(*r).spearman_rho for r in lottery_runs.values()]
         for rho in rhos:
             assert rho > 0.90
         assert 0.93 <= float(np.mean(rhos)) <= 0.97
 
     def test_lottery_cosines_overwhelmingly_positive(self, lottery_runs):
-        stats = persistence_stats(lottery_runs[0])
+        stats = persistence_stats(*lottery_runs[0])
         n = len(stats.cosines)
         n_pos = int(np.sum(stats.cosines > 0))
         # one-sided binomial sign test against the coin-flip null
@@ -375,7 +375,7 @@ class TestCoupledModes:
         assert p < 1e-6
 
     def test_shuffled_projections_lose_the_correlation(self, lottery_runs):
-        stats = persistence_stats(lottery_runs[0])
+        stats = persistence_stats(*lottery_runs[0])
         p0 = stats.projection_pairs[:, 0]
         p1 = stats.projection_pairs[:, 1]
         shuffler = np.random.default_rng(123)
@@ -395,16 +395,15 @@ class TestCoupledModes:
         )
         pred = predict_persistence(cfg)
         assert cfg.steps * cfg.dt < pred.t_rand / 100
-        meas = measured_theta_sq(simulate_coupled_modes(cfg))
+        meas = measured_theta_sq(*simulate_coupled_modes(cfg))
         assert 0.5 * pred.theta_sq <= meas <= 2.0 * pred.theta_sq
 
     def test_coupling_suppresses_pairwise_overlap_of_survivors(self, lottery_runs):
-        run = lottery_runs[0]
-        norms = np.linalg.norm(run.final_state, axis=1)
+        e0, end, _ = lottery_runs[0]
+        norms = np.linalg.norm(end, axis=1)
         r_star = lottery_preset(0).epsilon_star
-        winners = (run.final_state / norms[:, None])[norms >= 0.5 * r_star]
+        winners = (end / norms[:, None])[norms >= 0.5 * r_star]
         assert len(winners) >= 2
-        e0 = run.path_samples[0]
         before = mean_abs_pair_overlap(e0 / np.linalg.norm(e0, axis=1)[:, None])
         after = mean_abs_pair_overlap(winners)
         assert after < before
@@ -412,32 +411,19 @@ class TestCoupledModes:
 
 class TestPersistenceStats:
     def test_excluded_zero_modes(self):
-        run = SdeRunResult(
-            times=np.array([0.0, 1.0]),
-            path_samples=np.array([[[0.6, 0.0], [0.0, 0.4], [0.5, 0.5]],
-                                   [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]]),
-            reference_direction=np.array([1.0, 0.0]),
-        )
-        stats = persistence_stats(run)
+        stats = persistence_stats(np.array([[0.6, 0.0], [0.0, 0.4], [0.5, 0.5]]),
+                                  np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                                  np.array([1.0, 0.0]))
         assert stats.excluded_modes == [2]
         assert len(stats.cosines) == 2
         assert np.allclose(stats.cosines, [1.0, 1.0])
         assert stats.projection_pairs.shape == (3, 2)
 
     def test_non_finite_projection_is_not_read_as_constant(self):
-        run = SdeRunResult(
-            times=np.array([0.0, 1.0]),
-            path_samples=np.array([[[0.6], [0.4], [0.5]], [[2.0], [np.nan], [1.0]]]),
-            reference_direction=np.array([1.0]),
-        )
         with pytest.raises(ValidationError, match="finite") as exc:
-            persistence_stats(run)
+            persistence_stats(np.array([[0.6], [0.4], [0.5]]), np.array([[2.0], [np.nan], [1.0]]),
+                              np.array([1.0]))
         assert not isinstance(exc.value, DegenerateInputError)
-
-    def test_requires_some_reference(self):
-        run = SdeRunResult(times=np.array([0.0]), path_samples=np.zeros((1, 1, 1)))
-        with pytest.raises(ValidationError):
-            persistence_stats(run)
 
 
 class TestPredictPersistence:

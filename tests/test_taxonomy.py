@@ -251,8 +251,7 @@ class TestDerivedDelayedEscape:
             growth_rate=0.01 + 1e-4, alpha=1.0, noise_intensity=1e-10,
             dt=0.05, steps=20000, modes=1, dim=1, init_scale=0.0, seed=3,
         )
-        run = simulate_pitchfork_1d(cfg, eps0=1e-3)
-        eps = np.abs(run.path_samples[:, 0, 0])
+        eps = np.abs(simulate_pitchfork_1d(cfg, eps0=1e-3)[1])
         n = len(eps)
         # supercritical from the start; the collapse proxy tracks the escape
         ratio = 0.01 + 0.49 * np.arange(n) / (n - 1)
