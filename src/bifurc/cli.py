@@ -150,7 +150,8 @@ def _resolve_input(raw):
 
 
 def _parallel_map(fn, jobs):
-    """Map over jobs in a process pool; serial for single jobs or broken pools."""
+    """Map over jobs in a process pool; serial for single jobs, or when the pool cannot
+    be created or started, or breaks. A job's own exception propagates."""
     jobs = list(jobs)
     if len(jobs) <= 1:
         return [fn(j) for j in jobs]
@@ -158,10 +159,16 @@ def _parallel_map(fn, jobs):
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     workers = min(len(jobs), os.cpu_count() or 1)
+    futures = []
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    except (BrokenExecutor, OSError):
+            futures = [pool.submit(fn, j) for j in jobs]  # the first submit starts the workers
+            return [f.result() for f in futures]
+    except BrokenExecutor:  # a worker died
+        return [fn(j) for j in jobs]
+    except OSError:
+        if futures:  # the pool ran, so the error is a job's own
+            raise
         return [fn(j) for j in jobs]
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifurc import __version__
-from bifurc.cli import _section, main
+from bifurc.cli import _parallel_map, _section, main
 from bifurc.config import (
     RunConfig,
     build_config,
@@ -608,6 +609,45 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"bifurc {__version__}"
+
+
+def _mark_then_refuse(out, job):
+    """A pool job that leaves one new marker file per run, then raises its own OSError."""
+    os.close(tempfile.mkstemp(dir=out, prefix=f"job{job}-")[0])
+    raise PermissionError(f"job {job} refused")
+
+
+class _PoolThatCannotStart:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        raise OSError("no worker process can be started")
+
+    map = submit
+
+
+class _PoolThatCannotBeCreated(_PoolThatCannotStart):
+    def __init__(self, max_workers):
+        raise OSError("no pool on this system")
+
+
+class TestParallelMap:
+    def test_a_jobs_own_error_propagates_without_a_serial_rerun(self, tmp_path):
+        with pytest.raises(PermissionError, match="refused"):
+            _parallel_map(partial(_mark_then_refuse, tmp_path), [0, 1])
+        assert len(list(tmp_path.iterdir())) == 2  # each job ran once
+
+    @pytest.mark.parametrize("pool", [_PoolThatCannotBeCreated, _PoolThatCannotStart])
+    def test_a_pool_that_cannot_run_falls_back_to_serial(self, monkeypatch, pool):
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
+        assert _parallel_map(abs, [-2, 3, -4]) == [2, 3, 4]
 
 
 class TestReadsBeforeTheCheck:
