@@ -183,12 +183,14 @@ def read_sweep_csv(path):
 
     Header: gamma,tau_mean,tau_std,n_seeds,censored. Empty tau fields mark
     fully censored levels; censored is the count of censored seeds. A
-    non-finite gamma, tau_mean or tau_std is a bad row.
+    non-finite gamma, tau_mean or tau_std, or only one of the two tau fields
+    empty, is a bad row.
     """
     def parse(rec):
         gamma = float(rec[0])
-        mean = float(rec[1]) if rec[1].strip() else None
-        std = float(rec[2]) if rec[2].strip() and mean is not None else None
+        mean, std = (float(f) if f.strip() else None for f in rec[1:3])
+        if (mean is None) != (std is None):
+            raise ValueError
         if not all(math.isfinite(v) for v in (gamma, mean, std) if v is not None):
             raise ValueError
         return GammaStats(gamma, mean, std, int(rec[3]), int(rec[4]))

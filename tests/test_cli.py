@@ -887,6 +887,17 @@ class TestEscapeCommands:
         code = main(["escape", "fit", "--input", str(csv), "--out", str(tmp_path)])
         assert code == 3
 
+    # a tau_mean without a tau_std, or a tau_std without a tau_mean, is a bad row
+    @pytest.mark.parametrize("row", ["1e-3,1000.0,,3,0", "1e-3,,5.0,3,0"])
+    def test_fit_with_half_empty_tau_pair_exits_2(self, tmp_path, capsys, row):
+        csv = tmp_path / "levels.csv"
+        csv.write_text("gamma,tau_mean,tau_std,n_seeds,censored\n"
+                       f"{row}\n1e-2,100.0,5.0,3,0\n1e-1,10.0,1.0,3,0\n")
+        out = tmp_path / "out"
+        assert main(["escape", "fit", "--input", str(csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad escape CSV row")
+        assert not out.exists()
+
     # a non-finite field is a bad row (2); a fit whose sums overflow is a numerical failure (3)
     @pytest.mark.parametrize("rows,code", [
         (["1e200,100.0,1.0,3,0", "2e200,50.0,1.0,3,0", "3e200,20.0,1.0,3,0"], 3),

@@ -276,8 +276,10 @@ class TestCsvRoundtrip:
         with pytest.raises(ValidationError):
             read_sweep_csv(p)
 
-    @pytest.mark.parametrize("row", ["nan,10.0,1.0,3,0", "0.1,inf,1.0,3,0", "0.1,10.0,-inf,3,0"])
-    def test_rejects_non_finite_field(self, tmp_path, row):
+    # a non-finite field, or only one of the two tau fields empty
+    @pytest.mark.parametrize("row", ["nan,10.0,1.0,3,0", "0.1,inf,1.0,3,0", "0.1,10.0,-inf,3,0",
+                                     "0.1,10.0,,3,0", "0.1,,1.0,3,0"])
+    def test_rejects_non_finite_or_half_empty_field(self, tmp_path, row):
         p = tmp_path / "bad.csv"
         p.write_text(f"gamma,tau_mean,tau_std,n_seeds,censored\n{row}\n")
         with pytest.raises(ValidationError, match="bad escape CSV row"):
