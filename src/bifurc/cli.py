@@ -316,14 +316,15 @@ def _toy_protocol(sub, cfg):
     and the anneal drive (always, for reverse) runs at its own rate and length.
     """
     every = cfg.get_int("experiment", "record_every")
+    n = cfg.get_int("data", "n")
     if sub == "hierarchy":
+        _check_entries(("K", 8), ("data.n", n))  # the hierarchy's own 8 prototypes
         lr = cfg.get_float("probe", "lr_means")
         check_rates(lr)
         return partial(run_hierarchical, lr=lr, record_every=every)
     k = cfg.get_int("probe", "k")
     if k < 1:
         raise ConfigError(f"probe.k must be >= 1, got {k}")
-    n = cfg.get_int("data", "n")
     _check_entries(("probe.k", k), ("data.n", n))
     start = dict(k=k, log_beta_init=cfg.get_float("probe", "log_beta_init"), record_every=every)
     if sub == "endogenous":

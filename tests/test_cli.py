@@ -473,6 +473,20 @@ class TestExitCodes:
         assert f"{key} = 99999999999999999999" in err and "must be <= 4194304" in err
         assert not out.exists()
 
+    def test_hierarchy_kernel_buffer_is_bounded(self, tmp_path, capsys, monkeypatch):
+        # data.n * data.dim = 1,200,000 is within the bound, but the 8 x data.n kernel buffer
+        # of the hierarchy's own 8 prototypes is not
+        def no_dataset(*args):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr("bifurc.cli._toy_dataset", no_dataset)
+        monkeypatch.setenv("BIFURC_DATA__N", "600000")
+        out = tmp_path / "out"
+        assert main(["toy", "hierarchy", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: K * data.n must be <= 4194304, got K = 8, data.n = 600000\n")
+        assert not out.exists()
+
     def test_oversized_hessian_exits_2_before_building_it(self, tmp_path, capsys, monkeypatch):
         # K d = 4,098: each finite-difference Hessian would take 8,196 gradient calls
         monkeypatch.setenv("BIFURC_PROBE__K", "2049")
