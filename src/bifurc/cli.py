@@ -217,6 +217,9 @@ def _check_entries(*sizes):
 @_quiet_overflow()
 def _cmd_calibrate_hessian(cfg, ready):
     k = cfg.get_int("probe", "k")
+    if k < 2:  # the anti-symmetric channel has K - 1 directions
+        raise ConfigError(f"calibrate-hessian needs probe.k >= 2: one prototype has no "
+                          f"anti-symmetric channel, so nothing crosses zero; got {k}")
     source = cfg.get_choice("hessian", "source", {"bimodal", "identity"})
     seed = cfg.seeds()[0]
     if source == "identity":

@@ -250,18 +250,27 @@ def write_trajectory_csv(log, path):
 
 
 def _reading(rec):
+    log_beta, log_beta_c, log_ratio = float(rec[1]), float(rec[2]), float(rec[3])
+    finite = all(map(math.isfinite, (log_beta, log_beta_c, log_ratio)))  # else classify refuses
+    scale = max(1.0, abs(log_beta), abs(log_beta_c))
+    if finite and not abs(log_ratio - (log_beta - log_beta_c)) <= 1e-12 * scale:
+        raise ValueError("log_ratio is not log_beta - log_beta_c")
     return CriticalityReading(
         step=int(rec[0]),
-        log_beta=float(rec[1]),
-        log_beta_c=float(rec[2]),
-        log_ratio=float(rec[3]),
+        log_beta=log_beta,
+        log_beta_c=log_beta_c,
+        log_ratio=log_ratio,
         nc1=float(rec[4]) if rec[4].strip() else None,
         order_parameter=float(rec[5]),
     )
 
 
 def read_trajectory_csv(path):
-    """Inverse of write_trajectory_csv; tolerates missing comment lines."""
+    """Inverse of write_trajectory_csv; tolerates missing comment lines.
+
+    A finite row whose log_ratio is not log_beta - log_beta_c, within 1e-12
+    of the larger of 1 and their magnitudes, is a bad row (ValidationError).
+    """
     meta = {"experiment": "unknown", "seed": 0, "config": ""}
     comments, rows = read_table(path, TRAJECTORY_HEADER, "trajectory", _reading)
     pairs = (tok.split("=", 1) for line in comments for tok in line.split() if "=" in tok)

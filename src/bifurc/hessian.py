@@ -17,8 +17,12 @@ The lowest anti-symmetric eigenvalue belongs to sigma_1^2 = lambda_max and
 zero-crosses exactly at beta_c = 1/lambda_max: the collapsed state is stable
 iff beta < beta_c. This module provides the closed form, the channel
 spectrum, a finite-difference cross-check (central differences of the probe
-kernel's analytic mean gradient), and the zero-crossing scan, whose root is
-found by the Illinois method on either route.
+kernel's analytic mean gradient), and the zero-crossing scan. On either
+route the scan finds its root by the Illinois method on the lowest eigenvalue
+in units of the symmetric eigenvalue beta/K, K lambda_low / beta. In the
+closed form that is 1 - beta/beta_c for K >= 2 (and 1 for K = 1, which
+never crosses), affine in beta, so the first secant point lands on the root;
+the raw eigenvalue is a parabola in beta, which takes about ten evaluations.
 """
 
 import math
@@ -171,7 +175,7 @@ def _illinois(f, lo, hi, tol):
         return hi, 2
     if not (fa < 0.0 < fb or fb < 0.0 < fa):
         raise BracketError(
-            f"no sign change in [{lo}, {hi}]: lowest eigenvalue {fa:.3e} .. {fb:.3e}"
+            f"no sign change in [{lo}, {hi}]: K * lowest eigenvalue / beta {fa:.3e} .. {fb:.3e}"
         )
     rising = fb > 0.0
     # ha, hb: the endpoints' values as the secant uses them, halved by the Illinois rule
@@ -202,14 +206,16 @@ def _illinois(f, lo, hi, tol):
 def find_crossing(K, cov, beta_lo, beta_hi):
     """Locate the beta where the lowest Hessian eigenvalue crosses zero.
 
-    Finds the root of the closed-form lowest eigenvalue over
-    [beta_lo, beta_hi] by the Illinois method, to a bracket narrower than
-    CROSSING_TOL, absolutely and relative to beta (see _illinois); iterations
-    counts its evaluations. The report also carries a uniform 41-point scan of
-    the lowest eigenvalue over the bracket (it changes sign exactly once, since
-    lambda_perp_1(beta) = (beta/K)(1 - beta lambda_max) is monotone through
-    the crossing for beta > 0). A degenerate cov (see critical_spectrum)
-    raises DegenerateInputError.
+    Finds the root of the closed-form K lambda_low(beta) / beta =
+    1 - beta lambda_max (K >= 2) over [beta_lo, beta_hi] by the Illinois
+    method, to a bracket narrower than CROSSING_TOL, absolutely and relative
+    to beta (see _illinois); iterations counts its evaluations, 3 or 4 at the
+    default bracket, since the secant is exact on an affine function. The
+    report also carries a uniform 41-point scan of the raw lowest eigenvalue
+    over the bracket (it changes sign exactly once, since lambda_perp_1(beta)
+    = (beta/K)(1 - beta lambda_max) is monotone through the crossing for
+    beta > 0). A degenerate cov (see critical_spectrum) raises
+    DegenerateInputError.
     """
     lam, spectrum = critical_spectrum(cov)
     eigs = spectrum.eigenvalues
@@ -217,7 +223,7 @@ def find_crossing(K, cov, beta_lo, beta_hi):
     def low(b):
         return lowest_eigenvalue(b, K, eigs)
 
-    root, iterations = _illinois(low, beta_lo, beta_hi, CROSSING_TOL)
+    root, iterations = _illinois(lambda b: low(b) * (K / b), beta_lo, beta_hi, CROSSING_TOL)
     grid = np.linspace(beta_lo, beta_hi, 41)
     scan = [(float(b), float(low(b))) for b in grid]
     return CrossingReport(
@@ -232,12 +238,13 @@ def find_crossing_numeric(K, samples, beta_lo, beta_hi):
     """Zero-crossing scan over the finite-difference Hessian's lowest eigenvalue.
 
     The independent (all-numeric) route: at each root-finder point the
-    Hessian is rebuilt by numerical_hessian and diagonalized, to a bracket
-    narrower than CROSSING_TOL. Returns
-    (root, evaluations), evaluations being the number of Hessians built.
+    Hessian is rebuilt by numerical_hessian and diagonalized, and the Illinois
+    method finds the root of K lambda_low / beta, as find_crossing does, to a
+    bracket narrower than CROSSING_TOL. Returns (root, evaluations),
+    evaluations being the number of Hessians built (4 at the default bracket).
     """
-    def low(beta):
+    def scaled_low(beta):
         h = numerical_hessian(samples, K, math.log(beta))
-        return float(sym_eigen(h).eigenvalues[-1])
+        return float(sym_eigen(h).eigenvalues[-1]) * (K / beta)
 
-    return _illinois(low, beta_lo, beta_hi, CROSSING_TOL)
+    return _illinois(scaled_low, beta_lo, beta_hi, CROSSING_TOL)

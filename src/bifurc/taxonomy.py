@@ -108,7 +108,11 @@ def _channels(log, thresholds, horizon):
         raise ValidationError("classification needs the NC1 channel on every reading")
     steps = np.asarray([r.step for r in log.readings], dtype=float)
     ratio = np.asarray([r.log_ratio for r in log.readings], dtype=float)
-    lnc1 = np.log10(np.maximum([r.nc1 for r in log.readings], NC1_LOG_FLOOR))
+    nc1 = np.asarray([r.nc1 for r in log.readings], dtype=float)
+    negative = nc1[nc1 < 0.0]  # NC1 is a ratio of PSD traces; zero is floored below
+    if negative.size:
+        raise ValidationError(f"NC1 must be >= 0, got {float(negative[0])!r}")
+    lnc1 = np.log10(np.maximum(nc1, NC1_LOG_FLOOR))
     if not (np.all(np.isfinite(ratio)) and np.all(np.isfinite(lnc1))):
         raise ValidationError("non-finite channel values")
     return steps, ratio, lnc1

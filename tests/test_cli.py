@@ -417,6 +417,20 @@ class TestExitCodes:
         assert err.startswith("error:") and "probe.k >= 2" in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("source", ["bimodal", "identity"])
+    def test_one_prototype_hessian_exits_2_naming_the_cause(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        # one prototype has no anti-symmetric channel, so the crossing scan has no root
+        monkeypatch.setenv("BIFURC_PROBE__K", "1")
+        monkeypatch.setenv("BIFURC_HESSIAN__SOURCE", source)
+        out = tmp_path / "out"
+        assert main(["calibrate-hessian", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: calibrate-hessian needs probe.k >= 2: one prototype has no anti-symmetric "
+            "channel, so nothing crosses zero; got 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["bimodal", "endogenous"])
     def test_no_prototype_exits_2_before_writing(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setenv("BIFURC_PROBE__K", "0")
@@ -788,6 +802,35 @@ class TestClassifyCommand:
         code = main(["classify", "--input", str(path), "--out", str(tmp_path)])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["label"] == "NoArc"
+
+    def test_negative_nc1_exits_2(self, tmp_path, capsys):
+        # NC1 is a ratio of PSD traces; it is not floored up to 1e-15 and labelled
+        log = TrajectoryLog("negative-nc1", 0)
+        for i in range(30):
+            r = -1.0 + 2.0 * i / 29
+            log.record(i, r, 0.0, -1.0, 1e-3)
+        path = tmp_path / "negative.csv"
+        write_trajectory_csv(log, path)
+        out = tmp_path / "out"
+        assert main(["classify", "--input", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: NC1 must be >= 0, got -1.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first_log_ratio,code", [("-5.0", 2), ("-1.0", 0)])
+    def test_log_ratio_must_match_its_beta_columns(
+        self, tmp_path, capsys, first_log_ratio, code
+    ):
+        # the first row's columns give log_ratio = -1 - 0
+        rows = [f"{i},{-1.0 + i / 20},0.0,{-1.0 + i / 20},1.0,0.001" for i in range(1, 40)]
+        path = tmp_path / "log.csv"
+        path.write_text("step,log_beta,log_beta_c,log_ratio,nc1,order_parameter\n"
+                        f"0,-1.0,0.0,{first_log_ratio},1.0,0.001\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["classify", "--input", str(path), "--out", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith(
+                "error: bad trajectory row: ['0', '-1.0', '0.0', '-5.0'")
+            assert not out.exists()
 
 
 class TestEscapeCommands:
@@ -1204,14 +1247,15 @@ class TestCalibrateHessian:
                 assert main(["calibrate-hessian", "--out", str(out)]) == 0
             assert tree_digest(out_a) == tree_digest(out_b)
             rep = read_json(out_a / "hessian_report.json")
+            # the root is found on K lambda_low / beta, affine in beta in the closed form
             assert type(rep["crossing_iterations"]) is int
-            assert 2 <= rep["crossing_iterations"] <= 12
+            assert 2 <= rep["crossing_iterations"] <= 4
             if source == "identity":
                 assert rep["finite_difference_hessians"] is None
             else:
                 # the crossing scan's Hessians plus the one compared entrywise
                 assert type(rep["finite_difference_hessians"]) is int
-                assert 3 <= rep["finite_difference_hessians"] <= 12
+                assert 3 <= rep["finite_difference_hessians"] <= 5
 
 
 FIXTURES = importlib.resources.files("bifurc") / "fixtures"

@@ -220,6 +220,26 @@ class TestFindCrossing:
         assert 2.0 / (2.0 * lam) == pytest.approx(rep.beta_critical_numeric, abs=1e-4)
 
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_bracket_takes_few_evaluations_on_either_route(self, seed):
+        # K lambda_low / beta = 1 - beta lambda_max is affine in beta, so the first
+        # secant point is the root; on the raw eigenvalue, a parabola in beta, either
+        # route took 10 evaluations
+        samples = toy_dataset("bimodal", 2000, seed).samples
+        cov = covariance(samples)
+        guess = beta_c(cov)
+        rep = find_crossing(10, cov, 0.5 * guess, 1.5 * guess)
+        assert rep.iterations <= 4
+        assert abs(rep.beta_critical_numeric - rep.beta_critical_analytic) <= 4 * math.ulp(guess)
+        numeric, hessians = find_crossing_numeric(10, samples, 0.5 * guess, 1.5 * guess)
+        assert hessians <= 4
+        assert abs(numeric - guess) <= 1e-4 * guess
+
+    def test_one_prototype_has_no_crossing(self):
+        # no anti-symmetric channel: K lambda_low / beta is the symmetric channel's 1
+        with pytest.raises(BracketError, match=r"K \* lowest eigenvalue / beta 1\.000e\+00"):
+            find_crossing(1, np.eye(2), 0.5, 1.5)
+
     @pytest.mark.parametrize("scale", [1e6, 1e7])
     def test_small_critical_precision_keeps_relative_accuracy(self, scale):
         # beta_c = 1/scale sits below the 1e-6 tolerance: an absolute stop
