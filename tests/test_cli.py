@@ -1221,6 +1221,26 @@ class TestToyCommands:
 
 
 class TestCalibrateHessian:
+    # both files of each source at the default config, byte for byte
+    @pytest.mark.parametrize("source,digests", [
+        ("bimodal", {
+            "hessian_report.json":
+                "0ba03f5ef55428a4e17c41cb1f1724476625de532ee91313a426fb883ce2495a",
+            "hessian_scan.svg":
+                "cdef76b738296260564febff797272d4e8ab4d43546e5886cf877c9ff1980a2f",
+        }),
+        ("identity", {
+            "hessian_report.json":
+                "b9e502e896d93d33148c84a82c4190cc1254e8fbc57df96f645f8dc48dcd993a",
+            "hessian_scan.svg":
+                "9cf8ad921b161663df4f57aa7191025a06223bb0af1f63a03a92bab2cdc60b01",
+        }),
+    ])
+    def test_default_outputs_are_pinned(self, tmp_path, clean_env, source, digests):
+        clean_env.setenv("BIFURC_HESSIAN__SOURCE", source)
+        assert main(["calibrate-hessian", "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert tree_digest(tmp_path) == digests
+
     def test_default_bimodal_routes_agree(self, tmp_path):
         code = main(["calibrate-hessian", "--out", str(tmp_path)])
         assert code == 0
