@@ -65,8 +65,9 @@ from .experiments import (
     trajectory_summary,
     write_trajectory_csv,
 )
-from .gmm_probe import ProbeConfig, beta_c, check_rates
-from .hessian import analytic_hessian, find_crossing, find_crossing_numeric, numerical_hessian
+from .gmm_probe import ProbeConfig, check_rates, critical_spectrum
+from .hessian import (analytic_hessian, find_crossing, find_crossing_numeric, lowest_eigenvalue,
+                      numerical_hessian)
 from .mathcore import MAX_EIGEN_DIM, covariance
 from .sde import (
     MAX_SAMPLE_ENTRIES,
@@ -114,6 +115,12 @@ _OVERLAYS = {
 # Keys too bulky for the merged cross-seed summary; they stay in the
 # per-seed JSON files.
 _BULKY_SUMMARY_KEYS = ("loss_trace", "branch")
+
+# An escape sweep holds one job per (gamma level, seed) cell before it measures any:
+# about 290 B of job tuple, and in the process pool about 1.9 kB more of future and
+# work item. So 2**16 cells let a sweep allocate about 140 MB up front. (The array
+# bound MAX_SAMPLE_ENTRIES = 2**22 would let it take about 9 GB.)
+_MAX_SWEEP_CELLS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +238,20 @@ def _cmd_calibrate_hessian(cfg, ready):
     else:
         samples = _toy_dataset(_toy_data("bimodal", cfg), seed).samples
         cov = covariance(samples)
-    guess = beta_c(cov)
-    lo = guess * cfg.get_float("hessian", "bracket_lo_ratio")
-    hi = guess * cfg.get_float("hessian", "bracket_hi_ratio")
+    lam, spectrum = critical_spectrum(cov)
+    beta_ref = 1.0 / lam
+    lo = beta_ref * cfg.get_float("hessian", "bracket_lo_ratio")
+    hi = beta_ref * cfg.get_float("hessian", "bracket_hi_ratio")
     out_dir = ready()
-    report = find_crossing(k, cov, lo, hi)
+    root, iterations = find_crossing(k, spectrum.eigenvalues, lo, hi)
     result = {
         "k": k,
         "source": source,
         "seed": seed,
-        "beta_critical_analytic": float(report.beta_critical_analytic),
-        "beta_critical_numeric": float(report.beta_critical_numeric),
-        "crossing_gap": float(
-            abs(report.beta_critical_numeric - report.beta_critical_analytic)
-        ),
-        "crossing_iterations": report.iterations,
+        "beta_critical_analytic": beta_ref,
+        "beta_critical_numeric": root,
+        "crossing_gap": abs(root - beta_ref),
+        "crossing_iterations": iterations,
     }
     if samples is None:
         result.update(
@@ -256,18 +262,17 @@ def _cmd_calibrate_hessian(cfg, ready):
         )
     else:
         fd_bc, fd_hessians = find_crossing_numeric(k, samples, lo, hi)
-        beta_ref = report.beta_critical_analytic
         numeric = numerical_hessian(samples, k, math.log(beta_ref))
         analytic = analytic_hessian(beta_ref, k, cov)
         result.update(
             beta_critical_finite_difference=float(fd_bc),
-            finite_difference_gap=float(abs(fd_bc - report.beta_critical_analytic)),
+            finite_difference_gap=float(abs(fd_bc - beta_ref)),
             max_abs_hessian_difference=float(np.max(np.abs(numeric - analytic))),
             finite_difference_hessians=fd_hessians + 1,
         )
     _write_json(out_dir / "hessian_report.json", _payload(cfg.config_hash, **result))
-    xs = [b for b, _ in report.scan_points]
-    ys = [v for _, v in report.scan_points]
+    xs = np.linspace(lo, hi, 41).tolist()
+    ys = [lowest_eigenvalue(b, k, spectrum.eigenvalues) for b in xs]
     line_chart(
         out_dir / "hessian_scan.svg",
         [("lowest eigenvalue", xs, ys), ("zero", [xs[0], xs[-1]], [0.0, 0.0])],
@@ -478,18 +483,20 @@ def _cmd_sde_pitchfork(cfg, ready):
 
 def _coupled_worker(config, config_hash, job):
     seed, out = job
-    stats = persistence_stats(*simulate_coupled_modes(replace(config, seed=seed)))
-    cosines = iter(stats.cosines.tolist())  # one per mode that is not excluded
-    rows = [(mode, p0, p1, None if mode in stats.excluded_modes else next(cosines))
-            for mode, (p0, p1) in enumerate(stats.projection_pairs.tolist())]
+    cosines, projections, rho = persistence_stats(
+        *simulate_coupled_modes(replace(config, seed=seed)))
+    # a NaN cosine is a mode whose final row is zero: an empty field, and excluded
+    rows = [(mode, p0, p1, None if math.isnan(c) else c)
+            for mode, ((p0, p1), c) in enumerate(zip(projections.tolist(), cosines.tolist()))]
     write_table(
         Path(out) / f"sde-coupled_seed{seed}.csv",
         ["mode", "projection_initial", "projection_final", "cosine"],
         rows,
         [run_identity("sde-coupled", config_hash, seed)],
     )
-    mean_cos = float(np.mean(stats.cosines)) if len(stats.cosines) else None
-    return seed, float(stats.spearman_rho), mean_cos, len(stats.excluded_modes)
+    kept = cosines[~np.isnan(cosines)]
+    mean_cos = float(np.mean(kept)) if len(kept) else None
+    return seed, float(rho), mean_cos, len(cosines) - len(kept)
 
 
 @_quiet_overflow()
@@ -571,10 +578,14 @@ def _escape_sweep(cfg):
     horizon = cfg.get_int("escape", "horizon")
     if horizon < 1:
         raise ConfigError(f"escape.horizon must be >= 1, got {horizon}")
+    gammas = cfg.get_float_list("escape", "gammas")
+    seeds_per_gamma = cfg.get_int("escape", "seeds_per_gamma")
+    if len(gammas) * seeds_per_gamma > _MAX_SWEEP_CELLS:
+        raise ConfigError(f"len(escape.gammas) * escape.seeds_per_gamma must be <= "
+                          f"{_MAX_SWEEP_CELLS} sweep cells, got {len(gammas)} * {seeds_per_gamma}")
     cell = _section(cfg, SdeConfig, "sde", seed=cfg.seeds()[0], modes=1, dim=1, coupling=0.0,
                     steps=horizon)
-    return partial(sweep_statistics, gammas=cfg.get_float_list("escape", "gammas"),
-                   seeds_per_gamma=cfg.get_int("escape", "seeds_per_gamma"), config=cell,
+    return partial(sweep_statistics, gammas=gammas, seeds_per_gamma=seeds_per_gamma, config=cell,
                    curvature=cfg.get_float("escape", "tilt_curvature"),
                    threshold=cfg.get_float("escape", "threshold"))
 

@@ -144,14 +144,18 @@ class RunConfig:
             return None
         return self.get_float(section, key)
 
-    def get_float_list(self, section, key):
+    def _list(self, section, key, caster, kind):
+        """The non-empty comma list at section.key, each item read by caster."""
         def parse(raw):
             parts = [p.strip() for p in raw.split(",") if p.strip() != ""]
             if not parts:
                 raise ValueError(raw)
-            return [float(p) for p in parts]
+            return [caster(p) for p in parts]
 
-        return self._coerce(section, key, parse, "a comma-separated number list")
+        return self._coerce(section, key, parse, kind)
+
+    def get_float_list(self, section, key):
+        return self._list(section, key, float, "a comma-separated number list")
 
     def get_choice(self, section, key, choices):
         raw = self.get(section, key)
@@ -162,13 +166,7 @@ class RunConfig:
         return raw
 
     def seeds(self):
-        def parse(raw):
-            parts = [p.strip() for p in raw.split(",") if p.strip() != ""]
-            if not parts:
-                raise ValueError(raw)
-            return [int(p) for p in parts]
-
-        seeds = self._coerce("run", "seeds", parse, "a comma-separated seed list")
+        seeds = self._list("run", "seeds", int, "a comma-separated seed list")
         if min(seeds) < 0 or len(set(seeds)) < len(seeds):
             raise ConfigError(
                 f"run.seeds must be distinct non-negative integers, got {self.get('run', 'seeds')!r}"

@@ -103,11 +103,6 @@ def critical_spectrum(cov):
     return lam, spectrum
 
 
-def beta_c(cov):
-    """Critical precision 1/lambda_max(cov) of a covariance matrix."""
-    return 1.0 / critical_spectrum(cov)[0]
-
-
 def init_collapsed(samples, k, log_beta, rng):
     """Near-symmetric start: k prototypes at the sample mean plus a small jitter.
 

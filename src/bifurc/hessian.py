@@ -17,22 +17,23 @@ The lowest anti-symmetric eigenvalue belongs to sigma_1^2 = lambda_max and
 zero-crosses exactly at beta_c = 1/lambda_max: the collapsed state is stable
 iff beta < beta_c. This module provides the closed form, the channel
 spectrum, a finite-difference cross-check (central differences of the probe
-kernel's analytic mean gradient), and the zero-crossing scan. On either
-route the scan finds its root by the Illinois method on the lowest eigenvalue
-in units of the symmetric eigenvalue beta/K, K lambda_low / beta. In the
-closed form that is 1 - beta/beta_c for K >= 2 (and 1 for K = 1, which
-never crosses), affine in beta, so the first secant point lands on the root;
-the raw eigenvalue is a parabola in beta, which takes about ten evaluations.
+kernel's analytic mean gradient), and a root finder for beta_c on each of
+the two routes. Both find the root by the Illinois method on the lowest
+eigenvalue in units of the symmetric eigenvalue beta/K, K lambda_low / beta.
+In the closed form that is 1 - beta/beta_c for K >= 2 (and 1 for K = 1,
+which never crosses), affine in beta, so the first secant point lands on the
+root; the raw eigenvalue is a parabola in beta, which takes about ten
+evaluations.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from .errors import BracketError, DimensionError, ValidationError
-from .gmm_probe import _mean_pull, _precision, _Workspace, critical_spectrum
+from .gmm_probe import _mean_pull, _precision, _Workspace
 from .mathcore import MAX_EIGEN_DIM, check_symmetric, sym_eigen
 
 # both crossing scans stop once the root's bracket is narrower than this (see _illinois)
@@ -43,23 +44,13 @@ CROSSING_TOL = 1e-6
 class ChannelSpectrum:
     """Closed-form Hessian spectrum at the collapsed state.
 
-    antisymmetric_eigenvalues holds (lambda_perp_i, sigma_i^2, K-1) triples,
+    antisymmetric_eigenvalues holds lambda_perp_i, each (K-1)-fold degenerate,
     ordered like the spatial eigenvalues (descending sigma_i^2, so the first
     entry is the lowest, first-destabilizing channel).
     """
 
     symmetric_eigenvalue: float
-    antisymmetric_eigenvalues: List[Tuple[float, float, int]]
-
-
-@dataclass
-class CrossingReport:
-    """Result of the lowest-eigenvalue zero-crossing scan."""
-
-    beta_critical_numeric: float
-    beta_critical_analytic: float
-    scan_points: List[Tuple[float, float]]
-    iterations: int
+    antisymmetric_eigenvalues: List[float]
 
 
 def _check_beta_k(beta, K):
@@ -104,7 +95,7 @@ def channel_spectrum(beta, K, spatial_eigs):
         raise ValidationError("spatial eigenvalues must be sorted descending")
     # Python floats: a huge beta overflows to -inf here without a numpy warning
     beta = float(beta)
-    anti = [((beta / K) * (1.0 - beta * s), s, K - 1) for s in eigs.tolist()]
+    anti = [(beta / K) * (1.0 - beta * s) for s in eigs.tolist()]
     return ChannelSpectrum(symmetric_eigenvalue=beta / K, antisymmetric_eigenvalues=anti)
 
 
@@ -143,8 +134,7 @@ def numerical_hessian(samples, K, log_beta):
 def lowest_eigenvalue(beta, K, spatial_eigs):
     """Lowest eigenvalue of the collapsed-state Hessian (closed form)."""
     cs = channel_spectrum(beta, K, spatial_eigs)
-    lows = [lam for lam, _, mult in cs.antisymmetric_eigenvalues if mult > 0]
-    return min([cs.symmetric_eigenvalue] + lows)
+    return min([cs.symmetric_eigenvalue] + (cs.antisymmetric_eigenvalues if K > 1 else []))
 
 
 def _illinois(f, lo, hi, tol):
@@ -203,39 +193,22 @@ def _illinois(f, lo, hi, tol):
     return (a if abs(fa) <= abs(fb) else b), evaluations
 
 
-def find_crossing(K, cov, beta_lo, beta_hi):
-    """Locate the beta where the lowest Hessian eigenvalue crosses zero.
+def find_crossing(K, spatial_eigs, beta_lo, beta_hi):
+    """Locate the beta where the closed-form lowest Hessian eigenvalue crosses zero.
 
-    Finds the root of the closed-form K lambda_low(beta) / beta =
-    1 - beta lambda_max (K >= 2) over [beta_lo, beta_hi] by the Illinois
-    method, to a bracket narrower than CROSSING_TOL, absolutely and relative
-    to beta (see _illinois); iterations counts its evaluations, 3 or 4 at the
-    default bracket, since the secant is exact on an affine function. The
-    report also carries a uniform 41-point scan of the raw lowest eigenvalue
-    over the bracket (it changes sign exactly once, since lambda_perp_1(beta)
-    = (beta/K)(1 - beta lambda_max) is monotone through the crossing for
-    beta > 0). A degenerate cov (see critical_spectrum) raises
-    DegenerateInputError.
+    Finds the root of K lambda_low(beta) / beta = 1 - beta lambda_max
+    (K >= 2) over [beta_lo, beta_hi] by the Illinois method, to a bracket
+    narrower than CROSSING_TOL, absolutely and relative to beta (see
+    _illinois). Returns (root, evaluations), evaluations being 3 or 4 at the
+    default bracket, since the secant is exact on an affine function.
+    spatial_eigs are as for channel_spectrum.
     """
-    lam, spectrum = critical_spectrum(cov)
-    eigs = spectrum.eigenvalues
-
-    def low(b):
-        return lowest_eigenvalue(b, K, eigs)
-
-    root, iterations = _illinois(lambda b: low(b) * (K / b), beta_lo, beta_hi, CROSSING_TOL)
-    grid = np.linspace(beta_lo, beta_hi, 41)
-    scan = [(float(b), float(low(b))) for b in grid]
-    return CrossingReport(
-        beta_critical_numeric=float(root),
-        beta_critical_analytic=1.0 / lam,
-        scan_points=scan,
-        iterations=iterations,
-    )
+    return _illinois(lambda b: lowest_eigenvalue(b, K, spatial_eigs) * (K / b),
+                     beta_lo, beta_hi, CROSSING_TOL)
 
 
 def find_crossing_numeric(K, samples, beta_lo, beta_hi):
-    """Zero-crossing scan over the finite-difference Hessian's lowest eigenvalue.
+    """Locate the beta where the finite-difference Hessian's lowest eigenvalue crosses zero.
 
     The independent (all-numeric) route: at each root-finder point the
     Hessian is rebuilt by numerical_hessian and diagonalized, and the Illinois

@@ -29,9 +29,8 @@ _decimation(steps) steps and the last step), raises NumericalError.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import List
 
 import numpy as np
 
@@ -223,28 +222,19 @@ def simulate_coupled_modes(config):
     return e0, e, ref
 
 
-@dataclass
-class PersistenceStats:
-    """Per-mode directional persistence and the scalar-projection proxy."""
-
-    cosines: np.ndarray  # d_k(0)^T d_k(T), excluded modes dropped
-    projection_pairs: np.ndarray  # (modes, 2): <eps_k(0), r>, <eps_k(T), r>
-    spearman_rho: float
-    excluded_modes: List[int] = field(default_factory=list)
-
-
 def persistence_stats(start, end, reference):
-    """Cosines d_k(0)^T d_k(T) of the unit rows of a coupled run's start and
-    end states, and the Spearman of their projections onto the run's
-    reference direction.
+    """(cosines, projections, rho) of a coupled run's start and end states.
 
-    Modes whose final magnitude is exactly zero are excluded from the cosine
-    list and reported in excluded_modes; a zero initial row has cosine 0.
+    cosines[k] = d_k(0)^T d_k(T), the cosine of mode k's unit start and end
+    rows: NaN for a mode whose final row is exactly zero, and 0 for a zero
+    initial row. projections is (modes, 2): <eps_k(0), r>, <eps_k(T), r> on
+    the run's reference direction r, and rho is their Spearman.
     """
     n0, n1 = np.linalg.norm(start, axis=1), np.linalg.norm(end, axis=1)
     keep = n1 > 0
-    cos = np.einsum("kd,kd->k", start[keep] / np.where(n0 > 0, n0, 1.0)[keep, None],
-                    end[keep] / n1[keep, None])
+    cos = np.full(len(start), math.nan)
+    cos[keep] = np.einsum("kd,kd->k", start[keep] / np.where(n0 > 0, n0, 1.0)[keep, None],
+                          end[keep] / n1[keep, None])
     p0, p1 = start @ reference, end @ reference
     try:
         rho = spearman(p0, p1)
@@ -253,12 +243,7 @@ def persistence_stats(start, end, reference):
             "the modes' projections are constant, so their Spearman is undefined: at "
             "init_scale = 0 every mode starts at zero, and at noise_intensity = 0 stays there"
         ) from None
-    return PersistenceStats(
-        cosines=cos,
-        projection_pairs=np.stack([p0, p1], axis=1),
-        spearman_rho=rho,
-        excluded_modes=np.flatnonzero(~keep).tolist(),
-    )
+    return cos, np.stack([p0, p1], axis=1), rho
 
 
 def predict_persistence(config):

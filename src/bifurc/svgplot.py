@@ -12,6 +12,8 @@ from .errors import ValidationError
 
 PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#bf8700", "#8250df", "#57606a")
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 36.0
@@ -49,8 +51,8 @@ def _escape(text):
     )
 
 
-def line_chart(path, series, title="", x_label="", y_label="", width=720, height=480):
-    """Write an SVG of one or more (label, xs, ys) polyline series.
+def line_chart(path, series, title, x_label, y_label):
+    """Write a _WIDTH x _HEIGHT SVG of one or more (label, xs, ys) polyline series.
 
     Non-finite points are dropped per series; a series may also be a scatter
     of a single point (drawn as a short tick). Raises ValidationError when no
@@ -73,8 +75,8 @@ def line_chart(path, series, title="", x_label="", y_label="", width=720, height
     x_lo, x_hi = _span(min(all_x), max(all_x))
     y_lo, y_hi = _span(min(all_y), max(all_y))
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x):
         return _MARGIN_LEFT + plot_w * (x - x_lo) / (x_hi - x_lo)
@@ -84,19 +86,18 @@ def line_chart(path, series, title="", x_label="", y_label="", width=720, height
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="12">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     out.append(
         f'<rect x="{_MARGIN_LEFT:.2f}" y="{_MARGIN_TOP:.2f}" width="{plot_w:.2f}" '
         f'height="{plot_h:.2f}" fill="none" stroke="#24292f" stroke-width="1"/>'
     )
-    if title:
-        out.append(
-            f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" '
-            f'font-size="14">{_escape(title)}</text>'
-        )
+    out.append(
+        f'<text x="{_WIDTH / 2:.2f}" y="22" text-anchor="middle" '
+        f'font-size="14">{_escape(title)}</text>'
+    )
 
     n_ticks = 5
     for i in range(n_ticks):
@@ -120,17 +121,15 @@ def line_chart(path, series, title="", x_label="", y_label="", width=720, height
             f'<text x="{_MARGIN_LEFT - 8:.2f}" y="{yp + 4:.2f}" '
             f'text-anchor="end">{_fmt(yv)}</text>'
         )
-    if x_label:
-        out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 10:.2f}" '
-            f'text-anchor="middle">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        yx, yy = 16.0, _MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="{yx:.2f}" y="{yy:.2f}" text-anchor="middle" '
-            f'transform="rotate(-90 {yx:.2f} {yy:.2f})">{_escape(y_label)}</text>'
-        )
+    out.append(
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" '
+        f'text-anchor="middle">{_escape(x_label)}</text>'
+    )
+    yx, yy = 16.0, _MARGIN_TOP + plot_h / 2
+    out.append(
+        f'<text x="{yx:.2f}" y="{yy:.2f}" text-anchor="middle" '
+        f'transform="rotate(-90 {yx:.2f} {yy:.2f})">{_escape(y_label)}</text>'
+    )
 
     for idx, (label, pts) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]

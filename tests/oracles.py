@@ -121,15 +121,14 @@ def responsibilities(state, samples):
     return e.T
 
 
-def flat_spectrum(cs):
+def flat_spectrum(cs, K):
     """All K*d eigenvalues of the assembled Hessian, sorted descending.
 
     beta/K appears with multiplicity d (the symmetric channel) and each
     lambda_perp_i with multiplicity K-1.
     """
-    vals = [cs.symmetric_eigenvalue] * (len(cs.antisymmetric_eigenvalues))
-    for lam, _, mult in cs.antisymmetric_eigenvalues:
-        vals.extend([lam] * mult)
+    vals = [cs.symmetric_eigenvalue] * len(cs.antisymmetric_eigenvalues)
+    vals += cs.antisymmetric_eigenvalues * (K - 1)
     return np.sort(np.asarray(vals))[::-1]
 
 
@@ -202,8 +201,10 @@ def simulate_coupled_modes(config):
 
 
 def measured_theta_sq(start, end, reference):
-    """Ensemble mean squared angle between initial and final directions."""
-    cos = persistence_stats(start, end, reference).cosines
+    """Ensemble mean squared angle between initial and final directions, over the
+    modes whose final row is not zero."""
+    cos = persistence_stats(start, end, reference)[0]
+    cos = cos[~np.isnan(cos)]
     ang = np.arccos(np.clip(cos, -1.0, 1.0))
     return float(np.mean(ang * ang))
 

@@ -17,7 +17,7 @@ from bifurc.experiments import read_trajectory_csv
 from bifurc.gmm_probe import (
     GmmProbeState,
     ProbeConfig,
-    beta_c,
+    critical_spectrum,
     grad_step,
     init_collapsed,
     probe_step,
@@ -56,10 +56,10 @@ def test_criterion_01_hessian_calibration():
     t0 = time.perf_counter()
     z = toy_dataset("bimodal", 2000, 0).samples
     cov = covariance(z)
-    guess = beta_c(cov)
-    report = find_crossing(10, cov, 0.5 * guess, 1.5 * guess)
-    gap = abs(report.beta_critical_numeric - report.beta_critical_analytic)
-    beta = report.beta_critical_analytic
+    lam, spectrum = critical_spectrum(cov)
+    beta = 1.0 / lam
+    root, _ = find_crossing(10, spectrum.eigenvalues, 0.5 * beta, 1.5 * beta)
+    gap = abs(root - beta)
     deviation = float(
         np.max(np.abs(numerical_hessian(z, 10, math.log(beta)) - analytic_hessian(beta, 10, cov)))
     )
@@ -83,7 +83,7 @@ def test_criterion_02_channel_spectrum_degeneracies():
         a = rng.standard_normal((d, d))
         cov = a @ a.T / d + 0.1 * np.eye(d)
         dense = np.sort(sym_eigen(analytic_hessian(beta, k, cov)).eigenvalues)
-        closed = np.sort(flat_spectrum(channel_spectrum(beta, k, sym_eigen(cov).eigenvalues)))
+        closed = np.sort(flat_spectrum(channel_spectrum(beta, k, sym_eigen(cov).eigenvalues), k))
         worst = max(worst, float(np.max(np.abs(dense - closed))))
     _finish(
         2,
@@ -100,7 +100,7 @@ def test_criterion_03_coupled_mode_lottery():
     rhos = []
     for seed in range(5):
         run = simulate_coupled_modes(_section(cfg, SdeConfig, "sde", seed=seed))
-        rhos.append(float(persistence_stats(*run).spearman_rho))
+        rhos.append(float(persistence_stats(*run)[2]))
     mean = float(np.mean(rhos))
     _finish(
         3,

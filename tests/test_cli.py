@@ -149,12 +149,13 @@ class TestConfigLayer:
 
 class TestSvgPlot:
     def test_rejects_empty_and_mismatched(self, tmp_path):
+        labels = ("title", "x", "y")
         with pytest.raises(ValidationError):
-            line_chart(tmp_path / "a.svg", [])
+            line_chart(tmp_path / "a.svg", [], *labels)
         with pytest.raises(ValidationError):
-            line_chart(tmp_path / "b.svg", [("s", [1, 2], [1])])
+            line_chart(tmp_path / "b.svg", [("s", [1, 2], [1])], *labels)
         with pytest.raises(ValidationError):
-            line_chart(tmp_path / "c.svg", [("s", [1.0], [float("nan")])])
+            line_chart(tmp_path / "c.svg", [("s", [1.0], [float("nan")])], *labels)
 
     def test_writes_polyline_and_legend(self, tmp_path):
         p = tmp_path / "chart.svg"
@@ -172,8 +173,8 @@ class TestSvgPlot:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         series = [("s", [0.0, 1.0], [2.0, 3.0])]
-        line_chart(a, series)
-        line_chart(b, series)
+        line_chart(a, series, "title", "x", "y")
+        line_chart(b, series, "title", "x", "y")
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -485,6 +486,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{key} = 99999999999999999999" in err and "must be <= 4194304" in err
+        assert not out.exists()
+
+    # past numpy's index size (an OverflowError) and 1e8 (a MemoryError under a 3 GB
+    # address-space limit): each is refused before a job list is built
+    @pytest.mark.parametrize("value", ["99999999999999999999", "100000000"])
+    def test_oversized_escape_sweep_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("bifurc.cli.sweep_statistics", no_sweep)
+        monkeypatch.setenv("BIFURC_ESCAPE__SEEDS_PER_GAMMA", value)
+        out = tmp_path / "out"
+        assert main(["escape", "sweep", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: len(escape.gammas) * escape.seeds_per_gamma must be <= 65536 sweep cells, "
+            f"got 6 * {value}\n")
         assert not out.exists()
 
     def test_hierarchy_kernel_buffer_is_bounded(self, tmp_path, capsys, monkeypatch):
@@ -1029,16 +1046,17 @@ class TestSdeCommands:
         assert main(["sde", "coupled", "--seed", "0", "--out", str(tmp_path)]) == 0
         cfg = command_config("sde", "coupled",
                              sde={} if noise is None else {"noise_intensity": noise})
-        stats = persistence_stats(*simulate_coupled_modes(_section(cfg, SdeConfig, "sde", seed=0)))
+        cosines, projections, _ = persistence_stats(
+            *simulate_coupled_modes(_section(cfg, SdeConfig, "sde", seed=0)))
         lines = (tmp_path / "sde-coupled_seed0.csv").read_text().splitlines()
         assert lines[1] == "mode,projection_initial,projection_final,cosine"
         rows = [line.split(",") for line in lines[2:]]
         assert [int(r[0]) for r in rows] == list(range(cfg.get_int("sde", "modes")))
-        assert [[float(r[1]), float(r[2])] for r in rows] == stats.projection_pairs.tolist()
-        assert [float(r[3]) for r in rows] == stats.cosines.tolist()
+        assert [[float(r[1]), float(r[2])] for r in rows] == projections.tolist()
+        assert [float(r[3]) for r in rows] == cosines.tolist()
         run = read_json(tmp_path / "sde-coupled_summary.json")["per_seed"]["0"]
-        assert run["mean_cosine"] == float(np.mean(stats.cosines))
-        assert run["excluded_modes"] == len(stats.excluded_modes) == 0
+        assert run["mean_cosine"] == float(np.mean(cosines))
+        assert run["excluded_modes"] == int(np.isnan(cosines).sum()) == 0
         prediction = read_json(tmp_path / "sde-coupled_summary.json")["prediction"]
         assert prediction["saturation_dominated"] is False
         if noise == "0":  # no noise floor: infinite amplitude and randomization time

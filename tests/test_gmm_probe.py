@@ -20,7 +20,7 @@ from bifurc.gmm_probe import (
     _mean_step,
     _shifted_weights,
     _Workspace,
-    beta_c,
+    critical_spectrum,
     grad_step,
     init_collapsed,
     order_parameter,
@@ -47,22 +47,23 @@ def bimodal(n=400, seed=0, c=2.0):
     return z
 
 
-class TestBetaC:
+class TestCriticalSpectrum:
+    # beta_c = 1 / lambda_max, the critical precision of the collapsed state
     def test_identity(self):
-        assert beta_c(np.eye(4)) == pytest.approx(1.0)
+        assert 1.0 / critical_spectrum(np.eye(4))[0] == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert beta_c(np.diag([4.0, 1.0])) == pytest.approx(0.25)
+        assert 1.0 / critical_spectrum(np.diag([4.0, 1.0]))[0] == pytest.approx(0.25)
 
     def test_mixture_covariance(self):
         # closed form: I + 4 e1 e1^T has lambda_max = 5
-        assert beta_c([[5.0, 0.0], [0.0, 1.0]]) == pytest.approx(0.2)
+        assert 1.0 / critical_spectrum([[5.0, 0.0], [0.0, 1.0]])[0] == pytest.approx(0.2)
 
     def test_zero_covariance_rejected(self):
         # a subnormal lambda_max too: its reciprocal would overflow to inf
         for cov in (np.zeros((3, 3)), np.diag([1e-310, 0.0])):
             with pytest.raises(DegenerateInputError):
-                beta_c(cov)
+                critical_spectrum(cov)
 
 
 class TestNll:

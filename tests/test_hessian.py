@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bifurc.errors import BracketError, ValidationError
 from bifurc.experiments import gen_bimodal
-from bifurc.gmm_probe import GmmProbeState, beta_c
+from bifurc.gmm_probe import GmmProbeState, critical_spectrum
 from bifurc.hessian import (
     _illinois,
     analytic_hessian,
@@ -86,17 +86,17 @@ class TestAnalyticHessian:
             cov = m @ m.T / d
             dense = sym_eigen(analytic_hessian(beta, k, cov)).eigenvalues
             cs = channel_spectrum(beta, k, sym_eigen(cov).eigenvalues)
-            assert np.max(np.abs(dense - flat_spectrum(cs))) <= 1e-9
+            assert np.max(np.abs(dense - flat_spectrum(cs, k))) <= 1e-9
 
 
 class TestChannelSpectrum:
     def test_exactly_critical(self):
         cs = channel_spectrum(1.0, 2, [1.0])
-        assert cs.antisymmetric_eigenvalues[0][0] == pytest.approx(0.0, abs=1e-15)
+        assert cs.antisymmetric_eigenvalues[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_supercritical_value(self):
         cs = channel_spectrum(2.0, 2, [1.0])
-        assert cs.antisymmetric_eigenvalues[0][0] == pytest.approx(-1.0)
+        assert cs.antisymmetric_eigenvalues[0] == pytest.approx(-1.0)
 
     def test_subcritical_all_positive(self):
         rng = np.random.default_rng(3)
@@ -104,13 +104,12 @@ class TestChannelSpectrum:
             eigs = np.sort(rng.uniform(0.1, 4.0, 3))[::-1]
             beta = 0.5 / eigs[0]
             cs = channel_spectrum(beta, 5, eigs)
-            assert all(lam > 0 for lam, _, _ in cs.antisymmetric_eigenvalues)
+            assert all(lam > 0 for lam in cs.antisymmetric_eigenvalues)
             assert cs.symmetric_eigenvalue > 0
 
     def test_degeneracies(self):
         cs = channel_spectrum(0.9, 4, [2.0, 1.0, 0.5])
-        assert all(mult == 3 for _, _, mult in cs.antisymmetric_eigenvalues)
-        assert len(flat_spectrum(cs)) == 12
+        assert len(flat_spectrum(cs, 4)) == 12
 
     def test_unsorted_eigs_rejected(self):
         with pytest.raises(ValidationError):
@@ -186,23 +185,21 @@ class TestSignStructure:
 
 class TestFindCrossing:
     def test_identity_covariance(self):
-        rep = find_crossing(4, np.eye(3), 0.1, 10.0)
-        assert rep.beta_critical_numeric == pytest.approx(1.0, abs=1e-4)
-        assert rep.beta_critical_analytic == pytest.approx(1.0)
+        root, _ = find_crossing(4, [1.0, 1.0, 1.0], 0.1, 10.0)
+        assert root == pytest.approx(1.0, abs=1e-4)
 
     def test_mixture_covariance(self):
-        rep = find_crossing(8, np.diag([5.0, 1.0]), 0.05, 2.0)
-        assert rep.beta_critical_numeric == pytest.approx(0.2, abs=1e-4)
+        root, _ = find_crossing(8, [5.0, 1.0], 0.05, 2.0)
+        assert root == pytest.approx(0.2, abs=1e-4)
 
     def test_scan_single_sign_change(self):
-        rep = find_crossing(8, np.diag([5.0, 1.0]), 0.05, 2.0)
-        signs = np.sign([v for _, v in rep.scan_points])
+        signs = np.sign([lowest_eigenvalue(b, 8, [5.0, 1.0]) for b in np.linspace(0.05, 2.0, 41)])
         flips = int(np.sum(np.abs(np.diff(signs)) > 0))
         assert flips == 1
 
     def test_no_sign_change_rejected(self):
         with pytest.raises(BracketError):
-            find_crossing(4, np.eye(2), 0.1, 0.5)
+            find_crossing(4, [1.0, 1.0], 0.1, 0.5)
 
     def test_numeric_route_agrees(self):
         z = bimodal(n=400, seed=8)
@@ -213,11 +210,9 @@ class TestFindCrossing:
     def test_temperature_convention_roundtrip(self):
         # a critical temperature reported as T_c = 2 lambda_max converts back
         # to the same critical precision via beta = 2/T
-        cov = np.diag([3.0, 0.5])
-        lam = sym_eigen(cov).eigenvalues[0]
-        rep = find_crossing(4, cov, 0.05, 3.0)
-        assert 2.0 / (2.0 * lam) == pytest.approx(rep.beta_critical_analytic, abs=1e-12)
-        assert 2.0 / (2.0 * lam) == pytest.approx(rep.beta_critical_numeric, abs=1e-4)
+        lam, spectrum = critical_spectrum(np.diag([3.0, 0.5]))
+        root, _ = find_crossing(4, spectrum.eigenvalues, 0.05, 3.0)
+        assert 2.0 / (2.0 * lam) == pytest.approx(root, abs=1e-4)
 
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -226,11 +221,11 @@ class TestFindCrossing:
         # secant point is the root; on the raw eigenvalue, a parabola in beta, either
         # route took 10 evaluations
         samples = toy_dataset("bimodal", 2000, seed).samples
-        cov = covariance(samples)
-        guess = beta_c(cov)
-        rep = find_crossing(10, cov, 0.5 * guess, 1.5 * guess)
-        assert rep.iterations <= 4
-        assert abs(rep.beta_critical_numeric - rep.beta_critical_analytic) <= 4 * math.ulp(guess)
+        lam, spectrum = critical_spectrum(covariance(samples))
+        guess = 1.0 / lam
+        root, evaluations = find_crossing(10, spectrum.eigenvalues, 0.5 * guess, 1.5 * guess)
+        assert evaluations <= 4
+        assert abs(root - guess) <= 4 * math.ulp(guess)
         numeric, hessians = find_crossing_numeric(10, samples, 0.5 * guess, 1.5 * guess)
         assert hessians <= 4
         assert abs(numeric - guess) <= 1e-4 * guess
@@ -238,14 +233,14 @@ class TestFindCrossing:
     def test_one_prototype_has_no_crossing(self):
         # no anti-symmetric channel: K lambda_low / beta is the symmetric channel's 1
         with pytest.raises(BracketError, match=r"K \* lowest eigenvalue / beta 1\.000e\+00"):
-            find_crossing(1, np.eye(2), 0.5, 1.5)
+            find_crossing(1, [1.0, 1.0], 0.5, 1.5)
 
     @pytest.mark.parametrize("scale", [1e6, 1e7])
     def test_small_critical_precision_keeps_relative_accuracy(self, scale):
         # beta_c = 1/scale sits below the 1e-6 tolerance: an absolute stop
         # would return the first midpoints (12.5 % off at 1e6, 25 % at 1e7)
-        rep = find_crossing(10, scale * np.eye(2), 0.5 / scale, 2.0 / scale)
-        assert abs(rep.beta_critical_numeric * scale - 1.0) <= 1e-5
+        root, _ = find_crossing(10, [scale, scale], 0.5 / scale, 2.0 / scale)
+        assert abs(root * scale - 1.0) <= 1e-5
 
     def test_numeric_route_keeps_relative_accuracy_at_large_scale(self):
         z = 1e3 * bimodal(n=200, seed=9)
@@ -297,9 +292,9 @@ class TestBisect:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_few_evaluations_on_the_closed_form_lowest_eigenvalue(self, seed):
         # the default calibrate-hessian bracket, where halving needs 22 evaluations
-        cov = covariance(toy_dataset("bimodal", 2000, seed).samples)
-        guess = beta_c(cov)
-        eigs = sym_eigen(cov).eigenvalues
+        lam, spectrum = critical_spectrum(covariance(toy_dataset("bimodal", 2000, seed).samples))
+        guess = 1.0 / lam
+        eigs = spectrum.eigenvalues
         calls = []
 
         def low(b):
@@ -349,11 +344,11 @@ class TestBisect:
         # 1e308, beta_c = 7.8e-34) that took 1,038 evaluations by arithmetic
         # midpoints; the geometric midpoint crosses the decades in a few
         ds = gen_bimodal(59, -3.614377606952927e16, 1.4956490752050952e-266, 0)
-        cov = covariance(ds.samples)
-        guess = beta_c(cov)
-        report = find_crossing(4, cov, 0.5 * guess, 1e308 * guess)
-        assert report.iterations <= 60
-        assert abs(report.beta_critical_numeric - guess) <= 1e-6 * guess
+        lam, spectrum = critical_spectrum(covariance(ds.samples))
+        guess = 1.0 / lam
+        root, evaluations = find_crossing(4, spectrum.eigenvalues, 0.5 * guess, 1e308 * guess)
+        assert evaluations <= 60
+        assert abs(root - guess) <= 1e-6 * guess
         numeric, evaluations = find_crossing_numeric(4, ds.samples, 0.5 * guess, 1e308 * guess)
         assert evaluations <= 60
         assert abs(numeric - guess) <= 1e-4 * guess

@@ -286,9 +286,9 @@ class TestCoupledModes:
             growth_rate=0.5, alpha=0.5, dt=0.05, steps=1000, modes=5, dim=4,
             init_scale=0.01, seed=5,
         )
-        stats = persistence_stats(*simulate_coupled_modes(cfg))
-        assert stats.excluded_modes == [] and len(stats.cosines) == 5
-        assert np.all(stats.cosines >= 1.0 - 1e-12)
+        cosines, _, _ = persistence_stats(*simulate_coupled_modes(cfg))
+        assert len(cosines) == 5
+        assert np.all(cosines >= 1.0 - 1e-12)  # and so none is NaN: no mode is excluded
 
     def test_rejects_multimode_in_one_dimension(self):
         with pytest.raises(ValidationError):
@@ -346,8 +346,8 @@ class TestCoupledModes:
         assert np.array_equal(start, samples[0])
         assert np.array_equal(reference, ref_reference)
         assert np.max(np.abs(end - samples[-1])) <= 1e-12
-        assert persistence_stats(start, end, reference).spearman_rho == persistence_stats(
-            samples[0], samples[-1], ref_reference).spearman_rho
+        assert persistence_stats(start, end, reference)[2] == persistence_stats(
+            samples[0], samples[-1], ref_reference)[2]
 
     def test_reference_direction_is_unit_and_reproducible(self):
         cfg = replace(
@@ -361,23 +361,24 @@ class TestCoupledModes:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_lottery_projection_rank_correlation_band(self, lottery_runs):
-        rhos = [persistence_stats(*r).spearman_rho for r in lottery_runs.values()]
+        rhos = [persistence_stats(*r)[2] for r in lottery_runs.values()]
         for rho in rhos:
             assert rho > 0.90
         assert 0.93 <= float(np.mean(rhos)) <= 0.97
 
     def test_lottery_cosines_overwhelmingly_positive(self, lottery_runs):
-        stats = persistence_stats(*lottery_runs[0])
-        n = len(stats.cosines)
-        n_pos = int(np.sum(stats.cosines > 0))
+        cosines, _, _ = persistence_stats(*lottery_runs[0])
+        assert not np.isnan(cosines).any()
+        n = len(cosines)
+        n_pos = int(np.sum(cosines > 0))
         # one-sided binomial sign test against the coin-flip null
         p = sum(math.comb(n, i) for i in range(n_pos, n + 1)) / 2.0**n
         assert p < 1e-6
 
     def test_shuffled_projections_lose_the_correlation(self, lottery_runs):
-        stats = persistence_stats(*lottery_runs[0])
-        p0 = stats.projection_pairs[:, 0]
-        p1 = stats.projection_pairs[:, 1]
+        _, projections, _ = persistence_stats(*lottery_runs[0])
+        p0 = projections[:, 0]
+        p1 = projections[:, 1]
         shuffler = np.random.default_rng(123)
         from bifurc.mathcore import spearman
 
@@ -411,13 +412,13 @@ class TestCoupledModes:
 
 class TestPersistenceStats:
     def test_excluded_zero_modes(self):
-        stats = persistence_stats(np.array([[0.6, 0.0], [0.0, 0.4], [0.5, 0.5]]),
-                                  np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-                                  np.array([1.0, 0.0]))
-        assert stats.excluded_modes == [2]
-        assert len(stats.cosines) == 2
-        assert np.allclose(stats.cosines, [1.0, 1.0])
-        assert stats.projection_pairs.shape == (3, 2)
+        cosines, projections, _ = persistence_stats(
+            np.array([[0.6, 0.0], [0.0, 0.4], [0.5, 0.5]]),
+            np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+            np.array([1.0, 0.0]))
+        assert np.array_equal(np.isnan(cosines), [False, False, True])
+        assert np.allclose(cosines[:2], [1.0, 1.0])
+        assert projections.shape == (3, 2)
 
     def test_non_finite_projection_is_not_read_as_constant(self):
         with pytest.raises(ValidationError, match="finite") as exc:
