@@ -36,7 +36,7 @@ from .errors import BracketError, DimensionError, ValidationError
 from .gmm_probe import _mean_pull, _precision, _Workspace
 from .mathcore import MAX_EIGEN_DIM, check_symmetric, sym_eigen
 
-# both crossing scans stop once the root's bracket is narrower than this (see _illinois)
+# both crossing root finders stop once the root's bracket is narrower than this (see _illinois)
 CROSSING_TOL = 1e-6
 
 
