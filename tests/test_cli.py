@@ -1157,17 +1157,54 @@ class TestSdeCommands:
 
 
 class TestToyCommands:
-    def test_endogenous_crossing_is_finite(self, tmp_path):
-        code = main(["toy", "endogenous", "--out", str(tmp_path)])
+    # every file of each command at its default config, byte for byte
+    @pytest.mark.parametrize("sub,digests", [
+        ("bimodal", {
+            "toy-bimodal.svg":
+                "567dbd7c81a799b478be389cf8a0b48146b611794b15bd13f5f25ee48e909007",
+            "toy-bimodal_seed0.csv":
+                "9957d51db26c47ecaf5f015c8cc5eb292dca14577f66b59dba13453c26013380",
+            "toy-bimodal_seed0.json":
+                "a9276aee795aa99ecf911e37154bba68503efafa42ce22fd5cc46bad116c97a8",
+            "toy-bimodal_summary.json":
+                "ab50dbd35fd165cb7037ac90cdcb49113e301152205f299966eac2d8e6fffbd8",
+        }),
+        ("unimodal", {
+            "toy-unimodal.svg":
+                "960ca2ff9cdb11721ad69a6ed9e52a857b8ea7b59d13c55dfdb2baab0fd2c025",
+            "toy-unimodal_seed0.csv":
+                "d9d18425c20def8f4857a86ae174f37ad54a0ce39649a19cf543bf89765cafb0",
+            "toy-unimodal_seed0.json":
+                "3ac45ed991c827f4126aa28b5a4f1612b6d10f12823b87a77e2842a1209d051d",
+            "toy-unimodal_summary.json":
+                "5c5e656ba0abe5b25e29ad95a9aeaa21abe4329dcd76fff5cec22049957159ec",
+        }),
+    ])
+    def test_default_outputs_are_pinned(self, tmp_path, clean_env, sub, digests):
+        assert main(["toy", sub, "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert tree_digest(tmp_path) == digests
+
+    def test_endogenous_crossing_is_finite(self, tmp_path, clean_env):
+        code = main(["toy", "endogenous", "--seed", "0", "--out", str(tmp_path)])
         assert code == 0
         payload = read_json(tmp_path / "toy-endogenous_summary.json")
         run = payload["per_seed"]["0"]
         assert isinstance(run["crossing_step"], int)
         assert run["activation_steps"]
         assert run["hypothesis_failures"] == []
+        assert tree_digest(tmp_path) == {
+            "toy-endogenous.svg":
+                "7080470feb30485da6a9109e49270b6e0857449382ea5c11cb36a08d001ab704",
+            "toy-endogenous_seed0.csv":
+                "40ff7fbc45e3193ce14b6f033e28a0f9c3331d99850f0bc3e84d88fdbae7de67",
+            "toy-endogenous_seed0.json":
+                "af5ba694f6416d3e53c674a2b6f3e8a196637b6f2721d5131e3c477196174083",
+            "toy-endogenous_summary.json":
+                "a75152f27174a3ff8a91d2a80080f1eb0c8f9a84c02cb332d1f5b84a11b7f0c4",
+        }
 
-    def test_reverse_tracking_error_within_four_percent(self, tmp_path):
-        code = main(["toy", "reverse", "--out", str(tmp_path)])
+    def test_reverse_tracking_error_within_four_percent(self, tmp_path, clean_env):
+        code = main(["toy", "reverse", "--seed", "0", "--out", str(tmp_path)])
         assert code == 0
         payload = read_json(tmp_path / "toy-reverse_summary.json")
         assert payload["reverse_tracking_error"] <= 0.04
@@ -1177,6 +1214,18 @@ class TestToyCommands:
         assert (tmp_path / "toy-reverse_seed0_forward.csv").exists()
         assert (tmp_path / "toy-reverse_seed0_reverse.csv").exists()
         assert (tmp_path / "toy-reverse.svg").exists()
+        assert tree_digest(tmp_path) == {
+            "toy-reverse.svg":
+                "7404cdc0502426dfbf1b9582e936a673973df1455912ff040232284b33f539aa",
+            "toy-reverse_seed0.json":
+                "80e2e2c8822c7f87d353e0bb6f06d1d393bc2a10ff1a73385c8e954b6179158e",
+            "toy-reverse_seed0_forward.csv":
+                "cbd6ac99fd3b65563f8eb5a5327043f16ff3247a08f6c1c99497f196ef0a176b",
+            "toy-reverse_seed0_reverse.csv":
+                "64a3aa6fa7058909411f0d0f6fd1c16318a0d69094bc391e33dc7e25d7d1df8a",
+            "toy-reverse_summary.json":
+                "bd97456b5d2e9666357088f46861665c6106aa814264656f0cf38314b48a9778",
+        }
 
     def test_anneal_mode_holds_until_activation_then_maps_the_branch(self, tmp_path,
                                                                      monkeypatch):
