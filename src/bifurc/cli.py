@@ -334,7 +334,10 @@ def _toy_protocol(sub, cfg):
     if k < 1:
         raise ConfigError(f"probe.k must be >= 1, got {k}")
     _check_entries(("probe.k", k), ("data.n", n))
-    start = dict(k=k, log_beta_init=cfg.get_float("probe", "log_beta_init"), record_every=every)
+    log_beta_init = cfg.get_float("probe", "log_beta_init")
+    if not math.isfinite(log_beta_init):
+        raise ConfigError(f"probe.log_beta_init must be finite, got {log_beta_init}")
+    start = dict(k=k, log_beta_init=log_beta_init, record_every=every)
     if sub == "endogenous":
         latent_dim = cfg.get_int("experiment", "latent_dim")
         _check_entries(("data.n", n), ("experiment.latent_dim", latent_dim))
@@ -393,7 +396,8 @@ def _toy_worker(sub, data, protocol, config_hash, job):
         }),
     }))
     log = logs.get("")
-    trace = None if log is None else ([r.step for r in log.readings], list(log.column("log_ratio")))
+    trace = None if log is None else ([r.step for r in log.readings],
+                                      [r.log_ratio for r in log.readings])
     return seed, summaries, trace
 
 

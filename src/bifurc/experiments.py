@@ -231,12 +231,6 @@ class TrajectoryLog:
             log_ratio=log_beta - log_beta_c, nc1=nc1, order_parameter=op,
         ))
 
-    def column(self, name):
-        vals = [getattr(r, name) for r in self.readings]
-        if name == "nc1":
-            vals = [math.nan if v is None else v for v in vals]
-        return np.asarray(vals, dtype=float)
-
 
 def write_trajectory_csv(log, path):
     """CSV with one leading comment line carrying the run identity."""
@@ -467,7 +461,7 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
     lam, spectrum = critical_spectrum(covariance(z))
     log_bc = -math.log(lam)
     rng = np.random.default_rng(dataset.seed + 99)
-    mu = init_collapsed(z, k, log_beta_init, rng).means
+    mu = init_collapsed(z, k, rng)
     const_nc1 = _or_none(nc1, z, dataset.labels)
     log = TrajectoryLog("forward-split", dataset.seed)
     tracker = _ActivationTracker()
@@ -495,7 +489,7 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
             ws, mu, levels, n, EQUILIBRIUM_REL_TOL * math.sqrt(lam), log, log_bc, const_nc1,
         )
         log.summary.update(fields)
-    v = split_direction(mu)
+    v = split_direction(mu) if _spread(mu) > 0.0 else None  # unseparated means have no axis
     beta_c_hat = 1.0 / lam
     beta = None if tracker.step is None else math.exp(tracker.log_beta)
     log.summary.update({
@@ -504,8 +498,8 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
         **_activation_summary(log, tracker),
         "activation_beta": beta,
         "overshoot_ratio": None if beta is None else beta / beta_c_hat,
-        "split_angle_deg": _split_angle_deg(v, spectrum.eigenvectors[:, 0]),
-        "split_direction": v.tolist(),
+        "split_angle_deg": None if v is None else _split_angle_deg(v, spectrum.eigenvectors[:, 0]),
+        "split_direction": None if v is None else v.tolist(),
     })
     return log, mu
 
@@ -640,7 +634,7 @@ def run_endogenous(dataset, encoder_lr, k, log_beta_init, rates, steps, latent_d
     )
     z = enc.latents(x)
     ws = _Workspace(k, z)
-    mu = init_collapsed(z, k, log_beta_init, rng).means
+    mu = init_collapsed(z, k, rng)
     delta0 = log_beta_init + math.log(critical_spectrum(covariance(z))[0])
     if delta0 >= 0.0:
         raise PreconditionError(

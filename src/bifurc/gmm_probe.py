@@ -17,7 +17,7 @@ beta exceeds it.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,29 +41,6 @@ def check_rates(*rates):
     """Raise DegenerateInputError unless every learning rate is a positive finite float."""
     if not all(0.0 < rate < math.inf for rate in rates):
         raise DegenerateInputError("learning rates must be positive finite floats")
-
-
-@dataclass
-class GmmProbeState:
-    """Prototype means (K x d) and the shared log-precision."""
-
-    means: np.ndarray
-    log_precision: float
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float)
-        if self.means.ndim != 2 or self.means.size == 0:
-            raise DimensionError(f"means must be K x d with K, d >= 1, got {self.means.shape}")
-        if not math.isfinite(self.log_precision):
-            raise DegenerateInputError("log_precision must be finite")
-
-    @property
-    def K(self):
-        return self.means.shape[0]
-
-    @property
-    def d(self):
-        return self.means.shape[1]
 
 
 @dataclass
@@ -103,25 +80,15 @@ def critical_spectrum(cov):
     return lam, spectrum
 
 
-def init_collapsed(samples, k, log_beta, rng):
-    """Near-symmetric start: k prototypes at the sample mean plus a small jitter.
+def init_collapsed(samples, k, rng):
+    """Near-symmetric start: the k x d means, each the sample mean plus a small jitter.
 
     The jitter makes the symmetry breaking observable; its scale is
     1e-3 * sqrt(lambda_max(Cov(samples))).
     """
     z = np.asarray(samples, dtype=float)
     spread = 1e-3 * math.sqrt(critical_spectrum(covariance(z))[0])
-    mu = z.mean(axis=0) + spread * rng.standard_normal((k, z.shape[1]))
-    return GmmProbeState(mu, log_beta)
-
-
-def _check_batch(state, samples):
-    z = np.asarray(samples, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise DimensionError("samples must be a non-empty N x d array")
-    if z.shape[1] != state.d:
-        raise DimensionError(f"sample dim {z.shape[1]} != state d {state.d}")
-    return z
+    return z.mean(axis=0) + spread * rng.standard_normal((k, z.shape[1]))
 
 
 # The probe kernel: every probe computation in the package runs through these
@@ -251,7 +218,7 @@ def _mean_pull(ws, mu, beta):
 
 
 def _mean_step(ws, mu, beta, lr):
-    """One GD step on the means at fixed beta (see grad_step); returns (means, (s, mass, m))."""
+    """One GD step on the means at fixed beta (see probe_step); returns (means, (s, mass, m))."""
     pull, moments = _mean_pull(ws, mu, beta)
     new_mu = mu + (lr * beta / ws.za.shape[1]) * pull
     if not np.isfinite(new_mu).all():
@@ -262,7 +229,7 @@ def _mean_step(ws, mu, beta, lr):
 def _em_step(ws, mu, beta):
     """One EM update at fixed beta: each mean moves to its posterior-weighted centroid.
 
-    Its fixed points are exactly the zeros of the mean gradient (see grad_step).
+    Its fixed points are exactly the zeros of the mean gradient (see probe_step).
     A component with zero total responsibility keeps its mean, where its
     gradient is zero too.
     """
@@ -291,7 +258,7 @@ def _equilibrium(ws, mu, beta, tol, max_iter):
 
 
 def _joint_step(ws, mu, log_beta, lr_means, lr_logbeta):
-    """One GD step on the means and log beta (see grad_step); returns (means, log_beta)."""
+    """One GD step on the means and log beta (see probe_step); returns (means, log_beta)."""
     beta = _precision(log_beta)
     new_mu, (s, mass, m) = _mean_step(ws, mu, beta, lr_means)
     n, d = ws.za.shape[1], mu.shape[1]
@@ -308,29 +275,6 @@ def _spread(mu):
     return float(np.sqrt((c * c).sum(axis=1).mean()))
 
 
-def grad_step(state, batch, config):
-    """One plain gradient-descent step on the full NLL (means and log beta).
-
-    Mean channel: grad_{mu_k} nll = -mean_z[p_k beta (z - mu_k)], applied in
-    the fused form mu += (lr beta / N)(p z - rowsum(p) mu), p being the
-    K x N posterior. Precision channel: d nll/d beta =
-    mean_z[sum_k p_k ||z - mu_k||^2 / 2] - d/(2 beta), chained through beta
-    for the log-beta parametrization. Raises NumericalError when beta or the
-    updated state is not finite.
-    """
-    z = _check_batch(state, batch)
-    mu, log_beta = _joint_step(
-        _Workspace(state.K, z), state.means, state.log_precision, config.lr_means,
-        config.lr_logbeta,
-    )
-    return replace(state, means=mu, log_precision=log_beta)
-
-
-def order_parameter(state):
-    """Prototype spread sqrt((1/K) sum_k ||mu_k - mu_bar||^2)."""
-    return _spread(state.means)
-
-
 def split_direction(means):
     """Principal eigenvector of the K x d means' scatter (the broken-symmetry axis)."""
     c = means - means.mean(axis=0)
@@ -338,8 +282,18 @@ def split_direction(means):
     return sym_eigen(scatter).eigenvectors[:, 0]
 
 
-def probe_step(state, encoder_latents, config, step=0, nc1=None):
-    """One joint-detached protocol step: grad_step, then a criticality reading.
+def probe_step(means, log_beta, latents, rates, step=0, nc1=None):
+    """One joint-detached protocol step on the K x d means and log beta.
+
+    Returns (means, log_beta, reading): one plain gradient-descent step on the
+    full NLL at the rates (a ProbeConfig), then a criticality reading.
+    Mean channel: grad_{mu_k} nll = -mean_z[p_k beta (z - mu_k)], applied in
+    the fused form mu += (lr beta / N)(p z - rowsum(p) mu), p being the
+    K x N posterior. Precision channel: d nll/d beta =
+    mean_z[sum_k p_k ||z - mu_k||^2 / 2] - d/(2 beta), chained through beta
+    for the log-beta parametrization. Raises DimensionError unless the means
+    are K x d (K, d >= 1) and the latents a non-empty N x d batch, and
+    NumericalError when beta or the updated means are not finite.
 
     The latents are constants to the probe; beta_c is recomputed from their
     sample covariance each call, so the log_beta_c series depends on the
@@ -347,19 +301,23 @@ def probe_step(state, encoder_latents, config, step=0, nc1=None):
     (see critical_spectrum) yields the +inf sentinel, which sets the reading's
     degenerate flag, instead of an error.
     """
-    z = _check_batch(state, encoder_latents)
-    new_state = grad_step(state, z, config)
+    mu = np.asarray(means, dtype=float)
+    z = np.asarray(latents, dtype=float)
+    if mu.ndim != 2 or mu.size == 0:
+        raise DimensionError(f"means must be K x d with K, d >= 1, got {mu.shape}")
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != mu.shape[1]:
+        raise DimensionError(f"latents must be a non-empty N x {mu.shape[1]} array, got {z.shape}")
+    mu, lb = _joint_step(_Workspace(len(mu), z), mu, log_beta, rates.lr_means, rates.lr_logbeta)
     try:
         log_bc = -math.log(critical_spectrum(covariance(z))[0])
     except DegenerateInputError:
         log_bc = math.inf
-    lb = new_state.log_precision
     reading = CriticalityReading(
         step=step,
         log_beta=lb,
         log_beta_c=log_bc,
         log_ratio=lb - log_bc,
         nc1=nc1,
-        order_parameter=order_parameter(new_state),
+        order_parameter=_spread(mu),
     )
-    return new_state, reading
+    return mu, lb, reading

@@ -20,9 +20,7 @@ from bifurc.errors import DegenerateInputError, NumericalError, ValidationError
 from bifurc.escape_lab import fit_escape_models, sweep_statistics
 from bifurc.experiments import TrajectoryLog
 from bifurc.gmm_probe import (
-    GmmProbeState,
     ProbeConfig,
-    _check_batch,
     _precision,
     _shifted_weights,
     _Workspace,
@@ -100,23 +98,23 @@ def _nll(ws, mu, log_beta):
     )
 
 
-def exact_collapsed(samples, K, log_beta):
-    """All prototypes exactly at the sample mean (the symmetric state S0)."""
+def exact_collapsed(samples, K):
+    """The K x d means all exactly at the sample mean (the symmetric state S0)."""
     z = np.asarray(samples, dtype=float)
-    return GmmProbeState(np.tile(z.mean(axis=0), (K, 1)), log_beta)
+    return np.tile(z.mean(axis=0), (K, 1))
 
 
-def nll(state, samples):
+def nll(means, log_beta, samples):
     """Full per-sample-mean negative log-likelihood (see the gmm_probe module docstring)."""
-    z = _check_batch(state, samples)
-    return _nll(_Workspace(state.K, z), state.means, state.log_precision)
+    mu = np.asarray(means, dtype=float)
+    return _nll(_Workspace(len(mu), np.asarray(samples, dtype=float)), mu, log_beta)
 
 
-def responsibilities(state, samples):
+def responsibilities(means, log_beta, samples):
     """Posterior component weights p(k|z): an N x K row-stochastic matrix."""
-    z = _check_batch(state, samples)
-    ws = _Workspace(state.K, z)
-    e, _, total = _shifted_weights(ws, state.means - ws.c, _precision(state.log_precision))
+    mu = np.asarray(means, dtype=float)
+    ws = _Workspace(len(mu), np.asarray(samples, dtype=float))
+    e, _, total = _shifted_weights(ws, mu - ws.c, _precision(log_beta))
     e /= total
     return e.T
 

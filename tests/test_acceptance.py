@@ -14,14 +14,7 @@ import numpy as np
 from bifurc.cli import _escape_sweep, _section
 from bifurc.escape_lab import fit_escape_models, read_sweep_csv
 from bifurc.experiments import read_trajectory_csv
-from bifurc.gmm_probe import (
-    GmmProbeState,
-    ProbeConfig,
-    critical_spectrum,
-    grad_step,
-    init_collapsed,
-    probe_step,
-)
+from bifurc.gmm_probe import ProbeConfig, critical_spectrum, init_collapsed, probe_step
 from bifurc.hessian import analytic_hessian, channel_spectrum, find_crossing, numerical_hessian
 from bifurc.mathcore import covariance, sym_eigen
 from bifurc.sde import SdeConfig, persistence_stats, simulate_coupled_modes
@@ -243,37 +236,31 @@ def test_criterion_09_probe_correctness():
         d = int(rng.integers(1, 5))
         n = int(rng.integers(10, 40))
         z = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 2.0))
-        state = GmmProbeState(rng.standard_normal((k, d)), float(rng.uniform(-1, 1)))
+        mu, lb = rng.standard_normal((k, d)), float(rng.uniform(-1, 1))
         cfg = ProbeConfig(lr_means=1.0, lr_logbeta=1.0)
-        stepped = grad_step(state, z, cfg)
-        grad_means = state.means - stepped.means
-        grad_logbeta = state.log_precision - stepped.log_precision
-        fd_means = np.zeros_like(state.means)
+        stepped_mu, stepped_lb, _ = probe_step(mu, lb, z, cfg)
+        grad_means = mu - stepped_mu
+        grad_logbeta = lb - stepped_lb
+        fd_means = np.zeros_like(mu)
         for i in range(k):
             for a in range(d):
-                up, dn = state.means.copy(), state.means.copy()
+                up, dn = mu.copy(), mu.copy()
                 up[i, a] += h
                 dn[i, a] -= h
-                fd_means[i, a] = (
-                    nll(GmmProbeState(up, state.log_precision), z)
-                    - nll(GmmProbeState(dn, state.log_precision), z)
-                ) / (2 * h)
-        fd_logbeta = (
-            nll(GmmProbeState(state.means, state.log_precision + h), z)
-            - nll(GmmProbeState(state.means, state.log_precision - h), z)
-        ) / (2 * h)
+                fd_means[i, a] = (nll(up, lb, z) - nll(dn, lb, z)) / (2 * h)
+        fd_logbeta = (nll(mu, lb + h, z) - nll(mu, lb - h, z)) / (2 * h)
         ref = max(float(np.max(np.abs(fd_means))), abs(fd_logbeta))
         err = max(float(np.max(np.abs(grad_means - fd_means))), abs(grad_logbeta - fd_logbeta))
         worst_rel = max(worst_rel, err / ref)
-        p = responsibilities(state, z)
+        p = responsibilities(mu, lb, z)
         rows_ok = rows_ok and bool(
             np.all(p >= 0) and np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
         )
     latents = np.random.default_rng(99).standard_normal((200, 3))
     log_bcs = set()
     for k_probe in (2, 5, 9):
-        state = init_collapsed(latents, k_probe, LOG_BETA_INIT, np.random.default_rng(0))
-        _, reading = probe_step(state, latents, PROBE)
+        mu = init_collapsed(latents, k_probe, np.random.default_rng(0))
+        reading = probe_step(mu, LOG_BETA_INIT, latents, PROBE)[2]
         log_bcs.add(reading.log_beta_c)
     _finish(
         9,

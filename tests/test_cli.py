@@ -262,6 +262,17 @@ class TestExitCodes:
         if "BIFURC_DATA__SUB_SPACING" in env:
             assert "within-super degenerate covariance" in err
 
+    @pytest.mark.parametrize("command,value", [
+        ("bimodal", "inf"), ("endogenous", "nan"), ("reverse", "-inf"),
+    ])
+    def test_non_finite_log_beta_init_exits_2(self, tmp_path, capsys, clean_env, command,
+                                              value):
+        clean_env.setenv("BIFURC_PROBE__LOG_BETA_INIT", value)
+        assert main(["toy", command, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command,key",
         [
@@ -1226,6 +1237,15 @@ class TestToyCommands:
             "toy-reverse_summary.json":
                 "bd97456b5d2e9666357088f46861665c6106aa814264656f0cf38314b48a9778",
         }
+
+    def test_one_prototype_reports_no_split_axis(self, tmp_path, clean_env):
+        # means that never separate have a zero scatter, with no principal axis to report
+        for key, value in {"PROBE__K": "1", "DATA__N": "200", "EXPERIMENT__STEPS": "200"}.items():
+            clean_env.setenv(f"BIFURC_{key}", value)
+        assert main(["toy", "bimodal", "--seed", "0", "--out", str(tmp_path)]) == 0
+        run = read_json(tmp_path / "toy-bimodal_seed0.json")
+        assert run["max_order_parameter"] == 0.0
+        assert run["split_direction"] is None and run["split_angle_deg"] is None
 
     def test_anneal_mode_holds_until_activation_then_maps_the_branch(self, tmp_path,
                                                                      monkeypatch):

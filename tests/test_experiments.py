@@ -22,10 +22,10 @@ from bifurc.gmm_probe import (
     CriticalityReading,
     _centred,
     _joint_step,
+    _spread,
     _Workspace,
-    grad_step,
     init_collapsed,
-    order_parameter,
+    probe_step,
 )
 from bifurc.mathcore import covariance, sym_eigen
 from bifurc.taxonomy import FOLD_BACK, NO_ARC, classify
@@ -260,13 +260,6 @@ class TestTrajectoryLog:
         with pytest.raises(ValidationError):
             log.append(make_reading(5))
 
-    def test_column_handles_missing_nc1(self):
-        log = X.TrajectoryLog("t", 0)
-        log.append(make_reading(0, nc=None))
-        log.append(make_reading(20, nc=0.7))
-        col = log.column("nc1")
-        assert math.isnan(col[0]) and col[1] == 0.7
-
     def test_csv_roundtrip_exact(self, tmp_path):
         log = X.TrajectoryLog("t", 42, config_hash="abc123")
         log.append(make_reading(0, lb=-2.5, lbc=0.123456789012345, nc=None, op=1e-7))
@@ -326,7 +319,7 @@ def test_quiet_overflow_enters_as_a_with_block_twice():
 
 
 # ---------------------------------------------------------------------------
-# the protocols run the same probe kernel as gmm_probe.grad_step
+# the protocols run the same probe kernel as gmm_probe.probe_step
 
 
 class TestProtocolKernel:
@@ -334,34 +327,37 @@ class TestProtocolKernel:
     CFG = replace(PROBE, lr_means=0.03, lr_logbeta=1e-2)
 
     def run_and_replay(self):
-        """A 60-step learned forward split and 60 grad_step calls from its start."""
+        """A 60-step learned forward split and 60 probe_step calls from its start.
+
+        The replay is a list of (means, reading) after each step.
+        """
         ds = bimodal(300, 7)
         log, means = X.run_forward_split(ds, self.K, LOG_BETA_INIT, 1, self.CFG, 60)
-        state = init_collapsed(ds.samples, self.K, LOG_BETA_INIT,
-                               np.random.default_rng(ds.seed + 99))
+        mu = init_collapsed(ds.samples, self.K, np.random.default_rng(ds.seed + 99))
+        lb = LOG_BETA_INIT
         replay = []
         for _ in range(60):
-            state = grad_step(state, ds.samples, self.CFG)
-            replay.append(state)
+            mu, lb, reading = probe_step(mu, lb, ds.samples, self.CFG)
+            replay.append((mu, reading))
         return log, means, replay
 
-    def test_bitwise_match_with_probe_grad_step(self):
+    def test_bitwise_match_with_probe_step(self):
         # record_every = 1, so the last reading follows the last step
         log, means, replay = self.run_and_replay()
-        assert np.array_equal(means, replay[-1].means)
-        assert log.readings[-1].log_beta == replay[-1].log_precision
+        assert np.array_equal(means, replay[-1][0])
+        assert log.readings[-1].log_beta == replay[-1][1].log_beta
 
     def test_recorded_order_parameter_matches_probe(self):
         log, _, replay = self.run_and_replay()
         assert len(log.readings) == len(replay)
-        for reading, state in zip(log.readings, replay):
-            assert reading.log_beta == state.log_precision
-            assert reading.order_parameter == order_parameter(state)
+        for reading, (mu, probe) in zip(log.readings, replay):
+            assert reading.log_beta == probe.log_beta
+            assert reading.order_parameter == probe.order_parameter == _spread(mu)
 
-    def test_endogenous_run_matches_encoder_and_grad_step_replay(self):
+    def test_endogenous_run_matches_encoder_and_probe_step_replay(self):
         # the run refills its workspace each step with one product W @ xc from
         # the x-space batch, and the replay builds its batch the same way; the
-        # public grad_step on fresh latents x W^T rounds differently, by ~1e-16
+        # public probe_step on fresh latents x W^T rounds differently, by ~1e-16
         ds = bimodal(300, 7)
         log = X.run_endogenous(ds, encoder_lr=0.05, k=self.K, log_beta_init=LOG_BETA_INIT,
                                rates=self.CFG, steps=40, latent_dim=2, init_weight_scale=0.1,
@@ -374,20 +370,20 @@ class TestProtocolKernel:
             decode=0.1 * rng.standard_normal((2, 2)),
             learning_rate=0.05,
         )
-        state = init_collapsed(enc.latents(x), self.K, LOG_BETA_INIT, rng)
+        mu = public_mu = init_collapsed(enc.latents(x), self.K, rng)
+        lb = public_lb = LOG_BETA_INIT
         ws = _Workspace(self.K, enc.latents(x))
         xc, x_bar, r_x = _centred(x)
-        mu, lb = state.means, state.log_precision
         s = x.T @ x / x.shape[0]
         for reading in log.readings:
             enc.gd_step(s)
             ws.project(enc.encode, xc, x_bar, r_x)
             mu, lb = _joint_step(ws, mu, lb, self.CFG.lr_means, self.CFG.lr_logbeta)
             assert reading.log_beta == lb
-            assert reading.order_parameter == order_parameter(replace(state, means=mu))
-            state = grad_step(state, enc.latents(x), self.CFG)
-            assert abs(state.log_precision - lb) <= 1e-14 * abs(lb)
-            assert np.abs(state.means - mu).max() <= 1e-14 * np.abs(mu).max()
+            assert reading.order_parameter == _spread(mu)
+            public_mu, public_lb, _ = probe_step(public_mu, public_lb, enc.latents(x), self.CFG)
+            assert abs(public_lb - lb) <= 1e-14 * abs(lb)
+            assert np.abs(public_mu - mu).max() <= 1e-14 * np.abs(mu).max()
 
 
 @st.composite
@@ -456,7 +452,7 @@ class TestDrivers:
     def ramp(self, steps, stop_at=None, start=0):
         ds = bimodal(200, 3)
         ws = X._Workspace(2, ds.samples)
-        mu = init_collapsed(ds.samples, 2, LOG_BETA_INIT, np.random.default_rng(0)).means
+        mu = init_collapsed(ds.samples, 2, np.random.default_rng(0))
         seen = []
 
         def observe(n, lb, mu):
@@ -629,7 +625,7 @@ class TestAnnealHoldReverse:
     def test_one_prototype_branch_has_no_plateau_fraction_and_full_overlap(self):
         # a single prototype never splits: every level's order parameter is 0
         ds = bimodal(100, 0)
-        rev = X.run_reverse_traversal(ds, exact_collapsed(ds.samples, 1, 0.0).means)
+        rev = X.run_reverse_traversal(ds, exact_collapsed(ds.samples, 1))
         assert rev.summary["plateau_order_parameter"] == 0.0
         assert rev.summary["op_fraction_at_half_beta_c"] is None
         fwd = X.TrajectoryLog("forward-split", 0, summary={

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from bifurc.errors import DegenerateInputError, DimensionError, NumericalError
 from bifurc.gmm_probe import (
     SHIFT_LIMIT,
-    GmmProbeState,
     ProbeConfig,
     _centred,
     _em_step,
@@ -19,11 +18,10 @@ from bifurc.gmm_probe import (
     _joint_step,
     _mean_step,
     _shifted_weights,
+    _spread,
     _Workspace,
     critical_spectrum,
-    grad_step,
     init_collapsed,
-    order_parameter,
     probe_step,
     split_direction,
 )
@@ -68,14 +66,12 @@ class TestCriticalSpectrum:
 
 class TestNll:
     def test_single_component_at_mean(self):
-        s = GmmProbeState(np.array([[1.5]]), 0.0)
-        assert nll(s, np.array([[1.5]])) == pytest.approx(0.5 * math.log(2 * math.pi))
+        assert nll([[1.5]], 0.0, [[1.5]]) == pytest.approx(0.5 * math.log(2 * math.pi))
 
     def test_collapsed_two_components_match_single(self):
         z = bimodal(n=50, seed=1)
-        s1 = GmmProbeState(np.array([[0.3, -0.2]]), -0.7)
-        s2 = GmmProbeState(np.array([[0.3, -0.2], [0.3, -0.2]]), -0.7)
-        assert nll(s2, z) == pytest.approx(nll(s1, z), abs=1e-12)
+        one = nll([[0.3, -0.2]], -0.7, z)
+        assert nll([[0.3, -0.2], [0.3, -0.2]], -0.7, z) == pytest.approx(one, abs=1e-12)
 
     def test_matches_direct_density_sum(self):
         # independent route: evaluate the mixture density term by term
@@ -83,35 +79,27 @@ class TestNll:
         z = rng.standard_normal((9, 2))
         mu = rng.standard_normal((3, 2))
         lb = 0.4
-        s = GmmProbeState(mu, lb)
         beta = math.exp(lb)
         dens = np.zeros(9)
         for k in range(3):
             q = ((z - mu[k]) ** 2).sum(axis=1)
             dens += (1.0 / 3.0) * (beta / (2 * math.pi)) * np.exp(-0.5 * beta * q)
         expected = -np.log(dens).mean()
-        assert nll(s, z) == pytest.approx(expected, abs=1e-10)
-
-    def test_empty_batch_rejected(self):
-        s = GmmProbeState(np.zeros((2, 2)), 0.0)
-        with pytest.raises(DimensionError):
-            nll(s, np.zeros((0, 2)))
+        assert nll(mu, lb, z) == pytest.approx(expected, abs=1e-10)
 
 
 class TestResponsibilities:
     def test_equal_means_uniform(self):
-        s = GmmProbeState(np.ones((4, 3)), 0.2)
-        p = responsibilities(s, np.random.default_rng(0).standard_normal((6, 3)))
+        z = np.random.default_rng(0).standard_normal((6, 3))
+        p = responsibilities(np.ones((4, 3)), 0.2, z)
         assert np.allclose(p, 0.25)
 
     def test_high_precision_one_hot(self):
-        s = GmmProbeState(np.array([[0.0], [5.0]]), math.log(200.0))
-        p = responsibilities(s, np.array([[0.2]]))
+        p = responsibilities([[0.0], [5.0]], math.log(200.0), [[0.2]])
         assert p[0, 0] > 1.0 - 1e-12
 
     def test_symmetric_point(self):
-        s = GmmProbeState(np.array([[-1.0], [1.0]]), math.log(2.0))
-        p = responsibilities(s, np.array([[0.0]]))
+        p = responsibilities([[-1.0], [1.0]], math.log(2.0), [[0.0]])
         assert np.allclose(p, 0.5)
 
     def test_rows_sum_to_one(self):
@@ -119,110 +107,98 @@ class TestResponsibilities:
         for _ in range(25):
             k = int(rng.integers(1, 7))
             d = int(rng.integers(1, 5))
-            s = GmmProbeState(rng.standard_normal((k, d)), float(rng.normal()))
-            p = responsibilities(s, rng.standard_normal((12, d)))
+            mu, lb = rng.standard_normal((k, d)), float(rng.normal())
+            p = responsibilities(mu, lb, rng.standard_normal((12, d)))
             assert np.all(p > 0)
             assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
 
 
-def numeric_grads(state, z, h=1e-5):
+def numeric_grads(means, log_beta, z, h=1e-5):
     """Central finite differences of nll over all probe parameters."""
-    gm = np.zeros_like(state.means)
-    for k in range(state.K):
-        for a in range(state.d):
-            up = state.means.copy()
-            dn = state.means.copy()
-            up[k, a] += h
-            dn[k, a] -= h
-            su = GmmProbeState(up, state.log_precision)
-            sd = GmmProbeState(dn, state.log_precision)
-            gm[k, a] = (nll(su, z) - nll(sd, z)) / (2 * h)
-    su = GmmProbeState(state.means, state.log_precision + h)
-    sd = GmmProbeState(state.means, state.log_precision - h)
-    gb = (nll(su, z) - nll(sd, z)) / (2 * h)
+    gm = np.zeros_like(means)
+    for k, a in np.ndindex(means.shape):
+        up = means.copy()
+        dn = means.copy()
+        up[k, a] += h
+        dn[k, a] -= h
+        gm[k, a] = (nll(up, log_beta, z) - nll(dn, log_beta, z)) / (2 * h)
+    gb = (nll(means, log_beta + h, z) - nll(means, log_beta - h, z)) / (2 * h)
     return gm, gb
 
 
 class TestGradStep:
     def test_symmetric_state_means_fixed(self):
         z = bimodal(n=200, seed=5)
-        s = exact_collapsed(z, 4, -1.0)
-        s2 = grad_step(s, z, PROBE)
-        assert np.max(np.abs(s2.means - s.means)) <= 1e-12
+        mu = exact_collapsed(z, 4)
+        mu2 = probe_step(mu, -1.0, z, PROBE)[0]
+        assert np.max(np.abs(mu2 - mu)) <= 1e-12
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal((30, 2))
-        s = GmmProbeState(rng.standard_normal((3, 2)), 0.3)
+        mu, lb = rng.standard_normal((3, 2)), 0.3
         cfg = ProbeConfig(lr_means=1.0, lr_logbeta=1.0)
-        s2 = grad_step(s, z, cfg)
-        analytic_gm = (s.means - s2.means) / cfg.lr_means
-        analytic_gb = (s.log_precision - s2.log_precision) / cfg.lr_logbeta
-        gm, gb = numeric_grads(s, z)
+        mu2, lb2, _ = probe_step(mu, lb, z, cfg)
+        analytic_gm = (mu - mu2) / cfg.lr_means
+        analytic_gb = (lb - lb2) / cfg.lr_logbeta
+        gm, gb = numeric_grads(mu, lb, z)
         ref = max(np.max(np.abs(gm)), abs(gb))
         assert np.max(np.abs(analytic_gm - gm)) <= 1e-5 * ref
         assert abs(analytic_gb - gb) <= 1e-5 * ref
 
     def test_low_beta_pushed_up(self):
         z = bimodal(n=100, seed=7)
-        s = exact_collapsed(z, 3, -4.0)
-        s2 = grad_step(s, z, PROBE)
-        assert s2.log_precision > s.log_precision
+        assert probe_step(exact_collapsed(z, 3), -4.0, z, PROBE)[1] > -4.0
 
     @pytest.mark.parametrize("log_beta", [800.0, -800.0])  # exp overflows / is 0.0
     def test_precision_outside_float_range_is_numerical_error(self, log_beta):
         z = bimodal(n=50, seed=8)
-        s = exact_collapsed(z, 3, log_beta)
+        mu = exact_collapsed(z, 3)
         with pytest.raises(NumericalError):
-            grad_step(s, z, PROBE)
+            probe_step(mu, log_beta, z, PROBE)
         with pytest.raises(NumericalError):
-            nll(s, z)
+            nll(mu, log_beta, z)
 
 
 class TestOrderParameter:
     def test_collapsed_is_zero(self):
-        assert order_parameter(GmmProbeState(np.ones((3, 2)), 0.0)) == 0.0
+        assert _spread(np.ones((3, 2))) == 0.0
 
     def test_symmetric_pair(self):
-        s = GmmProbeState(np.array([[-1.0], [1.0]]), 0.0)
-        assert order_parameter(s) == pytest.approx(1.0)
+        assert _spread(np.array([[-1.0], [1.0]])) == pytest.approx(1.0)
 
     def test_unit_square_corners(self):
         mu = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        s = GmmProbeState(mu, 0.0)
-        assert order_parameter(s) == pytest.approx(math.sqrt(0.5))
+        assert _spread(mu) == pytest.approx(math.sqrt(0.5))
 
 
 class TestProbeStep:
     def test_identity_covariance_log_beta_c_zero(self):
         # four corner points have exactly unit covariance
         z = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        s = exact_collapsed(z, 2, -1.0)
+        mu, lb = exact_collapsed(z, 2), -1.0
         for step in range(3):
-            s, r = probe_step(s, z, PROBE, step=step)
+            mu, lb, r = probe_step(mu, lb, z, PROBE, step=step)
             assert r.log_beta_c == 0.0
-            assert r.log_ratio == r.log_beta
+            assert r.log_ratio == r.log_beta == lb
 
     def test_reading_ratio_identity(self):
         z = bimodal(n=120, seed=8)
-        s = init_collapsed(z, 5, LOG_BETA_INIT, np.random.default_rng(0))
-        s, r = probe_step(s, z, PROBE, step=0)
+        mu = init_collapsed(z, 5, np.random.default_rng(0))
+        r = probe_step(mu, LOG_BETA_INIT, z, PROBE, step=0)[2]
         assert abs(r.log_ratio - (r.log_beta - r.log_beta_c)) <= 1e-12
 
     def test_rescaling_shifts_log_beta_c(self):
         z = bimodal(n=150, seed=9)
         rng = np.random.default_rng(1)
-        s1 = init_collapsed(z, 3, LOG_BETA_INIT, rng)
-        _, r1 = probe_step(s1, z, PROBE, step=0)
-        s2 = init_collapsed(2.0 * z, 3, LOG_BETA_INIT, rng)
-        _, r2 = probe_step(s2, 2.0 * z, PROBE, step=0)
+        r1 = probe_step(init_collapsed(z, 3, rng), LOG_BETA_INIT, z, PROBE, step=0)[2]
+        r2 = probe_step(init_collapsed(2.0 * z, 3, rng), LOG_BETA_INIT, 2.0 * z, PROBE, step=0)[2]
         assert r2.log_beta_c == pytest.approx(r1.log_beta_c - 2.0 * math.log(2.0), abs=1e-12)
 
     def test_degenerate_latents_flagged(self):
         # a zero covariance, and one whose lambda_max (1e-310) is subnormal
         for z in (np.tile([1.0, 2.0], (10, 1)), np.tile([[-1e-155, 0.0], [1e-155, 0.0]], (5, 1))):
-            s = exact_collapsed(z, 2, -1.0)
-            s, r = probe_step(s, z, PROBE, step=0)
+            r = probe_step(exact_collapsed(z, 2), -1.0, z, PROBE, step=0)[2]
             assert r.degenerate
             assert r.log_beta_c == math.inf
             assert r.log_ratio == -math.inf
@@ -231,11 +207,11 @@ class TestProbeStep:
         # at fixed collapsed means the full NLL has its beta optimum at
         # d / tr(Cov(z)); the learned channel must climb to it monotonically
         z = bimodal(n=300, seed=10)
-        s = exact_collapsed(z, 4, LOG_BETA_INIT)
+        mu, lb = exact_collapsed(z, 4), LOG_BETA_INIT
         beta_opt = z.shape[1] / np.trace(covariance(z))
         lbs = []
         for step in range(2500):
-            s, r = probe_step(s, z, PROBE, step=step)
+            mu, lb, r = probe_step(mu, lb, z, PROBE, step=step)
             lbs.append(r.log_beta)
         lbs = np.array(lbs)
         below = lbs < math.log(beta_opt) - 0.01
@@ -245,23 +221,37 @@ class TestProbeStep:
     def test_detachment_never_mutates_latents(self):
         z = bimodal(n=80, seed=11)
         snapshot = z.copy()
-        s = init_collapsed(z, 3, LOG_BETA_INIT, np.random.default_rng(2))
+        mu, lb = init_collapsed(z, 3, np.random.default_rng(2)), LOG_BETA_INIT
         for step in range(10):
-            s, _ = probe_step(s, z, PROBE, step=step)
+            mu, lb, _ = probe_step(mu, lb, z, PROBE, step=step)
         assert np.array_equal(z, snapshot)
 
     def test_log_beta_c_invariant_in_K_probe(self):
         z = bimodal(n=200, seed=12)
         traces = []
         for k in (2, 5, 10, 20, 50):
-            s = init_collapsed(z, k, LOG_BETA_INIT, np.random.default_rng(3))
+            mu, lb = init_collapsed(z, k, np.random.default_rng(3)), LOG_BETA_INIT
             tr = []
             for step in range(20):
-                s, r = probe_step(s, z, PROBE, step=step)
+                mu, lb, r = probe_step(mu, lb, z, PROBE, step=step)
                 tr.append(r.log_beta_c)
             traces.append(tr)
         for tr in traces[1:]:
             assert tr == traces[0]  # bit-exact
+
+    @pytest.mark.parametrize("means,latents", [
+        (np.zeros((2, 2)), np.zeros((5, 3))),  # latents of another d
+        (np.zeros((2, 2)), np.zeros((0, 2))),  # an empty batch
+        (np.zeros(2), np.zeros((5, 2))),  # 1-D means
+    ], ids=["other-d", "empty-batch", "1d-means"])
+    def test_malformed_shapes_are_dimension_errors(self, means, latents):
+        with pytest.raises(DimensionError):
+            probe_step(means, 0.0, latents, PROBE)
+
+    @pytest.mark.parametrize("log_beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_beta_is_numerical_error(self, log_beta):
+        with pytest.raises(NumericalError):
+            probe_step(np.zeros((2, 2)), log_beta, bimodal(n=20), PROBE)
 
 
 def test_split_direction_unit_norm():
@@ -313,23 +303,24 @@ class TestKernelAgainstPerComponentReference:
     @example(case=(np.eye(3), 2.0 * np.eye(3)[::-1], -1.2))
     @example(case=(np.array([[0.5]]), np.array([[-0.25]]), 3.0))
     @given(case=kernel_cases())
-    def test_nll_responsibilities_and_grad_step(self, case):
+    def test_nll_responsibilities_and_joint_step(self, case):
         z, mu, log_beta = case
         k, d = mu.shape
         cfg = ProbeConfig(lr_means=0.05, lr_logbeta=0.02)
-        state = GmmProbeState(mu, log_beta)
         value, p_ref, means_ref, log_beta_ref = naive_kernel(
             z, mu, log_beta, cfg.lr_means, cfg.lr_logbeta
         )
 
-        assert nll(state, z) == pytest.approx(value, rel=1e-12, abs=1e-12)
-        p = responsibilities(state, z)
+        assert nll(mu, log_beta, z) == pytest.approx(value, rel=1e-12, abs=1e-12)
+        p = responsibilities(mu, log_beta, z)
         assert p.shape == (z.shape[0], k)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
         np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=1e-12)
-        stepped = grad_step(state, z, cfg)
-        np.testing.assert_allclose(stepped.means, means_ref, rtol=1e-12, atol=1e-12)
-        assert stepped.log_precision == pytest.approx(log_beta_ref, rel=1e-12, abs=1e-12)
+        # the kernel, not probe_step: a one-sample batch has no covariance to read
+        means, stepped_log_beta = _joint_step(_Workspace(k, z), mu, log_beta, cfg.lr_means,
+                                              cfg.lr_logbeta)
+        np.testing.assert_allclose(means, means_ref, rtol=1e-12, atol=1e-12)
+        assert stepped_log_beta == pytest.approx(log_beta_ref, rel=1e-12, abs=1e-12)
 
 
 @st.composite
@@ -381,8 +372,7 @@ class TestScalarShiftAgainstPerSampleMax:
         if scalar:  # every exp argument in [-L, 0]
             assert e.min() >= math.exp(-SHIFT_LIMIT) and e.max() <= 1.0
 
-        state = GmmProbeState(mu, log_beta)
-        np.testing.assert_allclose(responsibilities(state, z), p_ref, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(responsibilities(mu, log_beta, z), p_ref, rtol=0.0, atol=tol)
         nll_ref = (-lse_ref.mean() + math.log(k) + 0.5 * d * math.log(2.0 * math.pi)
                    - 0.5 * d * log_beta)
         assert abs(_nll(ws, mu, log_beta) - nll_ref) <= tol

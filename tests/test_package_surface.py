@@ -78,8 +78,8 @@ def test_only_the_documented_entry_points_have_no_caller_in_the_package():
     of the same spelling is some local variable.
 
     Members are matched by name alone, so a field counts as read when an attribute
-    of the same name on any other object is: ChannelSpectrum's K field, when it
-    had one, passed on GmmProbeState's state.K.
+    of the same name on any other object is: any record's seed field would pass
+    on the protocols' dataset.seed.
     """
     defined, bare, attributes = surface_and_loads(Path(bifurc.__file__).parent)
     unused = {name for name in defined
