@@ -292,8 +292,9 @@ def probe_step(means, log_beta, latents, rates, step=0, nc1=None):
     K x N posterior. Precision channel: d nll/d beta =
     mean_z[sum_k p_k ||z - mu_k||^2 / 2] - d/(2 beta), chained through beta
     for the log-beta parametrization. Raises DimensionError unless the means
-    are K x d (K, d >= 1) and the latents a non-empty N x d batch, and
-    NumericalError when beta or the updated means are not finite.
+    are K x d (K, d >= 1) and the latents an N x d batch with N >= 2 (the
+    fewest with a covariance), and NumericalError when beta or the updated
+    means are not finite.
 
     The latents are constants to the probe; beta_c is recomputed from their
     sample covariance each call, so the log_beta_c series depends on the
@@ -305,8 +306,8 @@ def probe_step(means, log_beta, latents, rates, step=0, nc1=None):
     z = np.asarray(latents, dtype=float)
     if mu.ndim != 2 or mu.size == 0:
         raise DimensionError(f"means must be K x d with K, d >= 1, got {mu.shape}")
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != mu.shape[1]:
-        raise DimensionError(f"latents must be a non-empty N x {mu.shape[1]} array, got {z.shape}")
+    if z.ndim != 2 or z.shape[0] < 2 or z.shape[1] != mu.shape[1]:
+        raise DimensionError(f"latents must be N x {mu.shape[1]} with N >= 2, got {z.shape}")
     mu, lb = _joint_step(_Workspace(len(mu), z), mu, log_beta, rates.lr_means, rates.lr_logbeta)
     try:
         log_bc = -math.log(critical_spectrum(covariance(z))[0])

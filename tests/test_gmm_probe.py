@@ -242,8 +242,9 @@ class TestProbeStep:
     @pytest.mark.parametrize("means,latents", [
         (np.zeros((2, 2)), np.zeros((5, 3))),  # latents of another d
         (np.zeros((2, 2)), np.zeros((0, 2))),  # an empty batch
+        (np.zeros((2, 2)), np.zeros((1, 2))),  # one sample: no covariance
         (np.zeros(2), np.zeros((5, 2))),  # 1-D means
-    ], ids=["other-d", "empty-batch", "1d-means"])
+    ], ids=["other-d", "empty-batch", "one-sample", "1d-means"])
     def test_malformed_shapes_are_dimension_errors(self, means, latents):
         with pytest.raises(DimensionError):
             probe_step(means, 0.0, latents, PROBE)
