@@ -1190,6 +1190,16 @@ class TestToyCommands:
             "toy-unimodal_summary.json":
                 "5c5e656ba0abe5b25e29ad95a9aeaa21abe4329dcd76fff5cec22049957159ec",
         }),
+        ("hierarchy", {
+            "toy-hierarchy.svg":
+                "c75bd25f0a98fdcfff1cd23bf5ea2253018786f212ec2dc8f28b840600f8871f",
+            "toy-hierarchy_seed0.csv":
+                "a5e9a4ce6f49815c81d68663075efc420cc9aaaa26d5b73f0f8d2dbca630e9da",
+            "toy-hierarchy_seed0.json":
+                "41d37525b6a14a0b818e1b559548b2d24e2c3c9b1bae6867bce636f415939d96",
+            "toy-hierarchy_summary.json":
+                "1f563c9260b1e16d3bee46eafa98162aad3aa1704bb8ad886097ef4310918a41",
+        }),
     ])
     def test_default_outputs_are_pinned(self, tmp_path, clean_env, sub, digests):
         assert main(["toy", sub, "--seed", "0", "--out", str(tmp_path)]) == 0
