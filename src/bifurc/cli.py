@@ -185,7 +185,7 @@ def _sweep_seeds(cfg, ready, experiment, worker, summarize):
     Each worker writes its own per-seed files and returns a tuple whose
     first item is its seed. summarize(results) returns (fields, chart): the
     merged summary's fields (per_seed among them) besides experiment and
-    seeds, and line_chart's keyword arguments, or None to draw no chart.
+    seeds, and line_chart's keyword arguments.
     """
     seeds = cfg.seeds()
     out_dir = ready()
@@ -194,8 +194,7 @@ def _sweep_seeds(cfg, ready, experiment, worker, summarize):
     fields, chart = summarize(results)
     path = out_dir / f"{experiment}_summary.json"
     _write_json(path, _payload(cfg.config_hash, experiment=experiment, seeds=seeds, **fields))
-    if chart is not None:
-        line_chart(out_dir / f"{experiment}.svg", **chart)
+    line_chart(out_dir / f"{experiment}.svg", **chart)
     print(f"wrote {path}")
     return 0
 
@@ -433,12 +432,9 @@ def _toy_summary(sub, results):
     series = []
     for seed, summaries, _ in results:
         for leg in ("_forward", "_reverse"):
-            pts = sorted(summaries[leg].get("branch") or [])
-            if pts:
-                series.append((f"seed {seed}{leg.replace('_', ' ')}",
-                               [p[0] for p in pts], [p[1] for p in pts]))
-    if not series:
-        return fields, None
+            pts = sorted(summaries[leg]["branch"])
+            series.append((f"seed {seed}{leg.replace('_', ' ')}",
+                           [p[0] for p in pts], [p[1] for p in pts]))
     return fields, dict(series=series,
                         title="equilibrium branches: prototype separation vs precision",
                         x_label="beta", y_label="order parameter")

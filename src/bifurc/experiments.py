@@ -217,53 +217,39 @@ class TrajectoryLog:
     config_hash: str = ""
     summary: dict = field(default_factory=dict)
 
-    def append(self, reading):
-        if self.readings and reading.step <= self.readings[-1].step:
-            raise ValidationError(
-                f"steps must increase: {reading.step} after {self.readings[-1].step}"
-            )
-        self.readings.append(reading)
-
     def record(self, step, log_beta, log_beta_c, nc1, op):
-        """Append the reading at step, with log_ratio = log_beta - log_beta_c."""
-        self.append(CriticalityReading(
-            step=step, log_beta=log_beta, log_beta_c=log_beta_c,
-            log_ratio=log_beta - log_beta_c, nc1=nc1, order_parameter=op,
-        ))
+        """Append the reading at step, which must come after the last one's."""
+        if self.readings and step <= self.readings[-1].step:
+            raise ValidationError(f"steps must increase: {step} after {self.readings[-1].step}")
+        self.readings.append(CriticalityReading(step, log_beta, log_beta_c, nc1, op))
 
 
 def write_trajectory_csv(log, path):
     """CSV with one leading comment line carrying the run identity."""
     identity = run_identity(log.experiment_id, log.config_hash, log.seed)
-    rows = (
-        [r.step] + [None if v is None else float(v) for v in (
-            r.log_beta, r.log_beta_c, r.log_ratio, r.nc1, r.order_parameter)]
-        for r in log.readings
-    )
+    rows = ((r.step, r.log_beta, r.log_beta_c, r.log_ratio, r.nc1, r.order_parameter)
+            for r in log.readings)
     write_table(path, TRAJECTORY_HEADER, rows, [identity])
 
 
 def _reading(rec):
     log_beta, log_beta_c, log_ratio = float(rec[1]), float(rec[2]), float(rec[3])
-    finite = all(map(math.isfinite, (log_beta, log_beta_c, log_ratio)))  # else classify refuses
+    ratio = log_beta - log_beta_c
     scale = max(1.0, abs(log_beta), abs(log_beta_c))
-    if finite and not abs(log_ratio - (log_beta - log_beta_c)) <= 1e-12 * scale:
+    if not (log_ratio == ratio if math.isinf(ratio) else abs(log_ratio - ratio) <= 1e-12 * scale):
         raise ValueError("log_ratio is not log_beta - log_beta_c")
-    return CriticalityReading(
-        step=int(rec[0]),
-        log_beta=log_beta,
-        log_beta_c=log_beta_c,
-        log_ratio=log_ratio,
-        nc1=float(rec[4]) if rec[4].strip() else None,
-        order_parameter=float(rec[5]),
-    )
+    nc1 = float(rec[4]) if rec[4].strip() else None
+    return int(rec[0]), log_beta, log_beta_c, nc1, float(rec[5])
 
 
 def read_trajectory_csv(path):
     """Inverse of write_trajectory_csv; tolerates missing comment lines.
 
-    A finite row whose log_ratio is not log_beta - log_beta_c, within 1e-12
-    of the larger of 1 and their magnitudes, is a bad row (ValidationError).
+    A row loads only when its log_ratio is log_beta - log_beta_c: exactly
+    where the difference is +-inf (the degenerate sentinel log_beta_c = +inf
+    gives -inf), and within 1e-12 of the larger of 1 and their magnitudes
+    where it is finite. A NaN in any of the three columns, or a log_ratio
+    that disagrees, is a bad row (ValidationError).
     """
     meta = {"experiment": "unknown", "seed": 0, "config": ""}
     comments, rows = read_table(path, TRAJECTORY_HEADER, "trajectory", _reading)
@@ -275,7 +261,7 @@ def read_trajectory_csv(path):
         seed = 0
     log = TrajectoryLog(meta["experiment"], seed, config_hash=meta["config"].replace("none", ""))
     for r in rows:
-        log.append(r)
+        log.record(*r)
     return log
 
 
@@ -771,6 +757,7 @@ def run_hierarchical(dataset, lr, record_every):
         lam2, w_spec = critical_spectrum((within.T @ within) / len(within))
     except DegenerateInputError as err:
         raise DegenerateInputError(f"within-super {err}") from None
+    log_bc2 = -math.log(lam2)
     bc2 = 1.0 / lam2
     anisotropy = lam2 / float(np.sum(w_spec.eigenvalues))
     gate = anisotropy >= HIERARCHY_ANISOTROPY_GATE
@@ -803,11 +790,11 @@ def run_hierarchical(dataset, lr, record_every):
     def observe1(step, lb, mu):
         op = _spread(mu)
         log.record(step, lb, log_bc1, const_nc1, op)
-        return tracker1.feed(step, lb, op, supercritical=lb >= math.log(bc1))
+        return tracker1.feed(step, lb, op, supercritical=lb >= log_bc1)
 
     def observe2(step, lb, mu):
         log.record(step, lb, log_bc1, const_nc1, _spread(mu))
-        return tracker2.feed(step, lb, within_op(mu), supercritical=lb >= math.log(bc2))
+        return tracker2.feed(step, lb, within_op(mu), supercritical=lb >= log_bc2)
 
     # stage 1: ramp across bc1, hold, detect the super split
     lb_a0 = math.log(HIERARCHY_START_RATIO * bc1)

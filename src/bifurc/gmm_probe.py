@@ -47,16 +47,19 @@ def check_rates(*rates):
 class CriticalityReading:
     """One trajectory sample: the probe's phase coordinates at a step.
 
-    log_ratio == log_beta - log_beta_c (within 1e-12). nc1 is present only
-    when the caller supplies a labeled latent batch.
+    nc1 is present only when the caller supplies a labeled latent batch.
     """
 
     step: int
     log_beta: float
     log_beta_c: float
-    log_ratio: float
     nc1: Optional[float]
     order_parameter: float
+
+    @property
+    def log_ratio(self):
+        """log(beta / beta_c), the phase coordinate: log_beta - log_beta_c."""
+        return self.log_beta - self.log_beta_c
 
     @property
     def degenerate(self):
@@ -313,12 +316,4 @@ def probe_step(means, log_beta, latents, rates, step=0, nc1=None):
         log_bc = -math.log(critical_spectrum(covariance(z))[0])
     except DegenerateInputError:
         log_bc = math.inf
-    reading = CriticalityReading(
-        step=step,
-        log_beta=lb,
-        log_beta_c=log_bc,
-        log_ratio=lb - log_bc,
-        nc1=nc1,
-        order_parameter=_spread(mu),
-    )
-    return mu, lb, reading
+    return mu, lb, CriticalityReading(step, lb, log_bc, nc1, _spread(mu))

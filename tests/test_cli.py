@@ -30,7 +30,6 @@ from bifurc.config import (
 from bifurc.errors import ConfigError
 from bifurc.escape_lab import read_sweep_csv, write_sweep_csv
 from bifurc.experiments import TrajectoryLog, read_trajectory_csv, write_trajectory_csv
-from bifurc.gmm_probe import CriticalityReading
 from bifurc.sde import SdeConfig, persistence_stats, simulate_coupled_modes
 from bifurc.svgplot import line_chart
 from bifurc.errors import ValidationError
@@ -819,12 +818,7 @@ class TestClassifyCommand:
         log = TrajectoryLog("flat", 0)
         for i in range(40):
             r = -1.0 + 2.0 * i / 39
-            log.append(
-                CriticalityReading(
-                    step=i, log_beta=r, log_beta_c=0.0, log_ratio=r,
-                    nc1=10.0, order_parameter=1e-3,
-                )
-            )
+            log.record(i, r, 0.0, 10.0, 1e-3)
         path = tmp_path / "flat.csv"
         write_trajectory_csv(log, path)
         code = main(["classify", "--input", str(path), "--out", str(tmp_path)])
@@ -859,6 +853,23 @@ class TestClassifyCommand:
             assert capsys.readouterr().err.startswith(
                 "error: bad trajectory row: ['0', '-1.0', '0.0', '-5.0'")
             assert not out.exists()
+
+    @pytest.mark.parametrize("row", [
+        "40,nan,0.0,-1.7817742296486099",  # a NaN log_beta beside a finite log_ratio
+        "40,-1.7817742296486099,0.0,inf",  # a finite pair whose log_ratio is inf
+        "40,-1.7817742296486099,inf,-1.7817742296486099",  # log_beta_c = inf, finite log_ratio
+    ], ids=["nan-log-beta", "inf-log-ratio", "inf-log-beta-c"])
+    def test_non_finite_log_ratio_columns_must_agree(self, tmp_path, capsys, row):
+        text = (FIXTURES / "exemplar_full_v.csv").read_text()
+        good = "40,-1.7817742296486099,0.0,-1.7817742296486099"
+        assert text.count(f"\n{good},") == 1
+        path = tmp_path / "log.csv"
+        path.write_text(text.replace(f"\n{good},", f"\n{row},"))
+        out = tmp_path / "out"
+        assert main(["classify", "--input", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad trajectory row: ['40',") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestEscapeCommands:

@@ -2,8 +2,10 @@
 
 import json
 import math
+import tempfile
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from bifurc.errors import (
     ValidationError,
 )
 from bifurc.gmm_probe import (
-    CriticalityReading,
     _centred,
     _joint_step,
     _spread,
@@ -243,27 +244,20 @@ class TestNc1:
 # trajectory log + serialization
 
 
-def make_reading(step, lb=-1.0, lbc=0.5, nc=0.3, op=0.01):
-    return CriticalityReading(
-        step=step, log_beta=lb, log_beta_c=lbc, log_ratio=lb - lbc,
-        nc1=nc, order_parameter=op,
-    )
-
-
 class TestTrajectoryLog:
-    def test_append_requires_increasing_steps(self):
+    def test_record_requires_increasing_steps(self):
         log = X.TrajectoryLog("t", 0)
-        log.append(make_reading(0))
-        log.append(make_reading(20))
+        log.record(0, -1.0, 0.5, 0.3, 0.01)
+        log.record(20, -1.0, 0.5, 0.3, 0.01)
         with pytest.raises(ValidationError):
-            log.append(make_reading(20))
+            log.record(20, -1.0, 0.5, 0.3, 0.01)
         with pytest.raises(ValidationError):
-            log.append(make_reading(5))
+            log.record(5, -1.0, 0.5, 0.3, 0.01)
 
     def test_csv_roundtrip_exact(self, tmp_path):
         log = X.TrajectoryLog("t", 42, config_hash="abc123")
-        log.append(make_reading(0, lb=-2.5, lbc=0.123456789012345, nc=None, op=1e-7))
-        log.append(make_reading(20, lb=-2.4, lbc=math.inf, nc=0.5, op=2e-3))
+        log.record(0, -2.5, 0.123456789012345, None, 1e-7)
+        log.record(20, -2.4, math.inf, 0.5, 2e-3)
         p = tmp_path / "t.csv"
         X.write_trajectory_csv(log, p)
         back = X.read_trajectory_csv(p)
@@ -274,6 +268,24 @@ class TestTrajectoryLog:
             assert a.log_beta_c == b.log_beta_c and a.nc1 == b.nc1
             assert a.order_parameter == b.order_parameter
         assert back.readings[1].degenerate is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(1, 10**6),  # the gap to the previous step
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.inf)),
+        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ), min_size=1, max_size=8))
+    def test_csv_roundtrip_returns_equal_readings(self, rows):
+        log, step = X.TrajectoryLog("t", 0), -1
+        for gap, lb, lbc, nc, op in rows:
+            step += gap
+            log.record(step, lb, lbc, nc, op)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            X.write_trajectory_csv(log, path)
+            assert X.read_trajectory_csv(path).readings == log.readings
 
     def test_csv_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -289,7 +301,7 @@ class TestTrajectoryLog:
 
     def test_summary_json_deterministic(self):
         log = X.TrajectoryLog("t", 7, summary={"crossing_step": 100, "zeta": [1, 2]})
-        log.append(make_reading(0))
+        log.record(0, -1.0, 0.5, 0.3, 0.01)
         a, b = (json.dumps(X.trajectory_summary(log), indent=2, sort_keys=True) for _ in "ab")
         assert a == b
         d = json.loads(a)
@@ -748,12 +760,7 @@ class TestAuditHypotheses:
     def make_log(betas, bcs, step0=0):
         log = X.TrajectoryLog("t", 0)
         for i, (b, c) in enumerate(zip(betas, bcs)):
-            log.append(
-                CriticalityReading(
-                    step=step0 + 20 * i, log_beta=math.log(b), log_beta_c=math.log(c),
-                    log_ratio=math.log(b / c), nc1=None, order_parameter=0.0,
-                )
-            )
+            log.record(step0 + 20 * i, math.log(b), math.log(c), None, 0.0)
         return log
 
     def test_clean_run_has_no_events(self):

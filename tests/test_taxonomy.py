@@ -10,7 +10,6 @@ import pytest
 import bifurc.experiments as X
 import bifurc.taxonomy as T
 from bifurc.errors import ValidationError
-from bifurc.gmm_probe import CriticalityReading
 from bifurc.sde import simulate_pitchfork_1d
 from oracles import SDE, THRESHOLDS, make_regime_log, recovery_rate, reference_classification
 
@@ -24,12 +23,7 @@ def synth_log(ratio, lnc1, steps=None, experiment="t"):
     if steps is None:
         steps = np.arange(n) * 20
     for s, r, v in zip(steps, ratio, lnc1):
-        log.append(
-            CriticalityReading(
-                step=int(s), log_beta=float(r), log_beta_c=0.0, log_ratio=float(r),
-                nc1=float(10.0 ** v), order_parameter=1e-3,
-            )
-        )
+        log.record(int(s), float(r), 0.0, float(10.0 ** v), 1e-3)
     return log
 
 
@@ -85,12 +79,7 @@ class TestClassifyContract:
     def test_needs_nc1_channel(self):
         log = X.TrajectoryLog("t", 0)
         for i in range(30):
-            log.append(
-                CriticalityReading(
-                    step=i, log_beta=0.1, log_beta_c=0.0, log_ratio=0.1,
-                    nc1=None, order_parameter=0.0,
-                )
-            )
+            log.record(i, 0.1, 0.0, None, 0.0)
         with pytest.raises(ValidationError):
             T.classify(log, None, THRESHOLDS)
 
@@ -193,12 +182,7 @@ class TestInvariances:
     def remap(log, fn):
         out = X.TrajectoryLog(log.experiment_id, log.seed)
         for r in log.readings:
-            out.append(
-                CriticalityReading(
-                    step=fn(r.step), log_beta=r.log_beta, log_beta_c=r.log_beta_c,
-                    log_ratio=r.log_ratio, nc1=r.nc1, order_parameter=r.order_parameter,
-                )
-            )
+            out.record(fn(r.step), r.log_beta, r.log_beta_c, r.nc1, r.order_parameter)
         return out
 
     @pytest.mark.parametrize("regime", T.REGIMES)
