@@ -53,7 +53,6 @@ from .escape_lab import (
 from .experiments import (
     HIERARCHY_MAX1_STEPS,
     _quiet_overflow,
-    branch_overlap,
     gen_bimodal,
     gen_hierarchical,
     gen_unimodal,
@@ -351,57 +350,35 @@ def _toy_protocol(sub, cfg):
 
 
 def _toy_logs(sub, data, protocol, seed):
-    """The trajectory logs of one seed of `toy sub`, by CSV suffix.
-
-    The reverse leg's summary also carries the run's reverse_tracking_error
-    and branch_overlap.
-    """
+    """The trajectory logs of one seed of `toy sub`, by leg: "" alone, or "forward"
+    and "reverse"."""
     dataset = _toy_dataset(data, seed)
+    run = protocol(dataset)
     if sub == "reverse":
-        forward, means = protocol(dataset)
-        reverse = run_reverse_traversal(dataset, means)
-        merge_err = reverse.summary.get("merge_relative_error")
-        reverse.summary["reverse_tracking_error"] = (
-            None if merge_err is None else abs(float(merge_err))
-        )
-        reverse.summary["branch_overlap"] = branch_overlap(forward, reverse)
-        return {"_forward": forward, "_reverse": reverse}
-    if sub in ("bimodal", "unimodal"):
-        return {"": protocol(dataset)[0]}
-    return {"": protocol(dataset)}
+        return {"forward": run[0], "reverse": run_reverse_traversal(dataset, *run)}
+    return {"": run[0] if sub in ("bimodal", "unimodal") else run}
 
 
 def _toy_worker(sub, data, protocol, config_hash, job):
-    """Run one seed of `toy sub` and write its own files.
+    """Run one seed of `toy sub` and write its own files: a CSV per leg, named
+    after it, and one JSON of the leg summaries.
 
-    Returns (seed, summaries, trace): the summaries by CSV suffix, and the
-    (steps, log ratios) of the run's readings (None for `toy reverse`).
+    Returns (seed, summaries, trace): the summaries by leg, and the (steps,
+    log ratios) of the last leg's readings.
     """
     seed, out = job
     out_dir = Path(out)
-    logs = _toy_logs(sub, data, protocol, seed)
     summaries = {}
-    for suffix, log in logs.items():
+    for leg, log in _toy_logs(sub, data, protocol, seed).items():
         log.config_hash = config_hash
-        write_trajectory_csv(log, out_dir / f"toy-{sub}_seed{seed}{suffix}.csv")
-        summaries[suffix] = trajectory_summary(log)
-    _write_json(out_dir / f"toy-{sub}_seed{seed}.json", _payload(config_hash, **{
-        "experiment": f"toy-{sub}",
-        "seed": seed,
-        **(summaries[""] if "" in summaries else {
-            "forward": summaries["_forward"],
-            "reverse": summaries["_reverse"],
-            "reverse_tracking_error": summaries["_reverse"]["reverse_tracking_error"],
-        }),
-    }))
-    log = logs.get("")
-    trace = None if log is None else ([r.step for r in log.readings],
-                                      [r.log_ratio for r in log.readings])
-    return seed, summaries, trace
-
-
-def _prune_summary(summary):
-    return {k: v for k, v in summary.items() if k not in _BULKY_SUMMARY_KEYS}
+        write_trajectory_csv(log, out_dir / f"toy-{sub}_seed{seed}{leg and '_' + leg}.csv")
+        summaries[leg] = trajectory_summary(log)
+    body = summaries.get("", summaries)
+    if sub == "reverse":  # the pair's file repeats the reverse leg's tracking error on top
+        body = {**body, "reverse_tracking_error": body["reverse"]["reverse_tracking_error"]}
+    _write_json(out_dir / f"toy-{sub}_seed{seed}.json",
+                _payload(config_hash, **{"experiment": f"toy-{sub}", "seed": seed, **body}))
+    return seed, summaries, ([r.step for r in log.readings], [r.log_ratio for r in log.readings])
 
 
 def _toy_summary(sub, results):
@@ -410,31 +387,23 @@ def _toy_summary(sub, results):
         if sub == "hierarchy" and not summaries[""]["events"]:
             print(f"warning: seed {seed}: stage 1 did not activate within HIERARCHY_MAX1_STEPS"
                   f" = {HIERARCHY_MAX1_STEPS} steps; no events recorded", file=sys.stderr)
-        if "" in summaries:
-            per_seed[str(seed)] = _prune_summary(summaries[""])
-        else:
-            per_seed[str(seed)] = {
-                "forward": _prune_summary(summaries["_forward"]),
-                "reverse": _prune_summary(summaries["_reverse"]),
-            }
+        pruned = {leg: {k: v for k, v in summary.items() if k not in _BULKY_SUMMARY_KEYS}
+                  for leg, summary in summaries.items()}
+        per_seed[str(seed)] = pruned.get("", pruned)
     if sub != "reverse":
         series = [(f"seed {seed}", *trace) for seed, _, trace in results]
-        xs = series[0][1]
-        series.append(("crossing", [xs[0], xs[-1]], [0.0, 0.0]))
+        span = [min(xs[0] for _, xs, _ in series), max(xs[-1] for _, xs, _ in series)]
+        series.append(("crossing", span, [0.0, 0.0]))
         return {"per_seed": per_seed}, dict(
             series=series, title=f"toy {sub}: precision ratio trajectory",
             x_label="step", y_label="log(beta / beta_c)")
     errors = [run["reverse"]["reverse_tracking_error"] for run in per_seed.values()]
     fields = {
         "per_seed": per_seed,
-        "reverse_tracking_error": None if any(e is None for e in errors) else max(errors),
+        "reverse_tracking_error": None if None in errors else max(errors),
     }
-    series = []
-    for seed, summaries, _ in results:
-        for leg in ("_forward", "_reverse"):
-            pts = sorted(summaries[leg]["branch"])
-            series.append((f"seed {seed}{leg.replace('_', ' ')}",
-                           [p[0] for p in pts], [p[1] for p in pts]))
+    series = [(f"seed {seed} {leg}", *zip(*sorted(summary["branch"])))
+              for seed, summaries, _ in results for leg, summary in summaries.items()]
     return fields, dict(series=series,
                         title="equilibrium branches: prototype separation vs precision",
                         x_label="beta", y_label="order parameter")

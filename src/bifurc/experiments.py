@@ -491,13 +491,16 @@ def run_forward_split(dataset, k, log_beta_init, record_every, rates, steps):
 
 
 @_quiet_overflow()
-def run_reverse_traversal(dataset, means):
+def run_reverse_traversal(dataset, forward, means):
     """Anneal a split probe's precision back down through the crossing, from its K x d means.
 
-    Each descending level is solved by EM from the previous level's means,
-    and the step counter advances by EM iterations; the merge point is the
-    zero intercept of a straight-line fit to order_parameter^2 vs beta over
-    the branch shoulder (readings between 25% and 60% of the plateau).
+    forward is the anneal drive's log that ended at means. Each descending
+    level is solved by EM from the previous level's means, and the step
+    counter advances by EM iterations; the merge point is the zero intercept
+    of a straight-line fit to order_parameter^2 vs beta over the branch
+    shoulder (readings between 25% and 60% of the plateau). The summary also
+    carries reverse_tracking_error, |merge_relative_error| (None with no
+    merge), and the branch_overlap of forward with this run.
     """
     z = dataset.samples
     lam = critical_spectrum(covariance(z))[0]
@@ -523,6 +526,7 @@ def run_reverse_traversal(dataset, means):
         )
         if slope != 0.0:
             merge_beta = -a / slope
+    merge_err = None if merge_beta is None else (merge_beta - beta_c_hat) / beta_c_hat
     half_idx = int(np.argmin(np.abs(arr[:, 0] - 0.5 * beta_c_hat)))
     log.summary.update(
         {
@@ -530,12 +534,12 @@ def run_reverse_traversal(dataset, means):
             "plateau_order_parameter": plateau,
             **fields,
             "merge_beta": merge_beta,
-            "merge_relative_error": None
-            if merge_beta is None
-            else (merge_beta - beta_c_hat) / beta_c_hat,
+            "merge_relative_error": merge_err,
+            "reverse_tracking_error": None if merge_err is None else abs(merge_err),
             "op_fraction_at_half_beta_c": float(arr[half_idx, 1] / plateau) if plateau else None,
         }
     )
+    log.summary["branch_overlap"] = branch_overlap(forward, log)
     return log
 
 

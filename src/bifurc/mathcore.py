@@ -110,18 +110,19 @@ def _finite_pair(xs, ys, name):
 
 
 def pearson(xs, ys):
-    """Plain Pearson correlation; raises on a constant or non-finite input sequence."""
+    """Plain Pearson correlation; raises on a constant or non-finite input sequence.
+
+    It is scale-free: no finite input overflows or underflows its sums.
+    """
     x, y = _finite_pair(xs, ys, "pearson")
     # exactly, before centring: a long constant's centred values are roundoff, not zeros
     if not (x.size and x.min() < x.max() and y.min() < y.max()):
         raise DegenerateInputError("correlation undefined for a constant sequence")
+    # an exact power-of-two scale to a largest magnitude in [0.5, 1)
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = np.sqrt(np.sum(xc * xc))
-    sy = np.sqrt(np.sum(yc * yc))
-    if sx == 0.0 or sy == 0.0:  # a spread that underflows when squared
-        raise DegenerateInputError("correlation undefined for a constant sequence")
-    return float(np.sum(xc * yc) / (sx * sy))
+    return float(np.sum(xc * yc) / (np.sqrt(np.sum(xc * xc)) * np.sqrt(np.sum(yc * yc))))
 
 
 def spearman(xs, ys):

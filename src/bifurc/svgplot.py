@@ -7,6 +7,7 @@ pre-transformed values and say so in the axis label.
 """
 
 import math
+from html import escape
 
 from .errors import ValidationError
 
@@ -39,16 +40,6 @@ def _span(lo, hi):
 
 def _fmt(v):
     return f"{v:.6g}"
-
-
-def _escape(text):
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
 
 
 def line_chart(path, series, title, x_label, y_label):
@@ -96,7 +87,7 @@ def line_chart(path, series, title, x_label, y_label):
     )
     out.append(
         f'<text x="{_WIDTH / 2:.2f}" y="22" text-anchor="middle" '
-        f'font-size="14">{_escape(title)}</text>'
+        f'font-size="14">{escape(title)}</text>'
     )
 
     n_ticks = 5
@@ -123,12 +114,12 @@ def line_chart(path, series, title, x_label, y_label):
         )
     out.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" '
-        f'text-anchor="middle">{_escape(x_label)}</text>'
+        f'text-anchor="middle">{escape(x_label)}</text>'
     )
     yx, yy = 16.0, _MARGIN_TOP + plot_h / 2
     out.append(
         f'<text x="{yx:.2f}" y="{yy:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 {yx:.2f} {yy:.2f})">{_escape(y_label)}</text>'
+        f'transform="rotate(-90 {yx:.2f} {yy:.2f})">{escape(y_label)}</text>'
     )
 
     for idx, (label, pts) in enumerate(cleaned):
@@ -152,7 +143,7 @@ def line_chart(path, series, title, x_label, y_label):
         )
         out.append(
             f'<text x="{lx - 28:.2f}" y="{ly:.2f}" text-anchor="end">'
-            f"{_escape(label)}</text>"
+            f"{escape(label)}</text>"
         )
 
     out.append("</svg>")

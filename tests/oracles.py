@@ -49,7 +49,8 @@ def command_config(command, sub=None, preset=None, **sections):
 
 
 def toy_logs(sub, seed, **sections):
-    """The trajectory logs of `bifurc toy sub --seed seed`, by CSV suffix."""
+    """The trajectory logs of `bifurc toy sub --seed seed`, by leg: "" alone, or
+    "forward" and "reverse"."""
     cfg = command_config("toy", sub, **sections)
     return _toy_logs(sub, _toy_data(sub, cfg), _toy_protocol(sub, cfg), seed)
 

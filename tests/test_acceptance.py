@@ -184,7 +184,7 @@ def test_criterion_06_endogenous_crossing():
 def test_criterion_07_reverse_traversal():
     t0 = time.perf_counter()
     logs = toy_logs("reverse", 0)
-    forward, reverse = logs["_forward"], logs["_reverse"]
+    forward, reverse = logs["forward"], logs["reverse"]
     merge_err = abs(reverse.summary["merge_relative_error"])
     overshoot = forward.summary["overshoot_ratio"]
     _finish(

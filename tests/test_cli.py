@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifurc import __version__
-from bifurc.cli import _parallel_map, _section, main
+from bifurc.cli import _parallel_map, _section, _toy_summary, main
 from bifurc.config import (
     RunConfig,
     build_config,
@@ -871,6 +871,27 @@ class TestClassifyCommand:
         assert err.startswith("error: bad trajectory row: ['40',") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale,code", [(1.0, 0), (1e300, 3)])
+    def test_huge_log_betas_are_a_numerical_failure(self, tmp_path, capsys, scale, code):
+        # pearson once overflowed at 1e300 (NoArc, decoupling_corr -0.0, a numpy
+        # warning); now the rate fit's sums overflow, which is a numerical failure
+        rows = [f"{20 * i},{(i - 20) * scale!r},0.0,{(i - 20) * scale!r},{10 ** (-i / 10)!r},0.1"
+                for i in range(40)]
+        path = tmp_path / "log.csv"
+        path.write_text("step,log_beta,log_beta_c,log_ratio,nc1,order_parameter\n"
+                        + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["classify", "--input", str(path), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            payload = json.loads(captured.out)
+            assert (payload["label"], payload["decoupling_corr"]) == ("FullV", -1.0)
+        else:
+            assert captured.err == ("numerical failure: weighted_linfit: the fit overflows "
+                                    "the float range\n")
+
 
 class TestEscapeCommands:
     def test_fit_reproduces_bundled_report(self, tmp_path, capsys, clean_env):
@@ -1179,6 +1200,14 @@ class TestSdeCommands:
 
 
 class TestToyCommands:
+    def test_crossing_line_spans_every_seed(self):
+        # the second seed runs longer; the zero line once stopped at the first seed's last step
+        results = [(0, {"": {"crossing_step": 20}}, ([0, 20, 40], [-1.0, 0.0, 1.0])),
+                   (1, {"": {"crossing_step": 40}}, ([20, 40, 60, 80], [-2.0, -1.0, 0.0, 1.0]))]
+        fields, chart = _toy_summary("bimodal", results)
+        assert fields == {"per_seed": {"0": {"crossing_step": 20}, "1": {"crossing_step": 40}}}
+        assert chart["series"][-1] == ("crossing", [0, 80], [0.0, 0.0])
+
     # every file of each command at its default config, byte for byte
     @pytest.mark.parametrize("sub,digests", [
         ("bimodal", {

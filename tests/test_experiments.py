@@ -25,6 +25,7 @@ from bifurc.gmm_probe import (
     _joint_step,
     _spread,
     _Workspace,
+    critical_spectrum,
     init_collapsed,
     probe_step,
 )
@@ -73,7 +74,7 @@ def learned_pair():
 @pytest.fixture(scope="module")
 def hysteresis():
     logs = toy_logs("reverse", 1)
-    return logs["_forward"], logs["_reverse"]
+    return logs["forward"], logs["reverse"]
 
 
 @pytest.fixture(scope="module")
@@ -575,6 +576,11 @@ class TestAnnealHoldReverse:
         fwd, rev = hysteresis
         assert X.branch_overlap(fwd, rev) <= 0.10
 
+    def test_reverse_summary_reports_tracking_and_overlap(self, hysteresis):
+        fwd, rev = hysteresis
+        assert rev.summary["reverse_tracking_error"] == abs(rev.summary["merge_relative_error"])
+        assert rev.summary["branch_overlap"] == X.branch_overlap(fwd, rev)
+
     def test_branch_shapes(self, hysteresis):
         fwd, rev = hysteresis
         fb = np.asarray(fwd.summary["branch"])
@@ -637,11 +643,13 @@ class TestAnnealHoldReverse:
     def test_one_prototype_branch_has_no_plateau_fraction_and_full_overlap(self):
         # a single prototype never splits: every level's order parameter is 0
         ds = bimodal(100, 0)
-        rev = X.run_reverse_traversal(ds, exact_collapsed(ds.samples, 1))
+        bc = 1.0 / critical_spectrum(covariance(ds.samples))[0]
+        fwd = X.TrajectoryLog("forward-split", 0, summary={
+            "beta_c_hat": bc, "branch": [[r * bc, 0.0] for r in (1.0, 2.0, 3.0)]})
+        rev = X.run_reverse_traversal(ds, fwd, exact_collapsed(ds.samples, 1))
         assert rev.summary["plateau_order_parameter"] == 0.0
         assert rev.summary["op_fraction_at_half_beta_c"] is None
-        fwd = X.TrajectoryLog("forward-split", 0, summary={
-            "beta_c_hat": rev.summary["beta_c_hat"], "branch": rev.summary["branch"]})
+        assert rev.summary["branch_overlap"] == 0.0
         assert X.branch_overlap(fwd, rev) == 0.0
 
     def test_overlap_requires_branches(self, hysteresis, learned_pair):

@@ -297,6 +297,15 @@ def test_pearson_constant_rejected():
         pearson(np.arange(335.0), [-0.30397986632059304] * 335)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_pearson_is_scale_free(scale):
+    # at 1e300 the sums overflowed (0.0, and nan for x with x); at 1e-200 they
+    # underflowed and the sequence read as constant
+    xs = [scale, 2.0 * scale, 3.0 * scale]
+    assert pearson(xs, [1.0, 2.0, 4.0]) == pytest.approx(0.9819805060619657, rel=1e-15)
+    assert pearson(xs, xs) == pytest.approx(1.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("fn", [pearson, spearman])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_rejected_as_invalid_not_degenerate(fn, bad):
