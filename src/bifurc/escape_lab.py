@@ -85,6 +85,20 @@ def measure_escape(config, curvature, threshold):
     lie strictly between init_scale and the saturation amplitude eps*. Noise
     uses the config seed; with noise_intensity 0 the path is deterministic
     and no random numbers are drawn.
+
+    A noise-free cell that a bound proves censored returns None unstepped.
+    Its step eps <- eps (1 + dt (r - alpha eps^2)), r = mu + gamma c, is odd
+    in eps. While |eps| < threshold theta and dt (max(-r, 0) + alpha theta^2)
+    <= 1, the step's factor lies in [0, 1 + dt r+], r+ = max(r, 0), so
+    |eps_n| <= eps0 (1 + dt r+)^n and a zero start stays 0. Without that
+    sign precondition the cubic term can flip eps past -theta (mu = -1,
+    alpha = 1000, eps0 = 1, theta = 10, dt = 0.05 escapes at step 1). The
+    cell censors when log eps0 + steps log1p(dt r+) + log 4 < log theta. The
+    factor 4 covers the stepping roundoff, at most about 13 * 2**-53 relative
+    per step, a factor (1 + 13 * 2**-53)^n < 1.6 for n <= 2**48; products
+    that underflow, whose absolute 2**-1075 errors add less than eps0 / 32
+    when eps0 >= 2**-1020 (1 + dt (1 + theta^2)); and the logs' own error,
+    under 1e-12. A longer horizon or a smaller non-zero start is stepped.
     """
     if config.modes != 1 or config.dim != 1:
         raise ConfigError("measure_escape runs the scalar dynamics (modes = dim = 1)")
@@ -97,9 +111,26 @@ def measure_escape(config, curvature, threshold):
             )
     elif threshold <= config.init_scale:
         raise ConfigError("threshold must exceed init_scale")
+    if config.noise_intensity == 0 and _bound_censors(config, curvature, threshold):
+        return None
     n, eps, _ = _langevin(config, config.init_scale, config.steps,
                           np.random.default_rng(config.seed), threshold, curvature=curvature)
     return n if abs(eps) >= threshold else None
+
+
+def _bound_censors(config, curvature, threshold):
+    """measure_escape's bound: True when a noise-free cell provably never escapes."""
+    mu, dt, eps0, theta = config.growth_rate, config.dt, config.init_scale, threshold
+    # the rate of the stepper's drift, tilted exactly when the stepper tilts it
+    r = mu + config.coupling * curvature if config.coupling != 0.0 and curvature != 0.0 else mu
+    if not (math.isfinite(r) and config.steps <= 2**48
+            and dt * (max(-r, 0.0) + config.alpha * theta * theta) <= 1):
+        return False
+    if eps0 == 0:
+        return True
+    return (eps0 >= 2.0**-1020 * (1 + dt * (1 + theta * theta))
+            and math.log(eps0) + config.steps * math.log1p(dt * max(r, 0.0)) + math.log(4)
+            < math.log(theta))
 
 
 def _measure_cell(job):

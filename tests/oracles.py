@@ -138,6 +138,26 @@ def effective_potential(config, curvature, eps):
     return -0.5 * config.growth_rate * e**2 + 0.25 * config.alpha * e**4 + config.coupling * u
 
 
+def escape_time_closed_form(mu_eff, alpha, eps0, theta):
+    """The continuous-time passage from eps0 to theta at linear rate mu_eff: eps^2
+    follows a logistic curve, so it takes ln[(theta/eps0)^2 (mu_eff - alpha eps0^2)
+    / (mu_eff - alpha theta^2)] / (2 mu_eff)."""
+    num = theta**2 * (mu_eff - alpha * eps0**2)
+    den = eps0**2 * (mu_eff - alpha * theta**2)
+    return math.log(num / den) / (2 * mu_eff)
+
+
+def predicted_escape_step(config, curvature, threshold):
+    """The noise-free first-passage step from init_scale to threshold, or None
+    when r = mu + gamma c is at most alpha threshold^2 (no passage): the
+    continuous-time passage in units of the map's growth per step, log1p(dt r)."""
+    r = config.growth_rate + config.coupling * curvature
+    if r <= config.alpha * threshold**2:
+        return None
+    t = escape_time_closed_form(r, config.alpha, config.init_scale, threshold)
+    return t * r / math.log1p(config.dt * r)
+
+
 def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold):
     """(stats, summary): serial sweep_statistics -> fit_escape_models, the chain
     `escape sweep` runs through its process pool."""

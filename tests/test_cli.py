@@ -33,7 +33,7 @@ from bifurc.experiments import TrajectoryLog, read_trajectory_csv, write_traject
 from bifurc.sde import SdeConfig, persistence_stats, simulate_coupled_modes
 from bifurc.svgplot import line_chart
 from bifurc.errors import ValidationError
-from oracles import command_config, dump_config
+from oracles import DEFAULT_GAMMAS, command_config, dump_config
 
 
 # a trailing word of a test_unread_key_exits_2 command, and the variable it sets
@@ -948,6 +948,18 @@ class TestEscapeCommands:
         assert rows == censored + [(gamma, tau, 0.0, 3, 0) for gamma, tau in levels]
         # and the report, byte for byte
         assert hashlib.sha256((tmp_path / "escape-sweep.json").read_bytes()).hexdigest() == digest
+
+    def test_sweep_whose_cubic_term_overshoots_escapes_at_step_one(self, tmp_path, clean_env):
+        # dt alpha theta^2 = 5000: the first step flips eps from 1 to about -49, past
+        # theta = 10, so every cell escapes at step 1 and no growth bound may censor one
+        for key, value in {"SDE__GROWTH_RATE": "-1", "SDE__ALPHA": "1000",
+                           "SDE__INIT_SCALE": "1", "ESCAPE__THRESHOLD": "10",
+                           "ESCAPE__HORIZON": "100"}.items():
+            clean_env.setenv(f"BIFURC_{key}", value)
+        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 0
+        rows = [(s.gamma, s.tau_mean, s.tau_std, s.n_seeds, s.n_censored)
+                for s in read_sweep_csv(tmp_path / "escape-sweep.csv")]
+        assert rows == [(gamma, 1.0, 0.0, 3, 0) for gamma in DEFAULT_GAMMAS]
 
     def test_sweep_with_nan_step_size_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIFURC_SDE__DT", "nan")

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import bifurc.escape_lab as escape_lab
 from bifurc.errors import ConfigError, NoFitError, ValidationError
@@ -16,7 +18,16 @@ from bifurc.escape_lab import (
     sweep_statistics,
     write_sweep_csv,
 )
-from oracles import DEFAULT_GAMMAS, DEFAULT_THRESHOLD, SDE, SWEEP_CELL, escape_sweep
+from bifurc.sde import STABILITY_LIMIT, _langevin
+from oracles import (
+    DEFAULT_GAMMAS,
+    DEFAULT_THRESHOLD,
+    SDE,
+    SWEEP_CELL,
+    escape_sweep,
+    escape_time_closed_form,
+    predicted_escape_step,
+)
 
 try:
     from importlib.resources import files as _files
@@ -35,12 +46,6 @@ def escape_time_quadrature(mu_eff, alpha, eps0, theta, n=200001):
     """Trapezoid integral of dt = d(ln eps) / (mu_eff - alpha eps^2)."""
     u = np.linspace(math.log(eps0), math.log(theta), n)
     return float(_trapezoid(1.0 / (mu_eff - alpha * np.exp(2 * u)), u))
-
-
-def escape_time_closed_form(mu_eff, alpha, eps0, theta):
-    num = theta**2 * (mu_eff - alpha * eps0**2)
-    den = eps0**2 * (mu_eff - alpha * theta**2)
-    return math.log(num / den) / (2 * mu_eff)
 
 
 class TestMeasureEscape:
@@ -63,6 +68,12 @@ class TestMeasureEscape:
         # tau(gamma=0) ~ 4.9e6 steps, far beyond a 1e5 horizon
         cfg = replace(SWEEP_CELL, steps=100_000)
         assert measure_escape(cfg, 1.0, DEFAULT_THRESHOLD) is None
+
+    def test_cubic_overshoot_escapes_at_step_one(self):
+        # dt alpha theta^2 = 5000: the first step's factor 1 + dt (mu - alpha eps0^2) is
+        # -49.05, so |eps| jumps from 1 past theta = 10 and no growth bound may censor it
+        cfg = replace(SWEEP_CELL, growth_rate=-1.0, alpha=1000.0, init_scale=1.0, steps=100)
+        assert measure_escape(cfg, 1.0, 10.0) == 1
 
     def test_threshold_must_exceed_start(self):
         cfg = SWEEP_CELL
@@ -167,6 +178,81 @@ class TestSweep:
         assert summary.delta_aic > 0  # exponential form cannot match a power law
 
 
+def _cell(mu, alpha, eps0, theta, dt, steps, gamma=0.0, c=1.0):
+    """(config, curvature, threshold) of one noise-free escape cell."""
+    cfg = replace(SWEEP_CELL, growth_rate=mu, alpha=alpha, coupling=gamma, dt=dt,
+                  init_scale=eps0, steps=steps)
+    return cfg, c, theta
+
+
+@st.composite
+def noise_free_cells(draw):
+    """A noise-free escape cell inside SdeConfig's and sweep_statistics' stability
+    guards, with a threshold measure_escape accepts and at most 10^4 steps."""
+    dt = draw(st.floats(1e-3, 1.0))
+    mu = draw(st.floats(-0.19, 0.19)) / dt
+    gamma = draw(st.just(0.0) | st.floats(0.0, 0.19)) / dt
+    c = draw(st.floats(1e-2, 1e2))
+    assume(dt * abs(mu + gamma * c) <= STABILITY_LIMIT)
+    alpha = 10 ** draw(st.floats(-3.0, 4.0))
+    eps0 = 0.0 if draw(st.integers(0, 9)) == 0 else 10 ** draw(st.floats(-12.0, 0.0))
+    if mu > 0:  # theta strictly inside (eps0, eps*)
+        top = math.sqrt(mu / alpha)
+        theta = eps0 + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (top - eps0)
+        assume(eps0 < theta < top)
+    else:
+        theta = max(eps0, 1e-6) * 10 ** draw(st.floats(0.0, 4.0, exclude_min=True))
+        assume(eps0 < theta)
+    return _cell(mu, alpha, eps0, theta, dt, draw(st.integers(1, 10_000)), gamma, c)
+
+
+def _bound_at(margin):
+    """A cell whose censoring bound eps0 (1 + dt r)^n * 4 lands margin below theta."""
+    mu, dt, eps0, steps = 1e-3, 0.05, 1e-3, 1000
+    theta = 4 * eps0 * math.exp(steps * math.log1p(dt * mu)) * (1 + margin)
+    return _cell(mu, 1e-3, eps0, theta, dt, steps)
+
+
+# name: (cell, whether measure_escape's bound censors it unstepped)
+PINNED_CELLS = {
+    "zero start": (_cell(1e-3, 0.1, 0.0, 5e-3, 0.05, 10_000), True),
+    "r <= 0": (_cell(-0.5, 1.0, 1e-3, 5e-3, 0.05, 10_000), True),
+    "dt r = 0.2": (_cell(4.0, 1.0, 1e-6, 1e-3, 0.05, 30), True),
+    "dt r = -0.2": (_cell(-4.0, 1.0, 1e-3, 5e-3, 0.05, 30), True),
+    "a horizon of 1": (_cell(1e-5, 0.1, 5e-4, 5e-3, 0.05, 1), True),
+    "cubic overshoot": (_cell(-1.0, 1000.0, 1.0, 10.0, 0.05, 100), False),
+    "bound 1e-7 below theta": (_bound_at(1e-7), True),
+    "bound 1e-7 above theta": (_bound_at(-1e-7), False),
+}
+
+
+def pinned_examples(test):
+    for name, (cell, _) in PINNED_CELLS.items():
+        test = example(cell=cell).via(name)(test)
+    return test
+
+
+class TestCensorBound:
+    """A noise-free cell that measure_escape censors without stepping never escapes."""
+
+    @settings(max_examples=100, deadline=None)
+    @pinned_examples
+    @given(cell=noise_free_cells())
+    def test_censored_cells_never_escape_when_stepped(self, cell):
+        cfg, c, theta = cell
+        n, eps, _ = _langevin(cfg, cfg.init_scale, cfg.steps, np.random.default_rng(cfg.seed),
+                              theta, curvature=c)
+        escaped = abs(eps) >= theta
+        if escape_lab._bound_censors(cfg, c, theta):
+            assert not escaped
+        assert measure_escape(cfg, c, theta) == (n if escaped else None)
+
+    @pytest.mark.parametrize("name", PINNED_CELLS)
+    def test_pinned_cells_meet_the_bound_as_named(self, name):
+        cell, censors = PINNED_CELLS[name]
+        assert escape_lab._bound_censors(*cell) == censors
+
+
 def recording_map(cells):
     """A serial mapper that appends (gamma, seed, tau) of every measured cell to cells."""
     def mapper(fn, jobs):
@@ -192,11 +278,33 @@ class TestSweepCells:
         monkeypatch.setattr(escape_lab, "_langevin", counting)
         return calls
 
-    def test_default_sweep_taus(self):
+    def test_default_sweep_taus(self, stepper_calls):
         stats, _ = escape_sweep(DEFAULT_GAMMAS, 3, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD)
         zero, *positive = stats
         assert (zero.gamma, zero.tau_mean, zero.n_censored) == (0.0, None, 3)
         assert [s.tau_mean for s in positive] == [420723, 148814, 45622, 15304, 4602]
+        # the gamma = 0 cell is censored by measure_escape's bound, unstepped
+        assert stepper_calls == [(g, 0) for g in DEFAULT_GAMMAS[1:]]
+
+    def test_noise_free_steps_are_predicted_within_one_step(self):
+        # the default levels; the pinned two-level sweep (1e-3, 1e-2) reads two of them
+        measured = [420723, 148814, 45622, 15304, 4602]
+        predicted = [predicted_escape_step(replace(SWEEP_CELL, coupling=g), 1.0,
+                                           DEFAULT_THRESHOLD) for g in DEFAULT_GAMMAS[1:]]
+        assert all(abs(p - m) <= 1 for p, m in zip(predicted, measured)), predicted
+
+    @pytest.mark.parametrize("change", [{"init_scale": 0.0}, {"growth_rate": -1e-3},
+                                        {"growth_rate": -1e-3, "coupling": 1e-3}])
+    def test_zero_start_and_non_growing_cells_censor_unstepped(self, stepper_calls, change):
+        assert measure_escape(replace(SWEEP_CELL, **change), 1.0, DEFAULT_THRESHOLD) is None
+        assert stepper_calls == []
+
+    # the bound holds only without noise, and only from a zero or a normal start
+    @pytest.mark.parametrize("change", [{"noise_intensity": 1e-12}, {"init_scale": 5e-324}])
+    def test_noisy_or_subnormal_zero_gamma_cell_still_steps(self, stepper_calls, change):
+        cell = replace(SWEEP_CELL, steps=1000, **change)
+        assert measure_escape(cell, 1.0, DEFAULT_THRESHOLD) is None
+        assert stepper_calls == [(0.0, 0)]
 
     def test_noisy_sweep_taus_off_unit_curvature(self):
         # at c = 1.7, c * eps != eps: a reordered tilt product gamma * (c * eps) moves these bits
