@@ -13,14 +13,14 @@ four arc shapes:
 
 The decision procedure is: (1) the decoupling gate on whole-trajectory
 Pearson correlation; (2) the plateau test on (descent onset - crossing) /
-horizon; (3) the sign of the descent-leg slope of log10 NC1 vs log ratio,
-with the leg starting at the ratio peak when the ratio folds back by at
-least fold_return, else at the (smoothed) NC1 peak. A run whose channels
-co-move but that never crosses (a truncated pre-critical segment), or that
-crosses while NC1 never starts its descent, is flagged indeterminate rather
-than forced into a class. The same pass reads
-the three binary kinematic axes (initial criticality, rate ordering,
-dissipation regime) into the result's AxisReading.
+horizon; (3) the sign of the descent-leg Pearson correlation of log10 NC1
+with log ratio, which is the sign of the leg's least-squares slope, the leg
+starting at the ratio peak when the ratio folds back by at least
+fold_return, else at the (smoothed) NC1 peak. A run whose channels co-move
+but that never crosses (a truncated pre-critical segment), or that crosses
+while NC1 never starts its descent, is flagged indeterminate rather than
+forced into a class. The same pass reads the three binary kinematic axes
+(initial criticality, rate ordering, dissipation regime) into its AxisReading.
 
 The bundled exemplar CSVs (fixtures/exemplar_*.csv) are static trajectories
 that classify reads; the seeded regime generators behind the recovery tests
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .mathcore import pearson, weighted_linfit
+from .mathcore import pearson
 
 FULL_V = "FullV"
 FOLD_BACK = "FoldBack"
@@ -203,13 +203,10 @@ def classify(log, horizon, thresholds):
         leg_r, leg_n = ratio[start:], lnc1[start:]
         try:
             descent_corr = pearson(leg_r, leg_n)
-        except DegenerateInputError:
+        except DegenerateInputError:  # a channel constant over the leg has no slope
             descent_corr = 0.0
-        try:
-            _, slope, _ = weighted_linfit(leg_r, leg_n, np.ones(len(leg_r)))
-        except DegenerateInputError:  # a ratio constant over the leg has no slope
-            slope = 0.0
-        sign = 1 if (slope > 0 or (slope == 0 and descent_corr >= 0)) else -1
+        # the least-squares slope has the sign of the same covariance
+        sign = 1 if descent_corr >= 0 else -1
         label = FOLD_BACK if sign > 0 else FULL_V
     return ShapeClass(
         label=label, descent_corr=descent_corr, descent_sign=sign, plateau_fraction=plateau,
