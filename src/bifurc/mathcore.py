@@ -109,19 +109,22 @@ def _finite_pair(xs, ys, name):
     return x, y
 
 
+def _unit_scaled(v):
+    """(v / 2**e, e), with e the exact power of two that puts max abs(v) in [0.5, 1)."""
+    e = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -e), e
+
+
 def pearson(xs, ys):
     """Plain Pearson correlation; raises on a constant or non-finite input sequence.
 
-    It is scale-free: no finite input overflows or underflows its sums.
+    It is scale-free: an exact power-of-two scale before centring keeps its sums in range.
     """
     x, y = _finite_pair(xs, ys, "pearson")
     # exactly, before centring: a long constant's centred values are roundoff, not zeros
     if not (x.size and x.min() < x.max() and y.min() < y.max()):
         raise DegenerateInputError("correlation undefined for a constant sequence")
-    # an exact power-of-two scale to a largest magnitude in [0.5, 1)
-    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc, yc = (v - v.mean() for v in (_unit_scaled(x)[0], _unit_scaled(y)[0]))
     return float(np.sum(xc * yc) / (np.sqrt(np.sum(xc * xc)) * np.sqrt(np.sum(yc * yc))))
 
 
@@ -143,9 +146,9 @@ def weighted_linfit(xs, ys, weights):
 
     Minimizes sum_i w_i (y_i - a - b x_i)^2 and returns
     (intercept a, slope b, chi_squared) with chi_squared the minimized
-    weighted residual sum. xs and ys must be finite and weights positive;
-    all-identical xs are a singular design. A fit whose sums overflow the
-    float range raises NumericalError, and numpy warns nothing.
+    weighted residual sum. xs, ys and weights must be finite, weights positive and xs not all
+    equal. It scales like pearson and centres on the weighted means, so only an intercept,
+    slope or chi_squared that itself leaves the float range raises NumericalError, unwarned.
     """
     x, y = _finite_pair(xs, ys, "weighted_linfit")
     w = np.asarray(weights, dtype=float)
@@ -155,20 +158,16 @@ def weighted_linfit(xs, ys, weights):
         raise DimensionError(f"weighted_linfit needs length >= 3, got {x.size}")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValidationError("weights must be positive and finite")
-    with np.errstate(all="ignore"):  # an overflow leaves a non-finite value, refused below
-        s = w.sum()
-        sx = np.sum(w * x)
-        sy = np.sum(w * y)
-        sxx = np.sum(w * x * x)
-        sxy = np.sum(w * x * y)
-        det = s * sxx - sx * sx
-        scale = s * sxx if s * sxx > 0 else 1.0
-        if scale < np.inf and abs(det) <= 1e-14 * scale:
-            raise DegenerateInputError("singular design: xs carry no spread")
-        b = (s * sxy - sx * sy) / det
-        a = (sy - b * sx) / s
-        r = y - a - b * x
-        chi2 = float(np.sum(w * r * r))
-    if not np.isfinite([scale, a, b, chi2]).all():
-        raise NumericalError("weighted_linfit: the fit overflows the float range")
+    if not x.min() < x.max():
+        raise DegenerateInputError("singular design: xs carry no spread")
+    (x, ex), (y, ey), (w, ew) = (_unit_scaled(v) for v in (x, y, w))
+    with np.errstate(all="ignore"):  # a result off the float range is refused below
+        xm, ym = (np.sum(w * v) / w.sum() for v in (x, y))
+        xc, yc = x - xm, y - ym
+        b = np.sum(w * xc * yc) / np.sum(w * xc * xc)
+        r = yc - b * xc
+        a, b = np.ldexp(ym - b * xm, ey), np.ldexp(b, ey - ex)
+        chi2 = float(np.ldexp(np.sum(w * r * r), ew + 2 * ey))
+    if not np.isfinite([a, b, chi2]).all():
+        raise NumericalError("weighted_linfit: the fit leaves the float range")
     return float(a), float(b), chi2

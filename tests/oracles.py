@@ -3,6 +3,7 @@
 import configparser
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -145,6 +146,25 @@ def escape_time_closed_form(mu_eff, alpha, eps0, theta):
     num = theta**2 * (mu_eff - alpha * eps0**2)
     den = eps0**2 * (mu_eff - alpha * theta**2)
     return math.log(num / den) / (2 * mu_eff)
+
+
+def exact_weighted_linfit(xs, ys, weights):
+    """(intercept, slope, chi_squared) of the weighted least-squares line through the
+    float inputs, as Fractions: the exact solution that weighted_linfit rounds."""
+    x, y, w = ([Fraction(float(v)) for v in seq] for seq in (xs, ys, weights))
+    s = sum(w)
+    xm = sum(wi * xi for wi, xi in zip(w, x)) / s
+    ym = sum(wi * yi for wi, yi in zip(w, y)) / s
+    slope = (sum(wi * (xi - xm) * (yi - ym) for wi, xi, yi in zip(w, x, y))
+             / sum(wi * (xi - xm) ** 2 for wi, xi in zip(w, x)))
+    intercept = ym - slope * xm
+    return intercept, slope, sum(wi * (yi - intercept - slope * xi) ** 2
+                                 for wi, xi, yi in zip(w, x, y))
+
+
+def ulps_off(value, exact):
+    """|value - exact| in units of the spacing of floats at exact."""
+    return float(abs(Fraction(value) - exact) / Fraction(np.spacing(abs(float(exact)))))
 
 
 def predicted_escape_step(config, curvature, threshold):

@@ -33,7 +33,7 @@ from bifurc.experiments import TrajectoryLog, read_trajectory_csv, write_traject
 from bifurc.sde import SdeConfig, persistence_stats, simulate_coupled_modes
 from bifurc.svgplot import line_chart
 from bifurc.errors import ValidationError
-from oracles import DEFAULT_GAMMAS, command_config, dump_config
+from oracles import DEFAULT_GAMMAS, command_config, dump_config, exact_weighted_linfit, ulps_off
 
 
 # a trailing word of a test_unread_key_exits_2 command, and the variable it sets
@@ -895,7 +895,7 @@ class TestEscapeCommands:
         assert code == 0
         # the default-config report, byte for byte
         assert hashlib.sha256((tmp_path / "escape-fit.json").read_bytes()).hexdigest() == (
-            "736685bb19b2409bbfde3d489ac70d9950be4b8788fce2b62cbbfa08798ea9cb")
+            "12e2ddfa7daf84534d684cbe3728a2204fba57c7fdf1738cb779acdd83732629")
         rep = read_json(tmp_path / "escape-fit.json")
         assert rep["delta_aic"] == pytest.approx(19.26, abs=0.1)
         assert rep["power_law"]["intercept"] == pytest.approx(9.11, abs=0.01)
@@ -929,7 +929,7 @@ class TestEscapeCommands:
     @pytest.mark.parametrize("gammas,levels,digest", [
         (None, ((1e-4, 420723.0), (3e-4, 148814.0), (1e-3, 45622.0), (3e-3, 15304.0),
                 (1e-2, 4602.0)),
-         "d6f250d8313854a9e098419d2f25f707e574c77b8f9438d0a641c78c363c6635"),
+         "24958951fc370fe7ead2da6a92fc0e14ec41b2037bf151bb61a08b3545dff82e"),
         ("1e-3,1e-2", ((1e-3, 45622.0), (1e-2, 4602.0)),
          "a856cd327c0363b251b485f8de92834720f144f27fdf000a3cc0fe384717eb32"),
     ], ids=["default", "two-level"])
@@ -1023,21 +1023,62 @@ class TestEscapeCommands:
         assert capsys.readouterr().err.startswith("error: bad escape CSV row")
         assert not out.exists()
 
-    # a non-finite field is a bad row (2); a fit whose sums overflow is a numerical failure (3)
-    @pytest.mark.parametrize("rows,code", [
-        (["1e200,100.0,1.0,3,0", "2e200,50.0,1.0,3,0", "3e200,20.0,1.0,3,0"], 3),
-        (["1e-3,100.0,1.0,3,0", "inf,50.0,1.0,3,0", "0.1,20.0,1.0,3,0", "1,10.0,1.0,3,0"], 2),
-        (["1e-3,100.0,1.0,3,0", "1e-2,50.0,1.0,3,0", "0.1,20.0,1.0,3,0",
-          "1e308,10.0,1.0,3,0"], 3),
-    ], ids=["gammas-1e200", "gamma-inf", "gamma-1e308"])
-    def test_fit_off_the_floats_writes_no_report(self, tmp_path, capsys, rows, code):
+    # a non-finite field is a bad row (2); a fit off the float range is a numerical failure (3)
+    @pytest.mark.parametrize("rows,code,err", [
+        (["1e-3,100.0,1.0,3,0", "inf,50.0,1.0,3,0", "0.1,20.0,1.0,3,0", "1,10.0,1.0,3,0"], 2,
+         "error: bad escape CSV row"),
+        # weights of 1e306 on log tau residuals of hundreds: chi-squared overflows
+        (["1,1e300,1e147,3,0", "2,1e-150,1e-303,3,0", "3,1e300,1e147,3,0",
+          "4,1e-150,1e-303,3,0"], 3, "numerical failure: weighted_linfit: the fit leaves"),
+    ], ids=["gamma-inf", "chi-squared-overflows"])
+    def test_fit_off_the_floats_writes_no_report(self, tmp_path, capsys, rows, code, err):
         csv = tmp_path / "levels.csv"
         csv.write_text("gamma,tau_mean,tau_std,n_seeds,censored\n" + "\n".join(rows) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["escape", "fit", "--input", str(csv), "--out", str(tmp_path)]) == code
         assert not (tmp_path / "escape-fit.json").exists()
-        assert capsys.readouterr().err.count("\n") == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(err) and stderr.count("\n") == 1
+
+    @staticmethod
+    def fit_report(tmp_path, name, rows):
+        csv = tmp_path / f"{name}.csv"
+        csv.write_text("gamma,tau_mean,tau_std,n_seeds,censored\n" + "\n".join(rows) + "\n")
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["escape", "fit", "--input", str(csv), "--out", str(out)]) == 0
+        return read_json(out / "escape-fit.json")
+
+    def test_fit_of_gammas_1e200_is_the_fit_of_gammas_1_2_3(self, tmp_path, capsys):
+        # once a numerical failure: the uncentred sums of gamma^2 overflowed
+        taus = ("100.0,1.0,3,0", "50.0,1.0,3,0", "20.0,1.0,3,0")
+        small = self.fit_report(tmp_path, "small", [f"{g},{t}" for g, t in zip("123", taus)])
+        huge = self.fit_report(tmp_path, "huge", [f"{g}e200,{t}" for g, t in zip("123", taus)])
+        # log(k e200) carries rounding of ulp(461) = 5.7e-14 against a spread of 1.1
+        rel = 1e-13
+        for key in ("intercept", "chi_squared"):
+            assert huge["kramers"][key] == pytest.approx(small["kramers"][key], rel=rel)
+        assert huge["kramers"]["slope"] == pytest.approx(small["kramers"]["slope"] * 1e-200,
+                                                         rel=rel)
+        power, shifted = small["power_law"], huge["power_law"]
+        assert shifted["slope"] == pytest.approx(power["slope"], rel=rel)
+        assert shifted["chi_squared"] == pytest.approx(power["chi_squared"], rel=rel)
+        # log tau = a + b log gamma = (a - b ln 1e200) + b log(1e200 gamma)
+        assert shifted["intercept"] == pytest.approx(
+            power["intercept"] - power["slope"] * math.log(1e200), rel=rel)
+
+    def test_fit_with_gamma_1e308_has_a_subnormal_kramers_slope(self, tmp_path, capsys):
+        # once a numerical failure: gamma^2 overflowed in the uncentred sums
+        gammas, taus = (1e-3, 1e-2, 0.1, 1e308), (100.0, 50.0, 20.0, 10.0)
+        report = self.fit_report(tmp_path, "levels",
+                                 [f"{g!r},{t!r},1.0,3,0" for g, t in zip(gammas, taus)])
+        slope = report["kramers"]["slope"]
+        assert -sys.float_info.min < slope < 0.0
+        m = np.array(taus)
+        exact = exact_weighted_linfit(gammas, np.log(m), m**2)[1]
+        assert ulps_off(slope, exact) <= 2
 
 
 class TestSdeCommands:

@@ -1,3 +1,4 @@
+import importlib.resources
 import math
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bifurc.errors import DegenerateInputError, DimensionError, NumericalError, ValidationError
-from bifurc.escape_lab import FitReport, GammaStats, fit_escape_models
+from bifurc.escape_lab import FitReport, GammaStats, fit_escape_models, read_sweep_csv
 from bifurc.mathcore import (
     _ranks,
     covariance,
@@ -17,6 +18,9 @@ from bifurc.mathcore import (
     sym_eigen,
     weighted_linfit,
 )
+from oracles import exact_weighted_linfit, ulps_off
+
+FIXTURES = importlib.resources.files("bifurc") / "fixtures"
 
 # Six-level dissipation sweep used as the regression fixture for the fit
 # conventions (gamma, mean escape steps, std over seeds); the gamma=0 level
@@ -240,10 +244,40 @@ class TestWeightedLinfit:
                 assert not isinstance(exc.value, DegenerateInputError)
                 with pytest.raises(ValidationError, match="finite"):
                     weighted_linfit([1.0, 2.0, 3.0], [1.0, bad, 3.0], np.ones(3))
-            # finite xs whose squares overflow, their sum too or cancelling
-            for xs in ([1e200, 2e200, 3e200], [-1e200, 0.0, 1e200]):
-                with pytest.raises(NumericalError, match="overflows"):
-                    weighted_linfit(xs, [1.0, 2.0, 3.0], np.ones(3))
+            # a slope, an intercept and a chi-squared that each leave the float range
+            for xs, ys in (([0.0, 1e-300, 2e-300], [-1e300, 0.0, 1e300]),
+                           (np.array([1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51]) * 1e300,
+                            [-1e300, 0.0, 1e300]),
+                           ([1.0, 2.0, 3.0], [1e300, -1e300, 1e300])):
+                with pytest.raises(NumericalError, match="leaves the float range"):
+                    weighted_linfit(xs, ys, np.ones(3))
+
+    # xs whose squares overflow, their sum too or cancelling, once raised NumericalError;
+    # each result is the exact solution, rounded
+    @pytest.mark.parametrize("xs,intercept", [([1e200, 2e200, 3e200], 0.0),
+                                              ([-1e200, 0.0, 1e200], 2.0)])
+    def test_huge_xs_fit_without_warnings(self, xs, intercept):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_linfit(xs, [1.0, 2.0, 3.0], np.ones(3)) == (intercept, 1e-200, 0.0)
+
+    # the uncentred sums lost the spread: slope 2.0214 and chi2 2.44 at 1e8, singular at 1e9
+    @pytest.mark.parametrize("offset", [1e8, 1e9])
+    def test_offset_xs_fit_exactly(self, offset):
+        i = np.arange(40.0)
+        fit = weighted_linfit(offset + i, 2.0 * i + 1.0, np.ones(40))
+        assert fit == (1.0 - 2.0 * offset, 2.0, 0.0)
+
+    # the uncentred normal equations put the power-law slope 14 ulps off
+    @pytest.mark.parametrize("model", ["power_law", "kramers_exponential"])
+    def test_table5_fit_within_two_ulps_of_exact(self, model):
+        rows = read_sweep_csv(FIXTURES / "table5.csv")
+        g, m, sd = (np.array([getattr(r, f) for r in rows])
+                    for f in ("gamma", "tau_mean", "tau_std"))
+        x = np.log(g) if model == "power_law" else g
+        a, b, _ = weighted_linfit(x, np.log(m), (m / sd) ** 2)
+        exact_a, exact_b, _ = exact_weighted_linfit(x, np.log(m), (m / sd) ** 2)
+        assert ulps_off(a, exact_a) <= 2 and ulps_off(b, exact_b) <= 2
 
     def test_relative_error_weighted_power_law(self):
         g = np.array([p[0] for p in SWEEP_POINTS])
