@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .csvio import read_table, write_table
-from .errors import ConfigError, NoFitError, ValidationError
+from .errors import ConfigError, NoFitError, NumericalError, ValidationError
 from .mathcore import weighted_linfit
 from .sde import STABILITY_LIMIT, _langevin
 
@@ -184,8 +184,8 @@ def fitted_levels(stats):
 def fit_escape_models(per_gamma_stats):
     """Model comparison on per-gamma rows (from sweep_statistics or read_sweep_csv).
 
-    Raises NoFitError when every level is censored; with fewer than 3
-    fitted levels both fits are None.
+    Raises NoFitError when every level is censored, and NumericalError when a weight
+    (tau_mean/tau_std)^2 is off the float range; with < 3 fitted levels both fits are None.
     """
     stats = list(per_gamma_stats)
     fittable = fitted_levels(stats)
@@ -197,7 +197,11 @@ def fit_escape_models(per_gamma_stats):
     m = np.array([s.tau_mean for s in fittable])
     sd = np.array([s.tau_std for s in fittable])
     unit = bool(np.any(sd <= 0))
-    w = np.ones_like(m) if unit else (m / sd) ** 2
+    with np.errstate(over="ignore", under="ignore"):  # refused below
+        w = np.ones_like(m) if unit else (m / sd) ** 2
+    off = g[(w == 0) | (w == np.inf)]
+    if off.size:
+        raise NumericalError(f"the fit weight at gamma = {float(off[0])!r} is off the float range")
     reports = []
     for model, x in (("power_law", np.log(g)), ("kramers_exponential", g)):
         a, b, chi2 = weighted_linfit(x, np.log(m), w)

@@ -1023,14 +1023,19 @@ class TestEscapeCommands:
         assert capsys.readouterr().err.startswith("error: bad escape CSV row")
         assert not out.exists()
 
-    # a non-finite field is a bad row (2); a fit off the float range is a numerical failure (3)
+    # a non-finite field is a bad row (2); a weight (tau_mean/tau_std)^2 or a fit off the
+    # float range is a numerical failure (3)
     @pytest.mark.parametrize("rows,code,err", [
         (["1e-3,100.0,1.0,3,0", "inf,50.0,1.0,3,0", "0.1,20.0,1.0,3,0", "1,10.0,1.0,3,0"], 2,
          "error: bad escape CSV row"),
+        (["1e-4,400000,1e-160,3,0", "3e-4,150000,2e-160,3,0", "1e-3,45000,1e-160,3,0",
+          "3e-3,15000,3e-160,3,0"], 3, "numerical failure: the fit weight at gamma = 0.0001 "),
+        (["1e-3,100.0,1.0,3,0", "1e-2,1.0,1e300,3,0", "0.1,20.0,1.0,3,0", "1,10.0,1.0,3,0"], 3,
+         "numerical failure: the fit weight at gamma = 0.01 "),
         # weights of 1e306 on log tau residuals of hundreds: chi-squared overflows
         (["1,1e300,1e147,3,0", "2,1e-150,1e-303,3,0", "3,1e300,1e147,3,0",
           "4,1e-150,1e-303,3,0"], 3, "numerical failure: weighted_linfit: the fit leaves"),
-    ], ids=["gamma-inf", "chi-squared-overflows"])
+    ], ids=["gamma-inf", "weight-overflows", "weight-underflows", "chi-squared-overflows"])
     def test_fit_off_the_floats_writes_no_report(self, tmp_path, capsys, rows, code, err):
         csv = tmp_path / "levels.csv"
         csv.write_text("gamma,tau_mean,tau_std,n_seeds,censored\n" + "\n".join(rows) + "\n")
