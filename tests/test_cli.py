@@ -873,8 +873,7 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("scale", [1.0, 1e300])
     def test_huge_log_betas_classify_as_at_scale_one(self, tmp_path, capsys, scale):
-        # pearson once overflowed at 1e300 (NoArc, decoupling_corr -0.0, a numpy
-        # warning), and then a rate fit's sums did (exit 3); the sign is the correlation's
+        # scaled by 1e300, sums of squares overflow unless the statistics scale first
         rows = [f"{20 * i},{(i - 20) * scale!r},0.0,{(i - 20) * scale!r},{10 ** (-i / 10)!r},0.1"
                 for i in range(40)]
         path = tmp_path / "log.csv"
@@ -1057,7 +1056,7 @@ class TestEscapeCommands:
         return read_json(out / "escape-fit.json")
 
     def test_fit_of_gammas_1e200_is_the_fit_of_gammas_1_2_3(self, tmp_path, capsys):
-        # once a numerical failure: the uncentred sums of gamma^2 overflowed
+        # gamma^2 overflows unless the fit scales first
         taus = ("100.0,1.0,3,0", "50.0,1.0,3,0", "20.0,1.0,3,0")
         small = self.fit_report(tmp_path, "small", [f"{g},{t}" for g, t in zip("123", taus)])
         huge = self.fit_report(tmp_path, "huge", [f"{g}e200,{t}" for g, t in zip("123", taus)])
@@ -1075,7 +1074,7 @@ class TestEscapeCommands:
             power["intercept"] - power["slope"] * math.log(1e200), rel=rel)
 
     def test_fit_with_gamma_1e308_has_a_subnormal_kramers_slope(self, tmp_path, capsys):
-        # once a numerical failure: gamma^2 overflowed in the uncentred sums
+        # gamma^2 overflows unless the fit scales first
         gammas, taus = (1e-3, 1e-2, 0.1, 1e308), (100.0, 50.0, 20.0, 10.0)
         report = self.fit_report(tmp_path, "levels",
                                  [f"{g!r},{t!r},1.0,3,0" for g, t in zip(gammas, taus)])

@@ -252,8 +252,8 @@ class TestWeightedLinfit:
                 with pytest.raises(NumericalError, match="leaves the float range"):
                     weighted_linfit(xs, ys, np.ones(3))
 
-    # xs whose squares overflow, their sum too or cancelling, once raised NumericalError;
-    # each result is the exact solution, rounded
+    # xs whose squares overflow, their sum too or cancelling: each result is the exact
+    # solution, rounded
     @pytest.mark.parametrize("xs,intercept", [([1e200, 2e200, 3e200], 0.0),
                                               ([-1e200, 0.0, 1e200], 2.0)])
     def test_huge_xs_fit_without_warnings(self, xs, intercept):
@@ -261,14 +261,13 @@ class TestWeightedLinfit:
             warnings.simplefilter("error")
             assert weighted_linfit(xs, [1.0, 2.0, 3.0], np.ones(3)) == (intercept, 1e-200, 0.0)
 
-    # the uncentred sums lost the spread: slope 2.0214 and chi2 2.44 at 1e8, singular at 1e9
+    # an offset far above the spread: uncentred sums would lose it
     @pytest.mark.parametrize("offset", [1e8, 1e9])
     def test_offset_xs_fit_exactly(self, offset):
         i = np.arange(40.0)
         fit = weighted_linfit(offset + i, 2.0 * i + 1.0, np.ones(40))
         assert fit == (1.0 - 2.0 * offset, 2.0, 0.0)
 
-    # the uncentred normal equations put the power-law slope 14 ulps off
     @pytest.mark.parametrize("model", ["power_law", "kramers_exponential"])
     def test_table5_fit_within_two_ulps_of_exact(self, model):
         rows = read_sweep_csv(FIXTURES / "table5.csv")
