@@ -944,6 +944,20 @@ class TestEscapeCommands:
         # and the report, byte for byte
         assert hashlib.sha256((tmp_path / "escape-sweep.json").read_bytes()).hexdigest() == digest
 
+    def test_noisy_sweep_off_unit_curvature_is_pinned(self, tmp_path, clean_env):
+        # at c = 1.7 the tilt product gamma * c is inexact, and the noise gives each seed
+        # its own path, so a moved bit in the tilted stepping shows in these files
+        for key, value in {"SDE__NOISE_INTENSITY": "1e-12", "ESCAPE__TILT_CURVATURE": "1.7",
+                           "ESCAPE__HORIZON": "50000", "ESCAPE__GAMMAS": "1e-3,3e-3,1e-2",
+                           "ESCAPE__SEEDS_PER_GAMMA": "2"}.items():
+            clean_env.setenv(f"BIFURC_{key}", value)
+        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert tree_digest(tmp_path) == {
+            "escape-sweep.csv": "38d01cbb6739e9cf1c7b7dce39d57c2ae514634747f5d39cac2ae8f0aa482a29",
+            "escape-sweep.json": "682dc0e11217b3af5ef8577e88f48183fd5fa92d60de1c314ffff28adfd336a0",
+            "escape-sweep.svg": "b92a4e4cde51fe29223899459c157f8d373b78ae4f84015f101054ddf5eed33d",
+        }
+
     def test_sweep_whose_cubic_term_overshoots_escapes_at_step_one(self, tmp_path, clean_env):
         # dt alpha theta^2 = 5000: the first step flips eps from 1 to about -49, past
         # theta = 10, so every cell escapes at step 1 and no growth bound may censor one
