@@ -543,7 +543,7 @@ def _plot_escape_fit(path, stats, summary):
 def _escape_sweep(cfg):
     """`escape sweep`'s sweep_statistics, a callable of the mapper. The cells are
     scalar, start at init_scale, run for at most [escape] horizon steps, and each
-    gamma level replaces their coupling."""
+    gamma level raises their growth rate by gamma * [escape] tilt_curvature."""
     horizon = cfg.get_int("escape", "horizon")
     if horizon < 1:
         raise ConfigError(f"escape.horizon must be >= 1, got {horizon}")

@@ -19,8 +19,9 @@ fitted. Escape times are in integrator steps.
 
 The tilt is the quadratic well U(eps) = -(1/2) c eps^2 of curvature c
 ([escape] tilt_curvature, default 1): a rate term, not a third system. The
-drift gains +gamma c eps, so each cell is the scalar pitchfork at effective
-linear rate mu + gamma c, run by sde's one scalar stepper.
+drift gains +gamma c eps, so sweep_statistics runs each cell as the scalar
+pitchfork at growth rate mu + gamma c, with coupling 0, through sde's one
+scalar stepper; no other code here knows the tilt.
 
 A sweep's cells share one scalar SdeConfig, whose steps is each cell's
 horizon. This module reads no configuration table: `escape sweep` builds
@@ -37,7 +38,7 @@ import numpy as np
 from .csvio import read_table, write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
 from .mathcore import weighted_linfit
-from .sde import STABILITY_LIMIT, _langevin
+from .sde import _langevin
 
 @dataclass
 class GammaStats:
@@ -77,17 +78,16 @@ class SweepSummary:
     unit_weights_used: bool
 
 
-def measure_escape(config, curvature, threshold):
+def measure_escape(config, threshold):
     """First step at which |eps| >= threshold, or None (censored at config.steps).
 
-    The drift gains the tilt force gamma c eps, gamma = config.coupling and
-    c = curvature. Starts at exactly config.init_scale. The threshold must
-    lie strictly between init_scale and the saturation amplitude eps*. Noise
-    uses the config seed; with noise_intensity 0 the path is deterministic
-    and no random numbers are drawn.
+    Starts at exactly config.init_scale. The threshold must lie strictly
+    between init_scale and the cell's saturation amplitude eps*. Noise uses
+    the config seed; with noise_intensity 0 the path is deterministic and no
+    random numbers are drawn.
 
     A noise-free cell that a bound proves censored returns None unstepped.
-    Its step eps <- eps (1 + dt (r - alpha eps^2)), r = mu + gamma c, is odd
+    Its step eps <- eps (1 + dt (r - alpha eps^2)), r = growth_rate, is odd
     in eps. While |eps| < threshold theta and dt (max(-r, 0) + alpha theta^2)
     <= 1, the step's factor lies in [0, 1 + dt r+], r+ = max(r, 0), so
     |eps_n| <= eps0 (1 + dt r+)^n and a zero start stays 0. Without that
@@ -111,20 +111,17 @@ def measure_escape(config, curvature, threshold):
             )
     elif threshold <= config.init_scale:
         raise ConfigError("threshold must exceed init_scale")
-    if config.noise_intensity == 0 and _bound_censors(config, curvature, threshold):
+    if config.noise_intensity == 0 and _bound_censors(config, threshold):
         return None
     n, eps, _ = _langevin(config, config.init_scale, config.steps,
-                          np.random.default_rng(config.seed), threshold, curvature=curvature)
+                          np.random.default_rng(config.seed), threshold)
     return n if abs(eps) >= threshold else None
 
 
-def _bound_censors(config, curvature, threshold):
+def _bound_censors(config, threshold):
     """measure_escape's bound: True when a noise-free cell provably never escapes."""
-    mu, dt, eps0, theta = config.growth_rate, config.dt, config.init_scale, threshold
-    # the rate of the stepper's drift, tilted exactly when the stepper tilts it
-    r = mu + config.coupling * curvature if config.coupling != 0.0 and curvature != 0.0 else mu
-    if not (math.isfinite(r) and config.steps <= 2**48
-            and dt * (max(-r, 0.0) + config.alpha * theta * theta) <= 1):
+    r, dt, eps0, theta = config.growth_rate, config.dt, config.init_scale, threshold
+    if not (config.steps <= 2**48 and dt * (max(-r, 0.0) + config.alpha * theta * theta) <= 1):
         return False
     if eps0 == 0:
         return True
@@ -140,38 +137,41 @@ def _measure_cell(job):
 def sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, mapper):
     """Per-gamma escape statistics (GammaStats), ascending in gamma, no fitting.
 
-    Each distinct gamma is a level of seeds_per_gamma cells, cell s at seed
-    config.seed + 1000 s. curvature is the tilt's c, 0 < c < inf, and every
-    level's cell rate must keep dt |mu + gamma c| within STABILITY_LIMIT.
-    mapper(fn, jobs) maps the measurement over a list of jobs (map, or a
-    process pool's). A noise-free cell does not depend on its seed, so each
-    level measures one cell and counts it for all its seeds.
+    Each distinct gamma, finite and >= 0, is a level of seeds_per_gamma cells:
+    config at growth rate mu + gamma c, cell s at seed config.seed + 1000 s.
+    curvature is the tilt's c, 0 < c < inf, and SdeConfig's stability guard
+    applies to each level's rate. mapper(fn, jobs) maps the measurement over
+    a list of jobs (map, or a process pool's). A noise-free cell does not
+    depend on its seed, so each level measures one cell and counts it for all
+    its seeds.
     """
     if not 0 < curvature < math.inf:
         raise ValidationError(f"tilt_curvature must satisfy 0 < c < inf, got {curvature}")
     if seeds_per_gamma < 1:
         raise ValidationError("seeds_per_gamma must be >= 1")
-    levels = [replace(config, coupling=float(g)) for g in sorted(set(gammas))]
-    for level in levels:
-        rate = config.dt * abs(config.growth_rate + level.coupling * curvature)
-        if not rate <= STABILITY_LIMIT:
-            raise ValidationError(
-                f"stability guard violated at gamma = {level.coupling}: dt*|mu + gamma*"
-                f"tilt_curvature| = {rate:.3g} > {STABILITY_LIMIT}"
-            )
+    for g in gammas:
+        if not 0 <= g < math.inf:
+            raise ValidationError(f"escape.gammas must be finite and >= 0, got {g}")
+    levels = {}
+    for g in sorted(set(gammas)):
+        try:
+            levels[float(g)] = replace(config, growth_rate=config.growth_rate + g * curvature)
+        except ValidationError as exc:
+            raise ValidationError(f"gamma = {g} at tilt_curvature = {curvature} sets the cell's "
+                                  f"mu to mu + gamma*c: {exc}") from None
     measured = 1 if config.noise_intensity == 0 else seeds_per_gamma
     jobs = [
-        (replace(level, seed=config.seed + 1000 * s), curvature, threshold)
-        for level in levels
+        (replace(level, seed=config.seed + 1000 * s), threshold)
+        for level in levels.values()
         for s in range(measured)
     ]
     taus = iter(mapper(_measure_cell, jobs))
     stats = []
-    for level in levels:
+    for gamma in levels:
         cells = [next(taus) for _ in range(measured)] * (seeds_per_gamma // measured)
         escaped = [t for t in cells if t is not None]
         mean, std = (float(np.mean(escaped)), float(np.std(escaped))) if escaped else (None, None)
-        stats.append(GammaStats(level.coupling, mean, std, seeds_per_gamma,
+        stats.append(GammaStats(gamma, mean, std, seeds_per_gamma,
                                 seeds_per_gamma - len(escaped)))
     return stats
 

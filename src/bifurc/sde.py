@@ -13,12 +13,9 @@ default_rng (PCG64, ziggurat normal transform), seeded from SdeConfig.seed;
 identical seeds reproduce identical paths bit-for-bit on one platform.
 
 The pitchfork and every escape cell of escape_lab run one private scalar
-stepper: eps = eps + dt * drift, then eps += sqrt(2 D dt) * g. An escape
-cell's tilt U = -(1/2) c eps^2 is a rate term, not a third system: it adds
-gamma c eps to the drift, so the cell is the pitchfork at rate mu + gamma c.
-The stepper draws g in chunks of one recording interval, or 65,536 when
-nothing is recorded (the same stream as one draw per step), draws nothing
-when D = 0, and can stop at the first step with |eps| >= threshold.
+stepper: eps = eps + dt * drift, then eps += sqrt(2 D dt) * g. It draws g
+in chunks of at most 65,536 (the same stream as one draw per step), draws
+nothing when D = 0, and can stop at the first step with |eps| >= threshold.
 
 The pitchfork's path is decimated to at most ~2000 recorded states; the
 coupled-mode run returns only its start and end states and the random
@@ -50,6 +47,8 @@ MAX_SAMPLE_ENTRIES = MAX_MODE_ENTRIES
 # -ln(1 - U) / r with 1 - U >= 2**-53, at most 10.06. So init_scale <= 2**1020 keeps
 # every start draw init_scale * g below 16 * 2**1020 = 2**1024, where floats overflow.
 MAX_INIT_SCALE = 2.0**1020
+# The scalar stepper draws its normals at most this many at a time, 512 kB of float64.
+_MAX_DRAWS = 65536
 
 
 @dataclass
@@ -57,7 +56,7 @@ class SdeConfig:
     """Parameters shared by the two simulators and escape_lab's escape cells.
 
     growth_rate is the linear rate mu = beta - beta_c; alpha the cubic
-    self-saturation; coupling the inter-mode (or tilt) strength gamma;
+    self-saturation; coupling the inter-mode strength gamma;
     noise_intensity the D of the 2D-delta convention; init_scale the
     per-coordinate standard deviation sigma_0 of the initial condition.
     """
@@ -154,22 +153,18 @@ def simulate_pitchfork_1d(config, eps0=None):
     return rec[:, 0] * config.dt, rec[:, 1]
 
 
-def _langevin(config, eps, steps, rng, threshold=math.inf, every=65536, curvature=0.0):
+def _langevin(config, eps, steps, rng, threshold=math.inf, every=_MAX_DRAWS):
     """The scalar stepper of the module docstring, from eps for at most `steps`
-    steps in chunks of `every`: (steps taken, final eps, path), path holding
-    (step, eps) at each chunk end. A non-zero curvature c adds the tilt force
-    gamma c eps (gamma = config.coupling) to the drift."""
-    mu, al, ga, dt = config.growth_rate, config.alpha, config.coupling, config.dt
+    steps: (steps taken, final eps, path), path holding (step, eps) every
+    `every` steps, at the last step and at a threshold stop."""
+    mu, al, dt = config.growth_rate, config.alpha, config.dt
     amp = math.sqrt(2.0 * config.noise_intensity * dt)
-    tilted = ga != 0.0 and curvature != 0.0
     n, path = 0, []
     while n < steps and not abs(eps) >= threshold:
-        m = min(every, steps - n)
+        m = min(every - n % every, steps - n, _MAX_DRAWS)
         draws = rng.standard_normal(m).tolist() if amp else repeat(0.0, m)
         for g in draws:
             drift = mu * eps - al * eps * eps * eps
-            if tilted:
-                drift += ga * (curvature * eps)
             eps = eps + dt * drift
             if amp:
                 eps += amp * g
@@ -178,7 +173,8 @@ def _langevin(config, eps, steps, rng, threshold=math.inf, every=65536, curvatur
                 break
         if not math.isfinite(eps):
             raise NumericalError(f"scalar Langevin state is {eps} by step {n}")
-        path.append((n, eps))
+        if n % every == 0 or n == steps or abs(eps) >= threshold:
+            path.append((n, eps))
     return n, eps, path
 
 

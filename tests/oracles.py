@@ -3,6 +3,7 @@
 import configparser
 import io
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,12 @@ def predicted_escape_step(config, curvature, threshold):
         return None
     t = escape_time_closed_form(r, config.alpha, config.init_scale, threshold)
     return t * r / math.log1p(config.dt * r)
+
+
+def tilted_cell(config, gamma, curvature=1.0):
+    """The escape cell of level gamma under a tilt of curvature c, as sweep_statistics
+    builds it: config at growth rate mu + gamma c."""
+    return replace(config, growth_rate=config.growth_rate + gamma * curvature)
 
 
 def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold):

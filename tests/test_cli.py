@@ -958,6 +958,49 @@ class TestEscapeCommands:
             "escape-sweep.svg": "b92a4e4cde51fe29223899459c157f8d373b78ae4f84015f101054ddf5eed33d",
         }
 
+    # each level is the pitchfork at mu + gamma c, so its threshold need only lie below
+    # that level's own eps*: at gamma = 1e-4 it is sqrt(1.1e-4 / 0.1) = 0.033 > 0.012
+    def test_threshold_above_the_untilted_eps_star_is_read_per_level(self, tmp_path, clean_env):
+        clean_env.setenv("BIFURC_ESCAPE__GAMMAS", "1e-4,3e-4,1e-3,3e-3,1e-2")
+        clean_env.setenv("BIFURC_ESCAPE__THRESHOLD", "0.012")
+        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 0
+        taus = [s.tau_mean for s in read_sweep_csv(tmp_path / "escape-sweep.csv")]
+        assert taus == [590565, 206570, 63076, 21135, 6353]
+
+    def test_threshold_above_a_levels_own_eps_star_exits_2(self, tmp_path, capsys, clean_env):
+        # the default gammas include 0, whose level keeps eps* = sqrt(1e-5 / 0.1) = 0.01
+        clean_env.setenv("BIFURC_ESCAPE__THRESHOLD", "0.012")
+        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: threshold 0.012 outside (init_scale, eps*) = (0.0005, 0.01)\n")
+
+    # dt |mu + gamma c| <= 0.05 * 5.00001e-2 at c = 0.01: gamma = 5 is no coupling gamma * K
+    def test_large_gammas_at_a_small_curvature_step_as_their_product(self, tmp_path, clean_env):
+        for key, value in {"ESCAPE__TILT_CURVATURE": "0.01", "ESCAPE__GAMMAS": "1e-2,1e-1,1,5",
+                           "ESCAPE__HORIZON": "2000000"}.items():
+            clean_env.setenv(f"BIFURC_{key}", value)
+        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 0
+        taus = [s.tau_mean for s in read_sweep_csv(tmp_path / "escape-sweep.csv")]
+        # gamma c = 1e-4, 1e-3 and 1e-2 step as the default sweep's levels at c = 1
+        assert taus[:3] == [420723, 45622, 4602]
+
+    @pytest.mark.parametrize("gammas,bad", [("-1e-3,1e-3", "-0.001"), ("nan", "nan"),
+                                            ("1e-3,inf", "inf")])
+    def test_sweep_with_a_bad_gamma_exits_2(self, tmp_path, capsys, clean_env, gammas, bad):
+        clean_env.setenv("BIFURC_ESCAPE__GAMMAS", gammas)
+        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: escape.gammas must be finite and >= 0, got {bad}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_past_the_stability_limit_names_the_gamma(self, tmp_path, capsys, clean_env):
+        # at c = 1e4, dt |mu + gamma c| = 0.05 * 10.00001 at gamma = 1e-3, past 0.2
+        clean_env.setenv("BIFURC_ESCAPE__TILT_CURVATURE", "1e4")
+        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "gamma = 0.001 at tilt_curvature = 10000.0" in err and "0.5 > 0.2" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_whose_cubic_term_overshoots_escapes_at_step_one(self, tmp_path, clean_env):
         # dt alpha theta^2 = 5000: the first step flips eps from 1 to about -49, past
         # theta = 10, so every cell escapes at step 1 and no growth bound may censor one

@@ -27,6 +27,7 @@ from oracles import (
     escape_sweep,
     escape_time_closed_form,
     predicted_escape_step,
+    tilted_cell,
 )
 
 try:
@@ -50,10 +51,10 @@ def escape_time_quadrature(mu_eff, alpha, eps0, theta, n=200001):
 
 class TestMeasureEscape:
     def test_matches_closed_form_and_quadrature(self):
-        cfg = replace(SWEEP_CELL, coupling=1e-3)
-        tau = measure_escape(cfg, 1.0, DEFAULT_THRESHOLD)
+        cfg = tilted_cell(SWEEP_CELL, 1e-3)
+        tau = measure_escape(cfg, DEFAULT_THRESHOLD)
         assert tau is not None
-        mu_eff = cfg.growth_rate + cfg.coupling  # quadratic tilt adds +gamma*eps
+        mu_eff = SWEEP_CELL.growth_rate + 1e-3  # quadratic tilt adds +gamma*eps
         t_closed = escape_time_closed_form(mu_eff, cfg.alpha, cfg.init_scale, DEFAULT_THRESHOLD)
         t_quad = escape_time_quadrature(mu_eff, cfg.alpha, cfg.init_scale, DEFAULT_THRESHOLD)
         assert t_closed == pytest.approx(t_quad, rel=1e-4)
@@ -62,41 +63,41 @@ class TestMeasureEscape:
 
     def test_zero_start_never_escapes(self):
         cfg = replace(SWEEP_CELL, init_scale=0.0, steps=10_000)
-        assert measure_escape(cfg, 0.0, DEFAULT_THRESHOLD) is None
+        assert measure_escape(cfg, DEFAULT_THRESHOLD) is None
 
     def test_undriven_deterministic_run_censors_at_horizon(self):
         # tau(gamma=0) ~ 4.9e6 steps, far beyond a 1e5 horizon
         cfg = replace(SWEEP_CELL, steps=100_000)
-        assert measure_escape(cfg, 1.0, DEFAULT_THRESHOLD) is None
+        assert measure_escape(cfg, DEFAULT_THRESHOLD) is None
 
     def test_cubic_overshoot_escapes_at_step_one(self):
         # dt alpha theta^2 = 5000: the first step's factor 1 + dt (mu - alpha eps0^2) is
         # -49.05, so |eps| jumps from 1 past theta = 10 and no growth bound may censor it
         cfg = replace(SWEEP_CELL, growth_rate=-1.0, alpha=1000.0, init_scale=1.0, steps=100)
-        assert measure_escape(cfg, 1.0, 10.0) == 1
+        assert measure_escape(cfg, 10.0) == 1
 
     def test_threshold_must_exceed_start(self):
         cfg = SWEEP_CELL
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, threshold=1e-4)
+            measure_escape(cfg, threshold=1e-4)
 
     def test_threshold_must_stay_below_saturation(self):
         cfg = SWEEP_CELL
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, threshold=0.02)  # eps* = 0.01
+            measure_escape(cfg, threshold=0.02)  # eps* = 0.01
 
     def test_rejects_multimode_config(self):
         cfg = replace(SDE, growth_rate=1e-5, alpha=0.1, dt=0.05, steps=1, modes=2, dim=3,
                       init_scale=5e-4)
         with pytest.raises(ConfigError):
-            measure_escape(cfg, 0.0, DEFAULT_THRESHOLD)
+            measure_escape(cfg, DEFAULT_THRESHOLD)
 
     def test_noisy_escape_reproducible_and_faster(self):
-        det = measure_escape(replace(SWEEP_CELL, coupling=1e-3), 1.0, DEFAULT_THRESHOLD)
+        det = measure_escape(tilted_cell(SWEEP_CELL, 1e-3), DEFAULT_THRESHOLD)
         # noise floor sqrt(D / mu_eff) ~ 3e-5, well under the 5e-4 start
-        noisy_cfg = replace(SWEEP_CELL, coupling=1e-3, noise_intensity=1e-12, seed=4)
-        a = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
-        b = measure_escape(noisy_cfg, 1.0, DEFAULT_THRESHOLD)
+        noisy_cfg = replace(tilted_cell(SWEEP_CELL, 1e-3), noise_intensity=1e-12, seed=4)
+        a = measure_escape(noisy_cfg, DEFAULT_THRESHOLD)
+        b = measure_escape(noisy_cfg, DEFAULT_THRESHOLD)
         assert a == b
         assert a is not None
         # weak noise perturbs but does not wildly move the escape time
@@ -179,16 +180,15 @@ class TestSweep:
 
 
 def _cell(mu, alpha, eps0, theta, dt, steps, gamma=0.0, c=1.0):
-    """(config, curvature, threshold) of one noise-free escape cell."""
-    cfg = replace(SWEEP_CELL, growth_rate=mu, alpha=alpha, coupling=gamma, dt=dt,
-                  init_scale=eps0, steps=steps)
-    return cfg, c, theta
+    """(config, threshold) of one noise-free escape cell, tilted by gamma c."""
+    cfg = replace(SWEEP_CELL, growth_rate=mu, alpha=alpha, dt=dt, init_scale=eps0, steps=steps)
+    return tilted_cell(cfg, gamma, c), theta
 
 
 @st.composite
 def noise_free_cells(draw):
-    """A noise-free escape cell inside SdeConfig's and sweep_statistics' stability
-    guards, with a threshold measure_escape accepts and at most 10^4 steps."""
+    """A noise-free escape cell inside SdeConfig's stability guard at its tilted
+    rate, with a threshold measure_escape accepts and at most 10^4 steps."""
     dt = draw(st.floats(1e-3, 1.0))
     mu = draw(st.floats(-0.19, 0.19)) / dt
     gamma = draw(st.just(0.0) | st.floats(0.0, 0.19)) / dt
@@ -196,8 +196,8 @@ def noise_free_cells(draw):
     assume(dt * abs(mu + gamma * c) <= STABILITY_LIMIT)
     alpha = 10 ** draw(st.floats(-3.0, 4.0))
     eps0 = 0.0 if draw(st.integers(0, 9)) == 0 else 10 ** draw(st.floats(-12.0, 0.0))
-    if mu > 0:  # theta strictly inside (eps0, eps*)
-        top = math.sqrt(mu / alpha)
+    if mu + gamma * c > 0:  # theta strictly inside (eps0, eps*) at the tilted rate
+        top = math.sqrt((mu + gamma * c) / alpha)
         theta = eps0 + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (top - eps0)
         assume(eps0 < theta < top)
     else:
@@ -239,13 +239,13 @@ class TestCensorBound:
     @pinned_examples
     @given(cell=noise_free_cells())
     def test_censored_cells_never_escape_when_stepped(self, cell):
-        cfg, c, theta = cell
+        cfg, theta = cell
         n, eps, _ = _langevin(cfg, cfg.init_scale, cfg.steps, np.random.default_rng(cfg.seed),
-                              theta, curvature=c)
+                              theta)
         escaped = abs(eps) >= theta
-        if escape_lab._bound_censors(cfg, c, theta):
+        if escape_lab._bound_censors(cfg, theta):
             assert not escaped
-        assert measure_escape(cfg, c, theta) == (n if escaped else None)
+        assert measure_escape(cfg, theta) == (n if escaped else None)
 
     @pytest.mark.parametrize("name", PINNED_CELLS)
     def test_pinned_cells_meet_the_bound_as_named(self, name):
@@ -254,10 +254,10 @@ class TestCensorBound:
 
 
 def recording_map(cells):
-    """A serial mapper that appends (gamma, seed, tau) of every measured cell to cells."""
+    """A serial mapper that appends (config, tau) of every measured cell to cells."""
     def mapper(fn, jobs):
         taus = [fn(job) for job in jobs]
-        cells.extend((job[0].coupling, job[0].seed, tau) for job, tau in zip(jobs, taus))
+        cells.extend((job[0], tau) for job, tau in zip(jobs, taus))
         return taus
 
     return mapper
@@ -272,7 +272,7 @@ class TestSweepCells:
         real = escape_lab._langevin
 
         def counting(config, *args, **kwargs):
-            calls.append((config.coupling, config.seed))
+            calls.append((config.growth_rate, config.seed))
             return real(config, *args, **kwargs)
 
         monkeypatch.setattr(escape_lab, "_langevin", counting)
@@ -284,7 +284,8 @@ class TestSweepCells:
         assert (zero.gamma, zero.tau_mean, zero.n_censored) == (0.0, None, 3)
         assert [s.tau_mean for s in positive] == [420723, 148814, 45622, 15304, 4602]
         # the gamma = 0 cell is censored by measure_escape's bound, unstepped
-        assert stepper_calls == [(g, 0) for g in DEFAULT_GAMMAS[1:]]
+        assert stepper_calls == [(tilted_cell(SWEEP_CELL, g).growth_rate, 0)
+                                 for g in DEFAULT_GAMMAS[1:]]
 
     def test_noise_free_steps_are_predicted_within_one_step(self):
         # the default levels; the pinned two-level sweep (1e-3, 1e-2) reads two of them
@@ -293,35 +294,63 @@ class TestSweepCells:
                                            DEFAULT_THRESHOLD) for g in DEFAULT_GAMMAS[1:]]
         assert all(abs(p - m) <= 1 for p, m in zip(predicted, measured)), predicted
 
+    # the last cell is mu = -1e-3 tilted by gamma c = 1e-3, at rate 0
     @pytest.mark.parametrize("change", [{"init_scale": 0.0}, {"growth_rate": -1e-3},
-                                        {"growth_rate": -1e-3, "coupling": 1e-3}])
+                                        {"growth_rate": -1e-3 + 1e-3}])
     def test_zero_start_and_non_growing_cells_censor_unstepped(self, stepper_calls, change):
-        assert measure_escape(replace(SWEEP_CELL, **change), 1.0, DEFAULT_THRESHOLD) is None
+        assert measure_escape(replace(SWEEP_CELL, **change), DEFAULT_THRESHOLD) is None
         assert stepper_calls == []
 
     # the bound holds only without noise, and only from a zero or a normal start
     @pytest.mark.parametrize("change", [{"noise_intensity": 1e-12}, {"init_scale": 5e-324}])
     def test_noisy_or_subnormal_zero_gamma_cell_still_steps(self, stepper_calls, change):
         cell = replace(SWEEP_CELL, steps=1000, **change)
-        assert measure_escape(cell, 1.0, DEFAULT_THRESHOLD) is None
-        assert stepper_calls == [(0.0, 0)]
+        assert measure_escape(cell, DEFAULT_THRESHOLD) is None
+        assert stepper_calls == [(SWEEP_CELL.growth_rate, 0)]
 
     def test_noisy_sweep_taus_off_unit_curvature(self):
         # at c = 1.7, c * eps != eps: a reordered tilt product gamma * (c * eps) moves these bits
-        noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
+        noisy = replace(SWEEP_CELL, noise_intensity=1e-12, steps=50_000)
         cells = []
-        sweep_statistics((1e-3, 3e-3, 1e-2), 2, replace(noisy, steps=50_000), 1.7,
-                         DEFAULT_THRESHOLD, recording_map(cells))
-        assert cells == [
-            (1e-3, 0, 26808), (1e-3, 1000, 27617), (3e-3, 0, 9076), (3e-3, 1000, 9084),
-            (1e-2, 0, 2729), (1e-2, 1000, 2707),
+        sweep_statistics((1e-3, 3e-3, 1e-2), 2, noisy, 1.7, DEFAULT_THRESHOLD,
+                         recording_map(cells))
+        assert [(cfg.growth_rate, cfg.seed, tau) for cfg, tau in cells] == [
+            (tilted_cell(noisy, g, 1.7).growth_rate, seed, tau) for g, seed, tau in (
+                (1e-3, 0, 26808), (1e-3, 1000, 27617), (3e-3, 0, 9076), (3e-3, 1000, 9084),
+                (1e-2, 0, 2729), (1e-2, 1000, 2707))
         ]
+
+    def test_cells_are_the_pitchfork_at_the_tilted_rate(self):
+        noisy = replace(SWEEP_CELL, noise_intensity=1e-12, steps=10)
+        cells = []
+        sweep_statistics((1e-2, 0.0, 1e-3), 2, noisy, 1.7, DEFAULT_THRESHOLD,
+                         recording_map(cells))
+        assert [(cfg.coupling, cfg.growth_rate, cfg.seed) for cfg, _ in cells] == [
+            (0.0, SWEEP_CELL.growth_rate + g * 1.7, s) for g in (0.0, 1e-3, 1e-2)
+            for s in (0, 1000)
+        ]
+        assert all(cfg == replace(noisy, growth_rate=cfg.growth_rate, seed=cfg.seed)
+                   for cfg, _ in cells)
+
+    @pytest.mark.parametrize("gamma", [-1e-3, math.nan, math.inf])
+    def test_bad_gamma_refused_before_any_cell(self, gamma):
+        # a refused sweep never calls its mapper
+        with pytest.raises(ValidationError, match="escape.gammas"):
+            sweep_statistics((1e-3, gamma), 1, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD, None)
+
+    def test_threshold_is_read_against_the_tilted_eps_star(self):
+        # eps* is 0.01 untilted and sqrt((1e-5 + 1e-3) / 0.1) = 0.1005 at gamma = 1e-3
+        cell = tilted_cell(SWEEP_CELL, 1e-3)
+        assert measure_escape(cell, 0.05) is not None
+        with pytest.raises(ConfigError, match="eps"):
+            measure_escape(cell, 0.11)
 
     def test_noise_free_sweep_steps_once_per_gamma(self, stepper_calls):
         stats = sweep_statistics(
             (1e-3, 3e-3, 1e-2), 3, replace(SWEEP_CELL, steps=100_000), 1.0, DEFAULT_THRESHOLD, map,
         )
-        assert stepper_calls == [(1e-3, 0), (3e-3, 0), (1e-2, 0)]
+        assert stepper_calls == [(tilted_cell(SWEEP_CELL, g).growth_rate, 0)
+                                 for g in (1e-3, 3e-3, 1e-2)]
         # each level's one measured cell counts for its three seeds
         assert [(s.gamma, s.n_seeds, s.n_censored, s.tau_std) for s in stats] == [
             (g, 3, 0, 0.0) for g in (1e-3, 3e-3, 1e-2)
@@ -331,7 +360,8 @@ class TestSweepCells:
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
         args = ((1e-3, 1e-2), 3, replace(noisy, steps=100_000), 1.0, DEFAULT_THRESHOLD, map)
         first = sweep_statistics(*args)
-        assert stepper_calls == [(g, s) for g in (1e-3, 1e-2) for s in (0, 1000, 2000)]
+        assert stepper_calls == [(tilted_cell(SWEEP_CELL, g).growth_rate, s)
+                                 for g in (1e-3, 1e-2) for s in (0, 1000, 2000)]
         assert sweep_statistics(*args) == first
         assert first[0].tau_std > 0  # seeds draw their own noise
 

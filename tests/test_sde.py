@@ -209,47 +209,60 @@ class TestPitchfork1d:
 
 
 class TestTiltedLangevin:
-    """The escape cells' tilt: the scalar stepper with a curvature c adds gamma c eps."""
+    """The escape cells' tilt is a rate: the scalar stepper at mu + gamma c."""
 
-    def test_chunked_draws_match_a_per_step_reference(self):
-        # the stepper draws one recording interval at a time; a plain loop
-        # with one scalar draw per step and the tilt as -gamma U'(eps) must give the same bits
+    @pytest.mark.parametrize("every,steps", [(2, 4999), (70_000, 140_001)])
+    def test_chunked_draws_match_a_per_step_reference(self, every, steps):
+        # the stepper draws at most one recording interval, and at most 65,536 normals,
+        # at a time; a plain loop with one scalar draw per step must give the same bits
         cfg = replace(
             SDE,
-            growth_rate=0.05, alpha=0.5, coupling=0.02, noise_intensity=1e-3, dt=0.05,
-            steps=4999, init_scale=0.02, seed=3,
+            growth_rate=0.05 + 0.02 * 1.5, alpha=0.5, noise_intensity=1e-3, dt=0.05,
+            steps=steps, init_scale=0.02, seed=3,
         )
         rng = np.random.default_rng(cfg.seed)
         eps0 = cfg.init_scale * float(rng.standard_normal())
-        n, final, path = _langevin(cfg, eps0, cfg.steps, rng, every=2, curvature=1.5)
+        n, final, path = _langevin(cfg, eps0, cfg.steps, rng, every=every)
         rng = np.random.default_rng(cfg.seed)
         eps = cfg.init_scale * float(rng.standard_normal())
         amp = math.sqrt(2.0 * cfg.noise_intensity * cfg.dt)
         ref = []
         for k in range(1, cfg.steps + 1):
             drift = cfg.growth_rate * eps - cfg.alpha * eps * eps * eps
-            drift -= cfg.coupling * (-1.5 * eps)  # U'(eps) = -c eps
             eps = eps + cfg.dt * drift
             eps += amp * float(rng.standard_normal())
-            if k % 2 == 0 or k == cfg.steps:
+            if k % every == 0 or k == cfg.steps:
                 ref.append((k, eps))
         assert (n, final) == (cfg.steps, eps)
         assert path == ref
 
-    def test_zero_coupling_ignores_curvature(self):
-        cfg = replace(
-            SDE,
-            growth_rate=0.5, alpha=0.5, coupling=0.0, noise_intensity=1e-3,
-            dt=0.05, steps=300, init_scale=0.02, seed=11,
-        )
-        plain = _langevin(cfg, 0.02, cfg.steps, np.random.default_rng(cfg.seed))
-        tilted = _langevin(cfg, 0.02, cfg.steps, np.random.default_rng(cfg.seed), curvature=1.0)
-        assert plain == tilted
+    def test_a_long_noisy_run_draws_a_bounded_chunk(self, monkeypatch):
+        # one recording interval of a 10^12-step run is 5 * 10^8 steps; its draws
+        # would be 4 GB, so the stepper asks for at most 65,536 at a time
+        sizes = []
+
+        class Asked(Exception):
+            pass
+
+        class Refusing:
+            def standard_normal(self, size=None):
+                sizes.append(size)
+                if size is None:  # the start draw
+                    return 1.0
+                raise Asked
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Refusing())
+        cfg = replace(SDE, growth_rate=0.1, alpha=0.1, noise_intensity=1e-5, dt=0.01,
+                      steps=10**12, init_scale=1e-3)
+        with pytest.raises(Asked):
+            simulate_pitchfork_1d(cfg)
+        assert sizes == [None, 65536]
 
     def test_destabilizing_tilt_speeds_up_growth(self):
-        cfg = replace(SDE, growth_rate=0.01, alpha=0.5, coupling=0.05, dt=0.05, steps=2000)
+        cfg = replace(SDE, growth_rate=0.01, alpha=0.5, dt=0.05, steps=2000)
         _, slow, _ = _langevin(cfg, 0.01, cfg.steps, np.random.default_rng(0))
-        _, fast, _ = _langevin(cfg, 0.01, cfg.steps, np.random.default_rng(0), curvature=1.0)
+        fast_cfg = oracles.tilted_cell(cfg, 0.05, 1.0)
+        _, fast, _ = _langevin(fast_cfg, 0.01, cfg.steps, np.random.default_rng(0))
         assert fast > slow
 
     def test_effective_potential_minimum_tracks_tilt(self):
