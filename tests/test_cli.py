@@ -993,14 +993,6 @@ class TestEscapeCommands:
             f"error: escape.gammas must be finite and >= 0, got {bad}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_sweep_past_the_stability_limit_names_the_gamma(self, tmp_path, capsys, clean_env):
-        # at c = 1e4, dt |mu + gamma c| = 0.05 * 10.00001 at gamma = 1e-3, past 0.2
-        clean_env.setenv("BIFURC_ESCAPE__TILT_CURVATURE", "1e4")
-        assert main(["escape", "sweep", "--seed", "0", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "gamma = 0.001 at tilt_curvature = 10000.0" in err and "0.5 > 0.2" in err
-        assert list(tmp_path.iterdir()) == []
-
     def test_sweep_whose_cubic_term_overshoots_escapes_at_step_one(self, tmp_path, clean_env):
         # dt alpha theta^2 = 5000: the first step flips eps from 1 to about -49, past
         # theta = 10, so every cell escapes at step 1 and no growth bound may censor one

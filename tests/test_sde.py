@@ -215,11 +215,11 @@ class TestTiltedLangevin:
     def test_chunked_draws_match_a_per_step_reference(self, every, steps):
         # the stepper draws at most one recording interval, and at most 65,536 normals,
         # at a time; a plain loop with one scalar draw per step must give the same bits
-        cfg = replace(
+        cfg = oracles.tilted_cell(replace(
             SDE,
-            growth_rate=0.05 + 0.02 * 1.5, alpha=0.5, noise_intensity=1e-3, dt=0.05,
+            growth_rate=0.05, alpha=0.5, noise_intensity=1e-3, dt=0.05,
             steps=steps, init_scale=0.02, seed=3,
-        )
+        ), 0.02, 1.5)
         rng = np.random.default_rng(cfg.seed)
         eps0 = cfg.init_scale * float(rng.standard_normal())
         n, final, path = _langevin(cfg, eps0, cfg.steps, rng, every=every)
