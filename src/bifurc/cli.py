@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULTS, build_config
+from .config import DEFAULTS, MAX_JOBS, build_config
 from .csvio import run_identity, write_table
 from .errors import ConfigError, NoFitError, NumericalError, ValidationError
 from .escape_lab import (
@@ -114,12 +114,6 @@ _OVERLAYS = {
 # Keys too bulky for the merged cross-seed summary; they stay in the
 # per-seed JSON files.
 _BULKY_SUMMARY_KEYS = ("loss_trace", "branch")
-
-# An escape sweep holds one job per (gamma level, seed) cell before it measures any:
-# about 290 B of job tuple, and in the process pool about 1.9 kB more of future and
-# work item. So 2**16 cells let a sweep allocate about 140 MB up front. (The array
-# bound MAX_SAMPLE_ENTRIES = 2**22 would let it take about 9 GB.)
-_MAX_SWEEP_CELLS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -543,19 +537,18 @@ def _plot_escape_fit(path, stats, summary):
 def _escape_sweep(cfg):
     """`escape sweep`'s sweep_statistics, a callable of the mapper. The cells are
     scalar, start at init_scale, run for at most [escape] horizon steps, and each
-    gamma level raises their growth rate by gamma * [escape] tilt_curvature."""
+    gamma level raises their growth rate by gamma."""
     horizon = cfg.get_int("escape", "horizon")
     if horizon < 1:
         raise ConfigError(f"escape.horizon must be >= 1, got {horizon}")
     gammas = cfg.get_float_list("escape", "gammas")
     seeds_per_gamma = cfg.get_int("escape", "seeds_per_gamma")
-    if len(gammas) * seeds_per_gamma > _MAX_SWEEP_CELLS:
+    if len(gammas) * seeds_per_gamma > MAX_JOBS:
         raise ConfigError(f"len(escape.gammas) * escape.seeds_per_gamma must be <= "
-                          f"{_MAX_SWEEP_CELLS} sweep cells, got {len(gammas)} * {seeds_per_gamma}")
+                          f"{MAX_JOBS} sweep cells, got {len(gammas)} * {seeds_per_gamma}")
     cell = _section(cfg, SdeConfig, "sde", seed=cfg.seeds()[0], modes=1, dim=1, coupling=0.0,
                     steps=horizon)
     return partial(sweep_statistics, gammas=gammas, seeds_per_gamma=seeds_per_gamma, config=cell,
-                   curvature=cfg.get_float("escape", "tilt_curvature"),
                    threshold=cfg.get_float("escape", "threshold"))
 
 
@@ -686,8 +679,8 @@ def _flag_overrides(args):
     if getattr(args, "seed", None) is not None:
         flags.setdefault("run", {})["seeds"] = str(args.seed)
     if getattr(args, "seeds", None) is not None:
-        if args.seeds < 1:
-            raise ConfigError("--seeds must be >= 1")
+        if not 1 <= args.seeds <= MAX_JOBS:  # before the list of N seeds is built
+            raise ConfigError(f"--seeds must be in [1, {MAX_JOBS}], got {args.seeds}")
         flags.setdefault("run", {})["seeds"] = ",".join(
             str(i) for i in range(args.seeds)
         )

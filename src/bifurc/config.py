@@ -30,6 +30,13 @@ from .errors import ConfigError
 
 ENV_PREFIX = "BIFURC_"
 
+# A command holds one job per seed, or for `escape sweep` one per (gamma level, seed)
+# cell, before it runs any: at most about 300 B of job, and in the process pool about
+# 1.9 kB more of future and work item. So 2**16 jobs let a command allocate about
+# 140 MB up front. (The array bound sde.MAX_SAMPLE_ENTRIES = 2**22 would let it take
+# about 9 GB.)
+MAX_JOBS = 2**16
+
 # One entry per known key; values are the built-in defaults (all strings).
 DEFAULTS = {
     "run": {
@@ -75,7 +82,6 @@ DEFAULTS = {
         "seeds_per_gamma": "3",
         "threshold": "5e-3",
         "horizon": "1000000",
-        "tilt_curvature": "1.0",
     },
     "hessian": {
         "source": "bimodal",  # covariance source: bimodal | identity
@@ -167,6 +173,8 @@ class RunConfig:
 
     def seeds(self):
         seeds = self._list("run", "seeds", int, "a comma-separated seed list")
+        if len(seeds) > MAX_JOBS:
+            raise ConfigError(f"run.seeds must list at most {MAX_JOBS} seeds, got {len(seeds)}")
         if min(seeds) < 0 or len(set(seeds)) < len(seeds):
             raise ConfigError(
                 f"run.seeds must be distinct non-negative integers, got {self.get('run', 'seeds')!r}"

@@ -17,20 +17,21 @@ by weighted least squares in log tau with relative-error weights
 (mean/std)^2, AIC = chi^2 + 2k. Censored levels are reported but never
 fitted. Escape times are in integrator steps.
 
-The tilt is the quadratic well U(eps) = -(1/2) c eps^2 of curvature c
-([escape] tilt_curvature, default 1): a rate term, not a third system. The
-drift gains +gamma c eps, so sweep_statistics runs each cell as the scalar
-pitchfork at growth rate mu + gamma c, with coupling 0, through sde's one
-scalar stepper; no other code here knows the tilt.
+The tilt is the unit-curvature well U(eps) = -(1/2) eps^2: a rate term, not
+a third system, whose whole strength is gamma. The drift gains +gamma eps, so
+sweep_statistics runs each cell as the scalar pitchfork at growth rate
+mu + gamma, with coupling 0, through sde's one scalar stepper; no other code
+here knows the tilt.
 
 A sweep's cells share one scalar SdeConfig, whose steps is each cell's
 horizon. This module reads no configuration table: `escape sweep` builds
 that config from [sde] under its own overlay and [escape] horizon, and the
-sweep's gammas, seeds, threshold and curvature from [escape].
+sweep's gammas, seeds and threshold from [escape].
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -130,23 +131,16 @@ def _bound_censors(config, threshold):
             < math.log(theta))
 
 
-def _measure_cell(job):
-    return measure_escape(*job)
-
-
-def sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, mapper):
+def sweep_statistics(gammas, seeds_per_gamma, config, threshold, mapper):
     """Per-gamma escape statistics (GammaStats), ascending in gamma, no fitting.
 
     Each distinct gamma, finite and >= 0, is a level of seeds_per_gamma cells:
-    config at growth rate mu + gamma c, cell s at seed config.seed + 1000 s.
-    curvature is the tilt's c, 0 < c < inf, and SdeConfig's stability guard
-    applies to each level's rate. mapper(fn, jobs) maps the measurement over
-    a list of jobs (map, or a process pool's). A noise-free cell does not
-    depend on its seed, so each level measures one cell and counts it for all
-    its seeds.
+    config at growth rate mu + gamma, cell s at seed config.seed + 1000 s.
+    SdeConfig's stability guard applies to each level's rate. mapper(fn, jobs)
+    maps the measurement over a list of cells (map, or a process pool's). A
+    noise-free cell does not depend on its seed, so each level measures one
+    cell and counts it for all its seeds.
     """
-    if not 0 < curvature < math.inf:
-        raise ValidationError(f"tilt_curvature must satisfy 0 < c < inf, got {curvature}")
     if seeds_per_gamma < 1:
         raise ValidationError("seeds_per_gamma must be >= 1")
     for g in gammas:
@@ -155,17 +149,16 @@ def sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, mapp
     levels = {}
     for g in sorted(set(gammas)):
         try:
-            levels[float(g)] = replace(config, growth_rate=config.growth_rate + g * curvature)
+            levels[float(g)] = replace(config, growth_rate=config.growth_rate + g)
         except ValidationError as exc:
-            raise ValidationError(f"gamma = {g} at tilt_curvature = {curvature} sets the cell's "
-                                  f"mu to mu + gamma*c: {exc}") from None
+            raise ValidationError(f"gamma = {g} sets the cell's mu to mu + gamma: {exc}") from None
     measured = 1 if config.noise_intensity == 0 else seeds_per_gamma
     jobs = [
-        (replace(level, seed=config.seed + 1000 * s), threshold)
+        replace(level, seed=config.seed + 1000 * s)
         for level in levels.values()
         for s in range(measured)
     ]
-    taus = iter(mapper(_measure_cell, jobs))
+    taus = iter(mapper(partial(measure_escape, threshold=threshold), jobs))
     stats = []
     for gamma in levels:
         cells = [next(taus) for _ in range(measured)] * (seeds_per_gamma // measured)

@@ -133,10 +133,11 @@ def flat_spectrum(cs, K):
     return np.sort(np.asarray(vals))[::-1]
 
 
-def effective_potential(config, curvature, eps):
-    """V_eff(eps) = -(1/2) mu eps^2 + (1/4) alpha eps^4 + gamma U(eps), U = -(1/2) c eps^2."""
+def effective_potential(config, eps):
+    """V_eff(eps) = -(1/2) mu eps^2 + (1/4) alpha eps^4 + gamma U(eps), U = -(1/2) eps^2,
+    with gamma the config's coupling."""
     e = np.asarray(eps, dtype=float)
-    u = -0.5 * curvature * e**2
+    u = -0.5 * e**2
     return -0.5 * config.growth_rate * e**2 + 0.25 * config.alpha * e**4 + config.coupling * u
 
 
@@ -168,27 +169,28 @@ def ulps_off(value, exact):
     return float(abs(Fraction(value) - exact) / Fraction(np.spacing(abs(float(exact)))))
 
 
-def predicted_escape_step(config, curvature, threshold):
+def predicted_escape_step(config, threshold):
     """The noise-free first-passage step from init_scale to threshold, or None
-    when r = mu + gamma c is at most alpha threshold^2 (no passage): the
-    continuous-time passage in units of the map's growth per step, log1p(dt r)."""
-    r = config.growth_rate + config.coupling * curvature
+    when r = mu + gamma, gamma the config's coupling, is at most alpha threshold^2
+    (no passage): the continuous-time passage in units of the map's growth per
+    step, log1p(dt r)."""
+    r = config.growth_rate + config.coupling
     if r <= config.alpha * threshold**2:
         return None
     t = escape_time_closed_form(r, config.alpha, config.init_scale, threshold)
     return t * r / math.log1p(config.dt * r)
 
 
-def tilted_cell(config, gamma, curvature=1.0):
-    """The escape cell of level gamma under a tilt of curvature c, as sweep_statistics
-    builds it: config at growth rate mu + gamma c."""
-    return replace(config, growth_rate=config.growth_rate + gamma * curvature)
+def tilted_cell(config, gamma):
+    """The escape cell of level gamma, as sweep_statistics builds it: config at
+    growth rate mu + gamma."""
+    return replace(config, growth_rate=config.growth_rate + gamma)
 
 
-def escape_sweep(gammas, seeds_per_gamma, config, curvature, threshold):
+def escape_sweep(gammas, seeds_per_gamma, config, threshold):
     """(stats, summary): serial sweep_statistics -> fit_escape_models, the chain
     `escape sweep` runs through its process pool."""
-    stats = sweep_statistics(gammas, seeds_per_gamma, config, curvature, threshold, map)
+    stats = sweep_statistics(gammas, seeds_per_gamma, config, threshold, map)
     return stats, fit_escape_models(stats)
 
 

@@ -107,7 +107,7 @@ class TestMeasureEscape:
 class TestSweep:
     def test_mini_sweep_monotone_and_power_like(self):
         cfg = replace(SWEEP_CELL, steps=200_000)
-        stats, summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, 1.0, DEFAULT_THRESHOLD)
+        stats, summary = escape_sweep((1e-3, 3e-3, 1e-2), 1, cfg, DEFAULT_THRESHOLD)
         means = [s.tau_mean for s in stats]
         assert all(m is not None for m in means)
         assert means == sorted(means, reverse=True)
@@ -117,7 +117,7 @@ class TestSweep:
         assert summary.unit_weights_used  # deterministic repeats have zero spread
 
     def test_repeated_gamma_counts_once(self):
-        args = (2, replace(SWEEP_CELL, steps=200_000), 1.0, DEFAULT_THRESHOLD)
+        args = (2, replace(SWEEP_CELL, steps=200_000), DEFAULT_THRESHOLD)
         plain, _ = escape_sweep((1e-3, 3e-3, 1e-2), *args)
         repeated, _ = escape_sweep((1e-2, 1e-3, 1e-3, 3e-3), *args)
         assert repeated == plain
@@ -125,7 +125,7 @@ class TestSweep:
 
     def test_all_censored_raises_no_fit(self):
         # a stub mapper stands in for the measurement: one tau (or None) per job
-        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, replace(SWEEP_CELL, steps=1000), 1.0,
+        stats = sweep_statistics((1e-4, 1e-3, 1e-2), 1, replace(SWEEP_CELL, steps=1000),
                                  DEFAULT_THRESHOLD, lambda fn, jobs: [None] * 3)
         with pytest.raises(NoFitError):
             fit_escape_models(stats)
@@ -136,7 +136,7 @@ class TestSweep:
             taus += [int(tau * jitter) for jitter in (0.95, 1.0, 1.05)]
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
         stats = sweep_statistics(
-            (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, 1.0, DEFAULT_THRESHOLD, lambda fn, jobs: taus)
+            (1e-4, 1e-3, 3e-3, 1e-2), 3, noisy, DEFAULT_THRESHOLD, lambda fn, jobs: taus)
         summary = fit_escape_models(stats)
         assert stats[0].tau_mean is None
         assert stats[0].n_censored == 3
@@ -144,28 +144,23 @@ class TestSweep:
         assert not summary.unit_weights_used
 
     def test_fewer_than_three_levels_yields_no_fit_but_stats(self):
-        stats = sweep_statistics((1e-3, 1e-2, 3e-2), 1, SWEEP_CELL, 1.0,
+        stats = sweep_statistics((1e-3, 1e-2, 3e-2), 1, SWEEP_CELL,
                                  DEFAULT_THRESHOLD, lambda fn, jobs: [5000, 400, None])
         summary = fit_escape_models(stats)
         assert summary.power_law is None and summary.delta_aic is None
         assert len(stats) == 3
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 1e4])
-    def test_curvature_outside_open_half_line_rejected(self, c):
-        with pytest.raises(ValidationError, match="tilt_curvature"):
-            sweep_statistics((1e-3,), 1, replace(SWEEP_CELL, steps=10), c, DEFAULT_THRESHOLD, map)
-
     def test_stability_limit_applies_to_the_tilted_rate(self):
-        def sweep(c, mapper):
-            return sweep_statistics((1e-4, 1e-2), 1, replace(SWEEP_CELL, steps=10), c,
+        def sweep(gamma, mapper):
+            return sweep_statistics((1e-4, gamma), 1, replace(SWEEP_CELL, steps=10),
                                     DEFAULT_THRESHOLD, mapper)
 
-        # dt (mu + gamma c) at gamma = 1e-2 is 0.05 (1e-5 + 1e-2 c): 0.19996 at c = 399.9,
-        # 0.2000005 at c = 400; a refused sweep never calls its mapper
-        assert [s.n_censored for s in sweep(399.9, lambda fn, jobs: [None, None])] == [1, 1]
-        with pytest.raises(ValidationError, match="tilt_curvature") as err:
-            sweep(400.0, None)
-        assert "gamma = 0.01" in str(err.value)
+        # dt (mu + gamma) is 0.05 (1e-5 + gamma): 0.19995 at gamma = 3.999, 0.2000005 at
+        # gamma = 4; a refused sweep never calls its mapper
+        assert [s.n_censored for s in sweep(3.999, lambda fn, jobs: [None, None])] == [1, 1]
+        with pytest.raises(ValidationError, match=r"mu \+ gamma: stability guard") as err:
+            sweep(4.0, None)
+        assert str(err.value).startswith("gamma = 4.0 sets the cell's mu to mu + gamma: ")
 
     def test_exact_power_law_recovered(self):
         g = np.array([0.1, 0.2, 0.5, 1.0])
@@ -179,10 +174,10 @@ class TestSweep:
         assert summary.delta_aic > 0  # exponential form cannot match a power law
 
 
-def _cell(mu, alpha, eps0, theta, dt, steps, gamma=0.0, c=1.0):
-    """(config, threshold) of one noise-free escape cell, tilted by gamma c."""
+def _cell(mu, alpha, eps0, theta, dt, steps, gamma=0.0):
+    """(config, threshold) of one noise-free escape cell, tilted by gamma."""
     cfg = replace(SWEEP_CELL, growth_rate=mu, alpha=alpha, dt=dt, init_scale=eps0, steps=steps)
-    return tilted_cell(cfg, gamma, c), theta
+    return tilted_cell(cfg, gamma), theta
 
 
 @st.composite
@@ -192,18 +187,17 @@ def noise_free_cells(draw):
     dt = draw(st.floats(1e-3, 1.0))
     mu = draw(st.floats(-0.19, 0.19)) / dt
     gamma = draw(st.just(0.0) | st.floats(0.0, 0.19)) / dt
-    c = draw(st.floats(1e-2, 1e2))
-    assume(dt * abs(mu + gamma * c) <= STABILITY_LIMIT)
+    assume(dt * abs(mu + gamma) <= STABILITY_LIMIT)
     alpha = 10 ** draw(st.floats(-3.0, 4.0))
     eps0 = 0.0 if draw(st.integers(0, 9)) == 0 else 10 ** draw(st.floats(-12.0, 0.0))
-    if mu + gamma * c > 0:  # theta strictly inside (eps0, eps*) at the tilted rate
-        top = math.sqrt((mu + gamma * c) / alpha)
+    if mu + gamma > 0:  # theta strictly inside (eps0, eps*) at the tilted rate
+        top = math.sqrt((mu + gamma) / alpha)
         theta = eps0 + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (top - eps0)
         assume(eps0 < theta < top)
     else:
         theta = max(eps0, 1e-6) * 10 ** draw(st.floats(0.0, 4.0, exclude_min=True))
         assume(eps0 < theta)
-    return _cell(mu, alpha, eps0, theta, dt, draw(st.integers(1, 10_000)), gamma, c)
+    return _cell(mu, alpha, eps0, theta, dt, draw(st.integers(1, 10_000)), gamma)
 
 
 def _bound_at(margin):
@@ -257,7 +251,7 @@ def recording_map(cells):
     """A serial mapper that appends (config, tau) of every measured cell to cells."""
     def mapper(fn, jobs):
         taus = [fn(job) for job in jobs]
-        cells.extend((job[0], tau) for job, tau in zip(jobs, taus))
+        cells.extend(zip(jobs, taus))
         return taus
 
     return mapper
@@ -279,7 +273,7 @@ class TestSweepCells:
         return calls
 
     def test_default_sweep_taus(self, stepper_calls):
-        stats, _ = escape_sweep(DEFAULT_GAMMAS, 3, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD)
+        stats, _ = escape_sweep(DEFAULT_GAMMAS, 3, SWEEP_CELL, DEFAULT_THRESHOLD)
         zero, *positive = stats
         assert (zero.gamma, zero.tau_mean, zero.n_censored) == (0.0, None, 3)
         assert [s.tau_mean for s in positive] == [420723, 148814, 45622, 15304, 4602]
@@ -290,11 +284,11 @@ class TestSweepCells:
     def test_noise_free_steps_are_predicted_within_one_step(self):
         # the default levels; the pinned two-level sweep (1e-3, 1e-2) reads two of them
         measured = [420723, 148814, 45622, 15304, 4602]
-        predicted = [predicted_escape_step(replace(SWEEP_CELL, coupling=g), 1.0,
-                                           DEFAULT_THRESHOLD) for g in DEFAULT_GAMMAS[1:]]
+        predicted = [predicted_escape_step(replace(SWEEP_CELL, coupling=g), DEFAULT_THRESHOLD)
+                     for g in DEFAULT_GAMMAS[1:]]
         assert all(abs(p - m) <= 1 for p, m in zip(predicted, measured)), predicted
 
-    # the last cell is mu = -1e-3 tilted by gamma c = 1e-3, at rate 0
+    # the last cell is mu = -1e-3 tilted by gamma = 1e-3, at rate 0
     @pytest.mark.parametrize("change", [{"init_scale": 0.0}, {"growth_rate": -1e-3},
                                         {"growth_rate": -1e-3 + 1e-3}])
     def test_zero_start_and_non_growing_cells_censor_unstepped(self, stepper_calls, change):
@@ -308,25 +302,26 @@ class TestSweepCells:
         assert measure_escape(cell, DEFAULT_THRESHOLD) is None
         assert stepper_calls == [(SWEEP_CELL.growth_rate, 0)]
 
-    def test_noisy_sweep_taus_off_unit_curvature(self):
-        # at c = 1.7, c * eps != eps: a reordered tilt product gamma * (c * eps) moves these bits
+    def test_noisy_sweep_taus_are_pinned_per_cell(self):
+        # 0.0017, 0.0051 and 0.017 are the floats of 1.7 * (1e-3, 3e-3, 1e-2), and
+        # mu + gamma is inexact for each, so a moved bit in the stepping moves a tau
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12, steps=50_000)
         cells = []
-        sweep_statistics((1e-3, 3e-3, 1e-2), 2, noisy, 1.7, DEFAULT_THRESHOLD,
+        sweep_statistics((0.0017, 0.0051, 0.017), 2, noisy, DEFAULT_THRESHOLD,
                          recording_map(cells))
         assert [(cfg.growth_rate, cfg.seed, tau) for cfg, tau in cells] == [
-            (tilted_cell(noisy, g, 1.7).growth_rate, seed, tau) for g, seed, tau in (
-                (1e-3, 0, 26808), (1e-3, 1000, 27617), (3e-3, 0, 9076), (3e-3, 1000, 9084),
-                (1e-2, 0, 2729), (1e-2, 1000, 2707))
+            (tilted_cell(noisy, g).growth_rate, seed, tau) for g, seed, tau in (
+                (0.0017, 0, 26808), (0.0017, 1000, 27617), (0.0051, 0, 9076),
+                (0.0051, 1000, 9084), (0.017, 0, 2729), (0.017, 1000, 2707))
         ]
 
     def test_cells_are_the_pitchfork_at_the_tilted_rate(self):
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12, steps=10)
         cells = []
-        sweep_statistics((1e-2, 0.0, 1e-3), 2, noisy, 1.7, DEFAULT_THRESHOLD,
+        sweep_statistics((0.017, 0.0, 0.0017), 2, noisy, DEFAULT_THRESHOLD,
                          recording_map(cells))
         assert [(cfg.coupling, cfg.growth_rate, cfg.seed) for cfg, _ in cells] == [
-            (0.0, SWEEP_CELL.growth_rate + g * 1.7, s) for g in (0.0, 1e-3, 1e-2)
+            (0.0, SWEEP_CELL.growth_rate + g, s) for g in (0.0, 0.0017, 0.017)
             for s in (0, 1000)
         ]
         assert all(cfg == replace(noisy, growth_rate=cfg.growth_rate, seed=cfg.seed)
@@ -336,7 +331,7 @@ class TestSweepCells:
     def test_bad_gamma_refused_before_any_cell(self, gamma):
         # a refused sweep never calls its mapper
         with pytest.raises(ValidationError, match="escape.gammas"):
-            sweep_statistics((1e-3, gamma), 1, SWEEP_CELL, 1.0, DEFAULT_THRESHOLD, None)
+            sweep_statistics((1e-3, gamma), 1, SWEEP_CELL, DEFAULT_THRESHOLD, None)
 
     def test_threshold_is_read_against_the_tilted_eps_star(self):
         # eps* is 0.01 untilted and sqrt((1e-5 + 1e-3) / 0.1) = 0.1005 at gamma = 1e-3
@@ -347,7 +342,7 @@ class TestSweepCells:
 
     def test_noise_free_sweep_steps_once_per_gamma(self, stepper_calls):
         stats = sweep_statistics(
-            (1e-3, 3e-3, 1e-2), 3, replace(SWEEP_CELL, steps=100_000), 1.0, DEFAULT_THRESHOLD, map,
+            (1e-3, 3e-3, 1e-2), 3, replace(SWEEP_CELL, steps=100_000), DEFAULT_THRESHOLD, map,
         )
         assert stepper_calls == [(tilted_cell(SWEEP_CELL, g).growth_rate, 0)
                                  for g in (1e-3, 3e-3, 1e-2)]
@@ -358,7 +353,7 @@ class TestSweepCells:
 
     def test_noisy_sweep_steps_once_per_cell_and_reproduces(self, stepper_calls):
         noisy = replace(SWEEP_CELL, noise_intensity=1e-12)
-        args = ((1e-3, 1e-2), 3, replace(noisy, steps=100_000), 1.0, DEFAULT_THRESHOLD, map)
+        args = ((1e-3, 1e-2), 3, replace(noisy, steps=100_000), DEFAULT_THRESHOLD, map)
         first = sweep_statistics(*args)
         assert stepper_calls == [(tilted_cell(SWEEP_CELL, g).growth_rate, s)
                                  for g in (1e-3, 1e-2) for s in (0, 1000, 2000)]

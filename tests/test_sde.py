@@ -209,7 +209,7 @@ class TestPitchfork1d:
 
 
 class TestTiltedLangevin:
-    """The escape cells' tilt is a rate: the scalar stepper at mu + gamma c."""
+    """The escape cells' tilt is a rate: the scalar stepper at mu + gamma."""
 
     @pytest.mark.parametrize("every,steps", [(2, 4999), (70_000, 140_001)])
     def test_chunked_draws_match_a_per_step_reference(self, every, steps):
@@ -219,7 +219,7 @@ class TestTiltedLangevin:
             SDE,
             growth_rate=0.05, alpha=0.5, noise_intensity=1e-3, dt=0.05,
             steps=steps, init_scale=0.02, seed=3,
-        ), 0.02, 1.5)
+        ), 0.03)
         rng = np.random.default_rng(cfg.seed)
         eps0 = cfg.init_scale * float(rng.standard_normal())
         n, final, path = _langevin(cfg, eps0, cfg.steps, rng, every=every)
@@ -261,25 +261,25 @@ class TestTiltedLangevin:
     def test_destabilizing_tilt_speeds_up_growth(self):
         cfg = replace(SDE, growth_rate=0.01, alpha=0.5, dt=0.05, steps=2000)
         _, slow, _ = _langevin(cfg, 0.01, cfg.steps, np.random.default_rng(0))
-        fast_cfg = oracles.tilted_cell(cfg, 0.05, 1.0)
+        fast_cfg = oracles.tilted_cell(cfg, 0.05)
         _, fast, _ = _langevin(fast_cfg, 0.01, cfg.steps, np.random.default_rng(0))
         assert fast > slow
 
     def test_effective_potential_minimum_tracks_tilt(self):
-        # gamma * U with U = -(1/2) c eps^2 deepens the wells: minima move
-        # from sqrt(mu/alpha) to sqrt((mu + gamma c)/alpha)
+        # gamma * U with U = -(1/2) eps^2 deepens the wells: minima move
+        # from sqrt(mu/alpha) to sqrt((mu + gamma)/alpha)
         cfg = replace(SDE, growth_rate=0.2, alpha=0.5, coupling=0.3, dt=0.01, steps=10)
         grid = np.linspace(0.0, 2.0, 200001)
-        v = effective_potential(cfg, 1.0, grid)
+        v = effective_potential(cfg, grid)
         argmin = grid[int(np.argmin(v))]
         assert argmin == pytest.approx(math.sqrt(0.5 / 0.5), abs=1e-4)
-        v0 = effective_potential(cfg, 0.0, grid)
+        v0 = effective_potential(replace(cfg, coupling=0.0), grid)
         assert grid[int(np.argmin(v0))] == pytest.approx(math.sqrt(0.4), abs=1e-4)
 
     def test_effective_potential_is_even_without_tilt(self):
         cfg = replace(SDE, growth_rate=0.2, alpha=0.5, dt=0.01, steps=10)
         xs = np.array([-1.3, -0.2, 0.2, 1.3])
-        v = effective_potential(cfg, 0.0, xs)
+        v = effective_potential(cfg, xs)
         assert np.allclose(v, v[::-1], atol=0, rtol=0)
 
 
