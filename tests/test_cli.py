@@ -322,6 +322,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: --seeds must be in [1, 65536], got {n}\n"
         assert not out.exists()
 
+    # MAX_JOBS seeds pass the bound: --out under a regular file stops the command (exit 4)
+    # after its configuration is read and before any seed runs
+    def test_the_most_seeds_pass_the_bound(self, tmp_path, capsys, clean_env):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main(["calibrate-hessian", "--seeds", str(MAX_JOBS), "--out", str(out)]) == 4
+        assert "--seeds" not in capsys.readouterr().err
+
     def test_too_long_a_seed_list_exits_2(self, tmp_path, capsys, clean_env):
         clean_env.setenv("BIFURC_RUN__SEEDS", ",".join(map(str, range(MAX_JOBS + 1))))
         out = tmp_path / "out"
@@ -1098,7 +1107,16 @@ class TestEscapeCommands:
             digests.add(hashlib.sha256((out / "escape-sweep.json").read_bytes()).hexdigest())
         assert len(digests) == (2 if seed_matters else 1)
 
-    # gamma is the tilt's whole strength: there is no curvature key to scale it
+    # gamma is the tilt's whole strength: there is no curvature key to scale it, and the
+    # unknown key is refused before its value is read, whatever the value
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e4"])
+    def test_sweep_with_bad_tilt_curvature_exits_2(self, tmp_path, capsys, clean_env, value):
+        clean_env.setenv("BIFURC_ESCAPE__TILT_CURVATURE", value)
+        clean_env.setenv("BIFURC_ESCAPE__HORIZON", "100")
+        assert main(["escape", "sweep", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key: escape.tilt_curvature\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_with_a_tilt_curvature_exits_2(self, tmp_path, capsys, clean_env):
         ini = tmp_path / "run.ini"
         ini.write_text("[escape]\ntilt_curvature = 1.0\n")
